@@ -15,7 +15,7 @@ from typing import Any
 
 import numpy as np
 
-from .errors import NotPrimeError, NotSICError, SamplerFailureError
+from .errors import InvalidParameterError, NotPrimeError, NotSICError, SamplerFailureError
 from .matrixcore import DEFAULT_TOL, ToleranceConfig, rank
 from .operator_space import (
     PAULI_X,
@@ -41,7 +41,7 @@ def pauli_scheme(variant: str = "hermitian") -> Scheme:
     """Qubit scheme over (I, sx, sy, sz)/sqrt(2); the alternate variant swaps
     sy for i*sy, keeping the family trace-orthonormal but not Hermitian."""
     if variant not in ("hermitian", "with_i_sigma_y"):
-        raise ValueError(f"unknown pauli scheme variant {variant!r}")
+        raise InvalidParameterError(f"unknown pauli scheme variant {variant!r}")
     sy = 1j * PAULI_Y if variant == "with_i_sigma_y" else PAULI_Y
     deq = np.stack([np.eye(2, dtype=complex), PAULI_X, sy, PAULI_Z]) / SQRT2
     name = "pauli" if variant == "hermitian" else "pauli-isy"
@@ -59,7 +59,7 @@ def livine_scheme(normalization: str = "dequantizer") -> Scheme:
     coincide (sqrt(2) times the dequantizers).
     """
     if normalization not in ("dequantizer", "self_dual_normalized"):
-        raise ValueError(f"unknown livine normalization {normalization!r}")
+        raise InvalidParameterError(f"unknown livine normalization {normalization!r}")
     deq = np.stack(
         [
             (np.eye(2, dtype=complex) + a * PAULI_X + b * PAULI_Y + c * PAULI_Z) / 4
@@ -88,7 +88,7 @@ def sic_qubit_scheme(normalization: str = "projector") -> Scheme:
     identity.
     """
     if normalization not in ("projector", "povm"):
-        raise ValueError(f"unknown sic normalization {normalization!r}")
+        raise InvalidParameterError(f"unknown sic normalization {normalization!r}")
     projs = np.stack([_bloch_projector(n) for n in _TETRAHEDRON])
     if normalization == "povm":
         return Scheme(dequantizers=projs / 2, name="sic-qubit-povm")
@@ -133,7 +133,7 @@ def default_fiducial(d: int) -> np.ndarray:
             .read_text()
         )
         return np.array([complex(re, im) for re, im in payload["values"]])
-    raise ValueError(f"no fiducial shipped for d={d}")
+    raise InvalidParameterError(f"no fiducial shipped for d={d}")
 
 
 def wh_sic_scheme(d: int, fiducial, tol: ToleranceConfig = DEFAULT_TOL) -> Scheme:
@@ -144,12 +144,12 @@ def wh_sic_scheme(d: int, fiducial, tol: ToleranceConfig = DEFAULT_TOL) -> Schem
     the fiducial is not SIC and NotSICError is raised.
     """
     if d < 2:
-        raise ValueError(f"dimension must be at least 2, got {d}")
+        raise InvalidParameterError(f"dimension must be at least 2, got {d}")
     psi = np.asarray(fiducial, dtype=complex).reshape(-1)
     if psi.size != d:
-        raise ValueError(f"fiducial length {psi.size} does not match d={d}")
+        raise InvalidParameterError(f"fiducial length {psi.size} does not match d={d}")
     if abs(np.linalg.norm(psi) - 1.0) > tol.residual_tol:
-        raise ValueError("fiducial vector is not normalized")
+        raise InvalidParameterError("fiducial vector is not normalized")
     z = clock_matrix(d)
     x = shift_matrix(d)
     states = [

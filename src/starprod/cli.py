@@ -30,6 +30,7 @@ from .catalog import (
 )
 from .errors import (
     DimensionMismatchError,
+    InvalidParameterError,
     LengthMismatchError,
     NotSquareLengthError,
     SchemeParseError,
@@ -73,6 +74,7 @@ from .verification import run_battery
 _INPUT_ERRORS = (
     SchemeParseError,
     UnknownSchemeError,
+    InvalidParameterError,
     DimensionMismatchError,
     LengthMismatchError,
     NotSquareLengthError,

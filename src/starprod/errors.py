@@ -73,5 +73,9 @@ class UnknownSchemeError(StarProdError, ValueError):
     """The requested name is not in the built-in scheme registry."""
 
 
+class InvalidParameterError(StarProdError, ValueError):
+    """A built-in scheme constructor got a parameter outside its supported range."""
+
+
 class SchemeParseError(StarProdError, ValueError):
-    """A scheme/operator/vector file is malformed."""
+    """A scheme/operator/vector/kernel file is malformed."""

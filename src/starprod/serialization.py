@@ -85,7 +85,11 @@ def _parse_family(data: Any, d: int, label: str) -> np.ndarray:
                 f"{label}[{idx}]: expected a {d}x{d} matrix, got {op.shape}"
             )
         ops.append(op)
-    return np.stack(ops)
+    family = np.stack(ops)
+    if not np.isfinite(family).all():
+        idx = int(np.argmin(np.isfinite(family).all(axis=(1, 2))))
+        raise SchemeParseError(f"{label}[{idx}]: entries must be finite (NaN or inf found)")
+    return family
 
 
 def parse_scheme(payload: Any) -> Scheme:
@@ -164,24 +168,27 @@ def load_vector(path: str) -> np.ndarray:
 
 
 def save_kernel(d: int, values: np.ndarray, path: str, assoc_residual: float | None = None) -> None:
-    values = np.asarray(values, dtype=complex)
-    n = values.shape[0]
-    payload: dict[str, Any] = {
-        "d": d,
-        "n": n,
-        "values": [
-            [[complex_to_pair(values[k, a, b]) for b in range(n)] for a in range(n)]
-            for k in range(n)
-        ],
-    }
-    if assoc_residual is not None:
-        payload["associativity_residual"] = assoc_residual
+    """Write a kernel file: plain JSON with one k-slice of ``values`` per line.
+
+    Each slice goes through ``json.dumps`` without indentation, which uses
+    CPython's C encoder; floats are written by ``repr``, so they reload
+    bit-exactly.
+    """
+    pairs = np.ascontiguousarray(values, dtype=complex).view(float)
+    n = pairs.shape[0]
+    pairs = pairs.reshape(n, n, n, 2)
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=1)
-        fh.write("\n")
+        fh.write(f'{{"d": {json.dumps(d)}, "n": {n}, "values": [')
+        for k, part in enumerate(pairs):
+            fh.write(("," if k else "") + "\n" + json.dumps(part.tolist()))
+        fh.write("\n]")
+        if assoc_residual is not None:
+            fh.write(f', "associativity_residual": {json.dumps(assoc_residual)}')
+        fh.write("}\n")
 
 
 def load_kernel(path: str) -> tuple[int, np.ndarray]:
+    """Read a kernel file; any malformed content raises SchemeParseError."""
     with open(path) as fh:
         try:
             payload = json.load(fh)
@@ -189,14 +196,29 @@ def load_kernel(path: str) -> tuple[int, np.ndarray]:
             raise SchemeParseError(f"{path}: invalid JSON ({exc})") from exc
     if not isinstance(payload, dict) or "values" not in payload or "d" not in payload:
         raise SchemeParseError(f"{path}: expected an object with 'd' and 'values'")
+    d = payload["d"]
+    if isinstance(d, bool) or not isinstance(d, int) or d < 1:
+        raise SchemeParseError(f"{path}: 'd' must be a positive integer, got {d!r}")
     raw = payload["values"]
+    if not isinstance(raw, list) or not raw:
+        raise SchemeParseError(f"{path}: values: expected a non-empty nested list")
     n = len(raw)
-    values = np.empty((n, n, n), dtype=complex)
-    for k in range(n):
-        for a in range(n):
-            for b in range(n):
-                values[k, a, b] = _pair_to_complex(raw[k][a][b], f"{path}: values")
-    return int(payload["d"]), values
+    if "n" in payload and (isinstance(payload["n"], bool) or payload["n"] != n):
+        raise SchemeParseError(f"{path}: 'n' is {payload['n']!r} but values hold {n} slices")
+    try:
+        pairs = np.array(raw)
+    except (ValueError, TypeError) as exc:
+        raise SchemeParseError(f"{path}: values: ragged nesting ({exc})") from exc
+    if pairs.dtype.kind not in "biuf":
+        raise SchemeParseError(f"{path}: values: entries must be numbers")
+    if pairs.shape != (n, n, n, 2):
+        raise SchemeParseError(
+            f"{path}: values: expected shape {(n, n, n, 2)} of [re, im] pairs, "
+            f"got {pairs.shape}"
+        )
+    # Viewing (re, im) float pairs as complex keeps every bit, -0.0 included.
+    values = pairs.astype(float, copy=False).view(complex).reshape(n, n, n)
+    return d, values
 
 
 def tolerances_to_json(tol: ToleranceConfig) -> dict[str, float]:

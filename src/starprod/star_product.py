@@ -58,9 +58,12 @@ class StarKernel:
 def star_kernel(s: Scheme) -> StarKernel:
     """Kernel tensor of the scheme (quantizers required)."""
     qs = s.require_quantizers()
-    products = np.einsum("xab,ybc->xyac", qs, qs)
-    values = np.einsum("kab,xyab->kxy", s.dequantizers.conj(), products)
-    return StarKernel(d=s.d, values=values)
+    n, d = s.n_points, s.d
+    # All N^2 products D_x D_y in one batched matmul, then one GEMM pairs
+    # them with the conjugated dequantizers: K[k, (x, y)].
+    products = np.matmul(qs[:, None], qs[None, :]).reshape(n * n, d * d)
+    values = s.dequantizers.conj().reshape(n, d * d) @ products.T
+    return StarKernel(d=d, values=values.reshape(n, n, n))
 
 
 def star_multiply(kernel: StarKernel, f_a, f_b) -> np.ndarray:
@@ -78,12 +81,21 @@ def star_multiply(kernel: StarKernel, f_a, f_b) -> np.ndarray:
 def associativity_residual(kernel: StarKernel) -> float:
     """Max-abs difference between the two ways of composing the kernel twice.
 
-    Exhaustive over all N^4 index tuples.
+    Compares sum_l K[k,l,m] K[l,a,b] with sum_l K[k,a,l] K[l,b,m] over all
+    N^4 index tuples (k, a, b, m).  Exhaustive: O(N^5) time, but only O(N^3)
+    memory, because each k-slice is two GEMMs whose N^3 results are reduced
+    to their max before the next slice.
     """
     k = kernel.values
-    left = np.einsum("klm,lab->kabm", k, k)
-    right = np.einsum("kal,lbm->kabm", k, k)
-    return float(np.abs(left - right).max())
+    n = k.shape[0]
+    flat = k.reshape(n, n * n)
+    worst = np.empty(n)
+    for i in range(n):
+        # left[(a, b), m] and right[a, (b, m)] share the (a, b, m) layout.
+        left = flat.T @ k[i]
+        right = k[i] @ flat
+        worst[i] = np.abs(left.reshape(n, n, n) - right.reshape(n, n, n)).max()
+    return float(worst.max())
 
 
 @dataclass(frozen=True)

@@ -67,6 +67,12 @@ class TestEmit:
     def test_non_prime_exits_1(self, tmp_path):
         assert main(["emit", "mub-prime", "--p", "4", "-o", str(tmp_path / "x.json")]) == 1
 
+    def test_wh_sic_without_shipped_fiducial_exits_2(self, tmp_path, capsys):
+        assert main(["emit", "wh-sic", "--d", "4", "-o", str(tmp_path / "x.json")]) == 2
+        err = capsys.readouterr().err
+        assert "no fiducial shipped for d=4" in err
+        assert "Traceback" not in err
+
 
 class TestClassify:
     def test_livine_report(self, emit, tmp_path, capsys):
@@ -157,6 +163,18 @@ class TestClassify:
 
     def test_missing_file_exits_2(self, tmp_path):
         assert main(["classify", str(tmp_path / "none.json")]) == 2
+
+    @pytest.mark.parametrize("command", ["classify", "kernel"])
+    def test_non_finite_entry_exits_2(self, emit, tmp_path, capsys, command):
+        path = emit("sic-qubit", "--normalization", "povm")
+        payload = json.loads(path.read_text())
+        payload["dequantizers"][1][0][0] = [float("nan"), 0.0]
+        path.write_text(json.dumps(payload))
+        argv = [command, str(path)] + (["-o", str(tmp_path / "k.json")] if command == "kernel" else [])
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "finite" in err
+        assert "Traceback" not in err
 
 
 class TestQuantize:

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -91,6 +92,15 @@ class TestSchemeFiles:
         with pytest.raises(SchemeParseError):
             parse_scheme(payload)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("family", ["dequantizers", "quantizers"])
+    def test_non_finite_entries(self, bad, family):
+        payload = serialize_scheme(sic_qubit_scheme("povm"))
+        payload["quantizers"] = payload["dequantizers"]
+        payload[family][2][1][0] = [0.5, bad]
+        with pytest.raises(SchemeParseError, match="finite"):
+            parse_scheme(json.loads(json.dumps(payload)))
+
     def test_quantizer_count_mismatch(self):
         op = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
         with pytest.raises(SchemeParseError):
@@ -119,18 +129,111 @@ class TestOperatorVectorKernelFiles:
 
     def test_kernel_round_trip(self, tmp_path, rng):
         values = random_complex(rng, (4, 4, 4))
+        # Signed zeros, subnormals and the float range ends must survive too.
+        edge = [-0.0, 5e-324, -2.2e-308, 1e308, -1e308, 0.0]
+        values.real.flat[: len(edge)] = edge
+        values.imag.flat[-len(edge) :] = edge
         path = tmp_path / "kernel.json"
         save_kernel(2, values, str(path), assoc_residual=1.5e-12)
         d, back = load_kernel(str(path))
         assert d == 2
-        assert np.array_equal(back, values)
+        assert back.view(np.uint64).tobytes() == values.view(np.uint64).tobytes()
         assert json.loads(path.read_text())["associativity_residual"] == 1.5e-12
+
+    def test_kernel_file_is_plain_json_one_slice_per_line(self, tmp_path, rng):
+        values = random_complex(rng, (4, 4, 4))
+        path = tmp_path / "kernel.json"
+        save_kernel(2, values, str(path))
+        text = path.read_text()
+        payload = json.loads(text)
+        assert list(payload) == ["d", "n", "values"]
+        assert payload["d"] == 2 and payload["n"] == 4
+        assert payload["values"][1][2][3] == [values[1, 2, 3].real, values[1, 2, 3].imag]
+        lines = text.splitlines()
+        assert len(lines) == 4 + 2
+        assert [json.loads(line.rstrip(",")) for line in lines[1:-1]] == payload["values"]
+        save_kernel(2, values, str(path), assoc_residual=0.25)
+        assert list(json.loads(path.read_text())) == ["d", "n", "values", "associativity_residual"]
 
     def test_operator_missing_field(self, tmp_path):
         path = tmp_path / "op.json"
         path.write_text('{"values": []}')
         with pytest.raises(SchemeParseError):
             load_operator(str(path))
+
+
+_PAIR = [0.5, -0.25]
+_GOOD_VALUES = [[[_PAIR, _PAIR], [_PAIR, _PAIR]], [[_PAIR, _PAIR], [_PAIR, _PAIR]]]
+
+
+def _kernel_payload(**changes):
+    payload = {"d": 1, "n": 2, "values": _GOOD_VALUES}
+    payload.update(changes)
+    return payload
+
+
+class TestKernelFileContract:
+    def test_well_formed_payload_loads(self, tmp_path):
+        path = tmp_path / "kernel.json"
+        path.write_text(json.dumps(_kernel_payload()))
+        d, values = load_kernel(str(path))
+        assert d == 1 and values.shape == (2, 2, 2)
+        assert np.all(values == 0.5 - 0.25j)
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            # ragged nesting
+            _kernel_payload(values=[_GOOD_VALUES[0], [[_PAIR, _PAIR], [_PAIR]]]),
+            _kernel_payload(values=[_GOOD_VALUES[0], [[_PAIR, _PAIR], [_PAIR, [0.5]]]]),
+            # short nesting
+            _kernel_payload(values=[[_PAIR, _PAIR], [_PAIR, _PAIR]]),
+            _kernel_payload(values=[0.5, 0.5]),
+            _kernel_payload(values=[]),
+            _kernel_payload(values={"0": _GOOD_VALUES}),
+        ],
+        ids=["ragged-slice", "ragged-pair", "short-nesting", "flat", "empty", "object"],
+    )
+    def test_ragged_or_short_nesting(self, tmp_path, payload):
+        self._assert_rejected(tmp_path, payload)
+
+    @pytest.mark.parametrize("entry", ["0.5", None, {"re": 0.5}, [0.5]])
+    def test_non_numeric_entries(self, tmp_path, entry):
+        values = json.loads(json.dumps(_GOOD_VALUES))
+        values[1][0][1][1] = entry
+        self._assert_rejected(tmp_path, _kernel_payload(values=values))
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [[[[0.5, 0.5, 0.5]] * 2] * 2] * 2,
+            [[[_PAIR] * 3] * 2] * 2,
+            [[[_PAIR] * 2] * 3] * 2,
+            [[[[_PAIR, _PAIR]] * 2] * 2] * 2,
+        ],
+        ids=["triple", "wide-row", "tall-slice", "deep"],
+    )
+    def test_wrong_shape(self, tmp_path, values):
+        self._assert_rejected(tmp_path, _kernel_payload(values=values))
+
+    @pytest.mark.parametrize("d", ["x", None, 0, -2, 2.5, True, [2]])
+    def test_bad_d(self, tmp_path, d):
+        self._assert_rejected(tmp_path, _kernel_payload(d=d))
+
+    @pytest.mark.parametrize("n", [1, 3, "2", None, True])
+    def test_n_disagrees_with_values(self, tmp_path, n):
+        self._assert_rejected(tmp_path, _kernel_payload(n=n))
+
+    def test_missing_keys(self, tmp_path):
+        self._assert_rejected(tmp_path, {"n": 2, "values": _GOOD_VALUES})
+        self._assert_rejected(tmp_path, [_GOOD_VALUES])
+
+    @staticmethod
+    def _assert_rejected(tmp_path, payload):
+        path = tmp_path / "kernel.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(SchemeParseError, match=re.escape(str(path))):
+            load_kernel(str(path))
 
 
 class TestReportJson:

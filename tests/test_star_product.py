@@ -8,6 +8,7 @@ from starprod import (
     NotTomographicError,
     NotUnitaryError,
     Scheme,
+    StarKernel,
     associativity_residual,
     cubic_unitary_residual,
     dequantization_matrix,
@@ -19,6 +20,7 @@ from starprod import (
     with_canonical_quantizers,
 )
 from starprod.catalog import (
+    entries,
     livine_scheme,
     matrix_units_scheme,
     mub_qubit_scheme,
@@ -103,6 +105,18 @@ class TestStarKernel:
         with pytest.raises(MissingQuantizersError):
             star_kernel(mub_qubit_scheme())
 
+    @pytest.mark.parametrize("d, extra", [(2, 0), (3, 0), (2, 3), (3, 5)])
+    def test_matches_einsum_reference(self, rng, d, extra):
+        # Reference: the two-einsum contraction Tr[U_k^dag D_x D_y].
+        # extra = 0 is a minimal frame, extra > 0 an overfilled one.
+        s = with_canonical_quantizers(
+            Scheme(dequantizers=random_complex(rng, (d * d + extra, d, d)))
+        )
+        qs = s.quantizers
+        products = np.einsum("xab,ybc->xyac", qs, qs)
+        expected = np.einsum("kab,xyab->kxy", s.dequantizers.conj(), products)
+        assert np.abs(star_kernel(s).values - expected).max() <= 1e-13
+
 
 class TestStarMultiply:
     def test_matrix_units_is_matrix_product(self, rng):
@@ -147,6 +161,23 @@ class TestAssociativity:
     def test_mub_canonical(self):
         s = with_canonical_quantizers(mub_qubit_scheme())
         assert associativity_residual(star_kernel(s)) <= 1e-10
+
+    def test_every_catalog_kernel(self):
+        for entry in entries():
+            s = with_canonical_quantizers(entry.scheme)
+            assert associativity_residual(star_kernel(s)) <= 1e-10, entry.name
+
+    @pytest.mark.parametrize("n", [2, 5, 9])
+    def test_matches_einsum_reference_on_random_tensor(self, rng, n):
+        # A random tensor is far from associative, so the residual is large
+        # and the relative agreement with the N^4 einsum form is meaningful.
+        values = random_complex(rng, (n, n, n))
+        left = np.einsum("klm,lab->kabm", values, values)
+        right = np.einsum("kal,lbm->kabm", values, values)
+        expected = float(np.abs(left - right).max())
+        got = associativity_residual(StarKernel(d=2, values=values))
+        assert expected > 1.0
+        assert abs(got - expected) <= 1e-12 * expected
 
 
 class TestIntertwiner:
