@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import importlib.resources
 import json
+from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import Any
 
@@ -195,31 +196,55 @@ def mub_prime_scheme(p: int) -> Scheme:
     return Scheme(dequantizers=deq, name=f"mub-prime-{p}")
 
 
+def random_minimal_povm_dequantizers(
+    d: int, seeds: Iterable[int], tol: ToleranceConfig = DEFAULT_TOL, max_attempts: int = 100
+) -> np.ndarray:
+    """Seeded random minimal tomographic POVMs, one per seed, as an
+    (S, d^2, d, d) stack: d^2 Wishart effects per seed, symmetrically
+    normalized so they sum to the identity exactly.
+
+    Each seed owns a ``default_rng(seed)`` stream, so a seed's POVM does not
+    depend on the other seeds.  A seed whose dequantization matrix lacks
+    full rank draws again from its own stream; SamplerFailureError names the
+    first seed still rank-deficient after ``max_attempts`` draws.
+    """
+    if d < 1:
+        raise InvalidParameterError(f"dimension must be positive, got {d}")
+    seeds = list(seeds)
+    n = d * d
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    deq = np.empty((len(seeds), n, d, d), dtype=complex)
+    pending = np.arange(len(seeds))
+    for _ in range(max_attempts):
+        normals = np.empty((pending.size, 2, n, d, d))
+        for row, index in enumerate(pending):
+            rngs[index].standard_normal(out=normals[row])
+        g = (normals[:, 0] + 1j * normals[:, 1]) / SQRT2
+        effects = np.einsum("skab,skcb->skac", g, g.conj())
+        eigenvalues, vectors = np.linalg.eigh(effects.sum(axis=1))
+        scaled = vectors * (1 / np.sqrt(eigenvalues))[:, None, :]
+        inv_sqrt = scaled @ vectors.conj().swapaxes(1, 2)
+        candidates = np.einsum("sab,skbc,scd->skad", inv_sqrt, effects, inv_sqrt)
+        full = rank(candidates.reshape(pending.size, n, n).swapaxes(1, 2), tol) == n
+        deq[pending[full]] = candidates[full]
+        pending = pending[~full]
+        if not pending.size:
+            return deq
+    raise SamplerFailureError(
+        f"no full-rank POVM found in {max_attempts} attempts (d={d}, seed={seeds[pending[0]]})"
+    )
+
+
 def random_minimal_povm_scheme(
     d: int, seed: int, tol: ToleranceConfig = DEFAULT_TOL, max_attempts: int = 100
 ) -> Scheme:
-    """Seeded random minimal tomographic POVM: d^2 Wishart effects,
-    symmetrically normalized so they sum to the identity exactly.
+    """Seeded random minimal tomographic POVM: the one-seed case of
+    ``random_minimal_povm_dequantizers``.
 
-    Resamples until the dequantization matrix has full rank; raises
-    SamplerFailureError after ``max_attempts``.
+    Raises SamplerFailureError after ``max_attempts`` rank-deficient draws.
     """
-    rng = np.random.default_rng(seed)
-    for _ in range(max_attempts):
-        g = (
-            rng.standard_normal((d * d, d, d)) + 1j * rng.standard_normal((d * d, d, d))
-        ) / SQRT2
-        effects = np.einsum("kab,kcb->kac", g, g.conj())
-        total = effects.sum(axis=0)
-        eigenvalues, vectors = np.linalg.eigh(total)
-        inv_sqrt = (vectors * (1 / np.sqrt(eigenvalues))) @ vectors.conj().T
-        deq = np.einsum("ab,kbc,cd->kad", inv_sqrt, effects, inv_sqrt)
-        s = Scheme(dequantizers=deq, name=f"random-povm-d{d}-seed{seed}")
-        if rank(dequantization_matrix(s), tol) == d * d:
-            return s
-    raise SamplerFailureError(
-        f"no full-rank POVM found in {max_attempts} attempts (d={d}, seed={seed})"
-    )
+    deq = random_minimal_povm_dequantizers(d, [seed], tol, max_attempts)[0]
+    return Scheme(dequantizers=deq, name=f"random-povm-d{d}-seed{seed}")
 
 
 @dataclass(frozen=True)

@@ -335,7 +335,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     payload = _report_skeleton(tol)
     payload["suite"] = args.suite
     payload["checks"] = [
-        {"name": r.name, "passed": r.passed, "details": _jsonable(r.details)}
+        {"name": r.name, "passed": r.passed, "seconds": r.seconds, "details": _jsonable(r.details)}
         for r in results
     ]
     all_passed = all(r.passed for r in results)
@@ -430,7 +430,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--suite", choices=("all", "table", "propositions", "random-povm"), default="all"
     )
-    p.add_argument("--seeds", type=int, default=1000, help="sample count for random-povm")
+    p.add_argument(
+        "--seeds", type=int, default=1000, help="sample count for random-povm (at least 1)"
+    )
     p.add_argument("--report")
     _add_tolerance_flags(p)
     p.set_defaults(func=cmd_verify)

@@ -73,17 +73,21 @@ def hermitian_eig(m, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[np.ndarray, np
 
 
 def singular_values(m) -> np.ndarray:
-    """Singular values of a matrix, descending."""
-    m = as_matrix(m)
+    """Singular values of a matrix, descending; a stack (..., m, n) gives one row per matrix."""
+    m = np.asarray(m, dtype=complex)
+    if m.ndim < 2:
+        raise DimensionMismatchError(f"expected a matrix or a stack of matrices, got ndim={m.ndim}")
     return np.linalg.svd(m, compute_uv=False)
 
 
-def rank(m, tol: ToleranceConfig = DEFAULT_TOL) -> int:
-    """Number of singular values above ``rank_tol * sigma_max``; 0 for the zero matrix."""
+def rank(m, tol: ToleranceConfig = DEFAULT_TOL) -> int | np.ndarray:
+    """Number of singular values above ``rank_tol * sigma_max``; 0 for the zero matrix.
+
+    A stack (..., m, n) gives an integer array of per-matrix ranks.
+    """
     sv = singular_values(m)
-    if sv.size == 0 or sv[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(sv > tol.rank_tol * sv[0]))
+    ranks = np.count_nonzero(sv > tol.rank_tol * sv[..., :1], axis=-1)
+    return int(ranks) if ranks.ndim == 0 else ranks
 
 
 def inverse(m, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:

@@ -145,15 +145,20 @@ def vectorize(z, basis: VectorizationBasis) -> np.ndarray:
 
 
 def devectorize(v, basis: VectorizationBasis) -> np.ndarray:
-    """Operator whose vectorization under the basis is v."""
-    v = np.asarray(v, dtype=complex).reshape(-1)
-    side = np.sqrt(v.size)
+    """Operator whose vectorization under the basis is v.
+
+    Accepts a stack of vectors (..., d^2) and returns the stack of operators
+    (..., d, d).
+    """
+    v = np.atleast_1d(np.asarray(v, dtype=complex))
+    length = v.shape[-1]
+    side = np.sqrt(length)
     if side != np.floor(side):
-        raise NotSquareLengthError(f"vector length {v.size} is not a perfect square")
-    if v.size != basis.dim:
+        raise NotSquareLengthError(f"vector length {length} is not a perfect square")
+    if length != basis.dim:
         raise DimensionMismatchError(
-            f"vector length {v.size} does not match basis dimension {basis.dim}"
+            f"vector length {length} does not match basis dimension {basis.dim}"
         )
     if basis.ops is None:
-        return v.reshape(basis.d, basis.d)
-    return np.tensordot(v, basis.ops, axes=(0, 0))
+        return v.reshape(*v.shape[:-1], basis.d, basis.d)
+    return np.tensordot(v, basis.ops, axes=(-1, 0))

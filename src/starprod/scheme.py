@@ -157,7 +157,7 @@ def scheme_from_dequantization_matrix(
         raise DimensionMismatchError(
             f"expected a {basis.dim} x N matrix, got shape {mat.shape}"
         )
-    deq = np.stack([devectorize(col, basis) for col in mat.T])
+    deq = devectorize(mat.T, basis)
     qs = None
     if quantizer_matrix is not None:
         quantizer_matrix = np.asarray(quantizer_matrix, dtype=complex)
@@ -165,29 +165,50 @@ def scheme_from_dequantization_matrix(
             raise DimensionMismatchError(
                 "quantizer matrix shape does not match dequantization matrix"
             )
-        qs = np.stack([devectorize(col, basis) for col in quantizer_matrix.T])
+        qs = devectorize(quantizer_matrix.T, basis)
     return Scheme(dequantizers=deq, quantizers=qs, name=name)
 
 
-def canonical_quantizers(s: Scheme, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-    """Quantizer family dual to the dequantizers.
+def canonical_duals(dequantizers, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+    """Canonical quantizer families dual to a stack of dequantizer families.
 
-    Minimal case (N = d^2): the inverse-adjoint of the dequantization matrix.
-    Overfilled case: the pseudoinverse dual, (U U^dag)^-1 U.  Raises
-    NotTomographicError when the dequantizers do not span the operator space.
+    ``dequantizers`` has shape (..., N, d, d); the result has the same shape,
+    one dual family per input family.  Minimal case (N = d^2): the
+    inverse-adjoint of each dequantization matrix.  Overfilled case: the
+    pseudoinverse dual, (U U^dag)^-1 U.  Raises NotTomographicError when a
+    family does not span the operator space.
     """
-    basis = VectorizationBasis.row_stacking(s.d)
-    u_mat = dequantization_matrix(s, basis)
-    d_sq = s.d * s.d
-    if rank(u_mat, tol) < d_sq:
-        raise NotTomographicError(
-            f"rank {rank(u_mat, tol)} < d^2 = {d_sq}; quantizers are undefined"
+    deq = np.asarray(dequantizers, dtype=complex)
+    if deq.ndim < 3 or deq.shape[-1] != deq.shape[-2]:
+        raise DimensionMismatchError(
+            f"expected a stack of square operator families, got shape {deq.shape}"
         )
-    if s.n_points == d_sq:
-        d_mat = np.linalg.inv(u_mat.conj().T)
+    n, d = deq.shape[-3], deq.shape[-1]
+    d_sq = d * d
+    # Row-stacking dequantization matrices (..., d^2, N).
+    u_mat = deq.reshape(*deq.shape[:-3], n, d_sq).swapaxes(-1, -2)
+    ranks = np.asarray(rank(u_mat, tol)).reshape(-1)
+    deficient = np.flatnonzero(ranks < d_sq)
+    if deficient.size:
+        raise NotTomographicError(
+            f"rank {ranks[deficient[0]]} < d^2 = {d_sq}; quantizers are undefined"
+        )
+    u_dag = u_mat.conj().swapaxes(-1, -2)
+    if n == d_sq:
+        d_mat = np.linalg.inv(u_dag)
     else:
-        d_mat = np.linalg.inv(u_mat @ u_mat.conj().T) @ u_mat
-    return np.stack([devectorize(col, basis) for col in d_mat.T])
+        d_mat = np.linalg.inv(u_mat @ u_dag) @ u_mat
+    return devectorize(d_mat.swapaxes(-1, -2), VectorizationBasis.row_stacking(d))
+
+
+def canonical_quantizers(s: Scheme, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+    """Quantizer family dual to the dequantizers: the one-family case of
+    ``canonical_duals``.
+
+    Raises NotTomographicError when the dequantizers do not span the
+    operator space.
+    """
+    return canonical_duals(s.dequantizers, tol)
 
 
 def with_canonical_quantizers(s: Scheme, tol: ToleranceConfig = DEFAULT_TOL) -> Scheme:
@@ -234,8 +255,7 @@ def gauge_quantizers(s: Scheme, g_mat, tol: ToleranceConfig = DEFAULT_TOL) -> np
         d_mat = quantization_matrix(s, basis)
     else:
         d_mat = _family_matrix(canonical_quantizers(s, tol), basis)
-    shifted = d_mat + g_mat
-    return np.stack([devectorize(col, basis) for col in shifted.T])
+    return devectorize((d_mat + g_mat).T, basis)
 
 
 def duality_matrix(s: Scheme) -> np.ndarray:

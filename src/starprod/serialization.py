@@ -2,7 +2,8 @@
 
 Complex scalars are two-element [re, im] arrays and matrices are row-major
 nested lists, so parsing a serialized object reproduces it bit-exactly.
-An infinite condition number serializes as null.
+A parsed matrix or vector with a NaN or infinite entry is malformed
+(SchemeParseError).  An infinite condition number serializes as null.
 """
 
 from __future__ import annotations
@@ -39,16 +40,23 @@ def matrix_to_json(m: np.ndarray) -> list[list[list[float]]]:
     return [[complex_to_pair(entry) for entry in row] for row in m]
 
 
+def _require_finite(values: np.ndarray, where: str) -> np.ndarray:
+    if not np.isfinite(values).all():
+        raise SchemeParseError(f"{where}: entries must be finite (NaN or inf found)")
+    return values
+
+
 def json_to_matrix(data: Any, where: str = "matrix") -> np.ndarray:
     if not isinstance(data, list) or not data or not all(isinstance(r, list) for r in data):
         raise SchemeParseError(f"{where}: expected a nested list of rows")
     width = len(data[0])
     if width == 0 or any(len(row) != width for row in data):
         raise SchemeParseError(f"{where}: rows have inconsistent lengths")
-    return np.array(
+    matrix = np.array(
         [[_pair_to_complex(entry, where) for entry in row] for row in data],
         dtype=complex,
     )
+    return _require_finite(matrix, where)
 
 
 def vector_to_json(v: np.ndarray) -> list[list[float]]:
@@ -58,7 +66,9 @@ def vector_to_json(v: np.ndarray) -> list[list[float]]:
 def json_to_vector(data: Any, where: str = "vector") -> np.ndarray:
     if not isinstance(data, list) or not data:
         raise SchemeParseError(f"{where}: expected a non-empty list of [re, im] pairs")
-    return np.array([_pair_to_complex(entry, where) for entry in data], dtype=complex)
+    return _require_finite(
+        np.array([_pair_to_complex(entry, where) for entry in data], dtype=complex), where
+    )
 
 
 def serialize_scheme(s: Scheme) -> dict[str, Any]:
@@ -85,11 +95,7 @@ def _parse_family(data: Any, d: int, label: str) -> np.ndarray:
                 f"{label}[{idx}]: expected a {d}x{d} matrix, got {op.shape}"
             )
         ops.append(op)
-    family = np.stack(ops)
-    if not np.isfinite(family).all():
-        idx = int(np.argmin(np.isfinite(family).all(axis=(1, 2))))
-        raise SchemeParseError(f"{label}[{idx}]: entries must be finite (NaN or inf found)")
-    return family
+    return np.stack(ops)
 
 
 def parse_scheme(payload: Any) -> Scheme:

@@ -18,29 +18,37 @@ from .errors import (
     LengthMismatchError,
     NotUnitaryError,
 )
-from .matrixcore import DEFAULT_TOL, ToleranceConfig, as_matrix
+from .matrixcore import DEFAULT_TOL, ToleranceConfig
 from .scheme import Scheme, with_canonical_quantizers
 
 
 def symbol(s: Scheme, a) -> np.ndarray:
-    """Symbol vector f_A(k) = Tr[U_k^dag A] of an operator."""
-    a = as_matrix(a)
-    if a.shape != (s.d, s.d):
+    """Symbol vector f_A(k) = Tr[U_k^dag A] of an operator.
+
+    Accepts a stack of operators (..., d, d) and returns the stack of symbols
+    (..., N).
+    """
+    a = np.asarray(a, dtype=complex)
+    if a.shape[-2:] != (s.d, s.d):
         raise DimensionMismatchError(
             f"operator shape {a.shape} does not match scheme dimension d={s.d}"
         )
-    return np.einsum("kab,ab->k", s.dequantizers.conj(), a)
+    return np.einsum("kab,...ab->...k", s.dequantizers.conj(), a)
 
 
 def reconstruct(s: Scheme, f) -> np.ndarray:
-    """Operator sum_k f(k) D_k rebuilt from a symbol vector."""
+    """Operator sum_k f(k) D_k rebuilt from a symbol vector.
+
+    Accepts a stack of symbols (..., N) and returns the stack of operators
+    (..., d, d).
+    """
     qs = s.require_quantizers()
-    f = np.asarray(f, dtype=complex).reshape(-1)
-    if f.size != s.n_points:
+    f = np.atleast_1d(np.asarray(f, dtype=complex))
+    if f.shape[-1] != s.n_points:
         raise LengthMismatchError(
-            f"symbol length {f.size} does not match scheme size N={s.n_points}"
+            f"symbol length {f.shape[-1]} does not match scheme size N={s.n_points}"
         )
-    return np.tensordot(f, qs, axes=(0, 0))
+    return np.tensordot(f, qs, axes=(-1, 0))
 
 
 @dataclass(frozen=True)
@@ -67,15 +75,19 @@ def star_kernel(s: Scheme) -> StarKernel:
 
 
 def star_multiply(kernel: StarKernel, f_a, f_b) -> np.ndarray:
-    """Symbol of the operator product: (f_a * f_b)(k) summed through the kernel."""
-    f_a = np.asarray(f_a, dtype=complex).reshape(-1)
-    f_b = np.asarray(f_b, dtype=complex).reshape(-1)
+    """Symbol of the operator product: (f_a * f_b)(k) summed through the kernel.
+
+    Accepts stacks of symbols (..., N) that broadcast against each other and
+    returns the stack of product symbols.
+    """
+    f_a = np.atleast_1d(np.asarray(f_a, dtype=complex))
+    f_b = np.atleast_1d(np.asarray(f_b, dtype=complex))
     n = kernel.n_points
-    if f_a.size != n or f_b.size != n:
+    if f_a.shape[-1] != n or f_b.shape[-1] != n:
         raise LengthMismatchError(
-            f"symbol lengths ({f_a.size}, {f_b.size}) do not match kernel size N={n}"
+            f"symbol lengths ({f_a.shape[-1]}, {f_b.shape[-1]}) do not match kernel size N={n}"
         )
-    return np.einsum("kab,a,b->k", kernel.values, f_a, f_b)
+    return np.einsum("kab,...a,...b->...k", kernel.values, f_a, f_b)
 
 
 def associativity_residual(kernel: StarKernel) -> float:
@@ -130,12 +142,20 @@ def intertwiner(
     return IntertwinerPair(forward=forward, backward=backward)
 
 
-def cubic_unitary_residual(u, tol: ToleranceConfig = DEFAULT_TOL) -> float:
-    """Max-abs entry of u - (u u*) u^tr; zero for every unitary u."""
-    u = as_matrix(u)
-    if u.shape[0] != u.shape[1]:
+def cubic_unitary_residual(u, tol: ToleranceConfig = DEFAULT_TOL) -> float | np.ndarray:
+    """Max-abs entry of u - (u u*) u^tr; zero for every unitary u.
+
+    A stack of matrices (..., n, n) gives an array of per-matrix residuals;
+    NotUnitaryError is raised if any member is not unitary.
+    """
+    u = np.asarray(u, dtype=complex)
+    if u.ndim < 2:
+        raise DimensionMismatchError(f"expected a matrix or a stack of matrices, got ndim={u.ndim}")
+    if u.shape[-1] != u.shape[-2]:
         raise NotUnitaryError(f"expected a square matrix, got shape {u.shape}")
-    unitarity = float(np.abs(u.conj().T @ u - np.eye(u.shape[0])).max())
+    u_tr = u.swapaxes(-1, -2)
+    unitarity = float(np.abs(u_tr.conj() @ u - np.eye(u.shape[-1])).max())
     if unitarity > tol.residual_tol:
         raise NotUnitaryError(f"matrix is not unitary (residual {unitarity:.3e})")
-    return float(np.abs(u - (u @ u.conj()) @ u.T).max())
+    residual = np.abs(u - (u @ u.conj()) @ u_tr).max(axis=(-2, -1))
+    return float(residual) if residual.ndim == 0 else residual

@@ -4,12 +4,15 @@ Each check pins its tolerances, runs one acceptance-grade property
 (table regression, symmetric-overlap conditions, the self-duality and
 POVM-incompatibility statements, completeness/round-trip, kernel laws,
 intertwining, the cubic unitary identity, the MUB frame), and reports its
-residuals.  The CLI ``verify`` command and the acceptance test suite both
-drive these functions.
+residuals.  The sampled checks draw all samples of a scheme at once and
+evaluate them as one stack through the library's stack-aware functions.
+The CLI ``verify`` command and the acceptance test suite both drive these
+functions.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -21,23 +24,24 @@ from .catalog import (
     livine_scheme,
     mub_qubit_scheme,
     pauli_scheme,
-    random_minimal_povm_scheme,
+    random_minimal_povm_dequantizers,
     sic_qubit_scheme,
     table_regression_set,
     matrix_units_scheme,
     wh_sic_scheme,
 )
+from .errors import InvalidParameterError
 from .matrixcore import DEFAULT_TOL, ToleranceConfig, hermitian_eig, singular_values
-from .operator_space import VectorizationBasis, hs_inner
+from .operator_space import VectorizationBasis, devectorize
 from .scheme import (
-    canonical_quantizers,
+    Scheme,
+    canonical_duals,
     classify,
     completeness_residual,
     dequantization_matrix,
     duality_matrix,
     negativity_report,
     scaled_unitary_check,
-    scheme_from_dequantization_matrix,
     self_dual_coefficient,
     with_canonical_quantizers,
 )
@@ -56,23 +60,41 @@ DEFAULT_BATTERY_SEED = 20100231
 
 @dataclass
 class CheckResult:
-    """Outcome of one verification check with its residuals."""
+    """Outcome of one verification check with its residuals.
+
+    ``seconds`` is the check's wall time, recorded by ``run_battery``.
+    """
 
     name: str
     passed: bool
     details: dict[str, Any] = field(default_factory=dict)
+    seconds: float | None = None
+
+
+def _ginibre(normals: np.ndarray) -> np.ndarray:
+    """Complex matrices (..., n, n) from standard normal draws (..., 2, n, n).
+
+    Real parts come before imaginary parts, so drawing ``(count, 2, n, n)``
+    at once consumes the generator exactly as ``count`` per-matrix draws of
+    a real and then an imaginary (n, n) block.
+    """
+    return normals[..., 0, :, :] + 1j * normals[..., 1, :, :]
+
+
+def haar_unitaries(normals: np.ndarray) -> np.ndarray:
+    """Haar-distributed unitaries via batched QR of complex Ginibre matrices.
+
+    ``normals`` holds standard normal draws of shape (..., 2, n, n) (see
+    ``_ginibre``); the result has shape (..., n, n).
+    """
+    q, r = np.linalg.qr(_ginibre(normals) / np.sqrt(2))
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (diag / np.abs(diag))[..., None, :]
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed unitary via QR of a complex Ginibre matrix."""
-    z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2)
-    q, r = np.linalg.qr(z)
-    diag = np.diag(r)
-    return q * (diag / np.abs(diag))
-
-
-def random_operator(d: int, rng: np.random.Generator) -> np.ndarray:
-    return rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    """One Haar-distributed unitary: the one-item case of ``haar_unitaries``."""
+    return haar_unitaries(rng.standard_normal((2, dim, dim)))
 
 
 def check_table_printed_rows() -> CheckResult:
@@ -183,13 +205,18 @@ def check_self_duality_unitarity(
     rng = np.random.default_rng(seed)
     worst_forward = 0.0
     for d in (2, 3):
-        basis = VectorizationBasis.row_stacking(d)
-        for _ in range(samples):
-            c = rng.uniform(0.1, 10.0)
-            u_mat = np.sqrt(c) * haar_unitary(d * d, rng)
-            s = scheme_from_dequantization_matrix(u_mat, basis)
-            s = s.with_quantizers(canonical_quantizers(s, tol))
-            recovered = self_dual_coefficient(s, tol)
+        # Each sample draws its coefficient and then its unitary, so the
+        # draws stay interleaved per sample.
+        coefficients = np.empty(samples)
+        normals = np.empty((samples, 2, d * d, d * d))
+        for i in range(samples):
+            coefficients[i] = rng.uniform(0.1, 10.0)
+            rng.standard_normal(out=normals[i])
+        u_mats = np.sqrt(coefficients)[:, None, None] * haar_unitaries(normals)
+        deq = devectorize(u_mats.swapaxes(1, 2), VectorizationBasis.row_stacking(d))
+        duals = canonical_duals(deq, tol)
+        for c, family, dual in zip(coefficients, deq, duals):
+            recovered = self_dual_coefficient(Scheme(family, dual), tol)
             if recovered is None:
                 worst_forward = np.inf
                 break
@@ -215,7 +242,7 @@ def check_self_duality_unitarity(
         name="self-dual-scaled-unitary",
         passed=bool(passed),
         details={
-            "random_coefficient_worst_relative_error": worst_forward,
+            "random_coefficient_worst_relative_error": float(worst_forward),
             "catalog_gram_worst_relative_error": worst_backward,
             "self_dual_catalog_schemes": checked,
             "samples_per_dimension": samples,
@@ -227,27 +254,22 @@ def check_self_duality_unitarity(
 def check_povm_dual_negativity(
     seeds: int = 1000, d: int = 2, tol: ToleranceConfig = DEFAULT_TOL
 ) -> CheckResult:
-    """Random minimal POVM schemes always have a negative dual eigenvalue."""
-    conclusive = 0
-    inconclusive = 0
-    counterexamples = 0
-    worst_min = -np.inf
+    """Random minimal POVM schemes always have a negative dual eigenvalue.
+
+    Seeds 0 .. seeds-1 are sampled as one stack; ``seeds`` must be at least 1.
+    """
+    if seeds < 1:
+        raise InvalidParameterError(f"seeds must be at least 1, got {seeds}")
     guard = 1e-10
-    for seed in range(seeds):
-        s = random_minimal_povm_scheme(d, seed, tol)
-        qs = canonical_quantizers(s, tol)
-        # Eigenvalues of the Hermitian parts: the exact dual of a Hermitian
-        # family is Hermitian, but inversion noise scales with conditioning
-        # and the guard below absorbs it.
-        herm = (qs + qs.conj().transpose(0, 2, 1)) / 2
-        min_eig = float(np.linalg.eigvalsh(herm)[:, 0].min())
-        worst_min = max(worst_min, min_eig)
-        if min_eig <= -guard:
-            conclusive += 1
-        elif min_eig < guard:
-            inconclusive += 1
-        else:
-            counterexamples += 1
+    duals = canonical_duals(random_minimal_povm_dequantizers(d, range(seeds), tol), tol)
+    # Eigenvalues of the Hermitian parts: the exact dual of a Hermitian
+    # family is Hermitian, but inversion noise scales with conditioning
+    # and the guard below absorbs it.
+    herm = (duals + duals.conj().swapaxes(-1, -2)) / 2
+    minima = np.linalg.eigvalsh(herm)[..., 0].min(axis=-1)
+    conclusive = int(np.count_nonzero(minima <= -guard))
+    counterexamples = int(np.count_nonzero(minima >= guard))
+    inconclusive = seeds - conclusive - counterexamples
     passed = counterexamples == 0 and conclusive >= 0.99 * seeds
     return CheckResult(
         name="povm-dual-negativity",
@@ -257,7 +279,7 @@ def check_povm_dual_negativity(
             "conclusive": conclusive,
             "inconclusive": inconclusive,
             "counterexamples": counterexamples,
-            "largest_min_quantizer_eigenvalue": worst_min,
+            "largest_min_quantizer_eigenvalue": float(minima.max()),
             "guard": guard,
         },
     )
@@ -273,11 +295,10 @@ def check_completeness_roundtrip(
     for entry in entries(tol):
         s = with_canonical_quantizers(entry.scheme, tol)
         worst_complete = max(worst_complete, completeness_residual(s))
-        for _ in range(samples):
-            a = random_operator(s.d, rng)
-            worst_roundtrip = max(
-                worst_roundtrip, float(np.abs(reconstruct(s, symbol(s, a)) - a).max())
-            )
+        a = _ginibre(rng.standard_normal((samples, 2, s.d, s.d)))
+        worst_roundtrip = max(
+            worst_roundtrip, float(np.abs(reconstruct(s, symbol(s, a)) - a).max())
+        )
     passed = worst_complete <= 1e-10 and worst_roundtrip <= 1e-10
     return CheckResult(
         name="completeness-roundtrip",
@@ -302,12 +323,12 @@ def check_kernel_laws(
         s = with_canonical_quantizers(entry.scheme, tol)
         kernel = star_kernel(s)
         worst_assoc = max(worst_assoc, associativity_residual(kernel))
-        for _ in range(pairs):
-            a = random_operator(s.d, rng)
-            b = random_operator(s.d, rng)
-            via_kernel = star_multiply(kernel, symbol(s, a), symbol(s, b))
-            direct = symbol(s, a @ b)
-            worst_hom = max(worst_hom, float(np.abs(via_kernel - direct).max()))
+        # Per pair: operator a, then operator b.
+        ab = _ginibre(rng.standard_normal((pairs, 2, 2, s.d, s.d)))
+        a, b = ab[:, 0], ab[:, 1]
+        via_kernel = star_multiply(kernel, symbol(s, a), symbol(s, b))
+        direct = symbol(s, a @ b)
+        worst_hom = max(worst_hom, float(np.abs(via_kernel - direct).max()))
     passed = worst_hom <= 1e-9 and worst_assoc <= 1e-10
     return CheckResult(
         name="kernel-homomorphism-associativity",
@@ -336,12 +357,9 @@ def check_intertwining(
 
     mub = with_canonical_quantizers(mub_qubit_scheme(), tol)
     pair2 = intertwiner(pauli, mub, tol)
-    worst_roundtrip = 0.0
-    for _ in range(samples):
-        a = random_operator(2, rng)
-        f = symbol(pauli, a)
-        back = pair2.backward @ (pair2.forward @ f)
-        worst_roundtrip = max(worst_roundtrip, float(np.abs(back - f).max()))
+    f = symbol(pauli, _ginibre(rng.standard_normal((samples, 2, 2, 2))))
+    back = (pair2.backward @ (pair2.forward @ f[..., None]))[..., 0]
+    worst_roundtrip = float(np.abs(back - f).max())
     passed = compose_res <= 1e-12 and worst_roundtrip <= 1e-10
     return CheckResult(
         name="intertwining",
@@ -362,8 +380,8 @@ def check_cubic_identity(
     rng = np.random.default_rng(seed)
     worst = 0.0
     for dim in (4, 9):
-        for _ in range(samples):
-            worst = max(worst, cubic_unitary_residual(haar_unitary(dim, rng), tol))
+        unitaries = haar_unitaries(rng.standard_normal((samples, 2, dim, dim)))
+        worst = max(worst, float(cubic_unitary_residual(unitaries, tol).max()))
     passed = worst <= 1e-12
     return CheckResult(
         name="cubic-unitary-identity",
@@ -383,7 +401,7 @@ def check_mub_frame(tol: ToleranceConfig = DEFAULT_TOL) -> CheckResult:
     idem_res = float(np.abs(delta @ delta - delta).max())
     trace_res = abs(complex(np.trace(delta)) - 4.0)
     cond = classify(mub, tol).condition_number
-    cond_res = abs(cond - np.sqrt(3))
+    cond_res = float(abs(cond - np.sqrt(3)))
     passed = all(r <= 1e-10 for r in (sv_res, herm_res, idem_res, trace_res, cond_res))
     return CheckResult(
         name="mub-frame",
@@ -438,4 +456,10 @@ def run_battery(
             names = SUITES[suite]
         except KeyError:
             raise ValueError(f"unknown suite {suite!r}; choose all, " + ", ".join(SUITES))
-    return [all_checks[name]() for name in names]
+    results = []
+    for name in names:
+        start = time.perf_counter()
+        result = all_checks[name]()
+        result.seconds = time.perf_counter() - start
+        results.append(result)
+    return results

@@ -1,7 +1,5 @@
 """Shared random-matrix helpers for the test suite."""
 
-import numpy as np
-
 
 def random_complex(rng, shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
@@ -11,9 +9,3 @@ def random_hermitian(rng, d):
     m = random_complex(rng, (d, d))
     return (m + m.conj().T) / 2
 
-
-def haar_unitary(rng, dim):
-    z = random_complex(rng, (dim, dim)) / np.sqrt(2)
-    q, r = np.linalg.qr(z)
-    diag = np.diag(r)
-    return q * (diag / np.abs(diag))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from starprod import (
+    InvalidParameterError,
     NotPrimeError,
     NotSICError,
     SamplerFailureError,
@@ -251,6 +252,11 @@ class TestRandomPovmSampler:
         s = random_minimal_povm_scheme(3, 0)
         assert (s.d, s.n_points) == (3, 9)
         assert povm_check(s).sum_residual <= 1e-12
+
+    @pytest.mark.parametrize("d", [0, -1])
+    def test_rejects_non_positive_dimension(self, d):
+        with pytest.raises(InvalidParameterError, match="dimension must be positive"):
+            random_minimal_povm_scheme(d, 0)
 
 
 class TestEntriesRegression:

@@ -273,6 +273,53 @@ class TestSymbolReconstruct:
         assert main(["symbol", str(scheme_path), str(op_path), "-o", str(tmp_path / "s.json")]) == 2
 
 
+class TestNonFiniteInputs:
+    """Operator, vector, basis, gauge and fiducial files with NaN/inf entries are
+    malformed input (exit 2), like scheme files."""
+
+    @staticmethod
+    def _poison(path, field, bad):
+        payload = json.loads(path.read_text())
+        entry = payload[field]
+        while isinstance(entry[0][0], list):
+            entry = entry[-1]
+        entry[0] = [bad, 0.0]
+        path.write_text(json.dumps(payload))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("kind", ["operator", "symbol", "basis", "gauge", "fiducial"])
+    def test_exits_2_without_output(self, emit, tmp_path, capsys, kind, bad):
+        out = tmp_path / "out.json"
+        bad_path = tmp_path / f"{kind}.json"
+        if kind == "operator":
+            save_operator(np.eye(2, dtype=complex), str(bad_path))
+            self._poison(bad_path, "matrix", bad)
+            argv = ["symbol", str(emit("mub-qubit")), str(bad_path), "-o", str(out)]
+        elif kind == "symbol":
+            save_vector(np.ones(6, dtype=complex), str(bad_path))
+            self._poison(bad_path, "values", bad)
+            argv = ["reconstruct", str(emit("mub-qubit")), str(bad_path), "-o", str(out)]
+        elif kind == "basis":
+            ops = np.stack([np.eye(2), PAULI_X, PAULI_Y, PAULI_Z]) / np.sqrt(2)
+            bad_path.write_text(json.dumps({"operators": [matrix_to_json(op) for op in ops]}))
+            self._poison(bad_path, "operators", bad)
+            argv = ["classify", str(emit("livine")), "--basis-file", str(bad_path)]
+            argv += ["--report", str(out)]
+        elif kind == "gauge":
+            bad_path.write_text(json.dumps({"matrix": matrix_to_json(np.zeros((4, 6)))}))
+            self._poison(bad_path, "matrix", bad)
+            argv = ["quantize", str(emit("mub-qubit")), "--gauge", str(bad_path), "-o", str(out)]
+        else:
+            save_vector(np.array([1, 0], dtype=complex), str(bad_path))
+            self._poison(bad_path, "values", bad)
+            argv = ["emit", "wh-sic", "--d", "2", "--fiducial", str(bad_path), "-o", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "finite" in err and str(bad_path) in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+
 class TestKernel:
     def test_matrix_units_kernel(self, tmp_path, capsys):
         scheme_path = tmp_path / "mu.json"
@@ -327,6 +374,9 @@ class TestVerify:
         assert "PASS table-rows-4-6" in out
         payload = json.loads(report_path.read_text())
         assert payload["passed"] is True
+        assert all(
+            isinstance(c["seconds"], float) and c["seconds"] >= 0.0 for c in payload["checks"]
+        )
         assert {c["name"] for c in payload["checks"]} == {
             "table-rows-1-3",
             "table-rows-4-6",
@@ -345,7 +395,23 @@ class TestVerify:
         r1, r2 = tmp_path / "r1.json", tmp_path / "r2.json"
         assert main(["verify", "--suite", "propositions", "--seeds", "10", "--report", str(r1)]) == 0
         assert main(["verify", "--suite", "propositions", "--seeds", "10", "--report", str(r2)]) == 0
-        assert r1.read_bytes() == r2.read_bytes()
+        # Everything but the per-check wall times is identical.
+        reports = [json.loads(r.read_text()) for r in (r1, r2)]
+        for report in reports:
+            for check in report["checks"]:
+                assert check.pop("seconds") >= 0.0
+        assert reports[0] == reports[1]
+
+    @pytest.mark.parametrize("seeds", ["0", "-3"])
+    def test_vacuous_seed_count_exits_2(self, tmp_path, capsys, seeds):
+        report_path = tmp_path / "verify.json"
+        argv = ["verify", "--suite", "random-povm", "--seeds", seeds, "--report", str(report_path)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "seeds must be at least 1" in captured.err
+        assert "Traceback" not in captured.err
+        assert "PASS" not in captured.out
+        assert not report_path.exists()
 
 
 class TestEntryPoint:

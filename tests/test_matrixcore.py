@@ -140,6 +140,15 @@ class TestRank:
             m = random_complex(rng, (rows, r)) @ random_complex(rng, (r, cols))
             assert rank(m) == rank(m.conj().T) == rank(m.conj().T @ m) == r
 
+    def test_stack_gives_per_matrix_ranks(self, rng):
+        stack = np.zeros((2, 3, 4, 5), dtype=complex)
+        for index in np.ndindex(2, 3):
+            r = rng.integers(0, 5)
+            stack[index] = random_complex(rng, (4, r)) @ random_complex(rng, (r, 5))
+        ranks = rank(stack)
+        assert ranks.shape == (2, 3)
+        assert ranks.tolist() == [[rank(m) for m in row] for row in stack]
+
 
 class TestInverse:
     def test_identity(self):

@@ -16,8 +16,9 @@ from starprod import (
     vectorize,
 )
 from starprod.operator_space import PAULI_X, PAULI_Y, PAULI_Z
+from starprod.verification import haar_unitary
 
-from _helpers import haar_unitary, random_complex
+from _helpers import random_complex
 
 
 class TestMatrixUnit:
@@ -76,6 +77,14 @@ class TestDevectorize:
             devectorize(np.zeros(4), VectorizationBasis.row_stacking(2)), np.zeros((2, 2))
         )
 
+    @pytest.mark.parametrize("basis", [VectorizationBasis.row_stacking(2), pauli_basis()])
+    def test_stack_matches_per_vector(self, rng, basis):
+        vectors = random_complex(rng, (3, 5, 4))
+        ops = devectorize(vectors, basis)
+        assert ops.shape == (3, 5, 2, 2)
+        expected = np.array([[devectorize(v, basis) for v in row] for row in vectors])
+        assert np.abs(ops - expected).max() <= 1e-15
+
     def test_rejects_non_square_length(self):
         with pytest.raises(NotSquareLengthError):
             devectorize(np.zeros(5), VectorizationBasis.row_stacking(2))
@@ -133,7 +142,7 @@ class TestValidateOrthonormalBasis:
 
 def random_orthonormal_operator_basis(rng, d):
     """Rotate the matrix units by a Haar unitary on the d^2-dimensional space."""
-    w = haar_unitary(rng, d * d)
+    w = haar_unitary(d * d, rng)
     return np.stack([col.reshape(d, d) for col in w.T])
 
 

@@ -12,6 +12,7 @@ from starprod import (
     Scheme,
     ToleranceConfig,
     VectorizationBasis,
+    canonical_duals,
     canonical_quantizers,
     classify,
     completeness_residual,
@@ -37,8 +38,9 @@ from starprod.catalog import (
     sic_qubit_scheme,
 )
 from starprod.operator_space import PAULI_X, PAULI_Y, PAULI_Z
+from starprod.verification import haar_unitary
 
-from _helpers import haar_unitary, random_complex
+from _helpers import random_complex
 
 TOL = ToleranceConfig()
 
@@ -124,6 +126,29 @@ class TestCanonicalQuantizers:
     def test_overfilled_pseudoinverse_completeness(self):
         s = with_canonical_quantizers(mub_qubit_scheme())
         assert completeness_residual(s) <= 1e-10
+
+
+class TestCanonicalDuals:
+    @pytest.mark.parametrize("d, n", [(2, 4), (3, 9), (2, 7), (3, 14)])
+    def test_stack_matches_per_family(self, rng, d, n):
+        # Random Ginibre families: N = d^2 is minimal, larger N overfilled.
+        families = random_complex(rng, (2, 3, n, d, d))
+        duals = canonical_duals(families)
+        assert duals.shape == families.shape
+        expected = np.array(
+            [[canonical_quantizers(Scheme(dequantizers=f)) for f in row] for row in families]
+        )
+        assert np.abs(duals - expected).max() <= 1e-13
+
+    def test_rank_deficient_member_raises(self, rng):
+        families = random_complex(rng, (3, 4, 2, 2))
+        families[2, 3] = families[2, 0]
+        with pytest.raises(NotTomographicError, match="rank 3 < d\\^2 = 4"):
+            canonical_duals(families)
+
+    def test_shape_check(self):
+        with pytest.raises(DimensionMismatchError):
+            canonical_duals(np.zeros((4, 2, 3)))
 
 
 class TestGaugeQuantizers:
@@ -262,7 +287,7 @@ class TestMatrixUnitLikeDetect:
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_rotated_matrix_units_recovered(self, rng, d):
-        w = haar_unitary(rng, d)
+        w = haar_unitary(d, rng)
         deq = np.stack(
             [np.outer(w[:, i], w[:, j].conj()) for i in range(d) for j in range(d)]
         )
@@ -369,7 +394,7 @@ class TestInvariants:
         basis = VectorizationBasis.row_stacking(d)
         for _ in range(30):
             c = rng.uniform(0.1, 10.0)
-            u = np.sqrt(c) * haar_unitary(rng, d * d)
+            u = np.sqrt(c) * haar_unitary(d * d, rng)
             s = scheme_from_dequantization_matrix(u, basis)
             s = s.with_quantizers(canonical_quantizers(s))
             recovered = self_dual_coefficient(s)

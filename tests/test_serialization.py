@@ -37,6 +37,13 @@ class TestComplexEncoding:
         v = random_complex(rng, 7)
         assert np.array_equal(json_to_vector(vector_to_json(v)), v)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_entries_rejected(self, bad):
+        with pytest.raises(SchemeParseError, match="where: entries must be finite"):
+            json_to_matrix([[[1.0, 0.0], [0.0, bad]]], where="where")
+        with pytest.raises(SchemeParseError, match="where: entries must be finite"):
+            json_to_vector([[1.0, 0.0], [bad, 0.0]], where="where")
+
     def test_bad_pair(self):
         with pytest.raises(SchemeParseError):
             json_to_matrix([[[1.0], [0.0, 0.0]]])
@@ -98,7 +105,7 @@ class TestSchemeFiles:
         payload = serialize_scheme(sic_qubit_scheme("povm"))
         payload["quantizers"] = payload["dequantizers"]
         payload[family][2][1][0] = [0.5, bad]
-        with pytest.raises(SchemeParseError, match="finite"):
+        with pytest.raises(SchemeParseError, match=rf"{family}\[2\]: entries must be finite"):
             parse_scheme(json.loads(json.dumps(payload)))
 
     def test_quantizer_count_mismatch(self):

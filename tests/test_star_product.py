@@ -27,8 +27,9 @@ from starprod.catalog import (
     pauli_scheme,
     sic_qubit_scheme,
 )
+from starprod.verification import haar_unitary
 
-from _helpers import haar_unitary, random_complex, random_hermitian
+from _helpers import random_complex, random_hermitian
 
 
 class TestSymbol:
@@ -229,7 +230,7 @@ class TestCubicIdentity:
     @pytest.mark.parametrize("dim", [4, 9])
     def test_random_unitaries(self, rng, dim):
         for _ in range(30):
-            assert cubic_unitary_residual(haar_unitary(rng, dim)) <= 1e-12
+            assert cubic_unitary_residual(haar_unitary(dim, rng)) <= 1e-12
 
     def test_rejects_non_unitary(self):
         with pytest.raises(NotUnitaryError):
@@ -243,3 +244,54 @@ class TestSelfDualKernelConsistency:
         k1 = star_kernel(s).values
         k2 = star_kernel(rebuilt).values
         assert np.array_equal(k1, k2)
+
+
+class TestStackedForms:
+    """Leading stack axes give what a per-item loop gives."""
+
+    @pytest.fixture(params=[(2, 4), (3, 9), (2, 7), (3, 14)], ids=lambda p: f"d{p[0]}-n{p[1]}")
+    def scheme(self, request, rng):
+        # Random Ginibre families: N = d^2 is minimal, larger N overfilled.
+        d, n = request.param
+        return with_canonical_quantizers(Scheme(dequantizers=random_complex(rng, (n, d, d))))
+
+    def test_symbol_and_reconstruct(self, scheme, rng):
+        ops = random_complex(rng, (2, 5, scheme.d, scheme.d))
+        symbols = symbol(scheme, ops)
+        assert symbols.shape == (2, 5, scheme.n_points)
+        expected = np.array([[symbol(scheme, a) for a in row] for row in ops])
+        assert np.abs(symbols - expected).max() <= 1e-13
+        rebuilt = reconstruct(scheme, symbols)
+        assert rebuilt.shape == ops.shape
+        expected = np.array([[reconstruct(scheme, f) for f in row] for row in symbols])
+        assert np.abs(rebuilt - expected).max() <= 1e-13
+
+    def test_star_multiply(self, scheme, rng):
+        kernel = star_kernel(scheme)
+        f_a = random_complex(rng, (6, scheme.n_points))
+        f_b = random_complex(rng, (6, scheme.n_points))
+        expected = np.array([star_multiply(kernel, a, b) for a, b in zip(f_a, f_b)])
+        assert np.abs(star_multiply(kernel, f_a, f_b) - expected).max() <= 1e-13
+        # One symbol broadcasts against a stack.
+        expected = np.array([star_multiply(kernel, f_a[0], b) for b in f_b])
+        assert np.abs(star_multiply(kernel, f_a[0], f_b) - expected).max() <= 1e-13
+
+    def test_stack_length_mismatch(self, scheme):
+        with pytest.raises(DimensionMismatchError):
+            symbol(scheme, np.zeros((3, scheme.d + 1, scheme.d + 1)))
+        with pytest.raises(LengthMismatchError):
+            reconstruct(scheme, np.zeros((3, scheme.n_points + 1)))
+
+    @pytest.mark.parametrize("dim", [4, 9])
+    def test_cubic_unitary_residual(self, rng, dim):
+        unitaries = np.stack([haar_unitary(dim, rng) for _ in range(12)]).reshape(3, 4, dim, dim)
+        residuals = cubic_unitary_residual(unitaries)
+        assert residuals.shape == (3, 4)
+        expected = np.array([[cubic_unitary_residual(u) for u in row] for row in unitaries])
+        assert np.abs(residuals - expected).max() <= 1e-13
+
+    def test_cubic_rejects_stack_with_non_unitary_member(self, rng):
+        unitaries = np.stack([haar_unitary(4, rng) for _ in range(3)])
+        unitaries[1] *= 2
+        with pytest.raises(NotUnitaryError):
+            cubic_unitary_residual(unitaries)

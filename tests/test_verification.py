@@ -1,0 +1,99 @@
+"""Stacked battery paths against per-seed and per-sample reference loops."""
+
+import numpy as np
+import pytest
+
+from starprod import InvalidParameterError, SamplerFailureError, ToleranceConfig
+from starprod.catalog import random_minimal_povm_dequantizers, random_minimal_povm_scheme
+from starprod.scheme import canonical_duals, canonical_quantizers
+from starprod.verification import (
+    DEFAULT_BATTERY_SEED,
+    check_povm_dual_negativity,
+    haar_unitaries,
+    haar_unitary,
+    run_battery,
+)
+
+
+def _reference_minima(seeds: int) -> np.ndarray:
+    """Smallest dual eigenvalue per seed, one scheme at a time."""
+    minima = []
+    for seed in range(seeds):
+        qs = canonical_quantizers(random_minimal_povm_scheme(2, seed))
+        herm = (qs + qs.conj().transpose(0, 2, 1)) / 2
+        minima.append(float(np.linalg.eigvalsh(herm)[:, 0].min()))
+    return np.array(minima)
+
+
+class TestPovmDualNegativity:
+    def test_per_seed_minima_match_reference_loop(self):
+        reference = _reference_minima(200)
+        duals = canonical_duals(random_minimal_povm_dequantizers(2, range(200)))
+        herm = (duals + duals.conj().swapaxes(-1, -2)) / 2
+        assert np.array_equal(np.linalg.eigvalsh(herm)[..., 0].min(axis=-1), reference)
+        details = check_povm_dual_negativity(seeds=200).details
+        guard = details["guard"]
+        assert details["largest_min_quantizer_eigenvalue"] == reference.max()
+        assert details["conclusive"] == np.count_nonzero(reference <= -guard)
+        assert details["counterexamples"] == np.count_nonzero(reference >= guard)
+        assert details["inconclusive"] == 200 - details["conclusive"] - details["counterexamples"]
+
+    def test_1000_seed_counts_pinned(self):
+        details = check_povm_dual_negativity(seeds=1000).details
+        assert (details["conclusive"], details["inconclusive"], details["counterexamples"]) == (
+            1000,
+            0,
+            0,
+        )
+        assert details["largest_min_quantizer_eigenvalue"] == pytest.approx(
+            -1.907311090534669, abs=1e-12
+        )
+
+    @pytest.mark.parametrize("seeds", [0, -3])
+    def test_vacuous_seed_count_rejected(self, seeds):
+        with pytest.raises(InvalidParameterError, match="seeds must be at least 1"):
+            run_battery("random-povm", seeds=seeds)
+
+
+class TestStackedSampler:
+    # Rank tolerances that reject a share of first draws, so some seeds
+    # draw again from their own streams.
+    @pytest.mark.parametrize("d, rank_tol", [(2, 0.05), (3, 0.01)])
+    def test_matches_single_seed_sampler(self, d, rank_tol):
+        tol = ToleranceConfig(rank_tol=rank_tol)
+        with pytest.raises(SamplerFailureError):
+            random_minimal_povm_dequantizers(d, range(40), tol, max_attempts=1)
+        stacked = random_minimal_povm_dequantizers(d, range(40), tol)
+        assert stacked.shape == (40, d * d, d, d)
+        for seed, family in enumerate(stacked):
+            assert np.array_equal(family, random_minimal_povm_scheme(d, seed, tol).dequantizers)
+
+    def test_failure_names_first_rank_deficient_seed(self):
+        tol = ToleranceConfig(rank_tol=0.05)
+        failing = []
+        for seed in range(20):
+            try:
+                random_minimal_povm_scheme(2, seed, tol, max_attempts=1)
+            except SamplerFailureError:
+                failing.append(seed)
+        assert failing
+        with pytest.raises(SamplerFailureError, match=rf"seed={failing[0]}\)"):
+            random_minimal_povm_dequantizers(2, range(20), tol, max_attempts=1)
+
+
+class TestHaarUnitaries:
+    @pytest.mark.parametrize("dim", [4, 9])
+    def test_stack_consumes_the_stream_like_single_draws(self, dim):
+        rng = np.random.default_rng(DEFAULT_BATTERY_SEED)
+        expected = np.stack([haar_unitary(dim, rng) for _ in range(20)])
+        rng = np.random.default_rng(DEFAULT_BATTERY_SEED)
+        stacked = haar_unitaries(rng.standard_normal((20, 2, dim, dim)))
+        assert np.array_equal(stacked, expected)
+        gram = stacked.conj().swapaxes(-1, -2) @ stacked
+        assert np.abs(gram - np.eye(dim)).max() <= 1e-13
+
+
+def test_battery_records_check_seconds():
+    results = run_battery("table")
+    assert [r.name for r in results] == ["table-rows-1-3", "table-rows-4-6"]
+    assert all(isinstance(r.seconds, float) and r.seconds >= 0.0 for r in results)
