@@ -9,7 +9,6 @@ sampler, and the printed-table regression set with its errata.
 from __future__ import annotations
 
 import importlib.resources
-import json
 from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import Any
@@ -27,6 +26,7 @@ from .operator_space import (
     pauli_basis,
 )
 from .scheme import Scheme, dequantization_matrix, quantization_matrix
+from .serialization import load_vector
 
 SQRT2 = np.sqrt(2.0)
 SQRT3 = np.sqrt(3.0)
@@ -34,6 +34,8 @@ SQRT3 = np.sqrt(3.0)
 
 def matrix_units_scheme(d: int) -> Scheme:
     """All d^2 matrix units, ordered k = d(i-1)+j; self-dual with c = 1."""
+    if d < 1:
+        raise InvalidParameterError(f"matrix units need d >= 1, got d={d}")
     deq = np.stack([matrix_unit(d, i, j) for i in range(1, d + 1) for j in range(1, d + 1)])
     return Scheme(dequantizers=deq, quantizers=deq, name=f"matrix-units-d{d}")
 
@@ -128,12 +130,9 @@ def default_fiducial(d: int) -> np.ndarray:
         theta = np.arccos(1 / SQRT3)
         return np.array([np.cos(theta / 2), np.exp(1j * np.pi / 4) * np.sin(theta / 2)])
     if d == 3:
-        payload = json.loads(
-            importlib.resources.files("starprod")
-            .joinpath("data/sic_fiducial_d3.json")
-            .read_text()
-        )
-        return np.array([complex(re, im) for re, im in payload["values"]])
+        data = importlib.resources.files("starprod").joinpath("data/sic_fiducial_d3.json")
+        with importlib.resources.as_file(data) as path:
+            return load_vector(str(path))
     raise InvalidParameterError(f"no fiducial shipped for d={d}")
 
 

@@ -9,7 +9,6 @@ machine-readable JSON report.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from typing import Any
@@ -49,7 +48,7 @@ from .scheme import (
     with_canonical_quantizers,
 )
 from .serialization import (
-    json_to_matrix,
+    load_basis,
     load_operator,
     load_scheme,
     load_vector,
@@ -61,6 +60,7 @@ from .serialization import (
     save_vector,
     tolerances_to_json,
     vector_to_json,
+    write_json,
 )
 from .star_product import (
     associativity_residual,
@@ -106,22 +106,7 @@ def _tolerances(args: argparse.Namespace) -> ToleranceConfig:
 
 def _basis(args: argparse.Namespace, d: int, tol: ToleranceConfig) -> VectorizationBasis:
     if getattr(args, "basis_file", None):
-        with open(args.basis_file) as fh:
-            try:
-                payload = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise SchemeParseError(f"{args.basis_file}: invalid JSON ({exc})") from exc
-        if not isinstance(payload, dict) or "operators" not in payload:
-            raise SchemeParseError(
-                f"{args.basis_file}: expected an object with an 'operators' field"
-            )
-        ops = np.stack(
-            [
-                json_to_matrix(entry, where=f"{args.basis_file}: operators[{i}]")
-                for i, entry in enumerate(payload["operators"])
-            ]
-        )
-        basis = VectorizationBasis.orthonormal(ops, tag=args.basis_file, tol=tol)
+        basis = load_basis(args.basis_file, tol)
     elif args.basis == "pauli":
         basis = pauli_basis()
     else:
@@ -134,9 +119,7 @@ def _basis(args: argparse.Namespace, d: int, tol: ToleranceConfig) -> Vectorizat
 
 
 def _write_report(path: str, payload: dict[str, Any]) -> None:
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=1)
-        fh.write("\n")
+    write_json(payload, path)
     print(f"report written to {path}")
 
 
@@ -235,15 +218,7 @@ def cmd_quantize(args: argparse.Namespace) -> int:
     tol = _tolerances(args)
     s = load_scheme(args.scheme)
     if args.gauge:
-        with open(args.gauge) as fh:
-            try:
-                payload = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise SchemeParseError(f"{args.gauge}: invalid JSON ({exc})") from exc
-        if not isinstance(payload, dict) or "matrix" not in payload:
-            raise SchemeParseError(f"{args.gauge}: expected an object with a 'matrix' field")
-        g_mat = json_to_matrix(payload["matrix"], where=args.gauge)
-        qs = gauge_quantizers(s, g_mat, tol)
+        qs = gauge_quantizers(s, load_operator(args.gauge), tol)
     else:
         qs = s.quantizers if s.quantizers is not None else canonical_quantizers(s, tol)
     augmented = Scheme(dequantizers=s.dequantizers, quantizers=qs, name=s.name)
@@ -401,7 +376,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("scheme")
     p.add_argument("operator")
     p.add_argument("-o", "--output", required=True)
-    _add_tolerance_flags(p)
     p.set_defaults(func=cmd_symbol)
 
     p = sub.add_parser("reconstruct", help="rebuild an operator from a symbol vector")

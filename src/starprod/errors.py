@@ -74,7 +74,7 @@ class UnknownSchemeError(StarProdError, ValueError):
 
 
 class InvalidParameterError(StarProdError, ValueError):
-    """A built-in scheme constructor got a parameter outside its supported range."""
+    """A constructor or a tolerance got a parameter outside its supported range."""
 
 
 class SchemeParseError(StarProdError, ValueError):

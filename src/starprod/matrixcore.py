@@ -12,7 +12,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, NonHermitianError, SingularMatrixError
+from .errors import (
+    DimensionMismatchError,
+    InvalidParameterError,
+    NonHermitianError,
+    SingularMatrixError,
+)
 
 
 @dataclass(frozen=True)
@@ -32,7 +37,9 @@ class ToleranceConfig:
         for name in ("rank_tol", "residual_tol", "eig_tol"):
             value = getattr(self, name)
             if not 0.0 < value < 1.0:
-                raise ValueError(f"{name} must lie strictly between 0 and 1, got {value}")
+                raise InvalidParameterError(
+                    f"{name} must lie strictly between 0 and 1, got {value}"
+                )
 
 
 DEFAULT_TOL = ToleranceConfig()

@@ -1,9 +1,11 @@
-"""JSON file formats for schemes, operators, vectors, kernels, and reports.
+"""JSON file formats for schemes, operators, vectors, bases, kernels, and reports.
 
-Complex scalars are two-element [re, im] arrays and matrices are row-major
-nested lists, so parsing a serialized object reproduces it bit-exactly.
-A parsed matrix or vector with a NaN or infinite entry is malformed
-(SchemeParseError).  An infinite condition number serializes as null.
+Every complex array is a rectangular nesting of [re, im] number pairs in
+row-major order, written by one encoder and parsed by one decoder, so a
+parsed file reproduces the array bit-exactly.  A nesting that is ragged, too
+shallow or too deep, has an empty axis, or holds a non-number or a NaN or
+infinite entry is malformed (SchemeParseError, naming the file).  An
+infinite condition number serializes as null.
 """
 
 from __future__ import annotations
@@ -16,161 +18,166 @@ import numpy as np
 
 from .errors import SchemeParseError
 from .matrixcore import ToleranceConfig
+from .operator_space import VectorizationBasis
 from .scheme import Scheme, SchemeReport
 
 SCHEME_FORMAT = "starprod-scheme"
 
 
-def complex_to_pair(z: complex) -> list[float]:
-    return [float(z.real), float(z.imag)]
+def _encode(a: np.ndarray) -> list:
+    """Nested lists of [re, im] float pairs, one level per axis of ``a``."""
+    a = np.ascontiguousarray(a, dtype=complex)
+    return a.view(float).reshape(*a.shape, 2).tolist()
 
 
-def _pair_to_complex(value: Any, where: str) -> complex:
-    if (
-        not isinstance(value, (list, tuple))
-        or len(value) != 2
-        or not all(isinstance(part, (int, float)) for part in value)
-    ):
-        raise SchemeParseError(f"{where}: expected a [re, im] pair, got {value!r}")
-    return complex(value[0], value[1])
+def _decode(data: Any, ndim: int, where: str) -> np.ndarray:
+    """Complex array of ``ndim`` axes from nested [re, im] number pairs.
+
+    The float pairs are viewed as complex, which keeps every bit (-0.0 and
+    subnormals included).  For a stack of matrices (ndim 3) a non-finite
+    entry is reported with the index of its member, as ``where[i]``.
+    """
+    try:
+        pairs = np.array(data)
+    except (ValueError, TypeError) as exc:
+        raise SchemeParseError(f"{where}: ragged nesting ({exc})") from exc
+    # An empty list ends the nesting early, so full depth rules out empty axes.
+    if pairs.ndim != ndim + 1 or pairs.shape[-1] != 2:
+        raise SchemeParseError(
+            f"{where}: expected {ndim} non-empty nested axes of [re, im] pairs, "
+            f"got shape {pairs.shape}"
+        )
+    if pairs.dtype.kind not in "biuf":
+        raise SchemeParseError(
+            f"{where}: entries must be numbers that fit a float or a 64-bit integer"
+        )
+    pairs = pairs.astype(float, copy=False)
+    finite = np.isfinite(pairs)
+    if not finite.all():
+        if ndim == 3:
+            where += f"[{np.argwhere(~finite)[0, 0]}]"
+        raise SchemeParseError(f"{where}: entries must be finite (NaN or inf found)")
+    return pairs.view(complex).reshape(pairs.shape[:-1])
+
+
+def _require_keys(payload: Any, keys: tuple[str, ...], where: str) -> None:
+    if not isinstance(payload, dict) or any(key not in payload for key in keys):
+        raise SchemeParseError(f"{where}: expected a JSON object with keys {list(keys)}")
+
+
+def read_json(path: str, *keys: str) -> dict[str, Any]:
+    """The JSON object in the file at ``path``; it must hold every key in ``keys``."""
+    with open(path) as fh:
+        try:
+            payload = json.load(fh)
+        except (ValueError, RecursionError) as exc:
+            # ValueError covers bad syntax, bad UTF-8 and over-long integer literals.
+            raise SchemeParseError(f"{path}: invalid JSON ({exc})") from exc
+    _require_keys(payload, keys, path)
+    return payload
+
+
+def write_json(payload: dict[str, Any], path: str) -> None:
+    """Write ``payload`` as JSON with one-space indentation and a final newline."""
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=1)
+        fh.write("\n")
+
+
+def _dimension(payload: dict[str, Any], where: str) -> int:
+    """The ``d`` field, which must be a JSON integer >= 1."""
+    d = payload["d"]
+    if isinstance(d, bool) or not isinstance(d, int) or d < 1:
+        raise SchemeParseError(f"{where}: 'd' must be a JSON integer >= 1, got {d!r}")
+    return d
 
 
 def matrix_to_json(m: np.ndarray) -> list[list[list[float]]]:
-    m = np.asarray(m, dtype=complex)
-    return [[complex_to_pair(entry) for entry in row] for row in m]
-
-
-def _require_finite(values: np.ndarray, where: str) -> np.ndarray:
-    if not np.isfinite(values).all():
-        raise SchemeParseError(f"{where}: entries must be finite (NaN or inf found)")
-    return values
+    return _encode(m)
 
 
 def json_to_matrix(data: Any, where: str = "matrix") -> np.ndarray:
-    if not isinstance(data, list) or not data or not all(isinstance(r, list) for r in data):
-        raise SchemeParseError(f"{where}: expected a nested list of rows")
-    width = len(data[0])
-    if width == 0 or any(len(row) != width for row in data):
-        raise SchemeParseError(f"{where}: rows have inconsistent lengths")
-    matrix = np.array(
-        [[_pair_to_complex(entry, where) for entry in row] for row in data],
-        dtype=complex,
-    )
-    return _require_finite(matrix, where)
+    return _decode(data, 2, where)
 
 
 def vector_to_json(v: np.ndarray) -> list[list[float]]:
-    return [complex_to_pair(entry) for entry in np.asarray(v, dtype=complex).reshape(-1)]
+    return _encode(np.asarray(v, dtype=complex).reshape(-1))
 
 
 def json_to_vector(data: Any, where: str = "vector") -> np.ndarray:
-    if not isinstance(data, list) or not data:
-        raise SchemeParseError(f"{where}: expected a non-empty list of [re, im] pairs")
-    return _require_finite(
-        np.array([_pair_to_complex(entry, where) for entry in data], dtype=complex), where
-    )
+    return _decode(data, 1, where)
 
 
 def serialize_scheme(s: Scheme) -> dict[str, Any]:
     payload: dict[str, Any] = {
         "format": SCHEME_FORMAT,
         "d": s.d,
-        "dequantizers": [matrix_to_json(op) for op in s.dequantizers],
+        "dequantizers": _encode(s.dequantizers),
     }
     if s.name is not None:
         payload["name"] = s.name
     if s.quantizers is not None:
-        payload["quantizers"] = [matrix_to_json(op) for op in s.quantizers]
+        payload["quantizers"] = _encode(s.quantizers)
     return payload
 
 
 def _parse_family(data: Any, d: int, label: str) -> np.ndarray:
-    if not isinstance(data, list) or not data:
-        raise SchemeParseError(f"{label}: expected a non-empty list of matrices")
-    ops = []
-    for idx, entry in enumerate(data):
-        op = json_to_matrix(entry, where=f"{label}[{idx}]")
-        if op.shape != (d, d):
-            raise SchemeParseError(
-                f"{label}[{idx}]: expected a {d}x{d} matrix, got {op.shape}"
-            )
-        ops.append(op)
-    return np.stack(ops)
+    family = _decode(data, 3, label)
+    if family.shape[1:] != (d, d):
+        raise SchemeParseError(f"{label}: expected {d}x{d} matrices, got shape {family.shape}")
+    return family
 
 
 def parse_scheme(payload: Any) -> Scheme:
-    if not isinstance(payload, dict):
-        raise SchemeParseError("scheme file: expected a JSON object")
-    try:
-        d = int(payload["d"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SchemeParseError("scheme file: missing or invalid 'd'") from exc
-    if d < 1:
-        raise SchemeParseError(f"scheme file: dimension must be positive, got {d}")
-    if "dequantizers" not in payload:
-        raise SchemeParseError("scheme file: missing 'dequantizers'")
+    _require_keys(payload, ("d", "dequantizers"), "scheme")
+    d = _dimension(payload, "scheme")
     deq = _parse_family(payload["dequantizers"], d, "dequantizers")
     qs = None
     if payload.get("quantizers") is not None:
         qs = _parse_family(payload["quantizers"], d, "quantizers")
         if qs.shape[0] != deq.shape[0]:
             raise SchemeParseError(
-                f"scheme file: {qs.shape[0]} quantizers for {deq.shape[0]} dequantizers"
+                f"scheme: {qs.shape[0]} quantizers for {deq.shape[0]} dequantizers"
             )
     name = payload.get("name")
     if name is not None and not isinstance(name, str):
-        raise SchemeParseError("scheme file: 'name' must be a string")
+        raise SchemeParseError("scheme: 'name' must be a string")
     return Scheme(dequantizers=deq, quantizers=qs, name=name)
 
 
 def save_scheme(s: Scheme, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(serialize_scheme(s), fh, indent=1)
-        fh.write("\n")
+    write_json(serialize_scheme(s), path)
 
 
 def load_scheme(path: str) -> Scheme:
-    with open(path) as fh:
-        try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemeParseError(f"{path}: invalid JSON ({exc})") from exc
-    return parse_scheme(payload)
+    payload = read_json(path, "d", "dequantizers")
+    try:
+        return parse_scheme(payload)
+    except SchemeParseError as exc:
+        raise SchemeParseError(f"{path}: {exc}") from exc
 
 
 def save_operator(m: np.ndarray, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump({"matrix": matrix_to_json(m)}, fh, indent=1)
-        fh.write("\n")
+    write_json({"matrix": matrix_to_json(m)}, path)
 
 
 def load_operator(path: str) -> np.ndarray:
-    with open(path) as fh:
-        try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemeParseError(f"{path}: invalid JSON ({exc})") from exc
-    if not isinstance(payload, dict) or "matrix" not in payload:
-        raise SchemeParseError(f"{path}: expected an object with a 'matrix' field")
-    return json_to_matrix(payload["matrix"], where=f"{path}: matrix")
+    """Operator file ``{"matrix": matrix}``; gauge files use the same format."""
+    return json_to_matrix(read_json(path, "matrix")["matrix"], where=f"{path}: matrix")
 
 
 def save_vector(v: np.ndarray, path: str, **extra: Any) -> None:
-    payload = {"values": vector_to_json(v), **extra}
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=1)
-        fh.write("\n")
+    write_json({"values": vector_to_json(v), **extra}, path)
 
 
 def load_vector(path: str) -> np.ndarray:
-    with open(path) as fh:
-        try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemeParseError(f"{path}: invalid JSON ({exc})") from exc
-    if not isinstance(payload, dict) or "values" not in payload:
-        raise SchemeParseError(f"{path}: expected an object with a 'values' field")
-    return json_to_vector(payload["values"], where=f"{path}: values")
+    return json_to_vector(read_json(path, "values")["values"], where=f"{path}: values")
+
+
+def load_basis(path: str, tol: ToleranceConfig) -> VectorizationBasis:
+    """Basis file ``{"operators": [matrix, ...]}``, checked for trace orthonormality."""
+    ops = _decode(read_json(path, "operators")["operators"], 3, f"{path}: operators")
+    return VectorizationBasis.orthonormal(ops, tag=path, tol=tol)
 
 
 def save_kernel(d: int, values: np.ndarray, path: str, assoc_residual: float | None = None) -> None:
@@ -178,15 +185,14 @@ def save_kernel(d: int, values: np.ndarray, path: str, assoc_residual: float | N
 
     Each slice goes through ``json.dumps`` without indentation, which uses
     CPython's C encoder; floats are written by ``repr``, so they reload
-    bit-exactly.
+    bit-exactly.  Encoding slice by slice keeps one slice of Python floats
+    alive at a time.
     """
-    pairs = np.ascontiguousarray(values, dtype=complex).view(float)
-    n = pairs.shape[0]
-    pairs = pairs.reshape(n, n, n, 2)
+    values = np.asarray(values, dtype=complex)
     with open(path, "w") as fh:
-        fh.write(f'{{"d": {json.dumps(d)}, "n": {n}, "values": [')
-        for k, part in enumerate(pairs):
-            fh.write(("," if k else "") + "\n" + json.dumps(part.tolist()))
+        fh.write(f'{{"d": {json.dumps(d)}, "n": {len(values)}, "values": [')
+        for k, part in enumerate(values):
+            fh.write(("," if k else "") + "\n" + json.dumps(_encode(part)))
         fh.write("\n]")
         if assoc_residual is not None:
             fh.write(f', "associativity_residual": {json.dumps(assoc_residual)}')
@@ -195,35 +201,16 @@ def save_kernel(d: int, values: np.ndarray, path: str, assoc_residual: float | N
 
 def load_kernel(path: str) -> tuple[int, np.ndarray]:
     """Read a kernel file; any malformed content raises SchemeParseError."""
-    with open(path) as fh:
-        try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemeParseError(f"{path}: invalid JSON ({exc})") from exc
-    if not isinstance(payload, dict) or "values" not in payload or "d" not in payload:
-        raise SchemeParseError(f"{path}: expected an object with 'd' and 'values'")
-    d = payload["d"]
-    if isinstance(d, bool) or not isinstance(d, int) or d < 1:
-        raise SchemeParseError(f"{path}: 'd' must be a positive integer, got {d!r}")
-    raw = payload["values"]
-    if not isinstance(raw, list) or not raw:
-        raise SchemeParseError(f"{path}: values: expected a non-empty nested list")
-    n = len(raw)
+    payload = read_json(path, "d", "values")
+    d = _dimension(payload, path)
+    values = _decode(payload["values"], 3, f"{path}: values")
+    n = len(values)
+    if values.shape != (n, n, n):
+        raise SchemeParseError(
+            f"{path}: values: expected shape {(n, n, n)} of [re, im] pairs, got {values.shape}"
+        )
     if "n" in payload and (isinstance(payload["n"], bool) or payload["n"] != n):
         raise SchemeParseError(f"{path}: 'n' is {payload['n']!r} but values hold {n} slices")
-    try:
-        pairs = np.array(raw)
-    except (ValueError, TypeError) as exc:
-        raise SchemeParseError(f"{path}: values: ragged nesting ({exc})") from exc
-    if pairs.dtype.kind not in "biuf":
-        raise SchemeParseError(f"{path}: values: entries must be numbers")
-    if pairs.shape != (n, n, n, 2):
-        raise SchemeParseError(
-            f"{path}: values: expected shape {(n, n, n, 2)} of [re, im] pairs, "
-            f"got {pairs.shape}"
-        )
-    # Viewing (re, im) float pairs as complex keeps every bit, -0.0 included.
-    values = pairs.astype(float, copy=False).view(complex).reshape(n, n, n)
     return d, values
 
 

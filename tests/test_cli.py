@@ -16,6 +16,7 @@ from starprod.serialization import (
     save_operator,
     save_scheme,
     save_vector,
+    serialize_scheme,
 )
 from starprod.catalog import matrix_units_scheme, mub_qubit_scheme
 from starprod.scheme import Scheme, dequantization_matrix
@@ -318,6 +319,66 @@ class TestNonFiniteInputs:
         assert "finite" in err and str(bad_path) in err
         assert "Traceback" not in err
         assert not out.exists()
+
+
+_BIG = 10**400  # a JSON integer literal that neither a float nor a 64-bit integer holds
+_SCHEME = serialize_scheme(mub_qubit_scheme())
+_BIG_ENTRY_SCHEME = json.loads(json.dumps(_SCHEME))
+_BIG_ENTRY_SCHEME["dequantizers"][2][1][0] = [_BIG, 0]
+_CLASSIFY = ["classify", "{scheme}", "--report", "{out}"]
+_CLASSIFY_BASIS = ["classify", "{scheme}", "--basis-file", "{bad}", "--report", "{out}"]
+_CLASSIFY_BAD = ["classify", "{bad}", "--report", "{out}"]
+_EYE2 = [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]
+
+# id: (payload of the offending file or None, argv, fragment of the error message)
+_MALFORMED = {
+    "scheme-big-int": (_BIG_ENTRY_SCHEME, _CLASSIFY_BAD, "fit a float or a 64-bit integer"),
+    "operator-big-int": (
+        {"matrix": [[[_BIG, 0], [0, 0]], [[0, 0], [1, 0]]]},
+        ["symbol", "{scheme}", "{bad}", "-o", "{out}"],
+        "fit a float or a 64-bit integer",
+    ),
+    "vector-big-int": (
+        {"values": [[_BIG, 0]] + [[0, 0]] * 5},
+        ["reconstruct", "{scheme}", "{bad}", "-o", "{out}"],
+        "fit a float or a 64-bit integer",
+    ),
+    "gauge-big-int": (
+        {"matrix": [[[_BIG, 0]] + [[0, 0]] * 5] * 4},
+        ["quantize", "{scheme}", "--gauge", "{bad}", "-o", "{out}"],
+        "fit a float or a 64-bit integer",
+    ),
+    "basis-empty": ({"operators": []}, _CLASSIFY_BASIS, "non-empty nested axes"),
+    "basis-scalar": ({"operators": 5}, _CLASSIFY_BASIS, "non-empty nested axes"),
+    "basis-mixed-sizes": ({"operators": [[[[1, 0]]], _EYE2]}, _CLASSIFY_BASIS, "ragged"),
+    "scheme-d-string": ({**_SCHEME, "d": "2"}, _CLASSIFY_BAD, "'d' must be a JSON integer"),
+    "scheme-d-float": ({**_SCHEME, "d": 2.7}, _CLASSIFY_BAD, "'d' must be a JSON integer"),
+    "scheme-d-bool": ({**_SCHEME, "d": True}, _CLASSIFY_BAD, "'d' must be a JSON integer"),
+    "rank-tol-0": (None, _CLASSIFY + ["--rank-tol", "0"], "rank_tol must lie strictly"),
+    "rank-tol-2": (None, _CLASSIFY + ["--rank-tol", "2"], "rank_tol must lie strictly"),
+    "rank-tol-nan": (None, _CLASSIFY + ["--rank-tol", "nan"], "rank_tol must lie strictly"),
+    "matrix-units-d0": (
+        None,
+        ["emit", "matrix-units", "--d", "0", "-o", "{out}"],
+        "matrix units need d >= 1",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_MALFORMED))
+def test_malformed_input_exits_2(tmp_path, capsys, case):
+    payload, argv, fragment = _MALFORMED[case]
+    paths = {name: tmp_path / f"{name}.json" for name in ("scheme", "bad", "out")}
+    save_scheme(mub_qubit_scheme(), str(paths["scheme"]))
+    if payload is not None:
+        paths["bad"].write_text(json.dumps(payload))
+    assert main([arg.format(**paths) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and fragment in err
+    if payload is not None:
+        assert f"error: {paths['bad']}: " in err
+    assert "Traceback" not in err
+    assert not paths["out"].exists()
 
 
 class TestKernel:

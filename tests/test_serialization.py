@@ -27,6 +27,19 @@ from starprod.serialization import (
 
 from _helpers import random_complex
 
+# Signed zeros, subnormals and the float range ends must survive every file format.
+_EDGE = [-0.0, 5e-324, -2.2e-308, 1e308, -1e308, 0.0]
+
+
+def _with_edges(values):
+    values.real.flat[: len(_EDGE)] = _EDGE
+    values.imag.flat[-len(_EDGE) :] = _EDGE
+    return values
+
+
+def _bits(values):
+    return np.ascontiguousarray(values).view(np.uint64).tobytes()
+
 
 class TestComplexEncoding:
     def test_matrix_round_trip_bit_exact(self, rng):
@@ -67,16 +80,23 @@ class TestSchemeFiles:
             else:
                 assert np.array_equal(back.quantizers, s.quantizers)
 
-    def test_json_text_round_trip(self, tmp_path):
-        s = sic_qubit_scheme("povm")
-        path = tmp_path / "scheme.json"
-        save_scheme(s, str(path))
-        again = load_scheme(str(path))
-        assert np.array_equal(again.dequantizers, s.dequantizers)
-        # Serializing the parsed scheme reproduces the same file bytes.
-        path2 = tmp_path / "scheme2.json"
-        save_scheme(again, str(path2))
-        assert path.read_bytes() == path2.read_bytes()
+    def test_json_text_round_trip(self, tmp_path, rng):
+        edges = Scheme(
+            dequantizers=_with_edges(random_complex(rng, (4, 2, 2))),
+            quantizers=_with_edges(random_complex(rng, (4, 2, 2))),
+            name="edges",
+        )
+        for s in (sic_qubit_scheme("povm"), edges):
+            path = tmp_path / "scheme.json"
+            save_scheme(s, str(path))
+            again = load_scheme(str(path))
+            assert _bits(again.dequantizers) == _bits(s.dequantizers)
+            if s.quantizers is not None:
+                assert _bits(again.quantizers) == _bits(s.quantizers)
+            # Serializing the parsed scheme reproduces the same file bytes.
+            path2 = tmp_path / "scheme2.json"
+            save_scheme(again, str(path2))
+            assert path.read_bytes() == path2.read_bytes()
 
     @pytest.mark.parametrize(
         "payload",
@@ -93,6 +113,10 @@ class TestSchemeFiles:
                 "dequantizers": [[[[1, 0], [0, 0]], [[0, 0], [0, 0]]]],
                 "quantizers": [],
             },
+            {"d": "2", "dequantizers": [[[[1, 0], [0, 0]], [[0, 0], [0, 0]]]]},
+            {"d": 2.0, "dequantizers": [[[[1, 0], [0, 0]], [[0, 0], [0, 0]]]]},
+            {"d": True, "dequantizers": [[[[1, 0]]]]},
+            {"d": 1, "dequantizers": [[[[10**400, 0]]]]},
         ],
     )
     def test_malformed_payloads(self, payload):
@@ -122,29 +146,25 @@ class TestSchemeFiles:
 
 class TestOperatorVectorKernelFiles:
     def test_operator_round_trip(self, tmp_path, rng):
-        m = random_complex(rng, (3, 3))
+        m = _with_edges(random_complex(rng, (3, 3)))
         path = tmp_path / "op.json"
         save_operator(m, str(path))
-        assert np.array_equal(load_operator(str(path)), m)
+        assert _bits(load_operator(str(path))) == _bits(m)
 
     def test_vector_round_trip_with_metadata(self, tmp_path, rng):
-        v = random_complex(rng, 6)
+        v = _with_edges(random_complex(rng, 6))
         path = tmp_path / "vec.json"
         save_vector(v, str(path), scheme="mub-qubit")
-        assert np.array_equal(load_vector(str(path)), v)
+        assert _bits(load_vector(str(path))) == _bits(v)
         assert json.loads(path.read_text())["scheme"] == "mub-qubit"
 
     def test_kernel_round_trip(self, tmp_path, rng):
-        values = random_complex(rng, (4, 4, 4))
-        # Signed zeros, subnormals and the float range ends must survive too.
-        edge = [-0.0, 5e-324, -2.2e-308, 1e308, -1e308, 0.0]
-        values.real.flat[: len(edge)] = edge
-        values.imag.flat[-len(edge) :] = edge
+        values = _with_edges(random_complex(rng, (4, 4, 4)))
         path = tmp_path / "kernel.json"
         save_kernel(2, values, str(path), assoc_residual=1.5e-12)
         d, back = load_kernel(str(path))
         assert d == 2
-        assert back.view(np.uint64).tobytes() == values.view(np.uint64).tobytes()
+        assert _bits(back) == _bits(values)
         assert json.loads(path.read_text())["associativity_residual"] == 1.5e-12
 
     def test_kernel_file_is_plain_json_one_slice_per_line(self, tmp_path, rng):
