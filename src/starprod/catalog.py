@@ -210,6 +210,8 @@ def random_minimal_povm_dequantizers(
     if d < 1:
         raise InvalidParameterError(f"dimension must be positive, got {d}")
     seeds = list(seeds)
+    if min(seeds, default=0) < 0:
+        raise InvalidParameterError(f"seeds must be non-negative, got {min(seeds)}")
     n = d * d
     rngs = [np.random.default_rng(seed) for seed in seeds]
     deq = np.empty((len(seeds), n, d, d), dtype=complex)

@@ -9,6 +9,7 @@ machine-readable JSON report.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from typing import Any
@@ -52,14 +53,12 @@ from .serialization import (
     load_operator,
     load_scheme,
     load_vector,
-    matrix_to_json,
     report_to_json,
     save_kernel,
     save_operator,
     save_scheme,
     save_vector,
     tolerances_to_json,
-    vector_to_json,
     write_json,
 )
 from .star_product import (
@@ -284,10 +283,10 @@ def cmd_intertwine(args: argparse.Namespace) -> int:
         print(pair.backward)
     print(f"symbol round-trip residual: {residual:.3e}")
     payload = _report_skeleton(tol)
-    payload["forward"] = matrix_to_json(pair.forward)
-    payload["backward"] = matrix_to_json(pair.backward)
+    payload["forward"] = pair.forward
+    payload["backward"] = pair.backward
     payload["roundtrip_residual"] = residual
-    payload["symbol"] = vector_to_json(f_a)
+    payload["symbol"] = f_a
     _write_report(args.report or "intertwine.report.json", payload)
     return 0
 
@@ -413,9 +412,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` uses, built on the first call.
+
+    Parsing never changes an ArgumentParser, so in-process callers share one
+    instead of paying for a new argparse tree on every call.
+    """
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except _INPUT_ERRORS as exc:

@@ -61,10 +61,6 @@ class NotSICError(StarProdError, ValueError):
     """A fiducial orbit fails the symmetric overlap condition."""
 
 
-class NotPrimeError(StarProdError, ValueError):
-    """The requested dimension is not a prime number."""
-
-
 class SamplerFailureError(StarProdError, RuntimeError):
     """A randomized constructor exhausted its retry budget."""
 
@@ -75,6 +71,10 @@ class UnknownSchemeError(StarProdError, ValueError):
 
 class InvalidParameterError(StarProdError, ValueError):
     """A constructor or a tolerance got a parameter outside its supported range."""
+
+
+class NotPrimeError(InvalidParameterError):
+    """The requested dimension is not a prime number."""
 
 
 class SchemeParseError(StarProdError, ValueError):

@@ -26,7 +26,7 @@ from .errors import (
     NotTomographicError,
 )
 from .matrixcore import DEFAULT_TOL, ToleranceConfig, rank, singular_values
-from .operator_space import VectorizationBasis, devectorize, vectorize
+from .operator_space import VectorizationBasis, devectorize
 
 Cardinality = Literal["underfilled", "minimal", "overfilled"]
 
@@ -132,7 +132,9 @@ def _family_matrix(family: np.ndarray, basis: VectorizationBasis) -> np.ndarray:
     if basis.ops is None:
         n = family.shape[0]
         return family.reshape(n, -1).T.copy()
-    return np.column_stack([vectorize(op, basis) for op in family])
+    # One stacked matrix-vector product per member: vectorize's arithmetic, bit for bit.
+    ops = basis.ops.conj().reshape(basis.dim, -1)
+    return np.matmul(ops, family.reshape(len(family), -1, 1))[..., 0].T.copy()
 
 
 def dequantization_matrix(s: Scheme, basis: VectorizationBasis | None = None) -> np.ndarray:

@@ -1,8 +1,9 @@
 """JSON file formats for schemes, operators, vectors, bases, kernels, and reports.
 
 Every complex array is a rectangular nesting of [re, im] number pairs in
-row-major order, written by one encoder and parsed by one decoder, so a
-parsed file reproduces the array bit-exactly.  A nesting that is ragged, too
+row-major order.  ``_encode`` builds it as lists, ``write_json`` writes the
+same nesting straight from the array, and one decoder parses it, so a parsed
+file reproduces the array bit-exactly.  A nesting that is ragged, too
 shallow or too deep, has an empty axis, or holds a non-number or a NaN or
 infinite entry is malformed (SchemeParseError, naming the file).  An
 infinite condition number serializes as null.
@@ -12,7 +13,7 @@ from __future__ import annotations
 
 import json
 import math
-from typing import Any
+from typing import Any, Iterable
 
 import numpy as np
 
@@ -77,10 +78,67 @@ def read_json(path: str, *keys: str) -> dict[str, Any]:
     return payload
 
 
+# Floats formatted per C-encoder call in _array_text: bounds its token list
+# (about 64 bytes per float) for large stacks.
+_BLOCK_FLOATS = 4096
+
+
+def _nest(items: Iterable[str], level: int, brackets: str = "[]") -> str:
+    """Item texts in brackets, laid out as ``json.dumps(..., indent=1)`` lays
+    out a container nested ``level`` deep."""
+    inner = "\n" + " " * (level + 1)
+    return brackets[0] + inner + ("," + inner).join(items) + "\n" + " " * level + brackets[1]
+
+
+def _array_text(a: np.ndarray, level: int) -> str:
+    """``json.dumps(_encode(a), indent=1)`` for a non-empty ``a`` nested ``level`` deep.
+
+    The C encoder formats the floats of a block of members (items along the
+    first axis) at once; the tokens are then grouped axis by axis, innermost
+    (the [re, im] pair) first, each axis with the layout of its own depth.
+    """
+    a = np.ascontiguousarray(a, dtype=complex)
+    rows = a.view(float).reshape(len(a), -1)
+    axes = list(enumerate((*a.shape[1:], 2), start=level + 1))[::-1]
+    fills = [(size, _nest(["{}"] * size, depth).format) for depth, size in axes]
+    step = max(1, _BLOCK_FLOATS // rows.shape[1])
+    members: list[str] = []
+    for start in range(0, len(rows), step):
+        items = json.dumps(rows[start : start + step].ravel().tolist())[1:-1].split(", ")
+        for size, fill in fills:
+            items = list(map(fill, *(items[k::size] for k in range(size))))
+        members += items
+    return _nest(members, level)
+
+
+def _json_text(value: Any, level: int) -> str:
+    """``json.dumps(value, indent=1)`` for ``value`` nested ``level`` deep, with
+    every np.ndarray in it written as its ``_encode`` nesting."""
+    if isinstance(value, np.ndarray):
+        if value.size:
+            return _array_text(value, level)
+        value = _encode(value)
+    if isinstance(value, dict) and value:
+        # Non-string keys become strings the way json.dump converts them.
+        items = (
+            f"{json.dumps(k if isinstance(k, str) else json.dumps(k))}: {_json_text(v, level + 1)}"
+            for k, v in value.items()
+        )
+        return _nest(items, level, "{}")
+    if isinstance(value, (list, tuple)) and value:
+        return _nest((_json_text(v, level + 1) for v in value), level)
+    return json.dumps(value)
+
+
 def write_json(payload: dict[str, Any], path: str) -> None:
-    """Write ``payload`` as JSON with one-space indentation and a final newline."""
+    """Write the bytes of ``json.dump(payload, fh, indent=1)`` and a final newline.
+
+    An np.ndarray anywhere in ``payload`` is written as its nesting of
+    [re, im] pairs, so callers hand arrays over without building lists.
+    """
+    text = _json_text(payload, 0)
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=1)
+        fh.write(text)
         fh.write("\n")
 
 
@@ -108,17 +166,22 @@ def json_to_vector(data: Any, where: str = "vector") -> np.ndarray:
     return _decode(data, 1, where)
 
 
-def serialize_scheme(s: Scheme) -> dict[str, Any]:
-    payload: dict[str, Any] = {
-        "format": SCHEME_FORMAT,
-        "d": s.d,
-        "dequantizers": _encode(s.dequantizers),
-    }
+def _scheme_payload(s: Scheme) -> dict[str, Any]:
+    """The scheme file's fields, with the families as arrays."""
+    payload: dict[str, Any] = {"format": SCHEME_FORMAT, "d": s.d, "dequantizers": s.dequantizers}
     if s.name is not None:
         payload["name"] = s.name
     if s.quantizers is not None:
-        payload["quantizers"] = _encode(s.quantizers)
+        payload["quantizers"] = s.quantizers
     return payload
+
+
+def serialize_scheme(s: Scheme) -> dict[str, Any]:
+    """The scheme file's fields as plain JSON data."""
+    return {
+        key: _encode(value) if isinstance(value, np.ndarray) else value
+        for key, value in _scheme_payload(s).items()
+    }
 
 
 def _parse_family(data: Any, d: int, label: str) -> np.ndarray:
@@ -146,7 +209,7 @@ def parse_scheme(payload: Any) -> Scheme:
 
 
 def save_scheme(s: Scheme, path: str) -> None:
-    write_json(serialize_scheme(s), path)
+    write_json(_scheme_payload(s), path)
 
 
 def load_scheme(path: str) -> Scheme:
@@ -158,7 +221,7 @@ def load_scheme(path: str) -> Scheme:
 
 
 def save_operator(m: np.ndarray, path: str) -> None:
-    write_json({"matrix": matrix_to_json(m)}, path)
+    write_json({"matrix": np.asarray(m, dtype=complex)}, path)
 
 
 def load_operator(path: str) -> np.ndarray:
@@ -167,7 +230,7 @@ def load_operator(path: str) -> np.ndarray:
 
 
 def save_vector(v: np.ndarray, path: str, **extra: Any) -> None:
-    write_json({"values": vector_to_json(v), **extra}, path)
+    write_json({"values": np.asarray(v, dtype=complex).reshape(-1), **extra}, path)
 
 
 def load_vector(path: str) -> np.ndarray:

@@ -23,6 +23,7 @@ from starprod.catalog import (
     mub_qubit_scheme,
     pauli_scheme,
     quantization_matrix,
+    random_minimal_povm_dequantizers,
     random_minimal_povm_scheme,
     shift_matrix,
     sic_qubit_scheme,
@@ -220,6 +221,11 @@ class TestMubPrime:
         with pytest.raises(NotPrimeError):
             mub_prime_scheme(1)
 
+    def test_non_prime_is_an_invalid_parameter(self):
+        # The CLI maps InvalidParameterError to exit 2 (malformed input).
+        with pytest.raises(InvalidParameterError, match="0 is not prime"):
+            mub_prime_scheme(0)
+
     def test_frame_singular_values(self):
         sv2 = singular_values(dequantization_matrix(mub_prime_scheme(2)))
         assert np.abs(sv2 - np.array([np.sqrt(3), 1, 1, 1])).max() <= 1e-12
@@ -257,6 +263,12 @@ class TestRandomPovmSampler:
     def test_rejects_non_positive_dimension(self, d):
         with pytest.raises(InvalidParameterError, match="dimension must be positive"):
             random_minimal_povm_scheme(d, 0)
+
+    def test_rejects_negative_seed(self):
+        with pytest.raises(InvalidParameterError, match="seeds must be non-negative, got -1"):
+            random_minimal_povm_scheme(2, -1)
+        with pytest.raises(InvalidParameterError, match="got -3"):
+            random_minimal_povm_dequantizers(2, [4, -3, 0])
 
 
 class TestEntriesRegression:

@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+from starprod import cli
 from starprod.cli import main
 from starprod.operator_space import PAULI_X, PAULI_Y, PAULI_Z
 from starprod.serialization import (
@@ -20,6 +21,8 @@ from starprod.serialization import (
 )
 from starprod.catalog import matrix_units_scheme, mub_qubit_scheme
 from starprod.scheme import Scheme, dequantization_matrix
+
+from _helpers import random_complex
 
 
 @pytest.fixture
@@ -64,9 +67,6 @@ class TestEmit:
 
     def test_unknown_scheme_exits_2(self, tmp_path):
         assert main(["emit", "nonesuch", "-o", str(tmp_path / "x.json")]) == 2
-
-    def test_non_prime_exits_1(self, tmp_path):
-        assert main(["emit", "mub-prime", "--p", "4", "-o", str(tmp_path / "x.json")]) == 1
 
     def test_wh_sic_without_shipped_fiducial_exits_2(self, tmp_path, capsys):
         assert main(["emit", "wh-sic", "--d", "4", "-o", str(tmp_path / "x.json")]) == 2
@@ -362,6 +362,13 @@ _MALFORMED = {
         ["emit", "matrix-units", "--d", "0", "-o", "{out}"],
         "matrix units need d >= 1",
     ),
+    "mub-prime-p4": (None, ["emit", "mub-prime", "--p", "4", "-o", "{out}"], "4 is not prime"),
+    "mub-prime-p0": (None, ["emit", "mub-prime", "--p", "0", "-o", "{out}"], "0 is not prime"),
+    "random-povm-seed-negative": (
+        None,
+        ["emit", "random-povm", "--d", "2", "--seed", "-1", "-o", "{out}"],
+        "seeds must be non-negative",
+    ),
 }
 
 
@@ -473,6 +480,55 @@ class TestVerify:
         assert "Traceback" not in captured.err
         assert "PASS" not in captured.out
         assert not report_path.exists()
+
+
+class TestWrittenFiles:
+    def test_every_file_but_a_kernel_is_the_indented_dump(self, emit, tmp_path, rng):
+        mub, units = emit("mub-qubit"), emit("matrix-units")
+        sic = emit("sic-qubit", "--normalization", "povm")
+        emit("random-povm", "--d", "3", "--seed", "4")
+        op, gauge = tmp_path / "op.json", tmp_path / "gauge.json"
+        save_operator(random_complex(rng, (2, 2)), str(op))
+        _, _, vh = np.linalg.svd(dequantization_matrix(load_scheme(str(mub))))
+        save_operator(np.outer(np.ones(4), vh[-1]), str(gauge))
+        q, f = tmp_path / "q.json", tmp_path / "f.json"
+        calls = [
+            ["classify", str(mub), "--report", str(tmp_path / "mub.report.json")],
+            ["classify", str(units), "--report", str(tmp_path / "units.report.json")],
+            ["quantize", str(mub), "-o", str(q), "--report", str(tmp_path / "q.report.json")],
+            ["quantize", str(mub), "--gauge", str(gauge), "-o", str(tmp_path / "qg.json"),
+             "--report", str(tmp_path / "qg.report.json")],
+            ["symbol", str(q), str(op), "-o", str(f)],
+            ["reconstruct", str(q), str(f), "-o", str(tmp_path / "a.json")],
+            ["intertwine", str(sic), str(mub), str(op), "--report", str(tmp_path / "i.json")],
+            ["verify", "--suite", "table", "--report", str(tmp_path / "v.report.json")],
+        ]
+        for argv in calls:
+            assert main(argv) == 0, argv
+        written = sorted(tmp_path.glob("*.json"))
+        assert len(written) == 16
+        for path in written:
+            text = path.read_text()
+            assert text == json.dumps(json.loads(text), indent=1) + "\n", path.name
+
+
+class TestParserReuse:
+    def test_calls_in_one_process_share_no_state(self, emit, tmp_path):
+        scheme = emit("mub-qubit")
+        reports = [tmp_path / f"r{i}.json" for i in range(3)]
+        argv = ["classify", str(scheme), "--report"]
+        assert main([*argv, str(reports[0]), "--rank-tol", "1e-8"]) == 0
+        assert main([*argv, str(reports[1])]) == 0
+        first, second = (json.loads(r.read_text()) for r in reports[:2])
+        assert first["tolerances"]["rank_tol"] == 1e-8
+        assert second["tolerances"] == {"rank_tol": 1e-10, "residual_tol": 1e-10, "eig_tol": 1e-10}
+        # An argparse usage error exits through SystemExit and leaves the parser usable.
+        with pytest.raises(SystemExit) as exc:
+            main(["classify", str(scheme), "--rank-tol"])
+        assert exc.value.code == 2
+        assert main([*argv, str(reports[2])]) == 0
+        assert json.loads(reports[2].read_text()) == second
+        assert cli._parser() is cli._parser()
 
 
 class TestEntryPoint:

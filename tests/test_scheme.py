@@ -37,7 +37,7 @@ from starprod.catalog import (
     random_minimal_povm_scheme,
     sic_qubit_scheme,
 )
-from starprod.operator_space import PAULI_X, PAULI_Y, PAULI_Z
+from starprod.operator_space import PAULI_X, PAULI_Y, PAULI_Z, vectorize
 from starprod.verification import haar_unitary
 
 from _helpers import random_complex
@@ -95,6 +95,18 @@ class TestDequantizationMatrix:
     def test_basis_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             dequantization_matrix(matrix_units_scheme(3), pauli_basis())
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_orthonormal_basis_matches_per_operator_loop(self, rng, d):
+        # d = 2: the Pauli basis; d = 3: a seeded random orthonormal basis.
+        if d == 2:
+            basis = pauli_basis()
+        else:
+            u = haar_unitary(d * d, rng)
+            basis = VectorizationBasis.orthonormal(u.T.reshape(d * d, d, d))
+        s = Scheme(dequantizers=random_complex(rng, (2 * d * d, d, d)))
+        loop = np.column_stack([vectorize(op, basis) for op in s.dequantizers])
+        assert np.abs(dequantization_matrix(s, basis) - loop).max() <= 1e-15
 
 
 class TestCanonicalQuantizers:

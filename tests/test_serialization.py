@@ -8,6 +8,7 @@ import pytest
 from starprod import Scheme, SchemeParseError, classify
 from starprod.catalog import entries, mub_qubit_scheme, sic_qubit_scheme
 from starprod.serialization import (
+    _encode,
     json_to_matrix,
     json_to_vector,
     load_kernel,
@@ -23,6 +24,7 @@ from starprod.serialization import (
     save_vector,
     serialize_scheme,
     vector_to_json,
+    write_json,
 )
 
 from _helpers import random_complex
@@ -284,3 +286,94 @@ class TestReportJson:
         data = report_to_json(classify(matrix_units_scheme(2)))
         u = json_to_matrix(data["matrix_unit_like"])
         assert np.abs(u - np.eye(2)).max() <= 1e-12
+
+
+def _lists(value):
+    """``value`` with every array replaced by its ``_encode`` lists."""
+    if isinstance(value, np.ndarray):
+        return _encode(value)
+    if isinstance(value, dict):
+        return {key: _lists(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_lists(item) for item in value]
+    return value
+
+
+_R = np.random.default_rng(20)
+_WRITER_PAYLOADS = {
+    "edge-floats": {
+        "values": _with_edges(random_complex(_R, (3, 4))),
+        "floats": [*_EDGE, np.float64(-0.0)],
+    },
+    "length-1-axes": {
+        "vector": random_complex(_R, 1),
+        "matrix": random_complex(_R, (1, 1)),
+        "stack": random_complex(_R, (1, 1, 1)),
+        "mixed": random_complex(_R, (3, 1, 2)),
+    },
+    "vector-matrix-stack": {
+        "values": random_complex(_R, 5),
+        "matrix": random_complex(_R, (4, 6)),
+        "dequantizers": random_complex(_R, (5, 3, 3)),
+        "real": np.arange(3.0),
+    },
+    "multi-block": {
+        "stack": random_complex(_R, (300, 3, 3)),
+        "vector": random_complex(_R, 5000),
+        "wide": random_complex(_R, (2, 2100)),
+    },
+    "nested": {
+        "outer": {
+            "inner": [random_complex(_R, (2, 2)), {"deep": (1, random_complex(_R, 2), [2.5, "x"])}]
+        },
+        "pairs": ((1, 2), [3, (4,)]),
+    },
+    "empty": {
+        "list": [],
+        "dict": {},
+        "tuple": (),
+        "array": np.zeros((0, 2), dtype=complex),
+        "both": [[], {}],
+    },
+    "scalars": {
+        "none": None,
+        "true": True,
+        "false": False,
+        "int": -7,
+        "long": 10**30,
+        "name": "Wigner–Weyl ∂ é",
+        "float64": np.float64(0.1),
+    },
+    "non-string-keys": {"keys": {1: "int", 2.5: "float", True: "bool", None: "null"}},
+}
+
+
+class TestWriteJson:
+    """write_json writes the bytes of json.dump(..., indent=1) plus a newline."""
+
+    @pytest.mark.parametrize("case", list(_WRITER_PAYLOADS))
+    def test_matches_indented_dump(self, tmp_path, case):
+        payload = _WRITER_PAYLOADS[case]
+        path = tmp_path / "out.json"
+        write_json(payload, str(path))
+        assert path.read_bytes() == (json.dumps(_lists(payload), indent=1) + "\n").encode()
+
+    def test_file_writers_match_indented_dump(self, tmp_path, rng):
+        s = Scheme(
+            dequantizers=_with_edges(random_complex(rng, (4, 2, 2))),
+            quantizers=random_complex(rng, (4, 2, 2)),
+            name="Wigner–Weyl ∂",
+        )
+        m = _with_edges(random_complex(rng, (4, 6)))
+        v = _with_edges(random_complex(rng, 7))
+        paths = {name: tmp_path / f"{name}.json" for name in ("scheme", "operator", "vector")}
+        save_scheme(s, str(paths["scheme"]))
+        save_operator(m, str(paths["operator"]))
+        save_vector(v, str(paths["vector"]), scheme=s.name)
+        expected = {
+            "scheme": serialize_scheme(s),
+            "operator": {"matrix": matrix_to_json(m)},
+            "vector": {"values": vector_to_json(v), "scheme": s.name},
+        }
+        for name, path in paths.items():
+            assert path.read_bytes() == (json.dumps(expected[name], indent=1) + "\n").encode(), name
