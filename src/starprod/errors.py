@@ -13,10 +13,6 @@ class NonHermitianError(StarProdError, ValueError):
     """A matrix required to be Hermitian is not, within tolerance."""
 
 
-class SingularMatrixError(StarProdError, ValueError):
-    """A matrix required to be invertible is rank-deficient within tolerance."""
-
-
 class NotSquareError(StarProdError, ValueError):
     """A matrix required to be square is rectangular."""
 

@@ -1,4 +1,4 @@
-"""Dense complex matrix primitives: eigen/singular decompositions, rank, inverse.
+"""Dense complex matrix primitives: eigen/singular decompositions and rank.
 
 Matrices are plain ``numpy.ndarray`` values in row-major (C) order, so the
 row-stacking map between operators and vectors is a reshape.  All functions
@@ -16,7 +16,6 @@ from .errors import (
     DimensionMismatchError,
     InvalidParameterError,
     NonHermitianError,
-    SingularMatrixError,
 )
 
 
@@ -87,21 +86,15 @@ def singular_values(m) -> np.ndarray:
     return np.linalg.svd(m, compute_uv=False)
 
 
+def rank_from_singular_values(sv, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+    """Count of singular values (descending, last axis) above ``rank_tol * sigma_max``."""
+    return np.count_nonzero(sv > tol.rank_tol * sv[..., :1], axis=-1)
+
+
 def rank(m, tol: ToleranceConfig = DEFAULT_TOL) -> int | np.ndarray:
-    """Number of singular values above ``rank_tol * sigma_max``; 0 for the zero matrix.
+    """Numerical rank of a matrix under ``rank_from_singular_values``.
 
     A stack (..., m, n) gives an integer array of per-matrix ranks.
     """
-    sv = singular_values(m)
-    ranks = np.count_nonzero(sv > tol.rank_tol * sv[..., :1], axis=-1)
+    ranks = rank_from_singular_values(singular_values(m), tol)
     return int(ranks) if ranks.ndim == 0 else ranks
-
-
-def inverse(m, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-    """Matrix inverse; raises SingularMatrixError when rank-deficient within tolerance."""
-    m = _require_square(m)
-    if rank(m, tol) < m.shape[0]:
-        raise SingularMatrixError(
-            f"matrix of shape {m.shape} has numerical rank {rank(m, tol)}"
-        )
-    return np.linalg.inv(m)

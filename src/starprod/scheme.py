@@ -25,7 +25,7 @@ from .errors import (
     NotSquareError,
     NotTomographicError,
 )
-from .matrixcore import DEFAULT_TOL, ToleranceConfig, rank, singular_values
+from .matrixcore import DEFAULT_TOL, ToleranceConfig, rank_from_singular_values, singular_values
 from .operator_space import VectorizationBasis, devectorize
 
 Cardinality = Literal["underfilled", "minimal", "overfilled"]
@@ -171,14 +171,19 @@ def scheme_from_dequantization_matrix(
     return Scheme(dequantizers=deq, quantizers=qs, name=name)
 
 
+def _dual_matrix(w: np.ndarray, sv: np.ndarray, vh: np.ndarray) -> np.ndarray:
+    """Canonical dual W Sigma^-1 V^dag = pinv(U)^dag of a rank-d^2 U = W Sigma V^dag."""
+    return (w / sv[..., None, :]) @ vh
+
+
 def canonical_duals(dequantizers, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """Canonical quantizer families dual to a stack of dequantizer families.
 
     ``dequantizers`` has shape (..., N, d, d); the result has the same shape,
-    one dual family per input family.  Minimal case (N = d^2): the
-    inverse-adjoint of each dequantization matrix.  Overfilled case: the
-    pseudoinverse dual, (U U^dag)^-1 U.  Raises NotTomographicError when a
-    family does not span the operator space.
+    one dual family per input family.  One thin SVD U = W Sigma V^dag of each
+    dequantization matrix gives its rank and its dual pinv(U)^dag, for minimal
+    and overfilled families alike.  Raises NotTomographicError when a family
+    does not span the operator space.
     """
     deq = np.asarray(dequantizers, dtype=complex)
     if deq.ndim < 3 or deq.shape[-1] != deq.shape[-2]:
@@ -189,18 +194,14 @@ def canonical_duals(dequantizers, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndar
     d_sq = d * d
     # Row-stacking dequantization matrices (..., d^2, N).
     u_mat = deq.reshape(*deq.shape[:-3], n, d_sq).swapaxes(-1, -2)
-    ranks = np.asarray(rank(u_mat, tol)).reshape(-1)
+    w, sv, vh = np.linalg.svd(u_mat, full_matrices=False)
+    ranks = rank_from_singular_values(sv, tol).reshape(-1)
     deficient = np.flatnonzero(ranks < d_sq)
     if deficient.size:
         raise NotTomographicError(
             f"rank {ranks[deficient[0]]} < d^2 = {d_sq}; quantizers are undefined"
         )
-    u_dag = u_mat.conj().swapaxes(-1, -2)
-    if n == d_sq:
-        d_mat = np.linalg.inv(u_dag)
-    else:
-        d_mat = np.linalg.inv(u_mat @ u_dag) @ u_mat
-    return devectorize(d_mat.swapaxes(-1, -2), VectorizationBasis.row_stacking(d))
+    return devectorize(_dual_matrix(w, sv, vh).swapaxes(-1, -2), VectorizationBasis.row_stacking(d))
 
 
 def canonical_quantizers(s: Scheme, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
@@ -271,23 +272,34 @@ def duality_matrix(s: Scheme) -> np.ndarray:
     return np.einsum("kab,lab->kl", s.dequantizers.conj(), qs)
 
 
-def self_dual_coefficient(s: Scheme, tol: ToleranceConfig = DEFAULT_TOL) -> float | None:
-    """Positive c with U_k = c D_k for all k, or None if the scheme is not self-dual.
+def self_dual_coefficients(
+    dequantizers, quantizers, tol: ToleranceConfig = DEFAULT_TOL
+) -> np.ndarray:
+    """Per family of two equal-shaped (..., N, d, d) stacks, the positive c with
+    U_k = c D_k for all k, or NaN if the family is not self-dual.
 
     c is estimated from the Frobenius norms of the two families and then
     verified entrywise at relative tolerance.
     """
-    qs = s.require_quantizers()
-    u_norm = float(np.linalg.norm(s.dequantizers))
-    d_norm = float(np.linalg.norm(qs))
-    if u_norm == 0.0 or d_norm == 0.0:
-        return None
-    c = u_norm / d_norm
-    scale = max(1.0, float(np.abs(s.dequantizers).max()))
-    residual = float(np.abs(s.dequantizers - c * qs).max())
-    if residual > tol.residual_tol * scale:
-        return None
-    return c
+    deq = np.asarray(dequantizers, dtype=complex)
+    pair = np.stack([deq, np.asarray(quantizers, dtype=complex)]).reshape(2, *deq.shape[:-3], -1)
+    # Per family, np.linalg.norm's two dot products, each a 1 x K by K x 1 matmul.
+    re, im = pair.real[..., None, :], pair.imag[..., None, :]
+    u_norm, d_norm = np.sqrt((re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2))[..., 0, 0])
+    u, q = pair
+    with np.errstate(divide="ignore", invalid="ignore"):
+        c = u_norm / d_norm
+        residual = np.abs(u - c[..., None] * q).max(axis=-1, initial=0.0)
+    scale = np.maximum(1.0, np.abs(u).max(axis=-1, initial=0.0))
+    self_dual = (u_norm != 0.0) & (d_norm != 0.0) & (residual <= tol.residual_tol * scale)
+    return np.where(self_dual, c, np.nan)
+
+
+def self_dual_coefficient(s: Scheme, tol: ToleranceConfig = DEFAULT_TOL) -> float | None:
+    """Positive c with U_k = c D_k for all k, or None if the scheme is not self-dual:
+    the one-family case of ``self_dual_coefficients``."""
+    c = float(self_dual_coefficients(s.dequantizers, s.require_quantizers(), tol))
+    return None if np.isnan(c) else c
 
 
 def scaled_unitary_check(u_mat, tol: ToleranceConfig = DEFAULT_TOL) -> float | None:
@@ -359,13 +371,11 @@ def negativity_report(s: Scheme, tol: ToleranceConfig = DEFAULT_TOL) -> Negativi
 
 def _fix_column_phases(u: np.ndarray, threshold: float = 1e-12) -> np.ndarray:
     """Rotate each column so its first entry of significant magnitude is real positive."""
+    mag = np.hypot(u.real, u.imag)  # rounds as abs() of a complex scalar does
+    found = np.flatnonzero((mag > threshold).any(axis=0))
+    first = np.argmax(mag[:, found] > threshold, axis=0)
     out = u.copy()
-    for j in range(out.shape[1]):
-        col = out[:, j]
-        nz = np.flatnonzero(np.abs(col) > threshold)
-        if nz.size:
-            phase = col[nz[0]] / abs(col[nz[0]])
-            out[:, j] = col / phase
+    out[:, found] = u[:, found] / (u[first, found] / mag[first, found])
     return out
 
 
@@ -382,9 +392,11 @@ def matrix_unit_like_detect(
     if s.n_points != d * d:
         return None
     deq = s.dequantizers
-    for op in deq:
-        sv = singular_values(op)
-        if sv[0] <= tol.residual_tol or (d > 1 and sv[1] > tol.residual_tol * max(1.0, sv[0])):
+    # Member 0 alone first: it rejects most inputs before the SVD of all d^2.
+    for ops in (deq[:1], deq):
+        sv = singular_values(ops)
+        scale = tol.residual_tol * np.maximum(1.0, sv[:, :1])
+        if (sv[:, 0] <= tol.residual_tol).any() or (sv[:, 1:2] > scale).any():
             return None
     # Anchor psi_1 on the (1,1) projector, then transport it with the first
     # column of dequantizers; this fixes a globally consistent phase gauge.
@@ -409,14 +421,16 @@ def classify(
     """Full scheme report: cardinality, rank, conditioning, and diagnostics.
 
     Diagnostics that need quantizers use the attached family when present and
-    the canonical one otherwise (tomographic schemes only).
+    the canonical one otherwise (tomographic schemes only).  Rank, condition
+    number and that dual share one SVD of U_B, the dequantization matrix in
+    ``basis``; U_B = G^dag U, so G pinv(U_B)^dag = pinv(U)^dag for invertible G.
     """
     basis = _default_basis(s, basis)
     u_mat = dequantization_matrix(s, basis)
     d_sq = s.d * s.d
     n = s.n_points
-    sv = singular_values(u_mat)
-    rk = int(np.count_nonzero(sv > tol.rank_tol * sv[0])) if sv[0] > 0 else 0
+    w, sv, vh = np.linalg.svd(u_mat, full_matrices=False)
+    rk = int(rank_from_singular_values(sv, tol))
     tomographic = rk == d_sq
     if n < d_sq:
         cardinality: Cardinality = "underfilled"
@@ -428,7 +442,7 @@ def classify(
 
     diagnostic = s
     if s.quantizers is None and tomographic:
-        diagnostic = s.with_quantizers(canonical_quantizers(s, tol))
+        diagnostic = s.with_quantizers(devectorize(_dual_matrix(w, sv, vh).T, basis))
     self_dual = (
         self_dual_coefficient(diagnostic, tol) if diagnostic.quantizers is not None else None
     )

@@ -34,7 +34,6 @@ from .errors import InvalidParameterError
 from .matrixcore import DEFAULT_TOL, ToleranceConfig, hermitian_eig, singular_values
 from .operator_space import VectorizationBasis, devectorize
 from .scheme import (
-    Scheme,
     canonical_duals,
     classify,
     completeness_residual,
@@ -43,6 +42,7 @@ from .scheme import (
     negativity_report,
     scaled_unitary_check,
     self_dual_coefficient,
+    self_dual_coefficients,
     with_canonical_quantizers,
 )
 from .star_product import (
@@ -214,13 +214,10 @@ def check_self_duality_unitarity(
             rng.standard_normal(out=normals[i])
         u_mats = np.sqrt(coefficients)[:, None, None] * haar_unitaries(normals)
         deq = devectorize(u_mats.swapaxes(1, 2), VectorizationBasis.row_stacking(d))
-        duals = canonical_duals(deq, tol)
-        for c, family, dual in zip(coefficients, deq, duals):
-            recovered = self_dual_coefficient(Scheme(family, dual), tol)
-            if recovered is None:
-                worst_forward = np.inf
-                break
-            worst_forward = max(worst_forward, abs(recovered - c) / c)
+        recovered = self_dual_coefficients(deq, canonical_duals(deq, tol), tol)
+        errors = np.abs(recovered - coefficients) / coefficients
+        # A family that is not self-dual (NaN) counts as an infinite error.
+        worst_forward = max(worst_forward, np.where(np.isnan(errors), np.inf, errors).max())
 
     worst_backward = 0.0
     checked = []
@@ -263,7 +260,7 @@ def check_povm_dual_negativity(
     guard = 1e-10
     duals = canonical_duals(random_minimal_povm_dequantizers(d, range(seeds), tol), tol)
     # Eigenvalues of the Hermitian parts: the exact dual of a Hermitian
-    # family is Hermitian, but inversion noise scales with conditioning
+    # family is Hermitian, but rounding in the dual scales with conditioning
     # and the guard below absorbs it.
     herm = (duals + duals.conj().swapaxes(-1, -2)) / 2
     minima = np.linalg.eigvalsh(herm)[..., 0].min(axis=-1)

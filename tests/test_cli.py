@@ -7,7 +7,7 @@ import pytest
 
 from starprod import cli
 from starprod.cli import main
-from starprod.operator_space import PAULI_X, PAULI_Y, PAULI_Z
+from starprod.operator_space import PAULI_X, PAULI_Y, PAULI_Z, VectorizationBasis
 from starprod.serialization import (
     load_kernel,
     load_operator,
@@ -20,9 +20,9 @@ from starprod.serialization import (
     serialize_scheme,
 )
 from starprod.catalog import matrix_units_scheme, mub_qubit_scheme
-from starprod.scheme import Scheme, dequantization_matrix
+from starprod.scheme import Scheme, dequantization_matrix, scheme_from_dequantization_matrix
 
-from _helpers import random_complex
+from _helpers import conditioned_frame, random_complex
 
 
 @pytest.fixture
@@ -197,6 +197,21 @@ class TestQuantize:
         # The printed residual is mirrored in a machine-readable report.
         report = json.loads((tmp_path / "mub_q.json.report.json").read_text())
         assert report["completeness_residual"] <= 1e-10
+
+    def test_ill_conditioned_overfilled_completeness(self, tmp_path, capsys):
+        # 9 x 12 frame with condition number 1e8: the SVD dual keeps the
+        # residual near kappa * eps; normal equations, which square kappa,
+        # leave a residual of order 1 here.
+        s = scheme_from_dequantization_matrix(
+            conditioned_frame(12, 1e8, seed=7), VectorizationBasis.row_stacking(3)
+        )
+        path = tmp_path / "frame.json"
+        save_scheme(s, str(path))
+        out = tmp_path / "frame_q.json"
+        assert main(["quantize", str(path), "-o", str(out)]) == 0
+        assert "completeness residual" in capsys.readouterr().out
+        report = json.loads((tmp_path / "frame_q.json.report.json").read_text())
+        assert report["completeness_residual"] <= 1e-7
 
     def test_underfilled_exits_1(self, tmp_path):
         s = Scheme(dequantizers=mub_qubit_scheme().dequantizers[:3])

@@ -4,14 +4,12 @@ import pytest
 from starprod import (
     DimensionMismatchError,
     NonHermitianError,
-    SingularMatrixError,
     ToleranceConfig,
     hermitian_eig,
-    inverse,
     rank,
     singular_values,
 )
-from starprod.operator_space import PAULI_X, PAULI_Y, PAULI_Z
+from starprod.operator_space import PAULI_Z
 
 from _helpers import random_complex, random_hermitian
 
@@ -149,34 +147,3 @@ class TestRank:
         assert ranks.shape == (2, 3)
         assert ranks.tolist() == [[rank(m) for m in row] for row in stack]
 
-
-class TestInverse:
-    def test_identity(self):
-        assert np.allclose(inverse(np.eye(4)), np.eye(4))
-
-    def test_diagonal(self):
-        assert np.allclose(inverse(np.diag([2.0, 4.0])), np.diag([0.5, 0.25]), atol=1e-14)
-
-    def test_scaled_pauli_matrix_is_unitary(self):
-        # Row-stacked (I, sx, sy, sz)/sqrt(2): its inverse is its adjoint.
-        u = np.column_stack(
-            [op.reshape(-1) / np.sqrt(2) for op in (np.eye(2), PAULI_X, PAULI_Y, PAULI_Z)]
-        )
-        assert np.abs(inverse(u) - u.conj().T).max() <= 1e-14
-        assert np.abs(u @ u.conj().T - np.eye(4)).max() <= 1e-14
-
-    def test_rejects_singular(self, rng):
-        v = random_complex(rng, 3)
-        with pytest.raises(SingularMatrixError):
-            inverse(np.outer(v, v.conj()))
-
-    def test_rejects_rectangular(self):
-        with pytest.raises(DimensionMismatchError):
-            inverse(np.zeros((2, 3)))
-
-    def test_involution(self, rng):
-        for _ in range(50):
-            d = rng.integers(1, 7)
-            m = random_complex(rng, (d, d)) + 3 * np.eye(d)
-            assert np.abs(inverse(inverse(m)) - m).max() <= 1e-10
-            assert np.abs(m @ inverse(m) - np.eye(d)).max() <= 1e-10

@@ -26,6 +26,7 @@ from starprod import (
     scaled_unitary_check,
     scheme_from_dequantization_matrix,
     self_dual_coefficient,
+    self_dual_coefficients,
     with_canonical_quantizers,
 )
 from starprod.catalog import (
@@ -37,10 +38,18 @@ from starprod.catalog import (
     random_minimal_povm_scheme,
     sic_qubit_scheme,
 )
-from starprod.operator_space import PAULI_X, PAULI_Y, PAULI_Z, vectorize
+from starprod.operator_space import (
+    PAULI_X,
+    PAULI_Y,
+    PAULI_Z,
+    validate_orthonormal_basis,
+    vectorize,
+)
+from starprod.scheme import _fix_column_phases
+from starprod.star_product import reconstruct, symbol
 from starprod.verification import haar_unitary
 
-from _helpers import random_complex
+from _helpers import conditioned_frame, random_complex, self_dual_reference
 
 TOL = ToleranceConfig()
 
@@ -163,6 +172,36 @@ class TestCanonicalDuals:
             canonical_duals(np.zeros((4, 2, 3)))
 
 
+class TestDualAccuracy:
+    """The SVD dual loses accuracy in proportion to kappa, not kappa squared
+    (Higham, Accuracy and Stability of Numerical Algorithms, ch. 20)."""
+
+    ROW3 = VectorizationBasis.row_stacking(3)
+
+    @pytest.mark.parametrize("kappa", [1e2, 1e4, 1e6, 1e8])
+    @pytest.mark.parametrize("n", [9, 12, 18])
+    def test_residuals_scale_with_condition_number(self, n, kappa):
+        s = scheme_from_dequantization_matrix(conditioned_frame(n, kappa, seed=7), self.ROW3)
+        assert abs(classify(s).condition_number / kappa - 1) <= 1e-6
+        s = with_canonical_quantizers(s)
+        bound = 10 * kappa * np.finfo(float).eps
+        assert completeness_residual(s) <= bound
+        ops = np.stack([haar_unitary(3, np.random.default_rng(k)) for k in range(8)])
+        assert np.abs(reconstruct(s, symbol(s, ops)) - ops).max() <= bound
+
+    @pytest.mark.parametrize("factor", [0.5, 2.0])
+    def test_rank_rule_shared_at_tolerance(self, factor):
+        # sigma_min / sigma_max = rank_tol / factor straddles the rank rule.
+        u = conditioned_frame(12, factor / TOL.rank_tol, seed=7)
+        s = scheme_from_dequantization_matrix(u, self.ROW3)
+        try:
+            canonical_duals(s.dequantizers, TOL)
+            dual_defined = True
+        except NotTomographicError:
+            dual_defined = False
+        assert classify(s, TOL).tomographic == dual_defined == (factor < 1)
+
+
 class TestGaugeQuantizers:
     def test_zero_gauge_is_identity(self):
         s = with_canonical_quantizers(mub_qubit_scheme())
@@ -227,6 +266,23 @@ class TestSelfDualCoefficient:
     def test_missing_quantizers(self):
         with pytest.raises(MissingQuantizersError):
             self_dual_coefficient(mub_qubit_scheme())
+
+    def test_stack_matches_per_family(self, rng):
+        # Scaled-unitary families are self-dual; Ginibre families are not.
+        coefficients = rng.uniform(0.1, 10.0, size=6)
+        u = np.sqrt(coefficients)[:, None, None] * np.stack([haar_unitary(4, rng) for _ in coefficients])
+        deq = u.swapaxes(1, 2).reshape(6, 4, 2, 2)
+        deq[::3] = random_complex(rng, (2, 4, 2, 2))
+        duals = canonical_duals(deq)
+        stacked = self_dual_coefficients(deq.reshape(2, 3, 4, 2, 2), duals.reshape(2, 3, 4, 2, 2))
+        assert stacked.shape == (2, 3)
+        for c, family, dual in zip(stacked.reshape(-1), deq, duals):
+            reference = self_dual_reference(family, dual)
+            assert (reference is None) if np.isnan(c) else (reference == c)
+            assert self_dual_coefficient(Scheme(family, dual)) == reference
+        self_dual = np.arange(6) % 3 != 0
+        assert np.isnan(stacked.reshape(-1)[~self_dual]).all()
+        assert np.allclose(stacked.reshape(-1)[self_dual], coefficients[self_dual], rtol=1e-9, atol=0)
 
 
 class TestScaledUnitaryCheck:
@@ -297,7 +353,7 @@ class TestMatrixUnitLikeDetect:
         assert u is not None
         assert np.abs(u - np.eye(d)).max() <= 1e-12
 
-    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
     def test_rotated_matrix_units_recovered(self, rng, d):
         w = haar_unitary(d, rng)
         deq = np.stack(
@@ -317,6 +373,35 @@ class TestMatrixUnitLikeDetect:
         pairing = np.einsum("kab,kab->k", rebuilt.conj(), deq)
         assert np.abs(np.abs(pairing) - 1).max() <= 1e-10
 
+    def test_column_phases_match_per_column_loop(self, rng):
+        def reference(u, threshold=1e-12):
+            out = u.copy()
+            for j in range(out.shape[1]):
+                col = out[:, j]
+                nz = np.flatnonzero(np.abs(col) > threshold)
+                if nz.size:
+                    out[:, j] = col / (col[nz[0]] / abs(col[nz[0]]))
+            return out
+
+        for d in (1, 2, 3, 4, 5):
+            for _ in range(40):
+                u = random_complex(rng, (d, d))
+                u[rng.random((d, d)) < 0.3] = 0.0
+                u[rng.random((d, d)) < 0.2] *= 1e-13
+                assert _fix_column_phases(u).tobytes() == reference(u).tobytes()
+
+    def test_rejects_on_member_zero_before_stacked_svd(self, rng, monkeypatch):
+        shapes = []
+        svd = np.linalg.svd
+
+        def counting_svd(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        assert matrix_unit_like_detect(Scheme(random_complex(rng, (9, 3, 3)))) is None
+        assert shapes == [(1, 3, 3)]
+
     def test_livine_not_rank_one(self):
         assert matrix_unit_like_detect(livine_scheme()) is None
         # det of the first dequantizer is -1/8, so it is genuinely rank 2.
@@ -327,6 +412,57 @@ class TestMatrixUnitLikeDetect:
 
 
 class TestClassify:
+    def test_one_factorization_of_the_dequantization_matrix(self, monkeypatch):
+        # Rank, condition number and the diagnostic dual share one SVD; the
+        # dual needs no inverse.
+        shapes = []
+        svd = np.linalg.svd
+
+        def counting_svd(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return svd(a, *args, **kwargs)
+
+        def no_inverse(*args, **kwargs):
+            raise AssertionError("np.linalg.inv called")
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        monkeypatch.setattr(np.linalg, "inv", no_inverse)
+        report = classify(mub_qubit_scheme())
+        assert shapes == [(4, 6)]
+        assert report.tomographic and report.negativity.min_quantizer_eigenvalue is not None
+        shapes.clear()
+        canonical_duals(mub_qubit_scheme().dequantizers)
+        assert shapes == [(4, 6)]
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_diagnostic_dual_independent_of_basis_orthonormality(self, rng, d):
+        # A basis file need only be orthonormal within residual_tol.  With
+        # U_B = G^dag U for any invertible basis matrix G, the dual taken from
+        # the SVD of U_B and devectorized through G is G pinv(U_B)^dag =
+        # pinv(U)^dag, so the diagnostics follow the scheme, not the basis.
+        loose = ToleranceConfig(residual_tol=1e-4)
+        ops = haar_unitary(d * d, rng).T.reshape(d * d, d, d)
+        noise = random_complex(rng, ops.shape)
+        for _ in range(5):
+            noise *= 0.9 * loose.residual_tol / validate_orthonormal_basis(ops + noise)
+        assert validate_orthonormal_basis(ops + noise) > 0.8 * loose.residual_tol
+        basis = VectorizationBasis.orthonormal(ops + noise, tol=loose)
+        for entry in entries():
+            if entry.scheme.d != d:
+                continue
+            s = Scheme(entry.scheme.dequantizers)
+            a, b = classify(s, loose), classify(s, loose, basis=basis)
+            if a.self_dual_coefficient is None:
+                assert b.self_dual_coefficient is None, entry.name
+            else:
+                assert b.self_dual_coefficient == pytest.approx(a.self_dual_coefficient, rel=1e-13)
+            if a.negativity is None:
+                assert b.negativity is None, entry.name
+            else:
+                assert b.negativity.min_quantizer_eigenvalue == pytest.approx(
+                    a.negativity.min_quantizer_eigenvalue, rel=1e-13
+                ), entry.name
+
     def test_matrix_units(self):
         report = classify(matrix_units_scheme(2))
         assert report.cardinality == "minimal"

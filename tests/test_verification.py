@@ -9,10 +9,14 @@ from starprod.scheme import canonical_duals, canonical_quantizers
 from starprod.verification import (
     DEFAULT_BATTERY_SEED,
     check_povm_dual_negativity,
+    check_self_duality_unitarity,
     haar_unitaries,
     haar_unitary,
     run_battery,
 )
+from starprod.operator_space import VectorizationBasis, devectorize
+
+from _helpers import self_dual_reference
 
 
 def _reference_minima(seeds: int) -> np.ndarray:
@@ -53,6 +57,22 @@ class TestPovmDualNegativity:
     def test_vacuous_seed_count_rejected(self, seeds):
         with pytest.raises(InvalidParameterError, match="seeds must be at least 1"):
             run_battery("random-povm", seeds=seeds)
+
+
+class TestSelfDualityUnitarity:
+    def test_stacked_coefficients_match_per_sample_loop(self):
+        # The check's draws, replayed one sample at a time.
+        rng = np.random.default_rng(DEFAULT_BATTERY_SEED)
+        worst = 0.0
+        for d in (2, 3):
+            for _ in range(100):
+                c = rng.uniform(0.1, 10.0)
+                u = np.sqrt(c) * haar_unitaries(rng.standard_normal((2, d * d, d * d)))
+                family = devectorize(u.T, VectorizationBasis.row_stacking(d))
+                recovered = self_dual_reference(family, canonical_duals(family))
+                worst = max(worst, np.inf if recovered is None else abs(recovered - c) / c)
+        details = check_self_duality_unitarity().details
+        assert details["random_coefficient_worst_relative_error"] == worst
 
 
 class TestStackedSampler:
