@@ -8,7 +8,8 @@ machine precision.  The output feeds src/starprod/data/.
 
 Usage: python scripts/find_sic_fiducial.py [-d 3] [--seed 7] [-o out.json]
 
-Needs scipy (dev-only; the package itself does not).
+Needs scipy (dev-only; the package itself does not) and an importable
+starprod (installed, or PYTHONPATH=src).
 """
 
 from __future__ import annotations
@@ -19,14 +20,13 @@ import json
 import numpy as np
 from scipy.optimize import least_squares, minimize
 
+from starprod.catalog import clock_matrix, shift_matrix
+
 
 def displacement_orbit(psi: np.ndarray) -> np.ndarray:
     d = psi.size
-    omega = np.exp(2j * np.pi / d)
-    z = np.diag(omega ** np.arange(d))
-    x = np.zeros((d, d), dtype=complex)
-    for j in range(d):
-        x[(j + 1) % d, j] = 1.0
+    z = clock_matrix(d)
+    x = shift_matrix(d)
     return np.stack(
         [
             np.linalg.matrix_power(x, a) @ np.linalg.matrix_power(z, b) @ psi

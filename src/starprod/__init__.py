@@ -86,74 +86,10 @@ from .star_product import (
 )
 from . import catalog, serialization, verification
 
-__all__ = [
-    "__version__",
-    "DEFAULT_TOL",
-    "ToleranceConfig",
-    "VectorizationBasis",
-    "Scheme",
-    "SchemeReport",
-    "PovmDiagnostics",
-    "NegativityReport",
-    "StarKernel",
-    "IntertwinerPair",
-    "PAULI_X",
-    "PAULI_Y",
-    "PAULI_Z",
-    "hermitian_eig",
-    "singular_values",
-    "rank",
-    "matrix_unit",
-    "vectorize",
-    "devectorize",
-    "hs_inner",
-    "validate_orthonormal_basis",
-    "pauli_basis",
-    "row_stack",
-    "unstack",
-    "dequantization_matrix",
-    "quantization_matrix",
-    "scheme_from_dequantization_matrix",
-    "canonical_duals",
-    "canonical_quantizers",
-    "with_canonical_quantizers",
-    "completeness_residual",
-    "gauge_quantizers",
-    "duality_matrix",
-    "self_dual_coefficient",
-    "self_dual_coefficients",
-    "scaled_unitary_check",
-    "povm_check",
-    "negativity_report",
-    "matrix_unit_like_detect",
-    "classify",
-    "symbol",
-    "reconstruct",
-    "star_kernel",
-    "star_multiply",
-    "associativity_residual",
-    "intertwiner",
-    "cubic_unitary_residual",
-    "catalog",
-    "serialization",
-    "verification",
-    "StarProdError",
-    "DimensionMismatchError",
-    "NonHermitianError",
-    "NotSquareError",
-    "NotSquareLengthError",
-    "WrongCountError",
-    "LengthMismatchError",
-    "NotTomographicError",
-    "NotOverfilledError",
-    "InvalidGaugeError",
-    "InvalidParameterError",
-    "MissingQuantizersError",
-    "NonHermitianMemberError",
-    "NotUnitaryError",
-    "NotSICError",
-    "NotPrimeError",
-    "SamplerFailureError",
-    "UnknownSchemeError",
-    "SchemeParseError",
+# The public names bound above.  ``from .x import ...`` also binds each
+# submodule x; of those, only the three imported by name are part of the API.
+__all__ = ["__version__", "catalog", "serialization", "verification"] + [
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, type(catalog))
 ]

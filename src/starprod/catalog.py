@@ -3,19 +3,26 @@
 Covers the standard qubit families (matrix units, scaled Paulis, the Livine
 phase-space quartet, the tetrahedral SIC, the full MUB set), generators for
 Weyl-Heisenberg SIC orbits and prime-dimension MUBs, a seeded random-POVM
-sampler, and the printed-table regression set with its errata.
+sampler, the ``SCHEMES`` registry behind ``emit`` and the regression set,
+and the printed-table regression set with its errata.
 """
 
 from __future__ import annotations
 
 import importlib.resources
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
 
-from .errors import InvalidParameterError, NotPrimeError, NotSICError, SamplerFailureError
+from .errors import (
+    InvalidParameterError,
+    NotPrimeError,
+    NotSICError,
+    SamplerFailureError,
+    UnknownSchemeError,
+)
 from .matrixcore import DEFAULT_TOL, ToleranceConfig, rank
 from .operator_space import (
     PAULI_X,
@@ -29,7 +36,7 @@ from .scheme import Scheme, dequantization_matrix, quantization_matrix
 from .serialization import load_vector
 
 SQRT2 = np.sqrt(2.0)
-SQRT3 = np.sqrt(3.0)
+SQRT3 = float(np.sqrt(3.0))
 
 
 def matrix_units_scheme(d: int) -> Scheme:
@@ -118,10 +125,7 @@ def clock_matrix(d: int) -> np.ndarray:
 
 def shift_matrix(d: int) -> np.ndarray:
     """Cyclic shift X e_j = e_(j+1 mod d)."""
-    x = np.zeros((d, d), dtype=complex)
-    for j in range(d):
-        x[(j + 1) % d, j] = 1.0
-    return x
+    return np.roll(np.eye(d, dtype=complex), 1, axis=0)
 
 
 def default_fiducial(d: int) -> np.ndarray:
@@ -257,14 +261,25 @@ class CatalogEntry:
     expected: dict[str, Any]
 
 
-def entries(tol: ToleranceConfig = DEFAULT_TOL) -> list[CatalogEntry]:
-    """The standard regression set: every built-in scheme at its stock parameters."""
-    sqrt3 = float(SQRT3)
-    return [
-        CatalogEntry(
-            "matrix-units-d2",
-            matrix_units_scheme(2),
-            {
+@dataclass(frozen=True)
+class BuiltinScheme:
+    """One ``emit`` scheme: ``build(tol=..., **params)``, the parameters it
+    takes with their defaults, and its regression set as (parameters,
+    expected report fragments) pairs."""
+
+    build: Callable[..., Scheme]
+    params: dict[str, Any]
+    stock: tuple[tuple[dict[str, Any], dict[str, Any]], ...] = ()
+
+
+# Keyed by the ``emit`` name.  Parameter values use the CLI spelling; the
+# builders map it onto the constructors' keywords.
+SCHEMES: dict[str, BuiltinScheme] = {
+    "matrix-units": BuiltinScheme(
+        lambda tol, d: matrix_units_scheme(d),
+        {"d": 2},
+        stock=(
+            ({"d": 2}, {
                 "cardinality": "minimal",
                 "tomographic": True,
                 "rank": 4,
@@ -272,12 +287,8 @@ def entries(tol: ToleranceConfig = DEFAULT_TOL) -> list[CatalogEntry]:
                 "self_dual_coefficient": 1.0,
                 "scaled_unitary": 1.0,
                 "is_povm": False,
-            },
-        ),
-        CatalogEntry(
-            "matrix-units-d3",
-            matrix_units_scheme(3),
-            {
+            }),
+            ({"d": 3}, {
                 "cardinality": "minimal",
                 "tomographic": True,
                 "rank": 9,
@@ -285,12 +296,14 @@ def entries(tol: ToleranceConfig = DEFAULT_TOL) -> list[CatalogEntry]:
                 "self_dual_coefficient": 1.0,
                 "scaled_unitary": 1.0,
                 "is_povm": False,
-            },
+            }),
         ),
-        CatalogEntry(
-            "pauli",
-            pauli_scheme("hermitian"),
-            {
+    ),
+    "pauli": BuiltinScheme(
+        lambda tol, variant: pauli_scheme(variant.replace("-", "_")),
+        {"variant": "hermitian"},
+        stock=(
+            ({"variant": "hermitian"}, {
                 "cardinality": "minimal",
                 "tomographic": True,
                 "rank": 4,
@@ -298,12 +311,8 @@ def entries(tol: ToleranceConfig = DEFAULT_TOL) -> list[CatalogEntry]:
                 "self_dual_coefficient": 1.0,
                 "scaled_unitary": 1.0,
                 "is_povm": False,
-            },
-        ),
-        CatalogEntry(
-            "pauli-isy",
-            pauli_scheme("with_i_sigma_y"),
-            {
+            }),
+            ({"variant": "with-i-sigma-y"}, {
                 "cardinality": "minimal",
                 "tomographic": True,
                 "rank": 4,
@@ -311,12 +320,14 @@ def entries(tol: ToleranceConfig = DEFAULT_TOL) -> list[CatalogEntry]:
                 "self_dual_coefficient": 1.0,
                 "scaled_unitary": 1.0,
                 "is_povm": False,
-            },
+            }),
         ),
-        CatalogEntry(
-            "livine",
-            livine_scheme("dequantizer"),
-            {
+    ),
+    "livine": BuiltinScheme(
+        lambda tol, normalization: livine_scheme(normalization.replace("-", "_")),
+        {"normalization": "dequantizer"},
+        stock=(
+            ({"normalization": "dequantizer"}, {
                 "cardinality": "minimal",
                 "tomographic": True,
                 "rank": 4,
@@ -324,13 +335,9 @@ def entries(tol: ToleranceConfig = DEFAULT_TOL) -> list[CatalogEntry]:
                 "self_dual_coefficient": 0.5,
                 "scaled_unitary": 0.5,
                 "is_povm": False,
-                "min_dequantizer_eigenvalue": (1 - sqrt3) / 4,
-            },
-        ),
-        CatalogEntry(
-            "livine-normalized",
-            livine_scheme("self_dual_normalized"),
-            {
+                "min_dequantizer_eigenvalue": (1 - SQRT3) / 4,
+            }),
+            ({"normalization": "self-dual-normalized"}, {
                 "cardinality": "minimal",
                 "tomographic": True,
                 "rank": 4,
@@ -338,84 +345,118 @@ def entries(tol: ToleranceConfig = DEFAULT_TOL) -> list[CatalogEntry]:
                 "self_dual_coefficient": 1.0,
                 "scaled_unitary": 1.0,
                 "is_povm": False,
-            },
+            }),
         ),
-        CatalogEntry(
-            "sic-qubit",
-            sic_qubit_scheme("projector"),
-            {
+    ),
+    "sic-qubit": BuiltinScheme(
+        lambda tol, normalization: sic_qubit_scheme(normalization),
+        {"normalization": "projector"},
+        stock=(
+            ({"normalization": "projector"}, {
                 "cardinality": "minimal",
                 "tomographic": True,
                 "rank": 4,
-                "condition_number": sqrt3,
+                "condition_number": SQRT3,
                 "self_dual_coefficient": None,
                 "scaled_unitary": None,
                 "is_povm": False,
                 "min_dequantizer_eigenvalue": 0.0,
                 "min_quantizer_eigenvalue": -0.5,
-            },
-        ),
-        CatalogEntry(
-            "sic-qubit-povm",
-            sic_qubit_scheme("povm"),
-            {
+            }),
+            ({"normalization": "povm"}, {
                 "cardinality": "minimal",
                 "tomographic": True,
                 "rank": 4,
-                "condition_number": sqrt3,
+                "condition_number": SQRT3,
                 "self_dual_coefficient": None,
                 "scaled_unitary": None,
                 "is_povm": True,
                 "min_dequantizer_eigenvalue": 0.0,
                 "min_quantizer_eigenvalue": -1.0,
-            },
+            }),
         ),
-        CatalogEntry(
-            "mub-qubit",
-            mub_qubit_scheme(),
-            {
+    ),
+    "mub-qubit": BuiltinScheme(
+        lambda tol: mub_qubit_scheme(),
+        {},
+        stock=(
+            ({}, {
                 "cardinality": "overfilled",
                 "tomographic": True,
                 "rank": 4,
-                "condition_number": sqrt3,
+                "condition_number": SQRT3,
                 "is_povm": False,
                 "min_dequantizer_eigenvalue": 0.0,
-            },
+            }),
         ),
-        CatalogEntry(
-            "wh-sic-d2",
-            wh_sic_scheme(2, default_fiducial(2), tol),
-            {
+    ),
+    "wh-sic": BuiltinScheme(
+        lambda tol, d, fiducial: wh_sic_scheme(
+            d, load_vector(fiducial) if fiducial else default_fiducial(d), tol
+        ),
+        {"d": 2, "fiducial": None},
+        stock=(
+            ({"d": 2}, {
                 "cardinality": "minimal",
                 "tomographic": True,
                 "rank": 4,
-                "condition_number": sqrt3,
+                "condition_number": SQRT3,
                 "is_povm": False,
-            },
-        ),
-        CatalogEntry(
-            "wh-sic-d3",
-            wh_sic_scheme(3, default_fiducial(3), tol),
-            {
+            }),
+            ({"d": 3}, {
                 "cardinality": "minimal",
                 "tomographic": True,
                 "rank": 9,
                 "condition_number": 2.0,
                 "is_povm": False,
-            },
+            }),
         ),
-        CatalogEntry(
-            "mub-prime-3",
-            mub_prime_scheme(3),
-            {
+    ),
+    "mub-prime": BuiltinScheme(
+        lambda tol, p: mub_prime_scheme(p),
+        {"p": 3},
+        stock=(
+            ({"p": 3}, {
                 "cardinality": "overfilled",
                 "tomographic": True,
                 "rank": 9,
                 "condition_number": 2.0,
                 "is_povm": False,
-            },
+            }),
         ),
-    ]
+    ),
+    "random-povm": BuiltinScheme(
+        lambda tol, d, seed: random_minimal_povm_scheme(d, seed, tol),
+        {"d": 2, "seed": 0},
+    ),
+}
+
+
+def build_scheme(name: str, tol: ToleranceConfig = DEFAULT_TOL, **params: Any) -> Scheme:
+    """Build the registered scheme ``name``, its defaults overridden by ``params``.
+
+    Raises UnknownSchemeError for a name not in SCHEMES and
+    InvalidParameterError for a parameter the scheme does not take.
+    """
+    if name not in SCHEMES:
+        raise UnknownSchemeError(f"unknown built-in scheme {name!r}")
+    builtin = SCHEMES[name]
+    foreign = [key for key in params if key not in builtin.params]
+    if foreign:
+        takes = ", ".join(f"--{key}" for key in builtin.params) or "no parameters"
+        got = ", ".join(f"--{key}" for key in foreign)
+        raise InvalidParameterError(f"{name} takes {takes}; got {got}")
+    return builtin.build(tol=tol, **{**builtin.params, **params})
+
+
+def entries(tol: ToleranceConfig = DEFAULT_TOL) -> list[CatalogEntry]:
+    """The standard regression set: every built-in scheme at its stock parameters."""
+    regression = []
+    for name, builtin in SCHEMES.items():
+        for params, expected in builtin.stock:
+            scheme = build_scheme(name, tol, **params)
+            regression.append(CatalogEntry(scheme.name, scheme, dict(expected)))
+    return regression
 
 
 @dataclass(frozen=True)

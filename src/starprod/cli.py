@@ -17,17 +17,7 @@ from typing import Any
 import numpy as np
 
 from . import __version__
-from .catalog import (
-    default_fiducial,
-    livine_scheme,
-    matrix_units_scheme,
-    mub_prime_scheme,
-    mub_qubit_scheme,
-    pauli_scheme,
-    random_minimal_povm_scheme,
-    sic_qubit_scheme,
-    wh_sic_scheme,
-)
+from .catalog import SCHEMES, build_scheme
 from .errors import (
     DimensionMismatchError,
     InvalidParameterError,
@@ -82,6 +72,15 @@ _INPUT_ERRORS = (
 )
 
 
+# Every emit flag: the union of the registered schemes' parameters.  Each
+# defaults to None, so a scheme sees only the flags that were given.
+_EMIT_PARAMS = tuple(dict.fromkeys(name for b in SCHEMES.values() for name in b.params))
+
+
+def _flag(name: str, default: Any) -> str:
+    return f"--{name}" if default is None else f"--{name} {default}"
+
+
 def _add_tolerance_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--rank-tol", type=float, default=1e-10)
     parser.add_argument("--residual-tol", type=float, default=1e-10)
@@ -127,29 +126,8 @@ def _report_skeleton(tol: ToleranceConfig) -> dict[str, Any]:
 
 
 def cmd_emit(args: argparse.Namespace) -> int:
-    tol = _tolerances(args)
-    name = args.scheme_name
-    if name == "matrix-units":
-        s = matrix_units_scheme(args.d)
-    elif name == "pauli":
-        variant = "with_i_sigma_y" if args.variant == "with-i-sigma-y" else "hermitian"
-        s = pauli_scheme(variant)
-    elif name == "livine":
-        normalization = args.normalization or "dequantizer"
-        s = livine_scheme(normalization.replace("-", "_"))
-    elif name == "sic-qubit":
-        s = sic_qubit_scheme(args.normalization or "projector")
-    elif name == "mub-qubit":
-        s = mub_qubit_scheme()
-    elif name == "wh-sic":
-        fid = load_vector(args.fiducial) if args.fiducial else default_fiducial(args.d)
-        s = wh_sic_scheme(args.d, fid, tol)
-    elif name == "mub-prime":
-        s = mub_prime_scheme(args.p)
-    elif name == "random-povm":
-        s = random_minimal_povm_scheme(args.d, args.seed, tol)
-    else:
-        raise UnknownSchemeError(f"unknown built-in scheme {name!r}")
+    params = {n: getattr(args, n) for n in _EMIT_PARAMS if getattr(args, n) is not None}
+    s = build_scheme(args.scheme_name, _tolerances(args), **params)
     save_scheme(s, args.output)
     print(f"wrote {s.name} (d={s.d}, N={s.n_points}) to {args.output}")
     return 0
@@ -340,18 +318,20 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"starprod {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("emit", help="write a built-in scheme to a JSON file")
-    p.add_argument(
-        "scheme_name",
-        help="one of: matrix-units, pauli, livine, sic-qubit, mub-qubit, "
-        "wh-sic, mub-prime, random-povm",
+    schemes = "\n".join(
+        f"  {name:<13} {' '.join(_flag(key, value) for key, value in b.params.items())}".rstrip()
+        for name, b in SCHEMES.items()
     )
-    p.add_argument("--d", type=int, default=2, help="dimension (matrix-units, wh-sic, random-povm)")
-    p.add_argument("--p", type=int, default=3, help="prime dimension (mub-prime)")
-    p.add_argument("--seed", type=int, default=0, help="sampler seed (random-povm)")
-    p.add_argument("--normalization", help="livine: dequantizer|self-dual-normalized; sic-qubit: projector|povm")
-    p.add_argument("--variant", choices=("hermitian", "with-i-sigma-y"), default="hermitian")
-    p.add_argument("--fiducial", help="vector JSON file overriding the shipped SIC fiducial")
+    p = sub.add_parser(
+        "emit",
+        help="write a built-in scheme to a JSON file",
+        epilog=f"schemes and the flags each takes (with defaults):\n{schemes}",
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+    )
+    p.add_argument("scheme_name", help="one of the schemes listed below")
+    for name in _EMIT_PARAMS:
+        default = next(b.params[name] for b in SCHEMES.values() if name in b.params)
+        p.add_argument(f"--{name}", type=str if default is None else type(default))
     p.add_argument("-o", "--output", required=True)
     _add_tolerance_flags(p)
     p.set_defaults(func=cmd_emit)

@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -6,6 +9,7 @@ from starprod import (
     NotPrimeError,
     NotSICError,
     SamplerFailureError,
+    UnknownSchemeError,
     classify,
     dequantization_matrix,
     pauli_basis,
@@ -13,7 +17,9 @@ from starprod import (
     singular_values,
 )
 from starprod.catalog import (
+    SCHEMES,
     CatalogEntry,
+    build_scheme,
     clock_matrix,
     default_fiducial,
     entries,
@@ -192,6 +198,16 @@ class TestWeylHeisenberg:
         with pytest.raises(ValueError):
             default_fiducial(4)
 
+    def test_fiducial_search_orbit_matches_wh_sic(self):
+        pytest.importorskip("scipy")
+        path = Path(__file__).parents[1] / "scripts" / "find_sic_fiducial.py"
+        spec = importlib.util.spec_from_file_location("find_sic_fiducial", path)
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        orbit = script.displacement_orbit(default_fiducial(3))
+        projectors = np.stack([np.outer(v, v.conj()) for v in orbit])
+        assert np.array_equal(projectors, wh_sic_scheme(3, default_fiducial(3)).dequantizers)
+
 
 class TestMubPrime:
     def test_p2_matches_qubit_scheme(self):
@@ -269,6 +285,31 @@ class TestRandomPovmSampler:
             random_minimal_povm_scheme(2, -1)
         with pytest.raises(InvalidParameterError, match="got -3"):
             random_minimal_povm_dequantizers(2, [4, -3, 0])
+
+
+class TestSchemeRegistry:
+    def test_unknown_name(self):
+        with pytest.raises(UnknownSchemeError, match="unknown built-in scheme 'nonesuch'"):
+            build_scheme("nonesuch")
+
+    def test_override_replaces_default(self):
+        assert build_scheme("mub-prime").name == "mub-prime-3"
+        assert build_scheme("mub-prime", p=5).name == "mub-prime-5"
+        s = build_scheme("random-povm", seed=4)
+        assert np.array_equal(s.dequantizers, random_minimal_povm_scheme(2, 4).dequantizers)
+
+    def test_parameter_the_scheme_does_not_take(self):
+        with pytest.raises(InvalidParameterError, match="mub-prime takes --p; got --d"):
+            build_scheme("mub-prime", d=5)
+        with pytest.raises(InvalidParameterError, match="mub-qubit takes no parameters"):
+            build_scheme("mub-qubit", normalization="povm")
+
+    def test_entries_follow_the_stock_parameters(self):
+        stock = [(name, params) for name, b in SCHEMES.items() for params, _ in b.stock]
+        regression = entries()
+        assert len(regression) == len(stock)
+        for entry, (name, params) in zip(regression, stock):
+            assert entry.name == entry.scheme.name == build_scheme(name, **params).name
 
 
 class TestEntriesRegression:

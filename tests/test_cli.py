@@ -19,7 +19,7 @@ from starprod.serialization import (
     save_vector,
     serialize_scheme,
 )
-from starprod.catalog import matrix_units_scheme, mub_qubit_scheme
+from starprod.catalog import SCHEMES, entries, matrix_units_scheme, mub_qubit_scheme
 from starprod.scheme import Scheme, dequantization_matrix, scheme_from_dequantization_matrix
 
 from _helpers import conditioned_frame, random_complex
@@ -68,11 +68,34 @@ class TestEmit:
     def test_unknown_scheme_exits_2(self, tmp_path):
         assert main(["emit", "nonesuch", "-o", str(tmp_path / "x.json")]) == 2
 
+    def test_help_lists_every_scheme(self, capsys):
+        with pytest.raises(SystemExit):
+            cli.build_parser().parse_args(["emit", "--help"])
+        lines = capsys.readouterr().out.splitlines()
+        listed = [line.split()[0] for line in lines[lines.index(_SCHEME_HEADER) + 1 :]]
+        assert listed == list(SCHEMES)
+
     def test_wh_sic_without_shipped_fiducial_exits_2(self, tmp_path, capsys):
         assert main(["emit", "wh-sic", "--d", "4", "-o", str(tmp_path / "x.json")]) == 2
         err = capsys.readouterr().err
         assert "no fiducial shipped for d=4" in err
         assert "Traceback" not in err
+
+
+_SCHEME_HEADER = "schemes and the flags each takes (with defaults):"
+_STOCK = [(name, params) for name, b in SCHEMES.items() for params, _ in b.stock]
+
+
+@pytest.mark.parametrize(
+    "index", range(len(_STOCK)), ids=[f"{name}-{params}" for name, params in _STOCK]
+)
+def test_emit_stock_parameters_writes_the_regression_entry(tmp_path, index):
+    name, params = _STOCK[index]
+    flags = [arg for key, value in params.items() for arg in (f"--{key}", str(value))]
+    out, reference = tmp_path / "emit.json", tmp_path / "entry.json"
+    assert main(["emit", name, *flags, "-o", str(out)]) == 0
+    save_scheme(entries()[index].scheme, str(reference))
+    assert out.read_bytes() == reference.read_bytes()
 
 
 class TestClassify:
@@ -384,6 +407,21 @@ _MALFORMED = {
         ["emit", "random-povm", "--d", "2", "--seed", "-1", "-o", "{out}"],
         "seeds must be non-negative",
     ),
+    "mub-prime-d": (
+        None,
+        ["emit", "mub-prime", "--d", "5", "-o", "{out}"],
+        "mub-prime takes --p; got --d",
+    ),
+    "pauli-seed": (
+        None,
+        ["emit", "pauli", "--seed", "9", "-o", "{out}"],
+        "pauli takes --variant; got --seed",
+    ),
+    "mub-qubit-normalization": (
+        None,
+        ["emit", "mub-qubit", "--normalization", "povm", "-o", "{out}"],
+        "mub-qubit takes no parameters; got --normalization",
+    ),
 }
 
 
@@ -544,6 +582,10 @@ class TestParserReuse:
         assert main([*argv, str(reports[2])]) == 0
         assert json.loads(reports[2].read_text()) == second
         assert cli._parser() is cli._parser()
+
+    def test_emit_flags_do_not_carry_over(self, emit):
+        assert load_scheme(str(emit("mub-prime", "--p", "5"))).d == 5
+        assert load_scheme(str(emit("mub-prime"))).d == 3
 
 
 class TestEntryPoint:
