@@ -29,7 +29,6 @@ from .operator_space import (
     PAULI_Y,
     PAULI_Z,
     VectorizationBasis,
-    matrix_unit,
     pauli_basis,
 )
 from .scheme import Scheme, dequantization_matrix, quantization_matrix
@@ -43,7 +42,7 @@ def matrix_units_scheme(d: int) -> Scheme:
     """All d^2 matrix units, ordered k = d(i-1)+j; self-dual with c = 1."""
     if d < 1:
         raise InvalidParameterError(f"matrix units need d >= 1, got d={d}")
-    deq = np.stack([matrix_unit(d, i, j) for i in range(1, d + 1) for j in range(1, d + 1)])
+    deq = np.eye(d * d, dtype=complex).reshape(d * d, d, d)
     return Scheme(dequantizers=deq, quantizers=deq, name=f"matrix-units-d{d}")
 
 
@@ -82,9 +81,7 @@ def livine_scheme(normalization: str = "dequantizer") -> Scheme:
     return Scheme(dequantizers=scaled, quantizers=scaled, name="livine-normalized")
 
 
-_TETRAHEDRON = np.array(
-    [(1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1)], dtype=float
-) / SQRT3
+_TETRAHEDRON = np.array(_LIVINE_SIGNS, dtype=float) / SQRT3
 
 
 def _bloch_projector(n: np.ndarray) -> np.ndarray:
@@ -105,16 +102,16 @@ def sic_qubit_scheme(normalization: str = "projector") -> Scheme:
     return Scheme(dequantizers=projs, name="sic-qubit")
 
 
+def _projectors(vectors: np.ndarray) -> np.ndarray:
+    """Rank-1 projectors |v><v| for a stack of vectors (N, d) -> (N, d, d)."""
+    return vectors[:, :, None] * vectors[:, None, :].conj()
+
+
 def mub_qubit_scheme() -> Scheme:
     """Six projectors onto the sz, sx, sy eigenbases, plus vector before minus."""
-    z0 = np.array([1, 0], dtype=complex)
-    z1 = np.array([0, 1], dtype=complex)
-    xp = np.array([1, 1], dtype=complex) / SQRT2
-    xm = np.array([1, -1], dtype=complex) / SQRT2
-    yp = np.array([1, 1j], dtype=complex) / SQRT2
-    ym = np.array([1, -1j], dtype=complex) / SQRT2
-    deq = np.stack([np.outer(v, v.conj()) for v in (z0, z1, xp, xm, yp, ym)])
-    return Scheme(dequantizers=deq, name="mub-qubit")
+    vectors = np.array([[1, 0], [0, 1], [1, 1], [1, -1], [1, 1j], [1, -1j]], dtype=complex)
+    vectors[2:] /= SQRT2
+    return Scheme(dequantizers=_projectors(vectors), name="mub-qubit")
 
 
 def clock_matrix(d: int) -> np.ndarray:
@@ -156,13 +153,15 @@ def wh_sic_scheme(d: int, fiducial, tol: ToleranceConfig = DEFAULT_TOL) -> Schem
         raise InvalidParameterError("fiducial vector is not normalized")
     z = clock_matrix(d)
     x = shift_matrix(d)
-    states = [
-        np.linalg.matrix_power(x, a) @ np.linalg.matrix_power(z, b) @ psi
-        for a in range(d)
-        for b in range(d)
-    ]
-    projs = np.stack([np.outer(v, v.conj()) for v in states])
-    gram = np.abs(np.array([[v.conj() @ w for w in states] for v in states])) ** 2
+    states = np.array(
+        [
+            np.linalg.matrix_power(x, a) @ np.linalg.matrix_power(z, b) @ psi
+            for a in range(d)
+            for b in range(d)
+        ]
+    )
+    projs = _projectors(states)
+    gram = np.abs(states.conj() @ states.T) ** 2
     target = (d * np.eye(d * d) + 1) / (d + 1)
     deviation = float(np.abs(gram - target).max())
     if deviation > tol.residual_tol:
@@ -190,13 +189,10 @@ def mub_prime_scheme(p: int) -> Scheme:
     if p == 2:
         return Scheme(dequantizers=mub_qubit_scheme().dequantizers, name="mub-prime-2")
     omega = np.exp(2j * np.pi / p)
-    m = np.arange(p)
-    vectors = [np.eye(p, dtype=complex)[:, alpha] for alpha in range(p)]
-    for a in range(1, p + 1):
-        for alpha in range(p):
-            vectors.append(omega ** ((a * m * m + alpha * m) % p) / np.sqrt(p))
-    deq = np.stack([np.outer(v, v.conj()) for v in vectors])
-    return Scheme(dequantizers=deq, name=f"mub-prime-{p}")
+    a, alpha, m = np.ogrid[1 : p + 1, :p, :p]
+    phases = omega ** ((a * m * m + alpha * m) % p) / np.sqrt(p)
+    vectors = np.concatenate([np.eye(p, dtype=complex), phases.reshape(p * p, p)])
+    return Scheme(dequantizers=_projectors(vectors), name=f"mub-prime-{p}")
 
 
 def random_minimal_povm_dequantizers(
@@ -478,7 +474,6 @@ class TableRow:
 
     row: int
     name: str
-    entry: CatalogEntry
     generated_rowstacking: np.ndarray
     generated_pauli: np.ndarray
     expected_rowstacking: np.ndarray
@@ -486,86 +481,55 @@ class TableRow:
     errata: tuple[TableErratum, ...]
 
 
-def _entry(name: str, scheme: Scheme) -> CatalogEntry:
-    return CatalogEntry(name=name, scheme=scheme, expected={})
-
-
 def table_regression_set() -> list[TableRow]:
     """The six-row qubit table: generated dequantization matrices in both bases.
 
-    Rows 1-3 expectations are the printed matrices verbatim.  Rows 4-6
-    expectations are the derived vectorizations, with the printed deviations
-    recorded as errata; row 4 pairs the quantizer matrix (row stacking) with
-    the self-dual-normalized family (orthonormal basis), which is what the
+    Each printed block is generated from a registered scheme: the left block
+    is its quantization or dequantization matrix in row stacking, the right
+    block its dequantization matrix in the Pauli basis.  Rows 1-3
+    expectations are the printed matrices verbatim.  Rows 4-6 expectations
+    are the derived vectorizations, with the printed deviations recorded as
+    errata; row 4 pairs the quantizer matrix (row stacking) with the
+    self-dual-normalized family (orthonormal basis), which is what the
     printed blocks actually show.
     """
-    rs = VectorizationBasis.row_stacking(2)
-    pb = pauli_basis()
     s2 = SQRT2
     s3 = SQRT3
-    rows: list[TableRow] = []
-
-    mu = matrix_units_scheme(2)
-    rows.append(
-        TableRow(
-            row=1,
-            name="matrix-units",
-            entry=_entry("matrix-units", mu),
-            generated_rowstacking=dequantization_matrix(mu, rs),
-            generated_pauli=dequantization_matrix(mu, pb),
-            expected_rowstacking=np.eye(4, dtype=complex),
-            expected_pauli=np.array(
+    # (row, name, left-block matrix, left scheme, right scheme,
+    #  expected left, expected right, errata as (block, description))
+    table = (
+        (
+            1, "matrix-units", dequantization_matrix, ("matrix-units", {}), ("matrix-units", {}),
+            np.eye(4, dtype=complex),
+            np.array(
                 [[1, 0, 0, 1], [0, 1, 1, 0], [0, 1j, -1j, 0], [1, 0, 0, -1]], dtype=complex
             )
             / s2,
-            errata=(),
-        )
-    )
-
-    pl = pauli_scheme("hermitian")
-    rows.append(
-        TableRow(
-            row=2,
-            name="pauli",
-            entry=_entry("pauli", pl),
-            generated_rowstacking=dequantization_matrix(pl, rs),
-            generated_pauli=dequantization_matrix(pl, pb),
-            expected_rowstacking=np.array(
+            (),
+        ),
+        (
+            2, "pauli", dequantization_matrix, ("pauli", {}), ("pauli", {}),
+            np.array(
                 [[1, 0, 0, 1], [0, 1, -1j, 0], [0, 1, 1j, 0], [1, 0, 0, -1]], dtype=complex
             )
             / s2,
-            expected_pauli=np.eye(4, dtype=complex),
-            errata=(),
-        )
-    )
-
-    ply = pauli_scheme("with_i_sigma_y")
-    rows.append(
-        TableRow(
-            row=3,
-            name="pauli-isy",
-            entry=_entry("pauli-isy", ply),
-            generated_rowstacking=dequantization_matrix(ply, rs),
-            generated_pauli=dequantization_matrix(ply, pb),
-            expected_rowstacking=np.array(
+            np.eye(4, dtype=complex),
+            (),
+        ),
+        (
+            3, "pauli-isy", dequantization_matrix,
+            ("pauli", {"variant": "with-i-sigma-y"}), ("pauli", {"variant": "with-i-sigma-y"}),
+            np.array(
                 [[1, 0, 0, 1], [0, 1, 1, 0], [0, 1, -1, 0], [1, 0, 0, -1]], dtype=complex
             )
             / s2,
-            expected_pauli=np.diag([1, 1, 1j, 1]).astype(complex),
-            errata=(),
-        )
-    )
-
-    liv = livine_scheme("dequantizer")
-    liv_norm = livine_scheme("self_dual_normalized")
-    rows.append(
-        TableRow(
-            row=4,
-            name="livine",
-            entry=_entry("livine", liv),
-            generated_rowstacking=quantization_matrix(liv, rs),
-            generated_pauli=dequantization_matrix(liv_norm, pb),
-            expected_rowstacking=np.array(
+            np.diag([1, 1, 1j, 1]).astype(complex),
+            (),
+        ),
+        (
+            4, "livine", quantization_matrix,
+            ("livine", {}), ("livine", {"normalization": "self-dual-normalized"}),
+            np.array(
                 [
                     [2, 0, 0, 2],
                     [1 - 1j, 1 + 1j, -1 - 1j, -1 + 1j],
@@ -575,32 +539,23 @@ def table_regression_set() -> list[TableRow]:
                 dtype=complex,
             )
             / 2,
-            expected_pauli=np.array(
+            np.array(
                 [[1, 1, 1, 1], [1, 1, -1, -1], [1, -1, 1, -1], [1, -1, -1, 1]],
                 dtype=complex,
             )
             / 2,
-            errata=(
-                TableErratum(
-                    4,
+            (
+                (
                     "both",
                     "printed blocks mix normalizations of one scheme: the left block "
                     "is the vectorized quantizer family (2x the dequantizers), the "
                     "right block the self-dual-normalized family (sqrt(2)x)",
                 ),
             ),
-        )
-    )
-
-    sic = sic_qubit_scheme("projector")
-    rows.append(
-        TableRow(
-            row=5,
-            name="sic-qubit",
-            entry=_entry("sic-qubit", sic),
-            generated_rowstacking=dequantization_matrix(sic, rs),
-            generated_pauli=dequantization_matrix(sic, pb),
-            expected_rowstacking=np.array(
+        ),
+        (
+            5, "sic-qubit", dequantization_matrix, ("sic-qubit", {}), ("sic-qubit", {}),
+            np.array(
                 [
                     [s3 + 1, s3 - 1, s3 - 1, s3 + 1],
                     [1 - 1j, 1 + 1j, -1 - 1j, -1 + 1j],
@@ -610,31 +565,22 @@ def table_regression_set() -> list[TableRow]:
                 dtype=complex,
             )
             / (2 * s3),
-            expected_pauli=np.array(
+            np.array(
                 [[s3, s3, s3, s3], [1, 1, -1, -1], [1, -1, 1, -1], [1, -1, -1, 1]],
                 dtype=complex,
             )
             / np.sqrt(6),
-            errata=(
-                TableErratum(
-                    5,
+            (
+                (
                     "pauli",
                     "printed right block is 1/sqrt(2) times the orthonormal-basis "
                     "vectorization of the projectors",
                 ),
             ),
-        )
-    )
-
-    mub = mub_qubit_scheme()
-    rows.append(
-        TableRow(
-            row=6,
-            name="mub-qubit",
-            entry=_entry("mub-qubit", mub),
-            generated_rowstacking=dequantization_matrix(mub, rs),
-            generated_pauli=dequantization_matrix(mub, pb),
-            expected_rowstacking=np.array(
+        ),
+        (
+            6, "mub-qubit", dequantization_matrix, ("mub-qubit", {}), ("mub-qubit", {}),
+            np.array(
                 [
                     [2, 0, 1, 1, 1, 1],
                     [0, 0, 1, -1, -1j, 1j],
@@ -644,7 +590,7 @@ def table_regression_set() -> list[TableRow]:
                 dtype=complex,
             )
             / 2,
-            expected_pauli=np.array(
+            np.array(
                 [
                     [1, 1, 1, 1, 1, 1],
                     [0, 0, 1, -1, 0, 0],
@@ -654,26 +600,39 @@ def table_regression_set() -> list[TableRow]:
                 dtype=complex,
             )
             / s2,
-            errata=(
-                TableErratum(
-                    6,
+            (
+                (
                     "rowstacking",
                     "printed columns 3-6 carry an extra sqrt(2) relative to the "
                     "projector vectorization",
                 ),
-                TableErratum(
-                    6,
+                (
                     "both",
                     "printed sigma_y columns appear in (minus, plus) order; "
                     "normalized here to (plus, minus)",
                 ),
-                TableErratum(
-                    6,
+                (
                     "pauli",
                     "printed right block scales columns 1-2 by 1/sqrt(2) and "
                     "columns 3-6 by 1/2 relative to the projector vectorization",
                 ),
             ),
-        )
+        ),
     )
-    return rows
+    rs = VectorizationBasis.row_stacking(2)
+    pb = pauli_basis()
+    return [
+        TableRow(
+            row=row,
+            name=name,
+            generated_rowstacking=left_matrix(build_scheme(left, **left_params), rs),
+            generated_pauli=dequantization_matrix(build_scheme(right, **right_params), pb),
+            expected_rowstacking=expected_rowstacking,
+            expected_pauli=expected_pauli,
+            errata=tuple(TableErratum(row, block, text) for block, text in errata),
+        )
+        for (
+            row, name, left_matrix, (left, left_params), (right, right_params),
+            expected_rowstacking, expected_pauli, errata,
+        ) in table
+    ]

@@ -58,7 +58,7 @@ from .star_product import (
     star_kernel,
     symbol,
 )
-from .verification import run_battery
+from .verification import SUITES, run_battery
 
 _INPUT_ERRORS = (
     SchemeParseError,
@@ -103,17 +103,11 @@ def _tolerances(args: argparse.Namespace) -> ToleranceConfig:
 
 
 def _basis(args: argparse.Namespace, d: int, tol: ToleranceConfig) -> VectorizationBasis:
-    if getattr(args, "basis_file", None):
-        basis = load_basis(args.basis_file, tol)
-    elif args.basis == "pauli":
-        basis = pauli_basis()
-    else:
-        return VectorizationBasis.row_stacking(d)
-    if basis.d != d:
-        raise DimensionMismatchError(
-            f"basis dimension d={basis.d} does not match scheme dimension d={d}"
-        )
-    return basis
+    if args.basis_file:
+        return load_basis(args.basis_file, tol)
+    if args.basis == "pauli":
+        return pauli_basis()
+    return VectorizationBasis.row_stacking(d)
 
 
 def _write_report(path: str, payload: dict[str, Any]) -> None:
@@ -380,9 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_intertwine)
 
     p = sub.add_parser("verify", help="run the verification battery")
-    p.add_argument(
-        "--suite", choices=("all", "table", "propositions", "random-povm"), default="all"
-    )
+    p.add_argument("--suite", choices=("all", *SUITES), default="all")
     p.add_argument(
         "--seeds", type=int, default=1000, help="sample count for random-povm (at least 1)"
     )

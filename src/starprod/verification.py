@@ -12,6 +12,7 @@ functions.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field
 from typing import Any
@@ -26,6 +27,7 @@ from .catalog import (
     pauli_scheme,
     random_minimal_povm_dequantizers,
     sic_qubit_scheme,
+    TableRow,
     table_regression_set,
     matrix_units_scheme,
     wh_sic_scheme,
@@ -34,6 +36,7 @@ from .errors import InvalidParameterError
 from .matrixcore import DEFAULT_TOL, ToleranceConfig, hermitian_eig, singular_values
 from .operator_space import VectorizationBasis, devectorize
 from .scheme import (
+    Scheme,
     canonical_duals,
     classify,
     completeness_residual,
@@ -97,15 +100,30 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     return haar_unitaries(rng.standard_normal((2, dim, dim)))
 
 
+@functools.cache
+def _quantized_regression_set(tol: ToleranceConfig) -> tuple[tuple[str, Scheme], ...]:
+    """The catalog regression set as (name, scheme with canonical quantizers),
+    built once per tolerance and shared by the checks that sweep it."""
+    return tuple(
+        (entry.name, with_canonical_quantizers(entry.scheme, tol)) for entry in entries(tol)
+    )
+
+
+def _worst_table_residual(rows: list[TableRow]) -> float:
+    """Largest entry deviation of the generated blocks from the expected ones."""
+    return max(
+        float(np.abs(generated - expected).max())
+        for row in rows
+        for generated, expected in (
+            (row.generated_rowstacking, row.expected_rowstacking),
+            (row.generated_pauli, row.expected_pauli),
+        )
+    )
+
+
 def check_table_printed_rows() -> CheckResult:
     """Rows 1-3: generated matrices match the printed ones in both bases."""
-    worst = 0.0
-    for row in table_regression_set()[:3]:
-        worst = max(
-            worst,
-            float(np.abs(row.generated_rowstacking - row.expected_rowstacking).max()),
-            float(np.abs(row.generated_pauli - row.expected_pauli).max()),
-        )
+    worst = _worst_table_residual(table_regression_set()[:3])
     return CheckResult(
         name="table-rows-1-3",
         passed=worst <= 1e-12,
@@ -115,23 +133,17 @@ def check_table_printed_rows() -> CheckResult:
 
 def check_table_derived_rows() -> CheckResult:
     """Rows 4-6: generated matrices match the derived expectations; errata present."""
-    worst = 0.0
-    errata: list[str] = []
-    for row in table_regression_set()[3:]:
-        worst = max(
-            worst,
-            float(np.abs(row.generated_rowstacking - row.expected_rowstacking).max()),
-            float(np.abs(row.generated_pauli - row.expected_pauli).max()),
-        )
-        errata.extend(f"row {e.row} [{e.block}]: {e.description}" for e in row.errata)
-    rows_flagged = {e.row for r in table_regression_set()[3:] for e in r.errata}
+    rows = table_regression_set()[3:]
+    worst = _worst_table_residual(rows)
+    errata = [e for row in rows for e in row.errata]
+    rows_flagged = {e.row for e in errata}
     return CheckResult(
         name="table-rows-4-6",
         passed=worst <= 1e-12 and rows_flagged == {4, 5, 6},
         details={
             "max_residual": worst,
             "tolerance": 1e-12,
-            "errata": errata,
+            "errata": [f"row {e.row} [{e.block}]: {e.description}" for e in errata],
             "rows_flagged": sorted(rows_flagged),
         },
     )
@@ -221,8 +233,7 @@ def check_self_duality_unitarity(
 
     worst_backward = 0.0
     checked = []
-    for entry in entries(tol):
-        s = with_canonical_quantizers(entry.scheme, tol)
+    for name, s in _quantized_regression_set(tol):
         c = self_dual_coefficient(s, tol)
         if c is None:
             continue
@@ -232,7 +243,7 @@ def check_self_duality_unitarity(
             worst_backward = np.inf
             break
         worst_backward = max(worst_backward, abs(c_gram - c) / c)
-        checked.append(entry.name)
+        checked.append(name)
 
     passed = worst_forward <= 1e-9 and worst_backward <= 1e-9 and len(checked) > 0
     return CheckResult(
@@ -289,8 +300,7 @@ def check_completeness_roundtrip(
     rng = np.random.default_rng(seed)
     worst_complete = 0.0
     worst_roundtrip = 0.0
-    for entry in entries(tol):
-        s = with_canonical_quantizers(entry.scheme, tol)
+    for _, s in _quantized_regression_set(tol):
         worst_complete = max(worst_complete, completeness_residual(s))
         a = _ginibre(rng.standard_normal((samples, 2, s.d, s.d)))
         worst_roundtrip = max(
@@ -316,8 +326,7 @@ def check_kernel_laws(
     rng = np.random.default_rng(seed)
     worst_hom = 0.0
     worst_assoc = 0.0
-    for entry in entries(tol):
-        s = with_canonical_quantizers(entry.scheme, tol)
+    for _, s in _quantized_regression_set(tol):
         kernel = star_kernel(s)
         worst_assoc = max(worst_assoc, associativity_residual(kernel))
         # Per pair: operator a, then operator b.

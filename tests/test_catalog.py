@@ -10,6 +10,7 @@ from starprod import (
     NotSICError,
     SamplerFailureError,
     UnknownSchemeError,
+    VectorizationBasis,
     classify,
     dequantization_matrix,
     pauli_basis,
@@ -18,7 +19,6 @@ from starprod import (
 )
 from starprod.catalog import (
     SCHEMES,
-    CatalogEntry,
     build_scheme,
     clock_matrix,
     default_fiducial,
@@ -372,5 +372,35 @@ class TestTableRegression:
 
     def test_entries_are_catalog_entries(self):
         for row in table_regression_set():
-            assert isinstance(row.entry, CatalogEntry)
             assert row.generated_rowstacking.shape[0] == 4
+
+    def test_rows_keep_their_numbers_and_names(self):
+        rows = table_regression_set()
+        assert [(row.row, row.name) for row in rows] == [
+            (1, "matrix-units"),
+            (2, "pauli"),
+            (3, "pauli-isy"),
+            (4, "livine"),
+            (5, "sic-qubit"),
+            (6, "mub-qubit"),
+        ]
+
+    def test_generated_blocks_equal_the_constructor_path(self):
+        rs, pb = VectorizationBasis.row_stacking(2), pauli_basis()
+        deq = dequantization_matrix
+        # Row 4's left block shows livine's quantizers (2x the dequantizers).
+        direct = [
+            (deq(matrix_units_scheme(2), rs), deq(matrix_units_scheme(2), pb)),
+            (deq(pauli_scheme("hermitian"), rs), deq(pauli_scheme("hermitian"), pb)),
+            (deq(pauli_scheme("with_i_sigma_y"), rs), deq(pauli_scheme("with_i_sigma_y"), pb)),
+            (
+                quantization_matrix(livine_scheme(), rs),
+                deq(livine_scheme("self_dual_normalized"), pb),
+            ),
+            (deq(sic_qubit_scheme("projector"), rs), deq(sic_qubit_scheme("projector"), pb)),
+            (deq(mub_qubit_scheme(), rs), deq(mub_qubit_scheme(), pb)),
+        ]
+        rows = table_regression_set()
+        for row, (expected_left, expected_right) in zip(rows, direct, strict=True):
+            assert row.generated_rowstacking.tobytes() == expected_left.tobytes(), row.name
+            assert row.generated_pauli.tobytes() == expected_right.tobytes(), row.name

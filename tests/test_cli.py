@@ -170,6 +170,19 @@ class TestClassify:
         )
         assert code == 0
 
+    def test_basis_of_another_dimension_exits_2(self, emit, tmp_path, capsys):
+        scheme_path = emit("mub-prime", "--p", "3")
+        report = tmp_path / "r.json"
+        argv = ["classify", str(scheme_path), "--basis", "pauli", "--report", str(report)]
+        capsys.readouterr()
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: basis dimension d=2 does not match scheme dimension d=3\n"
+        )
+        assert not report.exists()
+
     def test_invalid_basis_file_exits_2(self, emit, tmp_path):
         scheme_path = emit("livine")
         ops = np.stack([np.eye(2), PAULI_X, PAULI_X, PAULI_Z]) / np.sqrt(2)

@@ -1,9 +1,15 @@
-"""Stacked battery paths against per-seed and per-sample reference loops."""
+"""Stacked battery paths against per-seed and per-sample reference loops,
+the shared regression set, and the names the benchmark tracer wraps."""
+
+import importlib.util
+import inspect
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from starprod import InvalidParameterError, SamplerFailureError, ToleranceConfig
+from starprod import InvalidParameterError, SamplerFailureError, ToleranceConfig, verification
 from starprod.catalog import random_minimal_povm_dequantizers, random_minimal_povm_scheme
 from starprod.scheme import canonical_duals, canonical_quantizers
 from starprod.verification import (
@@ -117,3 +123,51 @@ def test_battery_records_check_seconds():
     results = run_battery("table")
     assert [r.name for r in results] == ["table-rows-1-3", "table-rows-4-6"]
     assert all(isinstance(r.seconds, float) and r.seconds >= 0.0 for r in results)
+
+
+def test_battery_builds_the_regression_set_once(monkeypatch):
+    entries = verification.entries
+    calls = []
+
+    def counting_entries(*args, **kwargs):
+        calls.append(args)
+        return entries(*args, **kwargs)
+
+    monkeypatch.setattr(verification, "entries", counting_entries)
+    verification._quantized_regression_set.cache_clear()
+    results = run_battery("all", seeds=20)
+    assert len(calls) == 1
+    assert all(r.passed for r in results)
+
+
+@pytest.fixture
+def tracing(monkeypatch):
+    """perfbench/tracing.py, imported from its file for this test only."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("_starprod_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    # Its dataclasses resolve their annotations through sys.modules.
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestTracerContract:
+    """The benchmark tracer wraps module-level functions by name and patches
+    them on the modules that hold them; these names must keep existing."""
+
+    def test_traced_names_are_module_level_functions(self, tracing):
+        names = [f"verification.{fn}" for fn in tracing.CHECK_FUNCTIONS.values()]
+        names += [*tracing.CALL_COUNTS, *tracing.FUNCTION_SHARES, *tracing.BYTE_COUNTS]
+        for name in names:
+            layer, attr = name.split(".")
+            module = importlib.import_module(f"starprod.{layer}")
+            fn = getattr(module, attr, None)
+            assert inspect.isfunction(fn), name
+            assert fn.__module__ == module.__name__, name
+
+    def test_battery_looks_checks_up_when_it_runs(self, monkeypatch):
+        patched = verification.CheckResult(name="table-rows-1-3", passed=True)
+        monkeypatch.setattr(verification, "check_table_printed_rows", lambda: patched)
+        results = run_battery("table")
+        assert results[0] is patched
