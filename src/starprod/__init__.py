@@ -25,6 +25,7 @@ from .errors import (
     NotTomographicError,
     NotUnitaryError,
     SamplerFailureError,
+    ScaleOutOfRangeError,
     SchemeParseError,
     StarProdError,
     UnknownSchemeError,

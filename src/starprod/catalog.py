@@ -60,6 +60,12 @@ def pauli_scheme(variant: str = "hermitian") -> Scheme:
 _LIVINE_SIGNS = ((1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1))
 
 
+def _bloch_operators(n) -> np.ndarray:
+    """(I + n.sigma)/2 for each row of an (N, 3) array of Bloch vectors."""
+    a, b, c = np.asarray(n, dtype=float).T[:, :, None, None]
+    return (np.eye(2, dtype=complex) + a * PAULI_X + b * PAULI_Y + c * PAULI_Z) / 2
+
+
 def livine_scheme(normalization: str = "dequantizer") -> Scheme:
     """Qubit phase-space quartet (I +/- sx +/- sy +/- sz)/4, self-dual with c = 1/2.
 
@@ -69,12 +75,7 @@ def livine_scheme(normalization: str = "dequantizer") -> Scheme:
     """
     if normalization not in ("dequantizer", "self_dual_normalized"):
         raise InvalidParameterError(f"unknown livine normalization {normalization!r}")
-    deq = np.stack(
-        [
-            (np.eye(2, dtype=complex) + a * PAULI_X + b * PAULI_Y + c * PAULI_Z) / 4
-            for a, b, c in _LIVINE_SIGNS
-        ]
-    )
+    deq = _bloch_operators(_LIVINE_SIGNS) / 2
     if normalization == "dequantizer":
         return Scheme(dequantizers=deq, quantizers=2 * deq, name="livine")
     scaled = SQRT2 * deq
@@ -82,10 +83,6 @@ def livine_scheme(normalization: str = "dequantizer") -> Scheme:
 
 
 _TETRAHEDRON = np.array(_LIVINE_SIGNS, dtype=float) / SQRT3
-
-
-def _bloch_projector(n: np.ndarray) -> np.ndarray:
-    return (np.eye(2, dtype=complex) + n[0] * PAULI_X + n[1] * PAULI_Y + n[2] * PAULI_Z) / 2
 
 
 def sic_qubit_scheme(normalization: str = "projector") -> Scheme:
@@ -96,7 +93,7 @@ def sic_qubit_scheme(normalization: str = "projector") -> Scheme:
     """
     if normalization not in ("projector", "povm"):
         raise InvalidParameterError(f"unknown sic normalization {normalization!r}")
-    projs = np.stack([_bloch_projector(n) for n in _TETRAHEDRON])
+    projs = _bloch_operators(_TETRAHEDRON)
     if normalization == "povm":
         return Scheme(dequantizers=projs / 2, name="sic-qubit-povm")
     return Scheme(dequantizers=projs, name="sic-qubit")

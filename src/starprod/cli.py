@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import math
 import sys
 from typing import Any
 
@@ -23,6 +22,7 @@ from .errors import (
     InvalidParameterError,
     LengthMismatchError,
     NotSquareLengthError,
+    ScaleOutOfRangeError,
     SchemeParseError,
     StarProdError,
     UnknownSchemeError,
@@ -32,6 +32,7 @@ from .matrixcore import ToleranceConfig
 from .operator_space import VectorizationBasis, pauli_basis
 from .scheme import (
     Scheme,
+    SchemeReport,
     canonical_quantizers,
     classify,
     completeness_residual,
@@ -43,12 +44,10 @@ from .serialization import (
     load_operator,
     load_scheme,
     load_vector,
-    report_to_json,
     save_kernel,
     save_operator,
     save_scheme,
     save_vector,
-    tolerances_to_json,
     write_json,
 )
 from .star_product import (
@@ -62,6 +61,7 @@ from .verification import SUITES, run_battery
 
 _INPUT_ERRORS = (
     SchemeParseError,
+    ScaleOutOfRangeError,
     UnknownSchemeError,
     InvalidParameterError,
     DimensionMismatchError,
@@ -110,13 +110,10 @@ def _basis(args: argparse.Namespace, d: int, tol: ToleranceConfig) -> Vectorizat
     return VectorizationBasis.row_stacking(d)
 
 
-def _write_report(path: str, payload: dict[str, Any]) -> None:
-    write_json(payload, path)
+def _write_report(path: str, tol: ToleranceConfig, **fields: Any) -> None:
+    """Write the report: the tool, version and tolerances, then ``fields`` in order."""
+    write_json({"tool": "starprod", "version": __version__, "tolerances": tol, **fields}, path)
     print(f"report written to {path}")
-
-
-def _report_skeleton(tol: ToleranceConfig) -> dict[str, Any]:
-    return {"tool": "starprod", "version": __version__, "tolerances": tolerances_to_json(tol)}
 
 
 def cmd_emit(args: argparse.Namespace) -> int:
@@ -127,45 +124,36 @@ def cmd_emit(args: argparse.Namespace) -> int:
     return 0
 
 
-def _format_human(report_data: dict[str, Any], scheme_name: str, d: int, n: int) -> str:
+def _format_human(report: SchemeReport, scheme_name: str, d: int, n: int) -> str:
     lines = [f"scheme: {scheme_name} (d={d}, N={n})"]
-    tomo = "tomographic" if report_data["tomographic"] else "not tomographic"
-    lines.append(f"{report_data['cardinality']}, {tomo} (rank {report_data['rank']})")
-    cond = report_data["condition_number"]
-    lines.append(f"condition number: {'inf' if cond is None else format(cond, '.10g')}")
-    c = report_data["self_dual_coefficient"]
+    tomo = "tomographic" if report.tomographic else "not tomographic"
+    lines.append(f"{report.cardinality}, {tomo} (rank {report.rank})")
+    lines.append(f"condition number: {report.condition_number:.10g}")
+    c = report.self_dual_coefficient
     if c is not None:
         lines.append(f"self-dual, c = {c:.10g}")
     else:
         lines.append("not self-dual")
-    if report_data["scaled_unitary"] is not None:
-        lines.append(f"scaled unitary: U^dag U = c I with c = {report_data['scaled_unitary']:.10g}")
-    povm = report_data["povm"]
-    if povm["is_povm"]:
+    if report.scaled_unitary is not None:
+        lines.append(f"scaled unitary: U^dag U = c I with c = {report.scaled_unitary:.10g}")
+    povm = report.povm
+    if povm.is_povm:
         lines.append("POVM: yes")
     else:
         lines.append(
-            "NOT a POVM (sum residual {:.3g}; hermiticity residual {:.3g}; "
-            "min effect eigenvalue {:.6g})".format(
-                povm["sum_residual"],
-                povm["hermiticity_residual"],
-                povm["min_effect_eigenvalue"],
-            )
+            f"NOT a POVM (sum residual {povm.sum_residual:.3g}; hermiticity residual "
+            f"{povm.hermiticity_residual:.3g}; min effect eigenvalue {povm.min_effect_eigenvalue:.6g})"
         )
-    neg = report_data["negativity"]
+    neg = report.negativity
     if neg is not None:
-        lines.append(
-            f"min dequantizer eigenvalue: {neg['min_dequantizer_eigenvalue']:.10g}"
-        )
-        if neg["min_quantizer_eigenvalue"] is not None:
-            lines.append(
-                f"min quantizer eigenvalue: {neg['min_quantizer_eigenvalue']:.10g}"
-            )
-        elif not report_data["tomographic"]:
+        lines.append(f"min dequantizer eigenvalue: {neg.min_dequantizer_eigenvalue:.10g}")
+        if neg.min_quantizer_eigenvalue is not None:
+            lines.append(f"min quantizer eigenvalue: {neg.min_quantizer_eigenvalue:.10g}")
+        elif not report.tomographic:
             lines.append("quantizers undefined")
-    elif not report_data["tomographic"]:
+    elif not report.tomographic:
         lines.append("quantizers undefined")
-    if report_data["matrix_unit_like"] is not None:
+    if report.matrix_unit_like is not None:
         lines.append("matrix-unit-like: yes (rotated matrix units)")
     return "\n".join(lines)
 
@@ -175,13 +163,14 @@ def cmd_classify(args: argparse.Namespace) -> int:
     s = load_scheme(args.scheme)
     basis = _basis(args, s.d, tol)
     report = classify(s, tol, basis)
-    data = report_to_json(report)
-    print(_format_human(data, s.name or args.scheme, s.d, s.n_points))
-    payload = _report_skeleton(tol)
-    payload["scheme"] = {"path": args.scheme, "name": s.name, "d": s.d, "n": s.n_points}
-    payload["basis"] = basis.tag
-    payload["report"] = data
-    _write_report(args.report or f"{args.scheme}.report.json", payload)
+    print(_format_human(report, s.name or args.scheme, s.d, s.n_points))
+    _write_report(
+        args.report or f"{args.scheme}.report.json",
+        tol,
+        scheme={"path": args.scheme, "name": s.name, "d": s.d, "n": s.n_points},
+        basis=basis.tag,
+        report=report,
+    )
     return 0
 
 
@@ -197,10 +186,12 @@ def cmd_quantize(args: argparse.Namespace) -> int:
     save_scheme(augmented, args.output)
     print(f"wrote quantized scheme to {args.output}")
     print(f"completeness residual: {residual:.3e}")
-    payload = _report_skeleton(tol)
-    payload["completeness_residual"] = residual
-    payload["gauge"] = args.gauge
-    _write_report(args.report or f"{args.output}.report.json", payload)
+    _write_report(
+        args.report or f"{args.output}.report.json",
+        tol,
+        completeness_residual=residual,
+        gauge=args.gauge,
+    )
     return 0
 
 
@@ -254,12 +245,14 @@ def cmd_intertwine(args: argparse.Namespace) -> int:
         print("backward kernel (target -> source):")
         print(pair.backward)
     print(f"symbol round-trip residual: {residual:.3e}")
-    payload = _report_skeleton(tol)
-    payload["forward"] = pair.forward
-    payload["backward"] = pair.backward
-    payload["roundtrip_residual"] = residual
-    payload["symbol"] = f_a
-    _write_report(args.report or "intertwine.report.json", payload)
+    _write_report(
+        args.report or "intertwine.report.json",
+        tol,
+        forward=pair.forward,
+        backward=pair.backward,
+        roundtrip_residual=residual,
+        symbol=f_a,
+    )
     return 0
 
 
@@ -278,29 +271,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
             for key, value in numbers.items()
         )
         print(f"{status} {result.name} ({summary})")
-    payload = _report_skeleton(tol)
-    payload["suite"] = args.suite
-    payload["checks"] = [
-        {"name": r.name, "passed": r.passed, "seconds": r.seconds, "details": _jsonable(r.details)}
-        for r in results
-    ]
     all_passed = all(r.passed for r in results)
-    payload["passed"] = all_passed
-    _write_report(args.report or "verify.report.json", payload)
+    _write_report(
+        args.report or "verify.report.json",
+        tol,
+        suite=args.suite,
+        checks=results,
+        passed=all_passed,
+    )
     return 0 if all_passed else 1
-
-
-def _jsonable(value: Any) -> Any:
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, (np.floating, float)):
-        value = float(value)
-        return None if math.isinf(value) or math.isnan(value) else value
-    if isinstance(value, np.integer):
-        return int(value)
-    return value
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -73,5 +73,10 @@ class NotPrimeError(InvalidParameterError):
     """The requested dimension is not a prime number."""
 
 
+class ScaleOutOfRangeError(StarProdError, ValueError):
+    """A scheme's scale puts the squares its classification takes outside the
+    normal float64 range, where they would overflow or lose precision."""
+
+
 class SchemeParseError(StarProdError, ValueError):
     """A scheme/operator/vector/kernel file is malformed."""

@@ -11,6 +11,8 @@ matrix-unit-like).
 from __future__ import annotations
 
 import dataclasses
+import math
+import sys
 from dataclasses import dataclass
 from typing import Literal
 
@@ -24,6 +26,7 @@ from .errors import (
     NotOverfilledError,
     NotSquareError,
     NotTomographicError,
+    ScaleOutOfRangeError,
 )
 from .matrixcore import DEFAULT_TOL, ToleranceConfig, rank_from_singular_values, singular_values
 from .operator_space import VectorizationBasis, devectorize
@@ -403,8 +406,7 @@ def matrix_unit_like_detect(
     left, _, _ = np.linalg.svd(deq[0])
     psi = np.empty((d, d), dtype=complex)
     psi[:, 0] = _fix_column_phases(left[:, :1])[:, 0]
-    for i in range(1, d):
-        psi[:, i] = deq[i * d] @ psi[:, 0]
+    psi[:, 1:] = (deq[d::d] @ psi[:, 0]).T
     if np.abs(psi.conj().T @ psi - np.eye(d)).max() > tol.residual_tol:
         return None
     expected = np.einsum("ai,bj->ijab", psi, psi.conj()).reshape(d * d, d, d)
@@ -424,6 +426,9 @@ def classify(
     the canonical one otherwise (tomographic schemes only).  Rank, condition
     number and that dual share one SVD of U_B, the dequantization matrix in
     ``basis``; U_B = G^dag U, so G pinv(U_B)^dag = pinv(U)^dag for invertible G.
+    Raises ScaleOutOfRangeError for a nonzero scheme whose scale puts the sum
+    of sigma^2 or of sigma^-2 over U_B's kept singular values outside the
+    normal float64 range.
     """
     basis = _default_basis(s, basis)
     u_mat = dequantization_matrix(s, basis)
@@ -431,6 +436,17 @@ def classify(
     n = s.n_points
     w, sv, vh = np.linalg.svd(u_mat, full_matrices=False)
     rk = int(rank_from_singular_values(sv, tol))
+    # The diagnostics square the entries of U and of its dual (Gram matrix,
+    # Frobenius norms), whose sums of squares are those of the kept sigma and
+    # 1/sigma.  Outside the normal range they overflow or lose all precision
+    # and the classification is wrong.  Python floats do so without a warning.
+    kept = sv[:rk].tolist()
+    powers = (sum(x * x for x in kept), sum((1 / x) * (1 / x) for x in kept))
+    if rk and not all(sys.float_info.min <= p < math.inf for p in powers):
+        raise ScaleOutOfRangeError(
+            f"scheme scale out of float64 range: sum sigma^2 = {powers[0]:.3g} and "
+            f"sum sigma^-2 = {powers[1]:.3g} must be normal numbers; rescale the scheme"
+        )
     tomographic = rk == d_sq
     if n < d_sq:
         cardinality: Cardinality = "underfilled"

@@ -5,12 +5,14 @@ row-major order.  ``_encode`` builds it as lists, ``write_json`` writes the
 same nesting straight from the array, and one decoder parses it, so a parsed
 file reproduces the array bit-exactly.  A nesting that is ragged, too
 shallow or too deep, has an empty axis, or holds a non-number or a NaN or
-infinite entry is malformed (SchemeParseError, naming the file).  An
-infinite condition number serializes as null.
+infinite entry is malformed (SchemeParseError, naming the file).
+``write_json`` writes library objects as they are: a dataclass as its
+fields, a numpy scalar as its value, and a NaN or infinite number as null.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from typing import Any, Iterable
@@ -20,7 +22,7 @@ import numpy as np
 from .errors import SchemeParseError
 from .matrixcore import ToleranceConfig
 from .operator_space import VectorizationBasis
-from .scheme import Scheme, SchemeReport
+from .scheme import Scheme
 
 SCHEME_FORMAT = "starprod-scheme"
 
@@ -91,7 +93,8 @@ def _nest(items: Iterable[str], level: int, brackets: str = "[]") -> str:
 
 
 def _array_text(a: np.ndarray, level: int) -> str:
-    """``json.dumps(_encode(a), indent=1)`` for a non-empty ``a`` nested ``level`` deep.
+    """``json.dumps(_encode(a), indent=1)`` for a non-empty ``a`` nested ``level``
+    deep, with NaN and infinite parts written as null.
 
     The C encoder formats the floats of a block of members (items along the
     first axis) at once; the tokens are then grouped axis by axis, innermost
@@ -99,6 +102,10 @@ def _array_text(a: np.ndarray, level: int) -> str:
     """
     a = np.ascontiguousarray(a, dtype=complex)
     rows = a.view(float).reshape(len(a), -1)
+    finite = np.isfinite(rows)
+    if not finite.all():
+        rows = rows.astype(object)
+        rows[~finite] = None
     axes = list(enumerate((*a.shape[1:], 2), start=level + 1))[::-1]
     fills = [(size, _nest(["{}"] * size, depth).format) for depth, size in axes]
     step = max(1, _BLOCK_FLOATS // rows.shape[1])
@@ -113,11 +120,18 @@ def _array_text(a: np.ndarray, level: int) -> str:
 
 def _json_text(value: Any, level: int) -> str:
     """``json.dumps(value, indent=1)`` for ``value`` nested ``level`` deep, with
-    every np.ndarray in it written as its ``_encode`` nesting."""
+    every np.ndarray in it written as its ``_encode`` nesting, every dataclass
+    as the dict of its fields, every numpy scalar as its Python value and
+    every NaN or infinite float as null."""
     if isinstance(value, np.ndarray):
         if value.size:
             return _array_text(value, level)
         value = _encode(value)
+    elif isinstance(value, np.generic):
+        value = value.item()
+    elif dataclasses.is_dataclass(value):
+        # Not dataclasses.asdict, which would deep-copy arrays off the fast path.
+        value = {f.name: getattr(value, f.name) for f in dataclasses.fields(value)}
     if isinstance(value, dict) and value:
         # Non-string keys become strings the way json.dump converts them.
         items = (
@@ -127,14 +141,18 @@ def _json_text(value: Any, level: int) -> str:
         return _nest(items, level, "{}")
     if isinstance(value, (list, tuple)) and value:
         return _nest((_json_text(v, level + 1) for v in value), level)
+    if isinstance(value, float) and not math.isfinite(value):
+        return "null"
     return json.dumps(value)
 
 
 def write_json(payload: dict[str, Any], path: str) -> None:
     """Write the bytes of ``json.dump(payload, fh, indent=1)`` and a final newline.
 
-    An np.ndarray anywhere in ``payload`` is written as its nesting of
-    [re, im] pairs, so callers hand arrays over without building lists.
+    ``payload`` may hold library objects as they are (see ``_json_text``):
+    an np.ndarray is written as its nesting of [re, im] pairs and a dataclass
+    as its fields, so callers hand results over without building lists or
+    dicts.  Non-finite numbers are written as null, so the file is valid JSON.
     """
     text = _json_text(payload, 0)
     with open(path, "w") as fh:
@@ -275,39 +293,3 @@ def load_kernel(path: str) -> tuple[int, np.ndarray]:
     if "n" in payload and (isinstance(payload["n"], bool) or payload["n"] != n):
         raise SchemeParseError(f"{path}: 'n' is {payload['n']!r} but values hold {n} slices")
     return d, values
-
-
-def tolerances_to_json(tol: ToleranceConfig) -> dict[str, float]:
-    return {
-        "rank_tol": tol.rank_tol,
-        "residual_tol": tol.residual_tol,
-        "eig_tol": tol.eig_tol,
-    }
-
-
-def report_to_json(report: SchemeReport) -> dict[str, Any]:
-    """SchemeReport as plain JSON-ready data; infinities become null."""
-    condition = report.condition_number
-    return {
-        "cardinality": report.cardinality,
-        "tomographic": report.tomographic,
-        "rank": report.rank,
-        "condition_number": None if math.isinf(condition) else condition,
-        "self_dual_coefficient": report.self_dual_coefficient,
-        "scaled_unitary": report.scaled_unitary,
-        "povm": {
-            "sum_residual": report.povm.sum_residual,
-            "hermiticity_residual": report.povm.hermiticity_residual,
-            "min_effect_eigenvalue": report.povm.min_effect_eigenvalue,
-            "is_povm": report.povm.is_povm,
-        },
-        "negativity": None
-        if report.negativity is None
-        else {
-            "min_dequantizer_eigenvalue": report.negativity.min_dequantizer_eigenvalue,
-            "min_quantizer_eigenvalue": report.negativity.min_quantizer_eigenvalue,
-        },
-        "matrix_unit_like": None
-        if report.matrix_unit_like is None
-        else matrix_to_json(report.matrix_unit_like),
-    }

@@ -70,8 +70,8 @@ class CheckResult:
 
     name: str
     passed: bool
-    details: dict[str, Any] = field(default_factory=dict)
     seconds: float | None = None
+    details: dict[str, Any] = field(default_factory=dict)
 
 
 def _ginibre(normals: np.ndarray) -> np.ndarray:

@@ -19,7 +19,7 @@ from starprod.serialization import (
     save_vector,
     serialize_scheme,
 )
-from starprod.catalog import SCHEMES, entries, matrix_units_scheme, mub_qubit_scheme
+from starprod.catalog import SCHEMES, entries, matrix_units_scheme, mub_qubit_scheme, pauli_scheme
 from starprod.scheme import Scheme, dequantization_matrix, scheme_from_dequantization_matrix
 
 from _helpers import conditioned_frame, random_complex
@@ -182,6 +182,42 @@ class TestClassify:
             "error: basis dimension d=2 does not match scheme dimension d=3\n"
         )
         assert not report.exists()
+
+    @staticmethod
+    def _scaled_pauli(tmp_path, scale):
+        path = tmp_path / "scaled.json"
+        save_scheme(Scheme(dequantizers=scale * pauli_scheme().dequantizers), str(path))
+        return path
+
+    @pytest.mark.parametrize("basis", ["rowstacking", "pauli"])
+    @pytest.mark.parametrize("scale", [1e150, 1e-150])
+    def test_scale_inside_the_float_range(self, tmp_path, capsys, scale, basis):
+        report_path = tmp_path / "r.json"
+        path = self._scaled_pauli(tmp_path, scale)
+        assert main(["classify", str(path), "--basis", basis, "--report", str(report_path)]) == 0
+        out = capsys.readouterr().out
+        c = format(scale * scale, ".10g")
+        assert f"self-dual, c = {c}\n" in out
+        assert f"scaled unitary: U^dag U = c I with c = {c}\n" in out
+        report = json.loads(report_path.read_text())["report"]
+        assert report["self_dual_coefficient"] == pytest.approx(scale * scale, rel=1e-12)
+        assert report["scaled_unitary"] == pytest.approx(scale * scale, rel=1e-12)
+
+    # At these scales the sums of squares the classification takes overflow
+    # or underflow; unchecked, 1e154 gives c = inf (the invalid JSON token
+    # Infinity) and 1e-154 a self-dual c = 0.
+    @pytest.mark.parametrize("basis", ["rowstacking", "pauli"])
+    @pytest.mark.parametrize("scale", [1e154, 1e-154, 1e-170])
+    def test_scale_outside_the_float_range_exits_2(self, tmp_path, capsys, scale, basis):
+        report_path = tmp_path / "r.json"
+        path = self._scaled_pauli(tmp_path, scale)
+        capsys.readouterr()
+        assert main(["classify", str(path), "--basis", basis, "--report", str(report_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: scheme scale out of float64 range: ")
+        assert captured.err.count("\n") == 1
+        assert not report_path.exists()
 
     def test_invalid_basis_file_exits_2(self, emit, tmp_path):
         scheme_path = emit("livine")

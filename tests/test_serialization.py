@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import re
@@ -5,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from starprod import Scheme, SchemeParseError, classify
+from starprod import Scheme, SchemeParseError, ToleranceConfig, classify
 from starprod.catalog import entries, mub_qubit_scheme, sic_qubit_scheme
 from starprod.serialization import (
     _encode,
@@ -17,7 +18,6 @@ from starprod.serialization import (
     load_vector,
     matrix_to_json,
     parse_scheme,
-    report_to_json,
     save_kernel,
     save_operator,
     save_scheme,
@@ -26,6 +26,7 @@ from starprod.serialization import (
     vector_to_json,
     write_json,
 )
+from starprod.verification import CheckResult
 
 from _helpers import random_complex
 
@@ -265,37 +266,51 @@ class TestKernelFileContract:
             load_kernel(str(path))
 
 
-class TestReportJson:
-    def test_infinite_condition_number_is_null(self):
-        underfilled = Scheme(dequantizers=mub_qubit_scheme().dequantizers[:3])
-        data = report_to_json(classify(underfilled))
-        assert data["condition_number"] is None
-        assert json.dumps(data)  # serializable
+def _written(tmp_path, payload):
+    """The text ``write_json`` writes for ``payload`` and the JSON it parses to."""
+    path = tmp_path / "report.json"
+    write_json(payload, str(path))
+    text = path.read_text()
+    return text, json.loads(text)
 
-    def test_full_report_serializes(self):
+
+class TestReportJson:
+    def test_infinite_condition_number_is_null(self, tmp_path):
+        underfilled = Scheme(dequantizers=mub_qubit_scheme().dequantizers[:3])
+        _, data = _written(tmp_path, classify(underfilled))
+        assert data["condition_number"] is None
+
+    def test_full_report_serializes(self, tmp_path):
         report = classify(sic_qubit_scheme("povm"))
-        data = report_to_json(report)
+        text, data = _written(tmp_path, report)
         assert data["povm"]["is_povm"] is True
         assert math.isclose(data["condition_number"], np.sqrt(3), rel_tol=1e-12)
-        text = json.dumps(data)
         assert "NaN" not in text and "Infinity" not in text
 
-    def test_matrix_unit_like_serialized(self):
+    def test_matrix_unit_like_serialized(self, tmp_path):
         from starprod.catalog import matrix_units_scheme
 
-        data = report_to_json(classify(matrix_units_scheme(2)))
+        _, data = _written(tmp_path, classify(matrix_units_scheme(2)))
         u = json_to_matrix(data["matrix_unit_like"])
         assert np.abs(u - np.eye(2)).max() <= 1e-12
 
 
 def _lists(value):
-    """``value`` with every array replaced by its ``_encode`` lists."""
+    """``value`` with every array replaced by its ``_encode`` lists, every
+    dataclass by the dict of its fields, every numpy scalar by its Python
+    value and every NaN or infinite float by None."""
     if isinstance(value, np.ndarray):
-        return _encode(value)
+        return _lists(_encode(value))
+    if isinstance(value, np.generic):
+        return _lists(value.item())
+    if dataclasses.is_dataclass(value):
+        return {f.name: _lists(getattr(value, f.name)) for f in dataclasses.fields(value)}
     if isinstance(value, dict):
         return {key: _lists(item) for key, item in value.items()}
     if isinstance(value, (list, tuple)):
         return [_lists(item) for item in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
     return value
 
 
@@ -345,6 +360,28 @@ _WRITER_PAYLOADS = {
         "float64": np.float64(0.1),
     },
     "non-string-keys": {"keys": {1: "int", 2.5: "float", True: "bool", None: "null"}},
+    "non-finite": {
+        "floats": [math.nan, math.inf, -math.inf, np.float64(-math.inf), np.float32(math.nan)],
+        "array": np.array([1.0, math.inf, -math.nan + 1j * -math.inf, 2.5]),
+        "numpy-scalars": [np.int64(-3), np.float32(0.5), np.bool_(True), np.float64(1e-300)],
+    },
+    "dataclasses": {
+        "nested": {
+            "report": dataclasses.replace(
+                classify(Scheme(dequantizers=mub_qubit_scheme().dequantizers[:3])),
+                matrix_unit_like=random_complex(_R, (2, 2)),
+            )
+        },
+        "tolerances": ToleranceConfig(rank_tol=1e-9),
+        "checks": [
+            CheckResult(
+                name="check",
+                passed=False,
+                seconds=0.25,
+                details={"worst": np.float64(np.inf), "n": np.int64(7)},
+            )
+        ],
+    },
 }
 
 
