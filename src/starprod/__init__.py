@@ -15,7 +15,6 @@ from .errors import (
     InvalidParameterError,
     LengthMismatchError,
     MissingQuantizersError,
-    NonHermitianError,
     NonHermitianMemberError,
     NotOverfilledError,
     NotPrimeError,
@@ -34,7 +33,6 @@ from .errors import (
 from .matrixcore import (
     DEFAULT_TOL,
     ToleranceConfig,
-    hermitian_eig,
     rank,
     singular_values,
 )
@@ -44,11 +42,7 @@ from .operator_space import (
     PAULI_Z,
     VectorizationBasis,
     devectorize,
-    hs_inner,
-    matrix_unit,
     pauli_basis,
-    row_stack,
-    unstack,
     validate_orthonormal_basis,
     vectorize,
 )

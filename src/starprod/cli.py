@@ -31,9 +31,7 @@ from .errors import (
 from .matrixcore import ToleranceConfig
 from .operator_space import VectorizationBasis, pauli_basis
 from .scheme import (
-    Scheme,
     SchemeReport,
-    canonical_quantizers,
     classify,
     completeness_residual,
     gauge_quantizers,
@@ -149,9 +147,7 @@ def _format_human(report: SchemeReport, scheme_name: str, d: int, n: int) -> str
         lines.append(f"min dequantizer eigenvalue: {neg.min_dequantizer_eigenvalue:.10g}")
         if neg.min_quantizer_eigenvalue is not None:
             lines.append(f"min quantizer eigenvalue: {neg.min_quantizer_eigenvalue:.10g}")
-        elif not report.tomographic:
-            lines.append("quantizers undefined")
-    elif not report.tomographic:
+    if not report.tomographic and (neg is None or neg.min_quantizer_eigenvalue is None):
         lines.append("quantizers undefined")
     if report.matrix_unit_like is not None:
         lines.append("matrix-unit-like: yes (rotated matrix units)")
@@ -178,10 +174,9 @@ def cmd_quantize(args: argparse.Namespace) -> int:
     tol = _tolerances(args)
     s = load_scheme(args.scheme)
     if args.gauge:
-        qs = gauge_quantizers(s, load_operator(args.gauge), tol)
+        augmented = s.with_quantizers(gauge_quantizers(s, load_operator(args.gauge), tol))
     else:
-        qs = s.quantizers if s.quantizers is not None else canonical_quantizers(s, tol)
-    augmented = Scheme(dequantizers=s.dequantizers, quantizers=qs, name=s.name)
+        augmented = with_canonical_quantizers(s, tol)
     residual = completeness_residual(augmented)
     save_scheme(augmented, args.output)
     print(f"wrote quantized scheme to {args.output}")
@@ -208,8 +203,7 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
     tol = _tolerances(args)
     s = load_scheme(args.scheme)
     f = load_vector(args.symbol)
-    if s.quantizers is None:
-        s = with_canonical_quantizers(s, tol)
+    s = with_canonical_quantizers(s, tol)
     a = reconstruct(s, f)
     save_operator(a, args.output)
     print(f"wrote reconstructed operator ({s.d}x{s.d}) to {args.output}")

@@ -9,10 +9,6 @@ class DimensionMismatchError(StarProdError, ValueError):
     """Operands have incompatible shapes or dimensions."""
 
 
-class NonHermitianError(StarProdError, ValueError):
-    """A matrix required to be Hermitian is not, within tolerance."""
-
-
 class NotSquareError(StarProdError, ValueError):
     """A matrix required to be square is rectangular."""
 

@@ -1,4 +1,4 @@
-"""Dense complex matrix primitives: eigen/singular decompositions and rank.
+"""Dense complex matrix primitives: tolerances, singular values and rank.
 
 Matrices are plain ``numpy.ndarray`` values in row-major (C) order, so the
 row-stacking map between operators and vectors is a reshape.  All functions
@@ -12,11 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatchError,
-    InvalidParameterError,
-    NonHermitianError,
-)
+from .errors import DimensionMismatchError, InvalidParameterError
 
 
 @dataclass(frozen=True)
@@ -24,8 +20,12 @@ class ToleranceConfig:
     """Numerical thresholds used across the package.
 
     rank_tol is relative (singular values are compared against
-    ``rank_tol * sigma_max``); residual_tol bounds max-abs entries of
-    identity-style residuals; eig_tol is the eigenvalue sign threshold.
+    ``rank_tol * sigma_max``).  residual_tol bounds max-abs entries of
+    residuals: relative to the family's largest entry for self-duality and
+    for the hermiticity test of ``negativity_report``, so those verdicts do
+    not change when a scheme is rescaled, and absolute where the target
+    fixes the scale (the identity, a POVM, matrix units, unit vectors).
+    eig_tol is the eigenvalue sign threshold.
     """
 
     rank_tol: float = 1e-10
@@ -42,40 +42,6 @@ class ToleranceConfig:
 
 
 DEFAULT_TOL = ToleranceConfig()
-
-
-def as_matrix(m) -> np.ndarray:
-    """Coerce input to a 2-D complex array."""
-    arr = np.asarray(m, dtype=complex)
-    if arr.ndim != 2:
-        raise DimensionMismatchError(f"expected a 2-D matrix, got ndim={arr.ndim}")
-    return arr
-
-
-def _require_square(m: np.ndarray) -> np.ndarray:
-    m = as_matrix(m)
-    if m.shape[0] != m.shape[1]:
-        raise DimensionMismatchError(f"expected a square matrix, got shape {m.shape}")
-    return m
-
-
-def hermiticity_residual(m) -> float:
-    """Max-abs entry of M - M^dag."""
-    m = _require_square(m)
-    return float(np.abs(m - m.conj().T).max()) if m.size else 0.0
-
-
-def hermitian_eig(m, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending, real) and unitary eigenvectors of a Hermitian matrix.
-
-    Raises NonHermitianError if the hermiticity residual exceeds tol.residual_tol.
-    """
-    m = _require_square(m)
-    res = hermiticity_residual(m)
-    if res > tol.residual_tol:
-        raise NonHermitianError(f"hermiticity residual {res:.3e} exceeds {tol.residual_tol:.3e}")
-    eigenvalues, eigenvectors = np.linalg.eigh(m)
-    return eigenvalues, eigenvectors
 
 
 def singular_values(m) -> np.ndarray:

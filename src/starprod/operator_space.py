@@ -18,7 +18,7 @@ from .errors import (
     NotSquareLengthError,
     WrongCountError,
 )
-from .matrixcore import DEFAULT_TOL, ToleranceConfig, as_matrix
+from .matrixcore import DEFAULT_TOL, ToleranceConfig
 
 ROW_STACKING_TAG = "rowstacking"
 
@@ -27,26 +27,6 @@ PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 for _pauli in (PAULI_X, PAULI_Y, PAULI_Z):
     _pauli.setflags(write=False)
-
-
-def matrix_unit(d: int, i: int, j: int) -> np.ndarray:
-    """d x d matrix with a single 1 at row i, column j (1-based indices)."""
-    if not (1 <= i <= d and 1 <= j <= d):
-        raise IndexError(f"matrix unit indices ({i}, {j}) out of range for d={d}")
-    out = np.zeros((d, d), dtype=complex)
-    out[i - 1, j - 1] = 1.0
-    return out
-
-
-def hs_inner(x, y) -> complex:
-    """Trace inner product Tr[X^dag Y] of two same-shaped square operators."""
-    x = as_matrix(x)
-    y = as_matrix(y)
-    if x.shape != y.shape or x.shape[0] != x.shape[1]:
-        raise DimensionMismatchError(
-            f"operators must share a square shape, got {x.shape} and {y.shape}"
-        )
-    return complex(np.trace(x.conj().T @ y))
 
 
 def validate_orthonormal_basis(ops) -> float:
@@ -64,19 +44,6 @@ def validate_orthonormal_basis(ops) -> float:
         raise WrongCountError(f"expected {d * d} operators for d={d}, got {ops.shape[0]}")
     gram = np.tensordot(ops.conj(), ops, axes=([1, 2], [1, 2]))
     return float(np.abs(gram - np.eye(d * d)).max())
-
-
-def row_stack(z) -> np.ndarray:
-    """Concatenate the rows of an m x n matrix into an mn-vector."""
-    return as_matrix(z).reshape(-1)
-
-
-def unstack(v, rows: int, cols: int) -> np.ndarray:
-    """Inverse of row_stack for a given target shape."""
-    v = np.asarray(v, dtype=complex).reshape(-1)
-    if v.size != rows * cols:
-        raise DimensionMismatchError(f"vector of length {v.size} is not {rows}x{cols}")
-    return v.reshape(rows, cols)
 
 
 @dataclass(frozen=True)
@@ -134,7 +101,7 @@ def pauli_basis() -> VectorizationBasis:
 
 def vectorize(z, basis: VectorizationBasis) -> np.ndarray:
     """d^2-vector of the operator Z under the given basis."""
-    z = as_matrix(z)
+    z = np.asarray(z, dtype=complex)
     if z.shape != (basis.d, basis.d):
         raise DimensionMismatchError(
             f"operator shape {z.shape} does not match basis dimension d={basis.d}"

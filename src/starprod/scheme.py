@@ -257,10 +257,7 @@ def gauge_quantizers(s: Scheme, g_mat, tol: ToleranceConfig = DEFAULT_TOL) -> np
             f"gauge matrix does not annihilate the dequantization matrix "
             f"(residual {violation:.3e})"
         )
-    if s.quantizers is not None:
-        d_mat = quantization_matrix(s, basis)
-    else:
-        d_mat = _family_matrix(canonical_quantizers(s, tol), basis)
+    d_mat = _family_matrix(with_canonical_quantizers(s, tol).quantizers, basis)
     return devectorize((d_mat + g_mat).T, basis)
 
 
@@ -282,7 +279,9 @@ def self_dual_coefficients(
     U_k = c D_k for all k, or NaN if the family is not self-dual.
 
     c is estimated from the Frobenius norms of the two families and then
-    verified entrywise at relative tolerance.
+    verified entrywise: the residual U_k - c D_k must be at most
+    ``residual_tol`` times the family's largest |U| entry, so the verdict
+    does not change when the dequantizers are rescaled.
     """
     deq = np.asarray(dequantizers, dtype=complex)
     pair = np.stack([deq, np.asarray(quantizers, dtype=complex)]).reshape(2, *deq.shape[:-3], -1)
@@ -293,7 +292,7 @@ def self_dual_coefficients(
     with np.errstate(divide="ignore", invalid="ignore"):
         c = u_norm / d_norm
         residual = np.abs(u - c[..., None] * q).max(axis=-1, initial=0.0)
-    scale = np.maximum(1.0, np.abs(u).max(axis=-1, initial=0.0))
+    scale = np.abs(u).max(axis=-1, initial=0.0)
     self_dual = (u_norm != 0.0) & (d_norm != 0.0) & (residual <= tol.residual_tol * scale)
     return np.where(self_dual, c, np.nan)
 
@@ -351,8 +350,9 @@ def povm_check(s: Scheme, tol: ToleranceConfig = DEFAULT_TOL) -> PovmDiagnostics
 def negativity_report(s: Scheme, tol: ToleranceConfig = DEFAULT_TOL) -> NegativityReport:
     """Minimum eigenvalue across the dequantizer and (if present) quantizer families.
 
-    Every member must be Hermitian within tolerance; a non-Hermitian member
-    raises NonHermitianMemberError naming its 0-based position.
+    Every member must be Hermitian within tolerance, relative to the largest
+    entry of its family; a non-Hermitian member raises NonHermitianMemberError
+    naming its 0-based position.
     """
     families = [("dequantizer", s.dequantizers)]
     if s.quantizers is not None:
@@ -361,9 +361,12 @@ def negativity_report(s: Scheme, tol: ToleranceConfig = DEFAULT_TOL) -> Negativi
     for label, family in families:
         residuals = _member_hermiticity(family)
         worst = int(np.argmax(residuals))
-        if residuals[worst] > tol.residual_tol:
+        # Multiplied, not divided, so an all-zero family passes without 0 / 0.
+        scale = float(np.abs(family).max())
+        if residuals[worst] > tol.residual_tol * scale:
             raise NonHermitianMemberError(
-                f"{label} {worst} is not Hermitian (residual {residuals[worst]:.3e})"
+                f"{label} {worst} is not Hermitian "
+                f"(relative residual {residuals[worst] / scale:.3e})"
             )
         minima[label] = float(np.linalg.eigvalsh(family)[:, 0].min())
     return NegativityReport(

@@ -168,22 +168,6 @@ def _dimension(payload: dict[str, Any], where: str) -> int:
     return d
 
 
-def matrix_to_json(m: np.ndarray) -> list[list[list[float]]]:
-    return _encode(m)
-
-
-def json_to_matrix(data: Any, where: str = "matrix") -> np.ndarray:
-    return _decode(data, 2, where)
-
-
-def vector_to_json(v: np.ndarray) -> list[list[float]]:
-    return _encode(np.asarray(v, dtype=complex).reshape(-1))
-
-
-def json_to_vector(data: Any, where: str = "vector") -> np.ndarray:
-    return _decode(data, 1, where)
-
-
 def _scheme_payload(s: Scheme) -> dict[str, Any]:
     """The scheme file's fields, with the families as arrays."""
     payload: dict[str, Any] = {"format": SCHEME_FORMAT, "d": s.d, "dequantizers": s.dequantizers}
@@ -194,36 +178,11 @@ def _scheme_payload(s: Scheme) -> dict[str, Any]:
     return payload
 
 
-def serialize_scheme(s: Scheme) -> dict[str, Any]:
-    """The scheme file's fields as plain JSON data."""
-    return {
-        key: _encode(value) if isinstance(value, np.ndarray) else value
-        for key, value in _scheme_payload(s).items()
-    }
-
-
 def _parse_family(data: Any, d: int, label: str) -> np.ndarray:
     family = _decode(data, 3, label)
     if family.shape[1:] != (d, d):
         raise SchemeParseError(f"{label}: expected {d}x{d} matrices, got shape {family.shape}")
     return family
-
-
-def parse_scheme(payload: Any) -> Scheme:
-    _require_keys(payload, ("d", "dequantizers"), "scheme")
-    d = _dimension(payload, "scheme")
-    deq = _parse_family(payload["dequantizers"], d, "dequantizers")
-    qs = None
-    if payload.get("quantizers") is not None:
-        qs = _parse_family(payload["quantizers"], d, "quantizers")
-        if qs.shape[0] != deq.shape[0]:
-            raise SchemeParseError(
-                f"scheme: {qs.shape[0]} quantizers for {deq.shape[0]} dequantizers"
-            )
-    name = payload.get("name")
-    if name is not None and not isinstance(name, str):
-        raise SchemeParseError("scheme: 'name' must be a string")
-    return Scheme(dequantizers=deq, quantizers=qs, name=name)
 
 
 def save_scheme(s: Scheme, path: str) -> None:
@@ -232,10 +191,20 @@ def save_scheme(s: Scheme, path: str) -> None:
 
 def load_scheme(path: str) -> Scheme:
     payload = read_json(path, "d", "dequantizers")
-    try:
-        return parse_scheme(payload)
-    except SchemeParseError as exc:
-        raise SchemeParseError(f"{path}: {exc}") from exc
+    where = f"{path}: scheme"
+    d = _dimension(payload, where)
+    deq = _parse_family(payload["dequantizers"], d, f"{path}: dequantizers")
+    qs = None
+    if payload.get("quantizers") is not None:
+        qs = _parse_family(payload["quantizers"], d, f"{path}: quantizers")
+        if qs.shape[0] != deq.shape[0]:
+            raise SchemeParseError(
+                f"{where}: {qs.shape[0]} quantizers for {deq.shape[0]} dequantizers"
+            )
+    name = payload.get("name")
+    if name is not None and not isinstance(name, str):
+        raise SchemeParseError(f"{where}: 'name' must be a string")
+    return Scheme(dequantizers=deq, quantizers=qs, name=name)
 
 
 def save_operator(m: np.ndarray, path: str) -> None:
@@ -244,7 +213,7 @@ def save_operator(m: np.ndarray, path: str) -> None:
 
 def load_operator(path: str) -> np.ndarray:
     """Operator file ``{"matrix": matrix}``; gauge files use the same format."""
-    return json_to_matrix(read_json(path, "matrix")["matrix"], where=f"{path}: matrix")
+    return _decode(read_json(path, "matrix")["matrix"], 2, f"{path}: matrix")
 
 
 def save_vector(v: np.ndarray, path: str, **extra: Any) -> None:
@@ -252,7 +221,7 @@ def save_vector(v: np.ndarray, path: str, **extra: Any) -> None:
 
 
 def load_vector(path: str) -> np.ndarray:
-    return json_to_vector(read_json(path, "values")["values"], where=f"{path}: values")
+    return _decode(read_json(path, "values")["values"], 1, f"{path}: values")
 
 
 def load_basis(path: str, tol: ToleranceConfig) -> VectorizationBasis:

@@ -33,7 +33,7 @@ from .catalog import (
     wh_sic_scheme,
 )
 from .errors import InvalidParameterError
-from .matrixcore import DEFAULT_TOL, ToleranceConfig, hermitian_eig, singular_values
+from .matrixcore import DEFAULT_TOL, ToleranceConfig, singular_values
 from .operator_space import VectorizationBasis, devectorize
 from .scheme import (
     Scheme,
@@ -93,11 +93,6 @@ def haar_unitaries(normals: np.ndarray) -> np.ndarray:
     q, r = np.linalg.qr(_ginibre(normals) / np.sqrt(2))
     diag = np.diagonal(r, axis1=-2, axis2=-1)
     return q * (diag / np.abs(diag))[..., None, :]
-
-
-def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """One Haar-distributed unitary: the one-item case of ``haar_unitaries``."""
-    return haar_unitaries(rng.standard_normal((2, dim, dim)))
 
 
 @functools.cache
@@ -184,7 +179,7 @@ def check_livine_positivity(tol: ToleranceConfig = DEFAULT_TOL) -> CheckResult:
     s = livine_scheme("dequantizer")
     c = self_dual_coefficient(s, tol)
     c_res = abs((c if c is not None else np.nan) - 0.5)
-    eigs, _ = hermitian_eig(s.dequantizers[0], tol)
+    eigs = np.linalg.eigh(s.dequantizers[0])[0]
     expected = np.array([(1 - np.sqrt(3)) / 4, (1 + np.sqrt(3)) / 4])
     eig_res = float(np.abs(eigs - expected).max())
     sum_res = float(np.abs(s.dequantizers.sum(axis=0) - np.eye(2)).max())
@@ -461,7 +456,9 @@ def run_battery(
         try:
             names = SUITES[suite]
         except KeyError:
-            raise ValueError(f"unknown suite {suite!r}; choose all, " + ", ".join(SUITES))
+            raise InvalidParameterError(
+                f"unknown suite {suite!r}; choose all, " + ", ".join(SUITES)
+            )
     results = []
     for name in names:
         start = time.perf_counter()

@@ -9,17 +9,23 @@ from starprod import cli
 from starprod.cli import main
 from starprod.operator_space import PAULI_X, PAULI_Y, PAULI_Z, VectorizationBasis
 from starprod.serialization import (
+    _encode,
     load_kernel,
     load_operator,
     load_scheme,
     load_vector,
-    matrix_to_json,
     save_operator,
     save_scheme,
     save_vector,
-    serialize_scheme,
 )
-from starprod.catalog import SCHEMES, entries, matrix_units_scheme, mub_qubit_scheme, pauli_scheme
+from starprod.catalog import (
+    SCHEMES,
+    entries,
+    matrix_units_scheme,
+    mub_qubit_scheme,
+    pauli_scheme,
+    sic_qubit_scheme,
+)
 from starprod.scheme import Scheme, dequantization_matrix, scheme_from_dequantization_matrix
 
 from _helpers import conditioned_frame, random_complex
@@ -156,7 +162,7 @@ class TestClassify:
         ops = np.stack([np.eye(2), PAULI_X, PAULI_Y, PAULI_Z]) / np.sqrt(2)
         basis_path = tmp_path / "basis.json"
         basis_path.write_text(
-            json.dumps({"operators": [matrix_to_json(op) for op in ops]})
+            json.dumps({"operators": _encode(ops)})
         )
         code = main(
             [
@@ -202,6 +208,21 @@ class TestClassify:
         report = json.loads(report_path.read_text())["report"]
         assert report["self_dual_coefficient"] == pytest.approx(scale * scale, rel=1e-12)
         assert report["scaled_unitary"] == pytest.approx(scale * scale, rel=1e-12)
+        # The hermiticity test is relative too: the dual's entries are ~1/scale.
+        assert "min dequantizer eigenvalue: " in out and "min quantizer eigenvalue: " in out
+        negativity = report["negativity"]
+        assert negativity["min_dequantizer_eigenvalue"] == pytest.approx(-np.sqrt(0.5) * scale, rel=1e-12)
+        assert negativity["min_quantizer_eigenvalue"] == pytest.approx(-np.sqrt(0.5) / scale, rel=1e-12)
+
+    def test_rescaled_sic_stays_not_self_dual(self, tmp_path, capsys):
+        # The self-duality residual is compared relative to the scheme's
+        # largest entry, so a tiny scale does not make every family self-dual.
+        path = tmp_path / "sic.json"
+        save_scheme(Scheme(dequantizers=1e-20 * sic_qubit_scheme().dequantizers), str(path))
+        assert main(["classify", str(path), "--report", str(tmp_path / "r.json")]) == 0
+        out = capsys.readouterr().out
+        assert "\nnot self-dual\n" in out
+        assert "scaled unitary" not in out
 
     # At these scales the sums of squares the classification takes overflow
     # or underflow; unchecked, 1e154 gives c = inf (the invalid JSON token
@@ -224,7 +245,7 @@ class TestClassify:
         ops = np.stack([np.eye(2), PAULI_X, PAULI_X, PAULI_Z]) / np.sqrt(2)
         basis_path = tmp_path / "basis.json"
         basis_path.write_text(
-            json.dumps({"operators": [matrix_to_json(op) for op in ops]})
+            json.dumps({"operators": _encode(ops)})
         )
         code = main(["classify", str(scheme_path), "--basis-file", str(basis_path)])
         assert code == 2
@@ -298,7 +319,7 @@ class TestQuantize:
         null = vh[-1].conj()
         g = np.outer(np.ones(4), null.conj())
         gauge_path = tmp_path / "gauge.json"
-        gauge_path.write_text(json.dumps({"matrix": matrix_to_json(g)}))
+        gauge_path.write_text(json.dumps({"matrix": _encode(g)}))
         out = tmp_path / "gauged.json"
         code = main(["quantize", str(scheme_path), "--gauge", str(gauge_path), "-o", str(out)])
         assert code == 0
@@ -307,7 +328,7 @@ class TestQuantize:
         scheme_path = emit("mub-qubit")
         g = rng.standard_normal((4, 6))
         gauge_path = tmp_path / "gauge.json"
-        gauge_path.write_text(json.dumps({"matrix": matrix_to_json(g)}))
+        gauge_path.write_text(json.dumps({"matrix": _encode(g)}))
         code = main(
             [
                 "quantize",
@@ -389,12 +410,12 @@ class TestNonFiniteInputs:
             argv = ["reconstruct", str(emit("mub-qubit")), str(bad_path), "-o", str(out)]
         elif kind == "basis":
             ops = np.stack([np.eye(2), PAULI_X, PAULI_Y, PAULI_Z]) / np.sqrt(2)
-            bad_path.write_text(json.dumps({"operators": [matrix_to_json(op) for op in ops]}))
+            bad_path.write_text(json.dumps({"operators": _encode(ops)}))
             self._poison(bad_path, "operators", bad)
             argv = ["classify", str(emit("livine")), "--basis-file", str(bad_path)]
             argv += ["--report", str(out)]
         elif kind == "gauge":
-            bad_path.write_text(json.dumps({"matrix": matrix_to_json(np.zeros((4, 6)))}))
+            bad_path.write_text(json.dumps({"matrix": _encode(np.zeros((4, 6)))}))
             self._poison(bad_path, "matrix", bad)
             argv = ["quantize", str(emit("mub-qubit")), "--gauge", str(bad_path), "-o", str(out)]
         else:
@@ -409,7 +430,13 @@ class TestNonFiniteInputs:
 
 
 _BIG = 10**400  # a JSON integer literal that neither a float nor a 64-bit integer holds
-_SCHEME = serialize_scheme(mub_qubit_scheme())
+_MUB = mub_qubit_scheme()
+_SCHEME = {
+    "format": "starprod-scheme",
+    "d": _MUB.d,
+    "dequantizers": _encode(_MUB.dequantizers),
+    "name": _MUB.name,
+}
 _BIG_ENTRY_SCHEME = json.loads(json.dumps(_SCHEME))
 _BIG_ENTRY_SCHEME["dequantizers"][2][1][0] = [_BIG, 0]
 _CLASSIFY = ["classify", "{scheme}", "--report", "{out}"]

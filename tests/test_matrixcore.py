@@ -1,17 +1,9 @@
 import numpy as np
 import pytest
 
-from starprod import (
-    DimensionMismatchError,
-    NonHermitianError,
-    ToleranceConfig,
-    hermitian_eig,
-    rank,
-    singular_values,
-)
-from starprod.operator_space import PAULI_Z
+from starprod import ToleranceConfig, rank, singular_values
 
-from _helpers import random_complex, random_hermitian
+from _helpers import random_complex
 
 
 def mub_qubit_columns():
@@ -40,47 +32,6 @@ class TestToleranceConfig:
             ToleranceConfig(residual_tol=bad)
         with pytest.raises(ValueError):
             ToleranceConfig(eig_tol=bad)
-
-
-class TestHermitianEig:
-    def test_sigma_z(self):
-        eigenvalues, _ = hermitian_eig(PAULI_Z)
-        assert np.allclose(eigenvalues, [-1.0, 1.0], atol=1e-14)
-
-    def test_identity(self):
-        eigenvalues, _ = hermitian_eig(np.eye(2))
-        assert np.allclose(eigenvalues, [1.0, 1.0], atol=1e-14)
-
-    def test_phase_space_dequantizer_closed_form(self):
-        # 2x2 oracle: lambda = (tr +/- sqrt(tr^2 - 4 det)) / 2 with tr = 1/2,
-        # det = -1/8 for the first Livine dequantizer.
-        m = np.array([[2, 1 - 1j], [1 + 1j, 0]], dtype=complex) / 4
-        tr, det = 0.5, -0.125
-        assert abs(np.trace(m) - tr) < 1e-15
-        assert abs(np.linalg.det(m) - det) < 1e-15
-        lam_lo = (tr - np.sqrt(tr * tr - 4 * det)) / 2
-        lam_hi = (tr + np.sqrt(tr * tr - 4 * det)) / 2
-        assert abs(lam_lo - (1 - np.sqrt(3)) / 4) < 1e-15
-        assert abs(lam_hi - (1 + np.sqrt(3)) / 4) < 1e-15
-        eigenvalues, _ = hermitian_eig(m)
-        assert np.allclose(eigenvalues, [lam_lo, lam_hi], atol=1e-14)
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(NonHermitianError):
-            hermitian_eig(np.array([[0, 1], [0, 0]], dtype=complex))
-
-    def test_rejects_rectangular(self):
-        with pytest.raises(DimensionMismatchError):
-            hermitian_eig(np.zeros((2, 3)))
-
-    def test_reconstruction_residual(self, rng):
-        for _ in range(50):
-            d = rng.integers(1, 9)
-            m = random_hermitian(rng, d)
-            eigenvalues, vectors = hermitian_eig(m)
-            assert np.all(np.diff(eigenvalues) >= -1e-14)
-            rebuilt = (vectors * eigenvalues) @ vectors.conj().T
-            assert np.abs(rebuilt - m).max() <= 1e-12
 
 
 class TestSingularValues:

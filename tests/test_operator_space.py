@@ -7,35 +7,14 @@ from starprod import (
     VectorizationBasis,
     WrongCountError,
     devectorize,
-    hs_inner,
-    matrix_unit,
     pauli_basis,
-    row_stack,
-    unstack,
     validate_orthonormal_basis,
     vectorize,
 )
 from starprod.operator_space import PAULI_X, PAULI_Y, PAULI_Z
-from starprod.verification import haar_unitary
+from starprod.verification import haar_unitaries
 
 from _helpers import random_complex
-
-
-class TestMatrixUnit:
-    def test_off_diagonal(self):
-        assert np.array_equal(matrix_unit(2, 1, 2), np.array([[0, 1], [0, 0]]))
-
-    def test_diagonal(self):
-        assert np.array_equal(matrix_unit(2, 1, 1), np.array([[1, 0], [0, 0]]))
-
-    def test_three_by_three(self):
-        e = matrix_unit(3, 3, 1)
-        assert e[2, 0] == 1 and e.sum() == 1
-
-    @pytest.mark.parametrize("i,j", [(0, 1), (1, 0), (3, 1), (1, 3)])
-    def test_out_of_range(self, i, j):
-        with pytest.raises(IndexError):
-            matrix_unit(2, i, j)
 
 
 class TestVectorize:
@@ -53,7 +32,7 @@ class TestVectorize:
         assert np.abs(vectorize(z, pauli_basis()) - expected).max() <= 1e-14
 
     def test_matrix_unit_column(self):
-        v = vectorize(matrix_unit(2, 1, 2), VectorizationBasis.row_stacking(2))
+        v = vectorize(np.array([[0, 1], [0, 0]]), VectorizationBasis.row_stacking(2))
         assert np.array_equal(v, np.array([0, 1, 0, 0]))
 
     def test_shape_mismatch(self):
@@ -94,28 +73,9 @@ class TestDevectorize:
             devectorize(np.zeros(9), VectorizationBasis.row_stacking(2))
 
 
-class TestHsInner:
-    def test_matrix_units_orthonormal(self):
-        e12 = matrix_unit(2, 1, 2)
-        assert hs_inner(e12, e12) == 1
-        assert hs_inner(matrix_unit(2, 1, 1), matrix_unit(2, 2, 2)) == 0
-
-    def test_scaled_pauli_norm(self):
-        assert abs(hs_inner(PAULI_X / np.sqrt(2), PAULI_X / np.sqrt(2)) - 1) <= 1e-15
-
-    def test_conjugate_symmetry(self, rng):
-        x = random_complex(rng, (3, 3))
-        y = random_complex(rng, (3, 3))
-        assert abs(hs_inner(x, y) - np.conj(hs_inner(y, x))) <= 1e-13
-
-    def test_shape_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            hs_inner(np.eye(2), np.eye(3))
-
-
 class TestValidateOrthonormalBasis:
     def test_matrix_units(self):
-        ops = np.stack([matrix_unit(2, i, j) for i in (1, 2) for j in (1, 2)])
+        ops = np.eye(4).reshape(4, 2, 2)
         assert validate_orthonormal_basis(ops) == 0
 
     def test_pauli(self):
@@ -142,7 +102,7 @@ class TestValidateOrthonormalBasis:
 
 def random_orthonormal_operator_basis(rng, d):
     """Rotate the matrix units by a Haar unitary on the d^2-dimensional space."""
-    w = haar_unitary(d * d, rng)
+    w = haar_unitaries(rng.standard_normal((2, d * d, d * d)))
     return np.stack([col.reshape(d, d) for col in w.T])
 
 
@@ -168,7 +128,7 @@ class TestProperties:
         for _ in range(50):
             x = random_complex(rng, (2, 2))
             y = random_complex(rng, (2, 2))
-            reference = hs_inner(x, y)
+            reference = np.trace(x.conj().T @ y)
             for basis in (rs, pb, rb):
                 vx, vy = vectorize(x, basis), vectorize(y, basis)
                 assert abs(vx.conj() @ vy - reference) <= 1e-12
@@ -193,14 +153,3 @@ class TestProperties:
             rhs = alpha * vectorize(x, basis) + beta * vectorize(y, basis)
             assert np.abs(lhs - rhs).max() <= 1e-13
 
-
-class TestRectangular:
-    def test_row_stack_rectangular(self, rng):
-        z = random_complex(rng, (2, 3))
-        v = row_stack(z)
-        assert np.array_equal(v, z.reshape(-1))
-        assert np.array_equal(unstack(v, 2, 3), z)
-
-    def test_unstack_shape_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            unstack(np.zeros(5), 2, 3)

@@ -1,7 +1,104 @@
+import importlib
+
+import pytest
+
 import starprod
+
+PUBLIC_NAMES = [
+    "DEFAULT_TOL",
+    "DimensionMismatchError",
+    "IntertwinerPair",
+    "InvalidGaugeError",
+    "InvalidParameterError",
+    "LengthMismatchError",
+    "MissingQuantizersError",
+    "NegativityReport",
+    "NonHermitianMemberError",
+    "NotOverfilledError",
+    "NotPrimeError",
+    "NotSICError",
+    "NotSquareError",
+    "NotSquareLengthError",
+    "NotTomographicError",
+    "NotUnitaryError",
+    "PAULI_X",
+    "PAULI_Y",
+    "PAULI_Z",
+    "PovmDiagnostics",
+    "SamplerFailureError",
+    "ScaleOutOfRangeError",
+    "Scheme",
+    "SchemeParseError",
+    "SchemeReport",
+    "StarKernel",
+    "StarProdError",
+    "ToleranceConfig",
+    "UnknownSchemeError",
+    "VectorizationBasis",
+    "WrongCountError",
+    "__version__",
+    "associativity_residual",
+    "canonical_duals",
+    "canonical_quantizers",
+    "catalog",
+    "classify",
+    "completeness_residual",
+    "cubic_unitary_residual",
+    "dequantization_matrix",
+    "devectorize",
+    "duality_matrix",
+    "gauge_quantizers",
+    "intertwiner",
+    "matrix_unit_like_detect",
+    "negativity_report",
+    "pauli_basis",
+    "povm_check",
+    "quantization_matrix",
+    "rank",
+    "reconstruct",
+    "scaled_unitary_check",
+    "scheme_from_dequantization_matrix",
+    "self_dual_coefficient",
+    "self_dual_coefficients",
+    "serialization",
+    "singular_values",
+    "star_kernel",
+    "star_multiply",
+    "symbol",
+    "validate_orthonormal_basis",
+    "vectorize",
+    "verification",
+    "with_canonical_quantizers",
+]
+
+# Wrappers around code the callers now reach directly.
+REMOVED = {
+    "serialization": [
+        "matrix_to_json",
+        "vector_to_json",
+        "serialize_scheme",
+        "json_to_matrix",
+        "json_to_vector",
+        "parse_scheme",
+    ],
+    "verification": ["haar_unitary"],
+    "operator_space": ["row_stack", "unstack", "hs_inner", "matrix_unit"],
+    "matrixcore": ["hermiticity_residual", "hermitian_eig", "_require_square", "as_matrix"],
+    "errors": ["NonHermitianError"],
+}
 
 
 def test_all_names_resolve_without_duplicates():
     assert len(starprod.__all__) == len(set(starprod.__all__))
     for name in starprod.__all__:
         assert hasattr(starprod, name), name
+
+
+def test_public_names_are_pinned():
+    assert sorted(starprod.__all__) == PUBLIC_NAMES
+
+
+@pytest.mark.parametrize("module", list(REMOVED))
+def test_removed_names_are_gone(module):
+    namespace = vars(importlib.import_module(f"starprod.{module}"))
+    assert [name for name in REMOVED[module] if name in namespace] == []

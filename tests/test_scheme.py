@@ -30,6 +30,8 @@ from starprod import (
     with_canonical_quantizers,
 )
 from starprod.catalog import (
+    SCHEMES,
+    build_scheme,
     entries,
     livine_scheme,
     matrix_units_scheme,
@@ -47,7 +49,7 @@ from starprod.operator_space import (
 )
 from starprod.scheme import _fix_column_phases
 from starprod.star_product import reconstruct, symbol
-from starprod.verification import haar_unitary
+from starprod.verification import haar_unitaries
 
 from _helpers import conditioned_frame, random_complex, self_dual_reference
 
@@ -111,7 +113,7 @@ class TestDequantizationMatrix:
         if d == 2:
             basis = pauli_basis()
         else:
-            u = haar_unitary(d * d, rng)
+            u = haar_unitaries(rng.standard_normal((2, d * d, d * d)))
             basis = VectorizationBasis.orthonormal(u.T.reshape(d * d, d, d))
         s = Scheme(dequantizers=random_complex(rng, (2 * d * d, d, d)))
         loop = np.column_stack([vectorize(op, basis) for op in s.dequantizers])
@@ -186,7 +188,9 @@ class TestDualAccuracy:
         s = with_canonical_quantizers(s)
         bound = 10 * kappa * np.finfo(float).eps
         assert completeness_residual(s) <= bound
-        ops = np.stack([haar_unitary(3, np.random.default_rng(k)) for k in range(8)])
+        ops = np.stack(
+            [haar_unitaries(np.random.default_rng(k).standard_normal((2, 3, 3))) for k in range(8)]
+        )
         assert np.abs(reconstruct(s, symbol(s, ops)) - ops).max() <= bound
 
     @pytest.mark.parametrize("factor", [0.5, 2.0])
@@ -270,7 +274,7 @@ class TestSelfDualCoefficient:
     def test_stack_matches_per_family(self, rng):
         # Scaled-unitary families are self-dual; Ginibre families are not.
         coefficients = rng.uniform(0.1, 10.0, size=6)
-        u = np.sqrt(coefficients)[:, None, None] * np.stack([haar_unitary(4, rng) for _ in coefficients])
+        u = np.sqrt(coefficients)[:, None, None] * haar_unitaries(rng.standard_normal((6, 2, 4, 4)))
         deq = u.swapaxes(1, 2).reshape(6, 4, 2, 2)
         deq[::3] = random_complex(rng, (2, 4, 2, 2))
         duals = canonical_duals(deq)
@@ -345,6 +349,11 @@ class TestNegativityReport:
         report = negativity_report(mub_qubit_scheme())
         assert report.min_quantizer_eigenvalue is None
 
+    def test_zero_family_is_hermitian(self):
+        # The relative hermiticity test must not divide 0 by 0 here.
+        report = negativity_report(Scheme(np.zeros((4, 2, 2)), np.zeros((4, 2, 2))))
+        assert report.min_dequantizer_eigenvalue == report.min_quantizer_eigenvalue == 0.0
+
 
 class TestMatrixUnitLikeDetect:
     @pytest.mark.parametrize("d", [2, 3])
@@ -355,7 +364,7 @@ class TestMatrixUnitLikeDetect:
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
     def test_rotated_matrix_units_recovered(self, rng, d):
-        w = haar_unitary(d, rng)
+        w = haar_unitaries(rng.standard_normal((2, d, d)))
         deq = np.stack(
             [np.outer(w[:, i], w[:, j].conj()) for i in range(d) for j in range(d)]
         )
@@ -441,7 +450,7 @@ class TestClassify:
         # the SVD of U_B and devectorized through G is G pinv(U_B)^dag =
         # pinv(U)^dag, so the diagnostics follow the scheme, not the basis.
         loose = ToleranceConfig(residual_tol=1e-4)
-        ops = haar_unitary(d * d, rng).T.reshape(d * d, d, d)
+        ops = haar_unitaries(rng.standard_normal((2, d * d, d * d))).T.reshape(d * d, d, d)
         noise = random_complex(rng, ops.shape)
         for _ in range(5):
             noise *= 0.9 * loose.residual_tol / validate_orthonormal_basis(ops + noise)
@@ -489,6 +498,39 @@ class TestClassify:
         assert report.self_dual_coefficient is None
         assert report.negativity is not None
         assert report.negativity.min_quantizer_eigenvalue is None
+
+
+class TestScaleCovariance:
+    """Multiplying every dequantizer by c > 0 changes no verdict of the
+    classification: the self-dual and scaled-unitary coefficients scale as
+    c^2, dequantizer eigenvalues as c and quantizer eigenvalues as 1/c.
+    The POVM and matrix-unit-like tests stay absolute (c times a POVM is not
+    a POVM), so they are not compared."""
+
+    @pytest.mark.parametrize("c", [1e-150, 1e-20, 1e-8, 1e8, 1e20, 1e150], ids="x{:g}".format)
+    @pytest.mark.parametrize("name", list(SCHEMES))
+    def test_rescaled_scheme_classifies_alike(self, name, c):
+        deq = build_scheme(name).dequantizers
+        ref, report = classify(Scheme(deq)), classify(Scheme(c * deq))
+        assert (report.cardinality, report.rank, report.tomographic) == (
+            ref.cardinality,
+            ref.rank,
+            ref.tomographic,
+        )
+        assert report.condition_number == pytest.approx(ref.condition_number, rel=1e-12)
+        for field in ("self_dual_coefficient", "scaled_unitary"):
+            value, expected = getattr(report, field), getattr(ref, field)
+            assert (value is None) == (expected is None), field
+            if expected is not None:
+                assert value / c**2 == pytest.approx(expected, rel=1e-12), field
+        assert (report.negativity is None) == (ref.negativity is None)
+        if ref.negativity is not None:
+            assert report.negativity.min_dequantizer_eigenvalue / c == pytest.approx(
+                ref.negativity.min_dequantizer_eigenvalue, rel=1e-12
+            )
+            assert report.negativity.min_quantizer_eigenvalue * c == pytest.approx(
+                ref.negativity.min_quantizer_eigenvalue, rel=1e-12
+            )
 
 
 class TestSchemeFromMatrix:
@@ -542,7 +584,7 @@ class TestInvariants:
         basis = VectorizationBasis.row_stacking(d)
         for _ in range(30):
             c = rng.uniform(0.1, 10.0)
-            u = np.sqrt(c) * haar_unitary(d * d, rng)
+            u = np.sqrt(c) * haar_unitaries(rng.standard_normal((2, d * d, d * d)))
             s = scheme_from_dequantization_matrix(u, basis)
             s = s.with_quantizers(canonical_quantizers(s))
             recovered = self_dual_coefficient(s)

@@ -9,21 +9,16 @@ import pytest
 from starprod import Scheme, SchemeParseError, ToleranceConfig, classify
 from starprod.catalog import entries, mub_qubit_scheme, sic_qubit_scheme
 from starprod.serialization import (
+    _decode,
     _encode,
-    json_to_matrix,
-    json_to_vector,
     load_kernel,
     load_operator,
     load_scheme,
     load_vector,
-    matrix_to_json,
-    parse_scheme,
     save_kernel,
     save_operator,
     save_scheme,
     save_vector,
-    serialize_scheme,
-    vector_to_json,
     write_json,
 )
 from starprod.verification import CheckResult
@@ -44,38 +39,49 @@ def _bits(values):
     return np.ascontiguousarray(values).view(np.uint64).tobytes()
 
 
-class TestComplexEncoding:
-    def test_matrix_round_trip_bit_exact(self, rng):
-        m = random_complex(rng, (3, 4))
-        assert np.array_equal(json_to_matrix(matrix_to_json(m)), m)
+def _json_file(tmp_path, payload):
+    """Path (as a string) of a file holding ``payload`` as JSON text."""
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload))
+    return str(path)
 
-    def test_vector_round_trip_bit_exact(self, rng):
+
+class TestComplexEncoding:
+    def test_matrix_round_trip_bit_exact(self, tmp_path, rng):
+        m = random_complex(rng, (3, 4))
+        assert np.array_equal(load_operator(_json_file(tmp_path, {"matrix": _encode(m)})), m)
+
+    def test_vector_round_trip_bit_exact(self, tmp_path, rng):
         v = random_complex(rng, 7)
-        assert np.array_equal(json_to_vector(vector_to_json(v)), v)
+        assert np.array_equal(load_vector(_json_file(tmp_path, {"values": _encode(v)})), v)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    def test_non_finite_entries_rejected(self, bad):
-        with pytest.raises(SchemeParseError, match="where: entries must be finite"):
-            json_to_matrix([[[1.0, 0.0], [0.0, bad]]], where="where")
-        with pytest.raises(SchemeParseError, match="where: entries must be finite"):
-            json_to_vector([[1.0, 0.0], [bad, 0.0]], where="where")
+    def test_non_finite_entries_rejected(self, tmp_path, bad):
+        path = _json_file(tmp_path, {"matrix": [[[1.0, 0.0], [0.0, bad]]]})
+        with pytest.raises(SchemeParseError, match=re.escape(f"{path}: matrix: entries must be finite")):
+            load_operator(path)
+        path = _json_file(tmp_path, {"values": [[1.0, 0.0], [bad, 0.0]]})
+        with pytest.raises(SchemeParseError, match=re.escape(f"{path}: values: entries must be finite")):
+            load_vector(path)
 
-    def test_bad_pair(self):
+    def test_bad_pair(self, tmp_path):
         with pytest.raises(SchemeParseError):
-            json_to_matrix([[[1.0], [0.0, 0.0]]])
+            load_operator(_json_file(tmp_path, {"matrix": [[[1.0], [0.0, 0.0]]]}))
         with pytest.raises(SchemeParseError):
-            json_to_matrix([[["a", 0.0], [0.0, 0.0]]])
+            load_operator(_json_file(tmp_path, {"matrix": [[["a", 0.0], [0.0, 0.0]]]}))
 
-    def test_ragged_rows(self):
+    def test_ragged_rows(self, tmp_path):
         with pytest.raises(SchemeParseError):
-            json_to_matrix([[[0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]])
+            load_operator(_json_file(tmp_path, {"matrix": [[[0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]}))
 
 
 class TestSchemeFiles:
-    def test_round_trip_bit_exact_all_catalog(self):
+    def test_round_trip_bit_exact_all_catalog(self, tmp_path):
+        path = str(tmp_path / "scheme.json")
         for entry in entries():
             s = entry.scheme
-            back = parse_scheme(serialize_scheme(s))
+            save_scheme(s, path)
+            back = load_scheme(path)
             assert np.array_equal(back.dequantizers, s.dequantizers), entry.name
             assert back.name == s.name
             if s.quantizers is None:
@@ -122,23 +128,26 @@ class TestSchemeFiles:
             {"d": 1, "dequantizers": [[[[10**400, 0]]]]},
         ],
     )
-    def test_malformed_payloads(self, payload):
-        with pytest.raises(SchemeParseError):
-            parse_scheme(payload)
+    def test_malformed_payloads(self, tmp_path, payload):
+        path = _json_file(tmp_path, payload)
+        with pytest.raises(SchemeParseError, match=re.escape(path)):
+            load_scheme(path)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("family", ["dequantizers", "quantizers"])
-    def test_non_finite_entries(self, bad, family):
-        payload = serialize_scheme(sic_qubit_scheme("povm"))
+    def test_non_finite_entries(self, tmp_path, bad, family):
+        path = tmp_path / "scheme.json"
+        save_scheme(sic_qubit_scheme("povm"), str(path))
+        payload = json.loads(path.read_text())
         payload["quantizers"] = payload["dequantizers"]
         payload[family][2][1][0] = [0.5, bad]
         with pytest.raises(SchemeParseError, match=rf"{family}\[2\]: entries must be finite"):
-            parse_scheme(json.loads(json.dumps(payload)))
+            load_scheme(_json_file(tmp_path, payload))
 
-    def test_quantizer_count_mismatch(self):
+    def test_quantizer_count_mismatch(self, tmp_path):
         op = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
         with pytest.raises(SchemeParseError):
-            parse_scheme({"d": 2, "dequantizers": [op, op], "quantizers": [op]})
+            load_scheme(_json_file(tmp_path, {"d": 2, "dequantizers": [op, op], "quantizers": [op]}))
 
     def test_invalid_json_file(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -291,7 +300,7 @@ class TestReportJson:
         from starprod.catalog import matrix_units_scheme
 
         _, data = _written(tmp_path, classify(matrix_units_scheme(2)))
-        u = json_to_matrix(data["matrix_unit_like"])
+        u = _decode(data["matrix_unit_like"], 2, "matrix_unit_like")
         assert np.abs(u - np.eye(2)).max() <= 1e-12
 
 
@@ -408,9 +417,15 @@ class TestWriteJson:
         save_operator(m, str(paths["operator"]))
         save_vector(v, str(paths["vector"]), scheme=s.name)
         expected = {
-            "scheme": serialize_scheme(s),
-            "operator": {"matrix": matrix_to_json(m)},
-            "vector": {"values": vector_to_json(v), "scheme": s.name},
+            "scheme": {
+                "format": "starprod-scheme",
+                "d": s.d,
+                "dequantizers": _encode(s.dequantizers),
+                "name": s.name,
+                "quantizers": _encode(s.quantizers),
+            },
+            "operator": {"matrix": _encode(m)},
+            "vector": {"values": _encode(v), "scheme": s.name},
         }
         for name, path in paths.items():
             assert path.read_bytes() == (json.dumps(expected[name], indent=1) + "\n").encode(), name

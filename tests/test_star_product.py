@@ -27,7 +27,7 @@ from starprod.catalog import (
     pauli_scheme,
     sic_qubit_scheme,
 )
-from starprod.verification import haar_unitary
+from starprod.verification import haar_unitaries
 
 from _helpers import random_complex, random_hermitian
 
@@ -230,7 +230,8 @@ class TestCubicIdentity:
     @pytest.mark.parametrize("dim", [4, 9])
     def test_random_unitaries(self, rng, dim):
         for _ in range(30):
-            assert cubic_unitary_residual(haar_unitary(dim, rng)) <= 1e-12
+            u = haar_unitaries(rng.standard_normal((2, dim, dim)))
+            assert cubic_unitary_residual(u) <= 1e-12
 
     def test_rejects_non_unitary(self):
         with pytest.raises(NotUnitaryError):
@@ -284,14 +285,14 @@ class TestStackedForms:
 
     @pytest.mark.parametrize("dim", [4, 9])
     def test_cubic_unitary_residual(self, rng, dim):
-        unitaries = np.stack([haar_unitary(dim, rng) for _ in range(12)]).reshape(3, 4, dim, dim)
+        unitaries = haar_unitaries(rng.standard_normal((3, 4, 2, dim, dim)))
         residuals = cubic_unitary_residual(unitaries)
         assert residuals.shape == (3, 4)
         expected = np.array([[cubic_unitary_residual(u) for u in row] for row in unitaries])
         assert np.abs(residuals - expected).max() <= 1e-13
 
     def test_cubic_rejects_stack_with_non_unitary_member(self, rng):
-        unitaries = np.stack([haar_unitary(4, rng) for _ in range(3)])
+        unitaries = haar_unitaries(rng.standard_normal((3, 2, 4, 4)))
         unitaries[1] *= 2
         with pytest.raises(NotUnitaryError):
             cubic_unitary_residual(unitaries)

@@ -17,7 +17,6 @@ from starprod.verification import (
     check_povm_dual_negativity,
     check_self_duality_unitarity,
     haar_unitaries,
-    haar_unitary,
     run_battery,
 )
 from starprod.operator_space import VectorizationBasis, devectorize
@@ -63,6 +62,11 @@ class TestPovmDualNegativity:
     def test_vacuous_seed_count_rejected(self, seeds):
         with pytest.raises(InvalidParameterError, match="seeds must be at least 1"):
             run_battery("random-povm", seeds=seeds)
+
+
+def test_unknown_suite_is_an_invalid_parameter():
+    with pytest.raises(InvalidParameterError, match="unknown suite 'nope'"):
+        run_battery("nope")
 
 
 class TestSelfDualityUnitarity:
@@ -111,7 +115,7 @@ class TestHaarUnitaries:
     @pytest.mark.parametrize("dim", [4, 9])
     def test_stack_consumes_the_stream_like_single_draws(self, dim):
         rng = np.random.default_rng(DEFAULT_BATTERY_SEED)
-        expected = np.stack([haar_unitary(dim, rng) for _ in range(20)])
+        expected = np.stack([haar_unitaries(rng.standard_normal((2, dim, dim))) for _ in range(20)])
         rng = np.random.default_rng(DEFAULT_BATTERY_SEED)
         stacked = haar_unitaries(rng.standard_normal((20, 2, dim, dim)))
         assert np.array_equal(stacked, expected)
