@@ -213,8 +213,15 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
 def cmd_kernel(args: argparse.Namespace) -> int:
     tol = _tolerances(args)
     s = with_canonical_quantizers(load_scheme(args.scheme), tol)
-    kernel = star_kernel(s)
-    residual = associativity_residual(kernel) if args.assoc_check else None
+    # At an extreme scheme scale the products of dequantizers and quantizers
+    # overflow to inf and then NaN, which numpy only warns about.
+    with np.errstate(over="ignore", invalid="ignore"):
+        kernel = star_kernel(s)
+        residual = associativity_residual(kernel) if args.assoc_check else None
+    checked = (("kernel entries overflow", kernel.values), ("associativity residual overflows", residual))
+    for what, value in checked:
+        if value is not None and not np.isfinite(value).all():
+            raise ScaleOutOfRangeError(f"scheme scale out of float64 range: the {what}; rescale the scheme")
     save_kernel(s.d, kernel.values, args.output, assoc_residual=residual)
     print(
         f"wrote kernel tensor ({kernel.n_points}^3 entries) to {args.output}"

@@ -233,16 +233,29 @@ def load_basis(path: str, tol: ToleranceConfig) -> VectorizationBasis:
 def save_kernel(d: int, values: np.ndarray, path: str, assoc_residual: float | None = None) -> None:
     """Write a kernel file: plain JSON with one k-slice of ``values`` per line.
 
-    Each slice goes through ``json.dumps`` without indentation, which uses
-    CPython's C encoder; floats are written by ``repr``, so they reload
-    bit-exactly.  Encoding slice by slice keeps one slice of Python floats
-    alive at a time.
+    Each line holds the bytes ``json.dumps(_encode(slice))`` would write, but
+    a kernel of a covariant scheme repeats most of its floats, so each
+    distinct float of a slice is formatted once.  The distinct values are
+    found by bit pattern (which keeps 0.0 and -0.0 apart) and written by one
+    call to CPython's C encoder, whose ``repr`` reloads them bit-exactly.
+    Encoding slice by slice keeps one slice of Python strings alive at a time.
     """
-    values = np.asarray(values, dtype=complex)
+    values = np.ascontiguousarray(values, dtype=complex)
+    n, rows, cols = values.shape
+    bits = values.view(np.uint64).reshape(n, 2 * rows * cols)
+    # Between the float tokens of a slice: ", " inside a [re, im] pair,
+    # "], [" between pairs and "]], [[" between rows.
+    row = [", ", "], ["] * cols
+    seps = ([*row[:-1], "]], [["] * rows)[:-1]
+    parts = [""] * (2 * len(seps) + 1)
+    parts[1::2] = seps
     with open(path, "w") as fh:
-        fh.write(f'{{"d": {json.dumps(d)}, "n": {len(values)}, "values": [')
-        for k, part in enumerate(values):
-            fh.write(("," if k else "") + "\n" + json.dumps(_encode(part)))
+        fh.write(f'{{"d": {json.dumps(d)}, "n": {n}, "values": [')
+        for k in range(n):
+            distinct, inverse = np.unique(bits[k], return_inverse=True)
+            tokens = json.dumps(distinct.view(float).tolist())[1:-1].split(", ")
+            parts[0::2] = [tokens[i] for i in inverse.tolist()]
+            fh.write(("," if k else "") + "\n[[[" + "".join(parts) + "]]]")
         fh.write("\n]")
         if assoc_residual is not None:
             fh.write(f', "associativity_residual": {json.dumps(assoc_residual)}')

@@ -1,7 +1,10 @@
-"""Shared random-matrix helpers for the test suite."""
+"""Shared helpers for the test suite: random matrices and a reference kernel writer."""
+
+import json
 
 import numpy as np
 
+from starprod.serialization import _encode
 from starprod.verification import haar_unitaries
 
 
@@ -35,3 +38,11 @@ def self_dual_reference(dequantizers, quantizers, residual_tol=1e-10):
     if float(np.abs(dequantizers - c * quantizers).max()) > residual_tol * scale:
         return None
     return c
+
+
+def reference_kernel_text(d, values, assoc_residual=None):
+    """Kernel-file text as written slice by slice with ``json.dumps`` over the
+    nested [re, im] lists, one float ``repr`` per entry."""
+    lines = ",".join("\n" + json.dumps(_encode(part)) for part in values)
+    tail = "" if assoc_residual is None else f', "associativity_residual": {json.dumps(assoc_residual)}'
+    return f'{{"d": {json.dumps(d)}, "n": {len(values)}, "values": [{lines}\n]{tail}}}\n'

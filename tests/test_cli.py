@@ -20,13 +20,20 @@ from starprod.serialization import (
 )
 from starprod.catalog import (
     SCHEMES,
+    build_scheme,
     entries,
     matrix_units_scheme,
     mub_qubit_scheme,
     pauli_scheme,
     sic_qubit_scheme,
 )
-from starprod.scheme import Scheme, dequantization_matrix, scheme_from_dequantization_matrix
+from starprod.scheme import (
+    Scheme,
+    dequantization_matrix,
+    scheme_from_dequantization_matrix,
+    with_canonical_quantizers,
+)
+from starprod.star_product import star_kernel
 
 from _helpers import conditioned_frame, random_complex
 
@@ -534,6 +541,53 @@ class TestKernel:
         path = tmp_path / "under.json"
         save_scheme(s, str(path))
         assert main(["kernel", str(path), "-o", str(tmp_path / "k.json")]) == 1
+
+    @staticmethod
+    def _scaled_mub_prime(tmp_path, scale):
+        path = tmp_path / "scaled.json"
+        save_scheme(Scheme(dequantizers=scale * build_scheme("mub-prime", p=3).dequantizers), str(path))
+        return path
+
+    # Unchecked, the quantizer products overflow to inf and NaN: numpy warns,
+    # the command exits 0 and writes NaN tokens that load_kernel rejects.
+    @pytest.mark.parametrize("assoc", [[], ["--assoc-check"]])
+    def test_overflowing_scale_exits_2(self, tmp_path, capsys, assoc):
+        path = self._scaled_mub_prime(tmp_path, 1e-160)
+        out = tmp_path / "k.json"
+        assert main(["kernel", str(path), "-o", str(out), *assoc]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: scheme scale out of float64 range: the kernel entries overflow; rescale the scheme\n"
+        )
+        assert "Traceback" not in captured.err
+        assert not out.exists()
+
+    def test_overflowing_associativity_residual_exits_2(self, tmp_path, capsys):
+        # Attached quantizers 1e100 x the matrix units give finite kernel
+        # entries of 1e200, whose products in the check overflow.
+        units = matrix_units_scheme(2).dequantizers
+        path = tmp_path / "big.json"
+        save_scheme(Scheme(dequantizers=units, quantizers=1e100 * units), str(path))
+        out = tmp_path / "k.json"
+        assert main(["kernel", str(path), "-o", str(out)]) == 0
+        out.unlink()
+        capsys.readouterr()
+        assert main(["kernel", str(path), "-o", str(out), "--assoc-check"]) == 2
+        assert capsys.readouterr().err == (
+            "error: scheme scale out of float64 range: the associativity residual overflows; "
+            "rescale the scheme\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("scale", [1e-150, 1e150])
+    def test_scale_inside_the_float_range(self, tmp_path, capsys, scale):
+        path = self._scaled_mub_prime(tmp_path, scale)
+        out = tmp_path / "k.json"
+        assert main(["kernel", str(path), "-o", str(out), "--assoc-check"]) == 0
+        assert "associativity residual: " in capsys.readouterr().out
+        _, values = load_kernel(str(out))
+        assert np.array_equal(values, star_kernel(with_canonical_quantizers(load_scheme(str(path)))).values)
 
 
 class TestIntertwine:

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from starprod import Scheme, SchemeParseError, ToleranceConfig, classify
-from starprod.catalog import entries, mub_qubit_scheme, sic_qubit_scheme
+from starprod.catalog import SCHEMES, build_scheme, entries, mub_qubit_scheme, sic_qubit_scheme
+from starprod.scheme import with_canonical_quantizers
 from starprod.serialization import (
     _decode,
     _encode,
@@ -21,9 +22,10 @@ from starprod.serialization import (
     save_vector,
     write_json,
 )
+from starprod.star_product import star_kernel
 from starprod.verification import CheckResult
 
-from _helpers import random_complex
+from _helpers import random_complex, reference_kernel_text
 
 # Signed zeros, subnormals and the float range ends must survive every file format.
 _EDGE = [-0.0, 5e-324, -2.2e-308, 1e308, -1e308, 0.0]
@@ -199,6 +201,51 @@ class TestOperatorVectorKernelFiles:
         path.write_text('{"values": []}')
         with pytest.raises(SchemeParseError):
             load_operator(str(path))
+
+
+def _canonical_kernel(s):
+    return star_kernel(with_canonical_quantizers(s)).values
+
+
+class TestKernelWriterBytes:
+    """``save_kernel`` formats each distinct float of a slice once; the file
+    must equal the one float-by-float ``json.dumps`` writer, byte for byte."""
+
+    @staticmethod
+    def _assert_reference_bytes(tmp_path, d, values):
+        path = tmp_path / "kernel.json"
+        for residual in (None, 3.25e-13):
+            save_kernel(d, values, str(path), assoc_residual=residual)
+            assert path.read_text() == reference_kernel_text(d, values, residual)
+
+    @pytest.mark.parametrize("name", list(SCHEMES))
+    def test_registered_scheme_kernels(self, tmp_path, name):
+        s = build_scheme(name)
+        self._assert_reference_bytes(tmp_path, s.d, _canonical_kernel(s))
+
+    @pytest.mark.parametrize("p", [5, 7])
+    def test_mub_prime_kernels(self, tmp_path, p):
+        self._assert_reference_bytes(tmp_path, p, _canonical_kernel(build_scheme("mub-prime", p=p)))
+
+    def test_ginibre_kernel_with_every_float_distinct(self, tmp_path, rng):
+        values = _canonical_kernel(Scheme(dequantizers=random_complex(rng, (9, 3, 3))))
+        assert len(np.unique(values.view(np.uint64))) == 2 * values.size
+        self._assert_reference_bytes(tmp_path, 3, values)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_smallest_kernels(self, tmp_path, rng, n):
+        self._assert_reference_bytes(tmp_path, 1, random_complex(rng, (n, n, n)))
+
+    def test_signed_zeros_extremes_and_repeats(self, tmp_path):
+        # 0.0 and -0.0 compare equal as floats, so grouping by float value
+        # instead of by bit pattern would write one of them with the other's text.
+        floats = [0.0, -0.0, 5e-324, 1e308, -1e308, 0.0, -0.0, 0.5, 0.5, 5e-324,
+                  -1e308, 1e308, 0.1, -0.0, 0.0, 0.1, 2.0, 2.0]
+        values = np.array(floats).view(complex).reshape(1, 3, 3)
+        values = np.concatenate([values, values[:, ::-1], values[:, :, ::-1]])
+        self._assert_reference_bytes(tmp_path, 1, values)
+        text = (tmp_path / "kernel.json").read_text()
+        assert "[0.0, -0.0], [5e-324, 1e+308]" in text
 
 
 _PAIR = [0.5, -0.25]
