@@ -20,20 +20,7 @@ import json
 import numpy as np
 from scipy.optimize import least_squares, minimize
 
-from starprod.catalog import clock_matrix, shift_matrix
-
-
-def displacement_orbit(psi: np.ndarray) -> np.ndarray:
-    d = psi.size
-    z = clock_matrix(d)
-    x = shift_matrix(d)
-    return np.stack(
-        [
-            np.linalg.matrix_power(x, a) @ np.linalg.matrix_power(z, b) @ psi
-            for a in range(d)
-            for b in range(d)
-        ]
-    )
+from starprod.catalog import displacement_orbit
 
 
 def to_complex(params: np.ndarray) -> np.ndarray:

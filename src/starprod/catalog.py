@@ -122,6 +122,14 @@ def shift_matrix(d: int) -> np.ndarray:
     return np.roll(np.eye(d, dtype=complex), 1, axis=0)
 
 
+def displacement_orbit(psi: np.ndarray) -> np.ndarray:
+    """The d^2 states X^a Z^b |psi>, indexed d*a + b, as a (d^2, d) stack."""
+    d = psi.size
+    x, z = shift_matrix(d), clock_matrix(d)
+    power = np.linalg.matrix_power
+    return np.array([power(x, a) @ power(z, b) @ psi for a in range(d) for b in range(d)])
+
+
 def default_fiducial(d: int) -> np.ndarray:
     """Shipped SIC fiducial for d = 2 (tetrahedron axis) or d = 3 (package data)."""
     if d == 2:
@@ -148,15 +156,7 @@ def wh_sic_scheme(d: int, fiducial, tol: ToleranceConfig = DEFAULT_TOL) -> Schem
         raise InvalidParameterError(f"fiducial length {psi.size} does not match d={d}")
     if abs(np.linalg.norm(psi) - 1.0) > tol.residual_tol:
         raise InvalidParameterError("fiducial vector is not normalized")
-    z = clock_matrix(d)
-    x = shift_matrix(d)
-    states = np.array(
-        [
-            np.linalg.matrix_power(x, a) @ np.linalg.matrix_power(z, b) @ psi
-            for a in range(d)
-            for b in range(d)
-        ]
-    )
+    states = displacement_orbit(psi)
     projs = _projectors(states)
     gram = np.abs(states.conj() @ states.T) ** 2
     target = (d * np.eye(d * d) + 1) / (d + 1)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
@@ -210,22 +210,39 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
     return 0
 
 
+def _scale_error(what: str) -> ScaleOutOfRangeError:
+    return ScaleOutOfRangeError(f"scheme scale out of float64 range: the {what}; rescale the scheme")
+
+
+def _finite_results(compute: Callable[[], tuple], *overflows: str) -> tuple:
+    """``compute()``'s results, run with numpy's overflow warnings off: at an
+    extreme scheme scale, operator products overflow to inf and then NaN,
+    which numpy only warns about.  ``overflows`` names, in order, the error
+    for each result that is not finite; a None result is skipped."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        results = compute()
+    for what, value in zip(overflows, results):
+        if value is not None and not np.isfinite(value).all():
+            raise _scale_error(what)
+    return results
+
+
 def cmd_kernel(args: argparse.Namespace) -> int:
     tol = _tolerances(args)
     s = with_canonical_quantizers(load_scheme(args.scheme), tol)
-    # At an extreme scheme scale the products of dequantizers and quantizers
-    # overflow to inf and then NaN, which numpy only warns about.
-    with np.errstate(over="ignore", invalid="ignore"):
+
+    def compute():
         kernel = star_kernel(s)
-        residual = associativity_residual(kernel) if args.assoc_check else None
-    checked = (("kernel entries overflow", kernel.values), ("associativity residual overflows", residual))
-    for what, value in checked:
-        if value is not None and not np.isfinite(value).all():
-            raise ScaleOutOfRangeError(f"scheme scale out of float64 range: the {what}; rescale the scheme")
-    save_kernel(s.d, kernel.values, args.output, assoc_residual=residual)
-    print(
-        f"wrote kernel tensor ({kernel.n_points}^3 entries) to {args.output}"
-    )
+        return kernel.values, associativity_residual(kernel) if args.assoc_check else None
+
+    values, residual = _finite_results(compute, "kernel entries overflow", "associativity residual overflows")
+    # Below the normal range, products of quantizers lose their digits silently;
+    # sum |D_k|^2 is sum sigma^-2 for canonical quantizers.
+    qs = s.quantizers
+    if np.vdot(qs, qs).real < sys.float_info.min and qs.any():
+        raise _scale_error("kernel entries underflow")
+    save_kernel(s.d, values, args.output, assoc_residual=residual)
+    print(f"wrote kernel tensor ({len(values)}^3 entries) to {args.output}")
     if residual is not None:
         print(f"associativity residual: {residual:.3e}")
     return 0
@@ -236,21 +253,28 @@ def cmd_intertwine(args: argparse.Namespace) -> int:
     s_a = load_scheme(args.scheme_a)
     s_b = load_scheme(args.scheme_b)
     a = load_operator(args.operator)
-    pair = intertwiner(s_a, s_b, tol)
-    f_a = symbol(s_a, a)
-    roundtrip = pair.backward @ (pair.forward @ f_a)
-    residual = float(np.abs(roundtrip - f_a).max())
+
+    def compute():
+        pair = intertwiner(s_a, s_b, tol)
+        f_a = symbol(s_a, a)
+        residual = float(np.abs(pair.backward @ (pair.forward @ f_a) - f_a).max())
+        return pair.forward, pair.backward, f_a, residual
+
+    forward, backward, f_a, residual = _finite_results(
+        compute, "forward kernel overflows", "backward kernel overflows",
+        "symbol overflows", "round-trip residual overflows",
+    )
     with np.printoptions(precision=6, suppress=True):
         print("forward kernel (source -> target):")
-        print(pair.forward)
+        print(forward)
         print("backward kernel (target -> source):")
-        print(pair.backward)
+        print(backward)
     print(f"symbol round-trip residual: {residual:.3e}")
     _write_report(
         args.report or "intertwine.report.json",
         tol,
-        forward=pair.forward,
-        backward=pair.backward,
+        forward=forward,
+        backward=backward,
         roundtrip_residual=residual,
         symbol=f_a,
     )

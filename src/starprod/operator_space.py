@@ -100,15 +100,20 @@ def pauli_basis() -> VectorizationBasis:
 
 
 def vectorize(z, basis: VectorizationBasis) -> np.ndarray:
-    """d^2-vector of the operator Z under the given basis."""
+    """d^2-vector of the operator Z under the given basis.
+
+    Accepts a stack of operators (..., d, d) and returns the stack of vectors
+    (..., d^2).
+    """
     z = np.asarray(z, dtype=complex)
-    if z.shape != (basis.d, basis.d):
+    if z.shape[-2:] != (basis.d, basis.d):
         raise DimensionMismatchError(
             f"operator shape {z.shape} does not match basis dimension d={basis.d}"
         )
+    flat = z.reshape(*z.shape[:-2], basis.dim)
     if basis.ops is None:
-        return z.reshape(-1).copy()
-    return np.tensordot(basis.ops.conj(), z, axes=([1, 2], [0, 1]))
+        return flat.copy()
+    return np.matmul(basis.ops.conj().reshape(basis.dim, -1), flat[..., None])[..., 0]
 
 
 def devectorize(v, basis: VectorizationBasis) -> np.ndarray:

@@ -29,7 +29,7 @@ from .errors import (
     ScaleOutOfRangeError,
 )
 from .matrixcore import DEFAULT_TOL, ToleranceConfig, rank_from_singular_values, singular_values
-from .operator_space import VectorizationBasis, devectorize
+from .operator_space import VectorizationBasis, devectorize, vectorize
 
 Cardinality = Literal["underfilled", "minimal", "overfilled"]
 
@@ -130,48 +130,24 @@ def _default_basis(s: Scheme, basis: VectorizationBasis | None) -> Vectorization
     return basis
 
 
-def _family_matrix(family: np.ndarray, basis: VectorizationBasis) -> np.ndarray:
-    """Stack vectorized operators as columns of a d^2 x N matrix."""
-    if basis.ops is None:
-        n = family.shape[0]
-        return family.reshape(n, -1).T.copy()
-    # One stacked matrix-vector product per member: vectorize's arithmetic, bit for bit.
-    ops = basis.ops.conj().reshape(basis.dim, -1)
-    return np.matmul(ops, family.reshape(len(family), -1, 1))[..., 0].T.copy()
-
-
 def dequantization_matrix(s: Scheme, basis: VectorizationBasis | None = None) -> np.ndarray:
     """d^2 x N matrix whose column k is the vectorized k-th dequantizer."""
-    return _family_matrix(s.dequantizers, _default_basis(s, basis))
+    return vectorize(s.dequantizers, _default_basis(s, basis)).T.copy()
 
 
 def quantization_matrix(s: Scheme, basis: VectorizationBasis | None = None) -> np.ndarray:
     """d^2 x N matrix whose column k is the vectorized k-th quantizer."""
-    return _family_matrix(s.require_quantizers(), _default_basis(s, basis))
+    return vectorize(s.require_quantizers(), _default_basis(s, basis)).T.copy()
 
 
-def scheme_from_dequantization_matrix(
-    mat,
-    basis: VectorizationBasis,
-    name: str | None = None,
-    quantizer_matrix=None,
-) -> Scheme:
+def scheme_from_dequantization_matrix(mat, basis: VectorizationBasis) -> Scheme:
     """Scheme whose dequantizers are the devectorized columns of ``mat``."""
     mat = np.asarray(mat, dtype=complex)
     if mat.ndim != 2 or mat.shape[0] != basis.dim:
         raise DimensionMismatchError(
             f"expected a {basis.dim} x N matrix, got shape {mat.shape}"
         )
-    deq = devectorize(mat.T, basis)
-    qs = None
-    if quantizer_matrix is not None:
-        quantizer_matrix = np.asarray(quantizer_matrix, dtype=complex)
-        if quantizer_matrix.shape != mat.shape:
-            raise DimensionMismatchError(
-                "quantizer matrix shape does not match dequantization matrix"
-            )
-        qs = devectorize(quantizer_matrix.T, basis)
-    return Scheme(dequantizers=deq, quantizers=qs, name=name)
+    return Scheme(dequantizers=devectorize(mat.T, basis))
 
 
 def _dual_matrix(w: np.ndarray, sv: np.ndarray, vh: np.ndarray) -> np.ndarray:
@@ -193,10 +169,9 @@ def canonical_duals(dequantizers, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndar
         raise DimensionMismatchError(
             f"expected a stack of square operator families, got shape {deq.shape}"
         )
-    n, d = deq.shape[-3], deq.shape[-1]
-    d_sq = d * d
-    # Row-stacking dequantization matrices (..., d^2, N).
-    u_mat = deq.reshape(*deq.shape[:-3], n, d_sq).swapaxes(-1, -2)
+    rows = VectorizationBasis.row_stacking(deq.shape[-1])
+    d_sq = rows.dim
+    u_mat = vectorize(deq, rows).swapaxes(-1, -2)
     w, sv, vh = np.linalg.svd(u_mat, full_matrices=False)
     ranks = rank_from_singular_values(sv, tol).reshape(-1)
     deficient = np.flatnonzero(ranks < d_sq)
@@ -204,7 +179,7 @@ def canonical_duals(dequantizers, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndar
         raise NotTomographicError(
             f"rank {ranks[deficient[0]]} < d^2 = {d_sq}; quantizers are undefined"
         )
-    return devectorize(_dual_matrix(w, sv, vh).swapaxes(-1, -2), VectorizationBasis.row_stacking(d))
+    return devectorize(_dual_matrix(w, sv, vh).swapaxes(-1, -2), rows)
 
 
 def canonical_quantizers(s: Scheme, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
@@ -226,10 +201,8 @@ def with_canonical_quantizers(s: Scheme, tol: ToleranceConfig = DEFAULT_TOL) -> 
 
 def completeness_residual(s: Scheme) -> float:
     """Max-abs entry of sum_k |D_k><U_k| - I over the operator space."""
-    qs = s.require_quantizers()
-    basis = VectorizationBasis.row_stacking(s.d)
-    u_mat = _family_matrix(s.dequantizers, basis)
-    d_mat = _family_matrix(qs, basis)
+    d_mat = quantization_matrix(s)
+    u_mat = dequantization_matrix(s)
     return float(np.abs(d_mat @ u_mat.conj().T - np.eye(s.d * s.d)).max())
 
 
@@ -257,7 +230,7 @@ def gauge_quantizers(s: Scheme, g_mat, tol: ToleranceConfig = DEFAULT_TOL) -> np
             f"gauge matrix does not annihilate the dequantization matrix "
             f"(residual {violation:.3e})"
         )
-    d_mat = _family_matrix(with_canonical_quantizers(s, tol).quantizers, basis)
+    d_mat = quantization_matrix(with_canonical_quantizers(s, tol), basis)
     return devectorize((d_mat + g_mat).T, basis)
 
 
@@ -375,11 +348,12 @@ def negativity_report(s: Scheme, tol: ToleranceConfig = DEFAULT_TOL) -> Negativi
     )
 
 
-def _fix_column_phases(u: np.ndarray, threshold: float = 1e-12) -> np.ndarray:
-    """Rotate each column so its first entry of significant magnitude is real positive."""
+def _fix_column_phases(u: np.ndarray) -> np.ndarray:
+    """Rotate each column so its first entry of magnitude above 1e-12 is real positive."""
     mag = np.hypot(u.real, u.imag)  # rounds as abs() of a complex scalar does
-    found = np.flatnonzero((mag > threshold).any(axis=0))
-    first = np.argmax(mag[:, found] > threshold, axis=0)
+    significant = mag > 1e-12
+    found = np.flatnonzero(significant.any(axis=0))
+    first = np.argmax(significant[:, found], axis=0)
     out = u.copy()
     out[:, found] = u[:, found] / (u[first, found] / mag[first, found])
     return out

@@ -59,6 +59,10 @@ from .star_product import (
 )
 
 DEFAULT_BATTERY_SEED = 20100231
+# Random draws per dimension, scheme or size in the sampled checks, and the
+# operator pairs per scheme in the kernel check.
+_SAMPLES = 100
+_KERNEL_PAIRS = 50
 
 
 @dataclass
@@ -205,18 +209,16 @@ def check_livine_positivity(tol: ToleranceConfig = DEFAULT_TOL) -> CheckResult:
     )
 
 
-def check_self_duality_unitarity(
-    seed: int = DEFAULT_BATTERY_SEED, samples: int = 100, tol: ToleranceConfig = DEFAULT_TOL
-) -> CheckResult:
+def check_self_duality_unitarity(tol: ToleranceConfig = DEFAULT_TOL) -> CheckResult:
     """Self-dual <=> scaled-unitary, both directions, at d = 2 and d = 3."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(DEFAULT_BATTERY_SEED)
     worst_forward = 0.0
     for d in (2, 3):
         # Each sample draws its coefficient and then its unitary, so the
         # draws stay interleaved per sample.
-        coefficients = np.empty(samples)
-        normals = np.empty((samples, 2, d * d, d * d))
-        for i in range(samples):
+        coefficients = np.empty(_SAMPLES)
+        normals = np.empty((_SAMPLES, 2, d * d, d * d))
+        for i in range(_SAMPLES):
             coefficients[i] = rng.uniform(0.1, 10.0)
             rng.standard_normal(out=normals[i])
         u_mats = np.sqrt(coefficients)[:, None, None] * haar_unitaries(normals)
@@ -248,23 +250,23 @@ def check_self_duality_unitarity(
             "random_coefficient_worst_relative_error": float(worst_forward),
             "catalog_gram_worst_relative_error": worst_backward,
             "self_dual_catalog_schemes": checked,
-            "samples_per_dimension": samples,
+            "samples_per_dimension": _SAMPLES,
             "tolerance": 1e-9,
         },
     )
 
 
 def check_povm_dual_negativity(
-    seeds: int = 1000, d: int = 2, tol: ToleranceConfig = DEFAULT_TOL
+    seeds: int = 1000, tol: ToleranceConfig = DEFAULT_TOL
 ) -> CheckResult:
-    """Random minimal POVM schemes always have a negative dual eigenvalue.
+    """Random minimal qubit POVM schemes always have a negative dual eigenvalue.
 
     Seeds 0 .. seeds-1 are sampled as one stack; ``seeds`` must be at least 1.
     """
     if seeds < 1:
         raise InvalidParameterError(f"seeds must be at least 1, got {seeds}")
     guard = 1e-10
-    duals = canonical_duals(random_minimal_povm_dequantizers(d, range(seeds), tol), tol)
+    duals = canonical_duals(random_minimal_povm_dequantizers(2, range(seeds), tol), tol)
     # Eigenvalues of the Hermitian parts: the exact dual of a Hermitian
     # family is Hermitian, but rounding in the dual scales with conditioning
     # and the guard below absorbs it.
@@ -288,16 +290,14 @@ def check_povm_dual_negativity(
     )
 
 
-def check_completeness_roundtrip(
-    seed: int = DEFAULT_BATTERY_SEED, samples: int = 100, tol: ToleranceConfig = DEFAULT_TOL
-) -> CheckResult:
+def check_completeness_roundtrip(tol: ToleranceConfig = DEFAULT_TOL) -> CheckResult:
     """Completeness of the dual pair and symbol/reconstruct round trip."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(DEFAULT_BATTERY_SEED)
     worst_complete = 0.0
     worst_roundtrip = 0.0
     for _, s in _quantized_regression_set(tol):
         worst_complete = max(worst_complete, completeness_residual(s))
-        a = _ginibre(rng.standard_normal((samples, 2, s.d, s.d)))
+        a = _ginibre(rng.standard_normal((_SAMPLES, 2, s.d, s.d)))
         worst_roundtrip = max(
             worst_roundtrip, float(np.abs(reconstruct(s, symbol(s, a)) - a).max())
         )
@@ -308,24 +308,22 @@ def check_completeness_roundtrip(
         details={
             "worst_completeness_residual": worst_complete,
             "worst_roundtrip_residual": worst_roundtrip,
-            "operators_per_scheme": samples,
+            "operators_per_scheme": _SAMPLES,
             "tolerance": 1e-10,
         },
     )
 
 
-def check_kernel_laws(
-    seed: int = DEFAULT_BATTERY_SEED, pairs: int = 50, tol: ToleranceConfig = DEFAULT_TOL
-) -> CheckResult:
+def check_kernel_laws(tol: ToleranceConfig = DEFAULT_TOL) -> CheckResult:
     """Kernel homomorphism against operator products and exhaustive associativity."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(DEFAULT_BATTERY_SEED)
     worst_hom = 0.0
     worst_assoc = 0.0
     for _, s in _quantized_regression_set(tol):
         kernel = star_kernel(s)
         worst_assoc = max(worst_assoc, associativity_residual(kernel))
         # Per pair: operator a, then operator b.
-        ab = _ginibre(rng.standard_normal((pairs, 2, 2, s.d, s.d)))
+        ab = _ginibre(rng.standard_normal((_KERNEL_PAIRS, 2, 2, s.d, s.d)))
         a, b = ab[:, 0], ab[:, 1]
         via_kernel = star_multiply(kernel, symbol(s, a), symbol(s, b))
         direct = symbol(s, a @ b)
@@ -337,17 +335,15 @@ def check_kernel_laws(
         details={
             "worst_homomorphism_residual": worst_hom,
             "worst_associativity_residual": worst_assoc,
-            "pairs_per_scheme": pairs,
+            "pairs_per_scheme": _KERNEL_PAIRS,
             "tolerances": {"homomorphism": 1e-9, "associativity": 1e-10},
         },
     )
 
 
-def check_intertwining(
-    seed: int = DEFAULT_BATTERY_SEED, samples: int = 100, tol: ToleranceConfig = DEFAULT_TOL
-) -> CheckResult:
+def check_intertwining(tol: ToleranceConfig = DEFAULT_TOL) -> CheckResult:
     """Minimal-to-minimal kernels compose to the identity; overfilled round trip."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(DEFAULT_BATTERY_SEED)
     mu = matrix_units_scheme(2)
     pauli = pauli_scheme("hermitian")
     pair = intertwiner(mu, pauli, tol)
@@ -358,7 +354,7 @@ def check_intertwining(
 
     mub = with_canonical_quantizers(mub_qubit_scheme(), tol)
     pair2 = intertwiner(pauli, mub, tol)
-    f = symbol(pauli, _ginibre(rng.standard_normal((samples, 2, 2, 2))))
+    f = symbol(pauli, _ginibre(rng.standard_normal((_SAMPLES, 2, 2, 2))))
     back = (pair2.backward @ (pair2.forward @ f[..., None]))[..., 0]
     worst_roundtrip = float(np.abs(back - f).max())
     passed = compose_res <= 1e-12 and worst_roundtrip <= 1e-10
@@ -368,26 +364,24 @@ def check_intertwining(
         details={
             "minimal_composition_residual": compose_res,
             "overfilled_roundtrip_residual": worst_roundtrip,
-            "operators": samples,
+            "operators": _SAMPLES,
             "tolerances": {"composition": 1e-12, "roundtrip": 1e-10},
         },
     )
 
 
-def check_cubic_identity(
-    seed: int = DEFAULT_BATTERY_SEED, samples: int = 100, tol: ToleranceConfig = DEFAULT_TOL
-) -> CheckResult:
+def check_cubic_identity(tol: ToleranceConfig = DEFAULT_TOL) -> CheckResult:
     """u = (u u*) u^tr over random unitaries of sizes 4 and 9."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(DEFAULT_BATTERY_SEED)
     worst = 0.0
     for dim in (4, 9):
-        unitaries = haar_unitaries(rng.standard_normal((samples, 2, dim, dim)))
+        unitaries = haar_unitaries(rng.standard_normal((_SAMPLES, 2, dim, dim)))
         worst = max(worst, float(cubic_unitary_residual(unitaries, tol).max()))
     passed = worst <= 1e-12
     return CheckResult(
         name="cubic-unitary-identity",
         passed=bool(passed),
-        details={"worst_residual": worst, "samples_per_size": samples, "tolerance": 1e-12},
+        details={"worst_residual": worst, "samples_per_size": _SAMPLES, "tolerance": 1e-12},
     )
 
 
@@ -431,10 +425,7 @@ SUITES = {
 
 
 def run_battery(
-    suite: str = "all",
-    seeds: int = 1000,
-    seed: int = DEFAULT_BATTERY_SEED,
-    tol: ToleranceConfig = DEFAULT_TOL,
+    suite: str = "all", seeds: int = 1000, tol: ToleranceConfig = DEFAULT_TOL
 ) -> list[CheckResult]:
     """Run the requested verification suite and return per-check results."""
     all_checks = {
@@ -442,12 +433,12 @@ def run_battery(
         "table-rows-4-6": check_table_derived_rows,
         "sic-overlap-conditions": lambda: check_sic_conditions(tol),
         "livine-self-dual-not-povm": lambda: check_livine_positivity(tol),
-        "self-dual-scaled-unitary": lambda: check_self_duality_unitarity(seed, tol=tol),
-        "povm-dual-negativity": lambda: check_povm_dual_negativity(seeds, tol=tol),
-        "completeness-roundtrip": lambda: check_completeness_roundtrip(seed, tol=tol),
-        "kernel-homomorphism-associativity": lambda: check_kernel_laws(seed, tol=tol),
-        "intertwining": lambda: check_intertwining(seed, tol=tol),
-        "cubic-unitary-identity": lambda: check_cubic_identity(seed, tol=tol),
+        "self-dual-scaled-unitary": lambda: check_self_duality_unitarity(tol),
+        "povm-dual-negativity": lambda: check_povm_dual_negativity(seeds, tol),
+        "completeness-roundtrip": lambda: check_completeness_roundtrip(tol),
+        "kernel-homomorphism-associativity": lambda: check_kernel_laws(tol),
+        "intertwining": lambda: check_intertwining(tol),
+        "cubic-unitary-identity": lambda: check_cubic_identity(tol),
         "mub-frame": lambda: check_mub_frame(tol),
     }
     if suite == "all":

@@ -580,7 +580,8 @@ class TestKernel:
         )
         assert not out.exists()
 
-    @pytest.mark.parametrize("scale", [1e-150, 1e150])
+    # x 1e154 is the largest power of ten below the underflow check.
+    @pytest.mark.parametrize("scale", [1e-150, 1e150, 1e154])
     def test_scale_inside_the_float_range(self, tmp_path, capsys, scale):
         path = self._scaled_mub_prime(tmp_path, scale)
         out = tmp_path / "k.json"
@@ -588,9 +589,58 @@ class TestKernel:
         assert "associativity residual: " in capsys.readouterr().out
         _, values = load_kernel(str(out))
         assert np.array_equal(values, star_kernel(with_canonical_quantizers(load_scheme(str(path)))).values)
+        reference = star_kernel(with_canonical_quantizers(build_scheme("mub-prime", p=3))).values
+        assert np.abs(scale * values - reference).max() <= 1e-14 * np.abs(reference).max()
+
+    # Quantizers scale as 1 / c, so their products D_x D_y leave the normal
+    # range first; unchecked, the command exits 0 with a kernel that has lost
+    # its digits (all zero at x 1e200).
+    @pytest.mark.parametrize("scale", [1e155, 1e200], ids="x{:g}".format)
+    def test_underflowing_scale_exits_2(self, tmp_path, capsys, scale):
+        path = self._scaled_mub_prime(tmp_path, scale)
+        out = tmp_path / "k.json"
+        assert main(["kernel", str(path), "-o", str(out), "--assoc-check"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: scheme scale out of float64 range: the kernel entries underflow; rescale the scheme\n"
+        )
+        assert not out.exists()
 
 
 class TestIntertwine:
+    @staticmethod
+    def _scaled(tmp_path, name, scale):
+        path = tmp_path / f"{name}.json"
+        save_scheme(Scheme(dequantizers=scale * build_scheme(name).dequantizers), str(path))
+        return str(path)
+
+    # Unchecked, the backward kernel overflows to inf, the round trip leaks a
+    # RuntimeWarning, and the command exits 0 with a NaN residual.
+    @pytest.mark.parametrize("scale", [1e160, 1e200], ids="x{:g}".format)
+    def test_scales_too_far_apart_exit_2(self, tmp_path, capsys, scale):
+        a, b = self._scaled(tmp_path, "pauli", scale), self._scaled(tmp_path, "mub-qubit", 1 / scale)
+        op_path = tmp_path / "op.json"
+        save_operator(np.eye(2, dtype=complex), str(op_path))
+        report_path = tmp_path / "inter.json"
+        assert main(["intertwine", a, b, str(op_path), "--report", str(report_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: scheme scale out of float64 range: the backward kernel overflows; "
+            "rescale the scheme\n"
+        )
+        assert not report_path.exists()
+
+    def test_scales_inside_the_float_range(self, tmp_path, capsys, rng):
+        a, b = self._scaled(tmp_path, "pauli", 1e100), self._scaled(tmp_path, "mub-qubit", 1e-100)
+        op_path = tmp_path / "op.json"
+        save_operator(random_complex(rng, (2, 2)), str(op_path))
+        report_path = tmp_path / "inter.json"
+        assert main(["intertwine", a, b, str(op_path), "--report", str(report_path)]) == 0
+        assert "symbol round-trip residual: " in capsys.readouterr().out
+        assert json.loads(report_path.read_text())["roundtrip_residual"] <= 1e-10 * 1e100
+
     def test_pauli_to_pauli_identity(self, emit, tmp_path, rng):
         p1 = emit("pauli")
         op_path = tmp_path / "op.json"

@@ -39,6 +39,20 @@ class TestVectorize:
         with pytest.raises(DimensionMismatchError):
             vectorize(np.eye(3), VectorizationBasis.row_stacking(2))
 
+    @pytest.mark.parametrize("shape", [(4,), (2, 3, 2)])
+    def test_rejects_non_operator_trailing_shape(self, shape):
+        with pytest.raises(DimensionMismatchError):
+            vectorize(np.zeros(shape), VectorizationBasis.row_stacking(2))
+
+    @pytest.mark.parametrize("basis", [VectorizationBasis.row_stacking(2), pauli_basis()])
+    def test_stack_matches_per_operator(self, rng, basis):
+        ops = random_complex(rng, (3, 5, 2, 2))
+        vectors = vectorize(ops, basis)
+        assert vectors.shape == (3, 5, 4)
+        expected = np.array([[vectorize(op, basis) for op in row] for row in ops])
+        assert np.array_equal(vectors, expected)
+        assert np.abs(devectorize(vectors, basis) - ops).max() <= 1e-15
+
 
 class TestDevectorize:
     def test_row_stacking(self):

@@ -533,6 +533,49 @@ class TestScaleCovariance:
             )
 
 
+QUBIT_SCHEMES = [name for name in SCHEMES if build_scheme(name).d == 2]
+
+
+def assert_same_classification(report, ref):
+    """Equal verdicts, and numbers equal to rounding, in two scheme reports."""
+    assert (report.cardinality, report.rank, report.tomographic, report.povm.is_povm) == (
+        ref.cardinality,
+        ref.rank,
+        ref.tomographic,
+        ref.povm.is_povm,
+    )
+    assert (report.matrix_unit_like is None) == (ref.matrix_unit_like is None)
+    assert report.condition_number == pytest.approx(ref.condition_number, rel=1e-12)
+    for field in ("self_dual_coefficient", "scaled_unitary"):
+        value, expected = getattr(report, field), getattr(ref, field)
+        assert (value is None) == (expected is None), field
+        if expected is not None:
+            assert value == pytest.approx(expected, rel=1e-12), field
+    assert (report.negativity is None) == (ref.negativity is None)
+    if ref.negativity is not None:
+        for field in ("min_dequantizer_eigenvalue", "min_quantizer_eigenvalue"):
+            value, expected = getattr(report.negativity, field), getattr(ref.negativity, field)
+            assert value == pytest.approx(expected, abs=1e-12), field
+
+
+class TestClassificationSymmetries:
+    """The classification is a property of the operator family: it does not
+    change with the orthonormal basis that vectorizes it, nor under a unitary
+    change of frame D_k -> V D_k V^dag."""
+
+    @pytest.mark.parametrize("name", QUBIT_SCHEMES)
+    def test_pauli_basis_classifies_as_row_stacking(self, name):
+        s = build_scheme(name)
+        assert_same_classification(classify(s, basis=pauli_basis()), classify(s))
+
+    @pytest.mark.parametrize("name", QUBIT_SCHEMES)
+    def test_unitary_conjugation_classifies_alike(self, rng, name):
+        deq = build_scheme(name).dequantizers
+        v = haar_unitaries(rng.standard_normal((2, 2, 2)))
+        rotated = Scheme(v @ deq @ v.conj().T)
+        assert_same_classification(classify(rotated), classify(Scheme(deq)))
+
+
 class TestSchemeFromMatrix:
     def test_round_trip(self, rng):
         u = random_complex(rng, (4, 6))
