@@ -15,6 +15,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import re
 from typing import Any, Iterable
 
 import numpy as np
@@ -262,16 +263,76 @@ def save_kernel(d: int, values: np.ndarray, path: str, assoc_residual: float | N
         fh.write("}\n")
 
 
+# The first line save_kernel writes; "n" must be >= 1.
+_KERNEL_HEADER = re.compile(r'\{"d": -?\d+, "n": ([1-9]\d*), "values": \[\n')
+
+
+def _read_kernel_lines(path: str) -> tuple[dict[str, Any], np.ndarray] | None:
+    """The payload and values of a file in ``save_kernel``'s layout, read one
+    k-slice line at a time, or None for any other text.
+
+    Only one slice's nested lists are alive at a time.  The header and the
+    trailer are parsed together as one JSON document whose ``"values"`` is
+    ``[]``.  A result is what ``read_json`` and ``_decode`` make of the whole
+    file; on None the caller's whole-file parse decides, and words any error.
+    """
+    try:
+        with open(path) as fh:
+            header = fh.readline()
+            match = _KERNEL_HEADER.fullmatch(header)
+            if match is None:
+                return None
+            n = int(match[1])
+            values = None
+            for k in range(n):
+                end = ",\n" if k < n - 1 else "\n"
+                line = fh.readline()
+                if not line.endswith(end):
+                    return None
+                part = _decode(json.loads(line[: -len(end)]), 2, path)
+                if part.shape != (n, n):
+                    return None
+                if values is None:
+                    values = np.empty((n, n, n), dtype=complex)
+                values[k] = part
+            objects: list[list[tuple[str, Any]]] = []
+
+            def keep(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+                objects.append(pairs)
+                return dict(pairs)
+
+            payload = json.loads(header + fh.read(), object_pairs_hook=keep)
+    except (ValueError, RecursionError, MemoryError):
+        # SchemeParseError is a ValueError; MemoryError covers an n**3 array
+        # that does not fit.
+        return None
+    # The outermost object is completed last.  A second "values" key in the
+    # trailer would replace the slices in the whole-file parse.
+    if [key for key, _ in objects[-1]].count("values") != 1 or payload["values"] != []:
+        return None
+    return payload, values
+
+
 def load_kernel(path: str) -> tuple[int, np.ndarray]:
-    """Read a kernel file; any malformed content raises SchemeParseError."""
-    payload = read_json(path, "d", "values")
-    d = _dimension(payload, path)
-    values = _decode(payload["values"], 3, f"{path}: values")
+    """Read a kernel file; any malformed content raises SchemeParseError.
+
+    ``save_kernel``'s layout is read one slice line at a time; any other
+    text goes through ``read_json``, like every other file type.
+    """
+    read = _read_kernel_lines(path)
+    if read is None:
+        payload = read_json(path, "d", "values")
+        d = _dimension(payload, path)
+        values = _decode(payload["values"], 3, f"{path}: values")
+    else:
+        payload, values = read
+        d = _dimension(payload, path)
     n = len(values)
     if values.shape != (n, n, n):
         raise SchemeParseError(
             f"{path}: values: expected shape {(n, n, n)} of [re, im] pairs, got {values.shape}"
         )
-    if "n" in payload and (isinstance(payload["n"], bool) or payload["n"] != n):
-        raise SchemeParseError(f"{path}: 'n' is {payload['n']!r} but values hold {n} slices")
+    m = payload.get("n", n)
+    if isinstance(m, bool) or not isinstance(m, int) or m != n:
+        raise SchemeParseError(f"{path}: 'n' is {m!r} but values hold {n} slices")
     return d, values

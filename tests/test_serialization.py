@@ -2,20 +2,24 @@ import dataclasses
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from starprod import Scheme, SchemeParseError, ToleranceConfig, classify
+from starprod import serialization
 from starprod.catalog import SCHEMES, build_scheme, entries, mub_qubit_scheme, sic_qubit_scheme
 from starprod.scheme import with_canonical_quantizers
 from starprod.serialization import (
     _decode,
+    _dimension,
     _encode,
     load_kernel,
     load_operator,
     load_scheme,
     load_vector,
+    read_json,
     save_kernel,
     save_operator,
     save_scheme,
@@ -306,7 +310,7 @@ class TestKernelFileContract:
     def test_bad_d(self, tmp_path, d):
         self._assert_rejected(tmp_path, _kernel_payload(d=d))
 
-    @pytest.mark.parametrize("n", [1, 3, "2", None, True])
+    @pytest.mark.parametrize("n", [1, 3, "2", None, True, 2.0])
     def test_n_disagrees_with_values(self, tmp_path, n):
         self._assert_rejected(tmp_path, _kernel_payload(n=n))
 
@@ -320,6 +324,185 @@ class TestKernelFileContract:
         path.write_text(json.dumps(payload))
         with pytest.raises(SchemeParseError, match=re.escape(str(path))):
             load_kernel(str(path))
+
+
+def _generic_load_kernel(path):
+    """``load_kernel`` through the whole-file parse every other file type uses."""
+    payload = read_json(path, "d", "values")
+    d = _dimension(payload, path)
+    values = _decode(payload["values"], 3, f"{path}: values")
+    n = len(values)
+    if values.shape != (n, n, n):
+        raise SchemeParseError(
+            f"{path}: values: expected shape {(n, n, n)} of [re, im] pairs, got {values.shape}"
+        )
+    m = payload.get("n", n)
+    if isinstance(m, bool) or not isinstance(m, int) or m != n:
+        raise SchemeParseError(f"{path}: 'n' is {m!r} but values hold {n} slices")
+    return d, values
+
+
+def _outcome(load, path):
+    """``("ok", d, bits)`` for a loaded kernel, else the exception's type and text."""
+    try:
+        d, values = load(path)
+    except Exception as exc:  # any difference from the generic path counts
+        return type(exc).__name__, str(exc)
+    return "ok", d, _bits(values)
+
+
+def _kernel_text(tmp_path, n, residual=None, seed=0):
+    """``save_kernel``'s text for a seeded n x n x n kernel with repeated floats."""
+    values = np.random.default_rng(seed).integers(-3, 4, (n, n, n, 2)) / 4.0
+    values = values.view(complex)[..., 0]
+    values.flat[0] = complex(1 / 3, -0.0)
+    path = tmp_path / "saved.json"
+    save_kernel(n, values, str(path), assoc_residual=residual)
+    return path.read_text(), values
+
+
+# Number tokens of the header, the slices and the trailer.
+_NUMBER = re.compile(rb"-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?")
+_SWAPS = [b"NaN", b"Infinity", b"1", b"-0", b"true", b"null", b"1e400", b"1.50", b"1" * 30]
+_BYTES = b'[]{},:" \n\r\t0123456789.-+eEnx\xff'
+
+
+def _mutate(data, rng):
+    """``data`` with one seeded byte insert, delete or replace, or one number
+    token swapped for a token from ``_SWAPS``."""
+    kind = rng.integers(4)
+    if kind == 3:
+        tokens = list(_NUMBER.finditer(data))
+        token = tokens[rng.integers(len(tokens))]
+        return data[: token.start()] + _SWAPS[rng.integers(len(_SWAPS))] + data[token.end() :]
+    pos = int(rng.integers(len(data) + (kind == 0)))
+    byte = bytes([_BYTES[rng.integers(len(_BYTES))]])
+    return data[:pos] + (byte if kind != 1 else b"") + data[pos + (kind != 0) :]
+
+
+def _assert_same_as_generic(path):
+    outcome = _outcome(load_kernel, str(path))
+    assert outcome == _outcome(_generic_load_kernel, str(path))
+    return outcome
+
+
+class TestKernelLineReader:
+    """``load_kernel`` reads ``save_kernel``'s layout one slice line at a time;
+    every file loads to the same bits, or fails with the same message, as the
+    whole-file parse."""
+
+    def test_seeded_mutations_match_the_generic_path(self, tmp_path):
+        rng = np.random.default_rng(20140)
+        path = tmp_path / "kernel.json"
+        loaded = failed = 0
+        for case in range(480):
+            n, residual = 1 + case % 3, (None, 2.5e-13)[case // 3 % 2]
+            data = _kernel_text(tmp_path, n, residual, seed=case)[0].encode()
+            for _ in range(1 + case % 2):
+                data = _mutate(data, rng)
+            path.write_bytes(data)
+            outcome = _assert_same_as_generic(path)
+            loaded += outcome[0] == "ok"
+            failed += outcome[0] == "SchemeParseError"
+        # Both the slice reader's accepting and its rejecting branches ran.
+        assert loaded >= 50 and failed >= 200
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    @pytest.mark.parametrize("residual", [None, 2.5e-13])
+    def test_saved_files_never_reach_the_generic_path(self, tmp_path, monkeypatch, n, residual):
+        values = _kernel_text(tmp_path, n, residual)[1]
+
+        def refuse(*args):
+            raise AssertionError("a save_kernel file went through read_json")
+
+        monkeypatch.setattr(serialization, "read_json", refuse)
+        d, back = load_kernel(str(tmp_path / "saved.json"))
+        assert d == n and _bits(back) == _bits(values)
+
+    @staticmethod
+    def _edge_texts(text):
+        """Variants of the ``save_kernel`` text of a 3 x 3 x 3 kernel, by case."""
+        lines = text.splitlines(keepends=True)
+        payload = json.loads(text)
+        nan_line = re.sub(r"-?\d+\.\d+", "NaN", lines[3], count=1)
+        return {
+            "n-zero": '{"d": 1, "n": 0, "values": [\n]}\n',
+            "n-past-the-lines": text.replace('"n": 3', '"n": 4', 1),
+            "n-billion-over-one-line": '{"d": 1, "n": 1000000000, "values": [\n[[[0.5, 0.0]]]\n]}\n',
+            "n-float": text.replace('"n": 3', '"n": 3.0', 1),
+            "nan-in-last-slice": "".join([*lines[:3], nan_line, *lines[4:]]),
+            "crlf": text.replace("\n", "\r\n"),
+            "indent-1": json.dumps(payload, indent=1),
+            "single-line": json.dumps(payload),
+            "duplicate-values-empty": text.replace("\n]}", '\n], "values": []}'),
+            "duplicate-values-other": text.replace(
+                "\n]}", f'\n], "values": {json.dumps(payload["values"][::-1])}}}'
+            ),
+            "hidden-values-header": '{"values": [], "q": {"d": 3, "n": 3, "values": [\n'
+            + "".join(lines[1:-1])
+            + ']}, "d": 3}\n',
+            "one-pair-slice": "".join([lines[0], lines[1], "[[[0.5, 0.0]]],\n", *lines[3:]]),
+            "slice-line-without-comma": text.replace("]]],\n", "]]] \n", 1),
+            "value-before-closing-bracket": text.replace("\n]}", "\n0]}"),
+        }
+
+    @pytest.mark.parametrize(
+        "case, expected",
+        [
+            ("n-zero", "non-empty nested axes"),
+            ("n-past-the-lines", "'n' is 4 but values hold 3 slices"),
+            ("n-billion-over-one-line", "'n' is 1000000000 but values hold 1 slices"),
+            ("n-float", "'n' is 3.0 but values hold 3 slices"),
+            ("nan-in-last-slice", "values[2]: entries must be finite"),
+            ("crlf", None),
+            ("indent-1", None),
+            ("single-line", None),
+            ("duplicate-values-empty", "non-empty nested axes"),
+            ("duplicate-values-other", None),
+            ("hidden-values-header", "non-empty nested axes"),
+            ("one-pair-slice", "ragged nesting"),
+            ("slice-line-without-comma", "invalid JSON"),
+            ("value-before-closing-bracket", "invalid JSON"),
+        ],
+    )
+    def test_edge_cases(self, tmp_path, case, expected):
+        """Each case loads, or fails, as the whole-file parse does; ``expected``
+        is a fragment of the error, or None for a load of the saved values."""
+        text, values = _kernel_text(tmp_path, 3)
+        path = tmp_path / "kernel.json"
+        path.write_text(self._edge_texts(text)[case], newline="")
+        outcome = _assert_same_as_generic(path)
+        if expected is not None:
+            assert outcome[0] == "SchemeParseError" and expected in outcome[1]
+        elif case == "duplicate-values-other":
+            # The trailer's "values" replaces the slices, as in the whole-file parse.
+            assert outcome == ("ok", 3, _bits(values[::-1]))
+        else:
+            assert outcome == ("ok", 3, _bits(values))
+
+    def test_header_n_allocates_nothing_before_a_full_slice(self, tmp_path):
+        path = tmp_path / "kernel.json"
+        path.write_text('{"d": 1, "n": 300, "values": [\n[[[0.5, 0.0]]],\n')
+        tracemalloc.start()
+        try:
+            with pytest.raises(SchemeParseError, match="invalid JSON"):
+                load_kernel(str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # The n x n x n array would take 300**3 * 16 bytes = 432 MB.
+        assert peak < 1e6
+
+    def test_peak_memory_stays_within_twice_the_array(self, tmp_path):
+        path = str(tmp_path / "kernel.json")
+        save_kernel(7, _canonical_kernel(build_scheme("mub-prime", p=7)), path)
+        tracemalloc.start()
+        try:
+            _, values = load_kernel(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * values.nbytes
 
 
 def _written(tmp_path, payload):
