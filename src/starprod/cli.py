@@ -241,6 +241,12 @@ def cmd_kernel(args: argparse.Namespace) -> int:
     qs = s.quantizers
     if np.vdot(qs, qs).real < sys.float_info.min and qs.any():
         raise _scale_error("kernel entries underflow")
+    if residual is not None:
+        # Relative to max|K|^2, the scale of a product of two kernels, so the
+        # residual reads the same at every scheme scale; two divisions keep
+        # max|K|^2 itself from overflowing or underflowing.
+        scale = float(np.abs(values).max())
+        residual = residual / scale / scale if scale else 0.0
     save_kernel(s.d, values, args.output, assoc_residual=residual)
     print(f"wrote kernel tensor ({len(values)}^3 entries) to {args.output}")
     if residual is not None:
@@ -264,6 +270,9 @@ def cmd_intertwine(args: argparse.Namespace) -> int:
         compute, "forward kernel overflows", "backward kernel overflows",
         "symbol overflows", "round-trip residual overflows",
     )
+    # Relative to the symbol's largest entry, so it reads the same at every scale.
+    scale = float(np.abs(f_a).max())
+    residual = residual / scale if scale else 0.0
     with np.printoptions(precision=6, suppress=True):
         print("forward kernel (source -> target):")
         print(forward)

@@ -231,15 +231,23 @@ def load_basis(path: str, tol: ToleranceConfig) -> VectorizationBasis:
     return VectorizationBasis.orthonormal(ops, tag=path, tol=tol)
 
 
+# Floats per block of consecutive slices in save_kernel: bounds the block's
+# distinct tokens (about 70 bytes per float when all are distinct), where a
+# whole-kernel dedup would hold one token per distinct float of the kernel.
+_KERNEL_BLOCK_FLOATS = 1 << 15
+
+
 def save_kernel(d: int, values: np.ndarray, path: str, assoc_residual: float | None = None) -> None:
     """Write a kernel file: plain JSON with one k-slice of ``values`` per line.
 
     Each line holds the bytes ``json.dumps(_encode(slice))`` would write, but
-    a kernel of a covariant scheme repeats most of its floats, so each
-    distinct float of a slice is formatted once.  The distinct values are
-    found by bit pattern (which keeps 0.0 and -0.0 apart) and written by one
-    call to CPython's C encoder, whose ``repr`` reloads them bit-exactly.
-    Encoding slice by slice keeps one slice of Python strings alive at a time.
+    a kernel of a covariant scheme repeats most of its floats, within a slice
+    and between slices, so each distinct float of a block of consecutive
+    slices is formatted once.  The distinct values are found by bit pattern
+    (which keeps 0.0 and -0.0 apart) and written by one call to CPython's C
+    encoder, whose ``repr`` reloads them bit-exactly.  A block holds at most
+    ``_KERNEL_BLOCK_FLOATS`` floats (one slice when a slice holds more), which
+    bounds the Python strings alive at a time.
     """
     values = np.ascontiguousarray(values, dtype=complex)
     n, rows, cols = values.shape
@@ -250,13 +258,19 @@ def save_kernel(d: int, values: np.ndarray, path: str, assoc_residual: float | N
     seps = ([*row[:-1], "]], [["] * rows)[:-1]
     parts = [""] * (2 * len(seps) + 1)
     parts[1::2] = seps
+    step = max(1, _KERNEL_BLOCK_FLOATS // max(1, bits.shape[1]))
     with open(path, "w") as fh:
         fh.write(f'{{"d": {json.dumps(d)}, "n": {n}, "values": [')
-        for k in range(n):
-            distinct, inverse = np.unique(bits[k], return_inverse=True)
-            tokens = json.dumps(distinct.view(float).tolist())[1:-1].split(", ")
-            parts[0::2] = [tokens[i] for i in inverse.tolist()]
-            fh.write(("," if k else "") + "\n[[[" + "".join(parts) + "]]]")
+        for start in range(0, n, step):
+            block = bits[start : start + step]
+            distinct, inverse = np.unique(block, return_inverse=True)
+            # numpy 2 returns the inverse in the block's shape, numpy 1 flat.
+            inverse = inverse.reshape(block.shape)
+            text = json.dumps(distinct.view(float).tolist())[1:-1]
+            tokens = np.array(text.split(", "), dtype=object)
+            for k, line in enumerate(inverse, start):
+                parts[0::2] = tokens[line].tolist()
+                fh.write(("," if k else "") + "\n[[[" + "".join(parts) + "]]]")
         fh.write("\n]")
         if assoc_residual is not None:
             fh.write(f', "associativity_residual": {json.dumps(assoc_residual)}')

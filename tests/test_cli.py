@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 
@@ -580,13 +581,28 @@ class TestKernel:
         )
         assert not out.exists()
 
-    # x 1e154 is the largest power of ten below the underflow check.
-    @pytest.mark.parametrize("scale", [1e-150, 1e150, 1e154])
+    def test_all_zero_kernel_has_zero_residual(self, tmp_path, capsys):
+        units = matrix_units_scheme(2).dequantizers
+        path = tmp_path / "zero.json"
+        save_scheme(Scheme(dequantizers=units, quantizers=0 * units), str(path))
+        out = tmp_path / "k.json"
+        assert main(["kernel", str(path), "-o", str(out), "--assoc-check"]) == 0
+        assert "associativity residual: 0.000e+00" in capsys.readouterr().out
+        assert json.loads(out.read_text())["associativity_residual"] == 0.0
+
+    # x 1e154 is the largest power of ten below the underflow check.  There
+    # the absolute associativity residual is subnormal (about 4e-323) and
+    # keeps only a few bits, so its relative value reads about 1.2e-14.
+    @pytest.mark.parametrize("scale", [1.0, 1e-150, 1e150, 1e154])
     def test_scale_inside_the_float_range(self, tmp_path, capsys, scale):
         path = self._scaled_mub_prime(tmp_path, scale)
         out = tmp_path / "k.json"
         assert main(["kernel", str(path), "-o", str(out), "--assoc-check"]) == 0
-        assert "associativity residual: " in capsys.readouterr().out
+        # The residual is relative to max|K|^2: the same at every scale.
+        bound = 1e-13 if scale == 1e154 else 1e-14
+        printed = re.search(r"associativity residual: (\S+)", capsys.readouterr().out)
+        assert float(printed[1]) <= bound
+        assert json.loads(out.read_text())["associativity_residual"] <= bound
         _, values = load_kernel(str(out))
         assert np.array_equal(values, star_kernel(with_canonical_quantizers(load_scheme(str(path)))).values)
         reference = star_kernel(with_canonical_quantizers(build_scheme("mub-prime", p=3))).values
@@ -638,8 +654,19 @@ class TestIntertwine:
         save_operator(random_complex(rng, (2, 2)), str(op_path))
         report_path = tmp_path / "inter.json"
         assert main(["intertwine", a, b, str(op_path), "--report", str(report_path)]) == 0
-        assert "symbol round-trip residual: " in capsys.readouterr().out
-        assert json.loads(report_path.read_text())["roundtrip_residual"] <= 1e-10 * 1e100
+        # The residual is relative to max|f_a|: the same at every scale.
+        printed = re.search(r"symbol round-trip residual: (\S+)", capsys.readouterr().out)
+        assert float(printed[1]) <= 1e-14
+        assert json.loads(report_path.read_text())["roundtrip_residual"] <= 1e-14
+
+    def test_zero_symbol_has_zero_residual(self, emit, tmp_path, capsys):
+        p1 = emit("pauli")
+        op_path = tmp_path / "op.json"
+        save_operator(np.zeros((2, 2), dtype=complex), str(op_path))
+        report_path = tmp_path / "inter.json"
+        assert main(["intertwine", str(p1), str(p1), str(op_path), "--report", str(report_path)]) == 0
+        assert "symbol round-trip residual: 0.000e+00" in capsys.readouterr().out
+        assert json.loads(report_path.read_text())["roundtrip_residual"] == 0.0
 
     def test_pauli_to_pauli_identity(self, emit, tmp_path, rng):
         p1 = emit("pauli")

@@ -252,6 +252,74 @@ class TestKernelWriterBytes:
         assert "[0.0, -0.0], [5e-324, 1e+308]" in text
 
 
+class TestKernelWriterBlocks(TestKernelWriterBytes):
+    """``TestKernelWriterBytes``' cases with the block bound moved: where the
+    blocks of slices break must not change a byte."""
+
+    @pytest.fixture(autouse=True, params=["one-float", "one-slice", "mid-kernel", "2**40"])
+    def _block_bound(self, request, monkeypatch):
+        self.bound, self.monkeypatch = request.param, monkeypatch
+
+    def _assert_reference_bytes(self, tmp_path, d, values):
+        n = len(values)
+        width = 2 * n * n
+        floats = {
+            "one-float": 1,
+            "one-slice": width,
+            # (n + 1) // 2 slices a block, from a bound that is not a multiple of a slice.
+            "mid-kernel": width * ((n + 1) // 2) + width // 2,
+            "2**40": 2**40,
+        }[self.bound]
+        self.monkeypatch.setattr(serialization, "_KERNEL_BLOCK_FLOATS", floats)
+        super()._assert_reference_bytes(tmp_path, d, values)
+
+    def test_repeats_and_signed_zeros_straddle_a_block_boundary(self, tmp_path, rng):
+        # Slices 1 and 2, on either side of the mid-kernel blocks' boundary,
+        # hold the same floats but for the sign of each zero.
+        part = rng.choice([0.0, -0.0, 0.5, -0.25, 1e-300], size=(4, 4, 2)).view(complex)[..., 0]
+        flipped = part.copy()
+        flipped.view(float)[part.view(float) == 0.0] *= -1
+        values = np.stack([part, part, flipped, part[::-1]])
+        assert _bits(flipped) != _bits(part)
+        self._assert_reference_bytes(tmp_path, 2, values)
+
+    def test_empty_kernel(self, tmp_path):
+        self._assert_reference_bytes(tmp_path, 1, np.zeros((0, 0, 0), dtype=complex))
+
+
+class TestKernelWriterWork:
+    def test_repeats_between_slices_are_formatted_once_a_block(self, tmp_path, monkeypatch):
+        counted = []
+        dumps = json.dumps
+
+        def counting_dumps(obj, *args, **kwargs):
+            if isinstance(obj, list):
+                counted.append(len(obj))
+            return dumps(obj, *args, **kwargs)
+
+        monkeypatch.setattr(serialization.json, "dumps", counting_dumps)
+        save_kernel(7, _canonical_kernel(build_scheme("mub-prime", p=7)), str(tmp_path / "k.json"))
+        # Of the kernel's 351,232 floats, distinct per slice: 92,056; per
+        # block of five slices: 52,780; over the whole kernel: 36,791.
+        assert sum(counted) <= 60_000
+
+    # At a bound of one float each block is one slice, never the whole kernel.
+    @pytest.mark.parametrize("block_floats", [serialization._KERNEL_BLOCK_FLOATS, 1])
+    def test_peak_memory_of_an_all_distinct_kernel_stays_bounded(
+        self, tmp_path, rng, monkeypatch, block_floats
+    ):
+        monkeypatch.setattr(serialization, "_KERNEL_BLOCK_FLOATS", block_floats)
+        values = random_complex(rng, (56, 56, 56))
+        tracemalloc.start()
+        try:
+            save_kernel(7, values, str(tmp_path / "k.json"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # A whole-kernel dedup holds a token for each of the 351,232 floats (about 43 MB).
+        assert peak <= 4 * values.nbytes
+
+
 _PAIR = [0.5, -0.25]
 _GOOD_VALUES = [[[_PAIR, _PAIR], [_PAIR, _PAIR]], [[_PAIR, _PAIR], [_PAIR, _PAIR]]]
 
