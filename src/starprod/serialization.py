@@ -1,11 +1,13 @@
 """JSON file formats for schemes, operators, vectors, bases, kernels, and reports.
 
 Every complex array is a rectangular nesting of [re, im] number pairs in
-row-major order.  ``_encode`` builds it as lists, ``write_json`` writes the
-same nesting straight from the array, and one decoder parses it, so a parsed
-file reproduces the array bit-exactly.  A nesting that is ragged, too
-shallow or too deep, has an empty axis, or holds a non-number or a NaN or
-infinite entry is malformed (SchemeParseError, naming the file).
+row-major order.  ``_encode`` builds it as lists; one formatter,
+``_member_texts``, writes the same nesting straight from the array for both
+writers (``write_json``'s indented layout and ``save_kernel``'s compact
+lines); and one decoder parses it, so a parsed file reproduces the array
+bit-exactly.  A nesting that is ragged, too shallow or too deep, has an
+empty axis, or holds a non-number or a NaN or infinite entry is malformed
+(SchemeParseError, naming the file).
 ``write_json`` writes library objects as they are: a dataclass as its
 fields, a numpy scalar as its value, and a NaN or infinite number as null.
 """
@@ -16,7 +18,7 @@ import dataclasses
 import json
 import math
 import re
-from typing import Any, Iterable
+from typing import Any, Iterable, Iterator
 
 import numpy as np
 
@@ -81,42 +83,64 @@ def read_json(path: str, *keys: str) -> dict[str, Any]:
     return payload
 
 
-# Floats formatted per C-encoder call in _array_text: bounds its token list
-# (about 64 bytes per float) for large stacks.
-_BLOCK_FLOATS = 4096
+# Floats per block of consecutive members in _member_texts: bounds the block's
+# distinct tokens (about 70 bytes per float when all are distinct), where a
+# whole-array dedup would hold one token per distinct float of the array.
+_BLOCK_FLOATS = 1 << 15
+
+
+def _layout(depth: int, indent: bool, brackets: str = "[]") -> tuple[str, str, str]:
+    """The opening, separator and closing text of a container nested ``depth``
+    deep: ``json.dumps(..., indent=1)``'s layout, or ``json.dumps``' compact one."""
+    if not indent:
+        return brackets[0], ", ", brackets[1]
+    inner = "\n" + " " * (depth + 1)
+    return brackets[0] + inner, "," + inner, "\n" + " " * depth + brackets[1]
 
 
 def _nest(items: Iterable[str], level: int, brackets: str = "[]") -> str:
     """Item texts in brackets, laid out as ``json.dumps(..., indent=1)`` lays
     out a container nested ``level`` deep."""
-    inner = "\n" + " " * (level + 1)
-    return brackets[0] + inner + ("," + inner).join(items) + "\n" + " " * level + brackets[1]
+    opening, separator, closing = _layout(level, True, brackets)
+    return opening + separator.join(items) + closing
 
 
-def _array_text(a: np.ndarray, level: int) -> str:
-    """``json.dumps(_encode(a), indent=1)`` for a non-empty ``a`` nested ``level``
-    deep, with NaN and infinite parts written as null.
+def _member_texts(a: np.ndarray, depth: int, indent: bool) -> Iterator[str]:
+    """The JSON text of each member of ``a`` (each item along its first axis,
+    as a nesting of [re, im] pairs; no member may be empty) nested ``depth``
+    deep, in ``_layout(..., indent)``; NaN and infinite parts become null.
 
-    The C encoder formats the floats of a block of members (items along the
-    first axis) at once; the tokens are then grouped axis by axis, innermost
-    (the [re, im] pair) first, each axis with the layout of its own depth.
+    Floats are told apart by bit pattern (which keeps 0.0 and -0.0 apart), and
+    the distinct floats of a block of consecutive members are formatted by one
+    call to CPython's C encoder, whose ``repr`` reloads them bit-exactly.  A
+    block holds at most ``_BLOCK_FLOATS`` floats (one member when a member
+    holds more), which bounds the Python strings alive at a time.
     """
     a = np.ascontiguousarray(a, dtype=complex)
-    rows = a.view(float).reshape(len(a), -1)
-    finite = np.isfinite(rows)
-    if not finite.all():
-        rows = rows.astype(object)
-        rows[~finite] = None
-    axes = list(enumerate((*a.shape[1:], 2), start=level + 1))[::-1]
-    fills = [(size, _nest(["{}"] * size, depth).format) for depth, size in axes]
-    step = max(1, _BLOCK_FLOATS // rows.shape[1])
-    members: list[str] = []
+    shape = (*a.shape[1:], 2)
+    width = math.prod(shape)
+    # Between two tokens of a member the text depends only on how many axes
+    # end there; built innermost axis (the [re, im] pair) first.
+    separators: list[str] = []
+    head = tail = ""
+    for k in reversed(range(len(shape))):
+        opening, separator, closing = _layout(depth + k, indent)
+        separators = ([*separators, tail + separator + head] * shape[k])[:-1]
+        head, tail = opening + head, tail + closing
+    parts = [head, *[""] * (2 * width - 1), tail]
+    parts[2:-1:2] = separators
+    rows = a.view(np.uint64).reshape(len(a), width)
+    step = max(1, _BLOCK_FLOATS // max(1, width))
     for start in range(0, len(rows), step):
-        items = json.dumps(rows[start : start + step].ravel().tolist())[1:-1].split(", ")
-        for size, fill in fills:
-            items = list(map(fill, *(items[k::size] for k in range(size))))
-        members += items
-    return _nest(members, level)
+        # Flat, so the inverse has one shape under numpy 1 and 2.
+        distinct, inverse = np.unique(rows[start : start + step].ravel(), return_inverse=True)
+        floats = distinct.view(float)
+        tokens = np.array(json.dumps(floats.tolist())[1:-1].split(", "), dtype=object)
+        tokens[~np.isfinite(floats)] = "null"
+        block = tokens[inverse].tolist()
+        for i in range(0, len(block), width):
+            parts[1:-1:2] = block[i : i + width]
+            yield "".join(parts)
 
 
 def _json_text(value: Any, level: int) -> str:
@@ -126,7 +150,7 @@ def _json_text(value: Any, level: int) -> str:
     every NaN or infinite float as null."""
     if isinstance(value, np.ndarray):
         if value.size:
-            return _array_text(value, level)
+            return _nest(_member_texts(value, level + 1, True), level)
         value = _encode(value)
     elif isinstance(value, np.generic):
         value = value.item()
@@ -231,46 +255,18 @@ def load_basis(path: str, tol: ToleranceConfig) -> VectorizationBasis:
     return VectorizationBasis.orthonormal(ops, tag=path, tol=tol)
 
 
-# Floats per block of consecutive slices in save_kernel: bounds the block's
-# distinct tokens (about 70 bytes per float when all are distinct), where a
-# whole-kernel dedup would hold one token per distinct float of the kernel.
-_KERNEL_BLOCK_FLOATS = 1 << 15
-
-
 def save_kernel(d: int, values: np.ndarray, path: str, assoc_residual: float | None = None) -> None:
     """Write a kernel file: plain JSON with one k-slice of ``values`` per line.
 
-    Each line holds the bytes ``json.dumps(_encode(slice))`` would write, but
-    a kernel of a covariant scheme repeats most of its floats, within a slice
-    and between slices, so each distinct float of a block of consecutive
-    slices is formatted once.  The distinct values are found by bit pattern
-    (which keeps 0.0 and -0.0 apart) and written by one call to CPython's C
-    encoder, whose ``repr`` reloads them bit-exactly.  A block holds at most
-    ``_KERNEL_BLOCK_FLOATS`` floats (one slice when a slice holds more), which
-    bounds the Python strings alive at a time.
+    Each line holds the bytes ``json.dumps(_encode(slice))`` would write, with
+    NaN and infinite parts as null; a kernel of a covariant scheme repeats
+    most of its floats, within a slice and between slices, and
+    ``_member_texts`` formats each distinct float of a block of slices once.
     """
-    values = np.ascontiguousarray(values, dtype=complex)
-    n, rows, cols = values.shape
-    bits = values.view(np.uint64).reshape(n, 2 * rows * cols)
-    # Between the float tokens of a slice: ", " inside a [re, im] pair,
-    # "], [" between pairs and "]], [[" between rows.
-    row = [", ", "], ["] * cols
-    seps = ([*row[:-1], "]], [["] * rows)[:-1]
-    parts = [""] * (2 * len(seps) + 1)
-    parts[1::2] = seps
-    step = max(1, _KERNEL_BLOCK_FLOATS // max(1, bits.shape[1]))
     with open(path, "w") as fh:
-        fh.write(f'{{"d": {json.dumps(d)}, "n": {n}, "values": [')
-        for start in range(0, n, step):
-            block = bits[start : start + step]
-            distinct, inverse = np.unique(block, return_inverse=True)
-            # numpy 2 returns the inverse in the block's shape, numpy 1 flat.
-            inverse = inverse.reshape(block.shape)
-            text = json.dumps(distinct.view(float).tolist())[1:-1]
-            tokens = np.array(text.split(", "), dtype=object)
-            for k, line in enumerate(inverse, start):
-                parts[0::2] = tokens[line].tolist()
-                fh.write(("," if k else "") + "\n[[[" + "".join(parts) + "]]]")
+        fh.write(f'{{"d": {json.dumps(d)}, "n": {len(values)}, "values": [')
+        for k, line in enumerate(_member_texts(values, 1, False)):
+            fh.write(("," if k else "") + "\n" + line)
         fh.write("\n]")
         if assoc_residual is not None:
             fh.write(f', "associativity_residual": {json.dumps(assoc_residual)}')

@@ -1,6 +1,8 @@
 import dataclasses
+import functools
 import json
 import math
+import os
 import re
 import tracemalloc
 
@@ -43,6 +45,15 @@ def _with_edges(values):
 
 def _bits(values):
     return np.ascontiguousarray(values).view(np.uint64).tobytes()
+
+
+def _straddling_stack(rng):
+    """Four 4 x 4 members: m, m, m with each zero's sign flipped, and m reversed."""
+    part = rng.choice([0.0, -0.0, 0.5, -0.25, 1e-300], size=(4, 4, 2)).view(complex)[..., 0]
+    flipped = part.copy()
+    flipped.view(float)[part.view(float) == 0.0] *= -1
+    assert _bits(flipped) != _bits(part)
+    return np.stack([part, part, flipped, part[::-1]])
 
 
 def _json_file(tmp_path, payload):
@@ -211,25 +222,75 @@ def _canonical_kernel(s):
     return star_kernel(with_canonical_quantizers(s)).values
 
 
+_RESIDUALS = (None, 3.25e-13)
+
+
+@functools.cache
+def _registered_kernel(name, **params):
+    """d, the canonical kernel and its ``reference_kernel_text`` for each of
+    ``_RESIDUALS``, of a registered scheme: built once per module."""
+    s = build_scheme(name, **params)
+    values = _canonical_kernel(s)
+    values.flags.writeable = False
+    return s.d, values, tuple(reference_kernel_text(s.d, values, r) for r in _RESIDUALS)
+
+
+def _assert_same_text(got, expected, label=""):
+    """``got == expected``, failing with both lengths and the first differing
+    offset instead of pytest's diff, which takes minutes over megabytes."""
+    if got == expected:
+        return
+    at = len(os.path.commonprefix([got, expected]))
+    window = slice(max(0, at - 40), at + 40)
+    pytest.fail(
+        f"{label}: lengths {len(got)} and {len(expected)}, first difference at offset {at}:\n"
+        f"  got      {got[window]!r}\n  expected {expected[window]!r}",
+        pytrace=False,
+    )
+
+
+# Block bounds, in floats, for an array of n members of ``width`` floats each.
+_BLOCK_BOUNDS = {
+    "one-float": lambda n, width: 1,
+    "one-member": lambda n, width: width,
+    # (n + 1) // 2 members a block, from a bound that is not a multiple of a member.
+    "mid-array": lambda n, width: width * ((n + 1) // 2) + width // 2,
+    "2**40": lambda n, width: 2**40,
+}
+
+
+def _bound_blocks(monkeypatch, bound):
+    """Make ``_member_texts`` split each array into blocks by ``_BLOCK_BOUNDS[bound]``."""
+    member_texts = serialization._member_texts
+
+    def bounded(a, depth, indent):
+        floats = _BLOCK_BOUNDS[bound](len(a), 2 * math.prod(np.shape(a)[1:]))
+        monkeypatch.setattr(serialization, "_BLOCK_FLOATS", floats)
+        yield from member_texts(a, depth, indent)
+
+    monkeypatch.setattr(serialization, "_member_texts", bounded)
+
+
 class TestKernelWriterBytes:
-    """``save_kernel`` formats each distinct float of a slice once; the file
-    must equal the one float-by-float ``json.dumps`` writer, byte for byte."""
+    """``save_kernel`` formats each distinct float of a block of slices once;
+    the file must equal the one float-by-float ``json.dumps`` writer, byte for byte."""
 
     @staticmethod
-    def _assert_reference_bytes(tmp_path, d, values):
+    def _assert_reference_bytes(tmp_path, d, values, expected=None):
+        if expected is None:
+            expected = [reference_kernel_text(d, values, residual) for residual in _RESIDUALS]
         path = tmp_path / "kernel.json"
-        for residual in (None, 3.25e-13):
+        for residual, text in zip(_RESIDUALS, expected):
             save_kernel(d, values, str(path), assoc_residual=residual)
-            assert path.read_text() == reference_kernel_text(d, values, residual)
+            _assert_same_text(path.read_text(), text, f"kernel file, residual {residual}")
 
     @pytest.mark.parametrize("name", list(SCHEMES))
     def test_registered_scheme_kernels(self, tmp_path, name):
-        s = build_scheme(name)
-        self._assert_reference_bytes(tmp_path, s.d, _canonical_kernel(s))
+        self._assert_reference_bytes(tmp_path, *_registered_kernel(name))
 
     @pytest.mark.parametrize("p", [5, 7])
     def test_mub_prime_kernels(self, tmp_path, p):
-        self._assert_reference_bytes(tmp_path, p, _canonical_kernel(build_scheme("mub-prime", p=p)))
+        self._assert_reference_bytes(tmp_path, *_registered_kernel("mub-prime", p=p))
 
     def test_ginibre_kernel_with_every_float_distinct(self, tmp_path, rng):
         values = _canonical_kernel(Scheme(dequantizers=random_complex(rng, (9, 3, 3))))
@@ -251,37 +312,37 @@ class TestKernelWriterBytes:
         text = (tmp_path / "kernel.json").read_text()
         assert "[0.0, -0.0], [5e-324, 1e+308]" in text
 
+    def test_non_finite_entries_are_null_and_rejected_on_load(self, tmp_path):
+        values = np.full((2, 2, 2), 0.5 + 0.25j)
+        values[1, 0, 1] = complex(math.nan, math.inf)
+        values[0, 1, 0] = complex(-math.inf, 0.0)
+        path = tmp_path / "kernel.json"
+        save_kernel(1, values, str(path))
+
+        def refuse(token):
+            raise AssertionError(f"non-JSON token {token}")
+
+        data = json.loads(path.read_text(), parse_constant=refuse)
+        assert data["values"][1][0][1] == [None, None]
+        assert data["values"][0][1][0] == [None, 0.0]
+        with pytest.raises(SchemeParseError, match=re.escape(str(path))):
+            load_kernel(str(path))
+
 
 class TestKernelWriterBlocks(TestKernelWriterBytes):
     """``TestKernelWriterBytes``' cases with the block bound moved: where the
     blocks of slices break must not change a byte."""
 
-    @pytest.fixture(autouse=True, params=["one-float", "one-slice", "mid-kernel", "2**40"])
+    @pytest.fixture(
+        autouse=True, params=list(_BLOCK_BOUNDS), ids=["one-float", "one-slice", "mid-kernel", "2**40"]
+    )
     def _block_bound(self, request, monkeypatch):
-        self.bound, self.monkeypatch = request.param, monkeypatch
-
-    def _assert_reference_bytes(self, tmp_path, d, values):
-        n = len(values)
-        width = 2 * n * n
-        floats = {
-            "one-float": 1,
-            "one-slice": width,
-            # (n + 1) // 2 slices a block, from a bound that is not a multiple of a slice.
-            "mid-kernel": width * ((n + 1) // 2) + width // 2,
-            "2**40": 2**40,
-        }[self.bound]
-        self.monkeypatch.setattr(serialization, "_KERNEL_BLOCK_FLOATS", floats)
-        super()._assert_reference_bytes(tmp_path, d, values)
+        _bound_blocks(monkeypatch, request.param)
 
     def test_repeats_and_signed_zeros_straddle_a_block_boundary(self, tmp_path, rng):
         # Slices 1 and 2, on either side of the mid-kernel blocks' boundary,
         # hold the same floats but for the sign of each zero.
-        part = rng.choice([0.0, -0.0, 0.5, -0.25, 1e-300], size=(4, 4, 2)).view(complex)[..., 0]
-        flipped = part.copy()
-        flipped.view(float)[part.view(float) == 0.0] *= -1
-        values = np.stack([part, part, flipped, part[::-1]])
-        assert _bits(flipped) != _bits(part)
-        self._assert_reference_bytes(tmp_path, 2, values)
+        self._assert_reference_bytes(tmp_path, 2, _straddling_stack(rng))
 
     def test_empty_kernel(self, tmp_path):
         self._assert_reference_bytes(tmp_path, 1, np.zeros((0, 0, 0), dtype=complex))
@@ -298,17 +359,17 @@ class TestKernelWriterWork:
             return dumps(obj, *args, **kwargs)
 
         monkeypatch.setattr(serialization.json, "dumps", counting_dumps)
-        save_kernel(7, _canonical_kernel(build_scheme("mub-prime", p=7)), str(tmp_path / "k.json"))
+        save_kernel(*_registered_kernel("mub-prime", p=7)[:2], str(tmp_path / "k.json"))
         # Of the kernel's 351,232 floats, distinct per slice: 92,056; per
         # block of five slices: 52,780; over the whole kernel: 36,791.
         assert sum(counted) <= 60_000
 
     # At a bound of one float each block is one slice, never the whole kernel.
-    @pytest.mark.parametrize("block_floats", [serialization._KERNEL_BLOCK_FLOATS, 1])
+    @pytest.mark.parametrize("block_floats", [serialization._BLOCK_FLOATS, 1])
     def test_peak_memory_of_an_all_distinct_kernel_stays_bounded(
         self, tmp_path, rng, monkeypatch, block_floats
     ):
-        monkeypatch.setattr(serialization, "_KERNEL_BLOCK_FLOATS", block_floats)
+        monkeypatch.setattr(serialization, "_BLOCK_FLOATS", block_floats)
         values = random_complex(rng, (56, 56, 56))
         tracemalloc.start()
         try:
@@ -563,7 +624,7 @@ class TestKernelLineReader:
 
     def test_peak_memory_stays_within_twice_the_array(self, tmp_path):
         path = str(tmp_path / "kernel.json")
-        save_kernel(7, _canonical_kernel(build_scheme("mub-prime", p=7)), path)
+        save_kernel(*_registered_kernel("mub-prime", p=7)[:2], path)
         tracemalloc.start()
         try:
             _, values = load_kernel(path)
@@ -689,6 +750,9 @@ _WRITER_PAYLOADS = {
             )
         ],
     },
+    # Members 1 and 2, on either side of the mid-array blocks' boundary, hold
+    # the same floats but for the sign of each zero.
+    "block-boundary": {"stack": _straddling_stack(_R)},
 }
 
 
@@ -700,7 +764,7 @@ class TestWriteJson:
         payload = _WRITER_PAYLOADS[case]
         path = tmp_path / "out.json"
         write_json(payload, str(path))
-        assert path.read_bytes() == (json.dumps(_lists(payload), indent=1) + "\n").encode()
+        _assert_same_text(path.read_bytes(), (json.dumps(_lists(payload), indent=1) + "\n").encode(), case)
 
     def test_file_writers_match_indented_dump(self, tmp_path, rng):
         s = Scheme(
@@ -726,4 +790,13 @@ class TestWriteJson:
             "vector": {"values": _encode(v), "scheme": s.name},
         }
         for name, path in paths.items():
-            assert path.read_bytes() == (json.dumps(expected[name], indent=1) + "\n").encode(), name
+            _assert_same_text(path.read_bytes(), (json.dumps(expected[name], indent=1) + "\n").encode(), name)
+
+
+class TestWriteJsonBlocks(TestWriteJson):
+    """``TestWriteJson``'s cases with the block bound moved: where the blocks
+    of members break must not change a byte."""
+
+    @pytest.fixture(autouse=True, params=list(_BLOCK_BOUNDS))
+    def _block_bound(self, request, monkeypatch):
+        _bound_blocks(monkeypatch, request.param)
