@@ -14,6 +14,7 @@ from .errors import (
     InvalidGaugeError,
     InvalidParameterError,
     LengthMismatchError,
+    MalformedInputError,
     MissingQuantizersError,
     NonHermitianMemberError,
     NotOverfilledError,

@@ -123,11 +123,16 @@ def shift_matrix(d: int) -> np.ndarray:
 
 
 def displacement_orbit(psi: np.ndarray) -> np.ndarray:
-    """The d^2 states X^a Z^b |psi>, indexed d*a + b, as a (d^2, d) stack."""
+    """The d^2 states X^a Z^b |psi>, indexed d*a + b, as a (d^2, d) stack.
+
+    Entry j of X^a Z^b |psi> is w^(b(j-a)) psi_(j-a), indices mod d: one
+    gather and one broadcast product.
+    """
     d = psi.size
-    x, z = shift_matrix(d), clock_matrix(d)
-    power = np.linalg.matrix_power
-    return np.array([power(x, a) @ power(z, b) @ psi for a in range(d) for b in range(d)])
+    j = np.arange(d)
+    shifted = (j[None, :] - j[:, None]) % d  # [a, j] -> j - a
+    powers = np.diagonal(clock_matrix(d))[None, :] ** j[:, None]  # [b, m] -> w^(b m)
+    return (powers[j[:, None], shifted[:, None, :]] * psi[shifted][:, None, :]).reshape(d * d, d)
 
 
 def default_fiducial(d: int) -> np.ndarray:

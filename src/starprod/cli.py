@@ -1,9 +1,10 @@
 """Command-line interface.
 
 Subcommands: emit, classify, quantize, symbol, reconstruct, kernel,
-intertwine, verify.  Exit codes: 0 success, 1 failed check or precondition,
-2 malformed input.  Every human-readable analysis is mirrored by a
-machine-readable JSON report.
+intertwine, verify.  Exit codes: 0 success; 1 a failed check or precondition
+(any other ``StarProdError``); 2 malformed input (a ``MalformedInputError``,
+a file that cannot be read or written, or an input too large to build).
+Every human-readable analysis is mirrored by a machine-readable JSON report.
 """
 
 from __future__ import annotations
@@ -17,17 +18,7 @@ import numpy as np
 
 from . import __version__
 from .catalog import SCHEMES, build_scheme
-from .errors import (
-    DimensionMismatchError,
-    InvalidParameterError,
-    LengthMismatchError,
-    NotSquareLengthError,
-    ScaleOutOfRangeError,
-    SchemeParseError,
-    StarProdError,
-    UnknownSchemeError,
-    WrongCountError,
-)
+from .errors import MalformedInputError, ScaleOutOfRangeError, StarProdError
 from .matrixcore import ToleranceConfig
 from .operator_space import VectorizationBasis, pauli_basis
 from .scheme import (
@@ -49,6 +40,7 @@ from .serialization import (
     write_json,
 )
 from .star_product import (
+    StarKernel,
     associativity_residual,
     intertwiner,
     reconstruct,
@@ -56,19 +48,6 @@ from .star_product import (
     symbol,
 )
 from .verification import SUITES, run_battery
-
-_INPUT_ERRORS = (
-    SchemeParseError,
-    ScaleOutOfRangeError,
-    UnknownSchemeError,
-    InvalidParameterError,
-    DimensionMismatchError,
-    LengthMismatchError,
-    NotSquareLengthError,
-    WrongCountError,
-    OSError,
-)
-
 
 # Every emit flag: the union of the registered schemes' parameters.  Each
 # defaults to None, so a scheme sees only the flags that were given.
@@ -218,11 +197,11 @@ def _finite_results(compute: Callable[[], tuple], *overflows: str) -> tuple:
     """``compute()``'s results, run with numpy's overflow warnings off: at an
     extreme scheme scale, operator products overflow to inf and then NaN,
     which numpy only warns about.  ``overflows`` names, in order, the error
-    for each result that is not finite; a None result is skipped."""
+    for each result that is not finite."""
     with np.errstate(over="ignore", invalid="ignore"):
         results = compute()
     for what, value in zip(overflows, results):
-        if value is not None and not np.isfinite(value).all():
+        if not np.isfinite(value).all():
             raise _scale_error(what)
     return results
 
@@ -230,23 +209,19 @@ def _finite_results(compute: Callable[[], tuple], *overflows: str) -> tuple:
 def cmd_kernel(args: argparse.Namespace) -> int:
     tol = _tolerances(args)
     s = with_canonical_quantizers(load_scheme(args.scheme), tol)
-
-    def compute():
-        kernel = star_kernel(s)
-        return kernel.values, associativity_residual(kernel) if args.assoc_check else None
-
-    values, residual = _finite_results(compute, "kernel entries overflow", "associativity residual overflows")
+    (values,) = _finite_results(lambda: (star_kernel(s).values,), "kernel entries overflow")
     # Below the normal range, products of quantizers lose their digits silently;
     # sum |D_k|^2 is sum sigma^-2 for canonical quantizers.
     qs = s.quantizers
     if np.vdot(qs, qs).real < sys.float_info.min and qs.any():
         raise _scale_error("kernel entries underflow")
-    if residual is not None:
-        # Relative to max|K|^2, the scale of a product of two kernels, so the
-        # residual reads the same at every scheme scale; two divisions keep
-        # max|K|^2 itself from overflowing or underflowing.
+    residual = None
+    if args.assoc_check:
+        # Checked on K / max|K|, so the residual is relative to max|K|^2, the
+        # scale of a product of two kernels: it reads the same at every scheme
+        # scale, and the products in the check neither overflow nor go subnormal.
         scale = float(np.abs(values).max())
-        residual = residual / scale / scale if scale else 0.0
+        residual = associativity_residual(StarKernel(s.d, values / scale)) if scale else 0.0
     save_kernel(s.d, values, args.output, assoc_residual=residual)
     print(f"wrote kernel tensor ({len(values)}^3 entries) to {args.output}")
     if residual is not None:
@@ -411,8 +386,12 @@ def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except _INPUT_ERRORS as exc:
+    except (MalformedInputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        # numpy's names the allocation that failed; a bare one says nothing.
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
     except StarProdError as exc:
         print(f"error: {exc}", file=sys.stderr)

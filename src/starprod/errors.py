@@ -1,28 +1,60 @@
-"""Exception types raised across the package."""
+"""Exception types raised across the package.
+
+Every error is a ``StarProdError``.  Those that mean the caller handed in a
+bad file, name, parameter or shape derive from ``MalformedInputError``; the
+rest mean the input was well formed but a precondition of the operation
+failed (a rank, a cardinality, a unitarity, a retry budget).  The ``starprod``
+command exits 2 for the first kind and 1 for the second.
+"""
 
 
 class StarProdError(Exception):
     """Base class for all package-specific errors."""
 
 
-class DimensionMismatchError(StarProdError, ValueError):
+class MalformedInputError(StarProdError, ValueError):
+    """Base class for errors in the input itself rather than in what it describes."""
+
+
+class SchemeParseError(MalformedInputError):
+    """A scheme/operator/vector/kernel file is malformed."""
+
+
+class ScaleOutOfRangeError(MalformedInputError):
+    """A scheme's scale puts the squares its classification takes outside the
+    normal float64 range, where they would overflow or lose precision."""
+
+
+class UnknownSchemeError(MalformedInputError):
+    """The requested name is not in the built-in scheme registry."""
+
+
+class InvalidParameterError(MalformedInputError):
+    """A constructor or a tolerance got a parameter outside its supported range."""
+
+
+class NotPrimeError(InvalidParameterError):
+    """The requested dimension is not a prime number."""
+
+
+class DimensionMismatchError(MalformedInputError):
     """Operands have incompatible shapes or dimensions."""
+
+
+class LengthMismatchError(MalformedInputError):
+    """Vector lengths disagree with the object they are paired with."""
+
+
+class NotSquareLengthError(MalformedInputError):
+    """A vector length is not a perfect square, so it cannot become a square matrix."""
+
+
+class WrongCountError(MalformedInputError):
+    """A collection has the wrong number of members."""
 
 
 class NotSquareError(StarProdError, ValueError):
     """A matrix required to be square is rectangular."""
-
-
-class NotSquareLengthError(StarProdError, ValueError):
-    """A vector length is not a perfect square, so it cannot become a square matrix."""
-
-
-class WrongCountError(StarProdError, ValueError):
-    """A collection has the wrong number of members."""
-
-
-class LengthMismatchError(StarProdError, ValueError):
-    """Vector lengths disagree with the object they are paired with."""
 
 
 class NotTomographicError(StarProdError, ValueError):
@@ -55,24 +87,3 @@ class NotSICError(StarProdError, ValueError):
 
 class SamplerFailureError(StarProdError, RuntimeError):
     """A randomized constructor exhausted its retry budget."""
-
-
-class UnknownSchemeError(StarProdError, ValueError):
-    """The requested name is not in the built-in scheme registry."""
-
-
-class InvalidParameterError(StarProdError, ValueError):
-    """A constructor or a tolerance got a parameter outside its supported range."""
-
-
-class NotPrimeError(InvalidParameterError):
-    """The requested dimension is not a prime number."""
-
-
-class ScaleOutOfRangeError(StarProdError, ValueError):
-    """A scheme's scale puts the squares its classification takes outside the
-    normal float64 range, where they would overflow or lose precision."""
-
-
-class SchemeParseError(StarProdError, ValueError):
-    """A scheme/operator/vector/kernel file is malformed."""

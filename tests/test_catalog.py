@@ -22,6 +22,7 @@ from starprod.catalog import (
     build_scheme,
     clock_matrix,
     default_fiducial,
+    displacement_orbit,
     entries,
     livine_scheme,
     matrix_units_scheme,
@@ -160,6 +161,27 @@ class TestWeylHeisenberg:
             z, x = clock_matrix(d), shift_matrix(d)
             omega = np.exp(2j * np.pi / d)
             assert np.abs(z @ x - omega * x @ z).max() <= 1e-13
+
+    @staticmethod
+    def _orbit_by_matrix_powers(psi):
+        d = psi.size
+        x, z = shift_matrix(d), clock_matrix(d)
+        power = np.linalg.matrix_power
+        return np.array([power(x, a) @ power(z, b) @ psi for a in range(d) for b in range(d)])
+
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_displacement_orbit_matches_matrix_powers(self, d, rng):
+        psi = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        psi /= np.linalg.norm(psi)
+        orbit = displacement_orbit(psi)
+        assert orbit.shape == (d * d, d)
+        assert np.abs(orbit - self._orbit_by_matrix_powers(psi)).max() <= 1e-15
+
+    # The shipped fiducials' orbits, and so the wh-sic schemes, keep their bytes.
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_displacement_orbit_of_shipped_fiducials_is_bit_identical(self, d):
+        psi = default_fiducial(d)
+        assert displacement_orbit(psi).tobytes() == self._orbit_by_matrix_powers(psi).tobytes()
 
     def test_d2_orbit_reproduces_tetrahedron(self):
         orbit = wh_sic_scheme(2, default_fiducial(2)).dequantizers

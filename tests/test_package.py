@@ -11,6 +11,7 @@ PUBLIC_NAMES = [
     "InvalidGaugeError",
     "InvalidParameterError",
     "LengthMismatchError",
+    "MalformedInputError",
     "MissingQuantizersError",
     "NegativityReport",
     "NonHermitianMemberError",
