@@ -21,6 +21,7 @@ from .errors import (
     NotPrimeError,
     NotSICError,
     SamplerFailureError,
+    StarProdError,
     UnknownSchemeError,
 )
 from .matrixcore import DEFAULT_TOL, ToleranceConfig, rank
@@ -434,7 +435,9 @@ def build_scheme(name: str, tol: ToleranceConfig = DEFAULT_TOL, **params: Any) -
     """Build the registered scheme ``name``, its defaults overridden by ``params``.
 
     Raises UnknownSchemeError for a name not in SCHEMES and
-    InvalidParameterError for a parameter the scheme does not take.
+    InvalidParameterError for a parameter the scheme does not take or a
+    builder's ValueError that is not a StarProdError, such as numpy's "array
+    is too big" for an oversized dimension.
     """
     if name not in SCHEMES:
         raise UnknownSchemeError(f"unknown built-in scheme {name!r}")
@@ -444,7 +447,12 @@ def build_scheme(name: str, tol: ToleranceConfig = DEFAULT_TOL, **params: Any) -
         takes = ", ".join(f"--{key}" for key in builtin.params) or "no parameters"
         got = ", ".join(f"--{key}" for key in foreign)
         raise InvalidParameterError(f"{name} takes {takes}; got {got}")
-    return builtin.build(tol=tol, **{**builtin.params, **params})
+    try:
+        return builtin.build(tol=tol, **{**builtin.params, **params})
+    except StarProdError:
+        raise
+    except ValueError as exc:
+        raise InvalidParameterError(f"{name}: {exc}") from exc
 
 
 def entries(tol: ToleranceConfig = DEFAULT_TOL) -> list[CatalogEntry]:

@@ -19,7 +19,7 @@ import numpy as np
 from . import __version__
 from .catalog import SCHEMES, build_scheme
 from .errors import MalformedInputError, ScaleOutOfRangeError, StarProdError
-from .matrixcore import ToleranceConfig
+from .matrixcore import DEFAULT_TOL, ToleranceConfig
 from .operator_space import VectorizationBasis, pauli_basis
 from .scheme import (
     SchemeReport,
@@ -59,9 +59,9 @@ def _flag(name: str, default: Any) -> str:
 
 
 def _add_tolerance_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--rank-tol", type=float, default=1e-10)
-    parser.add_argument("--residual-tol", type=float, default=1e-10)
-    parser.add_argument("--eig-tol", type=float, default=1e-10)
+    parser.add_argument("--rank-tol", type=float, default=DEFAULT_TOL.rank_tol)
+    parser.add_argument("--residual-tol", type=float, default=DEFAULT_TOL.residual_tol)
+    parser.add_argument("--eig-tol", type=float, default=DEFAULT_TOL.eig_tol)
 
 
 def _add_basis_flags(parser: argparse.ArgumentParser) -> None:

@@ -63,7 +63,7 @@ class VectorizationBasis:
         if self.d < 1:
             raise DimensionMismatchError(f"dimension must be positive, got {self.d}")
         if self.ops is not None:
-            ops = np.asarray(self.ops, dtype=complex)
+            ops = np.asarray(self.ops, dtype=complex).view()
             ops.setflags(write=False)
             object.__setattr__(self, "ops", ops)
 

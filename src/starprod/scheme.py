@@ -28,7 +28,7 @@ from .errors import (
     NotTomographicError,
     ScaleOutOfRangeError,
 )
-from .matrixcore import DEFAULT_TOL, ToleranceConfig, rank_from_singular_values, singular_values
+from .matrixcore import DEFAULT_TOL, ToleranceConfig, rank_from_singular_values
 from .operator_space import VectorizationBasis, devectorize, vectorize
 
 Cardinality = Literal["underfilled", "minimal", "overfilled"]
@@ -47,7 +47,7 @@ class Scheme:
     name: str | None = None
 
     def __post_init__(self) -> None:
-        deq = np.asarray(self.dequantizers, dtype=complex)
+        deq = np.asarray(self.dequantizers, dtype=complex).view()
         if deq.ndim != 3 or deq.shape[1] != deq.shape[2]:
             raise DimensionMismatchError(
                 f"dequantizers must be a stack of square matrices, got shape {deq.shape}"
@@ -55,7 +55,7 @@ class Scheme:
         deq.setflags(write=False)
         object.__setattr__(self, "dequantizers", deq)
         if self.quantizers is not None:
-            qs = np.asarray(self.quantizers, dtype=complex)
+            qs = np.asarray(self.quantizers, dtype=complex).view()
             if qs.shape != deq.shape:
                 raise DimensionMismatchError(
                     f"quantizers shape {qs.shape} does not match dequantizers {deq.shape}"
@@ -348,48 +348,35 @@ def negativity_report(s: Scheme, tol: ToleranceConfig = DEFAULT_TOL) -> Negativi
     )
 
 
-def _fix_column_phases(u: np.ndarray) -> np.ndarray:
-    """Rotate each column so its first entry of magnitude above 1e-12 is real positive."""
-    mag = np.hypot(u.real, u.imag)  # rounds as abs() of a complex scalar does
-    significant = mag > 1e-12
-    found = np.flatnonzero(significant.any(axis=0))
-    first = np.argmax(significant[:, found], axis=0)
-    out = u.copy()
-    out[:, found] = u[:, found] / (u[first, found] / mag[first, found])
-    return out
-
-
 def matrix_unit_like_detect(
     s: Scheme, tol: ToleranceConfig = DEFAULT_TOL
 ) -> np.ndarray | None:
     """Unitary u with U_{d(i-1)+j} = |psi_i><psi_j| over u's columns, or None.
 
-    The columns of the returned matrix are phase-normalized (first
-    significant entry real positive), so recovery is canonical up to the
-    per-column phases the projector family cannot see.
+    In row stacking such a family's dequantization matrix is u (x) conj(u),
+    so its reshuffle R[(a, i), (b, j)] = U_(i,j)[a, b] is w w^dag with
+    w = vec(u), and any nonzero column of R is a multiple of w.  The column
+    through u's first entry of largest modulus (row-major) gives u with that
+    entry real positive, which fixes the one global phase the family cannot
+    see; u rebuilds the family.
     """
     d = s.d
     if s.n_points != d * d:
         return None
     deq = s.dequantizers
-    # Member 0 alone first: it rejects most inputs before the SVD of all d^2.
-    for ops in (deq[:1], deq):
-        sv = singular_values(ops)
-        scale = tol.residual_tol * np.maximum(1.0, sv[:, :1])
-        if (sv[:, 0] <= tol.residual_tol).any() or (sv[:, 1:2] > scale).any():
-            return None
-    # Anchor psi_1 on the (1,1) projector, then transport it with the first
-    # column of dequantizers; this fixes a globally consistent phase gauge.
-    left, _, _ = np.linalg.svd(deq[0])
-    psi = np.empty((d, d), dtype=complex)
-    psi[:, 0] = _fix_column_phases(left[:, :1])[:, 0]
-    psi[:, 1:] = (deq[d::d] @ psi[:, 0]).T
-    if np.abs(psi.conj().T @ psi - np.eye(d)).max() > tol.residual_tol:
+    r = deq.reshape(d, d, d, d).transpose(2, 0, 3, 1).reshape(d * d, d * d)
+    j = int(np.argmax(r.diagonal().real))
+    peak = r[j, j].real
+    # Negated comparisons, so that a NaN entry rejects the family.
+    if not peak > tol.residual_tol:
         return None
-    expected = np.einsum("ai,bj->ijab", psi, psi.conj()).reshape(d * d, d, d)
-    if np.abs(deq - expected).max() > tol.residual_tol:
+    u = (r[:, j] / np.sqrt(peak)).reshape(d, d)
+    if not np.abs(u.conj().T @ u - np.eye(d)).max() <= tol.residual_tol:
         return None
-    return _fix_column_phases(psi)
+    expected = np.einsum("ai,bj->ijab", u, u.conj()).reshape(d * d, d, d)
+    if not np.abs(deq - expected).max() <= tol.residual_tol:
+        return None
+    return u
 
 
 def classify(
@@ -453,5 +440,5 @@ def classify(
         scaled_unitary=scaled_unitary,
         povm=povm_check(s, tol),
         negativity=negativity,
-        matrix_unit_like=matrix_unit_like_detect(s, tol) if n == d_sq else None,
+        matrix_unit_like=matrix_unit_like_detect(s, tol),
     )

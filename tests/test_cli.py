@@ -8,6 +8,7 @@ import pytest
 
 from starprod import cli, errors
 from starprod.cli import main
+from starprod.matrixcore import DEFAULT_TOL
 from starprod.operator_space import PAULI_X, PAULI_Y, PAULI_Z, VectorizationBasis
 from starprod.serialization import (
     _encode,
@@ -94,6 +95,18 @@ class TestEmit:
         err = capsys.readouterr().err
         assert "no fiducial shipped for d=4" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("name", ["matrix-units", "random-povm"])
+    def test_oversized_dimension_exits_2(self, tmp_path, capsys, name):
+        # numpy rejects the size before it allocates anything.
+        assert main(["emit", name, "--d", "100000", "-o", str(tmp_path / "x.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {name}: array is too big") and err.count("\n") == 1
+        assert not (tmp_path / "x.json").exists()
+
+    def test_tolerance_defaults_are_the_library_defaults(self):
+        for argv in (["emit", "livine", "-o", "x.json"], ["classify", "x.json"]):
+            assert cli._tolerances(cli.build_parser().parse_args(argv)) == DEFAULT_TOL
 
 
 _SCHEME_HEADER = "schemes and the flags each takes (with defaults):"

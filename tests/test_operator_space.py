@@ -113,6 +113,11 @@ class TestValidateOrthonormalBasis:
         with pytest.raises(DimensionMismatchError):
             VectorizationBasis.orthonormal(ops)
 
+    def test_constructor_leaves_callers_array_writeable(self):
+        ops = pauli_basis().ops.copy()
+        basis = VectorizationBasis.orthonormal(ops)
+        assert ops.flags.writeable and not basis.ops.flags.writeable
+
 
 def random_orthonormal_operator_basis(rng, d):
     """Rotate the matrix units by a Haar unitary on the d^2-dimensional space."""

@@ -47,7 +47,6 @@ from starprod.operator_space import (
     validate_orthonormal_basis,
     vectorize,
 )
-from starprod.scheme import _fix_column_phases
 from starprod.star_product import reconstruct, symbol
 from starprod.verification import haar_unitaries
 
@@ -73,6 +72,12 @@ class TestSchemeType:
             Scheme(dequantizers=np.zeros((3, 2, 3)))
         with pytest.raises(DimensionMismatchError):
             Scheme(dequantizers=np.zeros((3, 2, 2)), quantizers=np.zeros((2, 2, 2)))
+
+    def test_callers_arrays_stay_writeable(self):
+        deq, qs = np.zeros((4, 2, 2), complex), np.zeros((4, 2, 2), complex)
+        s = Scheme(deq, qs)
+        assert deq.flags.writeable and qs.flags.writeable
+        assert not s.dequantizers.flags.writeable and not s.quantizers.flags.writeable
 
     def test_require_quantizers(self):
         s = mub_qubit_scheme()
@@ -370,46 +375,31 @@ class TestMatrixUnitLikeDetect:
         )
         u = matrix_unit_like_detect(Scheme(dequantizers=deq))
         assert u is not None
-        # Equal up to a per-column phase.
+        # Equal up to one global phase.
         for col in range(d):
             overlap = abs(np.vdot(u[:, col], w[:, col]))
             assert abs(overlap - 1.0) <= 1e-10
         rebuilt = np.stack(
             [np.outer(u[:, i], u[:, j].conj()) for i in range(d) for j in range(d)]
         )
-        # Per-column phase normalization leaves the off-diagonal members equal
-        # only up to a phase, so compare pairing magnitudes.
-        pairing = np.einsum("kab,kab->k", rebuilt.conj(), deq)
-        assert np.abs(np.abs(pairing) - 1).max() <= 1e-10
+        assert np.abs(rebuilt - deq).max() <= 1e-14
+        # The phase rule: u's entry of largest modulus is real positive.
+        first = np.argmax(np.abs(u))
+        assert abs(u.flat[first].imag) <= 1e-15 and u.flat[first].real > 0.0
 
-    def test_column_phases_match_per_column_loop(self, rng):
-        def reference(u, threshold=1e-12):
-            out = u.copy()
-            for j in range(out.shape[1]):
-                col = out[:, j]
-                nz = np.flatnonzero(np.abs(col) > threshold)
-                if nz.size:
-                    out[:, j] = col / (col[nz[0]] / abs(col[nz[0]]))
-            return out
+    def test_calls_no_svd(self, rng, monkeypatch):
+        def no_svd(*args, **kwargs):
+            raise AssertionError("np.linalg.svd called")
 
-        for d in (1, 2, 3, 4, 5):
-            for _ in range(40):
-                u = random_complex(rng, (d, d))
-                u[rng.random((d, d)) < 0.3] = 0.0
-                u[rng.random((d, d)) < 0.2] *= 1e-13
-                assert _fix_column_phases(u).tobytes() == reference(u).tobytes()
+        families = [Scheme(random_complex(rng, (9, 3, 3))), build_scheme("wh-sic", d=3)]
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        for s in families:
+            assert matrix_unit_like_detect(s) is None
 
-    def test_rejects_on_member_zero_before_stacked_svd(self, rng, monkeypatch):
-        shapes = []
-        svd = np.linalg.svd
-
-        def counting_svd(a, *args, **kwargs):
-            shapes.append(np.shape(a))
-            return svd(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "svd", counting_svd)
-        assert matrix_unit_like_detect(Scheme(random_complex(rng, (9, 3, 3)))) is None
-        assert shapes == [(1, 3, 3)]
+    def test_nan_family_rejected(self):
+        deq = matrix_units_scheme(2).dequantizers.copy()
+        deq[3, 1, 1] = np.nan
+        assert matrix_unit_like_detect(Scheme(deq)) is None
 
     def test_livine_not_rank_one(self):
         assert matrix_unit_like_detect(livine_scheme()) is None
@@ -481,6 +471,22 @@ class TestClassify:
         assert report.scaled_unitary == pytest.approx(1.0)
         assert report.negativity is None
         assert np.abs(report.matrix_unit_like - np.eye(2)).max() <= 1e-12
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_unitary_kronecker_family_is_self_dual(self, rng, d):
+        # u (x) conj(u) is unitary, so its family is self-dual with c = 1.
+        u = haar_unitaries(rng.standard_normal((2, d, d)))
+        deq = np.einsum("ai,bj->ijab", u, u.conj()).reshape(d * d, d, d)
+        report = classify(Scheme(deq))
+        assert report.cardinality == "minimal" and report.tomographic
+        assert abs(report.condition_number - 1.0) <= 1e-12
+        assert abs(report.self_dual_coefficient - 1.0) <= 1e-12
+        assert abs(report.scaled_unitary - 1.0) <= 1e-12
+        assert not report.povm.is_povm
+        v = report.matrix_unit_like
+        assert v is not None
+        rebuilt = np.einsum("ai,bj->ijab", v, v.conj()).reshape(d * d, d, d)
+        assert np.abs(rebuilt - deq).max() <= 1e-14
 
     def test_mub(self):
         report = classify(mub_qubit_scheme())
