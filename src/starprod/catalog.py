@@ -50,9 +50,9 @@ def matrix_units_scheme(d: int) -> Scheme:
 def pauli_scheme(variant: str = "hermitian") -> Scheme:
     """Qubit scheme over (I, sx, sy, sz)/sqrt(2); the alternate variant swaps
     sy for i*sy, keeping the family trace-orthonormal but not Hermitian."""
-    if variant not in ("hermitian", "with_i_sigma_y"):
-        raise InvalidParameterError(f"unknown pauli scheme variant {variant!r}")
-    sy = 1j * PAULI_Y if variant == "with_i_sigma_y" else PAULI_Y
+    if variant not in ("hermitian", "with-i-sigma-y"):
+        raise InvalidParameterError(f"pauli variant {variant!r}: choose hermitian or with-i-sigma-y")
+    sy = 1j * PAULI_Y if variant == "with-i-sigma-y" else PAULI_Y
     deq = np.stack([np.eye(2, dtype=complex), PAULI_X, sy, PAULI_Z]) / SQRT2
     name = "pauli" if variant == "hermitian" else "pauli-isy"
     return Scheme(dequantizers=deq, quantizers=deq, name=name)
@@ -71,11 +71,12 @@ def livine_scheme(normalization: str = "dequantizer") -> Scheme:
     """Qubit phase-space quartet (I +/- sx +/- sy +/- sz)/4, self-dual with c = 1/2.
 
     ``normalization="dequantizer"`` keeps quantizers at twice the
-    dequantizers; ``"self_dual_normalized"`` rescales both families to
+    dequantizers; ``"self-dual-normalized"`` rescales both families to
     coincide (sqrt(2) times the dequantizers).
     """
-    if normalization not in ("dequantizer", "self_dual_normalized"):
-        raise InvalidParameterError(f"unknown livine normalization {normalization!r}")
+    if normalization not in ("dequantizer", "self-dual-normalized"):
+        choices = "dequantizer or self-dual-normalized"
+        raise InvalidParameterError(f"livine normalization {normalization!r}: choose {choices}")
     deq = _bloch_operators(_LIVINE_SIGNS) / 2
     if normalization == "dequantizer":
         return Scheme(dequantizers=deq, quantizers=2 * deq, name="livine")
@@ -185,8 +186,11 @@ def mub_prime_scheme(p: int) -> Scheme:
 
     Computational basis first, then the p quadratic-phase bases
     <e_m|a,alpha> = w^(a m^2 + alpha m)/sqrt(p) for odd p; for p = 2 the
-    sx and sy eigenbases, matching the qubit MUB scheme exactly.
+    sx and sy eigenbases, matching the qubit MUB scheme exactly.  A p too big
+    for numpy is refused before the prime test's sqrt(p) trial division.
     """
+    if p > 1 and 16 * p**3 * (p + 1) > np.iinfo(np.intp).max:
+        raise InvalidParameterError(f"mub-prime: array is too big for p={p}")
     if not _is_prime(p):
         raise NotPrimeError(f"{p} is not prime")
     if p == 2:
@@ -198,8 +202,11 @@ def mub_prime_scheme(p: int) -> Scheme:
     return Scheme(dequantizers=_projectors(vectors), name=f"mub-prime-{p}")
 
 
+_MAX_ATTEMPTS = 100  # draws per seed before the sampler gives up
+
+
 def random_minimal_povm_dequantizers(
-    d: int, seeds: Iterable[int], tol: ToleranceConfig = DEFAULT_TOL, max_attempts: int = 100
+    d: int, seeds: Iterable[int], tol: ToleranceConfig = DEFAULT_TOL
 ) -> np.ndarray:
     """Seeded random minimal tomographic POVMs, one per seed, as an
     (S, d^2, d, d) stack: d^2 Wishart effects per seed, symmetrically
@@ -208,7 +215,7 @@ def random_minimal_povm_dequantizers(
     Each seed owns a ``default_rng(seed)`` stream, so a seed's POVM does not
     depend on the other seeds.  A seed whose dequantization matrix lacks
     full rank draws again from its own stream; SamplerFailureError names the
-    first seed still rank-deficient after ``max_attempts`` draws.
+    first seed still rank-deficient after ``_MAX_ATTEMPTS`` draws.
     """
     if d < 1:
         raise InvalidParameterError(f"dimension must be positive, got {d}")
@@ -219,7 +226,7 @@ def random_minimal_povm_dequantizers(
     rngs = [np.random.default_rng(seed) for seed in seeds]
     deq = np.empty((len(seeds), n, d, d), dtype=complex)
     pending = np.arange(len(seeds))
-    for _ in range(max_attempts):
+    for _ in range(_MAX_ATTEMPTS):
         normals = np.empty((pending.size, 2, n, d, d))
         for row, index in enumerate(pending):
             rngs[index].standard_normal(out=normals[row])
@@ -235,19 +242,17 @@ def random_minimal_povm_dequantizers(
         if not pending.size:
             return deq
     raise SamplerFailureError(
-        f"no full-rank POVM found in {max_attempts} attempts (d={d}, seed={seeds[pending[0]]})"
+        f"no full-rank POVM found in {_MAX_ATTEMPTS} attempts (d={d}, seed={seeds[pending[0]]})"
     )
 
 
-def random_minimal_povm_scheme(
-    d: int, seed: int, tol: ToleranceConfig = DEFAULT_TOL, max_attempts: int = 100
-) -> Scheme:
+def random_minimal_povm_scheme(d: int, seed: int, tol: ToleranceConfig = DEFAULT_TOL) -> Scheme:
     """Seeded random minimal tomographic POVM: the one-seed case of
     ``random_minimal_povm_dequantizers``.
 
-    Raises SamplerFailureError after ``max_attempts`` rank-deficient draws.
+    Raises SamplerFailureError after ``_MAX_ATTEMPTS`` rank-deficient draws.
     """
-    deq = random_minimal_povm_dequantizers(d, [seed], tol, max_attempts)[0]
+    deq = random_minimal_povm_dequantizers(d, [seed], tol)[0]
     return Scheme(dequantizers=deq, name=f"random-povm-d{d}-seed{seed}")
 
 
@@ -271,8 +276,7 @@ class BuiltinScheme:
     stock: tuple[tuple[dict[str, Any], dict[str, Any]], ...] = ()
 
 
-# Keyed by the ``emit`` name.  Parameter values use the CLI spelling; the
-# builders map it onto the constructors' keywords.
+# Keyed by the ``emit`` name.
 SCHEMES: dict[str, BuiltinScheme] = {
     "matrix-units": BuiltinScheme(
         lambda tol, d: matrix_units_scheme(d),
@@ -299,7 +303,7 @@ SCHEMES: dict[str, BuiltinScheme] = {
         ),
     ),
     "pauli": BuiltinScheme(
-        lambda tol, variant: pauli_scheme(variant.replace("-", "_")),
+        lambda tol, variant: pauli_scheme(variant),
         {"variant": "hermitian"},
         stock=(
             ({"variant": "hermitian"}, {
@@ -323,7 +327,7 @@ SCHEMES: dict[str, BuiltinScheme] = {
         ),
     ),
     "livine": BuiltinScheme(
-        lambda tol, normalization: livine_scheme(normalization.replace("-", "_")),
+        lambda tol, normalization: livine_scheme(normalization),
         {"normalization": "dequantizer"},
         stock=(
             ({"normalization": "dequantizer"}, {

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+from dataclasses import replace
 from typing import Any, Callable
 
 import numpy as np
@@ -58,33 +59,24 @@ def _flag(name: str, default: Any) -> str:
     return f"--{name}" if default is None else f"--{name} {default}"
 
 
-def _add_tolerance_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--rank-tol", type=float, default=DEFAULT_TOL.rank_tol)
-    parser.add_argument("--residual-tol", type=float, default=DEFAULT_TOL.residual_tol)
-    parser.add_argument("--eig-tol", type=float, default=DEFAULT_TOL.eig_tol)
-
-
-def _add_basis_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--basis", choices=("rowstacking", "pauli"), default="rowstacking"
-    )
-    parser.add_argument(
-        "--basis-file", help="JSON file with an explicit orthonormal operator basis"
-    )
+def _add_tolerance_flags(parser: argparse.ArgumentParser, *names: str) -> None:
+    """Add ``--<name>-tol`` for each of ``names``; the others stay at ``DEFAULT_TOL``."""
+    for name in names:
+        default = getattr(DEFAULT_TOL, f"{name}_tol")
+        parser.add_argument(f"--{name}-tol", type=float, default=default)
 
 
 def _tolerances(args: argparse.Namespace) -> ToleranceConfig:
-    return ToleranceConfig(
-        rank_tol=args.rank_tol, residual_tol=args.residual_tol, eig_tol=args.eig_tol
-    )
+    return replace(DEFAULT_TOL, **{k: v for k, v in vars(args).items() if k.endswith("_tol")})
 
 
-def _basis(args: argparse.Namespace, d: int, tol: ToleranceConfig) -> VectorizationBasis:
-    if args.basis_file:
-        return load_basis(args.basis_file, tol)
-    if args.basis == "pauli":
+def _basis(spec: str, d: int, tol: ToleranceConfig) -> VectorizationBasis:
+    """The basis ``--basis`` names: rowstacking, pauli, or a basis file's path."""
+    if spec == "rowstacking":
+        return VectorizationBasis.row_stacking(d)
+    if spec == "pauli":
         return pauli_basis()
-    return VectorizationBasis.row_stacking(d)
+    return load_basis(spec, tol)
 
 
 def _write_report(path: str, tol: ToleranceConfig, **fields: Any) -> None:
@@ -136,7 +128,7 @@ def _format_human(report: SchemeReport, scheme_name: str, d: int, n: int) -> str
 def cmd_classify(args: argparse.Namespace) -> int:
     tol = _tolerances(args)
     s = load_scheme(args.scheme)
-    basis = _basis(args, s.d, tol)
+    basis = _basis(args.basis, s.d, tol)
     report = classify(s, tol, basis)
     print(_format_human(report, s.name or args.scheme, s.d, s.n_points))
     _write_report(
@@ -315,14 +307,14 @@ def build_parser() -> argparse.ArgumentParser:
         default = next(b.params[name] for b in SCHEMES.values() if name in b.params)
         p.add_argument(f"--{name}", type=str if default is None else type(default))
     p.add_argument("-o", "--output", required=True)
-    _add_tolerance_flags(p)
+    _add_tolerance_flags(p, "rank", "residual")
     p.set_defaults(func=cmd_emit)
 
     p = sub.add_parser("classify", help="classify a scheme and write a report")
     p.add_argument("scheme")
     p.add_argument("--report")
-    _add_basis_flags(p)
-    _add_tolerance_flags(p)
+    p.add_argument("--basis", default="rowstacking", help="rowstacking, pauli, or a basis file")
+    _add_tolerance_flags(p, "rank", "residual", "eig")
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("quantize", help="attach canonical or gauge-shifted quantizers")
@@ -330,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gauge", help="JSON file with a d^2 x N gauge matrix under 'matrix'")
     p.add_argument("--report")
     p.add_argument("-o", "--output", required=True)
-    _add_tolerance_flags(p)
+    _add_tolerance_flags(p, "rank", "residual")
     p.set_defaults(func=cmd_quantize)
 
     p = sub.add_parser("symbol", help="compute the symbol vector of an operator")
@@ -343,14 +335,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("scheme")
     p.add_argument("symbol")
     p.add_argument("-o", "--output", required=True)
-    _add_tolerance_flags(p)
+    _add_tolerance_flags(p, "rank")
     p.set_defaults(func=cmd_reconstruct)
 
     p = sub.add_parser("kernel", help="compute the star-product kernel tensor")
     p.add_argument("scheme")
     p.add_argument("--assoc-check", action="store_true")
     p.add_argument("-o", "--output", required=True)
-    _add_tolerance_flags(p)
+    _add_tolerance_flags(p, "rank")
     p.set_defaults(func=cmd_kernel)
 
     p = sub.add_parser("intertwine", help="intertwining kernels between two schemes")
@@ -358,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("scheme_b")
     p.add_argument("operator")
     p.add_argument("--report")
-    _add_tolerance_flags(p)
+    _add_tolerance_flags(p, "rank")
     p.set_defaults(func=cmd_intertwine)
 
     p = sub.add_parser("verify", help="run the verification battery")
@@ -367,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--seeds", type=int, default=1000, help="sample count for random-povm (at least 1)"
     )
     p.add_argument("--report")
-    _add_tolerance_flags(p)
+    _add_tolerance_flags(p, "rank", "residual", "eig")
     p.set_defaults(func=cmd_verify)
     return parser
 

@@ -427,7 +427,10 @@ SUITES = {
 def run_battery(
     suite: str = "all", seeds: int = 1000, tol: ToleranceConfig = DEFAULT_TOL
 ) -> list[CheckResult]:
-    """Run the requested verification suite and return per-check results."""
+    """Run the requested verification suite and return per-check results;
+    ``seeds`` must be at least 1 whatever the suite, checked before any runs."""
+    if seeds < 1:
+        raise InvalidParameterError(f"seeds must be at least 1, got {seeds}")
     all_checks = {
         "table-rows-1-3": check_table_printed_rows,
         "table-rows-4-6": check_table_derived_rows,

@@ -61,12 +61,14 @@ class TestPauliScheme:
         assert np.abs(
             dequantization_matrix(pauli_scheme("hermitian"), pauli_basis()) - np.eye(4)
         ).max() <= 1e-14
-        u = dequantization_matrix(pauli_scheme("with_i_sigma_y"), pauli_basis())
+        u = dequantization_matrix(pauli_scheme("with-i-sigma-y"), pauli_basis())
         assert np.abs(u - np.diag([1, 1, 1j, 1])).max() <= 1e-14
 
     def test_unknown_variant(self):
-        with pytest.raises(ValueError):
-            pauli_scheme("bogus")
+        # The library takes the CLI spelling only.
+        for variant in ("bogus", "with_i_sigma_y"):
+            with pytest.raises(InvalidParameterError, match="choose hermitian or with-i-sigma-y"):
+                pauli_scheme(variant)
 
 
 class TestLivineScheme:
@@ -79,7 +81,7 @@ class TestLivineScheme:
         assert np.array_equal(s.quantizers, 2 * s.dequantizers)
 
     def test_self_dual_normalized(self):
-        s = livine_scheme("self_dual_normalized")
+        s = livine_scheme("self-dual-normalized")
         assert np.array_equal(s.dequantizers, s.quantizers)
         u = dequantization_matrix(s, pauli_basis())
         expected = (
@@ -107,8 +109,11 @@ class TestLivineScheme:
         assert np.abs(quantization_matrix(livine_scheme()) - expected).max() <= 1e-15
 
     def test_unknown_normalization(self):
-        with pytest.raises(ValueError):
-            livine_scheme("bogus")
+        for normalization in ("bogus", "self_dual_normalized"):
+            with pytest.raises(
+                InvalidParameterError, match="choose dequantizer or self-dual-normalized"
+            ):
+                livine_scheme(normalization)
 
 
 class TestSicQubit:
@@ -414,10 +419,10 @@ class TestTableRegression:
         direct = [
             (deq(matrix_units_scheme(2), rs), deq(matrix_units_scheme(2), pb)),
             (deq(pauli_scheme("hermitian"), rs), deq(pauli_scheme("hermitian"), pb)),
-            (deq(pauli_scheme("with_i_sigma_y"), rs), deq(pauli_scheme("with_i_sigma_y"), pb)),
+            (deq(pauli_scheme("with-i-sigma-y"), rs), deq(pauli_scheme("with-i-sigma-y"), pb)),
             (
                 quantization_matrix(livine_scheme(), rs),
-                deq(livine_scheme("self_dual_normalized"), pb),
+                deq(livine_scheme("self-dual-normalized"), pb),
             ),
             (deq(sic_qubit_scheme("projector"), rs), deq(sic_qubit_scheme("projector"), pb)),
             (deq(mub_qubit_scheme(), rs), deq(mub_qubit_scheme(), pb)),

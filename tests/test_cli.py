@@ -1,3 +1,4 @@
+import argparse
 import json
 import re
 import subprocess
@@ -105,8 +106,55 @@ class TestEmit:
         assert not (tmp_path / "x.json").exists()
 
     def test_tolerance_defaults_are_the_library_defaults(self):
-        for argv in (["emit", "livine", "-o", "x.json"], ["classify", "x.json"]):
+        # Every subcommand, including symbol, which takes no tolerance flag.
+        for argv in _MINIMAL_ARGV.values():
             assert cli._tolerances(cli.build_parser().parse_args(argv)) == DEFAULT_TOL
+
+
+# The tolerance flags each subcommand takes: only those it reads.
+_TOLERANCE_FLAGS = {
+    "emit": {"--rank-tol", "--residual-tol"},
+    "classify": {"--rank-tol", "--residual-tol", "--eig-tol"},
+    "quantize": {"--rank-tol", "--residual-tol"},
+    "symbol": set(),
+    "reconstruct": {"--rank-tol"},
+    "kernel": {"--rank-tol"},
+    "intertwine": {"--rank-tol"},
+    "verify": {"--rank-tol", "--residual-tol", "--eig-tol"},
+}
+# The smallest argv each subcommand parses.
+_MINIMAL_ARGV = {
+    "emit": ["emit", "livine", "-o", "x.json"],
+    "classify": ["classify", "x.json"],
+    "quantize": ["quantize", "x.json", "-o", "y.json"],
+    "symbol": ["symbol", "x.json", "a.json", "-o", "y.json"],
+    "reconstruct": ["reconstruct", "x.json", "f.json", "-o", "y.json"],
+    "kernel": ["kernel", "x.json", "-o", "y.json"],
+    "intertwine": ["intertwine", "x.json", "y.json", "a.json"],
+    "verify": ["verify"],
+}
+
+
+def _subparsers() -> dict:
+    parser = cli.build_parser()
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+class TestToleranceFlags:
+    def test_each_subcommand_takes_the_tolerances_it_reads(self):
+        taken = {
+            name: {flag for a in sub._actions for flag in a.option_strings if flag.endswith("-tol")}
+            for name, sub in _subparsers().items()
+        }
+        assert taken == _TOLERANCE_FLAGS
+
+    def test_a_tolerance_the_subcommand_does_not_read_is_refused(self, emit, tmp_path, capsys):
+        scheme_path, out = emit("mub-prime", "--p", "3"), tmp_path / "k.json"
+        with pytest.raises(SystemExit) as info:
+            main(["kernel", str(scheme_path), "--eig-tol", "1e-9", "-o", str(out)])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --eig-tol" in capsys.readouterr().err
+        assert not out.exists()
 
 
 _SCHEME_HEADER = "schemes and the flags each takes (with defaults):"
@@ -189,13 +237,38 @@ class TestClassify:
             [
                 "classify",
                 str(scheme_path),
-                "--basis-file",
+                "--basis",
                 str(basis_path),
                 "--report",
                 str(tmp_path / "r.json"),
             ]
         )
         assert code == 0
+        assert json.loads((tmp_path / "r.json").read_text())["basis"] == str(basis_path)
+
+    def test_basis_name_wins_over_a_file_of_that_name(self, emit, tmp_path, monkeypatch):
+        scheme_path = emit("livine")
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "pauli").write_text("{")
+        assert main(["classify", str(scheme_path), "--basis", "pauli", "--report", "r.json"]) == 0
+        assert json.loads((tmp_path / "r.json").read_text())["basis"] == "pauli"
+
+    def test_basis_file_flag_is_gone(self, emit, tmp_path):
+        with pytest.raises(SystemExit) as info:
+            main(["classify", str(emit("livine")), "--basis-file", str(tmp_path / "b.json")])
+        assert info.value.code == 2
+
+    def test_missing_basis_file_exits_2(self, emit, tmp_path, capsys):
+        scheme_path, report = emit("livine"), tmp_path / "r.json"
+        missing = tmp_path / "missing.json"
+        capsys.readouterr()
+        argv = ["classify", str(scheme_path), "--basis", str(missing), "--report", str(report)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and str(missing) in captured.err
+        assert captured.err.count("\n") == 1
+        assert not report.exists()
 
     def test_basis_of_another_dimension_exits_2(self, emit, tmp_path, capsys):
         scheme_path = emit("mub-prime", "--p", "3")
@@ -268,7 +341,7 @@ class TestClassify:
         basis_path.write_text(
             json.dumps({"operators": _encode(ops)})
         )
-        code = main(["classify", str(scheme_path), "--basis-file", str(basis_path)])
+        code = main(["classify", str(scheme_path), "--basis", str(basis_path)])
         assert code == 2
 
     def test_malformed_scheme_exits_2(self, tmp_path):
@@ -433,7 +506,7 @@ class TestNonFiniteInputs:
             ops = np.stack([np.eye(2), PAULI_X, PAULI_Y, PAULI_Z]) / np.sqrt(2)
             bad_path.write_text(json.dumps({"operators": _encode(ops)}))
             self._poison(bad_path, "operators", bad)
-            argv = ["classify", str(emit("livine")), "--basis-file", str(bad_path)]
+            argv = ["classify", str(emit("livine")), "--basis", str(bad_path)]
             argv += ["--report", str(out)]
         elif kind == "gauge":
             bad_path.write_text(json.dumps({"matrix": _encode(np.zeros((4, 6)))}))
@@ -461,7 +534,7 @@ _SCHEME = {
 _BIG_ENTRY_SCHEME = json.loads(json.dumps(_SCHEME))
 _BIG_ENTRY_SCHEME["dequantizers"][2][1][0] = [_BIG, 0]
 _CLASSIFY = ["classify", "{scheme}", "--report", "{out}"]
-_CLASSIFY_BASIS = ["classify", "{scheme}", "--basis-file", "{bad}", "--report", "{out}"]
+_CLASSIFY_BASIS = ["classify", "{scheme}", "--basis", "{bad}", "--report", "{out}"]
 _CLASSIFY_BAD = ["classify", "{bad}", "--report", "{out}"]
 _EYE2 = [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]
 
@@ -499,6 +572,12 @@ _MALFORMED = {
     ),
     "mub-prime-p4": (None, ["emit", "mub-prime", "--p", "4", "-o", "{out}"], "4 is not prime"),
     "mub-prime-p0": (None, ["emit", "mub-prime", "--p", "0", "-o", "{out}"], "0 is not prime"),
+    # 2^89 - 1 is prime: refused by size before weeks of trial division.
+    "mub-prime-p-huge": (
+        None,
+        ["emit", "mub-prime", "--p", str(2**89 - 1), "-o", "{out}"],
+        "mub-prime: array is too big for p=618970019642690137449562111",
+    ),
     "random-povm-seed-negative": (
         None,
         ["emit", "random-povm", "--d", "2", "--seed", "-1", "-o", "{out}"],
@@ -513,6 +592,16 @@ _MALFORMED = {
         None,
         ["emit", "pauli", "--seed", "9", "-o", "{out}"],
         "pauli takes --variant; got --seed",
+    ),
+    "pauli-variant-underscore": (
+        None,
+        ["emit", "pauli", "--variant", "with_i_sigma_y", "-o", "{out}"],
+        "choose hermitian or with-i-sigma-y",
+    ),
+    "livine-normalization-underscore": (
+        None,
+        ["emit", "livine", "--normalization", "self_dual_normalized", "-o", "{out}"],
+        "choose dequantizer or self-dual-normalized",
     ),
     "mub-qubit-normalization": (
         None,
@@ -816,14 +905,16 @@ class TestVerify:
 
     @pytest.mark.parametrize("seeds", ["0", "-3"])
     def test_vacuous_seed_count_exits_2(self, tmp_path, capsys, seeds):
+        # Refused for every suite, before any check runs.
         report_path = tmp_path / "verify.json"
-        argv = ["verify", "--suite", "random-povm", "--seeds", seeds, "--report", str(report_path)]
-        assert main(argv) == 2
-        captured = capsys.readouterr()
-        assert "seeds must be at least 1" in captured.err
-        assert "Traceback" not in captured.err
-        assert "PASS" not in captured.out
-        assert not report_path.exists()
+        for suite in ("random-povm", "table", "all"):
+            argv = ["verify", "--suite", suite, "--seeds", seeds, "--report", str(report_path)]
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert "seeds must be at least 1" in captured.err
+            assert "Traceback" not in captured.err
+            assert captured.out == ""
+            assert not report_path.exists()
 
 
 class TestWrittenFiles:

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from starprod import InvalidParameterError, SamplerFailureError, ToleranceConfig, verification
+from starprod import InvalidParameterError, SamplerFailureError, ToleranceConfig, catalog, verification
 from starprod.catalog import random_minimal_povm_dequantizers, random_minimal_povm_scheme
 from starprod.scheme import canonical_duals, canonical_quantizers
 from starprod.verification import (
@@ -89,26 +89,29 @@ class TestStackedSampler:
     # Rank tolerances that reject a share of first draws, so some seeds
     # draw again from their own streams.
     @pytest.mark.parametrize("d, rank_tol", [(2, 0.05), (3, 0.01)])
-    def test_matches_single_seed_sampler(self, d, rank_tol):
+    def test_matches_single_seed_sampler(self, monkeypatch, d, rank_tol):
         tol = ToleranceConfig(rank_tol=rank_tol)
-        with pytest.raises(SamplerFailureError):
-            random_minimal_povm_dequantizers(d, range(40), tol, max_attempts=1)
+        with monkeypatch.context() as patch:
+            patch.setattr(catalog, "_MAX_ATTEMPTS", 1)
+            with pytest.raises(SamplerFailureError):
+                random_minimal_povm_dequantizers(d, range(40), tol)
         stacked = random_minimal_povm_dequantizers(d, range(40), tol)
         assert stacked.shape == (40, d * d, d, d)
         for seed, family in enumerate(stacked):
             assert np.array_equal(family, random_minimal_povm_scheme(d, seed, tol).dequantizers)
 
-    def test_failure_names_first_rank_deficient_seed(self):
+    def test_failure_names_first_rank_deficient_seed(self, monkeypatch):
+        monkeypatch.setattr(catalog, "_MAX_ATTEMPTS", 1)
         tol = ToleranceConfig(rank_tol=0.05)
         failing = []
         for seed in range(20):
             try:
-                random_minimal_povm_scheme(2, seed, tol, max_attempts=1)
+                random_minimal_povm_scheme(2, seed, tol)
             except SamplerFailureError:
                 failing.append(seed)
         assert failing
         with pytest.raises(SamplerFailureError, match=rf"seed={failing[0]}\)"):
-            random_minimal_povm_dequantizers(2, range(20), tol, max_attempts=1)
+            random_minimal_povm_dequantizers(2, range(20), tol)
 
 
 class TestHaarUnitaries:
