@@ -13,14 +13,14 @@ import argparse
 import functools
 import sys
 from dataclasses import replace
-from typing import Any, Callable
+from typing import Any
 
 import numpy as np
 
 from . import __version__
 from .catalog import SCHEMES, build_scheme
-from .errors import MalformedInputError, ScaleOutOfRangeError, StarProdError
-from .matrixcore import DEFAULT_TOL, ToleranceConfig
+from .errors import MalformedInputError, StarProdError
+from .matrixcore import DEFAULT_TOL, ToleranceConfig, finite
 from .operator_space import VectorizationBasis, pauli_basis
 from .scheme import (
     SchemeReport,
@@ -41,7 +41,6 @@ from .serialization import (
     write_json,
 )
 from .star_product import (
-    StarKernel,
     associativity_residual,
     intertwiner,
     reconstruct,
@@ -181,41 +180,12 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
     return 0
 
 
-def _scale_error(what: str) -> ScaleOutOfRangeError:
-    return ScaleOutOfRangeError(f"scheme scale out of float64 range: the {what}; rescale the scheme")
-
-
-def _finite_results(compute: Callable[[], tuple], *overflows: str) -> tuple:
-    """``compute()``'s results, run with numpy's overflow warnings off: at an
-    extreme scheme scale, operator products overflow to inf and then NaN,
-    which numpy only warns about.  ``overflows`` names, in order, the error
-    for each result that is not finite."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        results = compute()
-    for what, value in zip(overflows, results):
-        if not np.isfinite(value).all():
-            raise _scale_error(what)
-    return results
-
-
 def cmd_kernel(args: argparse.Namespace) -> int:
     tol = _tolerances(args)
-    s = with_canonical_quantizers(load_scheme(args.scheme), tol)
-    (values,) = _finite_results(lambda: (star_kernel(s).values,), "kernel entries overflow")
-    # Below the normal range, products of quantizers lose their digits silently;
-    # sum |D_k|^2 is sum sigma^-2 for canonical quantizers.
-    qs = s.quantizers
-    if np.vdot(qs, qs).real < sys.float_info.min and qs.any():
-        raise _scale_error("kernel entries underflow")
-    residual = None
-    if args.assoc_check:
-        # Checked on K / max|K|, so the residual is relative to max|K|^2, the
-        # scale of a product of two kernels: it reads the same at every scheme
-        # scale, and the products in the check neither overflow nor go subnormal.
-        scale = float(np.abs(values).max())
-        residual = associativity_residual(StarKernel(s.d, values / scale)) if scale else 0.0
-    save_kernel(s.d, values, args.output, assoc_residual=residual)
-    print(f"wrote kernel tensor ({len(values)}^3 entries) to {args.output}")
+    kernel = star_kernel(with_canonical_quantizers(load_scheme(args.scheme), tol))
+    residual = associativity_residual(kernel) if args.assoc_check else None
+    save_kernel(kernel.d, kernel.values, args.output, assoc_residual=residual)
+    print(f"wrote kernel tensor ({kernel.n_points}^3 entries) to {args.output}")
     if residual is not None:
         print(f"associativity residual: {residual:.3e}")
     return 0
@@ -226,31 +196,22 @@ def cmd_intertwine(args: argparse.Namespace) -> int:
     s_a = load_scheme(args.scheme_a)
     s_b = load_scheme(args.scheme_b)
     a = load_operator(args.operator)
-
-    def compute():
-        pair = intertwiner(s_a, s_b, tol)
-        f_a = symbol(s_a, a)
-        residual = float(np.abs(pair.backward @ (pair.forward @ f_a) - f_a).max())
-        return pair.forward, pair.backward, f_a, residual
-
-    forward, backward, f_a, residual = _finite_results(
-        compute, "forward kernel overflows", "backward kernel overflows",
-        "symbol overflows", "round-trip residual overflows",
-    )
+    pair = intertwiner(s_a, s_b, tol)
+    f_a = symbol(s_a, a)
+    back = finite("the round-trip residual overflows", lambda: pair.backward @ (pair.forward @ f_a))
     # Relative to the symbol's largest entry, so it reads the same at every scale.
-    scale = float(np.abs(f_a).max())
-    residual = residual / scale if scale else 0.0
+    residual = float(np.abs(back - f_a).max()) / (float(np.abs(f_a).max()) or 1.0)
     with np.printoptions(precision=6, suppress=True):
         print("forward kernel (source -> target):")
-        print(forward)
+        print(pair.forward)
         print("backward kernel (target -> source):")
-        print(backward)
+        print(pair.backward)
     print(f"symbol round-trip residual: {residual:.3e}")
     _write_report(
         args.report or "intertwine.report.json",
         tol,
-        forward=forward,
-        backward=backward,
+        forward=pair.forward,
+        backward=pair.backward,
         roundtrip_residual=residual,
         symbol=f_a,
     )
@@ -356,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the verification battery")
     p.add_argument("--suite", choices=("all", *SUITES), default="all")
     p.add_argument(
-        "--seeds", type=int, default=1000, help="sample count for random-povm (at least 1)"
+        "--seeds", type=int, help="sample count for povm-dual-negativity (at least 1; default 1000)"
     )
     p.add_argument("--report")
     _add_tolerance_flags(p, "rank", "residual", "eig")

@@ -21,8 +21,8 @@ class SchemeParseError(MalformedInputError):
 
 
 class ScaleOutOfRangeError(MalformedInputError):
-    """A scheme's scale puts the squares its classification takes outside the
-    normal float64 range, where they would overflow or lose precision."""
+    """A scheme's scale puts a result outside the float64 range, where it would
+    overflow or lose its digits."""
 
 
 class UnknownSchemeError(MalformedInputError):

@@ -1,4 +1,4 @@
-"""Dense complex matrix primitives: tolerances, singular values and rank.
+"""Dense complex matrix primitives: tolerances, singular values, rank, range.
 
 Matrices are plain ``numpy.ndarray`` values in row-major (C) order, so the
 row-stacking map between operators and vectors is a reshape.  All functions
@@ -9,10 +9,11 @@ are the contracts (ordering, tolerance semantics) and the error types.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any, Callable
 
 import numpy as np
 
-from .errors import DimensionMismatchError, InvalidParameterError
+from .errors import DimensionMismatchError, InvalidParameterError, ScaleOutOfRangeError
 
 
 @dataclass(frozen=True)
@@ -21,10 +22,10 @@ class ToleranceConfig:
 
     rank_tol is relative (singular values are compared against
     ``rank_tol * sigma_max``).  residual_tol bounds max-abs entries of
-    residuals: relative to the family's largest entry for self-duality and
-    for the hermiticity test of ``negativity_report``, so those verdicts do
-    not change when a scheme is rescaled, and absolute where the target
-    fixes the scale (the identity, a POVM, matrix units, unit vectors).
+    residuals: relative where a rescaled scheme must keep its verdict (to the
+    family's largest entry for self-duality and the hermiticity test of
+    ``negativity_report``, to max|U| max|G| for the gauge test), and absolute
+    where the target fixes the scale (the identity, a POVM, matrix units, unit vectors).
     eig_tol is the eigenvalue sign threshold.
     """
 
@@ -64,3 +65,18 @@ def rank(m, tol: ToleranceConfig = DEFAULT_TOL) -> int | np.ndarray:
     """
     ranks = rank_from_singular_values(singular_values(m), tol)
     return int(ranks) if ranks.ndim == 0 else ranks
+
+
+def scale_error(what: str) -> ScaleOutOfRangeError:
+    """The error for a result, named by ``what``, that leaves the float64 range."""
+    return ScaleOutOfRangeError(f"scheme scale out of float64 range: {what}; rescale the scheme")
+
+
+def finite(what: str, compute: Callable[[], Any]) -> Any:
+    """``compute()``'s result, run with numpy's overflow warnings off; raises
+    ``scale_error(what)`` if an entry of it is inf or NaN."""
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        result = compute()
+    if not np.isfinite(result).all():
+        raise scale_error(what)
+    return result

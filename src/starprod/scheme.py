@@ -26,9 +26,8 @@ from .errors import (
     NotOverfilledError,
     NotSquareError,
     NotTomographicError,
-    ScaleOutOfRangeError,
 )
-from .matrixcore import DEFAULT_TOL, ToleranceConfig, rank_from_singular_values
+from .matrixcore import DEFAULT_TOL, ToleranceConfig, finite, rank_from_singular_values, scale_error
 from .operator_space import VectorizationBasis, devectorize, vectorize
 
 Cardinality = Literal["underfilled", "minimal", "overfilled"]
@@ -152,7 +151,7 @@ def scheme_from_dequantization_matrix(mat, basis: VectorizationBasis) -> Scheme:
 
 def _dual_matrix(w: np.ndarray, sv: np.ndarray, vh: np.ndarray) -> np.ndarray:
     """Canonical dual W Sigma^-1 V^dag = pinv(U)^dag of a rank-d^2 U = W Sigma V^dag."""
-    return (w / sv[..., None, :]) @ vh
+    return finite("the canonical quantizers overflow", lambda: (w / sv[..., None, :]) @ vh)
 
 
 def canonical_duals(dequantizers, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
@@ -162,7 +161,7 @@ def canonical_duals(dequantizers, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndar
     one dual family per input family.  One thin SVD U = W Sigma V^dag of each
     dequantization matrix gives its rank and its dual pinv(U)^dag, for minimal
     and overfilled families alike.  Raises NotTomographicError when a family
-    does not span the operator space.
+    does not span the operator space, ScaleOutOfRangeError when a dual overflows.
     """
     deq = np.asarray(dequantizers, dtype=complex)
     if deq.ndim < 3 or deq.shape[-1] != deq.shape[-2]:
@@ -203,7 +202,10 @@ def completeness_residual(s: Scheme) -> float:
     """Max-abs entry of sum_k |D_k><U_k| - I over the operator space."""
     d_mat = quantization_matrix(s)
     u_mat = dequantization_matrix(s)
-    return float(np.abs(d_mat @ u_mat.conj().T - np.eye(s.d * s.d)).max())
+    return finite(
+        "the completeness residual overflows",
+        lambda: float(np.abs(d_mat @ u_mat.conj().T - np.eye(s.d * s.d)).max()),
+    )
 
 
 def gauge_quantizers(s: Scheme, g_mat, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
@@ -211,7 +213,8 @@ def gauge_quantizers(s: Scheme, g_mat, tol: ToleranceConfig = DEFAULT_TOL) -> np
 
     ``g_mat`` is d^2 x N in row-stacking coordinates and must satisfy
     U G^dag = 0 (its conjugated rows lie in the kernel of the dequantization
-    matrix); only overfilled schemes admit a nonzero kernel.
+    matrix) to within residual_tol max|U| max|G|, a scale-free test; only
+    overfilled schemes admit a nonzero kernel.
     """
     if s.n_points <= s.d * s.d:
         raise NotOverfilledError(
@@ -224,14 +227,16 @@ def gauge_quantizers(s: Scheme, g_mat, tol: ToleranceConfig = DEFAULT_TOL) -> np
         raise DimensionMismatchError(
             f"gauge matrix shape {g_mat.shape} does not match {u_mat.shape}"
         )
-    violation = float(np.abs(u_mat @ g_mat.conj().T).max())
-    if violation > tol.residual_tol:
+    product = finite("the gauge residual overflows", lambda: u_mat @ g_mat.conj().T)
+    violation = float(np.abs(product).max())
+    # Relative to max|U| max|G|, multiplied so the zero gauge passes without 0 / 0.
+    if violation > tol.residual_tol * float(np.abs(u_mat).max()) * float(np.abs(g_mat).max()):
         raise InvalidGaugeError(
             f"gauge matrix does not annihilate the dequantization matrix "
             f"(residual {violation:.3e})"
         )
     d_mat = quantization_matrix(with_canonical_quantizers(s, tol), basis)
-    return devectorize((d_mat + g_mat).T, basis)
+    return devectorize(finite("the shifted quantizers overflow", lambda: d_mat + g_mat).T, basis)
 
 
 def duality_matrix(s: Scheme) -> np.ndarray:
@@ -407,9 +412,9 @@ def classify(
     kept = sv[:rk].tolist()
     powers = (sum(x * x for x in kept), sum((1 / x) * (1 / x) for x in kept))
     if rk and not all(sys.float_info.min <= p < math.inf for p in powers):
-        raise ScaleOutOfRangeError(
-            f"scheme scale out of float64 range: sum sigma^2 = {powers[0]:.3g} and "
-            f"sum sigma^-2 = {powers[1]:.3g} must be normal numbers; rescale the scheme"
+        raise scale_error(
+            f"sum sigma^2 = {powers[0]:.3g} and sum sigma^-2 = {powers[1]:.3g} "
+            "must be normal numbers"
         )
     tomographic = rk == d_sq
     if n < d_sq:

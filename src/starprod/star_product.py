@@ -9,6 +9,7 @@ two schemes on the same space.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,7 +19,7 @@ from .errors import (
     LengthMismatchError,
     NotUnitaryError,
 )
-from .matrixcore import DEFAULT_TOL, ToleranceConfig
+from .matrixcore import DEFAULT_TOL, ToleranceConfig, finite, scale_error
 from .scheme import Scheme, with_canonical_quantizers
 
 
@@ -33,7 +34,8 @@ def symbol(s: Scheme, a) -> np.ndarray:
         raise DimensionMismatchError(
             f"operator shape {a.shape} does not match scheme dimension d={s.d}"
         )
-    return np.einsum("kab,...ab->...k", s.dequantizers.conj(), a)
+    deq = s.dequantizers.conj()
+    return finite("the symbol overflows", lambda: np.einsum("kab,...ab->...k", deq, a))
 
 
 def reconstruct(s: Scheme, f) -> np.ndarray:
@@ -48,7 +50,7 @@ def reconstruct(s: Scheme, f) -> np.ndarray:
         raise LengthMismatchError(
             f"symbol length {f.shape[-1]} does not match scheme size N={s.n_points}"
         )
-    return np.tensordot(f, qs, axes=(-1, 0))
+    return finite("the reconstructed operator overflows", lambda: np.tensordot(f, qs, axes=(-1, 0)))
 
 
 @dataclass(frozen=True)
@@ -67,10 +69,16 @@ def star_kernel(s: Scheme) -> StarKernel:
     """Kernel tensor of the scheme (quantizers required)."""
     qs = s.require_quantizers()
     n, d = s.n_points, s.d
+    # Below the normal range, the products D_x D_y lose their digits silently.
+    if np.vdot(qs, qs).real < sys.float_info.min and qs.any():
+        raise scale_error("the kernel entries underflow")
     # All N^2 products D_x D_y in one batched matmul, then one GEMM pairs
     # them with the conjugated dequantizers: K[k, (x, y)].
-    products = np.matmul(qs[:, None], qs[None, :]).reshape(n * n, d * d)
-    values = s.dequantizers.conj().reshape(n, d * d) @ products.T
+    values = finite(
+        "the kernel entries overflow",
+        lambda: s.dequantizers.conj().reshape(n, d * d)
+        @ np.matmul(qs[:, None], qs[None, :]).reshape(n * n, d * d).T,
+    )
     return StarKernel(d=d, values=values.reshape(n, n, n))
 
 
@@ -91,14 +99,16 @@ def star_multiply(kernel: StarKernel, f_a, f_b) -> np.ndarray:
 
 
 def associativity_residual(kernel: StarKernel) -> float:
-    """Max-abs difference between the two ways of composing the kernel twice.
+    """Max-abs difference between the two ways of composing the kernel twice,
+    relative to max|K|^2 (0.0 for an all-zero kernel).
 
     Compares sum_l K[k,l,m] K[l,a,b] with sum_l K[k,a,l] K[l,b,m] over all
-    N^4 index tuples (k, a, b, m).  Exhaustive: O(N^5) time, but only O(N^3)
-    memory, because each k-slice is two GEMMs whose N^3 results are reduced
-    to their max before the next slice.
+    N^4 index tuples (k, a, b, m) of K / max|K|, so it reads the same at every
+    scheme scale and no product overflows or goes subnormal.  Exhaustive:
+    O(N^5) time, but only O(N^3) memory, because each k-slice is two GEMMs
+    whose N^3 results are reduced to their max before the next slice.
     """
-    k = kernel.values
+    k = kernel.values / (float(np.abs(kernel.values).max()) or 1.0)
     n = k.shape[0]
     flat = k.reshape(n, n * n)
     worst = np.empty(n)
@@ -137,8 +147,10 @@ def intertwiner(
         )
     source = with_canonical_quantizers(source, tol)
     target = with_canonical_quantizers(target, tol)
-    forward = np.einsum("kab,lab->kl", target.dequantizers.conj(), source.quantizers)
-    backward = np.einsum("kab,lab->kl", source.dequantizers.conj(), target.quantizers)
+    forward = finite("the forward kernel overflows", lambda: np.einsum(
+        "kab,lab->kl", target.dequantizers.conj(), source.quantizers))
+    backward = finite("the backward kernel overflows", lambda: np.einsum(
+        "kab,lab->kl", source.dequantizers.conj(), target.quantizers))
     return IntertwinerPair(forward=forward, backward=backward)
 
 

@@ -425,11 +425,12 @@ SUITES = {
 
 
 def run_battery(
-    suite: str = "all", seeds: int = 1000, tol: ToleranceConfig = DEFAULT_TOL
+    suite: str = "all", seeds: int | None = None, tol: ToleranceConfig = DEFAULT_TOL
 ) -> list[CheckResult]:
-    """Run the requested verification suite and return per-check results;
-    ``seeds`` must be at least 1 whatever the suite, checked before any runs."""
-    if seeds < 1:
+    """Run the requested verification suite and return per-check results.
+    ``seeds``, povm-dual-negativity's sample count (1000 if None), must be at
+    least 1 and is refused for a suite without that check, before any runs."""
+    if seeds is not None and seeds < 1:
         raise InvalidParameterError(f"seeds must be at least 1, got {seeds}")
     all_checks = {
         "table-rows-1-3": check_table_printed_rows,
@@ -453,6 +454,10 @@ def run_battery(
             raise InvalidParameterError(
                 f"unknown suite {suite!r}; choose all, " + ", ".join(SUITES)
             )
+    if seeds is None:
+        seeds = 1000
+    elif "povm-dual-negativity" not in names:
+        raise InvalidParameterError(f"suite {suite!r} draws no samples, so it takes no seed count")
     results = []
     for name in names:
         start = time.perf_counter()

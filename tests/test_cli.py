@@ -865,6 +865,43 @@ class TestIntertwine:
         assert main(["intertwine", str(a), str(b), str(op_path)]) == 2
 
 
+# Unchecked, every call but the kernel one exits 0 after an overflow: numpy
+# warns and the written files hold null tokens that the readers reject.  The
+# kernel call prints those warnings before its error line.
+_OVERFLOWING_CALLS = {
+    "symbol": ("pauli", 1e160, ["symbol", "{scheme}", "{big_operator}", "-o", "{out}"]),
+    "quantize": ("pauli", 1e-310, ["quantize", "{scheme}", "-o", "{out}"]),
+    "reconstruct": ("pauli", 1e-160, ["reconstruct", "{scheme}", "{big_symbol}", "-o", "{out}"]),
+    "reconstruct-subnormal": (
+        "pauli", 1e-310, ["reconstruct", "{scheme}", "{symbol}", "-o", "{out}"]
+    ),
+    "quantize-subnormal-mub": ("mub-prime", 1e-310, ["quantize", "{scheme}", "-o", "{out}"]),
+    "kernel": ("pauli", 1e-310, ["kernel", "{scheme}", "--assoc-check", "-o", "{out}"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_OVERFLOWING_CALLS))
+def test_overflowing_scale_exits_2_with_one_error_line(tmp_path, capsys, case):
+    name, scale, argv = _OVERFLOWING_CALLS[case]
+    params = {"p": 3} if name == "mub-prime" else {}
+    keys = ("scheme", "big_operator", "big_symbol", "symbol")
+    paths = {key: str(tmp_path / f"{key}.json") for key in keys}
+    s = build_scheme(name, **params)
+    save_scheme(Scheme(dequantizers=scale * s.dequantizers), paths["scheme"])
+    save_operator(1e160 * np.eye(s.d), paths["big_operator"])
+    save_vector(np.eye(s.n_points)[0] * 1e200, paths["big_symbol"])
+    save_vector(np.eye(s.n_points)[0], paths["symbol"])
+    inputs = set(tmp_path.iterdir())
+    code = main([arg.format(out=tmp_path / "out.json", **paths) for arg in argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: scheme scale out of float64 range: ")
+    assert captured.err.count("\n") == 1
+    assert "Warning" not in captured.err
+    assert set(tmp_path.iterdir()) == inputs
+
+
 class TestVerify:
     def test_table_suite(self, tmp_path, capsys):
         report_path = tmp_path / "verify.json"
@@ -902,6 +939,16 @@ class TestVerify:
             for check in report["checks"]:
                 assert check.pop("seconds") >= 0.0
         assert reports[0] == reports[1]
+
+    def test_seed_count_for_a_suite_without_samples_exits_2(self, tmp_path, capsys):
+        report_path = tmp_path / "verify.json"
+        assert main(["verify", "--suite", "table", "--seeds", "5", "--report", str(report_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: suite 'table' draws no samples, so it takes no seed count\n"
+        )
+        assert not report_path.exists()
 
     @pytest.mark.parametrize("seeds", ["0", "-3"])
     def test_vacuous_seed_count_exits_2(self, tmp_path, capsys, seeds):

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from starprod import ToleranceConfig, rank, singular_values
+from starprod import ScaleOutOfRangeError, ToleranceConfig, rank, singular_values
+from starprod.matrixcore import finite
 
 from _helpers import random_complex
 
@@ -98,3 +99,17 @@ class TestRank:
         assert ranks.shape == (2, 3)
         assert ranks.tolist() == [[rank(m) for m in row] for row in stack]
 
+
+
+class TestFinite:
+    def test_returns_a_finite_result(self):
+        value = np.array([1e300, -1e-300, 0.0])
+        assert finite("the value overflows", lambda: value) is value
+
+    @pytest.mark.parametrize("compute", [lambda: np.array([1e300]) * 1e300, lambda: np.inf - np.inf])
+    def test_names_a_result_that_is_not_finite_without_a_warning(self, compute):
+        with pytest.raises(ScaleOutOfRangeError) as caught:
+            finite("the value overflows", compute)
+        assert str(caught.value) == (
+            "scheme scale out of float64 range: the value overflows; rescale the scheme"
+        )

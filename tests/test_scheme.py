@@ -240,6 +240,19 @@ class TestGaugeQuantizers:
         with pytest.raises(NotOverfilledError):
             gauge_quantizers(livine_scheme(), np.zeros((4, 4)))
 
+    # The gauge test is relative to max|U| max|G|, so rescaling the scheme
+    # changes neither verdict; an absolute test refuses the null gauge at x 1e8.
+    @pytest.mark.parametrize("scale", [1e-8, 1.0, 1e8])
+    def test_verdicts_do_not_change_when_the_scheme_is_rescaled(self, rng, scale):
+        s = mub_qubit_scheme()
+        _, _, vh = np.linalg.svd(dequantization_matrix(s))
+        null_gauge = np.outer(random_complex(rng, 4), vh[-1])
+        scaled = Scheme(dequantizers=scale * s.dequantizers)
+        shifted = gauge_quantizers(scaled, null_gauge)
+        assert np.abs(shifted - canonical_quantizers(scaled)).max() > 1e-3
+        with pytest.raises(InvalidGaugeError):
+            gauge_quantizers(scaled, random_complex(rng, (4, 6)))
+
 
 class TestDualityMatrix:
     def test_matrix_units(self):

@@ -7,11 +7,15 @@ from starprod import (
     MissingQuantizersError,
     NotTomographicError,
     NotUnitaryError,
+    ScaleOutOfRangeError,
     Scheme,
     StarKernel,
     associativity_residual,
+    canonical_duals,
+    completeness_residual,
     cubic_unitary_residual,
     dequantization_matrix,
+    gauge_quantizers,
     intertwiner,
     reconstruct,
     star_kernel,
@@ -20,6 +24,7 @@ from starprod import (
     with_canonical_quantizers,
 )
 from starprod.catalog import (
+    build_scheme,
     entries,
     livine_scheme,
     matrix_units_scheme,
@@ -172,13 +177,25 @@ class TestAssociativity:
     def test_matches_einsum_reference_on_random_tensor(self, rng, n):
         # A random tensor is far from associative, so the residual is large
         # and the relative agreement with the N^4 einsum form is meaningful.
+        # The residual is relative to max|K|^2.
         values = random_complex(rng, (n, n, n))
         left = np.einsum("klm,lab->kabm", values, values)
         right = np.einsum("kal,lbm->kabm", values, values)
-        expected = float(np.abs(left - right).max())
+        absolute = float(np.abs(left - right).max())
+        expected = absolute / float(np.abs(values).max()) ** 2
         got = associativity_residual(StarKernel(d=2, values=values))
-        assert expected > 1.0
+        assert absolute > 1.0
         assert abs(got - expected) <= 1e-12 * expected
+
+    def test_reads_the_same_at_every_kernel_scale(self):
+        # Powers of two scale K without rounding, so K / max|K| is the same array.
+        kernel = star_kernel(with_canonical_quantizers(build_scheme("mub-prime", p=3)))
+        residuals = {
+            associativity_residual(StarKernel(d=3, values=scale * kernel.values))
+            for scale in (2.0**-500, 1.0, 2.0**500)
+        }
+        assert len(residuals) == 1
+        assert residuals.pop() <= 1e-14
 
 
 class TestIntertwiner:
@@ -296,3 +313,79 @@ class TestStackedForms:
         unitaries[1] *= 2
         with pytest.raises(NotUnitaryError):
             cubic_unitary_residual(unitaries)
+
+
+def _scaled(name, scale, **params):
+    return Scheme(dequantizers=scale * build_scheme(name, **params).dequantizers)
+
+
+def _shifted_quantizers_overflow():
+    # The canonical quantizers of mub-qubit x 1e-307 reach 6.7e306 in row 0;
+    # the null vector (1, 1, -1, -1, 0, 0) times 1.79e308 there passes the
+    # gauge test but its sum with them does not fit in a float64.
+    s = _scaled("mub-qubit", 1e-307)
+    g = np.zeros((4, 6))
+    g[0] = 1.79e308 * np.array([1, 1, -1, -1, 0, 0])
+    return gauge_quantizers(s, g)
+
+
+class TestFloatRange:
+    """Every function behind a CLI output returns finite values or raises
+    ScaleOutOfRangeError naming the result that left the float64 range."""
+
+    @pytest.mark.parametrize(
+        "compute, what",
+        [
+            (
+                lambda: canonical_duals(_scaled("pauli", 1e-310).dequantizers),
+                "the canonical quantizers overflow",
+            ),
+            (_shifted_quantizers_overflow, "the shifted quantizers overflow"),
+            (
+                lambda: completeness_residual(Scheme(
+                    dequantizers=1e200 * matrix_units_scheme(2).dequantizers,
+                    quantizers=1e200 * matrix_units_scheme(2).dequantizers,
+                )),
+                "the completeness residual overflows",
+            ),
+            (lambda: symbol(_scaled("pauli", 1e160), 1e160 * np.eye(2)), "the symbol overflows"),
+            (
+                lambda: reconstruct(
+                    with_canonical_quantizers(_scaled("pauli", 1e-160)), [1e200, 0, 0, 0]
+                ),
+                "the reconstructed operator overflows",
+            ),
+            (
+                lambda: star_kernel(with_canonical_quantizers(_scaled("mub-prime", 1e-160, p=3))),
+                "the kernel entries overflow",
+            ),
+            (
+                lambda: star_kernel(with_canonical_quantizers(_scaled("mub-prime", 1e155, p=3))),
+                "the kernel entries underflow",
+            ),
+            (
+                lambda: intertwiner(_scaled("pauli", 1e-160), _scaled("pauli", 1e160)),
+                "the forward kernel overflows",
+            ),
+            (
+                lambda: intertwiner(_scaled("pauli", 1e160), _scaled("pauli", 1e-160)),
+                "the backward kernel overflows",
+            ),
+        ],
+        ids=[
+            "canonical_duals",
+            "gauge_quantizers",
+            "completeness_residual",
+            "symbol",
+            "reconstruct",
+            "star_kernel-overflow",
+            "star_kernel-underflow",
+            "intertwiner-forward",
+            "intertwiner-backward",
+        ],
+    )
+    def test_raises_at_its_edge(self, compute, what):
+        message = f"scheme scale out of float64 range: {what}; rescale the scheme"
+        with pytest.raises(ScaleOutOfRangeError) as caught:
+            compute()
+        assert str(caught.value) == message

@@ -63,6 +63,16 @@ class TestPovmDualNegativity:
         with pytest.raises(InvalidParameterError, match="seeds must be at least 1"):
             run_battery("random-povm", seeds=seeds)
 
+    def test_default_seed_count_is_1000(self):
+        (result,) = run_battery("random-povm")
+        assert result.details["seeds"] == 1000
+
+    def test_seed_count_for_a_suite_without_the_check_rejected(self):
+        with pytest.raises(InvalidParameterError, match="suite 'table' draws no samples"):
+            run_battery("table", seeds=5)
+        # Without a count the suite runs.
+        assert [r.name for r in run_battery("table")] == ["table-rows-1-3", "table-rows-4-6"]
+
 
 def test_unknown_suite_is_an_invalid_parameter():
     with pytest.raises(InvalidParameterError, match="unknown suite 'nope'"):
