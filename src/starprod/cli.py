@@ -21,7 +21,6 @@ from . import __version__
 from .catalog import SCHEMES, build_scheme
 from .errors import MalformedInputError, StarProdError
 from .matrixcore import DEFAULT_TOL, ToleranceConfig, finite
-from .operator_space import VectorizationBasis, pauli_basis
 from .scheme import (
     SchemeReport,
     classify,
@@ -30,7 +29,6 @@ from .scheme import (
     with_canonical_quantizers,
 )
 from .serialization import (
-    load_basis,
     load_operator,
     load_scheme,
     load_vector,
@@ -67,15 +65,6 @@ def _add_tolerance_flags(parser: argparse.ArgumentParser, *names: str) -> None:
 
 def _tolerances(args: argparse.Namespace) -> ToleranceConfig:
     return replace(DEFAULT_TOL, **{k: v for k, v in vars(args).items() if k.endswith("_tol")})
-
-
-def _basis(spec: str, d: int, tol: ToleranceConfig) -> VectorizationBasis:
-    """The basis ``--basis`` names: rowstacking, pauli, or a basis file's path."""
-    if spec == "rowstacking":
-        return VectorizationBasis.row_stacking(d)
-    if spec == "pauli":
-        return pauli_basis()
-    return load_basis(spec, tol)
 
 
 def _write_report(path: str, tol: ToleranceConfig, **fields: Any) -> None:
@@ -127,14 +116,12 @@ def _format_human(report: SchemeReport, scheme_name: str, d: int, n: int) -> str
 def cmd_classify(args: argparse.Namespace) -> int:
     tol = _tolerances(args)
     s = load_scheme(args.scheme)
-    basis = _basis(args.basis, s.d, tol)
-    report = classify(s, tol, basis)
+    report = classify(s, tol)
     print(_format_human(report, s.name or args.scheme, s.d, s.n_points))
     _write_report(
         args.report or f"{args.scheme}.report.json",
         tol,
         scheme={"path": args.scheme, "name": s.name, "d": s.d, "n": s.n_points},
-        basis=basis.tag,
         report=report,
     )
     return 0
@@ -219,8 +206,7 @@ def cmd_intertwine(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    tol = _tolerances(args)
-    results = run_battery(suite=args.suite, seeds=args.seeds, tol=tol)
+    results = run_battery(suite=args.suite, seeds=args.seeds)
     for result in results:
         status = "PASS" if result.passed else "FAIL"
         numbers = {
@@ -236,7 +222,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     all_passed = all(r.passed for r in results)
     _write_report(
         args.report or "verify.report.json",
-        tol,
+        DEFAULT_TOL,  # the tolerances the battery runs at
         suite=args.suite,
         checks=results,
         passed=all_passed,
@@ -274,7 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", help="classify a scheme and write a report")
     p.add_argument("scheme")
     p.add_argument("--report")
-    p.add_argument("--basis", default="rowstacking", help="rowstacking, pauli, or a basis file")
     _add_tolerance_flags(p, "rank", "residual", "eig")
     p.set_defaults(func=cmd_classify)
 
@@ -320,7 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--seeds", type=int, help="sample count for povm-dual-negativity (at least 1; default 1000)"
     )
     p.add_argument("--report")
-    _add_tolerance_flags(p, "rank", "residual", "eig")
     p.set_defaults(func=cmd_verify)
     return parser
 

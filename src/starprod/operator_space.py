@@ -20,8 +20,6 @@ from .errors import (
 )
 from .matrixcore import DEFAULT_TOL, ToleranceConfig
 
-ROW_STACKING_TAG = "rowstacking"
-
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -57,7 +55,6 @@ class VectorizationBasis:
 
     d: int
     ops: np.ndarray | None = None
-    tag: str = ROW_STACKING_TAG
 
     def __post_init__(self) -> None:
         if self.d < 1:
@@ -72,12 +69,7 @@ class VectorizationBasis:
         return cls(d=d)
 
     @classmethod
-    def orthonormal(
-        cls,
-        ops,
-        tag: str = "orthonormal",
-        tol: ToleranceConfig = DEFAULT_TOL,
-    ) -> "VectorizationBasis":
+    def orthonormal(cls, ops, tol: ToleranceConfig = DEFAULT_TOL) -> "VectorizationBasis":
         """Basis over an explicit operator stack, validated for trace orthonormality."""
         ops = np.asarray(ops, dtype=complex)
         residual = validate_orthonormal_basis(ops)
@@ -85,7 +77,7 @@ class VectorizationBasis:
             raise DimensionMismatchError(
                 f"operator basis is not trace-orthonormal (residual {residual:.3e})"
             )
-        return cls(d=ops.shape[1], ops=ops, tag=tag)
+        return cls(d=ops.shape[1], ops=ops)
 
     @property
     def dim(self) -> int:
@@ -96,7 +88,7 @@ class VectorizationBasis:
 def pauli_basis() -> VectorizationBasis:
     """The qubit basis (I, sigma_x, sigma_y, sigma_z) / sqrt(2)."""
     ops = np.stack([np.eye(2, dtype=complex), PAULI_X, PAULI_Y, PAULI_Z]) / np.sqrt(2)
-    return VectorizationBasis(d=2, ops=ops, tag="pauli")
+    return VectorizationBasis(d=2, ops=ops)
 
 
 def vectorize(z, basis: VectorizationBasis) -> np.ndarray:

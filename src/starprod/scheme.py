@@ -149,9 +149,19 @@ def scheme_from_dequantization_matrix(mat, basis: VectorizationBasis) -> Scheme:
     return Scheme(dequantizers=devectorize(mat.T, basis))
 
 
-def _dual_matrix(w: np.ndarray, sv: np.ndarray, vh: np.ndarray) -> np.ndarray:
-    """Canonical dual W Sigma^-1 V^dag = pinv(U)^dag of a rank-d^2 U = W Sigma V^dag."""
-    return finite("the canonical quantizers overflow", lambda: (w / sv[..., None, :]) @ vh)
+def _row_stacking_svd(deq: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """Row-stacking dequantization matrices U (..., d^2, N) of a (..., N, d, d)
+    stack of families, and their thin SVDs U = W Sigma V^dag."""
+    u_mat = vectorize(deq, VectorizationBasis.row_stacking(deq.shape[-1])).swapaxes(-1, -2)
+    return u_mat, np.linalg.svd(u_mat, full_matrices=False)
+
+
+def _dual_family(w: np.ndarray, sv: np.ndarray, vh: np.ndarray) -> np.ndarray:
+    """Canonical dual family of a rank-d^2 U = W Sigma V^dag: W Sigma^-1 V^dag =
+    pinv(U)^dag, devectorized in row stacking."""
+    dual = finite("the canonical quantizers overflow", lambda: (w / sv[..., None, :]) @ vh)
+    rows = VectorizationBasis.row_stacking(math.isqrt(w.shape[-2]))
+    return devectorize(dual.swapaxes(-1, -2), rows)
 
 
 def canonical_duals(dequantizers, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
@@ -168,17 +178,15 @@ def canonical_duals(dequantizers, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndar
         raise DimensionMismatchError(
             f"expected a stack of square operator families, got shape {deq.shape}"
         )
-    rows = VectorizationBasis.row_stacking(deq.shape[-1])
-    d_sq = rows.dim
-    u_mat = vectorize(deq, rows).swapaxes(-1, -2)
-    w, sv, vh = np.linalg.svd(u_mat, full_matrices=False)
+    d_sq = deq.shape[-1] ** 2
+    _, (w, sv, vh) = _row_stacking_svd(deq)
     ranks = rank_from_singular_values(sv, tol).reshape(-1)
     deficient = np.flatnonzero(ranks < d_sq)
     if deficient.size:
         raise NotTomographicError(
             f"rank {ranks[deficient[0]]} < d^2 = {d_sq}; quantizers are undefined"
         )
-    return devectorize(_dual_matrix(w, sv, vh).swapaxes(-1, -2), rows)
+    return _dual_family(w, sv, vh)
 
 
 def canonical_quantizers(s: Scheme, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
@@ -384,26 +392,21 @@ def matrix_unit_like_detect(
     return u
 
 
-def classify(
-    s: Scheme,
-    tol: ToleranceConfig = DEFAULT_TOL,
-    basis: VectorizationBasis | None = None,
-) -> SchemeReport:
+def classify(s: Scheme, tol: ToleranceConfig = DEFAULT_TOL) -> SchemeReport:
     """Full scheme report: cardinality, rank, conditioning, and diagnostics.
 
     Diagnostics that need quantizers use the attached family when present and
     the canonical one otherwise (tomographic schemes only).  Rank, condition
-    number and that dual share one SVD of U_B, the dequantization matrix in
-    ``basis``; U_B = G^dag U, so G pinv(U_B)^dag = pinv(U)^dag for invertible G.
-    Raises ScaleOutOfRangeError for a nonzero scheme whose scale puts the sum
-    of sigma^2 or of sigma^-2 over U_B's kept singular values outside the
-    normal float64 range.
+    number and that dual share one thin SVD of U, the row-stacking
+    dequantization matrix, taken as ``canonical_duals`` takes it.  Every
+    orthonormal basis gives G^dag U for a unitary G, with the same sigma and
+    U^dag U, so no verdict depends on the basis.  Raises ScaleOutOfRangeError
+    for a nonzero scheme whose scale puts the sum of sigma^2 or of sigma^-2
+    over U's kept singular values outside the normal float64 range.
     """
-    basis = _default_basis(s, basis)
-    u_mat = dequantization_matrix(s, basis)
     d_sq = s.d * s.d
     n = s.n_points
-    w, sv, vh = np.linalg.svd(u_mat, full_matrices=False)
+    u_mat, (w, sv, vh) = _row_stacking_svd(s.dequantizers)
     rk = int(rank_from_singular_values(sv, tol))
     # The diagnostics square the entries of U and of its dual (Gram matrix,
     # Frobenius norms), whose sums of squares are those of the kept sigma and
@@ -427,7 +430,7 @@ def classify(
 
     diagnostic = s
     if s.quantizers is None and tomographic:
-        diagnostic = s.with_quantizers(devectorize(_dual_matrix(w, sv, vh).T, basis))
+        diagnostic = s.with_quantizers(_dual_family(w, sv, vh))
     self_dual = (
         self_dual_coefficient(diagnostic, tol) if diagnostic.quantizers is not None else None
     )

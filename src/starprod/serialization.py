@@ -1,4 +1,4 @@
-"""JSON file formats for schemes, operators, vectors, bases, kernels, and reports.
+"""JSON file formats for schemes, operators, vectors, kernels, and reports.
 
 Every complex array is a rectangular nesting of [re, im] number pairs in
 row-major order.  ``_encode`` builds it as lists; one formatter,
@@ -23,8 +23,6 @@ from typing import Any, Iterable, Iterator
 import numpy as np
 
 from .errors import SchemeParseError
-from .matrixcore import ToleranceConfig
-from .operator_space import VectorizationBasis
 from .scheme import Scheme
 
 SCHEME_FORMAT = "starprod-scheme"
@@ -247,12 +245,6 @@ def save_vector(v: np.ndarray, path: str, **extra: Any) -> None:
 
 def load_vector(path: str) -> np.ndarray:
     return _decode(read_json(path, "values")["values"], 1, f"{path}: values")
-
-
-def load_basis(path: str, tol: ToleranceConfig) -> VectorizationBasis:
-    """Basis file ``{"operators": [matrix, ...]}``, checked for trace orthonormality."""
-    ops = _decode(read_json(path, "operators")["operators"], 3, f"{path}: operators")
-    return VectorizationBasis.orthonormal(ops, tag=path, tol=tol)
 
 
 def save_kernel(d: int, values: np.ndarray, path: str, assoc_residual: float | None = None) -> None:

@@ -1,6 +1,7 @@
 """Structural verification battery.
 
-Each check pins its tolerances, runs one acceptance-grade property
+Each check pins its pass gates, calls the library at its default
+tolerances, runs one acceptance-grade property
 (table regression, symmetric-overlap conditions, the self-duality and
 POVM-incompatibility statements, completeness/round-trip, kernel laws,
 intertwining, the cubic unitary identity, the MUB frame), and reports its
@@ -33,7 +34,7 @@ from .catalog import (
     wh_sic_scheme,
 )
 from .errors import InvalidParameterError
-from .matrixcore import DEFAULT_TOL, ToleranceConfig, singular_values
+from .matrixcore import DEFAULT_TOL, singular_values
 from .operator_space import VectorizationBasis, devectorize
 from .scheme import (
     Scheme,
@@ -100,12 +101,10 @@ def haar_unitaries(normals: np.ndarray) -> np.ndarray:
 
 
 @functools.cache
-def _quantized_regression_set(tol: ToleranceConfig) -> tuple[tuple[str, Scheme], ...]:
+def _quantized_regression_set() -> tuple[tuple[str, Scheme], ...]:
     """The catalog regression set as (name, scheme with canonical quantizers),
-    built once per tolerance and shared by the checks that sweep it."""
-    return tuple(
-        (entry.name, with_canonical_quantizers(entry.scheme, tol)) for entry in entries(tol)
-    )
+    built once and shared by the checks that sweep it."""
+    return tuple((entry.name, with_canonical_quantizers(entry.scheme)) for entry in entries())
 
 
 def _worst_table_residual(rows: list[TableRow]) -> float:
@@ -148,7 +147,7 @@ def check_table_derived_rows() -> CheckResult:
     )
 
 
-def check_sic_conditions(tol: ToleranceConfig = DEFAULT_TOL) -> CheckResult:
+def check_sic_conditions() -> CheckResult:
     """Symmetric overlap conditions at d = 2 and d = 3."""
     projs = sic_qubit_scheme("projector").dequantizers
     gram = np.einsum("kab,lab->kl", projs.conj(), projs).real
@@ -160,7 +159,7 @@ def check_sic_conditions(tol: ToleranceConfig = DEFAULT_TOL) -> CheckResult:
     off = egram[~np.eye(4, dtype=bool)]
     qubit_effect_res = float(np.abs(off - 1 / 12).max())
 
-    qutrit = wh_sic_scheme(3, default_fiducial(3), tol).dequantizers
+    qutrit = wh_sic_scheme(3, default_fiducial(3)).dequantizers
     qgram = np.einsum("kab,lab->kl", qutrit.conj(), qutrit).real
     qtarget = (3 * np.eye(9) + 1) / 4
     qutrit_gram_res = float(np.abs(qgram - qtarget).max())
@@ -177,23 +176,23 @@ def check_sic_conditions(tol: ToleranceConfig = DEFAULT_TOL) -> CheckResult:
     )
 
 
-def check_livine_positivity(tol: ToleranceConfig = DEFAULT_TOL) -> CheckResult:
+def check_livine_positivity() -> CheckResult:
     """The concrete self-dual scheme: c = 1/2, known spectrum, resolves the
     identity, yet fails positivity (no minimal self-dual scheme is a POVM)."""
     s = livine_scheme("dequantizer")
-    c = self_dual_coefficient(s, tol)
+    c = self_dual_coefficient(s)
     c_res = abs((c if c is not None else np.nan) - 0.5)
     eigs = np.linalg.eigh(s.dequantizers[0])[0]
     expected = np.array([(1 - np.sqrt(3)) / 4, (1 + np.sqrt(3)) / 4])
     eig_res = float(np.abs(eigs - expected).max())
     sum_res = float(np.abs(s.dequantizers.sum(axis=0) - np.eye(2)).max())
-    min_eig = negativity_report(s, tol).min_dequantizer_eigenvalue
+    min_eig = negativity_report(s).min_dequantizer_eigenvalue
     passed = (
         c is not None
         and c_res <= 1e-12
         and eig_res <= 1e-12
         and sum_res <= 1e-12
-        and min_eig < -tol.eig_tol
+        and min_eig < -DEFAULT_TOL.eig_tol
     )
     return CheckResult(
         name="livine-self-dual-not-povm",
@@ -209,8 +208,13 @@ def check_livine_positivity(tol: ToleranceConfig = DEFAULT_TOL) -> CheckResult:
     )
 
 
-def check_self_duality_unitarity(tol: ToleranceConfig = DEFAULT_TOL) -> CheckResult:
-    """Self-dual <=> scaled-unitary, both directions, at d = 2 and d = 3."""
+def check_self_duality_unitarity() -> CheckResult:
+    """Self-dual <=> scaled-unitary, both directions, at d = 2 and d = 3.
+
+    The backward direction covers the self-dual minimal (N = d^2) regression
+    entries, the theorem's scope: an overfilled tight frame is self-dual too,
+    but its dequantization matrix is not square.
+    """
     rng = np.random.default_rng(DEFAULT_BATTERY_SEED)
     worst_forward = 0.0
     for d in (2, 3):
@@ -223,19 +227,18 @@ def check_self_duality_unitarity(tol: ToleranceConfig = DEFAULT_TOL) -> CheckRes
             rng.standard_normal(out=normals[i])
         u_mats = np.sqrt(coefficients)[:, None, None] * haar_unitaries(normals)
         deq = devectorize(u_mats.swapaxes(1, 2), VectorizationBasis.row_stacking(d))
-        recovered = self_dual_coefficients(deq, canonical_duals(deq, tol), tol)
+        recovered = self_dual_coefficients(deq, canonical_duals(deq))
         errors = np.abs(recovered - coefficients) / coefficients
         # A family that is not self-dual (NaN) counts as an infinite error.
         worst_forward = max(worst_forward, np.where(np.isnan(errors), np.inf, errors).max())
 
     worst_backward = 0.0
     checked = []
-    for name, s in _quantized_regression_set(tol):
-        c = self_dual_coefficient(s, tol)
+    for name, s in _quantized_regression_set():
+        c = self_dual_coefficient(s) if s.n_points == s.d * s.d else None
         if c is None:
             continue
-        u_mat = dequantization_matrix(s)
-        c_gram = scaled_unitary_check(u_mat, tol)
+        c_gram = scaled_unitary_check(dequantization_matrix(s))
         if c_gram is None:
             worst_backward = np.inf
             break
@@ -256,9 +259,7 @@ def check_self_duality_unitarity(tol: ToleranceConfig = DEFAULT_TOL) -> CheckRes
     )
 
 
-def check_povm_dual_negativity(
-    seeds: int = 1000, tol: ToleranceConfig = DEFAULT_TOL
-) -> CheckResult:
+def check_povm_dual_negativity(seeds: int = 1000) -> CheckResult:
     """Random minimal qubit POVM schemes always have a negative dual eigenvalue.
 
     Seeds 0 .. seeds-1 are sampled as one stack; ``seeds`` must be at least 1.
@@ -266,7 +267,7 @@ def check_povm_dual_negativity(
     if seeds < 1:
         raise InvalidParameterError(f"seeds must be at least 1, got {seeds}")
     guard = 1e-10
-    duals = canonical_duals(random_minimal_povm_dequantizers(2, range(seeds), tol), tol)
+    duals = canonical_duals(random_minimal_povm_dequantizers(2, range(seeds)))
     # Eigenvalues of the Hermitian parts: the exact dual of a Hermitian
     # family is Hermitian, but rounding in the dual scales with conditioning
     # and the guard below absorbs it.
@@ -290,12 +291,12 @@ def check_povm_dual_negativity(
     )
 
 
-def check_completeness_roundtrip(tol: ToleranceConfig = DEFAULT_TOL) -> CheckResult:
+def check_completeness_roundtrip() -> CheckResult:
     """Completeness of the dual pair and symbol/reconstruct round trip."""
     rng = np.random.default_rng(DEFAULT_BATTERY_SEED)
     worst_complete = 0.0
     worst_roundtrip = 0.0
-    for _, s in _quantized_regression_set(tol):
+    for _, s in _quantized_regression_set():
         worst_complete = max(worst_complete, completeness_residual(s))
         a = _ginibre(rng.standard_normal((_SAMPLES, 2, s.d, s.d)))
         worst_roundtrip = max(
@@ -314,12 +315,12 @@ def check_completeness_roundtrip(tol: ToleranceConfig = DEFAULT_TOL) -> CheckRes
     )
 
 
-def check_kernel_laws(tol: ToleranceConfig = DEFAULT_TOL) -> CheckResult:
+def check_kernel_laws() -> CheckResult:
     """Kernel homomorphism against operator products and exhaustive associativity."""
     rng = np.random.default_rng(DEFAULT_BATTERY_SEED)
     worst_hom = 0.0
     worst_assoc = 0.0
-    for _, s in _quantized_regression_set(tol):
+    for _, s in _quantized_regression_set():
         kernel = star_kernel(s)
         worst_assoc = max(worst_assoc, associativity_residual(kernel))
         # Per pair: operator a, then operator b.
@@ -341,19 +342,19 @@ def check_kernel_laws(tol: ToleranceConfig = DEFAULT_TOL) -> CheckResult:
     )
 
 
-def check_intertwining(tol: ToleranceConfig = DEFAULT_TOL) -> CheckResult:
+def check_intertwining() -> CheckResult:
     """Minimal-to-minimal kernels compose to the identity; overfilled round trip."""
     rng = np.random.default_rng(DEFAULT_BATTERY_SEED)
     mu = matrix_units_scheme(2)
     pauli = pauli_scheme("hermitian")
-    pair = intertwiner(mu, pauli, tol)
+    pair = intertwiner(mu, pauli)
     compose_res = max(
         float(np.abs(pair.backward @ pair.forward - np.eye(4)).max()),
         float(np.abs(pair.forward @ pair.backward - np.eye(4)).max()),
     )
 
-    mub = with_canonical_quantizers(mub_qubit_scheme(), tol)
-    pair2 = intertwiner(pauli, mub, tol)
+    mub = with_canonical_quantizers(mub_qubit_scheme())
+    pair2 = intertwiner(pauli, mub)
     f = symbol(pauli, _ginibre(rng.standard_normal((_SAMPLES, 2, 2, 2))))
     back = (pair2.backward @ (pair2.forward @ f[..., None]))[..., 0]
     worst_roundtrip = float(np.abs(back - f).max())
@@ -370,13 +371,13 @@ def check_intertwining(tol: ToleranceConfig = DEFAULT_TOL) -> CheckResult:
     )
 
 
-def check_cubic_identity(tol: ToleranceConfig = DEFAULT_TOL) -> CheckResult:
+def check_cubic_identity() -> CheckResult:
     """u = (u u*) u^tr over random unitaries of sizes 4 and 9."""
     rng = np.random.default_rng(DEFAULT_BATTERY_SEED)
     worst = 0.0
     for dim in (4, 9):
         unitaries = haar_unitaries(rng.standard_normal((_SAMPLES, 2, dim, dim)))
-        worst = max(worst, float(cubic_unitary_residual(unitaries, tol).max()))
+        worst = max(worst, float(cubic_unitary_residual(unitaries).max()))
     passed = worst <= 1e-12
     return CheckResult(
         name="cubic-unitary-identity",
@@ -385,17 +386,17 @@ def check_cubic_identity(tol: ToleranceConfig = DEFAULT_TOL) -> CheckResult:
     )
 
 
-def check_mub_frame(tol: ToleranceConfig = DEFAULT_TOL) -> CheckResult:
+def check_mub_frame() -> CheckResult:
     """Qubit MUB frame: singular values, duality projector, condition number."""
     mub = mub_qubit_scheme()
     sv = singular_values(dequantization_matrix(mub))
     sv_res = float(np.abs(sv - np.array([np.sqrt(3), 1, 1, 1])).max())
-    s = with_canonical_quantizers(mub, tol)
+    s = with_canonical_quantizers(mub)
     delta = duality_matrix(s)
     herm_res = float(np.abs(delta - delta.conj().T).max())
     idem_res = float(np.abs(delta @ delta - delta).max())
     trace_res = abs(complex(np.trace(delta)) - 4.0)
-    cond = classify(mub, tol).condition_number
+    cond = classify(mub).condition_number
     cond_res = float(abs(cond - np.sqrt(3)))
     passed = all(r <= 1e-10 for r in (sv_res, herm_res, idem_res, trace_res, cond_res))
     return CheckResult(
@@ -424,9 +425,7 @@ SUITES = {
 }
 
 
-def run_battery(
-    suite: str = "all", seeds: int | None = None, tol: ToleranceConfig = DEFAULT_TOL
-) -> list[CheckResult]:
+def run_battery(suite: str = "all", seeds: int | None = None) -> list[CheckResult]:
     """Run the requested verification suite and return per-check results.
     ``seeds``, povm-dual-negativity's sample count (1000 if None), must be at
     least 1 and is refused for a suite without that check, before any runs."""
@@ -435,15 +434,15 @@ def run_battery(
     all_checks = {
         "table-rows-1-3": check_table_printed_rows,
         "table-rows-4-6": check_table_derived_rows,
-        "sic-overlap-conditions": lambda: check_sic_conditions(tol),
-        "livine-self-dual-not-povm": lambda: check_livine_positivity(tol),
-        "self-dual-scaled-unitary": lambda: check_self_duality_unitarity(tol),
-        "povm-dual-negativity": lambda: check_povm_dual_negativity(seeds, tol),
-        "completeness-roundtrip": lambda: check_completeness_roundtrip(tol),
-        "kernel-homomorphism-associativity": lambda: check_kernel_laws(tol),
-        "intertwining": lambda: check_intertwining(tol),
-        "cubic-unitary-identity": lambda: check_cubic_identity(tol),
-        "mub-frame": lambda: check_mub_frame(tol),
+        "sic-overlap-conditions": check_sic_conditions,
+        "livine-self-dual-not-povm": check_livine_positivity,
+        "self-dual-scaled-unitary": check_self_duality_unitarity,
+        "povm-dual-negativity": lambda: check_povm_dual_negativity(seeds),
+        "completeness-roundtrip": check_completeness_roundtrip,
+        "kernel-homomorphism-associativity": check_kernel_laws,
+        "intertwining": check_intertwining,
+        "cubic-unitary-identity": check_cubic_identity,
+        "mub-frame": check_mub_frame,
     }
     if suite == "all":
         names = tuple(all_checks)

@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import json
 import re
 import subprocess
@@ -7,10 +8,10 @@ import sys
 import numpy as np
 import pytest
 
-from starprod import cli, errors
+from starprod import cli, errors, verification
 from starprod.cli import main
 from starprod.matrixcore import DEFAULT_TOL
-from starprod.operator_space import PAULI_X, PAULI_Y, PAULI_Z, VectorizationBasis
+from starprod.operator_space import VectorizationBasis
 from starprod.serialization import (
     _encode,
     load_kernel,
@@ -120,7 +121,7 @@ _TOLERANCE_FLAGS = {
     "reconstruct": {"--rank-tol"},
     "kernel": {"--rank-tol"},
     "intertwine": {"--rank-tol"},
-    "verify": {"--rank-tol", "--residual-tol", "--eig-tol"},
+    "verify": set(),
 }
 # The smallest argv each subcommand parses.
 _MINIMAL_ARGV = {
@@ -155,6 +156,27 @@ class TestToleranceFlags:
         assert info.value.code == 2
         assert "unrecognized arguments: --eig-tol" in capsys.readouterr().err
         assert not out.exists()
+
+    # No basis changes a classification, and no tolerance a battery verdict:
+    # these flags are gone, so each is an argparse usage error.
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["classify", "{scheme}", "--basis", "pauli"],
+            ["verify", "--rank-tol", "1e-9"],
+            ["verify", "--residual-tol", "0.5"],
+            ["verify", "--eig-tol", "0.5"],
+        ],
+        ids=["classify-basis", "verify-rank-tol", "verify-residual-tol", "verify-eig-tol"],
+    )
+    def test_a_knob_that_cannot_change_the_answer_is_refused(self, emit, tmp_path, capsys, argv):
+        report = tmp_path / "r.json"
+        argv = [arg.format(scheme=emit("livine")) for arg in argv]
+        with pytest.raises(SystemExit) as info:
+            main([*argv, "--report", str(report)])
+        assert info.value.code == 2
+        assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
+        assert not report.exists()
 
 
 _SCHEME_HEADER = "schemes and the flags each takes (with defaults):"
@@ -207,81 +229,21 @@ class TestClassify:
         assert "underfilled, not tomographic" in out
         assert "quantizers undefined" in out
 
+    def test_report_names_no_basis(self, emit, tmp_path):
+        report_path = tmp_path / "r.json"
+        assert main(["classify", str(emit("livine")), "--report", str(report_path)]) == 0
+        payload = json.loads(report_path.read_text())
+        assert list(payload) == ["tool", "version", "tolerances", "scheme", "report"]
+
     def test_default_report_path(self, emit, tmp_path, capsys):
         scheme_path = emit("pauli")
         assert main(["classify", str(scheme_path)]) == 0
         assert (tmp_path / (scheme_path.name + ".report.json")).exists()
 
-    def test_pauli_basis_flag_matches_rowstacking(self, emit, tmp_path):
-        scheme_path = emit("livine")
-        r1, r2 = tmp_path / "r1.json", tmp_path / "r2.json"
-        assert main(["classify", str(scheme_path), "--report", str(r1)]) == 0
-        assert (
-            main(["classify", str(scheme_path), "--basis", "pauli", "--report", str(r2)])
-            == 0
-        )
-        a = json.loads(r1.read_text())["report"]
-        b = json.loads(r2.read_text())["report"]
-        assert a["cardinality"] == b["cardinality"]
-        assert a["rank"] == b["rank"]
-        assert a["condition_number"] == pytest.approx(b["condition_number"], abs=1e-10)
-
-    def test_basis_file(self, emit, tmp_path):
-        scheme_path = emit("livine")
-        ops = np.stack([np.eye(2), PAULI_X, PAULI_Y, PAULI_Z]) / np.sqrt(2)
-        basis_path = tmp_path / "basis.json"
-        basis_path.write_text(
-            json.dumps({"operators": _encode(ops)})
-        )
-        code = main(
-            [
-                "classify",
-                str(scheme_path),
-                "--basis",
-                str(basis_path),
-                "--report",
-                str(tmp_path / "r.json"),
-            ]
-        )
-        assert code == 0
-        assert json.loads((tmp_path / "r.json").read_text())["basis"] == str(basis_path)
-
-    def test_basis_name_wins_over_a_file_of_that_name(self, emit, tmp_path, monkeypatch):
-        scheme_path = emit("livine")
-        monkeypatch.chdir(tmp_path)
-        (tmp_path / "pauli").write_text("{")
-        assert main(["classify", str(scheme_path), "--basis", "pauli", "--report", "r.json"]) == 0
-        assert json.loads((tmp_path / "r.json").read_text())["basis"] == "pauli"
-
     def test_basis_file_flag_is_gone(self, emit, tmp_path):
         with pytest.raises(SystemExit) as info:
             main(["classify", str(emit("livine")), "--basis-file", str(tmp_path / "b.json")])
         assert info.value.code == 2
-
-    def test_missing_basis_file_exits_2(self, emit, tmp_path, capsys):
-        scheme_path, report = emit("livine"), tmp_path / "r.json"
-        missing = tmp_path / "missing.json"
-        capsys.readouterr()
-        argv = ["classify", str(scheme_path), "--basis", str(missing), "--report", str(report)]
-        assert main(argv) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error: ") and str(missing) in captured.err
-        assert captured.err.count("\n") == 1
-        assert not report.exists()
-
-    def test_basis_of_another_dimension_exits_2(self, emit, tmp_path, capsys):
-        scheme_path = emit("mub-prime", "--p", "3")
-        report = tmp_path / "r.json"
-        argv = ["classify", str(scheme_path), "--basis", "pauli", "--report", str(report)]
-        capsys.readouterr()
-        assert main(argv) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == (
-            "error: basis dimension d=2 does not match scheme dimension d=3\n"
-        )
-        assert not report.exists()
 
     @staticmethod
     def _scaled_pauli(tmp_path, scale):
@@ -289,12 +251,11 @@ class TestClassify:
         save_scheme(Scheme(dequantizers=scale * pauli_scheme().dequantizers), str(path))
         return path
 
-    @pytest.mark.parametrize("basis", ["rowstacking", "pauli"])
     @pytest.mark.parametrize("scale", [1e150, 1e-150])
-    def test_scale_inside_the_float_range(self, tmp_path, capsys, scale, basis):
+    def test_scale_inside_the_float_range(self, tmp_path, capsys, scale):
         report_path = tmp_path / "r.json"
         path = self._scaled_pauli(tmp_path, scale)
-        assert main(["classify", str(path), "--basis", basis, "--report", str(report_path)]) == 0
+        assert main(["classify", str(path), "--report", str(report_path)]) == 0
         out = capsys.readouterr().out
         c = format(scale * scale, ".10g")
         assert f"self-dual, c = {c}\n" in out
@@ -321,28 +282,17 @@ class TestClassify:
     # At these scales the sums of squares the classification takes overflow
     # or underflow; unchecked, 1e154 gives c = inf (the invalid JSON token
     # Infinity) and 1e-154 a self-dual c = 0.
-    @pytest.mark.parametrize("basis", ["rowstacking", "pauli"])
     @pytest.mark.parametrize("scale", [1e154, 1e-154, 1e-170])
-    def test_scale_outside_the_float_range_exits_2(self, tmp_path, capsys, scale, basis):
+    def test_scale_outside_the_float_range_exits_2(self, tmp_path, capsys, scale):
         report_path = tmp_path / "r.json"
         path = self._scaled_pauli(tmp_path, scale)
         capsys.readouterr()
-        assert main(["classify", str(path), "--basis", basis, "--report", str(report_path)]) == 2
+        assert main(["classify", str(path), "--report", str(report_path)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: scheme scale out of float64 range: ")
         assert captured.err.count("\n") == 1
         assert not report_path.exists()
-
-    def test_invalid_basis_file_exits_2(self, emit, tmp_path):
-        scheme_path = emit("livine")
-        ops = np.stack([np.eye(2), PAULI_X, PAULI_X, PAULI_Z]) / np.sqrt(2)
-        basis_path = tmp_path / "basis.json"
-        basis_path.write_text(
-            json.dumps({"operators": _encode(ops)})
-        )
-        code = main(["classify", str(scheme_path), "--basis", str(basis_path)])
-        assert code == 2
 
     def test_malformed_scheme_exits_2(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -477,7 +427,7 @@ class TestSymbolReconstruct:
 
 
 class TestNonFiniteInputs:
-    """Operator, vector, basis, gauge and fiducial files with NaN/inf entries are
+    """Operator, vector, gauge and fiducial files with NaN/inf entries are
     malformed input (exit 2), like scheme files."""
 
     @staticmethod
@@ -490,7 +440,7 @@ class TestNonFiniteInputs:
         path.write_text(json.dumps(payload))
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
-    @pytest.mark.parametrize("kind", ["operator", "symbol", "basis", "gauge", "fiducial"])
+    @pytest.mark.parametrize("kind", ["operator", "symbol", "gauge", "fiducial"])
     def test_exits_2_without_output(self, emit, tmp_path, capsys, kind, bad):
         out = tmp_path / "out.json"
         bad_path = tmp_path / f"{kind}.json"
@@ -502,12 +452,6 @@ class TestNonFiniteInputs:
             save_vector(np.ones(6, dtype=complex), str(bad_path))
             self._poison(bad_path, "values", bad)
             argv = ["reconstruct", str(emit("mub-qubit")), str(bad_path), "-o", str(out)]
-        elif kind == "basis":
-            ops = np.stack([np.eye(2), PAULI_X, PAULI_Y, PAULI_Z]) / np.sqrt(2)
-            bad_path.write_text(json.dumps({"operators": _encode(ops)}))
-            self._poison(bad_path, "operators", bad)
-            argv = ["classify", str(emit("livine")), "--basis", str(bad_path)]
-            argv += ["--report", str(out)]
         elif kind == "gauge":
             bad_path.write_text(json.dumps({"matrix": _encode(np.zeros((4, 6)))}))
             self._poison(bad_path, "matrix", bad)
@@ -534,9 +478,7 @@ _SCHEME = {
 _BIG_ENTRY_SCHEME = json.loads(json.dumps(_SCHEME))
 _BIG_ENTRY_SCHEME["dequantizers"][2][1][0] = [_BIG, 0]
 _CLASSIFY = ["classify", "{scheme}", "--report", "{out}"]
-_CLASSIFY_BASIS = ["classify", "{scheme}", "--basis", "{bad}", "--report", "{out}"]
 _CLASSIFY_BAD = ["classify", "{bad}", "--report", "{out}"]
-_EYE2 = [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]
 
 # id: (payload of the offending file or None, argv, fragment of the error message)
 _MALFORMED = {
@@ -556,9 +498,6 @@ _MALFORMED = {
         ["quantize", "{scheme}", "--gauge", "{bad}", "-o", "{out}"],
         "fit a float or a 64-bit integer",
     ),
-    "basis-empty": ({"operators": []}, _CLASSIFY_BASIS, "non-empty nested axes"),
-    "basis-scalar": ({"operators": 5}, _CLASSIFY_BASIS, "non-empty nested axes"),
-    "basis-mixed-sizes": ({"operators": [[[[1, 0]]], _EYE2]}, _CLASSIFY_BASIS, "ragged"),
     "scheme-d-string": ({**_SCHEME, "d": "2"}, _CLASSIFY_BAD, "'d' must be a JSON integer"),
     "scheme-d-float": ({**_SCHEME, "d": 2.7}, _CLASSIFY_BAD, "'d' must be a JSON integer"),
     "scheme-d-bool": ({**_SCHEME, "d": True}, _CLASSIFY_BAD, "'d' must be a JSON integer"),
@@ -919,6 +858,26 @@ class TestVerify:
             "table-rows-1-3",
             "table-rows-4-6",
         }
+
+    def test_report_records_the_tolerances_the_battery_ran_at(self, tmp_path):
+        report_path = tmp_path / "verify.json"
+        assert main(["verify", "--suite", "table", "--report", str(report_path)]) == 0
+        tolerances = json.loads(report_path.read_text())["tolerances"]
+        assert tolerances == dataclasses.asdict(DEFAULT_TOL)
+
+    def test_failing_check_exits_1(self, tmp_path, capsys, monkeypatch):
+        failing = verification.CheckResult(
+            name="table-rows-1-3", passed=False, details={"max_residual": 0.5, "tolerance": 1e-12}
+        )
+        monkeypatch.setattr(verification, "check_table_printed_rows", lambda: failing)
+        report_path = tmp_path / "verify.json"
+        assert main(["verify", "--suite", "table", "--report", str(report_path)]) == 1
+        out = capsys.readouterr().out
+        assert "FAIL table-rows-1-3 (max_residual=5.000e-01, tolerance=1.000e-12)\n" in out
+        assert "PASS table-rows-4-6" in out
+        payload = json.loads(report_path.read_text())
+        assert payload["passed"] is False
+        assert [c["passed"] for c in payload["checks"]] == [False, True]
 
     def test_random_povm_suite_small(self, tmp_path):
         report_path = tmp_path / "verify.json"

@@ -44,7 +44,6 @@ from starprod.operator_space import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
-    validate_orthonormal_basis,
     vectorize,
 )
 from starprod.star_product import reconstruct, symbol
@@ -446,35 +445,6 @@ class TestClassify:
         canonical_duals(mub_qubit_scheme().dequantizers)
         assert shapes == [(4, 6)]
 
-    @pytest.mark.parametrize("d", [2, 3])
-    def test_diagnostic_dual_independent_of_basis_orthonormality(self, rng, d):
-        # A basis file need only be orthonormal within residual_tol.  With
-        # U_B = G^dag U for any invertible basis matrix G, the dual taken from
-        # the SVD of U_B and devectorized through G is G pinv(U_B)^dag =
-        # pinv(U)^dag, so the diagnostics follow the scheme, not the basis.
-        loose = ToleranceConfig(residual_tol=1e-4)
-        ops = haar_unitaries(rng.standard_normal((2, d * d, d * d))).T.reshape(d * d, d, d)
-        noise = random_complex(rng, ops.shape)
-        for _ in range(5):
-            noise *= 0.9 * loose.residual_tol / validate_orthonormal_basis(ops + noise)
-        assert validate_orthonormal_basis(ops + noise) > 0.8 * loose.residual_tol
-        basis = VectorizationBasis.orthonormal(ops + noise, tol=loose)
-        for entry in entries():
-            if entry.scheme.d != d:
-                continue
-            s = Scheme(entry.scheme.dequantizers)
-            a, b = classify(s, loose), classify(s, loose, basis=basis)
-            if a.self_dual_coefficient is None:
-                assert b.self_dual_coefficient is None, entry.name
-            else:
-                assert b.self_dual_coefficient == pytest.approx(a.self_dual_coefficient, rel=1e-13)
-            if a.negativity is None:
-                assert b.negativity is None, entry.name
-            else:
-                assert b.negativity.min_quantizer_eigenvalue == pytest.approx(
-                    a.negativity.min_quantizer_eigenvalue, rel=1e-13
-                ), entry.name
-
     def test_matrix_units(self):
         report = classify(matrix_units_scheme(2))
         assert report.cardinality == "minimal"
@@ -579,13 +549,7 @@ def assert_same_classification(report, ref):
 
 class TestClassificationSymmetries:
     """The classification is a property of the operator family: it does not
-    change with the orthonormal basis that vectorizes it, nor under a unitary
-    change of frame D_k -> V D_k V^dag."""
-
-    @pytest.mark.parametrize("name", QUBIT_SCHEMES)
-    def test_pauli_basis_classifies_as_row_stacking(self, name):
-        s = build_scheme(name)
-        assert_same_classification(classify(s, basis=pauli_basis()), classify(s))
+    change under a unitary change of frame D_k -> V D_k V^dag."""
 
     @pytest.mark.parametrize("name", QUBIT_SCHEMES)
     def test_unitary_conjugation_classifies_alike(self, rng, name):
@@ -664,20 +628,6 @@ class TestInvariants:
             if min_eig > -1e-10:
                 inconclusive += 1
         assert inconclusive < 10
-
-    def test_classification_basis_invariance(self):
-        pb = pauli_basis()
-        for entry in entries():
-            if entry.scheme.d != 2:
-                continue
-            a = classify(entry.scheme)
-            b = classify(entry.scheme, basis=pb)
-            assert a.cardinality == b.cardinality, entry.name
-            assert a.tomographic == b.tomographic
-            assert a.rank == b.rank
-            assert abs(a.condition_number - b.condition_number) <= 1e-10 * a.condition_number
-            assert (a.self_dual_coefficient is None) == (b.self_dual_coefficient is None)
-            assert a.povm.is_povm == b.povm.is_povm
 
     def test_permutation_invariance(self, rng):
         for base in (mub_qubit_scheme(), sic_qubit_scheme("povm")):

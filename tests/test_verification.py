@@ -10,8 +10,19 @@ import numpy as np
 import pytest
 
 from starprod import InvalidParameterError, SamplerFailureError, ToleranceConfig, catalog, verification
-from starprod.catalog import random_minimal_povm_dequantizers, random_minimal_povm_scheme
-from starprod.scheme import canonical_duals, canonical_quantizers
+from starprod.catalog import (
+    pauli_scheme,
+    random_minimal_povm_dequantizers,
+    random_minimal_povm_scheme,
+)
+from starprod.scheme import (
+    Scheme,
+    canonical_duals,
+    canonical_quantizers,
+    classify,
+    self_dual_coefficient,
+    with_canonical_quantizers,
+)
 from starprod.verification import (
     DEFAULT_BATTERY_SEED,
     check_povm_dual_negativity,
@@ -93,6 +104,22 @@ class TestSelfDualityUnitarity:
                 worst = max(worst, np.inf if recovered is None else abs(recovered - c) / c)
         details = check_self_duality_unitarity().details
         assert details["random_coefficient_worst_relative_error"] == worst
+
+    def test_backward_direction_skips_a_self_dual_overfilled_frame(self, monkeypatch):
+        # The Pauli family twice over, divided by sqrt(2): a tight frame
+        # (N = 8) that is self-dual with c = 1, whose U is not square.
+        pauli = pauli_scheme().dequantizers
+        frame = with_canonical_quantizers(Scheme(np.concatenate([pauli, pauli]) / np.sqrt(2)))
+        assert classify(frame).cardinality == "overfilled"
+        assert self_dual_coefficient(frame) == pytest.approx(1.0, rel=1e-12)
+        before = check_self_duality_unitarity().details
+        regression = verification._quantized_regression_set()
+        monkeypatch.setattr(
+            verification, "_quantized_regression_set", lambda: (*regression, ("frame", frame))
+        )
+        result = check_self_duality_unitarity()
+        assert result.passed
+        assert result.details == before
 
 
 class TestStackedSampler:
@@ -182,6 +209,11 @@ class TestTracerContract:
             fn = getattr(module, attr, None)
             assert inspect.isfunction(fn), name
             assert fn.__module__ == module.__name__, name
+
+    def test_battery_and_checks_take_no_tolerance(self, tracing):
+        checks = [getattr(verification, fn) for fn in tracing.CHECK_FUNCTIONS.values()]
+        for fn in [run_battery, verification._quantized_regression_set, *checks]:
+            assert "tol" not in inspect.signature(fn).parameters, fn.__name__
 
     def test_battery_looks_checks_up_when_it_runs(self, monkeypatch):
         patched = verification.CheckResult(name="table-rows-1-3", passed=True)
