@@ -245,16 +245,23 @@ class TestClassify:
             main(["classify", str(emit("livine")), "--basis-file", str(tmp_path / "b.json")])
         assert info.value.code == 2
 
-    @staticmethod
-    def _scaled_pauli(tmp_path, scale):
+    # Two self-dual families with c = 1: the row-stacking basis itself (the
+    # matrix units E_ij, not Hermitian, so no negativity is reported) and the
+    # Hermitian Pauli family.
+    _SCALED_FAMILIES = {"rowstacking": lambda: matrix_units_scheme(2), "pauli": pauli_scheme}
+
+    @classmethod
+    def _scaled(cls, tmp_path, family, scale):
         path = tmp_path / "scaled.json"
-        save_scheme(Scheme(dequantizers=scale * pauli_scheme().dequantizers), str(path))
+        deq = scale * cls._SCALED_FAMILIES[family]().dequantizers
+        save_scheme(Scheme(dequantizers=deq), str(path))
         return path
 
+    @pytest.mark.parametrize("family", ["rowstacking", "pauli"])
     @pytest.mark.parametrize("scale", [1e150, 1e-150])
-    def test_scale_inside_the_float_range(self, tmp_path, capsys, scale):
+    def test_scale_inside_the_float_range(self, tmp_path, capsys, scale, family):
         report_path = tmp_path / "r.json"
-        path = self._scaled_pauli(tmp_path, scale)
+        path = self._scaled(tmp_path, family, scale)
         assert main(["classify", str(path), "--report", str(report_path)]) == 0
         out = capsys.readouterr().out
         c = format(scale * scale, ".10g")
@@ -263,6 +270,10 @@ class TestClassify:
         report = json.loads(report_path.read_text())["report"]
         assert report["self_dual_coefficient"] == pytest.approx(scale * scale, rel=1e-12)
         assert report["scaled_unitary"] == pytest.approx(scale * scale, rel=1e-12)
+        if family == "rowstacking":
+            assert "eigenvalue: " not in out
+            assert report["negativity"] is None
+            return
         # The hermiticity test is relative too: the dual's entries are ~1/scale.
         assert "min dequantizer eigenvalue: " in out and "min quantizer eigenvalue: " in out
         negativity = report["negativity"]
@@ -282,10 +293,11 @@ class TestClassify:
     # At these scales the sums of squares the classification takes overflow
     # or underflow; unchecked, 1e154 gives c = inf (the invalid JSON token
     # Infinity) and 1e-154 a self-dual c = 0.
+    @pytest.mark.parametrize("family", ["rowstacking", "pauli"])
     @pytest.mark.parametrize("scale", [1e154, 1e-154, 1e-170])
-    def test_scale_outside_the_float_range_exits_2(self, tmp_path, capsys, scale):
+    def test_scale_outside_the_float_range_exits_2(self, tmp_path, capsys, scale, family):
         report_path = tmp_path / "r.json"
-        path = self._scaled_pauli(tmp_path, scale)
+        path = self._scaled(tmp_path, family, scale)
         capsys.readouterr()
         assert main(["classify", str(path), "--report", str(report_path)]) == 2
         captured = capsys.readouterr()
