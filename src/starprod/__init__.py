@@ -29,7 +29,6 @@ from .errors import (
     SchemeParseError,
     StarProdError,
     UnknownSchemeError,
-    WrongCountError,
 )
 from .matrixcore import (
     DEFAULT_TOL,
@@ -41,10 +40,7 @@ from .operator_space import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
-    VectorizationBasis,
     devectorize,
-    pauli_basis,
-    validate_orthonormal_basis,
     vectorize,
 )
 from .scheme import (

@@ -25,15 +25,10 @@ from .errors import (
     UnknownSchemeError,
 )
 from .matrixcore import DEFAULT_TOL, ToleranceConfig, rank
-from .operator_space import (
-    PAULI_X,
-    PAULI_Y,
-    PAULI_Z,
-    VectorizationBasis,
-    pauli_basis,
-)
+from .operator_space import PAULI_X, PAULI_Y, PAULI_Z
 from .scheme import Scheme, dequantization_matrix, quantization_matrix
 from .serialization import load_vector
+from .star_product import symbol
 
 SQRT2 = np.sqrt(2.0)
 SQRT3 = float(np.sqrt(3.0))
@@ -500,7 +495,8 @@ def table_regression_set() -> list[TableRow]:
 
     Each printed block is generated from a registered scheme: the left block
     is its quantization or dequantization matrix in row stacking, the right
-    block its dequantization matrix in the Pauli basis.  Rows 1-3
+    block its dequantization matrix in the Pauli basis: column k holds the
+    symbols of the k-th dequantizer in the Pauli scheme.  Rows 1-3
     expectations are the printed matrices verbatim.  Rows 4-6 expectations
     are the derived vectorizations, with the printed deviations recorded as
     errata; row 4 pairs the quantizer matrix (row stacking) with the
@@ -633,14 +629,13 @@ def table_regression_set() -> list[TableRow]:
             ),
         ),
     )
-    rs = VectorizationBasis.row_stacking(2)
-    pb = pauli_basis()
+    pauli = pauli_scheme()
     return [
         TableRow(
             row=row,
             name=name,
-            generated_rowstacking=left_matrix(build_scheme(left, **left_params), rs),
-            generated_pauli=dequantization_matrix(build_scheme(right, **right_params), pb),
+            generated_rowstacking=left_matrix(build_scheme(left, **left_params)),
+            generated_pauli=symbol(pauli, build_scheme(right, **right_params).dequantizers).T,
             expected_rowstacking=expected_rowstacking,
             expected_pauli=expected_pauli,
             errata=tuple(TableErratum(row, block, text) for block, text in errata),

@@ -49,10 +49,6 @@ class NotSquareLengthError(MalformedInputError):
     """A vector length is not a perfect square, so it cannot become a square matrix."""
 
 
-class WrongCountError(MalformedInputError):
-    """A collection has the wrong number of members."""
-
-
 class NotSquareError(StarProdError, ValueError):
     """A matrix required to be square is rectangular."""
 

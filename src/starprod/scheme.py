@@ -28,7 +28,7 @@ from .errors import (
     NotTomographicError,
 )
 from .matrixcore import DEFAULT_TOL, ToleranceConfig, finite, rank_from_singular_values, scale_error
-from .operator_space import VectorizationBasis, devectorize, vectorize
+from .operator_space import devectorize, vectorize
 
 Cardinality = Literal["underfilled", "minimal", "overfilled"]
 
@@ -119,40 +119,33 @@ class SchemeReport:
     matrix_unit_like: np.ndarray | None
 
 
-def _default_basis(s: Scheme, basis: VectorizationBasis | None) -> VectorizationBasis:
-    if basis is None:
-        return VectorizationBasis.row_stacking(s.d)
-    if basis.d != s.d:
-        raise DimensionMismatchError(
-            f"basis dimension d={basis.d} does not match scheme dimension d={s.d}"
-        )
-    return basis
+def dequantization_matrix(s: Scheme) -> np.ndarray:
+    """d^2 x N matrix whose column k is the row-stacked k-th dequantizer."""
+    return vectorize(s.dequantizers).T.copy()
 
 
-def dequantization_matrix(s: Scheme, basis: VectorizationBasis | None = None) -> np.ndarray:
-    """d^2 x N matrix whose column k is the vectorized k-th dequantizer."""
-    return vectorize(s.dequantizers, _default_basis(s, basis)).T.copy()
+def quantization_matrix(s: Scheme) -> np.ndarray:
+    """d^2 x N matrix whose column k is the row-stacked k-th quantizer."""
+    return vectorize(s.require_quantizers()).T.copy()
 
 
-def quantization_matrix(s: Scheme, basis: VectorizationBasis | None = None) -> np.ndarray:
-    """d^2 x N matrix whose column k is the vectorized k-th quantizer."""
-    return vectorize(s.require_quantizers(), _default_basis(s, basis)).T.copy()
+def scheme_from_dequantization_matrix(mat) -> Scheme:
+    """Scheme whose dequantizers are the columns of the d^2 x N matrix ``mat``,
+    each read in row stacking.
 
-
-def scheme_from_dequantization_matrix(mat, basis: VectorizationBasis) -> Scheme:
-    """Scheme whose dequantizers are the devectorized columns of ``mat``."""
+    Raises DimensionMismatchError unless ``mat`` is two-dimensional and
+    NotSquareLengthError unless its row count is a positive perfect square.
+    """
     mat = np.asarray(mat, dtype=complex)
-    if mat.ndim != 2 or mat.shape[0] != basis.dim:
-        raise DimensionMismatchError(
-            f"expected a {basis.dim} x N matrix, got shape {mat.shape}"
-        )
-    return Scheme(dequantizers=devectorize(mat.T, basis))
+    if mat.ndim != 2:
+        raise DimensionMismatchError(f"expected a d^2 x N matrix, got shape {mat.shape}")
+    return Scheme(dequantizers=devectorize(mat.T))
 
 
 def _row_stacking_svd(deq: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
     """Row-stacking dequantization matrices U (..., d^2, N) of a (..., N, d, d)
     stack of families, and their thin SVDs U = W Sigma V^dag."""
-    u_mat = vectorize(deq, VectorizationBasis.row_stacking(deq.shape[-1])).swapaxes(-1, -2)
+    u_mat = vectorize(deq).swapaxes(-1, -2)
     return u_mat, np.linalg.svd(u_mat, full_matrices=False)
 
 
@@ -160,8 +153,7 @@ def _dual_family(w: np.ndarray, sv: np.ndarray, vh: np.ndarray) -> np.ndarray:
     """Canonical dual family of a rank-d^2 U = W Sigma V^dag: W Sigma^-1 V^dag =
     pinv(U)^dag, devectorized in row stacking."""
     dual = finite("the canonical quantizers overflow", lambda: (w / sv[..., None, :]) @ vh)
-    rows = VectorizationBasis.row_stacking(math.isqrt(w.shape[-2]))
-    return devectorize(dual.swapaxes(-1, -2), rows)
+    return devectorize(dual.swapaxes(-1, -2))
 
 
 def canonical_duals(dequantizers, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
@@ -228,8 +220,7 @@ def gauge_quantizers(s: Scheme, g_mat, tol: ToleranceConfig = DEFAULT_TOL) -> np
         raise NotOverfilledError(
             f"N = {s.n_points} <= d^2 = {s.d * s.d}: minimal schemes admit no gauge freedom"
         )
-    basis = VectorizationBasis.row_stacking(s.d)
-    u_mat = dequantization_matrix(s, basis)
+    u_mat = dequantization_matrix(s)
     g_mat = np.asarray(g_mat, dtype=complex)
     if g_mat.shape != u_mat.shape:
         raise DimensionMismatchError(
@@ -243,8 +234,8 @@ def gauge_quantizers(s: Scheme, g_mat, tol: ToleranceConfig = DEFAULT_TOL) -> np
             f"gauge matrix does not annihilate the dequantization matrix "
             f"(residual {violation:.3e})"
         )
-    d_mat = quantization_matrix(with_canonical_quantizers(s, tol), basis)
-    return devectorize(finite("the shifted quantizers overflow", lambda: d_mat + g_mat).T, basis)
+    d_mat = quantization_matrix(with_canonical_quantizers(s, tol))
+    return devectorize(finite("the shifted quantizers overflow", lambda: d_mat + g_mat).T)
 
 
 def duality_matrix(s: Scheme) -> np.ndarray:

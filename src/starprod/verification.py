@@ -35,7 +35,7 @@ from .catalog import (
 )
 from .errors import InvalidParameterError
 from .matrixcore import DEFAULT_TOL, singular_values
-from .operator_space import VectorizationBasis, devectorize
+from .operator_space import devectorize
 from .scheme import (
     Scheme,
     canonical_duals,
@@ -226,7 +226,7 @@ def check_self_duality_unitarity() -> CheckResult:
             coefficients[i] = rng.uniform(0.1, 10.0)
             rng.standard_normal(out=normals[i])
         u_mats = np.sqrt(coefficients)[:, None, None] * haar_unitaries(normals)
-        deq = devectorize(u_mats.swapaxes(1, 2), VectorizationBasis.row_stacking(d))
+        deq = devectorize(u_mats.swapaxes(1, 2))
         recovered = self_dual_coefficients(deq, canonical_duals(deq))
         errors = np.abs(recovered - coefficients) / coefficients
         # A family that is not self-dual (NaN) counts as an infinite error.

@@ -10,12 +10,11 @@ from starprod import (
     NotSICError,
     SamplerFailureError,
     UnknownSchemeError,
-    VectorizationBasis,
     classify,
     dequantization_matrix,
-    pauli_basis,
     povm_check,
     singular_values,
+    symbol,
 )
 from starprod.catalog import (
     SCHEMES,
@@ -39,6 +38,12 @@ from starprod.catalog import (
 )
 
 
+def pauli_block(s):
+    """Dequantization matrix of s in the Pauli basis: column k holds the
+    symbols of the k-th dequantizer in the Pauli scheme."""
+    return symbol(pauli_scheme(), s.dequantizers).T
+
+
 class TestMatrixUnits:
     def test_identity_matrices(self):
         assert np.array_equal(dequantization_matrix(matrix_units_scheme(2)), np.eye(4))
@@ -52,16 +57,16 @@ class TestMatrixUnits:
             )
             / np.sqrt(2)
         )
-        u = dequantization_matrix(matrix_units_scheme(2), pauli_basis())
+        u = pauli_block(matrix_units_scheme(2))
         assert np.abs(u - expected).max() <= 1e-14
 
 
 class TestPauliScheme:
     def test_variant_matrices(self):
         assert np.abs(
-            dequantization_matrix(pauli_scheme("hermitian"), pauli_basis()) - np.eye(4)
+            pauli_block(pauli_scheme("hermitian")) - np.eye(4)
         ).max() <= 1e-14
-        u = dequantization_matrix(pauli_scheme("with-i-sigma-y"), pauli_basis())
+        u = pauli_block(pauli_scheme("with-i-sigma-y"))
         assert np.abs(u - np.diag([1, 1, 1j, 1])).max() <= 1e-14
 
     def test_unknown_variant(self):
@@ -83,7 +88,7 @@ class TestLivineScheme:
     def test_self_dual_normalized(self):
         s = livine_scheme("self-dual-normalized")
         assert np.array_equal(s.dequantizers, s.quantizers)
-        u = dequantization_matrix(s, pauli_basis())
+        u = pauli_block(s)
         expected = (
             np.array(
                 [[1, 1, 1, 1], [1, 1, -1, -1], [1, -1, 1, -1], [1, -1, -1, 1]],
@@ -413,19 +418,18 @@ class TestTableRegression:
         ]
 
     def test_generated_blocks_equal_the_constructor_path(self):
-        rs, pb = VectorizationBasis.row_stacking(2), pauli_basis()
         deq = dequantization_matrix
         # Row 4's left block shows livine's quantizers (2x the dequantizers).
         direct = [
-            (deq(matrix_units_scheme(2), rs), deq(matrix_units_scheme(2), pb)),
-            (deq(pauli_scheme("hermitian"), rs), deq(pauli_scheme("hermitian"), pb)),
-            (deq(pauli_scheme("with-i-sigma-y"), rs), deq(pauli_scheme("with-i-sigma-y"), pb)),
+            (deq(matrix_units_scheme(2)), pauli_block(matrix_units_scheme(2))),
+            (deq(pauli_scheme("hermitian")), pauli_block(pauli_scheme("hermitian"))),
+            (deq(pauli_scheme("with-i-sigma-y")), pauli_block(pauli_scheme("with-i-sigma-y"))),
             (
-                quantization_matrix(livine_scheme(), rs),
-                deq(livine_scheme("self-dual-normalized"), pb),
+                quantization_matrix(livine_scheme()),
+                pauli_block(livine_scheme("self-dual-normalized")),
             ),
-            (deq(sic_qubit_scheme("projector"), rs), deq(sic_qubit_scheme("projector"), pb)),
-            (deq(mub_qubit_scheme(), rs), deq(mub_qubit_scheme(), pb)),
+            (deq(sic_qubit_scheme("projector")), pauli_block(sic_qubit_scheme("projector"))),
+            (deq(mub_qubit_scheme()), pauli_block(mub_qubit_scheme())),
         ]
         rows = table_regression_set()
         for row, (expected_left, expected_right) in zip(rows, direct, strict=True):

@@ -11,7 +11,6 @@ import pytest
 from starprod import cli, errors, verification
 from starprod.cli import main
 from starprod.matrixcore import DEFAULT_TOL
-from starprod.operator_space import VectorizationBasis
 from starprod.serialization import (
     _encode,
     load_kernel,
@@ -351,9 +350,7 @@ class TestQuantize:
         # 9 x 12 frame with condition number 1e8: the SVD dual keeps the
         # residual near kappa * eps; normal equations, which square kappa,
         # leave a residual of order 1 here.
-        s = scheme_from_dequantization_matrix(
-            conditioned_frame(12, 1e8, seed=7), VectorizationBasis.row_stacking(3)
-        )
+        s = scheme_from_dequantization_matrix(conditioned_frame(12, 1e8, seed=7))
         path = tmp_path / "frame.json"
         save_scheme(s, str(path))
         out = tmp_path / "frame_q.json"
@@ -591,7 +588,6 @@ _EXIT_2_ERRORS = {
     "DimensionMismatchError",
     "LengthMismatchError",
     "NotSquareLengthError",
-    "WrongCountError",
 }
 _EXIT_1_ERRORS = {
     "StarProdError",

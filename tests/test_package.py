@@ -35,8 +35,6 @@ PUBLIC_NAMES = [
     "StarProdError",
     "ToleranceConfig",
     "UnknownSchemeError",
-    "VectorizationBasis",
-    "WrongCountError",
     "__version__",
     "associativity_residual",
     "canonical_duals",
@@ -52,7 +50,6 @@ PUBLIC_NAMES = [
     "intertwiner",
     "matrix_unit_like_detect",
     "negativity_report",
-    "pauli_basis",
     "povm_check",
     "quantization_matrix",
     "rank",
@@ -66,13 +63,13 @@ PUBLIC_NAMES = [
     "star_kernel",
     "star_multiply",
     "symbol",
-    "validate_orthonormal_basis",
     "vectorize",
     "verification",
     "with_canonical_quantizers",
 ]
 
-# Wrappers around code the callers now reach directly.
+# Wrappers around code the callers now reach directly, and the operator-basis
+# type: an orthonormal basis is a self-dual scheme, its coordinates symbols.
 REMOVED = {
     "serialization": [
         "matrix_to_json",
@@ -83,9 +80,17 @@ REMOVED = {
         "parse_scheme",
     ],
     "verification": ["haar_unitary"],
-    "operator_space": ["row_stack", "unstack", "hs_inner", "matrix_unit"],
+    "operator_space": [
+        "row_stack",
+        "unstack",
+        "hs_inner",
+        "matrix_unit",
+        "VectorizationBasis",
+        "pauli_basis",
+        "validate_orthonormal_basis",
+    ],
     "matrixcore": ["hermiticity_residual", "hermitian_eig", "_require_square", "as_matrix"],
-    "errors": ["NonHermitianError"],
+    "errors": ["NonHermitianError", "WrongCountError"],
 }
 
 

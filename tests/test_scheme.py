@@ -8,10 +8,10 @@ from starprod import (
     NonHermitianMemberError,
     NotOverfilledError,
     NotSquareError,
+    NotSquareLengthError,
     NotTomographicError,
     Scheme,
     ToleranceConfig,
-    VectorizationBasis,
     canonical_duals,
     canonical_quantizers,
     classify,
@@ -21,7 +21,6 @@ from starprod import (
     gauge_quantizers,
     matrix_unit_like_detect,
     negativity_report,
-    pauli_basis,
     povm_check,
     scaled_unitary_check,
     scheme_from_dequantization_matrix,
@@ -40,12 +39,7 @@ from starprod.catalog import (
     random_minimal_povm_scheme,
     sic_qubit_scheme,
 )
-from starprod.operator_space import (
-    PAULI_X,
-    PAULI_Y,
-    PAULI_Z,
-    vectorize,
-)
+from starprod.operator_space import PAULI_X, PAULI_Y, PAULI_Z
 from starprod.star_product import reconstruct, symbol
 from starprod.verification import haar_unitaries
 
@@ -93,7 +87,9 @@ class TestDequantizationMatrix:
         assert np.array_equal(dequantization_matrix(matrix_units_scheme(2)), np.eye(4))
 
     def test_pauli_scheme_pauli_basis(self):
-        u = dequantization_matrix(pauli_scheme("hermitian"), pauli_basis())
+        # Coordinates in the Pauli basis are symbols of the Pauli scheme.
+        pauli = pauli_scheme("hermitian")
+        u = symbol(pauli, pauli.dequantizers).T
         assert np.abs(u - np.eye(4)).max() <= 1e-14
 
     def test_pauli_scheme_row_stacking(self):
@@ -109,19 +105,21 @@ class TestDequantizationMatrix:
 
     def test_basis_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
-            dequantization_matrix(matrix_units_scheme(3), pauli_basis())
+            symbol(pauli_scheme(), matrix_units_scheme(3).dequantizers)
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_orthonormal_basis_matches_per_operator_loop(self, rng, d):
-        # d = 2: the Pauli basis; d = 3: a seeded random orthonormal basis.
+        # d = 2: the Pauli basis; d = 3: a seeded random orthonormal basis,
+        # the columns of a Haar unitary in row stacking.
         if d == 2:
-            basis = pauli_basis()
+            basis = pauli_scheme()
         else:
-            u = haar_unitaries(rng.standard_normal((2, d * d, d * d)))
-            basis = VectorizationBasis.orthonormal(u.T.reshape(d * d, d, d))
+            basis = scheme_from_dequantization_matrix(
+                haar_unitaries(rng.standard_normal((2, d * d, d * d)))
+            )
         s = Scheme(dequantizers=random_complex(rng, (2 * d * d, d, d)))
-        loop = np.column_stack([vectorize(op, basis) for op in s.dequantizers])
-        assert np.abs(dequantization_matrix(s, basis) - loop).max() <= 1e-15
+        loop = np.column_stack([symbol(basis, op) for op in s.dequantizers])
+        assert np.abs(symbol(basis, s.dequantizers).T - loop).max() <= 1e-15
 
 
 class TestCanonicalQuantizers:
@@ -182,12 +180,10 @@ class TestDualAccuracy:
     """The SVD dual loses accuracy in proportion to kappa, not kappa squared
     (Higham, Accuracy and Stability of Numerical Algorithms, ch. 20)."""
 
-    ROW3 = VectorizationBasis.row_stacking(3)
-
     @pytest.mark.parametrize("kappa", [1e2, 1e4, 1e6, 1e8])
     @pytest.mark.parametrize("n", [9, 12, 18])
     def test_residuals_scale_with_condition_number(self, n, kappa):
-        s = scheme_from_dequantization_matrix(conditioned_frame(n, kappa, seed=7), self.ROW3)
+        s = scheme_from_dequantization_matrix(conditioned_frame(n, kappa, seed=7))
         assert abs(classify(s).condition_number / kappa - 1) <= 1e-6
         s = with_canonical_quantizers(s)
         bound = 10 * kappa * np.finfo(float).eps
@@ -201,7 +197,7 @@ class TestDualAccuracy:
     def test_rank_rule_shared_at_tolerance(self, factor):
         # sigma_min / sigma_max = rank_tol / factor straddles the rank rule.
         u = conditioned_frame(12, factor / TOL.rank_tol, seed=7)
-        s = scheme_from_dequantization_matrix(u, self.ROW3)
+        s = scheme_from_dequantization_matrix(u)
         try:
             canonical_duals(s.dequantizers, TOL)
             dual_defined = True
@@ -562,14 +558,17 @@ class TestClassificationSymmetries:
 class TestSchemeFromMatrix:
     def test_round_trip(self, rng):
         u = random_complex(rng, (4, 6))
-        s = scheme_from_dequantization_matrix(u, VectorizationBasis.row_stacking(2))
+        s = scheme_from_dequantization_matrix(u)
         assert np.abs(dequantization_matrix(s) - u).max() == 0
 
     def test_shape_check(self):
-        with pytest.raises(DimensionMismatchError):
-            scheme_from_dequantization_matrix(
-                np.zeros((5, 6)), VectorizationBasis.row_stacking(2)
-            )
+        # The row count must be d^2 for a positive d, and the input a matrix.
+        with pytest.raises(NotSquareLengthError, match="vector length 5 is not a perfect square"):
+            scheme_from_dequantization_matrix(np.zeros((5, 6)))
+        with pytest.raises(NotSquareLengthError):
+            scheme_from_dequantization_matrix(np.zeros((0, 6)))
+        with pytest.raises(DimensionMismatchError, match=r"expected a d\^2 x N matrix"):
+            scheme_from_dequantization_matrix(np.zeros(4))
 
 
 class TestInvariants:
@@ -607,11 +606,10 @@ class TestInvariants:
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_scaled_unitaries_are_self_dual(self, rng, d):
-        basis = VectorizationBasis.row_stacking(d)
         for _ in range(30):
             c = rng.uniform(0.1, 10.0)
             u = np.sqrt(c) * haar_unitaries(rng.standard_normal((2, d * d, d * d)))
-            s = scheme_from_dequantization_matrix(u, basis)
+            s = scheme_from_dequantization_matrix(u)
             s = s.with_quantizers(canonical_quantizers(s))
             recovered = self_dual_coefficient(s)
             assert recovered is not None

@@ -1,6 +1,7 @@
 """Stacked battery paths against per-seed and per-sample reference loops,
 the shared regression set, and the names the benchmark tracer wraps."""
 
+import dataclasses
 import importlib.util
 import inspect
 import sys
@@ -30,7 +31,7 @@ from starprod.verification import (
     haar_unitaries,
     run_battery,
 )
-from starprod.operator_space import VectorizationBasis, devectorize
+from starprod.operator_space import devectorize
 
 from _helpers import self_dual_reference
 
@@ -99,7 +100,7 @@ class TestSelfDualityUnitarity:
             for _ in range(100):
                 c = rng.uniform(0.1, 10.0)
                 u = np.sqrt(c) * haar_unitaries(rng.standard_normal((2, d * d, d * d)))
-                family = devectorize(u.T, VectorizationBasis.row_stacking(d))
+                family = devectorize(u.T)
                 recovered = self_dual_reference(family, canonical_duals(family))
                 worst = max(worst, np.inf if recovered is None else abs(recovered - c) / c)
         details = check_self_duality_unitarity().details
@@ -182,6 +183,37 @@ def test_battery_builds_the_regression_set_once(monkeypatch):
     results = run_battery("all", seeds=20)
     assert len(calls) == 1
     assert all(r.passed for r in results)
+
+
+class TestTableChecks:
+    """Both table checks fail on a generated block off by more than their
+    1e-12 gate, and table-rows-4-6 fails when a row loses its errata."""
+
+    @pytest.mark.parametrize("offset, passed", [(1e-11, False), (1e-13, True)])
+    @pytest.mark.parametrize("block", ["generated_rowstacking", "generated_pauli"])
+    @pytest.mark.parametrize(
+        "check, index",
+        [(verification.check_table_printed_rows, 0), (verification.check_table_derived_rows, 3)],
+    )
+    def test_a_block_off_by_offset(self, monkeypatch, check, index, block, offset, passed):
+        rows = catalog.table_regression_set()
+        generated = getattr(rows[index], block).copy()
+        generated[0, 0] += offset
+        rows[index] = dataclasses.replace(rows[index], **{block: generated})
+        monkeypatch.setattr(verification, "table_regression_set", lambda: rows)
+        result = check()
+        assert result.passed is passed
+        assert (result.details["max_residual"] > 1e-12) is not passed
+
+    @pytest.mark.parametrize("index", [3, 4, 5])
+    def test_a_row_without_errata_fails(self, monkeypatch, index):
+        rows = catalog.table_regression_set()
+        rows[index] = dataclasses.replace(rows[index], errata=())
+        monkeypatch.setattr(verification, "table_regression_set", lambda: rows)
+        result = verification.check_table_derived_rows()
+        assert not result.passed
+        assert result.details["rows_flagged"] == sorted({4, 5, 6} - {index + 1})
+        assert result.details["max_residual"] <= 1e-12
 
 
 @pytest.fixture
