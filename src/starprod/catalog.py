@@ -454,12 +454,12 @@ def build_scheme(name: str, tol: ToleranceConfig = DEFAULT_TOL, **params: Any) -
         raise InvalidParameterError(f"{name}: {exc}") from exc
 
 
-def entries(tol: ToleranceConfig = DEFAULT_TOL) -> list[CatalogEntry]:
+def entries() -> list[CatalogEntry]:
     """The standard regression set: every built-in scheme at its stock parameters."""
     regression = []
     for name, builtin in SCHEMES.items():
         for params, expected in builtin.stock:
-            scheme = build_scheme(name, tol, **params)
+            scheme = build_scheme(name, **params)
             regression.append(CatalogEntry(scheme.name, scheme, dict(expected)))
     return regression
 

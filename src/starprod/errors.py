@@ -49,7 +49,7 @@ class NotSquareLengthError(MalformedInputError):
     """A vector length is not a perfect square, so it cannot become a square matrix."""
 
 
-class NotSquareError(StarProdError, ValueError):
+class NotSquareError(MalformedInputError):
     """A matrix required to be square is rectangular."""
 
 

@@ -64,11 +64,6 @@ def _decode(data: Any, ndim: int, where: str) -> np.ndarray:
     return pairs.view(complex).reshape(pairs.shape[:-1])
 
 
-def _require_keys(payload: Any, keys: tuple[str, ...], where: str) -> None:
-    if not isinstance(payload, dict) or any(key not in payload for key in keys):
-        raise SchemeParseError(f"{where}: expected a JSON object with keys {list(keys)}")
-
-
 def read_json(path: str, *keys: str) -> dict[str, Any]:
     """The JSON object in the file at ``path``; it must hold every key in ``keys``."""
     with open(path) as fh:
@@ -77,7 +72,8 @@ def read_json(path: str, *keys: str) -> dict[str, Any]:
         except (ValueError, RecursionError) as exc:
             # ValueError covers bad syntax, bad UTF-8 and over-long integer literals.
             raise SchemeParseError(f"{path}: invalid JSON ({exc})") from exc
-    _require_keys(payload, keys, path)
+    if not isinstance(payload, dict) or any(key not in payload for key in keys):
+        raise SchemeParseError(f"{path}: expected a JSON object with keys {list(keys)}")
     return payload
 
 
@@ -265,76 +261,50 @@ def save_kernel(d: int, values: np.ndarray, path: str, assoc_residual: float | N
         fh.write("}\n")
 
 
-# The first line save_kernel writes; "n" must be >= 1.
-_KERNEL_HEADER = re.compile(r'\{"d": -?\d+, "n": ([1-9]\d*), "values": \[\n')
-
-
-def _read_kernel_lines(path: str) -> tuple[dict[str, Any], np.ndarray] | None:
-    """The payload and values of a file in ``save_kernel``'s layout, read one
-    k-slice line at a time, or None for any other text.
-
-    Only one slice's nested lists are alive at a time.  The header and the
-    trailer are parsed together as one JSON document whose ``"values"`` is
-    ``[]``.  A result is what ``read_json`` and ``_decode`` make of the whole
-    file; on None the caller's whole-file parse decides, and words any error.
-    """
-    try:
-        with open(path) as fh:
-            header = fh.readline()
-            match = _KERNEL_HEADER.fullmatch(header)
-            if match is None:
-                return None
-            n = int(match[1])
-            values = None
-            for k in range(n):
-                end = ",\n" if k < n - 1 else "\n"
-                line = fh.readline()
-                if not line.endswith(end):
-                    return None
-                part = _decode(json.loads(line[: -len(end)]), 2, path)
-                if part.shape != (n, n):
-                    return None
-                if values is None:
-                    values = np.empty((n, n, n), dtype=complex)
-                values[k] = part
-            objects: list[list[tuple[str, Any]]] = []
-
-            def keep(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
-                objects.append(pairs)
-                return dict(pairs)
-
-            payload = json.loads(header + fh.read(), object_pairs_hook=keep)
-    except (ValueError, RecursionError, MemoryError):
-        # SchemeParseError is a ValueError; MemoryError covers an n**3 array
-        # that does not fit.
-        return None
-    # The outermost object is completed last.  A second "values" key in the
-    # trailer would replace the slices in the whole-file parse.
-    if [key for key, _ in objects[-1]].count("values") != 1 or payload["values"] != []:
-        return None
-    return payload, values
+# save_kernel's first line, and its text after the last slice line.
+_KERNEL_HEADER = re.compile(r'\{"d": ([1-9]\d*), "n": ([1-9]\d*), "values": \[\n')
+_KERNEL_TRAILER = re.compile(r'\](, "associativity_residual": -?(0|[1-9]\d*)(\.\d+)?([eE][-+]?\d+)?)?\}\n')
 
 
 def load_kernel(path: str) -> tuple[int, np.ndarray]:
-    """Read a kernel file; any malformed content raises SchemeParseError.
-
-    ``save_kernel``'s layout is read one slice line at a time; any other
-    text goes through ``read_json``, like every other file type.
-    """
-    read = _read_kernel_lines(path)
-    if read is None:
-        payload = read_json(path, "d", "values")
-        d = _dimension(payload, path)
-        values = _decode(payload["values"], 3, f"{path}: values")
-    else:
-        payload, values = read
-        d = _dimension(payload, path)
-    n = len(values)
-    if values.shape != (n, n, n):
-        raise SchemeParseError(
-            f"{path}: values: expected shape {(n, n, n)} of [re, im] pairs, got {values.shape}"
-        )
-    m = payload.get("n", n)
-    if isinstance(m, bool) or not isinstance(m, int) or m != n:
-        raise SchemeParseError(f"{path}: 'n' is {m!r} but values hold {n} slices")
+    """Read a file in ``save_kernel``'s layout, one k-slice line at a time: one
+    slice's nested lists are alive at a time, and the n x n x n array is made
+    once the first slice has passed its shape check.  Any other text, another
+    JSON layout of the same kernel included, raises SchemeParseError naming
+    the file and, past the header, the slice."""
+    # Undecodable bytes become lone surrogates, which no accepted line holds,
+    # so they are refused in the line they stand in.
+    with open(path, errors="surrogateescape") as fh:
+        header = _KERNEL_HEADER.fullmatch(fh.readline())
+        if header is None:
+            raise SchemeParseError(
+                f'{path}: expected the header line {{"d": <int >= 1>, "n": <int >= 1>, "values": ['
+            )
+        try:
+            d, n = int(header[1]), int(header[2])
+        except ValueError as exc:  # a literal too long for int()
+            raise SchemeParseError(f"{path}: invalid JSON ({exc})") from exc
+        for k in range(n):
+            where = f"{path}: values[{k}]"
+            more = k < n - 1
+            line = fh.readline()
+            if not line.endswith("\n") or line.endswith(",\n") != more:
+                ending = "',' and a newline" if more else "a newline, without ','"
+                raise SchemeParseError(f"{where}: slice {k + 1} of {n} must end in {ending}")
+            try:
+                data = json.loads(line[: -2 if more else -1])
+            except (ValueError, RecursionError) as exc:
+                raise SchemeParseError(f"{where}: invalid JSON ({exc})") from exc
+            part = _decode(data, 2, where)
+            del data  # so one slice's lists are alive at a time
+            if part.shape != (n, n):
+                raise SchemeParseError(f"{where}: expected {n}x{n} pairs, got shape {part.shape}")
+            if k == 0:
+                values = np.empty((n, n, n), dtype=complex)
+            values[k] = part
+        if _KERNEL_TRAILER.fullmatch(fh.read()) is None:
+            raise SchemeParseError(
+                f"{path}: expected ']}}' or '], \"associativity_residual\": <number>}}' and a "
+                f"newline after the {n} slice lines"
+            )
     return d, values

@@ -17,6 +17,7 @@ import numpy as np
 from .errors import (
     DimensionMismatchError,
     LengthMismatchError,
+    NotSquareError,
     NotUnitaryError,
 )
 from .matrixcore import DEFAULT_TOL, ToleranceConfig, finite, scale_error
@@ -154,20 +155,21 @@ def intertwiner(
     return IntertwinerPair(forward=forward, backward=backward)
 
 
-def cubic_unitary_residual(u, tol: ToleranceConfig = DEFAULT_TOL) -> float | np.ndarray:
+def cubic_unitary_residual(u) -> float | np.ndarray:
     """Max-abs entry of u - (u u*) u^tr; zero for every unitary u.
 
     A stack of matrices (..., n, n) gives an array of per-matrix residuals;
-    NotUnitaryError is raised if any member is not unitary.
+    NotSquareError is raised for rectangular matrices and NotUnitaryError if
+    any member is not unitary within ``DEFAULT_TOL``.
     """
     u = np.asarray(u, dtype=complex)
     if u.ndim < 2:
         raise DimensionMismatchError(f"expected a matrix or a stack of matrices, got ndim={u.ndim}")
     if u.shape[-1] != u.shape[-2]:
-        raise NotUnitaryError(f"expected a square matrix, got shape {u.shape}")
+        raise NotSquareError(f"expected a square matrix, got shape {u.shape}")
     u_tr = u.swapaxes(-1, -2)
     unitarity = float(np.abs(u_tr.conj() @ u - np.eye(u.shape[-1])).max())
-    if unitarity > tol.residual_tol:
+    if unitarity > DEFAULT_TOL.residual_tol:
         raise NotUnitaryError(f"matrix is not unitary (residual {unitarity:.3e})")
     residual = np.abs(u - (u @ u.conj()) @ u_tr).max(axis=(-2, -1))
     return float(residual) if residual.ndim == 0 else residual

@@ -588,10 +588,10 @@ _EXIT_2_ERRORS = {
     "DimensionMismatchError",
     "LengthMismatchError",
     "NotSquareLengthError",
+    "NotSquareError",
 }
 _EXIT_1_ERRORS = {
     "StarProdError",
-    "NotSquareError",
     "NotTomographicError",
     "NotOverfilledError",
     "InvalidGaugeError",

@@ -39,6 +39,7 @@ from starprod.catalog import (
     random_minimal_povm_scheme,
     sic_qubit_scheme,
 )
+from starprod.matrixcore import DEFAULT_TOL
 from starprod.operator_space import PAULI_X, PAULI_Y, PAULI_Z
 from starprod.star_product import reconstruct, symbol
 from starprod.verification import haar_unitaries
@@ -301,6 +302,22 @@ class TestSelfDualCoefficient:
         assert np.isnan(stacked.reshape(-1)[~self_dual]).all()
         assert np.allclose(stacked.reshape(-1)[self_dual], coefficients[self_dual], rtol=1e-9, atol=0)
 
+    @pytest.mark.parametrize("c", [1e-8, 1.0, 1e8])
+    @pytest.mark.parametrize("factor, self_dual", [(10.0, False), (0.1, True)])
+    def test_near_miss_at_the_relative_gate(self, c, factor, self_dual):
+        # The Pauli family scaled by c, with its duals P / c: U = c^2 D.  Turning
+        # one largest-|U| entry of D by an angle keeps both norms, so c^2 stays
+        # the estimate and that entry's residual is factor * residual_tol * max|U|.
+        deq = c * pauli_scheme().dequantizers
+        quantizers = deq / c**2
+        k, i, j = np.unravel_index(np.abs(deq).argmax(), deq.shape)
+        quantizers[k, i, j] *= np.exp(2j * np.arcsin(factor * DEFAULT_TOL.residual_tol / 2))
+        coefficient = self_dual_coefficients(deq, quantizers)
+        if self_dual:
+            assert coefficient == pytest.approx(c**2, rel=1e-12)
+        else:
+            assert np.isnan(coefficient)
+
 
 class TestScaledUnitaryCheck:
     def test_identity(self):
@@ -316,6 +333,19 @@ class TestScaledUnitaryCheck:
     def test_rectangular_raises(self):
         with pytest.raises(NotSquareError):
             scaled_unitary_check(np.zeros((4, 6)))
+
+    @pytest.mark.parametrize("c", [1e-8, 1.0, 1e8])
+    @pytest.mark.parametrize("factor, scaled_unitary", [(10.0, False), (0.1, True)])
+    def test_near_miss_at_the_relative_gate(self, rng, c, factor, scaled_unitary):
+        # U = sqrt(c) W diag(sqrt(1 + t), sqrt(1 - t), 1, 1) with W unitary:
+        # U^dag U has mean diagonal c and is off c I by c t.
+        t = factor * DEFAULT_TOL.residual_tol
+        w = haar_unitaries(rng.standard_normal((2, 4, 4)))
+        got = scaled_unitary_check(np.sqrt(c) * w * np.sqrt([1 + t, 1 - t, 1, 1]))
+        if scaled_unitary:
+            assert got == pytest.approx(c, rel=1e-12)
+        else:
+            assert got is None
 
 
 class TestPovmCheck:
@@ -336,6 +366,15 @@ class TestPovmCheck:
         diag = povm_check(matrix_units_scheme(2))
         assert not diag.is_povm
         assert diag.hermiticity_residual == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("factor, is_povm", [(10.0, False), (0.1, True)])
+    def test_near_miss_at_the_eigenvalue_gate(self, factor, is_povm):
+        # Two diagonal effects that sum to the identity, each with eigenvalue -m.
+        m = factor * DEFAULT_TOL.eig_tol
+        diag = povm_check(Scheme(dequantizers=np.array([np.diag([1 + m, -m]), np.diag([-m, 1 + m])])))
+        assert diag.min_effect_eigenvalue == pytest.approx(-m, rel=1e-12)
+        assert diag.sum_residual <= 1e-15 and diag.hermiticity_residual == 0.0
+        assert diag.is_povm is is_povm
 
 
 class TestNegativityReport:

@@ -4,7 +4,9 @@ import json
 import math
 import os
 import re
+import sys
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -383,6 +385,8 @@ class TestKernelWriterWork:
 
 _PAIR = [0.5, -0.25]
 _GOOD_VALUES = [[[_PAIR, _PAIR], [_PAIR, _PAIR]], [[_PAIR, _PAIR], [_PAIR, _PAIR]]]
+_HEADER_REFUSED = 'expected the header line {"d": <int >= 1>, "n": <int >= 1>, "values": ['
+_TRAILER_REFUSED = "expected ']}' or '], \"associativity_residual\": <number>}' and a newline"
 
 
 def _kernel_payload(**changes):
@@ -391,68 +395,101 @@ def _kernel_payload(**changes):
     return payload
 
 
+def _kernel_file(tmp_path, payload):
+    """Path of a file holding ``payload`` in ``save_kernel``'s layout (the "d"
+    and "n" header line, then one line per slice of "values"), or as one line
+    of JSON where that layout cannot hold it."""
+    path = tmp_path / "kernel.json"
+    if list(payload) == ["d", "n", "values"] and isinstance(payload["values"], list):
+        head = f'{{"d": {json.dumps(payload["d"])}, "n": {json.dumps(payload["n"])}, "values": ['
+        path.write_text("\n".join([head, ",\n".join(map(json.dumps, payload["values"])), "]}\n"]))
+    else:
+        path.write_text(json.dumps(payload))
+    return str(path)
+
+
 class TestKernelFileContract:
     def test_well_formed_payload_loads(self, tmp_path):
-        path = tmp_path / "kernel.json"
-        path.write_text(json.dumps(_kernel_payload()))
-        d, values = load_kernel(str(path))
+        path = _kernel_file(tmp_path, _kernel_payload())
+        d, values = load_kernel(path)
         assert d == 1 and values.shape == (2, 2, 2)
         assert np.all(values == 0.5 - 0.25j)
+        # The files below differ from save_kernel's only where their case says.
+        save_kernel(1, values, str(tmp_path / "saved.json"))
+        assert (tmp_path / "saved.json").read_text() == (tmp_path / "kernel.json").read_text()
 
     @pytest.mark.parametrize(
-        "payload",
+        "payload, expected",
         [
-            # ragged nesting
-            _kernel_payload(values=[_GOOD_VALUES[0], [[_PAIR, _PAIR], [_PAIR]]]),
-            _kernel_payload(values=[_GOOD_VALUES[0], [[_PAIR, _PAIR], [_PAIR, [0.5]]]]),
-            # short nesting
-            _kernel_payload(values=[[_PAIR, _PAIR], [_PAIR, _PAIR]]),
-            _kernel_payload(values=[0.5, 0.5]),
-            _kernel_payload(values=[]),
-            _kernel_payload(values={"0": _GOOD_VALUES}),
+            (_kernel_payload(values=[_GOOD_VALUES[0], [[_PAIR, _PAIR], [_PAIR]]]), "values[1]: ragged"),
+            (
+                _kernel_payload(values=[_GOOD_VALUES[0], [[_PAIR, _PAIR], [_PAIR, [0.5]]]]),
+                "values[1]: ragged",
+            ),
+            (_kernel_payload(values=[[_PAIR, _PAIR], [_PAIR, _PAIR]]), "values[0]: expected 2 non-empty"),
+            (_kernel_payload(values=[0.5, 0.5]), "values[0]: expected 2 non-empty"),
+            (_kernel_payload(values=[]), "values[0]: slice 1 of 2 must end in ','"),
+            (_kernel_payload(values={"0": _GOOD_VALUES}), _HEADER_REFUSED),
         ],
         ids=["ragged-slice", "ragged-pair", "short-nesting", "flat", "empty", "object"],
     )
-    def test_ragged_or_short_nesting(self, tmp_path, payload):
-        self._assert_rejected(tmp_path, payload)
-
-    @pytest.mark.parametrize("entry", ["0.5", None, {"re": 0.5}, [0.5]])
-    def test_non_numeric_entries(self, tmp_path, entry):
-        values = json.loads(json.dumps(_GOOD_VALUES))
-        values[1][0][1][1] = entry
-        self._assert_rejected(tmp_path, _kernel_payload(values=values))
+    def test_ragged_or_short_nesting(self, tmp_path, payload, expected):
+        self._assert_rejected(tmp_path, payload, expected)
 
     @pytest.mark.parametrize(
-        "values",
+        "entry, expected",
         [
-            [[[[0.5, 0.5, 0.5]] * 2] * 2] * 2,
-            [[[_PAIR] * 3] * 2] * 2,
-            [[[_PAIR] * 2] * 3] * 2,
-            [[[[_PAIR, _PAIR]] * 2] * 2] * 2,
+            ("0.5", "entries must be numbers"),
+            (None, "entries must be numbers"),
+            ({"re": 0.5}, "entries must be numbers"),
+            ([0.5], "ragged nesting"),
+        ],
+        ids=["0.5", "None", "entry2", "entry3"],
+    )
+    def test_non_numeric_entries(self, tmp_path, entry, expected):
+        values = json.loads(json.dumps(_GOOD_VALUES))
+        values[1][0][1][1] = entry
+        self._assert_rejected(tmp_path, _kernel_payload(values=values), f"values[1]: {expected}")
+
+    @pytest.mark.parametrize(
+        "values, expected",
+        [
+            ([[[[0.5, 0.5, 0.5]] * 2] * 2] * 2, "expected 2 non-empty nested axes"),
+            ([[[_PAIR] * 3] * 2] * 2, "expected 2x2 pairs, got shape (2, 3)"),
+            ([[[_PAIR] * 2] * 3] * 2, "expected 2x2 pairs, got shape (3, 2)"),
+            ([[[[_PAIR, _PAIR]] * 2] * 2] * 2, "expected 2 non-empty nested axes"),
         ],
         ids=["triple", "wide-row", "tall-slice", "deep"],
     )
-    def test_wrong_shape(self, tmp_path, values):
-        self._assert_rejected(tmp_path, _kernel_payload(values=values))
+    def test_wrong_shape(self, tmp_path, values, expected):
+        self._assert_rejected(tmp_path, _kernel_payload(values=values), f"values[0]: {expected}")
 
     @pytest.mark.parametrize("d", ["x", None, 0, -2, 2.5, True, [2]])
     def test_bad_d(self, tmp_path, d):
-        self._assert_rejected(tmp_path, _kernel_payload(d=d))
+        self._assert_rejected(tmp_path, _kernel_payload(d=d), _HEADER_REFUSED)
 
-    @pytest.mark.parametrize("n", [1, 3, "2", None, True, 2.0])
-    def test_n_disagrees_with_values(self, tmp_path, n):
-        self._assert_rejected(tmp_path, _kernel_payload(n=n))
+    @pytest.mark.parametrize(
+        "n, expected",
+        [
+            (1, "values[0]: slice 1 of 1 must end in a newline, without ','"),
+            (3, "values[0]: expected 3x3 pairs, got shape (2, 2)"),
+            *[(n, _HEADER_REFUSED) for n in ("2", None, True, 2.0)],
+        ],
+        ids=["1", "3", "2", "None", "True", "2.0"],
+    )
+    def test_n_disagrees_with_values(self, tmp_path, n, expected):
+        self._assert_rejected(tmp_path, _kernel_payload(n=n), expected)
 
     def test_missing_keys(self, tmp_path):
-        self._assert_rejected(tmp_path, {"n": 2, "values": _GOOD_VALUES})
-        self._assert_rejected(tmp_path, [_GOOD_VALUES])
+        self._assert_rejected(tmp_path, {"n": 2, "values": _GOOD_VALUES}, _HEADER_REFUSED)
+        self._assert_rejected(tmp_path, [_GOOD_VALUES], _HEADER_REFUSED)
 
     @staticmethod
-    def _assert_rejected(tmp_path, payload):
-        path = tmp_path / "kernel.json"
-        path.write_text(json.dumps(payload))
-        with pytest.raises(SchemeParseError, match=re.escape(str(path))):
-            load_kernel(str(path))
+    def _assert_rejected(tmp_path, payload, expected):
+        path = _kernel_file(tmp_path, payload)
+        with pytest.raises(SchemeParseError, match=re.escape(path)) as info:
+            load_kernel(path)
+        assert expected in str(info.value)
 
 
 def _generic_load_kernel(path):
@@ -509,32 +546,39 @@ def _mutate(data, rng):
     return data[:pos] + (byte if kind != 1 else b"") + data[pos + (kind != 0) :]
 
 
-def _assert_same_as_generic(path):
+def _assert_loaded_as_generic_or_refused(path):
+    """``load_kernel``'s outcome for the file at ``path``: a load gives the
+    whole-file parse's d and bits, and a refusal is a SchemeParseError naming
+    the file."""
     outcome = _outcome(load_kernel, str(path))
-    assert outcome == _outcome(_generic_load_kernel, str(path))
+    if outcome[0] == "ok":
+        assert outcome == _outcome(_generic_load_kernel, str(path))
+    else:
+        assert outcome[0] == "SchemeParseError" and str(path) in outcome[1], outcome
     return outcome
 
 
 class TestKernelLineReader:
-    """``load_kernel`` reads ``save_kernel``'s layout one slice line at a time;
-    every file loads to the same bits, or fails with the same message, as the
-    whole-file parse."""
+    """``load_kernel`` reads ``save_kernel``'s layout one slice line at a time
+    and refuses any other text; what it loads, the whole-file parse loads to
+    the same bits."""
 
     def test_seeded_mutations_match_the_generic_path(self, tmp_path):
         rng = np.random.default_rng(20140)
         path = tmp_path / "kernel.json"
-        loaded = failed = 0
+        loaded = refused = 0
         for case in range(480):
             n, residual = 1 + case % 3, (None, 2.5e-13)[case // 3 % 2]
             data = _kernel_text(tmp_path, n, residual, seed=case)[0].encode()
             for _ in range(1 + case % 2):
                 data = _mutate(data, rng)
             path.write_bytes(data)
-            outcome = _assert_same_as_generic(path)
+            outcome = _assert_loaded_as_generic_or_refused(path)
             loaded += outcome[0] == "ok"
-            failed += outcome[0] == "SchemeParseError"
-        # Both the slice reader's accepting and its rejecting branches ran.
-        assert loaded >= 50 and failed >= 200
+            refused += outcome[0] == "SchemeParseError"
+        # Both the slice reader's accepting and its refusing branches ran
+        # (80 and 400 of the 480 mutants).
+        assert loaded >= 50 and refused >= 300
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5])
     @pytest.mark.parametrize("residual", [None, 2.5e-13])
@@ -550,7 +594,8 @@ class TestKernelLineReader:
 
     @staticmethod
     def _edge_texts(text):
-        """Variants of the ``save_kernel`` text of a 3 x 3 x 3 kernel, by case."""
+        """Variants of the ``save_kernel`` text of a 3 x 3 x 3 kernel, by case;
+        a lone surrogate stands for a byte that is not UTF-8."""
         lines = text.splitlines(keepends=True)
         payload = json.loads(text)
         nan_line = re.sub(r"-?\d+\.\d+", "NaN", lines[3], count=1)
@@ -559,7 +604,10 @@ class TestKernelLineReader:
             "n-past-the-lines": text.replace('"n": 3', '"n": 4', 1),
             "n-billion-over-one-line": '{"d": 1, "n": 1000000000, "values": [\n[[[0.5, 0.0]]]\n]}\n',
             "n-float": text.replace('"n": 3', '"n": 3.0', 1),
+            "d-too-long-for-int": text.replace('"d": 3', f'"d": {"1" * 5000}', 1),
+            "reordered-keys": text.replace('"d": 3, "n": 3', '"n": 3, "d": 3', 1),
             "nan-in-last-slice": "".join([*lines[:3], nan_line, *lines[4:]]),
+            "bad-utf8-in-slice": "".join([*lines[:2], lines[2].replace(", ", ",\udcff ", 1), *lines[3:]]),
             "crlf": text.replace("\n", "\r\n"),
             "indent-1": json.dumps(payload, indent=1),
             "single-line": json.dumps(payload),
@@ -572,49 +620,68 @@ class TestKernelLineReader:
             + ']}, "d": 3}\n',
             "one-pair-slice": "".join([lines[0], lines[1], "[[[0.5, 0.0]]],\n", *lines[3:]]),
             "slice-line-without-comma": text.replace("]]],\n", "]]] \n", 1),
+            "last-slice-with-comma": text.replace("]]]\n]}", "]]],\n]}"),
             "value-before-closing-bracket": text.replace("\n]}", "\n0]}"),
+            "text-after-the-trailer": text + " ",
         }
 
-    @pytest.mark.parametrize(
-        "case, expected",
-        [
-            ("n-zero", "non-empty nested axes"),
-            ("n-past-the-lines", "'n' is 4 but values hold 3 slices"),
-            ("n-billion-over-one-line", "'n' is 1000000000 but values hold 1 slices"),
-            ("n-float", "'n' is 3.0 but values hold 3 slices"),
-            ("nan-in-last-slice", "values[2]: entries must be finite"),
-            ("crlf", None),
-            ("indent-1", None),
-            ("single-line", None),
-            ("duplicate-values-empty", "non-empty nested axes"),
-            ("duplicate-values-other", None),
-            ("hidden-values-header", "non-empty nested axes"),
-            ("one-pair-slice", "ragged nesting"),
-            ("slice-line-without-comma", "invalid JSON"),
-            ("value-before-closing-bracket", "invalid JSON"),
-        ],
-    )
+    _EDGE_CASES = {
+        "n-zero": _HEADER_REFUSED,
+        "n-past-the-lines": "values[0]: expected 4x4 pairs, got shape (3, 3)",
+        "n-billion-over-one-line": "values[0]: slice 1 of 1000000000 must end in ','",
+        "n-float": _HEADER_REFUSED,
+        "d-too-long-for-int": "invalid JSON (Exceeds the limit",
+        "reordered-keys": _HEADER_REFUSED,
+        "nan-in-last-slice": "values[2]: entries must be finite",
+        "bad-utf8-in-slice": "values[1]: invalid JSON",
+        "crlf": None,
+        "indent-1": _HEADER_REFUSED,
+        "single-line": _HEADER_REFUSED,
+        "duplicate-values-empty": _TRAILER_REFUSED,
+        "duplicate-values-other": _TRAILER_REFUSED,
+        "hidden-values-header": _HEADER_REFUSED,
+        "one-pair-slice": "values[1]: expected 3x3 pairs, got shape (1, 1)",
+        "slice-line-without-comma": "values[0]: slice 1 of 3 must end in ','",
+        "last-slice-with-comma": "values[2]: slice 3 of 3 must end in a newline, without ','",
+        "value-before-closing-bracket": _TRAILER_REFUSED,
+        "text-after-the-trailer": _TRAILER_REFUSED,
+    }
+
+    @pytest.mark.parametrize("case, expected", _EDGE_CASES.items(), ids=list(_EDGE_CASES))
     def test_edge_cases(self, tmp_path, case, expected):
-        """Each case loads, or fails, as the whole-file parse does; ``expected``
-        is a fragment of the error, or None for a load of the saved values."""
+        """Each case loads the saved values, where ``expected`` is None, or
+        is refused with ``expected`` in the error."""
         text, values = _kernel_text(tmp_path, 3)
         path = tmp_path / "kernel.json"
-        path.write_text(self._edge_texts(text)[case], newline="")
-        outcome = _assert_same_as_generic(path)
-        if expected is not None:
-            assert outcome[0] == "SchemeParseError" and expected in outcome[1]
-        elif case == "duplicate-values-other":
-            # The trailer's "values" replaces the slices, as in the whole-file parse.
-            assert outcome == ("ok", 3, _bits(values[::-1]))
-        else:
+        path.write_bytes(self._edge_texts(text)[case].encode(errors="surrogateescape"))
+        outcome = _assert_loaded_as_generic_or_refused(path)
+        if expected is None:
             assert outcome == ("ok", 3, _bits(values))
+        else:
+            assert outcome[0] == "SchemeParseError" and expected in outcome[1]
+
+    def test_one_slice_of_lists_is_alive_at_a_time(self, tmp_path, monkeypatch):
+        values = _kernel_text(tmp_path, 5)[1]
+        slices = []
+
+        def loads(text):
+            if slices:
+                previous = slices.pop()
+                # Referred to by ``previous`` and getrefcount's argument, not by the reader.
+                assert sys.getrefcount(previous) <= 2
+            slices.append(json.loads(text))
+            return slices[-1]
+
+        monkeypatch.setattr(serialization, "json", types.SimpleNamespace(loads=loads))
+        _, back = load_kernel(str(tmp_path / "saved.json"))
+        assert _bits(back) == _bits(values)
 
     def test_header_n_allocates_nothing_before_a_full_slice(self, tmp_path):
         path = tmp_path / "kernel.json"
         path.write_text('{"d": 1, "n": 300, "values": [\n[[[0.5, 0.0]]],\n')
         tracemalloc.start()
         try:
-            with pytest.raises(SchemeParseError, match="invalid JSON"):
+            with pytest.raises(SchemeParseError, match=r"values\[0\]: expected 300x300 pairs"):
                 load_kernel(str(path))
             peak = tracemalloc.get_traced_memory()[1]
         finally:

@@ -1,10 +1,14 @@
+import re
+
 import numpy as np
 import pytest
 
 from starprod import (
     DimensionMismatchError,
     LengthMismatchError,
+    MalformedInputError,
     MissingQuantizersError,
+    NotSquareError,
     NotTomographicError,
     NotUnitaryError,
     ScaleOutOfRangeError,
@@ -253,6 +257,13 @@ class TestCubicIdentity:
     def test_rejects_non_unitary(self):
         with pytest.raises(NotUnitaryError):
             cubic_unitary_residual(np.diag([2.0, 1.0]))
+
+    @pytest.mark.parametrize("shape", [(2, 3), (5, 3, 2)])
+    def test_rejects_non_square_as_malformed_input(self, shape):
+        message = f"expected a square matrix, got shape {shape}"
+        with pytest.raises(NotSquareError, match=re.escape(message)) as info:
+            cubic_unitary_residual(np.ones(shape))
+        assert isinstance(info.value, MalformedInputError)
 
 
 class TestSelfDualKernelConsistency:

@@ -16,7 +16,9 @@ from starprod.catalog import (
     random_minimal_povm_dequantizers,
     random_minimal_povm_scheme,
 )
+from starprod.matrixcore import DEFAULT_TOL
 from starprod.scheme import (
+    NegativityReport,
     Scheme,
     canonical_duals,
     canonical_quantizers,
@@ -214,6 +216,283 @@ class TestTableChecks:
         assert not result.passed
         assert result.details["rows_flagged"] == sorted({4, 5, 6} - {index + 1})
         assert result.details["max_residual"] <= 1e-12
+
+
+# The library functions the checks call, as the checks see them unpatched.
+_REAL = {
+    name: getattr(verification, name)
+    for name in (
+        "associativity_residual",
+        "classify",
+        "duality_matrix",
+        "intertwiner",
+        "livine_scheme",
+        "reconstruct",
+        "scaled_unitary_check",
+        "self_dual_coefficients",
+        "sic_qubit_scheme",
+        "singular_values",
+        "star_multiply",
+        "wh_sic_scheme",
+    )
+}
+
+
+def _wrap(monkeypatch, name, change):
+    """Patch ``verification.<name>`` to return ``change`` of the real result."""
+    real = _REAL[name]
+    monkeypatch.setattr(verification, name, lambda *args: change(real(*args)))
+
+
+def _constant(monkeypatch, name, value):
+    monkeypatch.setattr(verification, name, lambda *args: value)
+
+
+def _backward_scaled(scale, overfilled_only=False):
+    """An intertwiner whose backward kernel is multiplied by ``scale``, so
+    backward @ forward = scale I for a minimal source."""
+
+    def intertwiner(source, target):
+        pair = _REAL["intertwiner"](source, target)
+        if overfilled_only and target.n_points == target.d**2:
+            return pair
+        return dataclasses.replace(pair, backward=scale * pair.backward)
+
+    return intertwiner
+
+
+def _overfilled_roundtrip_off_by(monkeypatch, offset):
+    """All-ones symbols, and the overfilled pair's backward kernel scaled by
+    1 + ``offset``, so that pair's round trip is off by exactly ``offset``."""
+    monkeypatch.setattr(verification, "intertwiner", _backward_scaled(1 + offset, overfilled_only=True))
+    monkeypatch.setattr(verification, "symbol", lambda s, a: np.ones((*a.shape[:-2], s.n_points)))
+
+
+def _scaled_scheme(name, which, scale):
+    """``verification.<name>`` whose family ``which`` (a normalization, or a
+    dimension for ``wh_sic_scheme``) has its dequantizers multiplied by ``scale``."""
+
+    def build(key, *args):
+        s = _REAL[name](key, *args)
+        return Scheme(dequantizers=scale * s.dequantizers) if key == which else s
+
+    return build
+
+
+def _livine_shifted(first, second):
+    """Livine's scheme with ``first`` and ``second`` times the identity added to
+    its first two dequantizers, and quantizers kept at twice them (c = 1/2)."""
+    s = _REAL["livine_scheme"]("dequantizer")
+    deq = s.dequantizers.copy()
+    deq[0] += first * np.eye(2)
+    deq[1] += second * np.eye(2)
+    return Scheme(dequantizers=deq, quantizers=2 * deq, name=s.name)
+
+
+def _mub_duality_idempotency_off_by(offset):
+    """The MUB duality matrix plus a traceless Hermitian a (v v* - w w*) from
+    its null space, scaled so that its idempotency residual reads ``offset``."""
+    delta = _REAL["duality_matrix"](with_canonical_quantizers(catalog.mub_qubit_scheme()))
+    v, w = np.linalg.eigh(delta)[1][:, :2].T
+    shift = np.outer(v, v.conj()) - np.outer(w, w.conj())
+    return delta + offset / np.abs(shift).max() * shift
+
+
+# Per check and gate: the check, the detail that reads the gated residual,
+# the gate, and a patch that puts that residual at ``offset``.
+_GATES = {
+    "kernel-associativity": (
+        verification.check_kernel_laws,
+        "worst_associativity_residual",
+        1e-10,
+        lambda mp, offset: _constant(mp, "associativity_residual", offset),
+    ),
+    "kernel-homomorphism": (
+        verification.check_kernel_laws,
+        "worst_homomorphism_residual",
+        1e-9,
+        lambda mp, offset: _wrap(mp, "star_multiply", lambda f: f + offset),
+    ),
+    "completeness": (
+        verification.check_completeness_roundtrip,
+        "worst_completeness_residual",
+        1e-10,
+        lambda mp, offset: _constant(mp, "completeness_residual", offset),
+    ),
+    "roundtrip": (
+        verification.check_completeness_roundtrip,
+        "worst_roundtrip_residual",
+        1e-10,
+        lambda mp, offset: _wrap(mp, "reconstruct", lambda a: a + offset),
+    ),
+    "cubic-unitary-identity": (
+        verification.check_cubic_identity,
+        "worst_residual",
+        1e-12,
+        lambda mp, offset: mp.setattr(
+            verification, "cubic_unitary_residual", lambda u: np.full(u.shape[:-2], offset)
+        ),
+    ),
+    "intertwining-composition": (
+        verification.check_intertwining,
+        "minimal_composition_residual",
+        1e-12,
+        lambda mp, offset: mp.setattr(verification, "intertwiner", _backward_scaled(1 + offset)),
+    ),
+    "intertwining-roundtrip": (
+        verification.check_intertwining,
+        "overfilled_roundtrip_residual",
+        1e-10,
+        lambda mp, offset: _overfilled_roundtrip_off_by(mp, offset),
+    ),
+    "mub-singular-values": (
+        verification.check_mub_frame,
+        "singular_value_residual",
+        1e-10,
+        lambda mp, offset: _wrap(mp, "singular_values", lambda sv: sv + [offset, 0, 0, 0]),
+    ),
+    "mub-duality-hermiticity": (
+        verification.check_mub_frame,
+        "duality_hermiticity_residual",
+        1e-10,
+        lambda mp, offset: _wrap(mp, "duality_matrix", lambda m: m + offset * np.eye(6, k=1)),
+    ),
+    "mub-duality-idempotency": (
+        verification.check_mub_frame,
+        "duality_idempotency_residual",
+        1e-10,
+        lambda mp, offset: _constant(mp, "duality_matrix", _mub_duality_idempotency_off_by(offset)),
+    ),
+    "mub-duality-trace": (
+        verification.check_mub_frame,
+        "duality_trace_residual",
+        1e-10,
+        lambda mp, offset: _wrap(mp, "duality_matrix", lambda m: m + offset / 6 * np.eye(6)),
+    ),
+    "mub-condition-number": (
+        verification.check_mub_frame,
+        "condition_number_residual",
+        1e-10,
+        lambda mp, offset: _wrap(
+            mp, "classify", lambda r: dataclasses.replace(r, condition_number=np.sqrt(3) + offset)
+        ),
+    ),
+    "self-dual-forward": (
+        verification.check_self_duality_unitarity,
+        "random_coefficient_worst_relative_error",
+        1e-9,
+        lambda mp, offset: _wrap(mp, "self_dual_coefficients", lambda c: c * (1 + offset)),
+    ),
+    "self-dual-backward": (
+        verification.check_self_duality_unitarity,
+        "catalog_gram_worst_relative_error",
+        1e-9,
+        lambda mp, offset: _wrap(mp, "scaled_unitary_check", lambda c: c * (1 + offset)),
+    ),
+    # A family scaled by sqrt(1 + t) has its Gram matrix scaled by 1 + t:
+    # diagonal 1 and effect off-diagonal 1/12 move by t and t / 12.
+    "sic-qubit-projectors": (
+        verification.check_sic_conditions,
+        "qubit_projector_gram_residual",
+        1e-12,
+        lambda mp, offset: mp.setattr(
+            verification,
+            "sic_qubit_scheme",
+            _scaled_scheme("sic_qubit_scheme", "projector", np.sqrt(1 + offset)),
+        ),
+    ),
+    "sic-qubit-effects": (
+        verification.check_sic_conditions,
+        "qubit_effect_gram_residual",
+        1e-12,
+        lambda mp, offset: mp.setattr(
+            verification,
+            "sic_qubit_scheme",
+            _scaled_scheme("sic_qubit_scheme", "povm", np.sqrt(1 + 12 * offset)),
+        ),
+    ),
+    "sic-qutrit": (
+        verification.check_sic_conditions,
+        "qutrit_gram_residual",
+        1e-9,
+        lambda mp, offset: mp.setattr(
+            verification, "wh_sic_scheme", _scaled_scheme("wh_sic_scheme", 3, np.sqrt(1 + offset))
+        ),
+    ),
+    "livine-coefficient": (
+        verification.check_livine_positivity,
+        "coefficient_residual",
+        1e-12,
+        lambda mp, offset: _constant(mp, "self_dual_coefficient", 0.5 + offset),
+    ),
+    "livine-eigenvalues": (
+        verification.check_livine_positivity,
+        "eigenvalue_residual",
+        1e-12,
+        lambda mp, offset: _constant(mp, "livine_scheme", _livine_shifted(offset, -offset)),
+    ),
+    "livine-identity-sum": (
+        verification.check_livine_positivity,
+        "identity_sum_residual",
+        1e-12,
+        lambda mp, offset: _constant(mp, "livine_scheme", _livine_shifted(0.0, offset)),
+    ),
+}
+
+
+class TestCheckGates:
+    """Each battery check fails with one gated residual at twice its gate and
+    passes with it at half; each patch moves only the library call the check
+    makes, so no gate or tolerance changes."""
+
+    @pytest.mark.parametrize("factor, passed", [(2.0, False), (0.5, True)])
+    @pytest.mark.parametrize("gate", list(_GATES))
+    def test_a_residual_at_factor_times_its_gate(self, monkeypatch, gate, factor, passed):
+        check, detail, tolerance, patch = _GATES[gate]
+        patch(monkeypatch, factor * tolerance)
+        result = check()
+        assert result.passed is passed
+        assert result.details[detail] == pytest.approx(factor * tolerance, rel=1e-3)
+
+    @pytest.mark.parametrize("factor, passed", [(0.5, False), (2.0, True)])
+    def test_livine_negativity_at_factor_times_its_gate(self, monkeypatch, factor, passed):
+        # The check needs a dequantizer eigenvalue below -eig_tol.
+        report = NegativityReport(-factor * DEFAULT_TOL.eig_tol, None)
+        _constant(monkeypatch, "negativity_report", report)
+        assert verification.check_livine_positivity().passed is passed
+
+    def test_livine_fails_when_it_is_not_self_dual(self, monkeypatch):
+        _constant(monkeypatch, "self_dual_coefficient", None)
+        assert not verification.check_livine_positivity().passed
+
+    @pytest.mark.parametrize("eigenvalue, passed", [(2e-10, False), (5e-11, True)])
+    def test_povm_counterexample_at_factor_times_the_guard(self, monkeypatch, eigenvalue, passed):
+        # Seed 0's quantizers all become eigenvalue * I: at or past the guard a
+        # counterexample, inside it one inconclusive seed of 100.
+        def duals(dequantizers):
+            out = canonical_duals(dequantizers)
+            out[0] = eigenvalue * np.eye(2)
+            return out
+
+        monkeypatch.setattr(verification, "canonical_duals", duals)
+        result = check_povm_dual_negativity(seeds=100)
+        assert result.passed is passed
+        assert result.details["counterexamples"] == (0 if passed else 1)
+        assert result.details["largest_min_quantizer_eigenvalue"] == pytest.approx(eigenvalue)
+
+    @pytest.mark.parametrize("inconclusive, passed", [(10, True), (11, False)])
+    def test_povm_conclusive_floor(self, monkeypatch, inconclusive, passed):
+        # Zero quantizers are inconclusive; 990 of 1000 seeds must be conclusive.
+        def duals(dequantizers):
+            out = canonical_duals(dequantizers)
+            out[:inconclusive] = 0
+            return out
+
+        monkeypatch.setattr(verification, "canonical_duals", duals)
+        result = check_povm_dual_negativity()
+        assert result.passed is passed
+        assert result.details["conclusive"] == 1000 - inconclusive
+        assert result.details["counterexamples"] == 0
 
 
 @pytest.fixture
