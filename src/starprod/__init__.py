@@ -30,12 +30,7 @@ from .errors import (
     StarProdError,
     UnknownSchemeError,
 )
-from .matrixcore import (
-    DEFAULT_TOL,
-    ToleranceConfig,
-    rank,
-    singular_values,
-)
+from .matrixcore import rank, singular_values
 from .operator_space import (
     PAULI_X,
     PAULI_Y,

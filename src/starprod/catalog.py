@@ -24,7 +24,8 @@ from .errors import (
     StarProdError,
     UnknownSchemeError,
 )
-from .matrixcore import DEFAULT_TOL, ToleranceConfig, rank
+from . import matrixcore
+from .matrixcore import rank
 from .operator_space import PAULI_X, PAULI_Y, PAULI_Z
 from .scheme import Scheme, dequantization_matrix, quantization_matrix
 from .serialization import load_vector
@@ -144,7 +145,7 @@ def default_fiducial(d: int) -> np.ndarray:
     raise InvalidParameterError(f"no fiducial shipped for d={d}")
 
 
-def wh_sic_scheme(d: int, fiducial, tol: ToleranceConfig = DEFAULT_TOL) -> Scheme:
+def wh_sic_scheme(d: int, fiducial) -> Scheme:
     """Projector scheme over the clock/shift orbit of a fiducial vector.
 
     The d^2 states X^a Z^b |fiducial> are indexed k = d*a + b + 1.  The
@@ -156,14 +157,14 @@ def wh_sic_scheme(d: int, fiducial, tol: ToleranceConfig = DEFAULT_TOL) -> Schem
     psi = np.asarray(fiducial, dtype=complex).reshape(-1)
     if psi.size != d:
         raise InvalidParameterError(f"fiducial length {psi.size} does not match d={d}")
-    if abs(np.linalg.norm(psi) - 1.0) > tol.residual_tol:
+    if abs(np.linalg.norm(psi) - 1.0) > matrixcore.RESIDUAL_TOL:
         raise InvalidParameterError("fiducial vector is not normalized")
     states = displacement_orbit(psi)
     projs = _projectors(states)
     gram = np.abs(states.conj() @ states.T) ** 2
     target = (d * np.eye(d * d) + 1) / (d + 1)
     deviation = float(np.abs(gram - target).max())
-    if deviation > tol.residual_tol:
+    if deviation > matrixcore.RESIDUAL_TOL:
         raise NotSICError(
             f"orbit overlaps deviate from (d*delta+1)/(d+1) by {deviation:.3e}"
         )
@@ -200,9 +201,7 @@ def mub_prime_scheme(p: int) -> Scheme:
 _MAX_ATTEMPTS = 100  # draws per seed before the sampler gives up
 
 
-def random_minimal_povm_dequantizers(
-    d: int, seeds: Iterable[int], tol: ToleranceConfig = DEFAULT_TOL
-) -> np.ndarray:
+def random_minimal_povm_dequantizers(d: int, seeds: Iterable[int]) -> np.ndarray:
     """Seeded random minimal tomographic POVMs, one per seed, as an
     (S, d^2, d, d) stack: d^2 Wishart effects per seed, symmetrically
     normalized so they sum to the identity exactly.
@@ -231,7 +230,7 @@ def random_minimal_povm_dequantizers(
         scaled = vectors * (1 / np.sqrt(eigenvalues))[:, None, :]
         inv_sqrt = scaled @ vectors.conj().swapaxes(1, 2)
         candidates = np.einsum("sab,skbc,scd->skad", inv_sqrt, effects, inv_sqrt)
-        full = rank(candidates.reshape(pending.size, n, n).swapaxes(1, 2), tol) == n
+        full = rank(candidates.reshape(pending.size, n, n).swapaxes(1, 2)) == n
         deq[pending[full]] = candidates[full]
         pending = pending[~full]
         if not pending.size:
@@ -241,13 +240,13 @@ def random_minimal_povm_dequantizers(
     )
 
 
-def random_minimal_povm_scheme(d: int, seed: int, tol: ToleranceConfig = DEFAULT_TOL) -> Scheme:
+def random_minimal_povm_scheme(d: int, seed: int) -> Scheme:
     """Seeded random minimal tomographic POVM: the one-seed case of
     ``random_minimal_povm_dequantizers``.
 
     Raises SamplerFailureError after ``_MAX_ATTEMPTS`` rank-deficient draws.
     """
-    deq = random_minimal_povm_dequantizers(d, [seed], tol)[0]
+    deq = random_minimal_povm_dequantizers(d, [seed])[0]
     return Scheme(dequantizers=deq, name=f"random-povm-d{d}-seed{seed}")
 
 
@@ -262,7 +261,7 @@ class CatalogEntry:
 
 @dataclass(frozen=True)
 class BuiltinScheme:
-    """One ``emit`` scheme: ``build(tol=..., **params)``, the parameters it
+    """One ``emit`` scheme: ``build(**params)``, the parameters it
     takes with their defaults, and its regression set as (parameters,
     expected report fragments) pairs."""
 
@@ -274,7 +273,7 @@ class BuiltinScheme:
 # Keyed by the ``emit`` name.
 SCHEMES: dict[str, BuiltinScheme] = {
     "matrix-units": BuiltinScheme(
-        lambda tol, d: matrix_units_scheme(d),
+        matrix_units_scheme,
         {"d": 2},
         stock=(
             ({"d": 2}, {
@@ -298,7 +297,7 @@ SCHEMES: dict[str, BuiltinScheme] = {
         ),
     ),
     "pauli": BuiltinScheme(
-        lambda tol, variant: pauli_scheme(variant),
+        pauli_scheme,
         {"variant": "hermitian"},
         stock=(
             ({"variant": "hermitian"}, {
@@ -322,7 +321,7 @@ SCHEMES: dict[str, BuiltinScheme] = {
         ),
     ),
     "livine": BuiltinScheme(
-        lambda tol, normalization: livine_scheme(normalization),
+        livine_scheme,
         {"normalization": "dequantizer"},
         stock=(
             ({"normalization": "dequantizer"}, {
@@ -347,7 +346,7 @@ SCHEMES: dict[str, BuiltinScheme] = {
         ),
     ),
     "sic-qubit": BuiltinScheme(
-        lambda tol, normalization: sic_qubit_scheme(normalization),
+        sic_qubit_scheme,
         {"normalization": "projector"},
         stock=(
             ({"normalization": "projector"}, {
@@ -375,7 +374,7 @@ SCHEMES: dict[str, BuiltinScheme] = {
         ),
     ),
     "mub-qubit": BuiltinScheme(
-        lambda tol: mub_qubit_scheme(),
+        mub_qubit_scheme,
         {},
         stock=(
             ({}, {
@@ -389,8 +388,8 @@ SCHEMES: dict[str, BuiltinScheme] = {
         ),
     ),
     "wh-sic": BuiltinScheme(
-        lambda tol, d, fiducial: wh_sic_scheme(
-            d, load_vector(fiducial) if fiducial else default_fiducial(d), tol
+        lambda d, fiducial: wh_sic_scheme(
+            d, load_vector(fiducial) if fiducial else default_fiducial(d)
         ),
         {"d": 2, "fiducial": None},
         stock=(
@@ -411,7 +410,7 @@ SCHEMES: dict[str, BuiltinScheme] = {
         ),
     ),
     "mub-prime": BuiltinScheme(
-        lambda tol, p: mub_prime_scheme(p),
+        mub_prime_scheme,
         {"p": 3},
         stock=(
             ({"p": 3}, {
@@ -424,13 +423,13 @@ SCHEMES: dict[str, BuiltinScheme] = {
         ),
     ),
     "random-povm": BuiltinScheme(
-        lambda tol, d, seed: random_minimal_povm_scheme(d, seed, tol),
+        random_minimal_povm_scheme,
         {"d": 2, "seed": 0},
     ),
 }
 
 
-def build_scheme(name: str, tol: ToleranceConfig = DEFAULT_TOL, **params: Any) -> Scheme:
+def build_scheme(name: str, **params: Any) -> Scheme:
     """Build the registered scheme ``name``, its defaults overridden by ``params``.
 
     Raises UnknownSchemeError for a name not in SCHEMES and
@@ -447,7 +446,7 @@ def build_scheme(name: str, tol: ToleranceConfig = DEFAULT_TOL, **params: Any) -
         got = ", ".join(f"--{key}" for key in foreign)
         raise InvalidParameterError(f"{name} takes {takes}; got {got}")
     try:
-        return builtin.build(tol=tol, **{**builtin.params, **params})
+        return builtin.build(**{**builtin.params, **params})
     except StarProdError:
         raise
     except ValueError as exc:

@@ -12,15 +12,14 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from dataclasses import replace
 from typing import Any
 
 import numpy as np
 
-from . import __version__
+from . import __version__, matrixcore
 from .catalog import SCHEMES, build_scheme
 from .errors import MalformedInputError, StarProdError
-from .matrixcore import DEFAULT_TOL, ToleranceConfig, finite
+from .matrixcore import finite
 from .scheme import (
     SchemeReport,
     classify,
@@ -56,26 +55,20 @@ def _flag(name: str, default: Any) -> str:
     return f"--{name}" if default is None else f"--{name} {default}"
 
 
-def _add_tolerance_flags(parser: argparse.ArgumentParser, *names: str) -> None:
-    """Add ``--<name>-tol`` for each of ``names``; the others stay at ``DEFAULT_TOL``."""
-    for name in names:
-        default = getattr(DEFAULT_TOL, f"{name}_tol")
-        parser.add_argument(f"--{name}-tol", type=float, default=default)
-
-
-def _tolerances(args: argparse.Namespace) -> ToleranceConfig:
-    return replace(DEFAULT_TOL, **{k: v for k, v in vars(args).items() if k.endswith("_tol")})
-
-
-def _write_report(path: str, tol: ToleranceConfig, **fields: Any) -> None:
+def _write_report(path: str, **fields: Any) -> None:
     """Write the report: the tool, version and tolerances, then ``fields`` in order."""
-    write_json({"tool": "starprod", "version": __version__, "tolerances": tol, **fields}, path)
+    tolerances = {
+        "rank_tol": matrixcore.RANK_TOL,
+        "residual_tol": matrixcore.RESIDUAL_TOL,
+        "eig_tol": matrixcore.EIG_TOL,
+    }
+    write_json({"tool": "starprod", "version": __version__, "tolerances": tolerances, **fields}, path)
     print(f"report written to {path}")
 
 
 def cmd_emit(args: argparse.Namespace) -> int:
     params = {n: getattr(args, n) for n in _EMIT_PARAMS if getattr(args, n) is not None}
-    s = build_scheme(args.scheme_name, _tolerances(args), **params)
+    s = build_scheme(args.scheme_name, **params)
     save_scheme(s, args.output)
     print(f"wrote {s.name} (d={s.d}, N={s.n_points}) to {args.output}")
     return 0
@@ -114,13 +107,11 @@ def _format_human(report: SchemeReport, scheme_name: str, d: int, n: int) -> str
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
-    tol = _tolerances(args)
     s = load_scheme(args.scheme)
-    report = classify(s, tol)
+    report = classify(s)
     print(_format_human(report, s.name or args.scheme, s.d, s.n_points))
     _write_report(
         args.report or f"{args.scheme}.report.json",
-        tol,
         scheme={"path": args.scheme, "name": s.name, "d": s.d, "n": s.n_points},
         report=report,
     )
@@ -128,19 +119,17 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 
 def cmd_quantize(args: argparse.Namespace) -> int:
-    tol = _tolerances(args)
     s = load_scheme(args.scheme)
     if args.gauge:
-        augmented = s.with_quantizers(gauge_quantizers(s, load_operator(args.gauge), tol))
+        augmented = s.with_quantizers(gauge_quantizers(s, load_operator(args.gauge)))
     else:
-        augmented = with_canonical_quantizers(s, tol)
+        augmented = with_canonical_quantizers(s)
     residual = completeness_residual(augmented)
     save_scheme(augmented, args.output)
     print(f"wrote quantized scheme to {args.output}")
     print(f"completeness residual: {residual:.3e}")
     _write_report(
         args.report or f"{args.output}.report.json",
-        tol,
         completeness_residual=residual,
         gauge=args.gauge,
     )
@@ -157,10 +146,9 @@ def cmd_symbol(args: argparse.Namespace) -> int:
 
 
 def cmd_reconstruct(args: argparse.Namespace) -> int:
-    tol = _tolerances(args)
     s = load_scheme(args.scheme)
     f = load_vector(args.symbol)
-    s = with_canonical_quantizers(s, tol)
+    s = with_canonical_quantizers(s)
     a = reconstruct(s, f)
     save_operator(a, args.output)
     print(f"wrote reconstructed operator ({s.d}x{s.d}) to {args.output}")
@@ -168,8 +156,7 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
 
 
 def cmd_kernel(args: argparse.Namespace) -> int:
-    tol = _tolerances(args)
-    kernel = star_kernel(with_canonical_quantizers(load_scheme(args.scheme), tol))
+    kernel = star_kernel(with_canonical_quantizers(load_scheme(args.scheme)))
     residual = associativity_residual(kernel) if args.assoc_check else None
     save_kernel(kernel.d, kernel.values, args.output, assoc_residual=residual)
     print(f"wrote kernel tensor ({kernel.n_points}^3 entries) to {args.output}")
@@ -179,11 +166,10 @@ def cmd_kernel(args: argparse.Namespace) -> int:
 
 
 def cmd_intertwine(args: argparse.Namespace) -> int:
-    tol = _tolerances(args)
     s_a = load_scheme(args.scheme_a)
     s_b = load_scheme(args.scheme_b)
     a = load_operator(args.operator)
-    pair = intertwiner(s_a, s_b, tol)
+    pair = intertwiner(s_a, s_b)
     f_a = symbol(s_a, a)
     back = finite("the round-trip residual overflows", lambda: pair.backward @ (pair.forward @ f_a))
     # Relative to the symbol's largest entry, so it reads the same at every scale.
@@ -196,7 +182,6 @@ def cmd_intertwine(args: argparse.Namespace) -> int:
     print(f"symbol round-trip residual: {residual:.3e}")
     _write_report(
         args.report or "intertwine.report.json",
-        tol,
         forward=pair.forward,
         backward=pair.backward,
         roundtrip_residual=residual,
@@ -222,7 +207,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
     all_passed = all(r.passed for r in results)
     _write_report(
         args.report or "verify.report.json",
-        DEFAULT_TOL,  # the tolerances the battery runs at
         suite=args.suite,
         checks=results,
         passed=all_passed,
@@ -254,13 +238,11 @@ def build_parser() -> argparse.ArgumentParser:
         default = next(b.params[name] for b in SCHEMES.values() if name in b.params)
         p.add_argument(f"--{name}", type=str if default is None else type(default))
     p.add_argument("-o", "--output", required=True)
-    _add_tolerance_flags(p, "rank", "residual")
     p.set_defaults(func=cmd_emit)
 
     p = sub.add_parser("classify", help="classify a scheme and write a report")
     p.add_argument("scheme")
     p.add_argument("--report")
-    _add_tolerance_flags(p, "rank", "residual", "eig")
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("quantize", help="attach canonical or gauge-shifted quantizers")
@@ -268,7 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gauge", help="JSON file with a d^2 x N gauge matrix under 'matrix'")
     p.add_argument("--report")
     p.add_argument("-o", "--output", required=True)
-    _add_tolerance_flags(p, "rank", "residual")
     p.set_defaults(func=cmd_quantize)
 
     p = sub.add_parser("symbol", help="compute the symbol vector of an operator")
@@ -281,14 +262,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("scheme")
     p.add_argument("symbol")
     p.add_argument("-o", "--output", required=True)
-    _add_tolerance_flags(p, "rank")
     p.set_defaults(func=cmd_reconstruct)
 
     p = sub.add_parser("kernel", help="compute the star-product kernel tensor")
     p.add_argument("scheme")
     p.add_argument("--assoc-check", action="store_true")
     p.add_argument("-o", "--output", required=True)
-    _add_tolerance_flags(p, "rank")
     p.set_defaults(func=cmd_kernel)
 
     p = sub.add_parser("intertwine", help="intertwining kernels between two schemes")
@@ -296,7 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("scheme_b")
     p.add_argument("operator")
     p.add_argument("--report")
-    _add_tolerance_flags(p, "rank")
     p.set_defaults(func=cmd_intertwine)
 
     p = sub.add_parser("verify", help="run the verification battery")

@@ -30,7 +30,7 @@ class UnknownSchemeError(MalformedInputError):
 
 
 class InvalidParameterError(MalformedInputError):
-    """A constructor or a tolerance got a parameter outside its supported range."""
+    """A constructor got a parameter outside its supported range."""
 
 
 class NotPrimeError(InvalidParameterError):

@@ -8,41 +8,26 @@ are the contracts (ordering, tolerance semantics) and the error types.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Callable
 
 import numpy as np
 
-from .errors import DimensionMismatchError, InvalidParameterError, ScaleOutOfRangeError
+from .errors import DimensionMismatchError, ScaleOutOfRangeError
 
 
-@dataclass(frozen=True)
-class ToleranceConfig:
-    """Numerical thresholds used across the package.
-
-    rank_tol is relative (singular values are compared against
-    ``rank_tol * sigma_max``).  residual_tol bounds max-abs entries of
-    residuals: relative where a rescaled scheme must keep its verdict (to the
-    family's largest entry for self-duality and the hermiticity test of
-    ``negativity_report``, to max|U| max|G| for the gauge test), and absolute
-    where the target fixes the scale (the identity, a POVM, matrix units, unit vectors).
-    eig_tol is the eigenvalue sign threshold.
-    """
-
-    rank_tol: float = 1e-10
-    residual_tol: float = 1e-10
-    eig_tol: float = 1e-10
-
-    def __post_init__(self) -> None:
-        for name in ("rank_tol", "residual_tol", "eig_tol"):
-            value = getattr(self, name)
-            if not 0.0 < value < 1.0:
-                raise InvalidParameterError(
-                    f"{name} must lie strictly between 0 and 1, got {value}"
-                )
-
-
-DEFAULT_TOL = ToleranceConfig()
+# Numerical thresholds used across the package.  Callers read them as
+# ``matrixcore.RANK_TOL`` etc. at call time, never as default arguments.
+#
+# RANK_TOL is relative: singular values are compared against
+# ``RANK_TOL * sigma_max``.  RESIDUAL_TOL bounds max-abs entries of residuals:
+# relative where a rescaled scheme must keep its verdict (to the family's
+# largest entry for self-duality and the hermiticity test of
+# ``negativity_report``, to max|U| max|G| for the gauge test), and absolute
+# where the target fixes the scale (the identity, a POVM, matrix units, unit
+# vectors).  EIG_TOL is the eigenvalue sign threshold.
+RANK_TOL = 1e-10
+RESIDUAL_TOL = 1e-10
+EIG_TOL = 1e-10
 
 
 def singular_values(m) -> np.ndarray:
@@ -53,17 +38,17 @@ def singular_values(m) -> np.ndarray:
     return np.linalg.svd(m, compute_uv=False)
 
 
-def rank_from_singular_values(sv, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-    """Count of singular values (descending, last axis) above ``rank_tol * sigma_max``."""
-    return np.count_nonzero(sv > tol.rank_tol * sv[..., :1], axis=-1)
+def rank_from_singular_values(sv) -> np.ndarray:
+    """Count of singular values (descending, last axis) above ``RANK_TOL * sigma_max``."""
+    return np.count_nonzero(sv > RANK_TOL * sv[..., :1], axis=-1)
 
 
-def rank(m, tol: ToleranceConfig = DEFAULT_TOL) -> int | np.ndarray:
+def rank(m) -> int | np.ndarray:
     """Numerical rank of a matrix under ``rank_from_singular_values``.
 
     A stack (..., m, n) gives an integer array of per-matrix ranks.
     """
-    ranks = rank_from_singular_values(singular_values(m), tol)
+    ranks = rank_from_singular_values(singular_values(m))
     return int(ranks) if ranks.ndim == 0 else ranks
 
 

@@ -27,7 +27,8 @@ from .errors import (
     NotSquareError,
     NotTomographicError,
 )
-from .matrixcore import DEFAULT_TOL, ToleranceConfig, finite, rank_from_singular_values, scale_error
+from . import matrixcore
+from .matrixcore import finite, rank_from_singular_values, scale_error
 from .operator_space import devectorize, vectorize
 
 Cardinality = Literal["underfilled", "minimal", "overfilled"]
@@ -156,7 +157,7 @@ def _dual_family(w: np.ndarray, sv: np.ndarray, vh: np.ndarray) -> np.ndarray:
     return devectorize(dual.swapaxes(-1, -2))
 
 
-def canonical_duals(dequantizers, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+def canonical_duals(dequantizers) -> np.ndarray:
     """Canonical quantizer families dual to a stack of dequantizer families.
 
     ``dequantizers`` has shape (..., N, d, d); the result has the same shape,
@@ -172,7 +173,7 @@ def canonical_duals(dequantizers, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndar
         )
     d_sq = deq.shape[-1] ** 2
     _, (w, sv, vh) = _row_stacking_svd(deq)
-    ranks = rank_from_singular_values(sv, tol).reshape(-1)
+    ranks = rank_from_singular_values(sv).reshape(-1)
     deficient = np.flatnonzero(ranks < d_sq)
     if deficient.size:
         raise NotTomographicError(
@@ -181,21 +182,21 @@ def canonical_duals(dequantizers, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndar
     return _dual_family(w, sv, vh)
 
 
-def canonical_quantizers(s: Scheme, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+def canonical_quantizers(s: Scheme) -> np.ndarray:
     """Quantizer family dual to the dequantizers: the one-family case of
     ``canonical_duals``.
 
     Raises NotTomographicError when the dequantizers do not span the
     operator space.
     """
-    return canonical_duals(s.dequantizers, tol)
+    return canonical_duals(s.dequantizers)
 
 
-def with_canonical_quantizers(s: Scheme, tol: ToleranceConfig = DEFAULT_TOL) -> Scheme:
+def with_canonical_quantizers(s: Scheme) -> Scheme:
     """Copy of the scheme with canonical quantizers attached (kept if present)."""
     if s.quantizers is not None:
         return s
-    return s.with_quantizers(canonical_quantizers(s, tol))
+    return s.with_quantizers(canonical_quantizers(s))
 
 
 def completeness_residual(s: Scheme) -> float:
@@ -208,12 +209,12 @@ def completeness_residual(s: Scheme) -> float:
     )
 
 
-def gauge_quantizers(s: Scheme, g_mat, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+def gauge_quantizers(s: Scheme, g_mat) -> np.ndarray:
     """Quantizers shifted by a completeness-preserving gauge matrix.
 
     ``g_mat`` is d^2 x N in row-stacking coordinates and must satisfy
     U G^dag = 0 (its conjugated rows lie in the kernel of the dequantization
-    matrix) to within residual_tol max|U| max|G|, a scale-free test; only
+    matrix) to within RESIDUAL_TOL max|U| max|G|, a scale-free test; only
     overfilled schemes admit a nonzero kernel.
     """
     if s.n_points <= s.d * s.d:
@@ -229,12 +230,12 @@ def gauge_quantizers(s: Scheme, g_mat, tol: ToleranceConfig = DEFAULT_TOL) -> np
     product = finite("the gauge residual overflows", lambda: u_mat @ g_mat.conj().T)
     violation = float(np.abs(product).max())
     # Relative to max|U| max|G|, multiplied so the zero gauge passes without 0 / 0.
-    if violation > tol.residual_tol * float(np.abs(u_mat).max()) * float(np.abs(g_mat).max()):
+    if violation > matrixcore.RESIDUAL_TOL * float(np.abs(u_mat).max()) * float(np.abs(g_mat).max()):
         raise InvalidGaugeError(
             f"gauge matrix does not annihilate the dequantization matrix "
             f"(residual {violation:.3e})"
         )
-    d_mat = quantization_matrix(with_canonical_quantizers(s, tol))
+    d_mat = quantization_matrix(with_canonical_quantizers(s))
     return devectorize(finite("the shifted quantizers overflow", lambda: d_mat + g_mat).T)
 
 
@@ -249,15 +250,13 @@ def duality_matrix(s: Scheme) -> np.ndarray:
     return np.einsum("kab,lab->kl", s.dequantizers.conj(), qs)
 
 
-def self_dual_coefficients(
-    dequantizers, quantizers, tol: ToleranceConfig = DEFAULT_TOL
-) -> np.ndarray:
+def self_dual_coefficients(dequantizers, quantizers) -> np.ndarray:
     """Per family of two equal-shaped (..., N, d, d) stacks, the positive c with
     U_k = c D_k for all k, or NaN if the family is not self-dual.
 
     c is estimated from the Frobenius norms of the two families and then
     verified entrywise: the residual U_k - c D_k must be at most
-    ``residual_tol`` times the family's largest |U| entry, so the verdict
+    ``RESIDUAL_TOL`` times the family's largest |U| entry, so the verdict
     does not change when the dequantizers are rescaled.
     """
     deq = np.asarray(dequantizers, dtype=complex)
@@ -270,18 +269,18 @@ def self_dual_coefficients(
         c = u_norm / d_norm
         residual = np.abs(u - c[..., None] * q).max(axis=-1, initial=0.0)
     scale = np.abs(u).max(axis=-1, initial=0.0)
-    self_dual = (u_norm != 0.0) & (d_norm != 0.0) & (residual <= tol.residual_tol * scale)
+    self_dual = (u_norm != 0.0) & (d_norm != 0.0) & (residual <= matrixcore.RESIDUAL_TOL * scale)
     return np.where(self_dual, c, np.nan)
 
 
-def self_dual_coefficient(s: Scheme, tol: ToleranceConfig = DEFAULT_TOL) -> float | None:
+def self_dual_coefficient(s: Scheme) -> float | None:
     """Positive c with U_k = c D_k for all k, or None if the scheme is not self-dual:
     the one-family case of ``self_dual_coefficients``."""
-    c = float(self_dual_coefficients(s.dequantizers, s.require_quantizers(), tol))
+    c = float(self_dual_coefficients(s.dequantizers, s.require_quantizers()))
     return None if np.isnan(c) else c
 
 
-def scaled_unitary_check(u_mat, tol: ToleranceConfig = DEFAULT_TOL) -> float | None:
+def scaled_unitary_check(u_mat) -> float | None:
     """Positive c with U^dag U = c I for a square matrix, or None."""
     u_mat = np.asarray(u_mat, dtype=complex)
     if u_mat.ndim != 2 or u_mat.shape[0] != u_mat.shape[1]:
@@ -291,7 +290,7 @@ def scaled_unitary_check(u_mat, tol: ToleranceConfig = DEFAULT_TOL) -> float | N
     if c <= 0.0:
         return None
     residual = float(np.abs(gram - c * np.eye(u_mat.shape[0])).max())
-    if residual > tol.residual_tol * c:
+    if residual > matrixcore.RESIDUAL_TOL * c:
         return None
     return c
 
@@ -300,7 +299,7 @@ def _member_hermiticity(family: np.ndarray) -> np.ndarray:
     return np.abs(family - family.conj().transpose(0, 2, 1)).reshape(family.shape[0], -1).max(axis=1)
 
 
-def povm_check(s: Scheme, tol: ToleranceConfig = DEFAULT_TOL) -> PovmDiagnostics:
+def povm_check(s: Scheme) -> PovmDiagnostics:
     """POVM diagnostics of the dequantizer family.
 
     Minimum effect eigenvalue is taken over the Hermitian parts, which is
@@ -312,9 +311,9 @@ def povm_check(s: Scheme, tol: ToleranceConfig = DEFAULT_TOL) -> PovmDiagnostics
     herm_parts = (deq + deq.conj().transpose(0, 2, 1)) / 2
     min_eig = float(np.linalg.eigvalsh(herm_parts)[:, 0].min())
     is_povm = (
-        sum_residual <= tol.residual_tol
-        and herm_residual <= tol.residual_tol
-        and min_eig >= -tol.eig_tol
+        sum_residual <= matrixcore.RESIDUAL_TOL
+        and herm_residual <= matrixcore.RESIDUAL_TOL
+        and min_eig >= -matrixcore.EIG_TOL
     )
     return PovmDiagnostics(
         sum_residual=sum_residual,
@@ -324,7 +323,7 @@ def povm_check(s: Scheme, tol: ToleranceConfig = DEFAULT_TOL) -> PovmDiagnostics
     )
 
 
-def negativity_report(s: Scheme, tol: ToleranceConfig = DEFAULT_TOL) -> NegativityReport:
+def negativity_report(s: Scheme) -> NegativityReport:
     """Minimum eigenvalue across the dequantizer and (if present) quantizer families.
 
     Every member must be Hermitian within tolerance, relative to the largest
@@ -340,7 +339,7 @@ def negativity_report(s: Scheme, tol: ToleranceConfig = DEFAULT_TOL) -> Negativi
         worst = int(np.argmax(residuals))
         # Multiplied, not divided, so an all-zero family passes without 0 / 0.
         scale = float(np.abs(family).max())
-        if residuals[worst] > tol.residual_tol * scale:
+        if residuals[worst] > matrixcore.RESIDUAL_TOL * scale:
             raise NonHermitianMemberError(
                 f"{label} {worst} is not Hermitian "
                 f"(relative residual {residuals[worst] / scale:.3e})"
@@ -352,9 +351,7 @@ def negativity_report(s: Scheme, tol: ToleranceConfig = DEFAULT_TOL) -> Negativi
     )
 
 
-def matrix_unit_like_detect(
-    s: Scheme, tol: ToleranceConfig = DEFAULT_TOL
-) -> np.ndarray | None:
+def matrix_unit_like_detect(s: Scheme) -> np.ndarray | None:
     """Unitary u with U_{d(i-1)+j} = |psi_i><psi_j| over u's columns, or None.
 
     In row stacking such a family's dequantization matrix is u (x) conj(u),
@@ -372,18 +369,18 @@ def matrix_unit_like_detect(
     j = int(np.argmax(r.diagonal().real))
     peak = r[j, j].real
     # Negated comparisons, so that a NaN entry rejects the family.
-    if not peak > tol.residual_tol:
+    if not peak > matrixcore.RESIDUAL_TOL:
         return None
     u = (r[:, j] / np.sqrt(peak)).reshape(d, d)
-    if not np.abs(u.conj().T @ u - np.eye(d)).max() <= tol.residual_tol:
+    if not np.abs(u.conj().T @ u - np.eye(d)).max() <= matrixcore.RESIDUAL_TOL:
         return None
     expected = np.einsum("ai,bj->ijab", u, u.conj()).reshape(d * d, d, d)
-    if not np.abs(deq - expected).max() <= tol.residual_tol:
+    if not np.abs(deq - expected).max() <= matrixcore.RESIDUAL_TOL:
         return None
     return u
 
 
-def classify(s: Scheme, tol: ToleranceConfig = DEFAULT_TOL) -> SchemeReport:
+def classify(s: Scheme) -> SchemeReport:
     """Full scheme report: cardinality, rank, conditioning, and diagnostics.
 
     Diagnostics that need quantizers use the attached family when present and
@@ -398,7 +395,7 @@ def classify(s: Scheme, tol: ToleranceConfig = DEFAULT_TOL) -> SchemeReport:
     d_sq = s.d * s.d
     n = s.n_points
     u_mat, (w, sv, vh) = _row_stacking_svd(s.dequantizers)
-    rk = int(rank_from_singular_values(sv, tol))
+    rk = int(rank_from_singular_values(sv))
     # The diagnostics square the entries of U and of its dual (Gram matrix,
     # Frobenius norms), whose sums of squares are those of the kept sigma and
     # 1/sigma.  Outside the normal range they overflow or lose all precision
@@ -423,11 +420,11 @@ def classify(s: Scheme, tol: ToleranceConfig = DEFAULT_TOL) -> SchemeReport:
     if s.quantizers is None and tomographic:
         diagnostic = s.with_quantizers(_dual_family(w, sv, vh))
     self_dual = (
-        self_dual_coefficient(diagnostic, tol) if diagnostic.quantizers is not None else None
+        self_dual_coefficient(diagnostic) if diagnostic.quantizers is not None else None
     )
-    scaled_unitary = scaled_unitary_check(u_mat, tol) if n == d_sq else None
+    scaled_unitary = scaled_unitary_check(u_mat) if n == d_sq else None
     try:
-        negativity = negativity_report(diagnostic, tol)
+        negativity = negativity_report(diagnostic)
     except NonHermitianMemberError:
         negativity = None
     return SchemeReport(
@@ -437,7 +434,7 @@ def classify(s: Scheme, tol: ToleranceConfig = DEFAULT_TOL) -> SchemeReport:
         condition_number=condition_number,
         self_dual_coefficient=self_dual,
         scaled_unitary=scaled_unitary,
-        povm=povm_check(s, tol),
+        povm=povm_check(s),
         negativity=negativity,
-        matrix_unit_like=matrix_unit_like_detect(s, tol),
+        matrix_unit_like=matrix_unit_like_detect(s),
     )

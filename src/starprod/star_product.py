@@ -20,7 +20,8 @@ from .errors import (
     NotSquareError,
     NotUnitaryError,
 )
-from .matrixcore import DEFAULT_TOL, ToleranceConfig, finite, scale_error
+from . import matrixcore
+from .matrixcore import finite, scale_error
 from .scheme import Scheme, with_canonical_quantizers
 
 
@@ -134,9 +135,7 @@ class IntertwinerPair:
     backward: np.ndarray
 
 
-def intertwiner(
-    source: Scheme, target: Scheme, tol: ToleranceConfig = DEFAULT_TOL
-) -> IntertwinerPair:
+def intertwiner(source: Scheme, target: Scheme) -> IntertwinerPair:
     """Intertwining kernel pair from trace pairings across the two schemes.
 
     Uses attached quantizers when present and canonical ones otherwise; both
@@ -146,8 +145,8 @@ def intertwiner(
         raise DimensionMismatchError(
             f"schemes act on different spaces: d={source.d} vs d={target.d}"
         )
-    source = with_canonical_quantizers(source, tol)
-    target = with_canonical_quantizers(target, tol)
+    source = with_canonical_quantizers(source)
+    target = with_canonical_quantizers(target)
     forward = finite("the forward kernel overflows", lambda: np.einsum(
         "kab,lab->kl", target.dequantizers.conj(), source.quantizers))
     backward = finite("the backward kernel overflows", lambda: np.einsum(
@@ -160,7 +159,7 @@ def cubic_unitary_residual(u) -> float | np.ndarray:
 
     A stack of matrices (..., n, n) gives an array of per-matrix residuals;
     NotSquareError is raised for rectangular matrices and NotUnitaryError if
-    any member is not unitary within ``DEFAULT_TOL``.
+    any member is not unitary within ``RESIDUAL_TOL``.
     """
     u = np.asarray(u, dtype=complex)
     if u.ndim < 2:
@@ -169,7 +168,7 @@ def cubic_unitary_residual(u) -> float | np.ndarray:
         raise NotSquareError(f"expected a square matrix, got shape {u.shape}")
     u_tr = u.swapaxes(-1, -2)
     unitarity = float(np.abs(u_tr.conj() @ u - np.eye(u.shape[-1])).max())
-    if unitarity > DEFAULT_TOL.residual_tol:
+    if unitarity > matrixcore.RESIDUAL_TOL:
         raise NotUnitaryError(f"matrix is not unitary (residual {unitarity:.3e})")
     residual = np.abs(u - (u @ u.conj()) @ u_tr).max(axis=(-2, -1))
     return float(residual) if residual.ndim == 0 else residual

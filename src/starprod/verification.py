@@ -1,6 +1,6 @@
 """Structural verification battery.
 
-Each check pins its pass gates, calls the library at its default
+Each check pins its pass gates, calls the library at its fixed
 tolerances, runs one acceptance-grade property
 (table regression, symmetric-overlap conditions, the self-duality and
 POVM-incompatibility statements, completeness/round-trip, kernel laws,
@@ -34,7 +34,8 @@ from .catalog import (
     wh_sic_scheme,
 )
 from .errors import InvalidParameterError
-from .matrixcore import DEFAULT_TOL, singular_values
+from . import matrixcore
+from .matrixcore import singular_values
 from .operator_space import devectorize
 from .scheme import (
     Scheme,
@@ -187,13 +188,8 @@ def check_livine_positivity() -> CheckResult:
     eig_res = float(np.abs(eigs - expected).max())
     sum_res = float(np.abs(s.dequantizers.sum(axis=0) - np.eye(2)).max())
     min_eig = negativity_report(s).min_dequantizer_eigenvalue
-    passed = (
-        c is not None
-        and c_res <= 1e-12
-        and eig_res <= 1e-12
-        and sum_res <= 1e-12
-        and min_eig < -DEFAULT_TOL.eig_tol
-    )
+    # c_res is NaN when the scheme is not self-dual, which fails the gate.
+    passed = c_res <= 1e-12 and eig_res <= 1e-12 and sum_res <= 1e-12 and min_eig < -matrixcore.EIG_TOL
     return CheckResult(
         name="livine-self-dual-not-povm",
         passed=bool(passed),

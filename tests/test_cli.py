@@ -1,5 +1,4 @@
 import argparse
-import dataclasses
 import json
 import re
 import subprocess
@@ -10,7 +9,6 @@ import pytest
 
 from starprod import cli, errors, verification
 from starprod.cli import main
-from starprod.matrixcore import DEFAULT_TOL
 from starprod.serialization import (
     _encode,
     load_kernel,
@@ -105,35 +103,6 @@ class TestEmit:
         assert err.startswith(f"error: {name}: array is too big") and err.count("\n") == 1
         assert not (tmp_path / "x.json").exists()
 
-    def test_tolerance_defaults_are_the_library_defaults(self):
-        # Every subcommand, including symbol, which takes no tolerance flag.
-        for argv in _MINIMAL_ARGV.values():
-            assert cli._tolerances(cli.build_parser().parse_args(argv)) == DEFAULT_TOL
-
-
-# The tolerance flags each subcommand takes: only those it reads.
-_TOLERANCE_FLAGS = {
-    "emit": {"--rank-tol", "--residual-tol"},
-    "classify": {"--rank-tol", "--residual-tol", "--eig-tol"},
-    "quantize": {"--rank-tol", "--residual-tol"},
-    "symbol": set(),
-    "reconstruct": {"--rank-tol"},
-    "kernel": {"--rank-tol"},
-    "intertwine": {"--rank-tol"},
-    "verify": set(),
-}
-# The smallest argv each subcommand parses.
-_MINIMAL_ARGV = {
-    "emit": ["emit", "livine", "-o", "x.json"],
-    "classify": ["classify", "x.json"],
-    "quantize": ["quantize", "x.json", "-o", "y.json"],
-    "symbol": ["symbol", "x.json", "a.json", "-o", "y.json"],
-    "reconstruct": ["reconstruct", "x.json", "f.json", "-o", "y.json"],
-    "kernel": ["kernel", "x.json", "-o", "y.json"],
-    "intertwine": ["intertwine", "x.json", "y.json", "a.json"],
-    "verify": ["verify"],
-}
-
 
 def _subparsers() -> dict:
     parser = cli.build_parser()
@@ -141,12 +110,14 @@ def _subparsers() -> dict:
 
 
 class TestToleranceFlags:
-    def test_each_subcommand_takes_the_tolerances_it_reads(self):
-        taken = {
-            name: {flag for a in sub._actions for flag in a.option_strings if flag.endswith("-tol")}
-            for name, sub in _subparsers().items()
+    def test_no_subcommand_takes_a_tolerance(self):
+        subparsers = _subparsers()
+        assert set(subparsers) == {
+            "emit", "classify", "quantize", "symbol", "reconstruct", "kernel", "intertwine", "verify"
         }
-        assert taken == _TOLERANCE_FLAGS
+        for name, sub in subparsers.items():
+            flags = [flag for a in sub._actions for flag in a.option_strings]
+            assert not [flag for flag in flags if flag.endswith("-tol")], name
 
     def test_a_tolerance_the_subcommand_does_not_read_is_refused(self, emit, tmp_path, capsys):
         scheme_path, out = emit("mub-prime", "--p", "3"), tmp_path / "k.json"
@@ -156,26 +127,37 @@ class TestToleranceFlags:
         assert "unrecognized arguments: --eig-tol" in capsys.readouterr().err
         assert not out.exists()
 
-    # No basis changes a classification, and no tolerance a battery verdict:
-    # these flags are gone, so each is an argparse usage error.
+    # No basis changes a classification, and the tolerances are fixed: these
+    # flags are gone, so each is an argparse usage error.
     @pytest.mark.parametrize(
         "argv",
         [
             ["classify", "{scheme}", "--basis", "pauli"],
+            ["classify", "{scheme}", "--rank-tol", "1e-8"],
+            ["quantize", "{scheme}", "-o", "{out}", "--residual-tol", "1e-8"],
+            ["emit", "random-povm", "-o", "{out}", "--rank-tol", "1e-8"],
             ["verify", "--rank-tol", "1e-9"],
             ["verify", "--residual-tol", "0.5"],
             ["verify", "--eig-tol", "0.5"],
         ],
-        ids=["classify-basis", "verify-rank-tol", "verify-residual-tol", "verify-eig-tol"],
+        ids=[
+            "classify-basis",
+            "classify-rank-tol",
+            "quantize-residual-tol",
+            "emit-rank-tol",
+            "verify-rank-tol",
+            "verify-residual-tol",
+            "verify-eig-tol",
+        ],
     )
     def test_a_knob_that_cannot_change_the_answer_is_refused(self, emit, tmp_path, capsys, argv):
-        report = tmp_path / "r.json"
-        argv = [arg.format(scheme=emit("livine")) for arg in argv]
+        report, out = tmp_path / "r.json", tmp_path / "o.json"
+        argv = [arg.format(scheme=emit("livine"), out=out) for arg in argv]
         with pytest.raises(SystemExit) as info:
             main([*argv, "--report", str(report)])
         assert info.value.code == 2
         assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
-        assert not report.exists()
+        assert not report.exists() and not out.exists()
 
 
 _SCHEME_HEADER = "schemes and the flags each takes (with defaults):"
@@ -510,9 +492,6 @@ _MALFORMED = {
     "scheme-d-string": ({**_SCHEME, "d": "2"}, _CLASSIFY_BAD, "'d' must be a JSON integer"),
     "scheme-d-float": ({**_SCHEME, "d": 2.7}, _CLASSIFY_BAD, "'d' must be a JSON integer"),
     "scheme-d-bool": ({**_SCHEME, "d": True}, _CLASSIFY_BAD, "'d' must be a JSON integer"),
-    "rank-tol-0": (None, _CLASSIFY + ["--rank-tol", "0"], "rank_tol must lie strictly"),
-    "rank-tol-2": (None, _CLASSIFY + ["--rank-tol", "2"], "rank_tol must lie strictly"),
-    "rank-tol-nan": (None, _CLASSIFY + ["--rank-tol", "nan"], "rank_tol must lie strictly"),
     "matrix-units-d0": (
         None,
         ["emit", "matrix-units", "--d", "0", "-o", "{out}"],
@@ -871,7 +850,7 @@ class TestVerify:
         report_path = tmp_path / "verify.json"
         assert main(["verify", "--suite", "table", "--report", str(report_path)]) == 0
         tolerances = json.loads(report_path.read_text())["tolerances"]
-        assert tolerances == dataclasses.asdict(DEFAULT_TOL)
+        assert tolerances == {"rank_tol": 1e-10, "residual_tol": 1e-10, "eig_tol": 1e-10}
 
     def test_failing_check_exits_1(self, tmp_path, capsys, monkeypatch):
         failing = verification.CheckResult(
@@ -963,20 +942,16 @@ class TestWrittenFiles:
 
 class TestParserReuse:
     def test_calls_in_one_process_share_no_state(self, emit, tmp_path):
-        scheme = emit("mub-qubit")
-        reports = [tmp_path / f"r{i}.json" for i in range(3)]
-        argv = ["classify", str(scheme), "--report"]
-        assert main([*argv, str(reports[0]), "--rank-tol", "1e-8"]) == 0
-        assert main([*argv, str(reports[1])]) == 0
-        first, second = (json.loads(r.read_text()) for r in reports[:2])
-        assert first["tolerances"]["rank_tol"] == 1e-8
-        assert second["tolerances"] == {"rank_tol": 1e-10, "residual_tol": 1e-10, "eig_tol": 1e-10}
+        fresh = tmp_path / "fresh.json"
+        save_scheme(build_scheme("random-povm"), str(fresh))
+        seeded, plain = emit("random-povm", "--seed", "3"), emit("random-povm")
+        assert seeded.read_bytes() != fresh.read_bytes()
+        assert plain.read_bytes() == fresh.read_bytes()
         # An argparse usage error exits through SystemExit and leaves the parser usable.
         with pytest.raises(SystemExit) as exc:
-            main(["classify", str(scheme), "--rank-tol"])
+            main(["emit", "random-povm", "-o", str(tmp_path / "x.json"), "--seed"])
         assert exc.value.code == 2
-        assert main([*argv, str(reports[2])]) == 0
-        assert json.loads(reports[2].read_text()) == second
+        assert emit("random-povm").read_bytes() == fresh.read_bytes()
         assert cli._parser() is cli._parser()
 
     def test_emit_flags_do_not_carry_over(self, emit):

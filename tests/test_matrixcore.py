@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from starprod import ScaleOutOfRangeError, ToleranceConfig, rank, singular_values
+from starprod import ScaleOutOfRangeError, matrixcore, rank, singular_values
 from starprod.matrixcore import finite
 
 from _helpers import random_complex
@@ -20,19 +20,15 @@ def mub_qubit_columns():
     return np.column_stack([np.outer(v, v.conj()).reshape(-1) for v in kets])
 
 
-class TestToleranceConfig:
+class TestTolerances:
     def test_defaults(self):
-        tol = ToleranceConfig()
-        assert tol.rank_tol == tol.residual_tol == tol.eig_tol == 1e-10
+        assert matrixcore.RANK_TOL == matrixcore.RESIDUAL_TOL == matrixcore.EIG_TOL == 1e-10
 
-    @pytest.mark.parametrize("bad", [0.0, 1.0, -1e-3, 2.0])
-    def test_rejects_out_of_range(self, bad):
-        with pytest.raises(ValueError):
-            ToleranceConfig(rank_tol=bad)
-        with pytest.raises(ValueError):
-            ToleranceConfig(residual_tol=bad)
-        with pytest.raises(ValueError):
-            ToleranceConfig(eig_tol=bad)
+    def test_read_at_call_time(self, monkeypatch):
+        m = np.diag([1.0, 1e-6])
+        assert rank(m) == 2
+        monkeypatch.setattr(matrixcore, "RANK_TOL", 1e-3)
+        assert rank(m) == 1
 
 
 class TestSingularValues:

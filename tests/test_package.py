@@ -5,7 +5,6 @@ import pytest
 import starprod
 
 PUBLIC_NAMES = [
-    "DEFAULT_TOL",
     "DimensionMismatchError",
     "IntertwinerPair",
     "InvalidGaugeError",
@@ -33,7 +32,6 @@ PUBLIC_NAMES = [
     "SchemeReport",
     "StarKernel",
     "StarProdError",
-    "ToleranceConfig",
     "UnknownSchemeError",
     "__version__",
     "associativity_residual",

@@ -11,7 +11,6 @@ from starprod import (
     NotSquareLengthError,
     NotTomographicError,
     Scheme,
-    ToleranceConfig,
     canonical_duals,
     canonical_quantizers,
     classify,
@@ -39,14 +38,12 @@ from starprod.catalog import (
     random_minimal_povm_scheme,
     sic_qubit_scheme,
 )
-from starprod.matrixcore import DEFAULT_TOL
+from starprod import matrixcore
 from starprod.operator_space import PAULI_X, PAULI_Y, PAULI_Z
 from starprod.star_product import reconstruct, symbol
 from starprod.verification import haar_unitaries
 
 from _helpers import conditioned_frame, random_complex, self_dual_reference
-
-TOL = ToleranceConfig()
 
 TETRAHEDRON = np.array([(1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1)]) / np.sqrt(3)
 
@@ -194,17 +191,17 @@ class TestDualAccuracy:
         )
         assert np.abs(reconstruct(s, symbol(s, ops)) - ops).max() <= bound
 
-    @pytest.mark.parametrize("factor", [0.5, 2.0])
+    @pytest.mark.parametrize("factor", [0.1, 0.5, 2.0, 10.0])
     def test_rank_rule_shared_at_tolerance(self, factor):
-        # sigma_min / sigma_max = rank_tol / factor straddles the rank rule.
-        u = conditioned_frame(12, factor / TOL.rank_tol, seed=7)
+        # sigma_min / sigma_max = RANK_TOL / factor straddles the rank rule.
+        u = conditioned_frame(12, factor / matrixcore.RANK_TOL, seed=7)
         s = scheme_from_dequantization_matrix(u)
         try:
-            canonical_duals(s.dequantizers, TOL)
+            canonical_duals(s.dequantizers)
             dual_defined = True
         except NotTomographicError:
             dual_defined = False
-        assert classify(s, TOL).tomographic == dual_defined == (factor < 1)
+        assert classify(s).tomographic == dual_defined == (factor < 1)
 
 
 class TestGaugeQuantizers:
@@ -248,6 +245,27 @@ class TestGaugeQuantizers:
         assert np.abs(shifted - canonical_quantizers(scaled)).max() > 1e-3
         with pytest.raises(InvalidGaugeError):
             gauge_quantizers(scaled, random_complex(rng, (4, 6)))
+
+    @pytest.mark.parametrize("c", [1e-8, 1.0, 1e8])
+    @pytest.mark.parametrize("factor, valid", [(10.0, False), (0.1, True)])
+    def test_near_miss_at_the_relative_gate(self, rng, c, factor, valid):
+        # U = c U0 and G = (G0 + delta e r) / c, with G0 a null gauge and r = vh[0]
+        # U0's top right singular vector: U G^dag = delta sigma_0 w_0 e^dag, and
+        # delta puts its largest entry at factor * RESIDUAL_TOL * max|U| max|G|.
+        u0 = dequantization_matrix(mub_qubit_scheme())
+        w, sv, vh = np.linalg.svd(u0)
+        g0, e = np.outer(random_complex(rng, 4), vh[-1]), random_complex(rng, 4)
+        bound = matrixcore.RESIDUAL_TOL * np.abs(u0).max() * np.abs(g0).max()
+        delta = factor * bound / (sv[0] * np.abs(w[:, 0]).max() * np.abs(e).max())
+        s = scheme_from_dequantization_matrix(c * u0)
+        g = (g0 + delta * np.outer(e, vh[0])) / c
+        violation = np.abs(c * u0 @ g.conj().T).max() / (np.abs(c * u0).max() * np.abs(g).max())
+        assert violation == pytest.approx(factor * matrixcore.RESIDUAL_TOL, rel=1e-3)
+        if valid:
+            assert completeness_residual(s.with_quantizers(gauge_quantizers(s, g))) <= 1e-9
+        else:
+            with pytest.raises(InvalidGaugeError):
+                gauge_quantizers(s, g)
 
 
 class TestDualityMatrix:
@@ -307,11 +325,11 @@ class TestSelfDualCoefficient:
     def test_near_miss_at_the_relative_gate(self, c, factor, self_dual):
         # The Pauli family scaled by c, with its duals P / c: U = c^2 D.  Turning
         # one largest-|U| entry of D by an angle keeps both norms, so c^2 stays
-        # the estimate and that entry's residual is factor * residual_tol * max|U|.
+        # the estimate and that entry's residual is factor * RESIDUAL_TOL * max|U|.
         deq = c * pauli_scheme().dequantizers
         quantizers = deq / c**2
         k, i, j = np.unravel_index(np.abs(deq).argmax(), deq.shape)
-        quantizers[k, i, j] *= np.exp(2j * np.arcsin(factor * DEFAULT_TOL.residual_tol / 2))
+        quantizers[k, i, j] *= np.exp(2j * np.arcsin(factor * matrixcore.RESIDUAL_TOL / 2))
         coefficient = self_dual_coefficients(deq, quantizers)
         if self_dual:
             assert coefficient == pytest.approx(c**2, rel=1e-12)
@@ -339,7 +357,7 @@ class TestScaledUnitaryCheck:
     def test_near_miss_at_the_relative_gate(self, rng, c, factor, scaled_unitary):
         # U = sqrt(c) W diag(sqrt(1 + t), sqrt(1 - t), 1, 1) with W unitary:
         # U^dag U has mean diagonal c and is off c I by c t.
-        t = factor * DEFAULT_TOL.residual_tol
+        t = factor * matrixcore.RESIDUAL_TOL
         w = haar_unitaries(rng.standard_normal((2, 4, 4)))
         got = scaled_unitary_check(np.sqrt(c) * w * np.sqrt([1 + t, 1 - t, 1, 1]))
         if scaled_unitary:
@@ -370,7 +388,7 @@ class TestPovmCheck:
     @pytest.mark.parametrize("factor, is_povm", [(10.0, False), (0.1, True)])
     def test_near_miss_at_the_eigenvalue_gate(self, factor, is_povm):
         # Two diagonal effects that sum to the identity, each with eigenvalue -m.
-        m = factor * DEFAULT_TOL.eig_tol
+        m = factor * matrixcore.EIG_TOL
         diag = povm_check(Scheme(dequantizers=np.array([np.diag([1 + m, -m]), np.diag([-m, 1 + m])])))
         assert diag.min_effect_eigenvalue == pytest.approx(-m, rel=1e-12)
         assert diag.sum_residual <= 1e-15 and diag.hermiticity_residual == 0.0
@@ -400,6 +418,32 @@ class TestNegativityReport:
     def test_no_quantizers(self):
         report = negativity_report(mub_qubit_scheme())
         assert report.min_quantizer_eigenvalue is None
+
+    def test_reports_the_lowest_member(self):
+        # Per-member lowest eigenvalues -1, -3, 0.5 and -2, 4, -7: neither
+        # minimum sits first or last.
+        deq = np.array([np.diag([-1.0, 5.0]), np.diag([-3.0, 1.0]), np.diag([0.5, 2.0])])
+        qs = np.array([np.diag([-2.0, 1.0]), np.diag([-7.0, 0.0]), np.diag([4.0, 5.0])])
+        report = negativity_report(Scheme(deq, qs))
+        assert report.min_dequantizer_eigenvalue == -3.0
+        assert report.min_quantizer_eigenvalue == -7.0
+
+    @pytest.mark.parametrize("c", [1e-8, 1.0, 1e8])
+    @pytest.mark.parametrize("factor, hermitian", [(10.0, False), (0.1, True)])
+    def test_near_miss_at_the_relative_gate(self, c, factor, hermitian):
+        # The Pauli family scaled by c; adding delta to the zero (0, 1) entry of
+        # member 0 makes its hermiticity residual exactly delta, here
+        # factor * RESIDUAL_TOL * max|family|.
+        deq = c * pauli_scheme().dequantizers
+        deq[0, 0, 1] += factor * matrixcore.RESIDUAL_TOL * np.abs(deq).max()
+        s = Scheme(dequantizers=deq)
+        if hermitian:
+            assert negativity_report(s).min_dequantizer_eigenvalue == pytest.approx(
+                -c * np.sqrt(0.5), rel=1e-9
+            )
+        else:
+            with pytest.raises(NonHermitianMemberError, match="dequantizer 0 is not Hermitian"):
+                negativity_report(s)
 
     def test_zero_family_is_hermitian(self):
         # The relative hermiticity test must not divide 0 by 0 here.

@@ -11,7 +11,7 @@ import types
 import numpy as np
 import pytest
 
-from starprod import Scheme, SchemeParseError, ToleranceConfig, classify
+from starprod import PovmDiagnostics, Scheme, SchemeParseError, classify
 from starprod import serialization
 from starprod.catalog import SCHEMES, build_scheme, entries, mub_qubit_scheme, sic_qubit_scheme
 from starprod.scheme import with_canonical_quantizers
@@ -807,7 +807,9 @@ _WRITER_PAYLOADS = {
                 matrix_unit_like=random_complex(_R, (2, 2)),
             )
         },
-        "tolerances": ToleranceConfig(rank_tol=1e-9),
+        "povm": PovmDiagnostics(
+            sum_residual=1e-9, hermiticity_residual=0.0, min_effect_eigenvalue=-0.5, is_povm=False
+        ),
         "checks": [
             CheckResult(
                 name="check",

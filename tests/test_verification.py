@@ -10,13 +10,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from starprod import InvalidParameterError, SamplerFailureError, ToleranceConfig, catalog, verification
+from starprod import InvalidParameterError, SamplerFailureError, catalog, matrixcore, verification
 from starprod.catalog import (
     pauli_scheme,
     random_minimal_povm_dequantizers,
     random_minimal_povm_scheme,
 )
-from starprod.matrixcore import DEFAULT_TOL
 from starprod.scheme import (
     NegativityReport,
     Scheme,
@@ -130,28 +129,28 @@ class TestStackedSampler:
     # draw again from their own streams.
     @pytest.mark.parametrize("d, rank_tol", [(2, 0.05), (3, 0.01)])
     def test_matches_single_seed_sampler(self, monkeypatch, d, rank_tol):
-        tol = ToleranceConfig(rank_tol=rank_tol)
+        monkeypatch.setattr(matrixcore, "RANK_TOL", rank_tol)
         with monkeypatch.context() as patch:
             patch.setattr(catalog, "_MAX_ATTEMPTS", 1)
             with pytest.raises(SamplerFailureError):
-                random_minimal_povm_dequantizers(d, range(40), tol)
-        stacked = random_minimal_povm_dequantizers(d, range(40), tol)
+                random_minimal_povm_dequantizers(d, range(40))
+        stacked = random_minimal_povm_dequantizers(d, range(40))
         assert stacked.shape == (40, d * d, d, d)
         for seed, family in enumerate(stacked):
-            assert np.array_equal(family, random_minimal_povm_scheme(d, seed, tol).dequantizers)
+            assert np.array_equal(family, random_minimal_povm_scheme(d, seed).dequantizers)
 
     def test_failure_names_first_rank_deficient_seed(self, monkeypatch):
         monkeypatch.setattr(catalog, "_MAX_ATTEMPTS", 1)
-        tol = ToleranceConfig(rank_tol=0.05)
+        monkeypatch.setattr(matrixcore, "RANK_TOL", 0.05)
         failing = []
         for seed in range(20):
             try:
-                random_minimal_povm_scheme(2, seed, tol)
+                random_minimal_povm_scheme(2, seed)
             except SamplerFailureError:
                 failing.append(seed)
         assert failing
         with pytest.raises(SamplerFailureError, match=rf"seed={failing[0]}\)"):
-            random_minimal_povm_dequantizers(2, range(20), tol)
+            random_minimal_povm_dequantizers(2, range(20))
 
 
 class TestHaarUnitaries:
@@ -456,8 +455,8 @@ class TestCheckGates:
 
     @pytest.mark.parametrize("factor, passed", [(0.5, False), (2.0, True)])
     def test_livine_negativity_at_factor_times_its_gate(self, monkeypatch, factor, passed):
-        # The check needs a dequantizer eigenvalue below -eig_tol.
-        report = NegativityReport(-factor * DEFAULT_TOL.eig_tol, None)
+        # The check needs a dequantizer eigenvalue below -EIG_TOL.
+        report = NegativityReport(-factor * matrixcore.EIG_TOL, None)
         _constant(monkeypatch, "negativity_report", report)
         assert verification.check_livine_positivity().passed is passed
 
@@ -521,10 +520,21 @@ class TestTracerContract:
             assert inspect.isfunction(fn), name
             assert fn.__module__ == module.__name__, name
 
-    def test_battery_and_checks_take_no_tolerance(self, tracing):
-        checks = [getattr(verification, fn) for fn in tracing.CHECK_FUNCTIONS.values()]
-        for fn in [run_battery, verification._quantized_regression_set, *checks]:
-            assert "tol" not in inspect.signature(fn).parameters, fn.__name__
+    def test_no_public_function_takes_a_tolerance(self, tracing):
+        functions = [verification._quantized_regression_set]
+        for layer in tracing.LAYERS:
+            module = importlib.import_module(f"starprod.{layer}")
+            functions += [
+                fn
+                for name, fn in vars(module).items()
+                if not name.startswith("_")
+                and inspect.isfunction(fn)
+                and fn.__module__ == module.__name__
+            ]
+        assert run_battery in functions and len(functions) > 50
+        for fn in functions:
+            for name in inspect.signature(fn).parameters:
+                assert name != "tol" and not name.endswith("_tol"), fn.__qualname__
 
     def test_battery_looks_checks_up_when_it_runs(self, monkeypatch):
         patched = verification.CheckResult(name="table-rows-1-3", passed=True)
