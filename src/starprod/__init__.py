@@ -15,7 +15,6 @@ from .errors import (
     InvalidParameterError,
     LengthMismatchError,
     MalformedInputError,
-    MissingQuantizersError,
     NonHermitianMemberError,
     NotOverfilledError,
     NotPrimeError,

@@ -148,7 +148,6 @@ def cmd_symbol(args: argparse.Namespace) -> int:
 def cmd_reconstruct(args: argparse.Namespace) -> int:
     s = load_scheme(args.scheme)
     f = load_vector(args.symbol)
-    s = with_canonical_quantizers(s)
     a = reconstruct(s, f)
     save_operator(a, args.output)
     print(f"wrote reconstructed operator ({s.d}x{s.d}) to {args.output}")
@@ -156,7 +155,7 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
 
 
 def cmd_kernel(args: argparse.Namespace) -> int:
-    kernel = star_kernel(with_canonical_quantizers(load_scheme(args.scheme)))
+    kernel = star_kernel(load_scheme(args.scheme))
     residual = associativity_residual(kernel) if args.assoc_check else None
     save_kernel(kernel.d, kernel.values, args.output, assoc_residual=residual)
     print(f"wrote kernel tensor ({kernel.n_points}^3 entries) to {args.output}")

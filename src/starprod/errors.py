@@ -65,10 +65,6 @@ class InvalidGaugeError(StarProdError, ValueError):
     """A quantizer shift does not annihilate the dequantization matrix."""
 
 
-class MissingQuantizersError(StarProdError, ValueError):
-    """The scheme carries no quantizers but the operation needs them."""
-
-
 class NonHermitianMemberError(StarProdError, ValueError):
     """A scheme member required to be Hermitian is not; the message names its index."""
 

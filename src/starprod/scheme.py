@@ -21,7 +21,6 @@ import numpy as np
 from .errors import (
     DimensionMismatchError,
     InvalidGaugeError,
-    MissingQuantizersError,
     NonHermitianMemberError,
     NotOverfilledError,
     NotSquareError,
@@ -38,8 +37,12 @@ Cardinality = Literal["underfilled", "minimal", "overfilled"]
 class Scheme:
     """Ordered dequantizer family with optional quantizers.
 
-    ``dequantizers`` has shape (N, d, d); ``quantizers`` is None or the same
-    shape.  Values are treated as immutable.
+    ``dequantizers`` has shape (N, d, d) with N, d >= 1; ``quantizers`` is
+    None or the same shape.  Values are treated as immutable.
+
+    Every function that reads quantizers uses the attached family, or the
+    canonical dual ``canonical_quantizers`` when the scheme carries none; on
+    a bare scheme that is not tomographic it raises NotTomographicError.
     """
 
     dequantizers: np.ndarray
@@ -48,9 +51,9 @@ class Scheme:
 
     def __post_init__(self) -> None:
         deq = np.asarray(self.dequantizers, dtype=complex).view()
-        if deq.ndim != 3 or deq.shape[1] != deq.shape[2]:
+        if deq.ndim != 3 or deq.shape[1] != deq.shape[2] or 0 in deq.shape:
             raise DimensionMismatchError(
-                f"dequantizers must be a stack of square matrices, got shape {deq.shape}"
+                f"dequantizers must be a non-empty stack of square matrices, got shape {deq.shape}"
             )
         deq.setflags(write=False)
         object.__setattr__(self, "dequantizers", deq)
@@ -70,13 +73,6 @@ class Scheme:
     @property
     def n_points(self) -> int:
         return self.dequantizers.shape[0]
-
-    def require_quantizers(self) -> np.ndarray:
-        if self.quantizers is None:
-            raise MissingQuantizersError(
-                f"scheme {self.name or '<unnamed>'} carries no quantizers"
-            )
-        return self.quantizers
 
     def with_quantizers(self, quantizers: np.ndarray) -> "Scheme":
         return dataclasses.replace(self, quantizers=quantizers)
@@ -127,7 +123,7 @@ def dequantization_matrix(s: Scheme) -> np.ndarray:
 
 def quantization_matrix(s: Scheme) -> np.ndarray:
     """d^2 x N matrix whose column k is the row-stacked k-th quantizer."""
-    return vectorize(s.require_quantizers()).T.copy()
+    return vectorize(with_canonical_quantizers(s).quantizers).T.copy()
 
 
 def scheme_from_dequantization_matrix(mat) -> Scheme:
@@ -193,7 +189,8 @@ def canonical_quantizers(s: Scheme) -> np.ndarray:
 
 
 def with_canonical_quantizers(s: Scheme) -> Scheme:
-    """Copy of the scheme with canonical quantizers attached (kept if present)."""
+    """The scheme as every quantizer-reading function sees it: a copy with
+    canonical quantizers attached, or the scheme itself if it carries some."""
     if s.quantizers is not None:
         return s
     return s.with_quantizers(canonical_quantizers(s))
@@ -235,7 +232,7 @@ def gauge_quantizers(s: Scheme, g_mat) -> np.ndarray:
             f"gauge matrix does not annihilate the dequantization matrix "
             f"(residual {violation:.3e})"
         )
-    d_mat = quantization_matrix(with_canonical_quantizers(s))
+    d_mat = quantization_matrix(s)
     return devectorize(finite("the shifted quantizers overflow", lambda: d_mat + g_mat).T)
 
 
@@ -243,10 +240,10 @@ def duality_matrix(s: Scheme) -> np.ndarray:
     """N x N pairing Delta(k, k') = Tr[U_k^dag D_k'].
 
     Reduces to the identity for minimal tomographic schemes; with canonical
-    quantizers on an overfilled scheme it is the Hermitian projector onto the
-    range of the symbol map.
+    quantizers, attached or implied by a bare overfilled scheme, it is the
+    Hermitian projector onto the range of the symbol map.
     """
-    qs = s.require_quantizers()
+    qs = with_canonical_quantizers(s).quantizers
     return np.einsum("kab,lab->kl", s.dequantizers.conj(), qs)
 
 
@@ -276,7 +273,7 @@ def self_dual_coefficients(dequantizers, quantizers) -> np.ndarray:
 def self_dual_coefficient(s: Scheme) -> float | None:
     """Positive c with U_k = c D_k for all k, or None if the scheme is not self-dual:
     the one-family case of ``self_dual_coefficients``."""
-    c = float(self_dual_coefficients(s.dequantizers, s.require_quantizers()))
+    c = float(self_dual_coefficients(s.dequantizers, with_canonical_quantizers(s).quantizers))
     return None if np.isnan(c) else c
 
 
@@ -383,8 +380,8 @@ def matrix_unit_like_detect(s: Scheme) -> np.ndarray | None:
 def classify(s: Scheme) -> SchemeReport:
     """Full scheme report: cardinality, rank, conditioning, and diagnostics.
 
-    Diagnostics that need quantizers use the attached family when present and
-    the canonical one otherwise (tomographic schemes only).  Rank, condition
+    Diagnostics that need quantizers read them as ``Scheme`` says, and are
+    skipped on a bare scheme that is not tomographic.  Rank, condition
     number and that dual share one thin SVD of U, the row-stacking
     dequantization matrix, taken as ``canonical_duals`` takes it.  Every
     orthonormal basis gives G^dag U for a unitary G, with the same sigma and

@@ -41,12 +41,13 @@ def symbol(s: Scheme, a) -> np.ndarray:
 
 
 def reconstruct(s: Scheme, f) -> np.ndarray:
-    """Operator sum_k f(k) D_k rebuilt from a symbol vector.
+    """Operator sum_k f(k) D_k rebuilt from a symbol vector, with the
+    canonical quantizers D_k of a bare scheme.
 
     Accepts a stack of symbols (..., N) and returns the stack of operators
     (..., d, d).
     """
-    qs = s.require_quantizers()
+    qs = with_canonical_quantizers(s).quantizers
     f = np.atleast_1d(np.asarray(f, dtype=complex))
     if f.shape[-1] != s.n_points:
         raise LengthMismatchError(
@@ -68,8 +69,8 @@ class StarKernel:
 
 
 def star_kernel(s: Scheme) -> StarKernel:
-    """Kernel tensor of the scheme (quantizers required)."""
-    qs = s.require_quantizers()
+    """Kernel tensor of the scheme."""
+    qs = with_canonical_quantizers(s).quantizers
     n, d = s.n_points, s.d
     # Below the normal range, the products D_x D_y lose their digits silently.
     if np.vdot(qs, qs).real < sys.float_info.min and qs.any():
@@ -136,11 +137,8 @@ class IntertwinerPair:
 
 
 def intertwiner(source: Scheme, target: Scheme) -> IntertwinerPair:
-    """Intertwining kernel pair from trace pairings across the two schemes.
-
-    Uses attached quantizers when present and canonical ones otherwise; both
-    schemes must be tomographic.
-    """
+    """Intertwining kernel pair from trace pairings across the two schemes,
+    whose quantizers it reads as ``Scheme`` says."""
     if source.d != target.d:
         raise DimensionMismatchError(
             f"schemes act on different spaces: d={source.d} vs d={target.d}"

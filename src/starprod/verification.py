@@ -45,6 +45,7 @@ from .scheme import (
     dequantization_matrix,
     duality_matrix,
     negativity_report,
+    povm_check,
     scaled_unitary_check,
     self_dual_coefficient,
     self_dual_coefficients,
@@ -186,7 +187,7 @@ def check_livine_positivity() -> CheckResult:
     eigs = np.linalg.eigh(s.dequantizers[0])[0]
     expected = np.array([(1 - np.sqrt(3)) / 4, (1 + np.sqrt(3)) / 4])
     eig_res = float(np.abs(eigs - expected).max())
-    sum_res = float(np.abs(s.dequantizers.sum(axis=0) - np.eye(2)).max())
+    sum_res = povm_check(s).sum_residual
     min_eig = negativity_report(s).min_dequantizer_eigenvalue
     # c_res is NaN when the scheme is not self-dual, which fails the gate.
     passed = c_res <= 1e-12 and eig_res <= 1e-12 and sum_res <= 1e-12 and min_eig < -matrixcore.EIG_TOL
@@ -349,8 +350,7 @@ def check_intertwining() -> CheckResult:
         float(np.abs(pair.forward @ pair.backward - np.eye(4)).max()),
     )
 
-    mub = with_canonical_quantizers(mub_qubit_scheme())
-    pair2 = intertwiner(pauli, mub)
+    pair2 = intertwiner(pauli, mub_qubit_scheme())
     f = symbol(pauli, _ginibre(rng.standard_normal((_SAMPLES, 2, 2, 2))))
     back = (pair2.backward @ (pair2.forward @ f[..., None]))[..., 0]
     worst_roundtrip = float(np.abs(back - f).max())
@@ -387,8 +387,7 @@ def check_mub_frame() -> CheckResult:
     mub = mub_qubit_scheme()
     sv = singular_values(dequantization_matrix(mub))
     sv_res = float(np.abs(sv - np.array([np.sqrt(3), 1, 1, 1])).max())
-    s = with_canonical_quantizers(mub)
-    delta = duality_matrix(s)
+    delta = duality_matrix(mub)
     herm_res = float(np.abs(delta - delta.conj().T).max())
     idem_res = float(np.abs(delta @ delta - delta).max())
     trace_res = abs(complex(np.trace(delta)) - 4.0)

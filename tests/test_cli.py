@@ -574,7 +574,6 @@ _EXIT_1_ERRORS = {
     "NotTomographicError",
     "NotOverfilledError",
     "InvalidGaugeError",
-    "MissingQuantizersError",
     "NonHermitianMemberError",
     "NotUnitaryError",
     "NotSICError",

@@ -11,7 +11,6 @@ PUBLIC_NAMES = [
     "InvalidParameterError",
     "LengthMismatchError",
     "MalformedInputError",
-    "MissingQuantizersError",
     "NegativityReport",
     "NonHermitianMemberError",
     "NotOverfilledError",
@@ -66,8 +65,9 @@ PUBLIC_NAMES = [
     "with_canonical_quantizers",
 ]
 
-# Wrappers around code the callers now reach directly, and the operator-basis
-# type: an orthonormal basis is a self-dual scheme, its coordinates symbols.
+# Wrappers around code the callers now reach directly; the operator-basis
+# type: an orthonormal basis is a self-dual scheme, its coordinates symbols;
+# and the error for a scheme without quantizers, which means its canonical dual.
 REMOVED = {
     "serialization": [
         "matrix_to_json",
@@ -88,7 +88,7 @@ REMOVED = {
         "validate_orthonormal_basis",
     ],
     "matrixcore": ["hermiticity_residual", "hermitian_eig", "_require_square", "as_matrix"],
-    "errors": ["NonHermitianError", "WrongCountError"],
+    "errors": ["NonHermitianError", "WrongCountError", "MissingQuantizersError"],
 }
 
 

@@ -4,7 +4,6 @@ import pytest
 from starprod import (
     DimensionMismatchError,
     InvalidGaugeError,
-    MissingQuantizersError,
     NonHermitianMemberError,
     NotOverfilledError,
     NotSquareError,
@@ -21,6 +20,7 @@ from starprod import (
     matrix_unit_like_detect,
     negativity_report,
     povm_check,
+    quantization_matrix,
     scaled_unitary_check,
     scheme_from_dequantization_matrix,
     self_dual_coefficient,
@@ -40,7 +40,7 @@ from starprod.catalog import (
 )
 from starprod import matrixcore
 from starprod.operator_space import PAULI_X, PAULI_Y, PAULI_Z
-from starprod.star_product import reconstruct, symbol
+from starprod.star_product import reconstruct, star_kernel, symbol
 from starprod.verification import haar_unitaries
 
 from _helpers import conditioned_frame, random_complex, self_dual_reference
@@ -70,14 +70,53 @@ class TestSchemeType:
         assert deq.flags.writeable and qs.flags.writeable
         assert not s.dequantizers.flags.writeable and not s.quantizers.flags.writeable
 
-    def test_require_quantizers(self):
-        s = mub_qubit_scheme()
-        with pytest.raises(MissingQuantizersError):
-            s.require_quantizers()
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: Scheme(np.empty((0, 2, 2))),
+            lambda: Scheme(np.empty((3, 0, 0))),
+            lambda: scheme_from_dequantization_matrix(np.zeros((4, 0))),
+        ],
+        ids=["no-members", "d-zero", "matrix-without-columns"],
+    )
+    def test_empty_family_refused(self, build):
+        with pytest.raises(DimensionMismatchError, match="non-empty"):
+            build()
 
     def test_dimensions(self):
         s = mub_qubit_scheme()
         assert (s.d, s.n_points) == (2, 6)
+
+
+# Every function that reads quantizers, as a function of the scheme alone.
+_QUANTIZER_READERS = {
+    "quantization_matrix": quantization_matrix,
+    "duality_matrix": duality_matrix,
+    "self_dual_coefficient": self_dual_coefficient,
+    "completeness_residual": completeness_residual,
+    "reconstruct": lambda s: reconstruct(s, np.arange(s.n_points) - 1j),
+    "star_kernel": lambda s: star_kernel(s).values,
+}
+
+
+@pytest.mark.parametrize("read", list(_QUANTIZER_READERS.values()), ids=list(_QUANTIZER_READERS))
+class TestBareSchemeMeansCanonicalDual:
+    @pytest.mark.parametrize(
+        "build",
+        [mub_qubit_scheme, lambda: Scheme(random_complex(np.random.default_rng(25), (7, 2, 2)))],
+        ids=["mub-qubit", "ginibre-overfilled"],
+    )
+    def test_bare_scheme_reads_the_canonical_dual(self, read, build):
+        s = build()
+        bare, quantized = read(s), read(with_canonical_quantizers(s))
+        if bare is None or quantized is None:
+            assert bare is quantized
+        else:
+            assert np.asarray(bare).tobytes() == np.asarray(quantized).tobytes()
+
+    def test_underfilled_bare_scheme_raises(self, read):
+        with pytest.raises(NotTomographicError, match="rank 3 < d\\^2 = 4"):
+            read(Scheme(mub_qubit_scheme().dequantizers[:3]))
 
 
 class TestDequantizationMatrix:
@@ -283,10 +322,6 @@ class TestDualityMatrix:
         assert np.abs(delta @ delta - delta).max() <= 1e-10
         assert abs(np.trace(delta) - 4) <= 1e-10
 
-    def test_missing_quantizers(self):
-        with pytest.raises(MissingQuantizersError):
-            duality_matrix(mub_qubit_scheme())
-
 
 class TestSelfDualCoefficient:
     def test_matrix_units(self):
@@ -298,10 +333,6 @@ class TestSelfDualCoefficient:
     def test_mub_not_self_dual(self):
         s = with_canonical_quantizers(mub_qubit_scheme())
         assert self_dual_coefficient(s) is None
-
-    def test_missing_quantizers(self):
-        with pytest.raises(MissingQuantizersError):
-            self_dual_coefficient(mub_qubit_scheme())
 
     def test_stack_matches_per_family(self, rng):
         # Scaled-unitary families are self-dual; Ginibre families are not.

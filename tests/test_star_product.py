@@ -7,7 +7,6 @@ from starprod import (
     DimensionMismatchError,
     LengthMismatchError,
     MalformedInputError,
-    MissingQuantizersError,
     NotSquareError,
     NotTomographicError,
     NotUnitaryError,
@@ -79,10 +78,6 @@ class TestReconstruct:
             a = random_complex(rng, (2, 2))
             assert np.abs(reconstruct(s, symbol(s, a)) - a).max() <= 1e-10
 
-    def test_missing_quantizers(self):
-        with pytest.raises(MissingQuantizersError):
-            reconstruct(mub_qubit_scheme(), np.zeros(6))
-
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatchError):
             reconstruct(matrix_units_scheme(2), np.zeros(5))
@@ -110,10 +105,6 @@ class TestStarKernel:
         kernel = star_kernel(s)
         assert kernel.values.shape == (6, 6, 6)
         assert np.all(np.isfinite(kernel.values))
-
-    def test_missing_quantizers(self):
-        with pytest.raises(MissingQuantizersError):
-            star_kernel(mub_qubit_scheme())
 
     @pytest.mark.parametrize("d, extra", [(2, 0), (3, 0), (2, 3), (3, 5)])
     def test_matches_einsum_reference(self, rng, d, extra):
