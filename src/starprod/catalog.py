@@ -25,9 +25,15 @@ from .errors import (
     UnknownSchemeError,
 )
 from . import matrixcore
-from .matrixcore import rank
+from .matrixcore import rank_from_singular_values
 from .operator_space import PAULI_X, PAULI_Y, PAULI_Z
-from .scheme import Scheme, dequantization_matrix, quantization_matrix
+from .scheme import (
+    Scheme,
+    _dual_family,
+    _row_stacking_svd,
+    dequantization_matrix,
+    quantization_matrix,
+)
 from .serialization import load_vector
 from .star_product import symbol
 
@@ -209,8 +215,18 @@ def random_minimal_povm_dequantizers(d: int, seeds: Iterable[int]) -> np.ndarray
     Each seed owns a ``default_rng(seed)`` stream, so a seed's POVM does not
     depend on the other seeds.  A seed whose dequantization matrix lacks
     full rank draws again from its own stream; SamplerFailureError names the
-    first seed still rank-deficient after ``_MAX_ATTEMPTS`` draws.
+    first seed still rank-deficient after ``_MAX_ATTEMPTS`` draws.  The rank
+    test and the canonical duals that ``povm-dual-negativity`` reads come
+    from one thin SVD per draw, through the same private helpers as
+    ``canonical_duals``.
     """
+    return _random_minimal_povms(d, seeds)[0]
+
+
+def _random_minimal_povms(d: int, seeds: Iterable[int]) -> tuple[np.ndarray, np.ndarray]:
+    """``random_minimal_povm_dequantizers(d, seeds)`` and, bit for bit, its
+    ``canonical_duals``: one thin SVD per draw gives both the rank test and
+    the dual, through the same private helpers as ``canonical_duals``."""
     if d < 1:
         raise InvalidParameterError(f"dimension must be positive, got {d}")
     seeds = list(seeds)
@@ -219,25 +235,42 @@ def random_minimal_povm_dequantizers(d: int, seeds: Iterable[int]) -> np.ndarray
     n = d * d
     rngs = [np.random.default_rng(seed) for seed in seeds]
     deq = np.empty((len(seeds), n, d, d), dtype=complex)
+    duals = np.empty_like(deq)
     pending = np.arange(len(seeds))
     for _ in range(_MAX_ATTEMPTS):
-        normals = np.empty((pending.size, 2, n, d, d))
-        for row, index in enumerate(pending):
-            rngs[index].standard_normal(out=normals[row])
-        g = (normals[:, 0] + 1j * normals[:, 1]) / SQRT2
-        effects = np.einsum("skab,skcb->skac", g, g.conj())
-        eigenvalues, vectors = np.linalg.eigh(effects.sum(axis=1))
-        scaled = vectors * (1 / np.sqrt(eigenvalues))[:, None, :]
-        inv_sqrt = scaled @ vectors.conj().swapaxes(1, 2)
-        candidates = np.einsum("sab,skbc,scd->skad", inv_sqrt, effects, inv_sqrt)
-        full = rank(candidates.reshape(pending.size, n, n).swapaxes(1, 2)) == n
-        deq[pending[full]] = candidates[full]
-        pending = pending[~full]
         if not pending.size:
-            return deq
-    raise SamplerFailureError(
-        f"no full-rank POVM found in {_MAX_ATTEMPTS} attempts (d={d}, seed={seeds[pending[0]]})"
-    )
+            break
+        # Rows whose draw lacks full rank are overwritten by the next draw.
+        deq[pending] = _povm_draw([rngs[index] for index in pending], n, d)
+        w, sv, vh = _row_stacking_svd(deq[pending])[1]
+        full = rank_from_singular_values(sv) == n
+        if not full.all():
+            w, sv, vh = w[full], sv[full], vh[full]
+        duals[pending[full]] = _dual_family(w, sv, vh)
+        pending = pending[~full]
+    if pending.size:
+        raise SamplerFailureError(
+            f"no full-rank POVM found in {_MAX_ATTEMPTS} attempts (d={d}, seed={seeds[pending[0]]})"
+        )
+    return deq, duals
+
+
+def _povm_draw(rngs: list[np.random.Generator], n: int, d: int) -> np.ndarray:
+    """One candidate POVM of n effects per stream, as an (S, n, d, d) stack.
+
+    The draw's temporaries are freed on return, before the caller's SVD; the
+    normals go as soon as they are combined, which lowers the sampler's peak.
+    """
+    normals = np.empty((len(rngs), 2, n, d, d))
+    for row, rng in enumerate(rngs):
+        rng.standard_normal(out=normals[row])
+    g = (normals[:, 0] + 1j * normals[:, 1]) / SQRT2
+    del normals
+    effects = np.einsum("skab,skcb->skac", g, g.conj())
+    eigenvalues, vectors = np.linalg.eigh(effects.sum(axis=1))
+    scaled = vectors * (1 / np.sqrt(eigenvalues))[:, None, :]
+    inv_sqrt = scaled @ vectors.conj().swapaxes(1, 2)
+    return np.einsum("sab,skbc,scd->skad", inv_sqrt, effects, inv_sqrt)
 
 
 def random_minimal_povm_scheme(d: int, seed: int) -> Scheme:

@@ -21,12 +21,12 @@ from typing import Any
 import numpy as np
 
 from .catalog import (
+    _random_minimal_povms,
     default_fiducial,
     entries,
     livine_scheme,
     mub_qubit_scheme,
     pauli_scheme,
-    random_minimal_povm_dequantizers,
     sic_qubit_scheme,
     TableRow,
     table_regression_set,
@@ -260,11 +260,13 @@ def check_povm_dual_negativity(seeds: int = 1000) -> CheckResult:
     """Random minimal qubit POVM schemes always have a negative dual eigenvalue.
 
     Seeds 0 .. seeds-1 are sampled as one stack; ``seeds`` must be at least 1.
+    The sampler's rank test and the canonical duals come from one thin SVD
+    per draw, through the same private helpers as ``canonical_duals``.
     """
     if seeds < 1:
         raise InvalidParameterError(f"seeds must be at least 1, got {seeds}")
     guard = 1e-10
-    duals = canonical_duals(random_minimal_povm_dequantizers(2, range(seeds)))
+    _, duals = _random_minimal_povms(2, range(seeds))
     # Eigenvalues of the Hermitian parts: the exact dual of a Hermitian
     # family is Hermitian, but rounding in the dual scales with conditioning
     # and the guard below absorbs it.

@@ -18,6 +18,7 @@ from starprod import (
 )
 from starprod.catalog import (
     SCHEMES,
+    _random_minimal_povms,
     build_scheme,
     clock_matrix,
     default_fiducial,
@@ -311,6 +312,12 @@ class TestRandomPovmSampler:
     def test_rejects_non_positive_dimension(self, d):
         with pytest.raises(InvalidParameterError, match="dimension must be positive"):
             random_minimal_povm_scheme(d, 0)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_empty_seed_list(self, d):
+        assert random_minimal_povm_dequantizers(d, []).shape == (0, d * d, d, d)
+        dequantizers, duals = _random_minimal_povms(d, [])
+        assert dequantizers.shape == duals.shape == (0, d * d, d, d)
 
     def test_rejects_negative_seed(self):
         with pytest.raises(InvalidParameterError, match="seeds must be non-negative, got -1"):

@@ -139,6 +139,28 @@ class TestStackedSampler:
         for seed, family in enumerate(stacked):
             assert np.array_equal(family, random_minimal_povm_scheme(d, seed).dequantizers)
 
+    # The duals come from the SVD of the draw that passed the rank test, so
+    # they match canonical_duals whether or not a seed drew again.
+    @pytest.mark.parametrize("d, rank_tol", [(2, 0.05), (3, 0.01), (2, None), (3, None)])
+    def test_duals_are_the_canonical_duals(self, monkeypatch, d, rank_tol):
+        if rank_tol is not None:
+            monkeypatch.setattr(matrixcore, "RANK_TOL", rank_tol)
+        dequantizers, duals = catalog._random_minimal_povms(d, range(40))
+        assert np.array_equal(dequantizers, random_minimal_povm_dequantizers(d, range(40)))
+        assert np.array_equal(duals, canonical_duals(dequantizers))
+
+    def test_one_svd_per_draw(self, monkeypatch):
+        calls = []
+        svd = np.linalg.svd
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].shape)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        assert check_povm_dual_negativity(seeds=100).passed
+        assert calls == [(100, 4, 4)]
+
     def test_failure_names_first_rank_deficient_seed(self, monkeypatch):
         monkeypatch.setattr(catalog, "_MAX_ATTEMPTS", 1)
         monkeypatch.setattr(matrixcore, "RANK_TOL", 0.05)
@@ -468,12 +490,12 @@ class TestCheckGates:
     def test_povm_counterexample_at_factor_times_the_guard(self, monkeypatch, eigenvalue, passed):
         # Seed 0's quantizers all become eigenvalue * I: at or past the guard a
         # counterexample, inside it one inconclusive seed of 100.
-        def duals(dequantizers):
-            out = canonical_duals(dequantizers)
-            out[0] = eigenvalue * np.eye(2)
-            return out
+        def povms(d, seeds):
+            deq, duals = catalog._random_minimal_povms(d, seeds)
+            duals[0] = eigenvalue * np.eye(2)
+            return deq, duals
 
-        monkeypatch.setattr(verification, "canonical_duals", duals)
+        monkeypatch.setattr(verification, "_random_minimal_povms", povms)
         result = check_povm_dual_negativity(seeds=100)
         assert result.passed is passed
         assert result.details["counterexamples"] == (0 if passed else 1)
@@ -482,12 +504,12 @@ class TestCheckGates:
     @pytest.mark.parametrize("inconclusive, passed", [(10, True), (11, False)])
     def test_povm_conclusive_floor(self, monkeypatch, inconclusive, passed):
         # Zero quantizers are inconclusive; 990 of 1000 seeds must be conclusive.
-        def duals(dequantizers):
-            out = canonical_duals(dequantizers)
-            out[:inconclusive] = 0
-            return out
+        def povms(d, seeds):
+            deq, duals = catalog._random_minimal_povms(d, seeds)
+            duals[:inconclusive] = 0
+            return deq, duals
 
-        monkeypatch.setattr(verification, "canonical_duals", duals)
+        monkeypatch.setattr(verification, "_random_minimal_povms", povms)
         result = check_povm_dual_negativity()
         assert result.passed is passed
         assert result.details["conclusive"] == 1000 - inconclusive
