@@ -85,7 +85,7 @@ def _format_human(report: SchemeReport, scheme_name: str, d: int, n: int) -> str
     else:
         lines.append("not self-dual")
     if report.scaled_unitary is not None:
-        lines.append(f"scaled unitary: U^dag U = c I with c = {report.scaled_unitary:.10g}")
+        lines.append(f"scaled unitary: U U^dag = c I with c = {report.scaled_unitary:.10g}")
     povm = report.povm
     if povm.is_povm:
         lines.append("POVM: yes")

@@ -23,7 +23,6 @@ from .errors import (
     InvalidGaugeError,
     NonHermitianMemberError,
     NotOverfilledError,
-    NotSquareError,
     NotTomographicError,
 )
 from . import matrixcore
@@ -100,9 +99,9 @@ class NegativityReport:
 class SchemeReport:
     """Full classification of a scheme.
 
-    ``scaled_unitary`` and ``matrix_unit_like`` only apply to square (N = d^2)
-    dequantization matrices and are None otherwise; ``negativity`` is None
-    when a family member is not Hermitian.
+    ``matrix_unit_like`` only applies to square (N = d^2) dequantization
+    matrices and is None otherwise; ``negativity`` is None when a family
+    member is not Hermitian.
     """
 
     cardinality: Cardinality
@@ -278,11 +277,13 @@ def self_dual_coefficient(s: Scheme) -> float | None:
 
 
 def scaled_unitary_check(u_mat) -> float | None:
-    """Positive c with U^dag U = c I for a square matrix, or None."""
+    """Positive c with U U^dag = c I for a d^2 x N matrix U, or None: the
+    self-dual test at every N, as the canonical dual's matrix is
+    (U U^dag)^-1 U.  An underfilled U never passes."""
     u_mat = np.asarray(u_mat, dtype=complex)
-    if u_mat.ndim != 2 or u_mat.shape[0] != u_mat.shape[1]:
-        raise NotSquareError(f"expected a square matrix, got shape {u_mat.shape}")
-    gram = u_mat.conj().T @ u_mat
+    if u_mat.ndim != 2:
+        raise DimensionMismatchError(f"expected a d^2 x N matrix, got shape {u_mat.shape}")
+    gram = u_mat @ u_mat.conj().T
     c = float(np.mean(np.diag(gram).real))
     if c <= 0.0:
         return None
@@ -385,9 +386,10 @@ def classify(s: Scheme) -> SchemeReport:
     number and that dual share one thin SVD of U, the row-stacking
     dequantization matrix, taken as ``canonical_duals`` takes it.  Every
     orthonormal basis gives G^dag U for a unitary G, with the same sigma and
-    U^dag U, so no verdict depends on the basis.  Raises ScaleOutOfRangeError
-    for a nonzero scheme whose scale puts the sum of sigma^2 or of sigma^-2
-    over U's kept singular values outside the normal float64 range.
+    G^dag (U U^dag) G, so no verdict depends on the basis.  Raises
+    ScaleOutOfRangeError for a nonzero scheme whose scale puts the sum of
+    sigma^2 or of sigma^-2 over U's kept singular values outside the normal
+    float64 range.
     """
     d_sq = s.d * s.d
     n = s.n_points
@@ -419,7 +421,6 @@ def classify(s: Scheme) -> SchemeReport:
     self_dual = (
         self_dual_coefficient(diagnostic) if diagnostic.quantizers is not None else None
     )
-    scaled_unitary = scaled_unitary_check(u_mat) if n == d_sq else None
     try:
         negativity = negativity_report(diagnostic)
     except NonHermitianMemberError:
@@ -430,7 +431,7 @@ def classify(s: Scheme) -> SchemeReport:
         rank=rk,
         condition_number=condition_number,
         self_dual_coefficient=self_dual,
-        scaled_unitary=scaled_unitary,
+        scaled_unitary=scaled_unitary_check(u_mat),
         povm=povm_check(s),
         negativity=negativity,
         matrix_unit_like=matrix_unit_like_detect(s),

@@ -206,12 +206,8 @@ def check_livine_positivity() -> CheckResult:
 
 
 def check_self_duality_unitarity() -> CheckResult:
-    """Self-dual <=> scaled-unitary, both directions, at d = 2 and d = 3.
-
-    The backward direction covers the self-dual minimal (N = d^2) regression
-    entries, the theorem's scope: an overfilled tight frame is self-dual too,
-    but its dequantization matrix is not square.
-    """
+    """Self-dual <=> U U^dag = c I, both directions: seeded scaled unitaries
+    at d = 2 and d = 3 forward, every self-dual regression entry backward."""
     rng = np.random.default_rng(DEFAULT_BATTERY_SEED)
     worst_forward = 0.0
     for d in (2, 3):
@@ -232,7 +228,7 @@ def check_self_duality_unitarity() -> CheckResult:
     worst_backward = 0.0
     checked = []
     for name, s in _quantized_regression_set():
-        c = self_dual_coefficient(s) if s.n_points == s.d * s.d else None
+        c = self_dual_coefficient(s)
         if c is None:
             continue
         c_gram = scaled_unitary_check(dequantization_matrix(s))

@@ -26,6 +26,12 @@ def conditioned_frame(n, kappa, seed):
     return (w * np.geomspace(1.0, 1.0 / kappa, 9)) @ v[:, :9].conj().T
 
 
+def tight_frame(rng, d, n, c):
+    """sqrt(c) times the first d^2 rows of a Haar n x n unitary: a d^2 x n
+    matrix U with U U^dag = c I."""
+    return np.sqrt(c) * haar_unitaries(rng.standard_normal((2, n, n)))[: d * d]
+
+
 def self_dual_reference(dequantizers, quantizers, residual_tol=1e-10):
     """One family at a time: c from np.linalg.norm of both families, then an
     entrywise check relative to the largest |U| entry; None when the family is

@@ -247,7 +247,7 @@ class TestClassify:
         out = capsys.readouterr().out
         c = format(scale * scale, ".10g")
         assert f"self-dual, c = {c}\n" in out
-        assert f"scaled unitary: U^dag U = c I with c = {c}\n" in out
+        assert f"scaled unitary: U U^dag = c I with c = {c}\n" in out
         report = json.loads(report_path.read_text())["report"]
         assert report["self_dual_coefficient"] == pytest.approx(scale * scale, rel=1e-12)
         assert report["scaled_unitary"] == pytest.approx(scale * scale, rel=1e-12)

@@ -6,7 +6,6 @@ from starprod import (
     InvalidGaugeError,
     NonHermitianMemberError,
     NotOverfilledError,
-    NotSquareError,
     NotSquareLengthError,
     NotTomographicError,
     Scheme,
@@ -43,7 +42,10 @@ from starprod.operator_space import PAULI_X, PAULI_Y, PAULI_Z
 from starprod.star_product import reconstruct, star_kernel, symbol
 from starprod.verification import haar_unitaries
 
-from _helpers import conditioned_frame, random_complex, self_dual_reference
+from _helpers import conditioned_frame, random_complex, self_dual_reference, tight_frame
+
+# (d, N) of the overfilled tight frames: N > d^2 and U U^dag = c I.
+TIGHT_FRAME_SIZES = [(2, 7), (3, 14)]
 
 TETRAHEDRON = np.array([(1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1)]) / np.sqrt(3)
 
@@ -379,18 +381,24 @@ class TestScaledUnitaryCheck:
     def test_sic_matrix_is_not(self):
         assert scaled_unitary_check(dequantization_matrix(sic_qubit_scheme("povm"))) is None
 
-    def test_rectangular_raises(self):
-        with pytest.raises(NotSquareError):
-            scaled_unitary_check(np.zeros((4, 6)))
+    @pytest.mark.parametrize("shape", [(4,), (2, 4, 4)])
+    def test_not_a_matrix_raises(self, shape):
+        with pytest.raises(DimensionMismatchError, match=r"expected a d\^2 x N matrix"):
+            scaled_unitary_check(np.ones(shape))
+
+    def test_underfilled_is_not(self, rng):
+        # U U^dag has rank 3 < 4, so it is never c I.
+        assert scaled_unitary_check(haar_unitaries(rng.standard_normal((2, 4, 4)))[:, :3]) is None
 
     @pytest.mark.parametrize("c", [1e-8, 1.0, 1e8])
     @pytest.mark.parametrize("factor, scaled_unitary", [(10.0, False), (0.1, True)])
-    def test_near_miss_at_the_relative_gate(self, rng, c, factor, scaled_unitary):
-        # U = sqrt(c) W diag(sqrt(1 + t), sqrt(1 - t), 1, 1) with W unitary:
-        # U^dag U has mean diagonal c and is off c I by c t.
+    @pytest.mark.parametrize("n", [4, 7], ids=["square", "overfilled"])
+    def test_near_miss_at_the_relative_gate(self, rng, n, c, factor, scaled_unitary):
+        # U = sqrt(c) diag(sqrt(1 + t), sqrt(1 - t), 1, 1) W with W W^dag = I:
+        # U U^dag has mean diagonal c and is off c I by exactly c t.
         t = factor * matrixcore.RESIDUAL_TOL
-        w = haar_unitaries(rng.standard_normal((2, 4, 4)))
-        got = scaled_unitary_check(np.sqrt(c) * w * np.sqrt([1 + t, 1 - t, 1, 1]))
+        w = tight_frame(rng, 2, n, 1.0)
+        got = scaled_unitary_check(np.sqrt(c) * np.sqrt([1 + t, 1 - t, 1, 1])[:, None] * w)
         if scaled_unitary:
             assert got == pytest.approx(c, rel=1e-12)
         else:
@@ -589,6 +597,15 @@ class TestClassify:
         assert report.scaled_unitary is None
         assert report.matrix_unit_like is None
 
+    @pytest.mark.parametrize("c", [1e-8, 1.0, 1e8])
+    @pytest.mark.parametrize("d, n", TIGHT_FRAME_SIZES)
+    def test_overfilled_tight_frame_is_self_dual_and_scaled_unitary(self, rng, d, n, c):
+        report = classify(scheme_from_dequantization_matrix(tight_frame(rng, d, n, c)))
+        assert report.cardinality == "overfilled" and report.tomographic
+        assert abs(report.condition_number - 1.0) <= 1e-12
+        assert report.self_dual_coefficient == pytest.approx(c, rel=1e-12)
+        assert report.scaled_unitary == pytest.approx(c, rel=1e-12)
+
     def test_underfilled(self):
         report = classify(Scheme(dequantizers=mub_qubit_scheme().dequantizers[:3]))
         assert report.cardinality == "underfilled"
@@ -712,7 +729,7 @@ class TestInvariants:
         for entry in entries():
             s = with_canonical_quantizers(entry.scheme)
             c = self_dual_coefficient(s)
-            if c is None or s.n_points != s.d * s.d:
+            if c is None:
                 continue
             c_gram = scaled_unitary_check(dequantization_matrix(s))
             assert c_gram is not None, entry.name
@@ -720,14 +737,15 @@ class TestInvariants:
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_scaled_unitaries_are_self_dual(self, rng, d):
-        for _ in range(30):
-            c = rng.uniform(0.1, 10.0)
-            u = np.sqrt(c) * haar_unitaries(rng.standard_normal((2, d * d, d * d)))
-            s = scheme_from_dequantization_matrix(u)
-            s = s.with_quantizers(canonical_quantizers(s))
-            recovered = self_dual_coefficient(s)
-            assert recovered is not None
-            assert abs(recovered - c) <= 1e-9 * c
+        # sqrt(c) times a unitary (N = d^2), then an overfilled tight frame.
+        for n in (d * d, dict(TIGHT_FRAME_SIZES)[d]):
+            for _ in range(30):
+                c = rng.uniform(0.1, 10.0)
+                s = scheme_from_dequantization_matrix(tight_frame(rng, d, n, c))
+                s = s.with_quantizers(canonical_quantizers(s))
+                recovered = self_dual_coefficient(s)
+                assert recovered is not None
+                assert abs(recovered - c) <= 1e-9 * c
 
     def test_random_povm_duals_have_negative_eigenvalue(self):
         inconclusive = 0

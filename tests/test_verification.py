@@ -107,9 +107,9 @@ class TestSelfDualityUnitarity:
         details = check_self_duality_unitarity().details
         assert details["random_coefficient_worst_relative_error"] == worst
 
-    def test_backward_direction_skips_a_self_dual_overfilled_frame(self, monkeypatch):
+    def test_backward_direction_checks_a_self_dual_overfilled_frame(self, monkeypatch):
         # The Pauli family twice over, divided by sqrt(2): a tight frame
-        # (N = 8) that is self-dual with c = 1, whose U is not square.
+        # (N = 8) that is self-dual with c = 1, with U U^dag = I.
         pauli = pauli_scheme().dequantizers
         frame = with_canonical_quantizers(Scheme(np.concatenate([pauli, pauli]) / np.sqrt(2)))
         assert classify(frame).cardinality == "overfilled"
@@ -121,7 +121,10 @@ class TestSelfDualityUnitarity:
         )
         result = check_self_duality_unitarity()
         assert result.passed
-        assert result.details == before
+        assert result.details["self_dual_catalog_schemes"] == [*before["self_dual_catalog_schemes"], "frame"]
+        assert result.details["catalog_gram_worst_relative_error"] <= 1e-12
+        unchanged = ("random_coefficient_worst_relative_error", "samples_per_dimension", "tolerance")
+        assert {k: result.details[k] for k in unchanged} == {k: before[k] for k in unchanged}
 
 
 class TestStackedSampler:
