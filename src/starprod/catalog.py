@@ -10,6 +10,7 @@ and the printed-table regression set with its errata.
 from __future__ import annotations
 
 import importlib.resources
+import operator
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from typing import Any
@@ -212,13 +213,15 @@ def random_minimal_povm_dequantizers(d: int, seeds: Iterable[int]) -> np.ndarray
     (S, d^2, d, d) stack: d^2 Wishart effects per seed, symmetrically
     normalized so they sum to the identity exactly.
 
-    Each seed owns a ``default_rng(seed)`` stream, so a seed's POVM does not
-    depend on the other seeds.  A seed whose dequantization matrix lacks
-    full rank draws again from its own stream; SamplerFailureError names the
-    first seed still rank-deficient after ``_MAX_ATTEMPTS`` draws.  The rank
-    test and the canonical duals that ``povm-dual-negativity`` reads come
-    from one thin SVD per draw, through the same private helpers as
-    ``canonical_duals``.
+    Each seed's draws are ``default_rng(seed)``'s stream, bit for bit, so a
+    seed's POVM does not depend on the other seeds; the streams' initial
+    states are computed for all seeds at once.  A seed whose dequantization
+    matrix lacks full rank draws again from its own stream;
+    SamplerFailureError names the first seed still rank-deficient after
+    ``_MAX_ATTEMPTS`` draws.  A seed that is not an integer raises
+    InvalidParameterError before any draw.  The rank test and the canonical
+    duals that ``povm-dual-negativity`` reads come from one thin SVD per
+    draw, through the same private helpers as ``canonical_duals``.
     """
     return _random_minimal_povms(d, seeds)[0]
 
@@ -226,22 +229,31 @@ def random_minimal_povm_dequantizers(d: int, seeds: Iterable[int]) -> np.ndarray
 def _random_minimal_povms(d: int, seeds: Iterable[int]) -> tuple[np.ndarray, np.ndarray]:
     """``random_minimal_povm_dequantizers(d, seeds)`` and, bit for bit, its
     ``canonical_duals``: one thin SVD per draw gives both the rank test and
-    the dual, through the same private helpers as ``canonical_duals``."""
+    the dual, through the same private helpers as ``canonical_duals``.
+
+    Every seed's ``default_rng`` state comes from one ``_seed_states`` pass;
+    no generator is kept between draws."""
     if d < 1:
         raise InvalidParameterError(f"dimension must be positive, got {d}")
-    seeds = list(seeds)
+    indexed = []
+    for seed in seeds:
+        try:
+            indexed.append(operator.index(seed))
+        except TypeError:
+            raise InvalidParameterError(f"seeds must be integers, got {seed!r}") from None
+    seeds = indexed
     if min(seeds, default=0) < 0:
         raise InvalidParameterError(f"seeds must be non-negative, got {min(seeds)}")
     n = d * d
-    rngs = [np.random.default_rng(seed) for seed in seeds]
+    states = _seed_states(seeds)
     deq = np.empty((len(seeds), n, d, d), dtype=complex)
     duals = np.empty_like(deq)
     pending = np.arange(len(seeds))
-    for _ in range(_MAX_ATTEMPTS):
+    for attempt in range(_MAX_ATTEMPTS):
         if not pending.size:
             break
         # Rows whose draw lacks full rank are overwritten by the next draw.
-        deq[pending] = _povm_draw([rngs[index] for index in pending], n, d)
+        deq[pending] = _povm_draw([states[index] for index in pending], attempt, n, d)
         w, sv, vh = _row_stacking_svd(deq[pending])[1]
         full = rank_from_singular_values(sv) == n
         if not full.all():
@@ -255,14 +267,80 @@ def _random_minimal_povms(d: int, seeds: Iterable[int]) -> tuple[np.ndarray, np.
     return deq, duals
 
 
-def _povm_draw(rngs: list[np.random.Generator], n: int, d: int) -> np.ndarray:
-    """One candidate POVM of n effects per stream, as an (S, n, d, d) stack.
+# numpy's SeedSequence hash and PCG64 multiplier (numpy/random/bit_generator.pyx,
+# pcg64.h), which default_rng(seed) runs for each seed.
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
 
-    The draw's temporaries are freed on return, before the caller's SVD; the
-    normals go as soon as they are combined, which lowers the sampler's peak.
+
+def _seed_states(seeds: list[int]) -> list[dict]:
+    """``np.random.default_rng(seed).bit_generator.state`` for every seed
+    (non-negative ints), with no SeedSequence or Generator built.
+
+    SeedSequence's hash (``mix_entropy`` of each seed's little-endian 32-bit
+    words into a four-word pool, then ``generate_state(4, uint64)``) runs
+    once as wrapping uint32 arithmetic over all seeds; words beyond the pool
+    are masked per seed.  PCG64's seeding step then runs in Python ints.
     """
-    normals = np.empty((len(rngs), 2, n, d, d))
-    for row, rng in enumerate(rngs):
+    lengths = np.array([(seed.bit_length() + 31) // 32 for seed in seeds], dtype=int)
+    n_words = max(4, int(lengths.max(initial=0)))
+    words = np.frombuffer(b"".join(seed.to_bytes(4 * n_words, "little") for seed in seeds), "<u4")
+    words = words.reshape(len(seeds), n_words)
+    hash_const = _INIT_A
+
+    def hashmix(value: np.ndarray, mult: int = _MULT_A) -> np.ndarray:
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = hash_const * mult & _MASK32
+        value = value * np.uint32(hash_const)
+        return value ^ value >> 16
+
+    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+        return result ^ result >> 16
+
+    with np.errstate(over="ignore"):
+        pool = [hashmix(words[:, i]) for i in range(4)]
+        for src in range(4):
+            for dst in range(4):
+                if src != dst:
+                    pool[dst] = mix(pool[dst], hashmix(pool[src]))
+        for src in range(4, n_words):
+            for dst in range(4):
+                pool[dst] = np.where(lengths > src, mix(pool[dst], hashmix(words[:, src])), pool[dst])
+        hash_const = _INIT_B  # generate_state: eight words cycling over the pool
+        out = np.stack([hashmix(pool[i % 4], _MULT_B) for i in range(8)], axis=1)
+    states = []
+    for high, low, seq_high, seq_low in out.astype("<u4").view("<u8").tolist():
+        # PCG64: state 0, inc = 2 initseq + 1, step, add initstate, step.
+        inc = ((seq_high << 64 | seq_low) << 1 | 1) & _MASK128
+        state = (((high << 64 | low) + inc) * _PCG64_MULT + inc) & _MASK128
+        states.append(
+            {"bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0}
+        )
+    return states
+
+
+def _povm_draw(states: list[dict], attempt: int, n: int, d: int) -> np.ndarray:
+    """Draw number ``attempt`` (0 first) of one candidate POVM of n effects
+    per seed, as an (S, n, d, d) stack; ``states`` are the seeds' initial
+    ``default_rng`` states from ``_seed_states``.
+
+    One generator is set to each seed's state in turn.  A redraw replays the
+    seed's ``attempt`` earlier normal blocks from that state, so no stream is
+    kept between draws.  The draw's temporaries are freed on return, before
+    the caller's SVD; the normals go as soon as they are combined, which
+    lowers the sampler's peak.
+    """
+    bit_generator = np.random.PCG64()
+    rng = np.random.Generator(bit_generator)
+    normals = np.empty((len(states), 2, n, d, d))
+    for row, state in enumerate(states):
+        bit_generator.state = state
+        if attempt:
+            rng.standard_normal(attempt * normals[row].size)
         rng.standard_normal(out=normals[row])
     g = (normals[:, 0] + 1j * normals[:, 1]) / SQRT2
     del normals

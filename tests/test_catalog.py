@@ -1,4 +1,5 @@
 import importlib.util
+import re
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ from starprod import (
     NotSICError,
     SamplerFailureError,
     UnknownSchemeError,
+    catalog,
     classify,
     dequantization_matrix,
     povm_check,
@@ -318,6 +320,24 @@ class TestRandomPovmSampler:
         assert random_minimal_povm_dequantizers(d, []).shape == (0, d * d, d, d)
         dequantizers, duals = _random_minimal_povms(d, [])
         assert dequantizers.shape == duals.shape == (0, d * d, d, d)
+
+    @pytest.mark.parametrize("seed", [1.5, np.float64(2.0), "3"], ids=repr)
+    def test_rejects_a_seed_that_is_not_an_integer(self, monkeypatch, seed):
+        def draw(*args):
+            raise AssertionError("drew before checking the seeds")
+
+        monkeypatch.setattr(catalog, "_povm_draw", draw)
+        message = rf"seeds must be integers, got {re.escape(repr(seed))}$"
+        with pytest.raises(InvalidParameterError, match=message):
+            random_minimal_povm_scheme(2, seed)
+        with pytest.raises(InvalidParameterError, match=message):
+            random_minimal_povm_dequantizers(2, [0, seed, -1])
+
+    @pytest.mark.parametrize("seed, value", [(np.int64(5), 5), (np.uint32(7), 7), (True, 1)])
+    def test_integer_like_seed_draws_like_the_equal_int(self, seed, value):
+        expected = random_minimal_povm_dequantizers(2, [value])
+        assert random_minimal_povm_dequantizers(2, [seed]).tobytes() == expected.tobytes()
+        assert random_minimal_povm_scheme(2, seed).dequantizers.tobytes() == expected[0].tobytes()
 
     def test_rejects_negative_seed(self):
         with pytest.raises(InvalidParameterError, match="seeds must be non-negative, got -1"):

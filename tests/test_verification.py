@@ -22,6 +22,7 @@ from starprod.scheme import (
     canonical_duals,
     canonical_quantizers,
     classify,
+    dequantization_matrix,
     self_dual_coefficient,
     with_canonical_quantizers,
 )
@@ -127,7 +128,66 @@ class TestSelfDualityUnitarity:
         assert {k: result.details[k] for k in unchanged} == {k: before[k] for k in unchanged}
 
 
+def _default_rng_sampler(d: int, seeds) -> tuple[np.ndarray, int]:
+    """The sampler with one np.random.default_rng(seed) per seed, kept across
+    its draws, and the number of draws taken: an oracle for the streams that
+    does not go through catalog._seed_states or the redraw replay."""
+    n, families, draws = d * d, [], 0
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        while True:
+            draws += 1
+            family = catalog._povm_draw([rng.bit_generator.state], 0, n, d)[0]
+            rng.standard_normal((2, n, d, d))  # the normals that draw used
+            if matrixcore.rank(dequantization_matrix(Scheme(dequantizers=family))) == n:
+                break
+        families.append(family)
+    return np.stack(families), draws
+
+
 class TestStackedSampler:
+    # At the default RANK_TOL every first draw has full rank; the larger
+    # tolerances reject a share of them, so those seeds draw again.
+    @pytest.mark.parametrize(
+        "d, rank_tol", [(1, None), (2, None), (3, None), (4, None), (2, 0.05), (3, 0.01)]
+    )
+    def test_matches_one_default_rng_per_seed(self, monkeypatch, d, rank_tol):
+        if rank_tol is not None:
+            monkeypatch.setattr(matrixcore, "RANK_TOL", rank_tol)
+        expected, draws = _default_rng_sampler(d, range(40))
+        assert (draws > 40) is (rank_tol is not None)
+        stacks = []  # the sampler takes one SVD of its pending seeds per draw
+        svd = np.linalg.svd
+
+        def counted(a, *args, **kwargs):
+            stacks.append(len(a))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        assert np.array_equal(random_minimal_povm_dequantizers(d, range(40)), expected)
+        assert sum(stacks) == draws
+
+    @pytest.mark.parametrize(
+        "seeds",
+        [range(1000), [2**32 - 1, 2**32, 2**64 + 3, 2**128, 2**128 + 5, 2**200 + 11]],
+        ids=["0-999", "word-boundaries"],
+    )
+    def test_seed_states_match_numpy(self, seeds):
+        expected = [np.random.default_rng(seed).bit_generator.state for seed in seeds]
+        assert catalog._seed_states(list(seeds)) == expected
+
+    def test_no_generator_per_seed(self, monkeypatch):
+        calls = []
+        default_rng = np.random.default_rng
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return default_rng(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "default_rng", counted)
+        assert check_povm_dual_negativity(seeds=100).passed
+        assert calls == []
+
     # Rank tolerances that reject a share of first draws, so some seeds
     # draw again from their own streams.
     @pytest.mark.parametrize("d, rank_tol", [(2, 0.05), (3, 0.01)])
