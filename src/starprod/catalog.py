@@ -116,19 +116,9 @@ def mub_qubit_scheme() -> Scheme:
     return Scheme(dequantizers=_projectors(vectors), name="mub-qubit")
 
 
-def clock_matrix(d: int) -> np.ndarray:
-    """diag(1, w, ..., w^(d-1)) with w = exp(2 pi i / d)."""
-    omega = np.exp(2j * np.pi / d)
-    return np.diag(omega ** np.arange(d))
-
-
-def shift_matrix(d: int) -> np.ndarray:
-    """Cyclic shift X e_j = e_(j+1 mod d)."""
-    return np.roll(np.eye(d, dtype=complex), 1, axis=0)
-
-
 def displacement_orbit(psi: np.ndarray) -> np.ndarray:
-    """The d^2 states X^a Z^b |psi>, indexed d*a + b, as a (d^2, d) stack.
+    """The d^2 states X^a Z^b |psi>, indexed d*a + b, as a (d^2, d) stack, for the
+    shift X e_j = e_(j+1 mod d) and the clock Z = diag(w^j), w = exp(2 pi i / d).
 
     Entry j of X^a Z^b |psi> is w^(b(j-a)) psi_(j-a), indices mod d: one
     gather and one broadcast product.
@@ -136,7 +126,7 @@ def displacement_orbit(psi: np.ndarray) -> np.ndarray:
     d = psi.size
     j = np.arange(d)
     shifted = (j[None, :] - j[:, None]) % d  # [a, j] -> j - a
-    powers = np.diagonal(clock_matrix(d))[None, :] ** j[:, None]  # [b, m] -> w^(b m)
+    powers = (np.exp(2j * np.pi / d) ** j)[None, :] ** j[:, None]  # [b, m] -> w^(b m)
     return (powers[j[:, None], shifted[:, None, :]] * psi[shifted][:, None, :]).reshape(d * d, d)
 
 
@@ -208,31 +198,21 @@ def mub_prime_scheme(p: int) -> Scheme:
 _MAX_ATTEMPTS = 100  # draws per seed before the sampler gives up
 
 
-def random_minimal_povm_dequantizers(d: int, seeds: Iterable[int]) -> np.ndarray:
-    """Seeded random minimal tomographic POVMs, one per seed, as an
-    (S, d^2, d, d) stack: d^2 Wishart effects per seed, symmetrically
-    normalized so they sum to the identity exactly.
+def random_minimal_povms(d: int, seeds: Iterable[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Seeded random minimal tomographic POVMs, one per seed, and their
+    canonical duals, as two (S, d^2, d, d) stacks: d^2 Wishart effects per
+    seed, symmetrically normalized so they sum to the identity exactly.
 
     Each seed's draws are ``default_rng(seed)``'s stream, bit for bit, so a
     seed's POVM does not depend on the other seeds; the streams' initial
-    states are computed for all seeds at once.  A seed whose dequantization
-    matrix lacks full rank draws again from its own stream;
-    SamplerFailureError names the first seed still rank-deficient after
-    ``_MAX_ATTEMPTS`` draws.  A seed that is not an integer raises
-    InvalidParameterError before any draw.  The rank test and the canonical
-    duals that ``povm-dual-negativity`` reads come from one thin SVD per
-    draw, through the same private helpers as ``canonical_duals``.
+    states are computed for all seeds at once, and no generator is kept
+    between draws.  A seed whose dequantization matrix lacks full rank draws
+    again from its own stream; SamplerFailureError names the first seed
+    still rank-deficient after ``_MAX_ATTEMPTS`` draws.  A seed that is not
+    an integer raises InvalidParameterError before any draw.  One thin SVD
+    per draw gives both the rank test and the duals, which equal
+    ``canonical_duals`` of the dequantizers bit for bit.
     """
-    return _random_minimal_povms(d, seeds)[0]
-
-
-def _random_minimal_povms(d: int, seeds: Iterable[int]) -> tuple[np.ndarray, np.ndarray]:
-    """``random_minimal_povm_dequantizers(d, seeds)`` and, bit for bit, its
-    ``canonical_duals``: one thin SVD per draw gives both the rank test and
-    the dual, through the same private helpers as ``canonical_duals``.
-
-    Every seed's ``default_rng`` state comes from one ``_seed_states`` pass;
-    no generator is kept between draws."""
     if d < 1:
         raise InvalidParameterError(f"dimension must be positive, got {d}")
     indexed = []
@@ -353,12 +333,12 @@ def _povm_draw(states: list[dict], attempt: int, n: int, d: int) -> np.ndarray:
 
 def random_minimal_povm_scheme(d: int, seed: int) -> Scheme:
     """Seeded random minimal tomographic POVM: the one-seed case of
-    ``random_minimal_povm_dequantizers``.
+    ``random_minimal_povms``, named by the seed's integer value.
 
     Raises SamplerFailureError after ``_MAX_ATTEMPTS`` rank-deficient draws.
     """
-    deq = random_minimal_povm_dequantizers(d, [seed])[0]
-    return Scheme(dequantizers=deq, name=f"random-povm-d{d}-seed{seed}")
+    deq = random_minimal_povms(d, [seed])[0][0]
+    return Scheme(dequantizers=deq, name=f"random-povm-d{d}-seed{operator.index(seed)}")
 
 
 @dataclass(frozen=True)

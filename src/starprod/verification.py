@@ -21,12 +21,12 @@ from typing import Any
 import numpy as np
 
 from .catalog import (
-    _random_minimal_povms,
     default_fiducial,
     entries,
     livine_scheme,
     mub_qubit_scheme,
     pauli_scheme,
+    random_minimal_povms,
     sic_qubit_scheme,
     TableRow,
     table_regression_set,
@@ -262,7 +262,7 @@ def check_povm_dual_negativity(seeds: int = 1000) -> CheckResult:
     if seeds < 1:
         raise InvalidParameterError(f"seeds must be at least 1, got {seeds}")
     guard = 1e-10
-    _, duals = _random_minimal_povms(2, range(seeds))
+    _, duals = random_minimal_povms(2, range(seeds))
     # Eigenvalues of the Hermitian parts: the exact dual of a Hermitian
     # family is Hermitian, but rounding in the dual scales with conditioning
     # and the guard below absorbs it.

@@ -20,9 +20,7 @@ from starprod import (
 )
 from starprod.catalog import (
     SCHEMES,
-    _random_minimal_povms,
     build_scheme,
-    clock_matrix,
     default_fiducial,
     displacement_orbit,
     entries,
@@ -32,9 +30,8 @@ from starprod.catalog import (
     mub_qubit_scheme,
     pauli_scheme,
     quantization_matrix,
-    random_minimal_povm_dequantizers,
     random_minimal_povm_scheme,
-    shift_matrix,
+    random_minimal_povms,
     sic_qubit_scheme,
     table_regression_set,
     wh_sic_scheme,
@@ -169,18 +166,26 @@ class TestMubQubit:
 
 
 class TestWeylHeisenberg:
-    def test_clock_shift_commutation(self):
-        for d in (2, 3, 5):
-            z, x = clock_matrix(d), shift_matrix(d)
-            omega = np.exp(2j * np.pi / d)
-            assert np.abs(z @ x - omega * x @ z).max() <= 1e-13
-
     @staticmethod
-    def _orbit_by_matrix_powers(psi):
+    def _shift_and_clock(d):
+        """X e_j = e_(j+1 mod d) and Z = diag(1, w, ..., w^(d-1)), w = exp(2 pi i / d)."""
+        x = np.roll(np.eye(d, dtype=complex), 1, axis=0)
+        z = np.diag(np.exp(2j * np.pi / d) ** np.arange(d))
+        return x, z
+
+    @classmethod
+    def _orbit_by_matrix_powers(cls, psi):
         d = psi.size
-        x, z = shift_matrix(d), clock_matrix(d)
+        x, z = cls._shift_and_clock(d)
         power = np.linalg.matrix_power
         return np.array([power(x, a) @ power(z, b) @ psi for a in range(d) for b in range(d)])
+
+    # The reference's X and Z are the Weyl-Heisenberg pair: ZX = wXZ.
+    def test_clock_shift_commutation(self):
+        for d in (2, 3, 5):
+            x, z = self._shift_and_clock(d)
+            omega = np.exp(2j * np.pi / d)
+            assert np.abs(z @ x - omega * x @ z).max() <= 1e-13
 
     @pytest.mark.parametrize("d", range(2, 9))
     def test_displacement_orbit_matches_matrix_powers(self, d, rng):
@@ -317,8 +322,8 @@ class TestRandomPovmSampler:
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_empty_seed_list(self, d):
-        assert random_minimal_povm_dequantizers(d, []).shape == (0, d * d, d, d)
-        dequantizers, duals = _random_minimal_povms(d, [])
+        assert random_minimal_povms(d, [])[0].shape == (0, d * d, d, d)
+        dequantizers, duals = random_minimal_povms(d, [])
         assert dequantizers.shape == duals.shape == (0, d * d, d, d)
 
     @pytest.mark.parametrize("seed", [1.5, np.float64(2.0), "3"], ids=repr)
@@ -331,19 +336,21 @@ class TestRandomPovmSampler:
         with pytest.raises(InvalidParameterError, match=message):
             random_minimal_povm_scheme(2, seed)
         with pytest.raises(InvalidParameterError, match=message):
-            random_minimal_povm_dequantizers(2, [0, seed, -1])
+            random_minimal_povms(2, [0, seed, -1])
 
     @pytest.mark.parametrize("seed, value", [(np.int64(5), 5), (np.uint32(7), 7), (True, 1)])
     def test_integer_like_seed_draws_like_the_equal_int(self, seed, value):
-        expected = random_minimal_povm_dequantizers(2, [value])
-        assert random_minimal_povm_dequantizers(2, [seed]).tobytes() == expected.tobytes()
-        assert random_minimal_povm_scheme(2, seed).dequantizers.tobytes() == expected[0].tobytes()
+        expected = random_minimal_povms(2, [value])[0]
+        assert random_minimal_povms(2, [seed])[0].tobytes() == expected.tobytes()
+        scheme = random_minimal_povm_scheme(2, seed)
+        assert scheme.dequantizers.tobytes() == expected[0].tobytes()
+        assert scheme.name == f"random-povm-d2-seed{value}"
 
     def test_rejects_negative_seed(self):
         with pytest.raises(InvalidParameterError, match="seeds must be non-negative, got -1"):
             random_minimal_povm_scheme(2, -1)
         with pytest.raises(InvalidParameterError, match="got -3"):
-            random_minimal_povm_dequantizers(2, [4, -3, 0])
+            random_minimal_povms(2, [4, -3, 0])
 
 
 class TestSchemeRegistry:

@@ -1,4 +1,6 @@
+import ast
 import importlib
+from pathlib import Path
 
 import pytest
 
@@ -67,8 +69,16 @@ PUBLIC_NAMES = [
 
 # Wrappers around code the callers now reach directly; the operator-basis
 # type: an orthonormal basis is a self-dual scheme, its coordinates symbols;
-# and the error for a scheme without quantizers, which means its canonical dual.
+# the error for a scheme without quantizers, which means its canonical dual;
+# the clock and shift matrices, which displacement_orbit folds in; and the
+# random-POVM sampler's wrapper and private twin, now one public function.
 REMOVED = {
+    "catalog": [
+        "clock_matrix",
+        "shift_matrix",
+        "random_minimal_povm_dequantizers",
+        "_random_minimal_povms",
+    ],
     "serialization": [
         "matrix_to_json",
         "vector_to_json",
@@ -106,3 +116,27 @@ def test_public_names_are_pinned():
 def test_removed_names_are_gone(module):
     namespace = vars(importlib.import_module(f"starprod.{module}"))
     assert [name for name in REMOVED[module] if name in namespace] == []
+
+
+# The private names one starprod module imports from another, as (importer,
+# module, name): the random-POVM sampler takes its rank test and its duals
+# from the thin SVD that canonical_duals uses, one SVD per draw.
+SHARED_PRIVATE = {
+    ("catalog", "scheme", "_dual_family"),
+    ("catalog", "scheme", "_row_stacking_svd"),
+}
+
+
+def test_no_other_private_name_crosses_a_module_boundary():
+    crossings = set()
+    for path in sorted(Path(starprod.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            module = node.module or ""
+            if node.level == 0 and module.partition(".")[0] != "starprod":
+                continue
+            for alias in node.names:
+                if alias.name.startswith("_") and not alias.name.endswith("__"):
+                    crossings.add((path.stem, module.rpartition(".")[2], alias.name))
+    assert crossings == SHARED_PRIVATE

@@ -13,8 +13,8 @@ import pytest
 from starprod import InvalidParameterError, SamplerFailureError, catalog, matrixcore, verification
 from starprod.catalog import (
     pauli_scheme,
-    random_minimal_povm_dequantizers,
     random_minimal_povm_scheme,
+    random_minimal_povms,
 )
 from starprod.scheme import (
     NegativityReport,
@@ -51,7 +51,7 @@ def _reference_minima(seeds: int) -> np.ndarray:
 class TestPovmDualNegativity:
     def test_per_seed_minima_match_reference_loop(self):
         reference = _reference_minima(200)
-        duals = canonical_duals(random_minimal_povm_dequantizers(2, range(200)))
+        duals = canonical_duals(random_minimal_povms(2, range(200))[0])
         herm = (duals + duals.conj().swapaxes(-1, -2)) / 2
         assert np.array_equal(np.linalg.eigvalsh(herm)[..., 0].min(axis=-1), reference)
         details = check_povm_dual_negativity(seeds=200).details
@@ -164,7 +164,7 @@ class TestStackedSampler:
             return svd(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "svd", counted)
-        assert np.array_equal(random_minimal_povm_dequantizers(d, range(40)), expected)
+        assert np.array_equal(random_minimal_povms(d, range(40))[0], expected)
         assert sum(stacks) == draws
 
     @pytest.mark.parametrize(
@@ -196,8 +196,8 @@ class TestStackedSampler:
         with monkeypatch.context() as patch:
             patch.setattr(catalog, "_MAX_ATTEMPTS", 1)
             with pytest.raises(SamplerFailureError):
-                random_minimal_povm_dequantizers(d, range(40))
-        stacked = random_minimal_povm_dequantizers(d, range(40))
+                random_minimal_povms(d, range(40))
+        stacked = random_minimal_povms(d, range(40))[0]
         assert stacked.shape == (40, d * d, d, d)
         for seed, family in enumerate(stacked):
             assert np.array_equal(family, random_minimal_povm_scheme(d, seed).dequantizers)
@@ -208,8 +208,8 @@ class TestStackedSampler:
     def test_duals_are_the_canonical_duals(self, monkeypatch, d, rank_tol):
         if rank_tol is not None:
             monkeypatch.setattr(matrixcore, "RANK_TOL", rank_tol)
-        dequantizers, duals = catalog._random_minimal_povms(d, range(40))
-        assert np.array_equal(dequantizers, random_minimal_povm_dequantizers(d, range(40)))
+        dequantizers, duals = random_minimal_povms(d, range(40))
+        assert np.array_equal(dequantizers, random_minimal_povms(d, range(40))[0])
         assert np.array_equal(duals, canonical_duals(dequantizers))
 
     def test_one_svd_per_draw(self, monkeypatch):
@@ -235,7 +235,7 @@ class TestStackedSampler:
                 failing.append(seed)
         assert failing
         with pytest.raises(SamplerFailureError, match=rf"seed={failing[0]}\)"):
-            random_minimal_povm_dequantizers(2, range(20))
+            random_minimal_povms(2, range(20))
 
 
 class TestHaarUnitaries:
@@ -554,11 +554,11 @@ class TestCheckGates:
         # Seed 0's quantizers all become eigenvalue * I: at or past the guard a
         # counterexample, inside it one inconclusive seed of 100.
         def povms(d, seeds):
-            deq, duals = catalog._random_minimal_povms(d, seeds)
+            deq, duals = catalog.random_minimal_povms(d, seeds)
             duals[0] = eigenvalue * np.eye(2)
             return deq, duals
 
-        monkeypatch.setattr(verification, "_random_minimal_povms", povms)
+        monkeypatch.setattr(verification, "random_minimal_povms", povms)
         result = check_povm_dual_negativity(seeds=100)
         assert result.passed is passed
         assert result.details["counterexamples"] == (0 if passed else 1)
@@ -568,11 +568,11 @@ class TestCheckGates:
     def test_povm_conclusive_floor(self, monkeypatch, inconclusive, passed):
         # Zero quantizers are inconclusive; 990 of 1000 seeds must be conclusive.
         def povms(d, seeds):
-            deq, duals = catalog._random_minimal_povms(d, seeds)
+            deq, duals = catalog.random_minimal_povms(d, seeds)
             duals[:inconclusive] = 0
             return deq, duals
 
-        monkeypatch.setattr(verification, "_random_minimal_povms", povms)
+        monkeypatch.setattr(verification, "random_minimal_povms", povms)
         result = check_povm_dual_negativity()
         assert result.passed is passed
         assert result.details["conclusive"] == 1000 - inconclusive
