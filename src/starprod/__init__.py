@@ -23,7 +23,6 @@ from .errors import (
     NotSquareLengthError,
     NotTomographicError,
     NotUnitaryError,
-    SamplerFailureError,
     ScaleOutOfRangeError,
     SchemeParseError,
     StarProdError,

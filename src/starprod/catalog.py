@@ -21,20 +21,12 @@ from .errors import (
     InvalidParameterError,
     NotPrimeError,
     NotSICError,
-    SamplerFailureError,
     StarProdError,
     UnknownSchemeError,
 )
 from . import matrixcore
-from .matrixcore import rank_from_singular_values
 from .operator_space import PAULI_X, PAULI_Y, PAULI_Z
-from .scheme import (
-    Scheme,
-    _dual_family,
-    _row_stacking_svd,
-    dequantization_matrix,
-    quantization_matrix,
-)
+from .scheme import Scheme, canonical_duals, dequantization_matrix, quantization_matrix
 from .serialization import load_vector
 from .star_product import symbol
 
@@ -195,23 +187,17 @@ def mub_prime_scheme(p: int) -> Scheme:
     return Scheme(dequantizers=_projectors(vectors), name=f"mub-prime-{p}")
 
 
-_MAX_ATTEMPTS = 100  # draws per seed before the sampler gives up
-
-
 def random_minimal_povms(d: int, seeds: Iterable[int]) -> tuple[np.ndarray, np.ndarray]:
     """Seeded random minimal tomographic POVMs, one per seed, and their
     canonical duals, as two (S, d^2, d, d) stacks: d^2 Wishart effects per
     seed, symmetrically normalized so they sum to the identity exactly.
 
-    Each seed's draws are ``default_rng(seed)``'s stream, bit for bit, so a
-    seed's POVM does not depend on the other seeds; the streams' initial
-    states are computed for all seeds at once, and no generator is kept
-    between draws.  A seed whose dequantization matrix lacks full rank draws
-    again from its own stream; SamplerFailureError names the first seed
-    still rank-deficient after ``_MAX_ATTEMPTS`` draws.  A seed that is not
-    an integer raises InvalidParameterError before any draw.  One thin SVD
-    per draw gives both the rank test and the duals, which equal
-    ``canonical_duals`` of the dequantizers bit for bit.
+    Each seed's POVM is one draw from ``default_rng(seed)``'s stream, bit for
+    bit, so it does not depend on the other seeds; the streams' initial
+    states are computed for all seeds at once.  The duals are
+    ``canonical_duals`` of the dequantizers, which raises NotTomographicError
+    if a draw does not span the operator space.  A seed that is not a
+    non-negative integer raises InvalidParameterError before any draw.
     """
     if d < 1:
         raise InvalidParameterError(f"dimension must be positive, got {d}")
@@ -221,30 +207,10 @@ def random_minimal_povms(d: int, seeds: Iterable[int]) -> tuple[np.ndarray, np.n
             indexed.append(operator.index(seed))
         except TypeError:
             raise InvalidParameterError(f"seeds must be integers, got {seed!r}") from None
-    seeds = indexed
-    if min(seeds, default=0) < 0:
-        raise InvalidParameterError(f"seeds must be non-negative, got {min(seeds)}")
-    n = d * d
-    states = _seed_states(seeds)
-    deq = np.empty((len(seeds), n, d, d), dtype=complex)
-    duals = np.empty_like(deq)
-    pending = np.arange(len(seeds))
-    for attempt in range(_MAX_ATTEMPTS):
-        if not pending.size:
-            break
-        # Rows whose draw lacks full rank are overwritten by the next draw.
-        deq[pending] = _povm_draw([states[index] for index in pending], attempt, n, d)
-        w, sv, vh = _row_stacking_svd(deq[pending])[1]
-        full = rank_from_singular_values(sv) == n
-        if not full.all():
-            w, sv, vh = w[full], sv[full], vh[full]
-        duals[pending[full]] = _dual_family(w, sv, vh)
-        pending = pending[~full]
-    if pending.size:
-        raise SamplerFailureError(
-            f"no full-rank POVM found in {_MAX_ATTEMPTS} attempts (d={d}, seed={seeds[pending[0]]})"
-        )
-    return deq, duals
+    if min(indexed, default=0) < 0:
+        raise InvalidParameterError(f"seeds must be non-negative, got {min(indexed)}")
+    deq = _povm_draw(_seed_states(indexed), d * d, d)
+    return deq, canonical_duals(deq)
 
 
 # numpy's SeedSequence hash and PCG64 multiplier (numpy/random/bit_generator.pyx,
@@ -303,24 +269,17 @@ def _seed_states(seeds: list[int]) -> list[dict]:
     return states
 
 
-def _povm_draw(states: list[dict], attempt: int, n: int, d: int) -> np.ndarray:
-    """Draw number ``attempt`` (0 first) of one candidate POVM of n effects
-    per seed, as an (S, n, d, d) stack; ``states`` are the seeds' initial
-    ``default_rng`` states from ``_seed_states``.
-
-    One generator is set to each seed's state in turn.  A redraw replays the
-    seed's ``attempt`` earlier normal blocks from that state, so no stream is
-    kept between draws.  The draw's temporaries are freed on return, before
-    the caller's SVD; the normals go as soon as they are combined, which
-    lowers the sampler's peak.
+def _povm_draw(states: list[dict], n: int, d: int) -> np.ndarray:
+    """One random POVM of n effects per seed, as an (S, n, d, d) stack;
+    ``states`` are the seeds' initial ``default_rng`` states from
+    ``_seed_states``, which one generator is set to in turn.  The normals
+    are freed as soon as they are combined, which lowers the sampler's peak.
     """
     bit_generator = np.random.PCG64()
     rng = np.random.Generator(bit_generator)
     normals = np.empty((len(states), 2, n, d, d))
     for row, state in enumerate(states):
         bit_generator.state = state
-        if attempt:
-            rng.standard_normal(attempt * normals[row].size)
         rng.standard_normal(out=normals[row])
     g = (normals[:, 0] + 1j * normals[:, 1]) / SQRT2
     del normals
@@ -334,8 +293,6 @@ def _povm_draw(states: list[dict], attempt: int, n: int, d: int) -> np.ndarray:
 def random_minimal_povm_scheme(d: int, seed: int) -> Scheme:
     """Seeded random minimal tomographic POVM: the one-seed case of
     ``random_minimal_povms``, named by the seed's integer value.
-
-    Raises SamplerFailureError after ``_MAX_ATTEMPTS`` rank-deficient draws.
     """
     deq = random_minimal_povms(d, [seed])[0][0]
     return Scheme(dequantizers=deq, name=f"random-povm-d{d}-seed{operator.index(seed)}")

@@ -3,7 +3,7 @@
 Every error is a ``StarProdError``.  Those that mean the caller handed in a
 bad file, name, parameter or shape derive from ``MalformedInputError``; the
 rest mean the input was well formed but a precondition of the operation
-failed (a rank, a cardinality, a unitarity, a retry budget).  The ``starprod``
+failed (a rank, a cardinality, a unitarity).  The ``starprod``
 command exits 2 for the first kind and 1 for the second.
 """
 
@@ -75,7 +75,3 @@ class NotUnitaryError(StarProdError, ValueError):
 
 class NotSICError(StarProdError, ValueError):
     """A fiducial orbit fails the symmetric overlap condition."""
-
-
-class SamplerFailureError(StarProdError, RuntimeError):
-    """A randomized constructor exhausted its retry budget."""

@@ -32,7 +32,7 @@ def vectorize(z) -> np.ndarray:
     z = np.asarray(z, dtype=complex)
     if z.ndim < 2 or z.shape[-1] != z.shape[-2]:
         raise DimensionMismatchError(f"expected a square operator or a stack of them, got shape {z.shape}")
-    return z.reshape(*z.shape[:-2], -1).copy()
+    return z.reshape(*z.shape[:-2], z.shape[-1] ** 2).copy()
 
 
 def devectorize(v) -> np.ndarray:

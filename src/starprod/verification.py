@@ -255,9 +255,9 @@ def check_self_duality_unitarity() -> CheckResult:
 def check_povm_dual_negativity(seeds: int = 1000) -> CheckResult:
     """Random minimal qubit POVM schemes always have a negative dual eigenvalue.
 
-    Seeds 0 .. seeds-1 are sampled as one stack; ``seeds`` must be at least 1.
-    The sampler's rank test and the canonical duals come from one thin SVD
-    per draw, through the same private helpers as ``canonical_duals``.
+    Seeds 0 .. seeds-1 are sampled as one stack, one draw per seed, and the
+    sampler's duals are ``canonical_duals`` of that stack, one thin SVD per
+    POVM; ``seeds`` must be at least 1.
     """
     if seeds < 1:
         raise InvalidParameterError(f"seeds must be at least 1, got {seeds}")

@@ -9,7 +9,6 @@ from starprod import (
     InvalidParameterError,
     NotPrimeError,
     NotSICError,
-    SamplerFailureError,
     UnknownSchemeError,
     catalog,
     classify,

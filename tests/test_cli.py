@@ -577,7 +577,6 @@ _EXIT_1_ERRORS = {
     "NonHermitianMemberError",
     "NotUnitaryError",
     "NotSICError",
-    "SamplerFailureError",
 }
 
 

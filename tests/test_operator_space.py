@@ -67,6 +67,9 @@ class TestVectorize:
         with pytest.raises(DimensionMismatchError):
             vectorize(np.zeros(shape))
 
+    def test_empty_stack(self):
+        assert vectorize(np.zeros((0, 2, 2))).shape == (0, 4)
+
     @pytest.mark.parametrize("basis", [ROW_STACKING, PAULI])
     def test_stack_matches_per_operator(self, rng, basis):
         to_vector, to_operator = basis

@@ -214,6 +214,9 @@ class TestCanonicalDuals:
         with pytest.raises(DimensionMismatchError):
             canonical_duals(np.zeros((4, 2, 3)))
 
+    def test_empty_stack(self):
+        assert canonical_duals(np.zeros((0, 4, 2, 2))).shape == (0, 4, 2, 2)
+
 
 class TestDualAccuracy:
     """The SVD dual loses accuracy in proportion to kappa, not kappa squared

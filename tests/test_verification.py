@@ -10,7 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from starprod import InvalidParameterError, SamplerFailureError, catalog, matrixcore, verification
+from starprod import InvalidParameterError, NotTomographicError, catalog, matrixcore, verification
+from starprod.cli import main
 from starprod.catalog import (
     pauli_scheme,
     random_minimal_povm_scheme,
@@ -22,7 +23,6 @@ from starprod.scheme import (
     canonical_duals,
     canonical_quantizers,
     classify,
-    dequantization_matrix,
     self_dual_coefficient,
     with_canonical_quantizers,
 )
@@ -33,7 +33,7 @@ from starprod.verification import (
     haar_unitaries,
     run_battery,
 )
-from starprod.operator_space import devectorize
+from starprod.operator_space import devectorize, vectorize
 
 from _helpers import self_dual_reference
 
@@ -128,35 +128,20 @@ class TestSelfDualityUnitarity:
         assert {k: result.details[k] for k in unchanged} == {k: before[k] for k in unchanged}
 
 
-def _default_rng_sampler(d: int, seeds) -> tuple[np.ndarray, int]:
-    """The sampler with one np.random.default_rng(seed) per seed, kept across
-    its draws, and the number of draws taken: an oracle for the streams that
-    does not go through catalog._seed_states or the redraw replay."""
-    n, families, draws = d * d, [], 0
-    for seed in seeds:
-        rng = np.random.default_rng(seed)
-        while True:
-            draws += 1
-            family = catalog._povm_draw([rng.bit_generator.state], 0, n, d)[0]
-            rng.standard_normal((2, n, d, d))  # the normals that draw used
-            if matrixcore.rank(dequantization_matrix(Scheme(dequantizers=family))) == n:
-                break
-        families.append(family)
-    return np.stack(families), draws
+def _default_rng_sampler(d: int, seeds) -> np.ndarray:
+    """The sampler with one np.random.default_rng(seed) per seed, one draw
+    each: an oracle for the streams that does not go through
+    catalog._seed_states."""
+    n = d * d
+    states = [np.random.default_rng(seed).bit_generator.state for seed in seeds]
+    return np.stack([catalog._povm_draw([state], n, d)[0] for state in states])
 
 
 class TestStackedSampler:
-    # At the default RANK_TOL every first draw has full rank; the larger
-    # tolerances reject a share of them, so those seeds draw again.
-    @pytest.mark.parametrize(
-        "d, rank_tol", [(1, None), (2, None), (3, None), (4, None), (2, 0.05), (3, 0.01)]
-    )
-    def test_matches_one_default_rng_per_seed(self, monkeypatch, d, rank_tol):
-        if rank_tol is not None:
-            monkeypatch.setattr(matrixcore, "RANK_TOL", rank_tol)
-        expected, draws = _default_rng_sampler(d, range(40))
-        assert (draws > 40) is (rank_tol is not None)
-        stacks = []  # the sampler takes one SVD of its pending seeds per draw
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_matches_one_default_rng_per_seed(self, monkeypatch, d):
+        expected = _default_rng_sampler(d, range(40))
+        stacks = []  # the duals take one SVD of the whole stack
         svd = np.linalg.svd
 
         def counted(a, *args, **kwargs):
@@ -165,7 +150,15 @@ class TestStackedSampler:
 
         monkeypatch.setattr(np.linalg, "svd", counted)
         assert np.array_equal(random_minimal_povms(d, range(40))[0], expected)
-        assert sum(stacks) == draws
+        assert stacks == [40]
+
+    # The sampler draws once per seed, so it rests on every first draw
+    # spanning the operator space with a wide margin over RANK_TOL.
+    @pytest.mark.parametrize("d, seeds", [(2, 1000), (3, 200), (4, 200)])
+    def test_first_draws_are_well_conditioned(self, d, seeds):
+        deq = random_minimal_povms(d, range(seeds))[0]
+        sv = matrixcore.singular_values(vectorize(deq).swapaxes(-1, -2))
+        assert (sv[:, -1] / sv[:, 0]).min() >= 100 * matrixcore.RANK_TOL
 
     @pytest.mark.parametrize(
         "seeds",
@@ -188,26 +181,15 @@ class TestStackedSampler:
         assert check_povm_dual_negativity(seeds=100).passed
         assert calls == []
 
-    # Rank tolerances that reject a share of first draws, so some seeds
-    # draw again from their own streams.
-    @pytest.mark.parametrize("d, rank_tol", [(2, 0.05), (3, 0.01)])
-    def test_matches_single_seed_sampler(self, monkeypatch, d, rank_tol):
-        monkeypatch.setattr(matrixcore, "RANK_TOL", rank_tol)
-        with monkeypatch.context() as patch:
-            patch.setattr(catalog, "_MAX_ATTEMPTS", 1)
-            with pytest.raises(SamplerFailureError):
-                random_minimal_povms(d, range(40))
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_matches_single_seed_sampler(self, d):
         stacked = random_minimal_povms(d, range(40))[0]
         assert stacked.shape == (40, d * d, d, d)
         for seed, family in enumerate(stacked):
             assert np.array_equal(family, random_minimal_povm_scheme(d, seed).dequantizers)
 
-    # The duals come from the SVD of the draw that passed the rank test, so
-    # they match canonical_duals whether or not a seed drew again.
-    @pytest.mark.parametrize("d, rank_tol", [(2, 0.05), (3, 0.01), (2, None), (3, None)])
-    def test_duals_are_the_canonical_duals(self, monkeypatch, d, rank_tol):
-        if rank_tol is not None:
-            monkeypatch.setattr(matrixcore, "RANK_TOL", rank_tol)
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_duals_are_the_canonical_duals(self, d):
         dequantizers, duals = random_minimal_povms(d, range(40))
         assert np.array_equal(dequantizers, random_minimal_povms(d, range(40))[0])
         assert np.array_equal(duals, canonical_duals(dequantizers))
@@ -224,18 +206,24 @@ class TestStackedSampler:
         assert check_povm_dual_negativity(seeds=100).passed
         assert calls == [(100, 4, 4)]
 
-    def test_failure_names_first_rank_deficient_seed(self, monkeypatch):
-        monkeypatch.setattr(catalog, "_MAX_ATTEMPTS", 1)
+    # A rank tolerance that rejects a share of draws: canonical_duals refuses
+    # the stack, and emit exits 1 with one error line for a failing seed.
+    def test_rank_deficient_draw_is_not_tomographic(self, monkeypatch, tmp_path, capsys):
         monkeypatch.setattr(matrixcore, "RANK_TOL", 0.05)
+        with pytest.raises(NotTomographicError):
+            random_minimal_povms(2, range(20))
         failing = []
         for seed in range(20):
             try:
                 random_minimal_povm_scheme(2, seed)
-            except SamplerFailureError:
+            except NotTomographicError:
                 failing.append(seed)
         assert failing
-        with pytest.raises(SamplerFailureError, match=rf"seed={failing[0]}\)"):
-            random_minimal_povms(2, range(20))
+        out = tmp_path / "r.json"
+        assert main(["emit", "random-povm", "--d", "2", "--seed", str(failing[0]), "-o", str(out)]) == 1
+        out_text, err = capsys.readouterr()
+        assert out_text == "" and err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
 
 
 class TestHaarUnitaries:
