@@ -13,14 +13,9 @@ from .errors import (
     DimensionMismatchError,
     InvalidGaugeError,
     InvalidParameterError,
-    LengthMismatchError,
     MalformedInputError,
     NonHermitianMemberError,
-    NotOverfilledError,
-    NotPrimeError,
     NotSICError,
-    NotSquareError,
-    NotSquareLengthError,
     NotTomographicError,
     NotUnitaryError,
     ScaleOutOfRangeError,

@@ -19,7 +19,6 @@ import numpy as np
 
 from .errors import (
     InvalidParameterError,
-    NotPrimeError,
     NotSICError,
     StarProdError,
     UnknownSchemeError,
@@ -177,7 +176,7 @@ def mub_prime_scheme(p: int) -> Scheme:
     if p > 1 and 16 * p**3 * (p + 1) > np.iinfo(np.intp).max:
         raise InvalidParameterError(f"mub-prime: array is too big for p={p}")
     if not _is_prime(p):
-        raise NotPrimeError(f"{p} is not prime")
+        raise InvalidParameterError(f"{p} is not prime")
     if p == 2:
         return Scheme(dequantizers=mub_qubit_scheme().dequantizers, name="mub-prime-2")
     omega = np.exp(2j * np.pi / p)

@@ -30,39 +30,23 @@ class UnknownSchemeError(MalformedInputError):
 
 
 class InvalidParameterError(MalformedInputError):
-    """A constructor got a parameter outside its supported range."""
-
-
-class NotPrimeError(InvalidParameterError):
-    """The requested dimension is not a prime number."""
+    """A constructor got a parameter outside its supported range, such as a
+    dimension that is not prime where a prime is required."""
 
 
 class DimensionMismatchError(MalformedInputError):
-    """Operands have incompatible shapes or dimensions."""
-
-
-class LengthMismatchError(MalformedInputError):
-    """Vector lengths disagree with the object they are paired with."""
-
-
-class NotSquareLengthError(MalformedInputError):
-    """A vector length is not a perfect square, so it cannot become a square matrix."""
-
-
-class NotSquareError(MalformedInputError):
-    """A matrix required to be square is rectangular."""
+    """Operands have incompatible shapes or dimensions: a vector length that
+    disagrees with the object it is paired with or is not a positive perfect
+    square, or a rectangular matrix where a square one is required."""
 
 
 class NotTomographicError(StarProdError, ValueError):
     """The dequantizer set does not span the operator space (rank below d^2)."""
 
 
-class NotOverfilledError(StarProdError, ValueError):
-    """The operation needs more points than operator-space dimensions (N > d^2)."""
-
-
 class InvalidGaugeError(StarProdError, ValueError):
-    """A quantizer shift does not annihilate the dequantization matrix."""
+    """A quantizer shift does not annihilate the dequantization matrix, or the
+    scheme is not overfilled (N <= d^2) and so admits no shift at all."""
 
 
 class NonHermitianMemberError(StarProdError, ValueError):

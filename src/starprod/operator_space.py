@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .errors import DimensionMismatchError, NotSquareLengthError
+from .errors import DimensionMismatchError
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -39,14 +39,14 @@ def devectorize(v) -> np.ndarray:
     """d x d operator whose row stacking is the d^2-vector v.
 
     Accepts a stack of vectors (..., d^2) and returns the stack of operators
-    (..., d, d).  Raises NotSquareLengthError unless the length is a positive
+    (..., d, d).  Raises DimensionMismatchError unless the length is a positive
     perfect square.
     """
     v = np.atleast_1d(np.asarray(v, dtype=complex))
     length = v.shape[-1]
     d = math.isqrt(length)
     if d * d != length:
-        raise NotSquareLengthError(f"vector length {length} is not a perfect square")
+        raise DimensionMismatchError(f"vector length {length} is not a perfect square")
     if d == 0:
-        raise NotSquareLengthError("vector length 0 holds no operator")
+        raise DimensionMismatchError("vector length 0 holds no operator")
     return v.reshape(*v.shape[:-1], d, d)

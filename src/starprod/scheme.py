@@ -22,7 +22,6 @@ from .errors import (
     DimensionMismatchError,
     InvalidGaugeError,
     NonHermitianMemberError,
-    NotOverfilledError,
     NotTomographicError,
 )
 from . import matrixcore
@@ -129,8 +128,8 @@ def scheme_from_dequantization_matrix(mat) -> Scheme:
     """Scheme whose dequantizers are the columns of the d^2 x N matrix ``mat``,
     each read in row stacking.
 
-    Raises DimensionMismatchError unless ``mat`` is two-dimensional and
-    NotSquareLengthError unless its row count is a positive perfect square.
+    Raises DimensionMismatchError unless ``mat`` is two-dimensional and its
+    row count is a positive perfect square.
     """
     mat = np.asarray(mat, dtype=complex)
     if mat.ndim != 2:
@@ -214,7 +213,7 @@ def gauge_quantizers(s: Scheme, g_mat) -> np.ndarray:
     overfilled schemes admit a nonzero kernel.
     """
     if s.n_points <= s.d * s.d:
-        raise NotOverfilledError(
+        raise InvalidGaugeError(
             f"N = {s.n_points} <= d^2 = {s.d * s.d}: minimal schemes admit no gauge freedom"
         )
     u_mat = dequantization_matrix(s)

@@ -14,12 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatchError,
-    LengthMismatchError,
-    NotSquareError,
-    NotUnitaryError,
-)
+from .errors import DimensionMismatchError, NotUnitaryError
 from . import matrixcore
 from .matrixcore import finite, scale_error
 from .scheme import Scheme, with_canonical_quantizers
@@ -50,7 +45,7 @@ def reconstruct(s: Scheme, f) -> np.ndarray:
     qs = with_canonical_quantizers(s).quantizers
     f = np.atleast_1d(np.asarray(f, dtype=complex))
     if f.shape[-1] != s.n_points:
-        raise LengthMismatchError(
+        raise DimensionMismatchError(
             f"symbol length {f.shape[-1]} does not match scheme size N={s.n_points}"
         )
     return finite("the reconstructed operator overflows", lambda: np.tensordot(f, qs, axes=(-1, 0)))
@@ -95,7 +90,7 @@ def star_multiply(kernel: StarKernel, f_a, f_b) -> np.ndarray:
     f_b = np.atleast_1d(np.asarray(f_b, dtype=complex))
     n = kernel.n_points
     if f_a.shape[-1] != n or f_b.shape[-1] != n:
-        raise LengthMismatchError(
+        raise DimensionMismatchError(
             f"symbol lengths ({f_a.shape[-1]}, {f_b.shape[-1]}) do not match kernel size N={n}"
         )
     return np.einsum("kab,...a,...b->...k", kernel.values, f_a, f_b)
@@ -156,14 +151,14 @@ def cubic_unitary_residual(u) -> float | np.ndarray:
     """Max-abs entry of u - (u u*) u^tr; zero for every unitary u.
 
     A stack of matrices (..., n, n) gives an array of per-matrix residuals;
-    NotSquareError is raised for rectangular matrices and NotUnitaryError if
-    any member is not unitary within ``RESIDUAL_TOL``.
+    DimensionMismatchError is raised for rectangular matrices and
+    NotUnitaryError if any member is not unitary within ``RESIDUAL_TOL``.
     """
     u = np.asarray(u, dtype=complex)
     if u.ndim < 2:
         raise DimensionMismatchError(f"expected a matrix or a stack of matrices, got ndim={u.ndim}")
     if u.shape[-1] != u.shape[-2]:
-        raise NotSquareError(f"expected a square matrix, got shape {u.shape}")
+        raise DimensionMismatchError(f"expected a square matrix, got shape {u.shape}")
     u_tr = u.swapaxes(-1, -2)
     unitarity = float(np.abs(u_tr.conj() @ u - np.eye(u.shape[-1])).max())
     if unitarity > matrixcore.RESIDUAL_TOL:

@@ -7,7 +7,6 @@ import pytest
 
 from starprod import (
     InvalidParameterError,
-    NotPrimeError,
     NotSICError,
     UnknownSchemeError,
     catalog,
@@ -271,9 +270,9 @@ class TestMubPrime:
         assert count == 54
 
     def test_rejects_non_prime(self):
-        with pytest.raises(NotPrimeError):
+        with pytest.raises(InvalidParameterError, match=re.escape("4 is not prime")):
             mub_prime_scheme(4)
-        with pytest.raises(NotPrimeError):
+        with pytest.raises(InvalidParameterError, match=re.escape("1 is not prime")):
             mub_prime_scheme(1)
 
     def test_non_prime_is_an_invalid_parameter(self):

@@ -24,17 +24,20 @@ from starprod.catalog import (
     build_scheme,
     entries,
     matrix_units_scheme,
+    mub_prime_scheme,
     mub_qubit_scheme,
     pauli_scheme,
     sic_qubit_scheme,
 )
+from starprod.operator_space import devectorize
 from starprod.scheme import (
     Scheme,
     dequantization_matrix,
+    gauge_quantizers,
     scheme_from_dequantization_matrix,
     with_canonical_quantizers,
 )
-from starprod.star_product import star_kernel
+from starprod.star_product import cubic_unitary_residual, reconstruct, star_kernel, star_multiply
 
 from _helpers import conditioned_frame, random_complex
 
@@ -563,16 +566,11 @@ _EXIT_2_ERRORS = {
     "ScaleOutOfRangeError",
     "UnknownSchemeError",
     "InvalidParameterError",
-    "NotPrimeError",
     "DimensionMismatchError",
-    "LengthMismatchError",
-    "NotSquareLengthError",
-    "NotSquareError",
 }
 _EXIT_1_ERRORS = {
     "StarProdError",
     "NotTomographicError",
-    "NotOverfilledError",
     "InvalidGaugeError",
     "NonHermitianMemberError",
     "NotUnitaryError",
@@ -608,6 +606,56 @@ class TestExitCodes:
     def test_main_exits_with_the_class_code(self, monkeypatch, tmp_path, capsys, name, code):
         message = f"{name} raised by the scheme builder"
         assert self._main_raising(monkeypatch, tmp_path, getattr(errors, name)(message)) == code
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    # Raise sites that share a class with other errors of their kind: each is
+    # raised for real, then main must print its message and exit with the code
+    # of its kind (2 for a bad shape or parameter, 1 for a gauge the scheme
+    # cannot take).
+    @pytest.mark.parametrize(
+        "raise_it, message, code",
+        [
+            (lambda: mub_prime_scheme(4), "4 is not prime", 2),
+            (
+                lambda: reconstruct(matrix_units_scheme(2), np.zeros(3)),
+                "symbol length 3 does not match scheme size N=4",
+                2,
+            ),
+            (
+                lambda: star_multiply(star_kernel(matrix_units_scheme(2)), np.zeros(3), np.zeros(4)),
+                "symbol lengths (3, 4) do not match kernel size N=4",
+                2,
+            ),
+            (lambda: devectorize(np.ones(5)), "vector length 5 is not a perfect square", 2),
+            (lambda: devectorize(np.ones(0)), "vector length 0 holds no operator", 2),
+            (
+                lambda: cubic_unitary_residual(np.ones((2, 3))),
+                "expected a square matrix, got shape (2, 3)",
+                2,
+            ),
+            (
+                lambda: gauge_quantizers(matrix_units_scheme(2), np.zeros((4, 4))),
+                "N = 4 <= d^2 = 4: minimal schemes admit no gauge freedom",
+                1,
+            ),
+        ],
+        ids=[
+            "not-prime",
+            "symbol-length",
+            "kernel-symbol-lengths",
+            "not-square-length",
+            "zero-length",
+            "rectangular-matrix",
+            "minimal-gauge",
+        ],
+    )
+    def test_library_raise_site_exits_with_its_kind_code(
+        self, monkeypatch, tmp_path, capsys, raise_it, message, code
+    ):
+        with pytest.raises(errors.StarProdError) as info:
+            raise_it()
+        assert str(info.value) == message
+        assert self._main_raising(monkeypatch, tmp_path, info.value) == code
         assert capsys.readouterr() == ("", f"error: {message}\n")
 
     @pytest.mark.parametrize(

@@ -6,21 +6,17 @@ from pathlib import Path
 import pytest
 
 import starprod
+from starprod import errors
 
 PUBLIC_NAMES = [
     "DimensionMismatchError",
     "IntertwinerPair",
     "InvalidGaugeError",
     "InvalidParameterError",
-    "LengthMismatchError",
     "MalformedInputError",
     "NegativityReport",
     "NonHermitianMemberError",
-    "NotOverfilledError",
-    "NotPrimeError",
     "NotSICError",
-    "NotSquareError",
-    "NotSquareLengthError",
     "NotTomographicError",
     "NotUnitaryError",
     "PAULI_X",
@@ -73,7 +69,9 @@ PUBLIC_NAMES = [
 # the clock and shift matrices, which displacement_orbit folds in; the
 # random-POVM sampler's wrapper and private twin, now one public function;
 # and its redraws (their budget, their error, the draw's attempt number),
-# now that it draws once per seed.  "function.parameter" names a parameter.
+# now that it draws once per seed; and the error subclasses no code caught,
+# folded into the kept class of their exit code.  "function.parameter" names
+# a parameter.
 REMOVED = {
     "catalog": [
         "clock_matrix",
@@ -102,7 +100,17 @@ REMOVED = {
         "validate_orthonormal_basis",
     ],
     "matrixcore": ["hermiticity_residual", "hermitian_eig", "_require_square", "as_matrix"],
-    "errors": ["NonHermitianError", "WrongCountError", "MissingQuantizersError", "SamplerFailureError"],
+    "errors": [
+        "NonHermitianError",
+        "WrongCountError",
+        "MissingQuantizersError",
+        "SamplerFailureError",
+        "LengthMismatchError",
+        "NotSquareLengthError",
+        "NotSquareError",
+        "NotPrimeError",
+        "NotOverfilledError",
+    ],
 }
 
 
@@ -147,3 +155,25 @@ def test_no_other_private_name_crosses_a_module_boundary():
                 if alias.name.startswith("_") and not alias.name.endswith("__"):
                     crossings.add((path.stem, module.rpartition(".")[2], alias.name))
     assert crossings == SHARED_PRIVATE
+
+
+def test_every_error_class_is_raised():
+    # Names in each raise, and in what a function named there returns, so
+    # that raise scale_error(...) counts for ScaleOutOfRangeError.
+    raised, returned = set(), {}
+    for path in sorted(Path(starprod.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                raised |= {n.id for n in ast.walk(node.exc) if isinstance(n, ast.Name)}
+            elif isinstance(node, ast.FunctionDef):
+                returned[node.name] = {
+                    n.id
+                    for r in ast.walk(node)
+                    if isinstance(r, ast.Return) and r.value is not None
+                    for n in ast.walk(r.value)
+                    if isinstance(n, ast.Name)
+                }
+    for name in list(raised):
+        raised |= returned.get(name, set())
+    classes = {name for name, value in vars(errors).items() if isinstance(value, type)}
+    assert classes - {"StarProdError", "MalformedInputError"} - raised == set()
