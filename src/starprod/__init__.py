@@ -14,7 +14,6 @@ from .errors import (
     InvalidGaugeError,
     InvalidParameterError,
     MalformedInputError,
-    NonHermitianMemberError,
     NotSICError,
     NotTomographicError,
     NotUnitaryError,

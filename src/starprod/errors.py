@@ -49,10 +49,6 @@ class InvalidGaugeError(StarProdError, ValueError):
     scheme is not overfilled (N <= d^2) and so admits no shift at all."""
 
 
-class NonHermitianMemberError(StarProdError, ValueError):
-    """A scheme member required to be Hermitian is not; the message names its index."""
-
-
 class NotUnitaryError(StarProdError, ValueError):
     """A matrix required to be unitary is not, within tolerance."""
 

@@ -21,7 +21,6 @@ import numpy as np
 from .errors import (
     DimensionMismatchError,
     InvalidGaugeError,
-    NonHermitianMemberError,
     NotTomographicError,
 )
 from . import matrixcore
@@ -100,7 +99,9 @@ class SchemeReport:
 
     ``matrix_unit_like`` only applies to square (N = d^2) dequantization
     matrices and is None otherwise; ``negativity`` is None when a family
-    member is not Hermitian.
+    member is not Hermitian.  Every minimum eigenvalue is that of the
+    members' Hermitian parts, so ``povm.min_effect_eigenvalue`` equals
+    ``negativity.min_dequantizer_eigenvalue`` whenever the latter is reported.
     """
 
     cardinality: Cardinality
@@ -292,21 +293,26 @@ def scaled_unitary_check(u_mat) -> float | None:
     return c
 
 
-def _member_hermiticity(family: np.ndarray) -> np.ndarray:
-    return np.abs(family - family.conj().transpose(0, 2, 1)).reshape(family.shape[0], -1).max(axis=1)
+def _hermiticity_and_lowest_eigenvalues(family: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per member U of an (N, d, d) family: max|U - U^dag| and the lowest
+    eigenvalue of its Hermitian part (U + U^dag) / 2."""
+    adjoint = family.conj().transpose(0, 2, 1)
+    residuals = np.abs(family - adjoint).reshape(family.shape[0], -1).max(axis=1)
+    return residuals, np.linalg.eigvalsh((family + adjoint) / 2)[:, 0]
 
 
 def povm_check(s: Scheme) -> PovmDiagnostics:
     """POVM diagnostics of the dequantizer family.
 
-    Minimum effect eigenvalue is taken over the Hermitian parts, which is
-    exact whenever the hermiticity residual passes.
+    The minimum effect eigenvalue is that of the members' Hermitian parts, as
+    in ``negativity_report``; it is exact whenever the hermiticity residual
+    passes.
     """
     deq = s.dequantizers
     sum_residual = float(np.abs(deq.sum(axis=0) - np.eye(s.d)).max())
-    herm_residual = float(_member_hermiticity(deq).max())
-    herm_parts = (deq + deq.conj().transpose(0, 2, 1)) / 2
-    min_eig = float(np.linalg.eigvalsh(herm_parts)[:, 0].min())
+    residuals, lowest = _hermiticity_and_lowest_eigenvalues(deq)
+    herm_residual = float(residuals.max())
+    min_eig = float(lowest.min())
     is_povm = (
         sum_residual <= matrixcore.RESIDUAL_TOL
         and herm_residual <= matrixcore.RESIDUAL_TOL
@@ -320,32 +326,24 @@ def povm_check(s: Scheme) -> PovmDiagnostics:
     )
 
 
-def negativity_report(s: Scheme) -> NegativityReport:
-    """Minimum eigenvalue across the dequantizer and (if present) quantizer families.
+def negativity_report(s: Scheme) -> NegativityReport | None:
+    """Minimum eigenvalue across the dequantizer and (if present) quantizer
+    families, taken over the members' Hermitian parts as in ``povm_check``.
 
-    Every member must be Hermitian within tolerance, relative to the largest
-    entry of its family; a non-Hermitian member raises NonHermitianMemberError
-    naming its 0-based position.
+    None when a member is not Hermitian within tolerance, relative to the
+    largest entry of its family.
     """
-    families = [("dequantizer", s.dequantizers)]
-    if s.quantizers is not None:
-        families.append(("quantizer", s.quantizers))
-    minima: dict[str, float] = {}
-    for label, family in families:
-        residuals = _member_hermiticity(family)
-        worst = int(np.argmax(residuals))
+    minima = []
+    for family in (s.dequantizers, s.quantizers):
+        if family is None:
+            minima.append(None)
+            continue
+        residuals, lowest = _hermiticity_and_lowest_eigenvalues(family)
         # Multiplied, not divided, so an all-zero family passes without 0 / 0.
-        scale = float(np.abs(family).max())
-        if residuals[worst] > matrixcore.RESIDUAL_TOL * scale:
-            raise NonHermitianMemberError(
-                f"{label} {worst} is not Hermitian "
-                f"(relative residual {residuals[worst] / scale:.3e})"
-            )
-        minima[label] = float(np.linalg.eigvalsh(family)[:, 0].min())
-    return NegativityReport(
-        min_dequantizer_eigenvalue=minima["dequantizer"],
-        min_quantizer_eigenvalue=minima.get("quantizer"),
-    )
+        if residuals.max() > matrixcore.RESIDUAL_TOL * np.abs(family).max():
+            return None
+        minima.append(float(lowest.min()))
+    return NegativityReport(*minima)
 
 
 def matrix_unit_like_detect(s: Scheme) -> np.ndarray | None:
@@ -420,10 +418,6 @@ def classify(s: Scheme) -> SchemeReport:
     self_dual = (
         self_dual_coefficient(diagnostic) if diagnostic.quantizers is not None else None
     )
-    try:
-        negativity = negativity_report(diagnostic)
-    except NonHermitianMemberError:
-        negativity = None
     return SchemeReport(
         cardinality=cardinality,
         tomographic=tomographic,
@@ -432,6 +426,6 @@ def classify(s: Scheme) -> SchemeReport:
         self_dual_coefficient=self_dual,
         scaled_unitary=scaled_unitary_check(u_mat),
         povm=povm_check(s),
-        negativity=negativity,
+        negativity=negativity_report(diagnostic),
         matrix_unit_like=matrix_unit_like_detect(s),
     )

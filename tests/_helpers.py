@@ -46,9 +46,14 @@ def self_dual_reference(dequantizers, quantizers, residual_tol=1e-10):
     return c
 
 
-def reference_kernel_text(d, values, assoc_residual=None):
-    """Kernel-file text as written slice by slice with ``json.dumps`` over the
-    nested [re, im] lists, one float ``repr`` per entry."""
+def reference_kernel_texts(d, values, assoc_residuals):
+    """Kernel-file text for each associativity residual (None for none), as
+    written slice by slice with ``json.dumps`` over the nested [re, im] lists,
+    one float ``repr`` per entry.  The texts differ only in their trailers, so
+    the slices are formatted once."""
     lines = ",".join("\n" + json.dumps(_encode(part)) for part in values)
-    tail = "" if assoc_residual is None else f', "associativity_residual": {json.dumps(assoc_residual)}'
-    return f'{{"d": {json.dumps(d)}, "n": {len(values)}, "values": [{lines}\n]{tail}}}\n'
+    head = f'{{"d": {json.dumps(d)}, "n": {len(values)}, "values": [{lines}\n]'
+    return tuple(
+        head + ("" if r is None else f', "associativity_residual": {json.dumps(r)}') + "}\n"
+        for r in assoc_residuals
+    )

@@ -572,7 +572,6 @@ _EXIT_1_ERRORS = {
     "StarProdError",
     "NotTomographicError",
     "InvalidGaugeError",
-    "NonHermitianMemberError",
     "NotUnitaryError",
     "NotSICError",
 }

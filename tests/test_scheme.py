@@ -6,7 +6,6 @@ import pytest
 from starprod import (
     DimensionMismatchError,
     InvalidGaugeError,
-    NonHermitianMemberError,
     NotTomographicError,
     Scheme,
     canonical_duals,
@@ -455,8 +454,7 @@ class TestNegativityReport:
         assert report.min_quantizer_eigenvalue == pytest.approx(-1.0, abs=1e-12)
 
     def test_matrix_units_rejected(self):
-        with pytest.raises(NonHermitianMemberError):
-            negativity_report(matrix_units_scheme(2))
+        assert negativity_report(matrix_units_scheme(2)) is None
 
     def test_no_quantizers(self):
         report = negativity_report(mub_qubit_scheme())
@@ -485,13 +483,29 @@ class TestNegativityReport:
                 -c * np.sqrt(0.5), rel=1e-9
             )
         else:
-            with pytest.raises(NonHermitianMemberError, match="dequantizer 0 is not Hermitian"):
-                negativity_report(s)
+            assert negativity_report(s) is None
 
     def test_zero_family_is_hermitian(self):
         # The relative hermiticity test must not divide 0 by 0 here.
         report = negativity_report(Scheme(np.zeros((4, 2, 2)), np.zeros((4, 2, 2))))
         assert report.min_dequantizer_eigenvalue == report.min_quantizer_eigenvalue == 0.0
+
+    @staticmethod
+    def _assert_one_minimum(s):
+        # povm and negativity both read the Hermitian parts, so they agree bit
+        # for bit even where a member is Hermitian only to rounding.
+        report = classify(s)
+        if report.negativity is not None:
+            assert report.negativity.min_dequantizer_eigenvalue == report.povm.min_effect_eigenvalue, s.name
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_random_povms_report_one_minimum(self, d):
+        for seed in range(100):
+            self._assert_one_minimum(random_minimal_povm_scheme(d, seed))
+
+    def test_catalog_schemes_report_one_minimum(self):
+        for entry in entries():
+            self._assert_one_minimum(entry.scheme)
 
 
 class TestMatrixUnitLikeDetect:

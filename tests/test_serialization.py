@@ -33,7 +33,7 @@ from starprod.serialization import (
 from starprod.star_product import star_kernel
 from starprod.verification import CheckResult
 
-from _helpers import random_complex, reference_kernel_text
+from _helpers import random_complex, reference_kernel_texts
 
 # Signed zeros, subnormals and the float range ends must survive every file format.
 _EDGE = [-0.0, 5e-324, -2.2e-308, 1e308, -1e308, 0.0]
@@ -229,12 +229,12 @@ _RESIDUALS = (None, 3.25e-13)
 
 @functools.cache
 def _registered_kernel(name, **params):
-    """d, the canonical kernel and its ``reference_kernel_text`` for each of
+    """d, the canonical kernel and its ``reference_kernel_texts`` for
     ``_RESIDUALS``, of a registered scheme: built once per module."""
     s = build_scheme(name, **params)
     values = _canonical_kernel(s)
     values.flags.writeable = False
-    return s.d, values, tuple(reference_kernel_text(s.d, values, r) for r in _RESIDUALS)
+    return s.d, values, reference_kernel_texts(s.d, values, _RESIDUALS)
 
 
 def _assert_same_text(got, expected, label=""):
@@ -280,7 +280,7 @@ class TestKernelWriterBytes:
     @staticmethod
     def _assert_reference_bytes(tmp_path, d, values, expected=None):
         if expected is None:
-            expected = [reference_kernel_text(d, values, residual) for residual in _RESIDUALS]
+            expected = reference_kernel_texts(d, values, _RESIDUALS)
         path = tmp_path / "kernel.json"
         for residual, text in zip(_RESIDUALS, expected):
             save_kernel(d, values, str(path), assoc_residual=residual)
