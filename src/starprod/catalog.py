@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .errors import (
     InvalidParameterError,
@@ -192,11 +193,12 @@ def random_minimal_povms(d: int, seeds: Iterable[int]) -> tuple[np.ndarray, np.n
     seed, symmetrically normalized so they sum to the identity exactly.
 
     Each seed's POVM is one draw from ``default_rng(seed)``'s stream, bit for
-    bit, so it does not depend on the other seeds; the streams' initial
-    states are computed for all seeds at once.  The duals are
-    ``canonical_duals`` of the dequantizers, which raises NotTomographicError
-    if a draw does not span the operator space.  A seed that is not a
-    non-negative integer raises InvalidParameterError before any draw.
+    bit, so it does not depend on the other seeds: SeedSequence's hash runs
+    once over all seeds, and PCG64 seeds each stream from those words in C.
+    The duals are ``canonical_duals`` of the dequantizers, which raises
+    NotTomographicError if a draw does not span the operator space.  A seed
+    that is not a non-negative integer raises InvalidParameterError before
+    any draw.
     """
     if d < 1:
         raise InvalidParameterError(f"dimension must be positive, got {d}")
@@ -208,26 +210,26 @@ def random_minimal_povms(d: int, seeds: Iterable[int]) -> tuple[np.ndarray, np.n
             raise InvalidParameterError(f"seeds must be integers, got {seed!r}") from None
     if min(indexed, default=0) < 0:
         raise InvalidParameterError(f"seeds must be non-negative, got {min(indexed)}")
-    deq = _povm_draw(_seed_states(indexed), d * d, d)
+    deq = _povm_draw(_seed_words(indexed), d * d, d)
     return deq, canonical_duals(deq)
 
 
-# numpy's SeedSequence hash and PCG64 multiplier (numpy/random/bit_generator.pyx,
-# pcg64.h), which default_rng(seed) runs for each seed.
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx), which
+# default_rng(seed) runs for each seed.
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
+_MASK32 = (1 << 32) - 1
 
 
-def _seed_states(seeds: list[int]) -> list[dict]:
-    """``np.random.default_rng(seed).bit_generator.state`` for every seed
-    (non-negative ints), with no SeedSequence or Generator built.
+def _seed_words(seeds: list[int]) -> np.ndarray:
+    """``np.random.SeedSequence(seed).generate_state(4, np.uint64)`` for every
+    seed (non-negative ints), as one C-contiguous native (S, 4) uint64 array,
+    with no SeedSequence built.
 
     SeedSequence's hash (``mix_entropy`` of each seed's little-endian 32-bit
-    words into a four-word pool, then ``generate_state(4, uint64)``) runs
-    once as wrapping uint32 arithmetic over all seeds; words beyond the pool
-    are masked per seed.  PCG64's seeding step then runs in Python ints.
+    words into a four-word pool, then ``generate_state``) runs once as
+    wrapping uint32 arithmetic over all seeds; words beyond the pool are
+    masked per seed.
     """
     lengths = np.array([(seed.bit_length() + 31) // 32 for seed in seeds], dtype=int)
     n_words = max(4, int(lengths.max(initial=0)))
@@ -257,29 +259,32 @@ def _seed_states(seeds: list[int]) -> list[dict]:
                 pool[dst] = np.where(lengths > src, mix(pool[dst], hashmix(words[:, src])), pool[dst])
         hash_const = _INIT_B  # generate_state: eight words cycling over the pool
         out = np.stack([hashmix(pool[i % 4], _MULT_B) for i in range(8)], axis=1)
-    states = []
-    for high, low, seq_high, seq_low in out.astype("<u4").view("<u8").tolist():
-        # PCG64: state 0, inc = 2 initseq + 1, step, add initstate, step.
-        inc = ((seq_high << 64 | seq_low) << 1 | 1) & _MASK128
-        state = (((high << 64 | low) + inc) * _PCG64_MULT + inc) & _MASK128
-        states.append(
-            {"bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0}
-        )
-    return states
+    return out.astype("<u4").view("<u8").astype(np.uint64)
 
 
-def _povm_draw(states: list[dict], n: int, d: int) -> np.ndarray:
+class _SeedWords(ISeedSequence):
+    """One seed's ``_seed_words`` row as PCG64's seed sequence.  PCG64 reads
+    the words by raw pointer, checking neither dtype nor length, so any
+    other request is refused."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words: int, dtype: Any = np.uint32) -> np.ndarray:
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise ValueError(f"holds 4 uint64 words, asked for {n_words} of {np.dtype(dtype)}")
+        return self.words
+
+
+def _povm_draw(words: np.ndarray, n: int, d: int) -> np.ndarray:
     """One random POVM of n effects per seed, as an (S, n, d, d) stack;
-    ``states`` are the seeds' initial ``default_rng`` states from
-    ``_seed_states``, which one generator is set to in turn.  The normals
-    are freed as soon as they are combined, which lowers the sampler's peak.
+    ``words`` are the seeds' ``_seed_words``, from which PCG64 seeds each
+    stream in C as ``default_rng(seed)`` does.  The normals are freed as
+    soon as they are combined, which lowers the sampler's peak.
     """
-    bit_generator = np.random.PCG64()
-    rng = np.random.Generator(bit_generator)
-    normals = np.empty((len(states), 2, n, d, d))
-    for row, state in enumerate(states):
-        bit_generator.state = state
-        rng.standard_normal(out=normals[row])
+    normals = np.empty((len(words), 2, n, d, d))
+    for row, seed_words in enumerate(words):
+        np.random.Generator(np.random.PCG64(_SeedWords(seed_words))).standard_normal(out=normals[row])
     g = (normals[:, 0] + 1j * normals[:, 1]) / SQRT2
     del normals
     effects = np.einsum("skab,skcb->skac", g, g.conj())

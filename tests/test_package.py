@@ -68,9 +68,11 @@ PUBLIC_NAMES = [
 # the clock and shift matrices, which displacement_orbit folds in; the
 # random-POVM sampler's wrapper and private twin, now one public function;
 # and its redraws (their budget, their error, the draw's attempt number),
-# now that it draws once per seed; the error subclasses no code caught,
-# folded into the kept class of their exit code; and the non-Hermitian
-# member error, now that negativity_report returns None for such a family.
+# now that it draws once per seed, and its Python PCG64 seeding, now that
+# PCG64 seeds itself from the SeedSequence words; the error subclasses no
+# code caught, folded into the kept class of their exit code; and the
+# non-Hermitian member error, now that negativity_report returns None for
+# such a family.
 # "function.parameter" names a parameter.
 REMOVED = {
     "catalog": [
@@ -80,6 +82,9 @@ REMOVED = {
         "_random_minimal_povms",
         "_MAX_ATTEMPTS",
         "_povm_draw.attempt",
+        "_seed_states",
+        "_PCG64_MULT",
+        "_MASK128",
     ],
     "serialization": [
         "matrix_to_json",

@@ -129,12 +129,11 @@ class TestSelfDualityUnitarity:
 
 
 def _default_rng_sampler(d: int, seeds) -> np.ndarray:
-    """The sampler with one np.random.default_rng(seed) per seed, one draw
-    each: an oracle for the streams that does not go through
-    catalog._seed_states."""
+    """The sampler fed numpy's own SeedSequence words, one seed per draw: an
+    oracle for the streams that does not go through catalog._seed_words."""
     n = d * d
-    states = [np.random.default_rng(seed).bit_generator.state for seed in seeds]
-    return np.stack([catalog._povm_draw([state], n, d)[0] for state in states])
+    words = [np.random.SeedSequence(seed).generate_state(4, np.uint64) for seed in seeds]
+    return np.stack([catalog._povm_draw(row[None], n, d)[0] for row in words])
 
 
 class TestStackedSampler:
@@ -165,21 +164,48 @@ class TestStackedSampler:
         [range(1000), [2**32 - 1, 2**32, 2**64 + 3, 2**128, 2**128 + 5, 2**200 + 11]],
         ids=["0-999", "word-boundaries"],
     )
-    def test_seed_states_match_numpy(self, seeds):
-        expected = [np.random.default_rng(seed).bit_generator.state for seed in seeds]
-        assert catalog._seed_states(list(seeds)) == expected
+    def test_seed_words_and_streams_match_numpy(self, seeds):
+        words = catalog._seed_words(list(seeds))
+        expected = [np.random.SeedSequence(seed).generate_state(4, np.uint64) for seed in seeds]
+        assert words.dtype == np.uint64 and words.flags.c_contiguous
+        assert np.array_equal(words, expected)
+        for seed, row in zip(seeds, words):
+            stream = np.random.Generator(np.random.PCG64(catalog._SeedWords(row)))
+            rng = np.random.default_rng(seed)
+            assert stream.bit_generator.state == rng.bit_generator.state
+            assert np.array_equal(stream.standard_normal(8), rng.standard_normal(8))
 
-    def test_no_generator_per_seed(self, monkeypatch):
-        calls = []
-        default_rng = np.random.default_rng
+    # PCG64 reads the words by raw pointer, so any other request is refused.
+    @pytest.mark.parametrize("n_words, dtype", [(8, np.uint32), (2, np.uint64)])
+    def test_seed_words_refuse_other_requests(self, n_words, dtype):
+        seed_words = catalog._SeedWords(catalog._seed_words([0])[0])
+        with pytest.raises(ValueError, match="holds 4 uint64 words"):
+            seed_words.generate_state(n_words, dtype)
 
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return default_rng(*args, **kwargs)
+    # Each stream is seeded from its words: no default_rng and no
+    # SeedSequence per seed, neither here nor inside PCG64.
+    def test_no_default_rng_or_seed_sequence_per_seed(self, monkeypatch):
+        calls, bit_generators = [], []
+        default_rng, seed_sequence, pcg64 = np.random.default_rng, np.random.SeedSequence, np.random.PCG64
 
-        monkeypatch.setattr(np.random, "default_rng", counted)
+        def counted(build):
+            def wrapper(*args, **kwargs):
+                calls.append(args)
+                return build(*args, **kwargs)
+
+            return wrapper
+
+        def recorded(*args):
+            bit_generators.append(pcg64(*args))
+            return bit_generators[-1]
+
+        monkeypatch.setattr(np.random, "default_rng", counted(default_rng))
+        monkeypatch.setattr(np.random, "SeedSequence", counted(seed_sequence))
+        monkeypatch.setattr(np.random, "PCG64", recorded)
         assert check_povm_dual_negativity(seeds=100).passed
         assert calls == []
+        assert len(bit_generators) == 100
+        assert all(isinstance(b._seed_seq, catalog._SeedWords) for b in bit_generators)
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_matches_single_seed_sampler(self, d):
