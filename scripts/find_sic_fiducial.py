@@ -15,12 +15,12 @@ starprod (installed, or PYTHONPATH=src).
 from __future__ import annotations
 
 import argparse
-import json
 
 import numpy as np
 from scipy.optimize import least_squares, minimize
 
 from starprod.catalog import displacement_orbit
+from starprod.serialization import write_json
 
 
 def to_complex(params: np.ndarray) -> np.ndarray:
@@ -82,14 +82,12 @@ def main() -> None:
     psi, deviation = search(args.d, args.seed)
     payload = {
         "d": args.d,
-        "values": [[float(c.real), float(c.imag)] for c in psi],
+        "values": psi,
         "max_gram_deviation": deviation,
         "seed": args.seed,
         "generator": "scripts/find_sic_fiducial.py",
     }
-    with open(args.output, "w") as fh:
-        json.dump(payload, fh, indent=1)
-        fh.write("\n")
+    write_json(payload, args.output)
     print(f"wrote {args.output}  (max overlap deviation {deviation:.3e})")
 
 

@@ -304,9 +304,8 @@ def random_minimal_povm_scheme(d: int, seed: int) -> Scheme:
 
 @dataclass(frozen=True)
 class CatalogEntry:
-    """Named scheme with the report fragments its classification must reproduce."""
+    """Scheme with the report fragments its classification must reproduce."""
 
-    name: str
     scheme: Scheme
     expected: dict[str, Any]
 
@@ -511,7 +510,7 @@ def entries() -> list[CatalogEntry]:
     for name, builtin in SCHEMES.items():
         for params, expected in builtin.stock:
             scheme = build_scheme(name, **params)
-            regression.append(CatalogEntry(scheme.name, scheme, dict(expected)))
+            regression.append(CatalogEntry(scheme, dict(expected)))
     return regression
 
 

@@ -6,8 +6,8 @@ row-major order.  ``_encode`` builds it as lists; one formatter,
 writers (``write_json``'s indented layout and ``save_kernel``'s compact
 lines); and one decoder parses it, so a parsed file reproduces the array
 bit-exactly.  A nesting that is ragged, too shallow or too deep, has an
-empty axis, or holds a non-number or a NaN or infinite entry is malformed
-(SchemeParseError, naming the file).
+empty axis, or holds a non-number (true and false included) or a NaN or
+infinite entry is malformed (SchemeParseError, naming the file).
 ``write_json`` writes library objects as they are: a dataclass as its
 fields, a numpy scalar as its value, and a NaN or infinite number as null.
 """
@@ -51,7 +51,7 @@ def _decode(data: Any, ndim: int, where: str) -> np.ndarray:
             f"{where}: expected {ndim} non-empty nested axes of [re, im] pairs, "
             f"got shape {pairs.shape}"
         )
-    if pairs.dtype.kind not in "biuf":
+    if pairs.dtype.kind not in "iuf":
         raise SchemeParseError(
             f"{where}: entries must be numbers that fit a float or a 64-bit integer"
         )
@@ -64,16 +64,51 @@ def _decode(data: Any, ndim: int, where: str) -> np.ndarray:
     return pairs.view(complex).reshape(pairs.shape[:-1])
 
 
+_NOT_A_NUMBER = "entries must be numbers, not true or false"
+
+
+def _holds_bool(data: list) -> bool:
+    """Whether a nesting of lists holds a true or false, walked without recursion."""
+    stack = [data]
+    while stack:
+        for x in stack.pop():
+            if x is True or x is False:
+                return True
+            if isinstance(x, list):
+                stack.append(x)
+    return False
+
+
+def _spells_a_boolean(text: str) -> bool:
+    """Whether ``text`` holds ``true`` or ``false``, tried at each u and l.
+    No number spells either letter, and ``str.find`` finds one letter by
+    memchr, where a search for the word stops at nearly every digit."""
+    for word, letter in (("true", "u"), ("false", "l")):
+        at = word.index(letter)
+        i = text.find(letter)
+        while i >= 0:
+            if i >= at and text.startswith(word, i - at):
+                return True
+            i = text.find(letter, i + 1)
+    return False
+
+
 def read_json(path: str, *keys: str) -> dict[str, Any]:
-    """The JSON object in the file at ``path``; it must hold every key in ``keys``."""
+    """The JSON object in the file at ``path``; it must hold every key in ``keys``,
+    and no list-valued field may hold true or false, which numpy reads as 1 or 0."""
     with open(path) as fh:
         try:
-            payload = json.load(fh)
+            text = fh.read()
+            payload = json.loads(text)
         except (ValueError, RecursionError) as exc:
             # ValueError covers bad syntax, bad UTF-8 and over-long integer literals.
             raise SchemeParseError(f"{path}: invalid JSON ({exc})") from exc
     if not isinstance(payload, dict) or any(key not in payload for key in keys):
         raise SchemeParseError(f"{path}: expected a JSON object with keys {list(keys)}")
+    if _spells_a_boolean(text):
+        for key, value in payload.items():
+            if isinstance(value, list) and _holds_bool(value):
+                raise SchemeParseError(f"{path}: {key}: {_NOT_A_NUMBER}")
     return payload
 
 
@@ -297,6 +332,10 @@ def load_kernel(path: str) -> tuple[int, np.ndarray]:
                 raise SchemeParseError(f"{where}: invalid JSON ({exc})") from exc
             part = _decode(data, 2, where)
             del data  # so one slice's lists are alive at a time
+            # Past _decode a slice spells finite numbers only, with no t or f,
+            # unless it holds a true or false that numpy read as 1 or 0.
+            if "t" in line or "f" in line:
+                raise SchemeParseError(f"{where}: {_NOT_A_NUMBER}")
             if part.shape != (n, n):
                 raise SchemeParseError(f"{where}: expected {n}x{n} pairs, got shape {part.shape}")
             if k == 0:

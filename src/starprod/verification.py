@@ -44,7 +44,6 @@ from .scheme import (
     completeness_residual,
     dequantization_matrix,
     duality_matrix,
-    negativity_report,
     povm_check,
     scaled_unitary_check,
     self_dual_coefficient,
@@ -103,10 +102,10 @@ def haar_unitaries(normals: np.ndarray) -> np.ndarray:
 
 
 @functools.cache
-def _quantized_regression_set() -> tuple[tuple[str, Scheme], ...]:
-    """The catalog regression set as (name, scheme with canonical quantizers),
-    built once and shared by the checks that sweep it."""
-    return tuple((entry.name, with_canonical_quantizers(entry.scheme)) for entry in entries())
+def _quantized_regression_set() -> tuple[Scheme, ...]:
+    """The catalog regression set with canonical quantizers, built once and
+    shared by the checks that sweep it."""
+    return tuple(with_canonical_quantizers(entry.scheme) for entry in entries())
 
 
 def _worst_table_residual(rows: list[TableRow]) -> float:
@@ -150,21 +149,16 @@ def check_table_derived_rows() -> CheckResult:
 
 
 def check_sic_conditions() -> CheckResult:
-    """Symmetric overlap conditions at d = 2 and d = 3."""
-    projs = sic_qubit_scheme("projector").dequantizers
-    gram = np.einsum("kab,lab->kl", projs.conj(), projs).real
-    target = (2 * np.eye(4) + 1) / 3
-    qubit_gram_res = float(np.abs(gram - target).max())
-
-    effects = sic_qubit_scheme("povm").dequantizers
-    egram = np.einsum("kab,lab->kl", effects.conj(), effects)
-    off = egram[~np.eye(4, dtype=bool)]
+    """Symmetric overlap conditions at d = 2 and d = 3 on the symbols of each
+    frame's own members: the transposed Gram matrix, as the targets are symmetric."""
+    projs, effects = sic_qubit_scheme("projector"), sic_qubit_scheme("povm")
+    qutrit = wh_sic_scheme(3, default_fiducial(3))
+    gram = symbol(projs, projs.dequantizers).real
+    qubit_gram_res = float(np.abs(gram - (2 * np.eye(4) + 1) / 3).max())
+    off = symbol(effects, effects.dequantizers)[~np.eye(4, dtype=bool)]
     qubit_effect_res = float(np.abs(off - 1 / 12).max())
-
-    qutrit = wh_sic_scheme(3, default_fiducial(3)).dequantizers
-    qgram = np.einsum("kab,lab->kl", qutrit.conj(), qutrit).real
-    qtarget = (3 * np.eye(9) + 1) / 4
-    qutrit_gram_res = float(np.abs(qgram - qtarget).max())
+    qgram = symbol(qutrit, qutrit.dequantizers).real
+    qutrit_gram_res = float(np.abs(qgram - (3 * np.eye(9) + 1) / 4).max())
 
     return CheckResult(
         name="sic-overlap-conditions",
@@ -187,8 +181,8 @@ def check_livine_positivity() -> CheckResult:
     eigs = np.linalg.eigh(s.dequantizers[0])[0]
     expected = np.array([(1 - np.sqrt(3)) / 4, (1 + np.sqrt(3)) / 4])
     eig_res = float(np.abs(eigs - expected).max())
-    sum_res = povm_check(s).sum_residual
-    min_eig = negativity_report(s).min_dequantizer_eigenvalue
+    povm = povm_check(s)
+    sum_res, min_eig = povm.sum_residual, povm.min_effect_eigenvalue
     # c_res is NaN when the scheme is not self-dual, which fails the gate.
     passed = c_res <= 1e-12 and eig_res <= 1e-12 and sum_res <= 1e-12 and min_eig < -matrixcore.EIG_TOL
     return CheckResult(
@@ -227,7 +221,7 @@ def check_self_duality_unitarity() -> CheckResult:
 
     worst_backward = 0.0
     checked = []
-    for name, s in _quantized_regression_set():
+    for s in _quantized_regression_set():
         c = self_dual_coefficient(s)
         if c is None:
             continue
@@ -236,7 +230,7 @@ def check_self_duality_unitarity() -> CheckResult:
             worst_backward = np.inf
             break
         worst_backward = max(worst_backward, abs(c_gram - c) / c)
-        checked.append(name)
+        checked.append(s.name)
 
     passed = worst_forward <= 1e-9 and worst_backward <= 1e-9 and len(checked) > 0
     return CheckResult(
@@ -291,7 +285,7 @@ def check_completeness_roundtrip() -> CheckResult:
     rng = np.random.default_rng(DEFAULT_BATTERY_SEED)
     worst_complete = 0.0
     worst_roundtrip = 0.0
-    for _, s in _quantized_regression_set():
+    for s in _quantized_regression_set():
         worst_complete = max(worst_complete, completeness_residual(s))
         a = _ginibre(rng.standard_normal((_SAMPLES, 2, s.d, s.d)))
         worst_roundtrip = max(
@@ -315,7 +309,7 @@ def check_kernel_laws() -> CheckResult:
     rng = np.random.default_rng(DEFAULT_BATTERY_SEED)
     worst_hom = 0.0
     worst_assoc = 0.0
-    for _, s in _quantized_regression_set():
+    for s in _quantized_regression_set():
         kernel = star_kernel(s)
         worst_assoc = max(worst_assoc, associativity_residual(kernel))
         # Per pair: operator a, then operator b.

@@ -1,5 +1,7 @@
 import importlib.util
+import json
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -236,15 +238,33 @@ class TestWeylHeisenberg:
         with pytest.raises(ValueError):
             default_fiducial(4)
 
-    def test_fiducial_search_orbit_matches_wh_sic(self):
+    @staticmethod
+    def _fiducial_script():
         pytest.importorskip("scipy")
         path = Path(__file__).parents[1] / "scripts" / "find_sic_fiducial.py"
         spec = importlib.util.spec_from_file_location("find_sic_fiducial", path)
         script = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(script)
+        return script
+
+    def test_fiducial_search_orbit_matches_wh_sic(self):
+        script = self._fiducial_script()
         orbit = script.displacement_orbit(default_fiducial(3))
         projectors = np.stack([np.outer(v, v.conj()) for v in orbit])
         assert np.array_equal(projectors, wh_sic_scheme(3, default_fiducial(3)).dequantizers)
+
+    def test_fiducial_script_writes_the_shipped_file(self, tmp_path, monkeypatch):
+        # The search itself is left out: another scipy may find another
+        # fiducial of the same orbit.  The shipped vector and deviation are
+        # written back byte for byte.
+        script = self._fiducial_script()
+        shipped = Path(__file__).parents[1] / "src" / "starprod" / "data" / "sic_fiducial_d3.json"
+        deviation = json.loads(shipped.read_text())["max_gram_deviation"]
+        monkeypatch.setattr(script, "search", lambda d, seed: (default_fiducial(3), deviation))
+        out = tmp_path / "fiducial.json"
+        monkeypatch.setattr(sys, "argv", ["find_sic_fiducial.py", "-d", "3", "--seed", "7", "-o", str(out)])
+        script.main()
+        assert out.read_bytes() == shipped.read_bytes()
 
 
 class TestMubPrime:
@@ -373,7 +393,7 @@ class TestSchemeRegistry:
         regression = entries()
         assert len(regression) == len(stock)
         for entry, (name, params) in zip(regression, stock):
-            assert entry.name == entry.scheme.name == build_scheme(name, **params).name
+            assert entry.scheme.name == build_scheme(name, **params).name
 
 
 class TestEntriesRegression:
@@ -384,17 +404,17 @@ class TestEntriesRegression:
                 if key == "is_povm":
                     actual = report.povm.is_povm
                 elif key == "min_dequantizer_eigenvalue":
-                    assert report.negativity is not None, entry.name
+                    assert report.negativity is not None, entry.scheme.name
                     actual = report.negativity.min_dequantizer_eigenvalue
                 elif key == "min_quantizer_eigenvalue":
-                    assert report.negativity is not None, entry.name
+                    assert report.negativity is not None, entry.scheme.name
                     actual = report.negativity.min_quantizer_eigenvalue
                 else:
                     actual = getattr(report, key)
                 if expected is None or isinstance(expected, (bool, str)):
-                    assert actual == expected, f"{entry.name}.{key}"
+                    assert actual == expected, f"{entry.scheme.name}.{key}"
                 else:
-                    assert actual == pytest.approx(expected, abs=1e-9), f"{entry.name}.{key}"
+                    assert actual == pytest.approx(expected, abs=1e-9), f"{entry.scheme.name}.{key}"
 
     def test_livine_fails_positivity(self):
         report = classify(livine_scheme())

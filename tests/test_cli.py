@@ -471,27 +471,59 @@ _SCHEME = {
 }
 _BIG_ENTRY_SCHEME = json.loads(json.dumps(_SCHEME))
 _BIG_ENTRY_SCHEME["dequantizers"][2][1][0] = [_BIG, 0]
+_BOOL_ENTRY_SCHEME = json.loads(json.dumps(_SCHEME))
+_BOOL_ENTRY_SCHEME["dequantizers"][2][1][0] = [True, 0]
 _CLASSIFY = ["classify", "{scheme}", "--report", "{out}"]
 _CLASSIFY_BAD = ["classify", "{bad}", "--report", "{out}"]
+_SYMBOL_BAD = ["symbol", "{scheme}", "{bad}", "-o", "{out}"]
+_RECONSTRUCT_BAD = ["reconstruct", "{scheme}", "{bad}", "-o", "{out}"]
+_GAUGE_BAD = ["quantize", "{scheme}", "--gauge", "{bad}", "-o", "{out}"]
+# A true or false entry is refused, alone or among numbers (which numpy would read as 1 or 0).
+_NOT_A_NUMBER = "entries must be numbers, not true or false"
 
 # id: (payload of the offending file or None, argv, fragment of the error message)
 _MALFORMED = {
     "scheme-big-int": (_BIG_ENTRY_SCHEME, _CLASSIFY_BAD, "fit a float or a 64-bit integer"),
     "operator-big-int": (
         {"matrix": [[[_BIG, 0], [0, 0]], [[0, 0], [1, 0]]]},
-        ["symbol", "{scheme}", "{bad}", "-o", "{out}"],
+        _SYMBOL_BAD,
         "fit a float or a 64-bit integer",
     ),
     "vector-big-int": (
         {"values": [[_BIG, 0]] + [[0, 0]] * 5},
-        ["reconstruct", "{scheme}", "{bad}", "-o", "{out}"],
+        _RECONSTRUCT_BAD,
         "fit a float or a 64-bit integer",
     ),
     "gauge-big-int": (
         {"matrix": [[[_BIG, 0]] + [[0, 0]] * 5] * 4},
-        ["quantize", "{scheme}", "--gauge", "{bad}", "-o", "{out}"],
+        _GAUGE_BAD,
         "fit a float or a 64-bit integer",
     ),
+    "scheme-all-bool": (
+        {**_SCHEME, "dequantizers": [[[[True, False]] * 2] * 2] * 6},
+        _CLASSIFY_BAD,
+        f"dequantizers: {_NOT_A_NUMBER}",
+    ),
+    "scheme-bool-entry": (_BOOL_ENTRY_SCHEME, _CLASSIFY_BAD, f"dequantizers: {_NOT_A_NUMBER}"),
+    "operator-all-bool": ({"matrix": [[[True, False]] * 2] * 2}, _SYMBOL_BAD, f"matrix: {_NOT_A_NUMBER}"),
+    "operator-bool-entry": (
+        {"matrix": [[[True, 0], [0, 0]], [[0, 0], [1, 0]]]},
+        _SYMBOL_BAD,
+        f"matrix: {_NOT_A_NUMBER}",
+    ),
+    "vector-all-bool": ({"values": [[False, True]] * 6}, _RECONSTRUCT_BAD, f"values: {_NOT_A_NUMBER}"),
+    "vector-bool-entry": (
+        {"values": [[1, 0]] * 5 + [[0, False]]},
+        _RECONSTRUCT_BAD,
+        f"values: {_NOT_A_NUMBER}",
+    ),
+    "gauge-all-bool": ({"matrix": [[[False, False]] * 6] * 4}, _GAUGE_BAD, f"matrix: {_NOT_A_NUMBER}"),
+    "gauge-bool-entry": (
+        {"matrix": [[[0.0, 0.0]] * 5 + [[0.0, True]]] * 4},
+        _GAUGE_BAD,
+        f"matrix: {_NOT_A_NUMBER}",
+    ),
+    "scheme-members-not-d-by-d": ({**_SCHEME, "d": 3}, _CLASSIFY_BAD, "expected 3x3 matrices"),
     "scheme-d-string": ({**_SCHEME, "d": "2"}, _CLASSIFY_BAD, "'d' must be a JSON integer"),
     "scheme-d-float": ({**_SCHEME, "d": 2.7}, _CLASSIFY_BAD, "'d' must be a JSON integer"),
     "scheme-d-bool": ({**_SCHEME, "d": True}, _CLASSIFY_BAD, "'d' must be a JSON integer"),
@@ -533,12 +565,49 @@ _MALFORMED = {
         ["emit", "livine", "--normalization", "self_dual_normalized", "-o", "{out}"],
         "choose dequantizer or self-dual-normalized",
     ),
+    "sic-qubit-normalization-unknown": (
+        None,
+        ["emit", "sic-qubit", "--normalization", "effect", "-o", "{out}"],
+        "unknown sic normalization 'effect'",
+    ),
     "mub-qubit-normalization": (
         None,
         ["emit", "mub-qubit", "--normalization", "povm", "-o", "{out}"],
         "mub-qubit takes no parameters; got --normalization",
     ),
 }
+
+
+# Well-formed files that the command refuses together with its other inputs:
+# exit 2, with a message that names no file.  id: (payload of the file, argv, message)
+_REFUSED_WITH_OTHER_INPUTS = {
+    "wh-sic-d1": (
+        {"values": [[1, 0]]},
+        ["emit", "wh-sic", "--d", "1", "--fiducial", "{bad}", "-o", "{out}"],
+        "dimension must be at least 2, got 1",
+    ),
+    "wh-sic-fiducial-length": (
+        {"values": [[1, 0]]},
+        ["emit", "wh-sic", "--d", "2", "--fiducial", "{bad}", "-o", "{out}"],
+        "fiducial length 1 does not match d=2",
+    ),
+    "gauge-shape": (
+        {"matrix": [[[0, 0]] * 5] * 4},
+        _GAUGE_BAD,
+        "gauge matrix shape (4, 5) does not match (4, 6)",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_REFUSED_WITH_OTHER_INPUTS))
+def test_file_refused_with_the_other_inputs_exits_2(tmp_path, capsys, case):
+    payload, argv, message = _REFUSED_WITH_OTHER_INPUTS[case]
+    paths = {name: tmp_path / f"{name}.json" for name in ("scheme", "bad", "out")}
+    save_scheme(mub_qubit_scheme(), str(paths["scheme"]))
+    paths["bad"].write_text(json.dumps(payload))
+    assert main([arg.format(**paths) for arg in argv]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not paths["out"].exists()
 
 
 @pytest.mark.parametrize("case", list(_MALFORMED))

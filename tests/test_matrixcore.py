@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from starprod import ScaleOutOfRangeError, matrixcore, rank, singular_values
+from starprod import DimensionMismatchError, ScaleOutOfRangeError, matrixcore, rank, singular_values
 from starprod.matrixcore import finite
 
 from _helpers import random_complex
@@ -34,6 +34,10 @@ class TestTolerances:
 class TestSingularValues:
     def test_identity(self):
         assert np.allclose(singular_values(np.eye(4)), np.ones(4), atol=1e-14)
+
+    def test_vector_raises(self):
+        with pytest.raises(DimensionMismatchError, match="expected a matrix or a stack of matrices, got ndim=1"):
+            singular_values(np.ones(4))
 
     def test_zero_rectangular(self):
         sv = singular_values(np.zeros((4, 6)))

@@ -384,6 +384,10 @@ class TestScaledUnitaryCheck:
     def test_sic_matrix_is_not(self):
         assert scaled_unitary_check(dequantization_matrix(sic_qubit_scheme("povm"))) is None
 
+    def test_zero_matrix_is_not(self):
+        # c would be 0, which no scaled unitary has.
+        assert scaled_unitary_check(np.zeros((4, 4))) is None
+
     @pytest.mark.parametrize("shape", [(4,), (2, 4, 4)])
     def test_not_a_matrix_raises(self, shape):
         with pytest.raises(DimensionMismatchError, match=r"expected a d\^2 x N matrix"):
@@ -543,6 +547,13 @@ class TestMatrixUnitLikeDetect:
         monkeypatch.setattr(np.linalg, "svd", no_svd)
         for s in families:
             assert matrix_unit_like_detect(s) is None
+
+    def test_family_that_u_does_not_rebuild_rejected(self):
+        # The reshuffle column the test reads holds members k = 0 and 2 only,
+        # so u is still the identity, which does not rebuild member 1.
+        deq = matrix_units_scheme(2).dequantizers.copy()
+        deq[1, 0, 0] = 0.5
+        assert matrix_unit_like_detect(Scheme(deq)) is None
 
     def test_nan_family_rejected(self):
         deq = matrix_units_scheme(2).dequantizers.copy()
@@ -725,14 +736,14 @@ class TestInvariants:
     def test_completeness_all_tomographic_catalog(self):
         for entry in entries():
             s = with_canonical_quantizers(entry.scheme)
-            assert completeness_residual(s) <= 1e-10, entry.name
+            assert completeness_residual(s) <= 1e-10, entry.scheme.name
 
     def test_minimal_biorthogonality(self):
         for entry in entries():
             s = with_canonical_quantizers(entry.scheme)
             if s.n_points == s.d * s.d:
                 delta = duality_matrix(s)
-                assert np.abs(delta - np.eye(s.n_points)).max() <= 1e-10, entry.name
+                assert np.abs(delta - np.eye(s.n_points)).max() <= 1e-10, entry.scheme.name
 
     def test_overfilled_duality_is_projector(self):
         for entry in entries():
@@ -740,9 +751,9 @@ class TestInvariants:
             if s.n_points <= s.d * s.d:
                 continue
             delta = duality_matrix(s)
-            assert np.abs(delta - delta.conj().T).max() <= 1e-10, entry.name
-            assert np.abs(delta @ delta - delta).max() <= 1e-10, entry.name
-            assert abs(np.trace(delta) - s.d * s.d) <= 1e-10, entry.name
+            assert np.abs(delta - delta.conj().T).max() <= 1e-10, entry.scheme.name
+            assert np.abs(delta @ delta - delta).max() <= 1e-10, entry.scheme.name
+            assert abs(np.trace(delta) - s.d * s.d) <= 1e-10, entry.scheme.name
 
     def test_self_duality_implies_scaled_unitarity(self):
         for entry in entries():
@@ -751,8 +762,8 @@ class TestInvariants:
             if c is None:
                 continue
             c_gram = scaled_unitary_check(dequantization_matrix(s))
-            assert c_gram is not None, entry.name
-            assert abs(c_gram - c) <= 1e-9 * c, entry.name
+            assert c_gram is not None, entry.scheme.name
+            assert abs(c_gram - c) <= 1e-9 * c, entry.scheme.name
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_scaled_unitaries_are_self_dual(self, rng, d):

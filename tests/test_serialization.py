@@ -101,7 +101,7 @@ class TestSchemeFiles:
             s = entry.scheme
             save_scheme(s, path)
             back = load_scheme(path)
-            assert np.array_equal(back.dequantizers, s.dequantizers), entry.name
+            assert np.array_equal(back.dequantizers, s.dequantizers), entry.scheme.name
             assert back.name == s.name
             if s.quantizers is None:
                 assert back.quantizers is None
@@ -162,6 +162,15 @@ class TestSchemeFiles:
         payload[family][2][1][0] = [0.5, bad]
         with pytest.raises(SchemeParseError, match=rf"{family}\[2\]: entries must be finite"):
             load_scheme(_json_file(tmp_path, payload))
+
+    def test_true_and_false_outside_the_arrays(self, tmp_path):
+        # The text holds both words, so the arrays are walked, and hold neither.
+        path = tmp_path / "scheme.json"
+        save_scheme(sic_qubit_scheme("povm"), str(path))
+        payload = {**json.loads(path.read_text()), "name": "true-or-false", "flag": False}
+        back = load_scheme(_json_file(tmp_path, payload))
+        assert back.name == "true-or-false"
+        assert _bits(back.dequantizers) == _bits(sic_qubit_scheme("povm").dequantizers)
 
     def test_quantizer_count_mismatch(self, tmp_path):
         op = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
@@ -449,6 +458,20 @@ class TestKernelFileContract:
     def test_non_numeric_entries(self, tmp_path, entry, expected):
         values = json.loads(json.dumps(_GOOD_VALUES))
         values[1][0][1][1] = entry
+        self._assert_rejected(tmp_path, _kernel_payload(values=values), f"values[1]: {expected}")
+
+    @pytest.mark.parametrize(
+        "slice_, expected",
+        [
+            ([[[0.5, True], _PAIR], [_PAIR, _PAIR]], "entries must be numbers, not true or false"),
+            ([[[0, False], [1, 0]], [[0, 0], [0, 0]]], "entries must be numbers, not true or false"),
+            ([[[True, False]] * 2] * 2, "entries must be numbers"),
+        ],
+        ids=["among-floats", "among-ints", "all-bool"],
+    )
+    def test_boolean_entries(self, tmp_path, slice_, expected):
+        # numpy reads a true or false among numbers as 1 or 0.
+        values = [_GOOD_VALUES[0], slice_]
         self._assert_rejected(tmp_path, _kernel_payload(values=values), f"values[1]: {expected}")
 
     @pytest.mark.parametrize(

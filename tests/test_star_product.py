@@ -166,7 +166,7 @@ class TestAssociativity:
     def test_every_catalog_kernel(self):
         for entry in entries():
             s = with_canonical_quantizers(entry.scheme)
-            assert associativity_residual(star_kernel(s)) <= 1e-10, entry.name
+            assert associativity_residual(star_kernel(s)) <= 1e-10, entry.scheme.name
 
     @pytest.mark.parametrize("n", [2, 5, 9])
     def test_matches_einsum_reference_on_random_tensor(self, rng, n):
@@ -248,6 +248,10 @@ class TestCubicIdentity:
     def test_rejects_non_unitary(self):
         with pytest.raises(NotUnitaryError):
             cubic_unitary_residual(np.diag([2.0, 1.0]))
+
+    def test_rejects_a_vector(self):
+        with pytest.raises(DimensionMismatchError, match="expected a matrix or a stack of matrices, got ndim=1"):
+            cubic_unitary_residual(np.ones(4))
 
     @pytest.mark.parametrize("shape", [(2, 3), (5, 3, 2)])
     def test_rejects_non_square_as_malformed_input(self, shape):

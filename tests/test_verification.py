@@ -18,7 +18,6 @@ from starprod.catalog import (
     random_minimal_povms,
 )
 from starprod.scheme import (
-    NegativityReport,
     Scheme,
     canonical_duals,
     canonical_quantizers,
@@ -76,6 +75,8 @@ class TestPovmDualNegativity:
     def test_vacuous_seed_count_rejected(self, seeds):
         with pytest.raises(InvalidParameterError, match="seeds must be at least 1"):
             run_battery("random-povm", seeds=seeds)
+        with pytest.raises(InvalidParameterError, match=f"seeds must be at least 1, got {seeds}"):
+            check_povm_dual_negativity(seeds)
 
     def test_default_seed_count_is_1000(self):
         (result,) = run_battery("random-povm")
@@ -112,13 +113,15 @@ class TestSelfDualityUnitarity:
         # The Pauli family twice over, divided by sqrt(2): a tight frame
         # (N = 8) that is self-dual with c = 1, with U U^dag = I.
         pauli = pauli_scheme().dequantizers
-        frame = with_canonical_quantizers(Scheme(np.concatenate([pauli, pauli]) / np.sqrt(2)))
+        frame = with_canonical_quantizers(
+            Scheme(np.concatenate([pauli, pauli]) / np.sqrt(2), name="frame")
+        )
         assert classify(frame).cardinality == "overfilled"
         assert self_dual_coefficient(frame) == pytest.approx(1.0, rel=1e-12)
         before = check_self_duality_unitarity().details
         regression = verification._quantized_regression_set()
         monkeypatch.setattr(
-            verification, "_quantized_regression_set", lambda: (*regression, ("frame", frame))
+            verification, "_quantized_regression_set", lambda: (*regression, frame)
         )
         result = check_self_duality_unitarity()
         assert result.passed
@@ -152,12 +155,13 @@ class TestStackedSampler:
         assert stacks == [40]
 
     # The sampler draws once per seed, so it rests on every first draw
-    # spanning the operator space with a wide margin over RANK_TOL.
+    # spanning the operator space with a wide margin over RANK_TOL: the least
+    # sigma_min / sigma_max is about 6e-5, above the 1e-6 pinned here.
     @pytest.mark.parametrize("d, seeds", [(2, 1000), (3, 200), (4, 200)])
     def test_first_draws_are_well_conditioned(self, d, seeds):
         deq = random_minimal_povms(d, range(seeds))[0]
         sv = matrixcore.singular_values(vectorize(deq).swapaxes(-1, -2))
-        assert (sv[:, -1] / sv[:, 0]).min() >= 100 * matrixcore.RANK_TOL
+        assert (sv[:, -1] / sv[:, 0]).min() >= 1e4 * matrixcore.RANK_TOL
 
     @pytest.mark.parametrize(
         "seeds",
@@ -325,6 +329,7 @@ _REAL = {
         "duality_matrix",
         "intertwiner",
         "livine_scheme",
+        "povm_check",
         "reconstruct",
         "scaled_unitary_check",
         "self_dual_coefficients",
@@ -555,9 +560,17 @@ class TestCheckGates:
     @pytest.mark.parametrize("factor, passed", [(0.5, False), (2.0, True)])
     def test_livine_negativity_at_factor_times_its_gate(self, monkeypatch, factor, passed):
         # The check needs a dequantizer eigenvalue below -EIG_TOL.
-        report = NegativityReport(-factor * matrixcore.EIG_TOL, None)
-        _constant(monkeypatch, "negativity_report", report)
+        minimum = -factor * matrixcore.EIG_TOL
+        _wrap(monkeypatch, "povm_check", lambda p: dataclasses.replace(p, min_effect_eigenvalue=minimum))
         assert verification.check_livine_positivity().passed is passed
+
+    def test_backward_direction_fails_on_a_self_dual_entry_that_is_not_scaled_unitary(
+        self, monkeypatch
+    ):
+        _constant(monkeypatch, "scaled_unitary_check", None)
+        result = check_self_duality_unitarity()
+        assert not result.passed
+        assert result.details["catalog_gram_worst_relative_error"] == np.inf
 
     def test_livine_fails_when_it_is_not_self_dual(self, monkeypatch):
         _constant(monkeypatch, "self_dual_coefficient", None)
