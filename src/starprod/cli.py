@@ -193,15 +193,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
     results = run_battery(suite=args.suite, seeds=args.seeds)
     for result in results:
         status = "PASS" if result.passed else "FAIL"
-        numbers = {
-            key: value
-            for key, value in result.details.items()
-            if isinstance(value, (int, float)) and not isinstance(value, bool)
-        }
         summary = ", ".join(
             f"{key}={value:.3e}" if isinstance(value, float) else f"{key}={value}"
-            for key, value in numbers.items()
+            for key, value in result.details.items()
+            if isinstance(value, (int, float)) and not isinstance(value, bool)
         )
+        # The least margin of the residual gates; np.min keeps a NaN residual's.
+        margins = [g["margin"] for g in result.details["gates"].values() if g["test"] == "<="]
+        if margins:
+            summary += f", least_margin={np.min(margins):.3e}"
         print(f"{status} {result.name} ({summary})")
     all_passed = all(r.passed for r in results)
     _write_report(

@@ -1,19 +1,26 @@
 """Structural verification battery.
 
-Each check pins its pass gates, calls the library at its fixed
-tolerances, runs one acceptance-grade property
-(table regression, symmetric-overlap conditions, the self-duality and
-POVM-incompatibility statements, completeness/round-trip, kernel laws,
-intertwining, the cubic unitary identity, the MUB frame), and reports its
-residuals.  The sampled checks draw all samples of a scheme at once and
-evaluate them as one stack through the library's stack-aware functions.
-The CLI ``verify`` command and the acceptance test suite both drive these
-functions.
+Each check calls the library at its fixed tolerances, runs one
+acceptance-grade property (table regression, symmetric-overlap conditions,
+the self-duality and POVM-incompatibility statements, completeness/round-trip,
+kernel laws, intertwining, the cubic unitary identity, the MUB frame), and
+reports its residuals and counts in ``details``.  A check writes each gate
+once, in the table it hands to ``_gated``: detail key, test and bound.  It
+passes when every gate holds, and ``details["gates"]`` reports each gate's
+test, bound and margin (bound / value for a ``<=`` residual gate, None for
+a condition); ``verify`` prints the least ``<=`` margin as ``least_margin``.
+A new gate is one table entry and one ``tests/test_verification.py::_GATES``
+entry (a condition: a near-miss test named in its ``_CONDITIONS``).
+The sampled checks draw all samples of a scheme at once and evaluate them
+as one stack through the library's stack-aware functions.  The CLI
+``verify`` command and the acceptance test suite both drive these functions.
 """
 
 from __future__ import annotations
 
 import functools
+import math
+import operator
 import time
 from dataclasses import dataclass, field
 from typing import Any
@@ -80,6 +87,28 @@ class CheckResult:
     details: dict[str, Any] = field(default_factory=dict)
 
 
+# The comparisons a gate makes, by the name its report gives them.
+_TESTS = {
+    "<=": operator.le, "<": operator.lt, "==": operator.eq, ">": operator.gt, ">=": operator.ge
+}
+
+
+def _gated(name: str, details: dict[str, Any], gates: dict[str, tuple[str, Any]]) -> CheckResult:
+    """The check's result: passed when ``details[key] <test> bound`` holds for
+    every ``key: (test, bound)`` of ``gates``, so a NaN fails every gate.
+
+    ``details["gates"]`` records each gate's test, bound and margin: bound /
+    value for a ``<=`` gate (inf at a zero value), None for a condition.
+    """
+    details["gates"] = {}
+    for key, (test, bound) in gates.items():
+        value = details[key]
+        margin = (bound / value if value else math.inf) if test == "<=" else None
+        details["gates"][key] = {"test": test, "bound": bound, "margin": margin}
+    passed = all(_TESTS[test](details[key], bound) for key, (test, bound) in gates.items())
+    return CheckResult(name=name, passed=passed, details=details)
+
+
 def _ginibre(normals: np.ndarray) -> np.ndarray:
     """Complex matrices (..., n, n) from standard normal draws (..., 2, n, n).
 
@@ -123,11 +152,7 @@ def _worst_table_residual(rows: list[TableRow]) -> float:
 def check_table_printed_rows() -> CheckResult:
     """Rows 1-3: generated matrices match the printed ones in both bases."""
     worst = _worst_table_residual(table_regression_set()[:3])
-    return CheckResult(
-        name="table-rows-1-3",
-        passed=worst <= 1e-12,
-        details={"max_residual": worst, "tolerance": 1e-12},
-    )
+    return _gated("table-rows-1-3", {"max_residual": worst}, {"max_residual": ("<=", 1e-12)})
 
 
 def check_table_derived_rows() -> CheckResult:
@@ -135,17 +160,13 @@ def check_table_derived_rows() -> CheckResult:
     rows = table_regression_set()[3:]
     worst = _worst_table_residual(rows)
     errata = [e for row in rows for e in row.errata]
-    rows_flagged = {e.row for e in errata}
-    return CheckResult(
-        name="table-rows-4-6",
-        passed=worst <= 1e-12 and rows_flagged == {4, 5, 6},
-        details={
-            "max_residual": worst,
-            "tolerance": 1e-12,
-            "errata": [f"row {e.row} [{e.block}]: {e.description}" for e in errata],
-            "rows_flagged": sorted(rows_flagged),
-        },
-    )
+    details = {
+        "max_residual": worst,
+        "errata": [f"row {e.row} [{e.block}]: {e.description}" for e in errata],
+        "rows_flagged": sorted({e.row for e in errata}),
+    }
+    gates = {"max_residual": ("<=", 1e-12), "rows_flagged": ("==", [4, 5, 6])}
+    return _gated("table-rows-4-6", details, gates)
 
 
 def check_sic_conditions() -> CheckResult:
@@ -159,17 +180,17 @@ def check_sic_conditions() -> CheckResult:
     qubit_effect_res = float(np.abs(off - 1 / 12).max())
     qgram = symbol(qutrit, qutrit.dequantizers).real
     qutrit_gram_res = float(np.abs(qgram - (3 * np.eye(9) + 1) / 4).max())
-
-    return CheckResult(
-        name="sic-overlap-conditions",
-        passed=qubit_gram_res <= 1e-12 and qubit_effect_res <= 1e-12 and qutrit_gram_res <= 1e-9,
-        details={
-            "qubit_projector_gram_residual": qubit_gram_res,
-            "qubit_effect_gram_residual": qubit_effect_res,
-            "qutrit_gram_residual": qutrit_gram_res,
-            "tolerances": {"qubit": 1e-12, "qutrit": 1e-9},
-        },
-    )
+    details = {
+        "qubit_projector_gram_residual": qubit_gram_res,
+        "qubit_effect_gram_residual": qubit_effect_res,
+        "qutrit_gram_residual": qutrit_gram_res,
+    }
+    gates = {
+        "qubit_projector_gram_residual": ("<=", 1e-12),
+        "qubit_effect_gram_residual": ("<=", 1e-12),
+        "qutrit_gram_residual": ("<=", 1e-9),
+    }
+    return _gated("sic-overlap-conditions", details, gates)
 
 
 def check_livine_positivity() -> CheckResult:
@@ -182,21 +203,21 @@ def check_livine_positivity() -> CheckResult:
     expected = np.array([(1 - np.sqrt(3)) / 4, (1 + np.sqrt(3)) / 4])
     eig_res = float(np.abs(eigs - expected).max())
     povm = povm_check(s)
-    sum_res, min_eig = povm.sum_residual, povm.min_effect_eigenvalue
-    # c_res is NaN when the scheme is not self-dual, which fails the gate.
-    passed = c_res <= 1e-12 and eig_res <= 1e-12 and sum_res <= 1e-12 and min_eig < -matrixcore.EIG_TOL
-    return CheckResult(
-        name="livine-self-dual-not-povm",
-        passed=bool(passed),
-        details={
-            "self_dual_coefficient": c,
-            "coefficient_residual": c_res,
-            "eigenvalue_residual": eig_res,
-            "identity_sum_residual": sum_res,
-            "min_dequantizer_eigenvalue": min_eig,
-            "tolerance": 1e-12,
-        },
-    )
+    details = {
+        "self_dual_coefficient": c,
+        # NaN when the scheme is not self-dual, which fails the gate.
+        "coefficient_residual": c_res,
+        "eigenvalue_residual": eig_res,
+        "identity_sum_residual": povm.sum_residual,
+        "min_dequantizer_eigenvalue": povm.min_effect_eigenvalue,
+    }
+    gates = {
+        "coefficient_residual": ("<=", 1e-12),
+        "eigenvalue_residual": ("<=", 1e-12),
+        "identity_sum_residual": ("<=", 1e-12),
+        "min_dequantizer_eigenvalue": ("<", -matrixcore.EIG_TOL),
+    }
+    return _gated("livine-self-dual-not-povm", details, gates)
 
 
 def check_self_duality_unitarity() -> CheckResult:
@@ -226,24 +247,23 @@ def check_self_duality_unitarity() -> CheckResult:
         if c is None:
             continue
         c_gram = scaled_unitary_check(dequantization_matrix(s))
-        if c_gram is None:
-            worst_backward = np.inf
-            break
-        worst_backward = max(worst_backward, abs(c_gram - c) / c)
+        # An entry that is not scaled unitary counts as an infinite error.
+        worst_backward = max(worst_backward, np.inf if c_gram is None else abs(c_gram - c) / c)
         checked.append(s.name)
 
-    passed = worst_forward <= 1e-9 and worst_backward <= 1e-9 and len(checked) > 0
-    return CheckResult(
-        name="self-dual-scaled-unitary",
-        passed=bool(passed),
-        details={
-            "random_coefficient_worst_relative_error": float(worst_forward),
-            "catalog_gram_worst_relative_error": worst_backward,
-            "self_dual_catalog_schemes": checked,
-            "samples_per_dimension": _SAMPLES,
-            "tolerance": 1e-9,
-        },
-    )
+    details = {
+        "random_coefficient_worst_relative_error": float(worst_forward),
+        "catalog_gram_worst_relative_error": worst_backward,
+        "self_dual_catalog_schemes": checked,
+        "self_dual_catalog_count": len(checked),
+        "samples_per_dimension": _SAMPLES,
+    }
+    gates = {
+        "random_coefficient_worst_relative_error": ("<=", 1e-9),
+        "catalog_gram_worst_relative_error": ("<=", 1e-9),
+        "self_dual_catalog_count": (">", 0),
+    }
+    return _gated("self-dual-scaled-unitary", details, gates)
 
 
 def check_povm_dual_negativity(seeds: int = 1000) -> CheckResult:
@@ -264,20 +284,16 @@ def check_povm_dual_negativity(seeds: int = 1000) -> CheckResult:
     minima = np.linalg.eigvalsh(herm)[..., 0].min(axis=-1)
     conclusive = int(np.count_nonzero(minima <= -guard))
     counterexamples = int(np.count_nonzero(minima >= guard))
-    inconclusive = seeds - conclusive - counterexamples
-    passed = counterexamples == 0 and conclusive >= 0.99 * seeds
-    return CheckResult(
-        name="povm-dual-negativity",
-        passed=bool(passed),
-        details={
-            "seeds": seeds,
-            "conclusive": conclusive,
-            "inconclusive": inconclusive,
-            "counterexamples": counterexamples,
-            "largest_min_quantizer_eigenvalue": float(minima.max()),
-            "guard": guard,
-        },
-    )
+    details = {
+        "seeds": seeds,
+        "conclusive": conclusive,
+        "inconclusive": seeds - conclusive - counterexamples,
+        "counterexamples": counterexamples,
+        "largest_min_quantizer_eigenvalue": float(minima.max()),
+        "guard": guard,
+    }
+    gates = {"counterexamples": ("==", 0), "conclusive": (">=", 0.99 * seeds)}
+    return _gated("povm-dual-negativity", details, gates)
 
 
 def check_completeness_roundtrip() -> CheckResult:
@@ -291,17 +307,16 @@ def check_completeness_roundtrip() -> CheckResult:
         worst_roundtrip = max(
             worst_roundtrip, float(np.abs(reconstruct(s, symbol(s, a)) - a).max())
         )
-    passed = worst_complete <= 1e-10 and worst_roundtrip <= 1e-10
-    return CheckResult(
-        name="completeness-roundtrip",
-        passed=bool(passed),
-        details={
-            "worst_completeness_residual": worst_complete,
-            "worst_roundtrip_residual": worst_roundtrip,
-            "operators_per_scheme": _SAMPLES,
-            "tolerance": 1e-10,
-        },
-    )
+    details = {
+        "worst_completeness_residual": worst_complete,
+        "worst_roundtrip_residual": worst_roundtrip,
+        "operators_per_scheme": _SAMPLES,
+    }
+    gates = {
+        "worst_completeness_residual": ("<=", 1e-10),
+        "worst_roundtrip_residual": ("<=", 1e-10),
+    }
+    return _gated("completeness-roundtrip", details, gates)
 
 
 def check_kernel_laws() -> CheckResult:
@@ -318,17 +333,16 @@ def check_kernel_laws() -> CheckResult:
         via_kernel = star_multiply(kernel, symbol(s, a), symbol(s, b))
         direct = symbol(s, a @ b)
         worst_hom = max(worst_hom, float(np.abs(via_kernel - direct).max()))
-    passed = worst_hom <= 1e-9 and worst_assoc <= 1e-10
-    return CheckResult(
-        name="kernel-homomorphism-associativity",
-        passed=bool(passed),
-        details={
-            "worst_homomorphism_residual": worst_hom,
-            "worst_associativity_residual": worst_assoc,
-            "pairs_per_scheme": _KERNEL_PAIRS,
-            "tolerances": {"homomorphism": 1e-9, "associativity": 1e-10},
-        },
-    )
+    details = {
+        "worst_homomorphism_residual": worst_hom,
+        "worst_associativity_residual": worst_assoc,
+        "pairs_per_scheme": _KERNEL_PAIRS,
+    }
+    gates = {
+        "worst_homomorphism_residual": ("<=", 1e-9),
+        "worst_associativity_residual": ("<=", 1e-10),
+    }
+    return _gated("kernel-homomorphism-associativity", details, gates)
 
 
 def check_intertwining() -> CheckResult:
@@ -345,18 +359,16 @@ def check_intertwining() -> CheckResult:
     pair2 = intertwiner(pauli, mub_qubit_scheme())
     f = symbol(pauli, _ginibre(rng.standard_normal((_SAMPLES, 2, 2, 2))))
     back = (pair2.backward @ (pair2.forward @ f[..., None]))[..., 0]
-    worst_roundtrip = float(np.abs(back - f).max())
-    passed = compose_res <= 1e-12 and worst_roundtrip <= 1e-10
-    return CheckResult(
-        name="intertwining",
-        passed=bool(passed),
-        details={
-            "minimal_composition_residual": compose_res,
-            "overfilled_roundtrip_residual": worst_roundtrip,
-            "operators": _SAMPLES,
-            "tolerances": {"composition": 1e-12, "roundtrip": 1e-10},
-        },
-    )
+    details = {
+        "minimal_composition_residual": compose_res,
+        "overfilled_roundtrip_residual": float(np.abs(back - f).max()),
+        "operators": _SAMPLES,
+    }
+    gates = {
+        "minimal_composition_residual": ("<=", 1e-12),
+        "overfilled_roundtrip_residual": ("<=", 1e-10),
+    }
+    return _gated("intertwining", details, gates)
 
 
 def check_cubic_identity() -> CheckResult:
@@ -366,39 +378,26 @@ def check_cubic_identity() -> CheckResult:
     for dim in (4, 9):
         unitaries = haar_unitaries(rng.standard_normal((_SAMPLES, 2, dim, dim)))
         worst = max(worst, float(cubic_unitary_residual(unitaries).max()))
-    passed = worst <= 1e-12
-    return CheckResult(
-        name="cubic-unitary-identity",
-        passed=bool(passed),
-        details={"worst_residual": worst, "samples_per_size": _SAMPLES, "tolerance": 1e-12},
-    )
+    details = {"worst_residual": worst, "samples_per_size": _SAMPLES}
+    return _gated("cubic-unitary-identity", details, {"worst_residual": ("<=", 1e-12)})
 
 
 def check_mub_frame() -> CheckResult:
     """Qubit MUB frame: singular values, duality projector, condition number."""
     mub = mub_qubit_scheme()
     sv = singular_values(dequantization_matrix(mub))
-    sv_res = float(np.abs(sv - np.array([np.sqrt(3), 1, 1, 1])).max())
     delta = duality_matrix(mub)
-    herm_res = float(np.abs(delta - delta.conj().T).max())
-    idem_res = float(np.abs(delta @ delta - delta).max())
-    trace_res = abs(complex(np.trace(delta)) - 4.0)
     cond = classify(mub).condition_number
-    cond_res = float(abs(cond - np.sqrt(3)))
-    passed = all(r <= 1e-10 for r in (sv_res, herm_res, idem_res, trace_res, cond_res))
-    return CheckResult(
-        name="mub-frame",
-        passed=bool(passed),
-        details={
-            "singular_value_residual": sv_res,
-            "duality_hermiticity_residual": herm_res,
-            "duality_idempotency_residual": idem_res,
-            "duality_trace_residual": trace_res,
-            "condition_number": cond,
-            "condition_number_residual": cond_res,
-            "tolerance": 1e-10,
-        },
-    )
+    details = {
+        "singular_value_residual": float(np.abs(sv - np.array([np.sqrt(3), 1, 1, 1])).max()),
+        "duality_hermiticity_residual": float(np.abs(delta - delta.conj().T).max()),
+        "duality_idempotency_residual": float(np.abs(delta @ delta - delta).max()),
+        "duality_trace_residual": abs(complex(np.trace(delta)) - 4.0),
+        "condition_number": cond,
+        "condition_number_residual": float(abs(cond - np.sqrt(3))),
+    }
+    gates = {key: ("<=", 1e-10) for key in details if key.endswith("_residual")}
+    return _gated("mub-frame", details, gates)
 
 
 SUITES = {

@@ -1,5 +1,6 @@
 import argparse
 import json
+import math
 import re
 import subprocess
 import sys
@@ -967,18 +968,40 @@ class TestVerify:
         assert tolerances == {"rank_tol": 1e-10, "residual_tol": 1e-10, "eig_tol": 1e-10}
 
     def test_failing_check_exits_1(self, tmp_path, capsys, monkeypatch):
+        gates = {"max_residual": {"test": "<=", "bound": 1e-12, "margin": 2e-12}}
         failing = verification.CheckResult(
-            name="table-rows-1-3", passed=False, details={"max_residual": 0.5, "tolerance": 1e-12}
+            name="table-rows-1-3", passed=False, details={"max_residual": 0.5, "gates": gates}
         )
         monkeypatch.setattr(verification, "check_table_printed_rows", lambda: failing)
         report_path = tmp_path / "verify.json"
         assert main(["verify", "--suite", "table", "--report", str(report_path)]) == 1
         out = capsys.readouterr().out
-        assert "FAIL table-rows-1-3 (max_residual=5.000e-01, tolerance=1.000e-12)\n" in out
+        assert "FAIL table-rows-1-3 (max_residual=5.000e-01, least_margin=2.000e-12)\n" in out
         assert "PASS table-rows-4-6" in out
         payload = json.loads(report_path.read_text())
         assert payload["passed"] is False
         assert [c["passed"] for c in payload["checks"]] == [False, True]
+
+    def test_each_line_ends_with_the_least_margin_of_its_report(self, tmp_path, capsys):
+        report_path = tmp_path / "verify.json"
+        argv = ["verify", "--suite", "propositions", "--seeds", "10", "--report", str(report_path)]
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        checks = json.loads(report_path.read_text())["checks"]
+        assert [c["name"] for c in checks] == [line.split()[1] for line in lines[:-1]]
+        for check, line in zip(checks, lines):
+            gates = check["details"]["gates"]
+            assert gates, check["name"]
+            # A zero residual's margin is inf, which the report writes as null.
+            margins = [g["margin"] for g in gates.values() if g["test"] == "<="]
+            margins = [math.inf if m is None else m for m in margins]
+            if margins:
+                assert line.endswith(f", least_margin={min(margins):.3e})"), line
+            else:
+                assert "least_margin" not in line, line
+        livine = checks[0]["details"]
+        assert livine["coefficient_residual"] == 0.0
+        assert livine["gates"]["coefficient_residual"]["margin"] is None
 
     def test_random_povm_suite_small(self, tmp_path):
         report_path = tmp_path / "verify.json"

@@ -2,8 +2,10 @@
 the shared regression set, and the names the benchmark tracer wraps."""
 
 import dataclasses
+import functools
 import importlib.util
 import inspect
+import operator
 import sys
 from pathlib import Path
 
@@ -127,8 +129,13 @@ class TestSelfDualityUnitarity:
         assert result.passed
         assert result.details["self_dual_catalog_schemes"] == [*before["self_dual_catalog_schemes"], "frame"]
         assert result.details["catalog_gram_worst_relative_error"] <= 1e-12
-        unchanged = ("random_coefficient_worst_relative_error", "samples_per_dimension", "tolerance")
+        assert result.details["self_dual_catalog_count"] == before["self_dual_catalog_count"] + 1
+        unchanged = ("random_coefficient_worst_relative_error", "samples_per_dimension")
         assert {k: result.details[k] for k in unchanged} == {k: before[k] for k in unchanged}
+        def tests(details):
+            return {k: (g["test"], g["bound"]) for k, g in details["gates"].items()}
+
+        assert tests(result.details) == tests(before)
 
 
 def _default_rng_sampler(d: int, seeds) -> np.ndarray:
@@ -289,35 +296,59 @@ def test_battery_builds_the_regression_set_once(monkeypatch):
     assert all(r.passed for r in results)
 
 
-class TestTableChecks:
-    """Both table checks fail on a generated block off by more than their
-    1e-12 gate, and table-rows-4-6 fails when a row loses its errata."""
+@functools.cache
+def _unpatched(check) -> verification.CheckResult:
+    """One run of ``check`` before any patch, read for its name and its gates."""
+    return check()
 
-    @pytest.mark.parametrize("offset, passed", [(1e-11, False), (1e-13, True)])
+
+def _bound(check, detail):
+    """The bound of ``check``'s ``<=`` gate on ``detail``, as its report gives it."""
+    gate = _unpatched(check).details["gates"][detail]
+    assert gate["test"] == "<="
+    return gate["bound"]
+
+
+def _table_block_off_by(monkeypatch, index, offset, block="generated_rowstacking"):
+    """The table regression set with entry [0, 0] of row ``index``'s generated
+    ``block`` moved by ``offset``."""
+    rows = catalog.table_regression_set()
+    generated = getattr(rows[index], block).copy()
+    generated[0, 0] += offset
+    rows[index] = dataclasses.replace(rows[index], **{block: generated})
+    monkeypatch.setattr(verification, "table_regression_set", lambda: rows)
+
+
+class TestTableChecks:
+    """Both table checks fail on a generated block off by ten times their
+    max_residual gate and pass at a tenth of it, and table-rows-4-6 fails
+    when a row loses its errata."""
+
+    @pytest.mark.parametrize("factor, passed", [(10.0, False), (0.1, True)])
     @pytest.mark.parametrize("block", ["generated_rowstacking", "generated_pauli"])
     @pytest.mark.parametrize(
         "check, index",
         [(verification.check_table_printed_rows, 0), (verification.check_table_derived_rows, 3)],
     )
-    def test_a_block_off_by_offset(self, monkeypatch, check, index, block, offset, passed):
-        rows = catalog.table_regression_set()
-        generated = getattr(rows[index], block).copy()
-        generated[0, 0] += offset
-        rows[index] = dataclasses.replace(rows[index], **{block: generated})
-        monkeypatch.setattr(verification, "table_regression_set", lambda: rows)
+    def test_a_block_off_by_factor_times_its_gate(
+        self, monkeypatch, check, index, block, factor, passed
+    ):
+        bound = _bound(check, "max_residual")
+        _table_block_off_by(monkeypatch, index, factor * bound, block)
         result = check()
         assert result.passed is passed
-        assert (result.details["max_residual"] > 1e-12) is not passed
+        assert (result.details["max_residual"] > bound) is not passed
 
     @pytest.mark.parametrize("index", [3, 4, 5])
     def test_a_row_without_errata_fails(self, monkeypatch, index):
+        bound = _bound(verification.check_table_derived_rows, "max_residual")
         rows = catalog.table_regression_set()
         rows[index] = dataclasses.replace(rows[index], errata=())
         monkeypatch.setattr(verification, "table_regression_set", lambda: rows)
         result = verification.check_table_derived_rows()
         assert not result.passed
         assert result.details["rows_flagged"] == sorted({4, 5, 6} - {index + 1})
-        assert result.details["max_residual"] <= 1e-12
+        assert result.details["max_residual"] <= bound
 
 
 # The library functions the checks call, as the checks see them unpatched.
@@ -401,37 +432,42 @@ def _mub_duality_idempotency_off_by(offset):
     return delta + offset / np.abs(shift).max() * shift
 
 
-# Per check and gate: the check, the detail that reads the gated residual,
-# the gate, and a patch that puts that residual at ``offset``.
+# Per ``<=`` gate: the check, the detail that its gate reads, and a patch
+# that puts that residual at ``offset``.  The bound comes from the check.
 _GATES = {
+    "table-rows-1-3": (
+        verification.check_table_printed_rows,
+        "max_residual",
+        lambda mp, offset: _table_block_off_by(mp, 0, offset),
+    ),
+    "table-rows-4-6": (
+        verification.check_table_derived_rows,
+        "max_residual",
+        lambda mp, offset: _table_block_off_by(mp, 3, offset),
+    ),
     "kernel-associativity": (
         verification.check_kernel_laws,
         "worst_associativity_residual",
-        1e-10,
         lambda mp, offset: _constant(mp, "associativity_residual", offset),
     ),
     "kernel-homomorphism": (
         verification.check_kernel_laws,
         "worst_homomorphism_residual",
-        1e-9,
         lambda mp, offset: _wrap(mp, "star_multiply", lambda f: f + offset),
     ),
     "completeness": (
         verification.check_completeness_roundtrip,
         "worst_completeness_residual",
-        1e-10,
         lambda mp, offset: _constant(mp, "completeness_residual", offset),
     ),
     "roundtrip": (
         verification.check_completeness_roundtrip,
         "worst_roundtrip_residual",
-        1e-10,
         lambda mp, offset: _wrap(mp, "reconstruct", lambda a: a + offset),
     ),
     "cubic-unitary-identity": (
         verification.check_cubic_identity,
         "worst_residual",
-        1e-12,
         lambda mp, offset: mp.setattr(
             verification, "cubic_unitary_residual", lambda u: np.full(u.shape[:-2], offset)
         ),
@@ -439,43 +475,36 @@ _GATES = {
     "intertwining-composition": (
         verification.check_intertwining,
         "minimal_composition_residual",
-        1e-12,
         lambda mp, offset: mp.setattr(verification, "intertwiner", _backward_scaled(1 + offset)),
     ),
     "intertwining-roundtrip": (
         verification.check_intertwining,
         "overfilled_roundtrip_residual",
-        1e-10,
         lambda mp, offset: _overfilled_roundtrip_off_by(mp, offset),
     ),
     "mub-singular-values": (
         verification.check_mub_frame,
         "singular_value_residual",
-        1e-10,
         lambda mp, offset: _wrap(mp, "singular_values", lambda sv: sv + [offset, 0, 0, 0]),
     ),
     "mub-duality-hermiticity": (
         verification.check_mub_frame,
         "duality_hermiticity_residual",
-        1e-10,
         lambda mp, offset: _wrap(mp, "duality_matrix", lambda m: m + offset * np.eye(6, k=1)),
     ),
     "mub-duality-idempotency": (
         verification.check_mub_frame,
         "duality_idempotency_residual",
-        1e-10,
         lambda mp, offset: _constant(mp, "duality_matrix", _mub_duality_idempotency_off_by(offset)),
     ),
     "mub-duality-trace": (
         verification.check_mub_frame,
         "duality_trace_residual",
-        1e-10,
         lambda mp, offset: _wrap(mp, "duality_matrix", lambda m: m + offset / 6 * np.eye(6)),
     ),
     "mub-condition-number": (
         verification.check_mub_frame,
         "condition_number_residual",
-        1e-10,
         lambda mp, offset: _wrap(
             mp, "classify", lambda r: dataclasses.replace(r, condition_number=np.sqrt(3) + offset)
         ),
@@ -483,13 +512,11 @@ _GATES = {
     "self-dual-forward": (
         verification.check_self_duality_unitarity,
         "random_coefficient_worst_relative_error",
-        1e-9,
         lambda mp, offset: _wrap(mp, "self_dual_coefficients", lambda c: c * (1 + offset)),
     ),
     "self-dual-backward": (
         verification.check_self_duality_unitarity,
         "catalog_gram_worst_relative_error",
-        1e-9,
         lambda mp, offset: _wrap(mp, "scaled_unitary_check", lambda c: c * (1 + offset)),
     ),
     # A family scaled by sqrt(1 + t) has its Gram matrix scaled by 1 + t:
@@ -497,7 +524,6 @@ _GATES = {
     "sic-qubit-projectors": (
         verification.check_sic_conditions,
         "qubit_projector_gram_residual",
-        1e-12,
         lambda mp, offset: mp.setattr(
             verification,
             "sic_qubit_scheme",
@@ -507,7 +533,6 @@ _GATES = {
     "sic-qubit-effects": (
         verification.check_sic_conditions,
         "qubit_effect_gram_residual",
-        1e-12,
         lambda mp, offset: mp.setattr(
             verification,
             "sic_qubit_scheme",
@@ -517,7 +542,6 @@ _GATES = {
     "sic-qutrit": (
         verification.check_sic_conditions,
         "qutrit_gram_residual",
-        1e-9,
         lambda mp, offset: mp.setattr(
             verification, "wh_sic_scheme", _scaled_scheme("wh_sic_scheme", 3, np.sqrt(1 + offset))
         ),
@@ -525,19 +549,16 @@ _GATES = {
     "livine-coefficient": (
         verification.check_livine_positivity,
         "coefficient_residual",
-        1e-12,
         lambda mp, offset: _constant(mp, "self_dual_coefficient", 0.5 + offset),
     ),
     "livine-eigenvalues": (
         verification.check_livine_positivity,
         "eigenvalue_residual",
-        1e-12,
         lambda mp, offset: _constant(mp, "livine_scheme", _livine_shifted(offset, -offset)),
     ),
     "livine-identity-sum": (
         verification.check_livine_positivity,
         "identity_sum_residual",
-        1e-12,
         lambda mp, offset: _constant(mp, "livine_scheme", _livine_shifted(0.0, offset)),
     ),
 }
@@ -551,11 +572,12 @@ class TestCheckGates:
     @pytest.mark.parametrize("factor, passed", [(2.0, False), (0.5, True)])
     @pytest.mark.parametrize("gate", list(_GATES))
     def test_a_residual_at_factor_times_its_gate(self, monkeypatch, gate, factor, passed):
-        check, detail, tolerance, patch = _GATES[gate]
-        patch(monkeypatch, factor * tolerance)
+        check, detail, patch = _GATES[gate]
+        bound = _bound(check, detail)
+        patch(monkeypatch, factor * bound)
         result = check()
         assert result.passed is passed
-        assert result.details[detail] == pytest.approx(factor * tolerance, rel=1e-3)
+        assert result.details[detail] == pytest.approx(factor * bound, rel=1e-3)
 
     @pytest.mark.parametrize("factor, passed", [(0.5, False), (2.0, True)])
     def test_livine_negativity_at_factor_times_its_gate(self, monkeypatch, factor, passed):
@@ -567,10 +589,28 @@ class TestCheckGates:
     def test_backward_direction_fails_on_a_self_dual_entry_that_is_not_scaled_unitary(
         self, monkeypatch
     ):
+        passing = check_self_duality_unitarity().details["self_dual_catalog_schemes"]
         _constant(monkeypatch, "scaled_unitary_check", None)
         result = check_self_duality_unitarity()
         assert not result.passed
         assert result.details["catalog_gram_worst_relative_error"] == np.inf
+        # Every self-dual entry is swept and named, the first failing one too.
+        assert result.details["self_dual_catalog_schemes"] == passing
+
+    @pytest.mark.parametrize("self_dual_entries, passed", [(0, False), (1, True)])
+    def test_backward_direction_needs_a_self_dual_entry(
+        self, monkeypatch, self_dual_entries, passed
+    ):
+        # The regression set without its self-dual entries, then with the first one back.
+        regression = verification._quantized_regression_set()
+        self_dual = [s for s in regression if self_dual_coefficient(s) is not None]
+        kept = self_dual[:self_dual_entries]
+        others = [s for s in regression if self_dual_coefficient(s) is None]
+        monkeypatch.setattr(verification, "_quantized_regression_set", lambda: (*others, *kept))
+        result = check_self_duality_unitarity()
+        assert result.passed is passed
+        assert result.details["self_dual_catalog_count"] == self_dual_entries
+        assert result.details["self_dual_catalog_schemes"] == [s.name for s in kept]
 
     def test_livine_fails_when_it_is_not_self_dual(self, monkeypatch):
         _constant(monkeypatch, "self_dual_coefficient", None)
@@ -604,6 +644,42 @@ class TestCheckGates:
         assert result.passed is passed
         assert result.details["conclusive"] == 1000 - inconclusive
         assert result.details["counterexamples"] == 0
+
+
+# The gates that are conditions rather than residual bounds, each with the
+# test that moves its value just across its comparison.
+_CONDITIONS = {
+    ("table-rows-4-6", "rows_flagged"): TestTableChecks.test_a_row_without_errata_fails,
+    ("livine-self-dual-not-povm", "min_dequantizer_eigenvalue"): (
+        TestCheckGates.test_livine_negativity_at_factor_times_its_gate
+    ),
+    ("self-dual-scaled-unitary", "self_dual_catalog_count"): (
+        TestCheckGates.test_backward_direction_needs_a_self_dual_entry
+    ),
+    ("povm-dual-negativity", "counterexamples"): (
+        TestCheckGates.test_povm_counterexample_at_factor_times_the_guard
+    ),
+    ("povm-dual-negativity", "conclusive"): TestCheckGates.test_povm_conclusive_floor,
+}
+
+
+def test_each_verdict_is_its_gates_and_each_gate_has_its_tests():
+    # A gate added to a check without a _GATES entry or a near-miss test fails here.
+    tests = {
+        "<=": operator.le, "<": operator.lt, "==": operator.eq, ">": operator.gt, ">=": operator.ge
+    }
+    residual_gates = {(_unpatched(check).name, detail) for check, detail, _ in _GATES.values()}
+    seen = set()
+    for result in run_battery("all"):
+        gates = result.details["gates"]
+        assert gates, result.name
+        holds = [tests[g["test"]](result.details[key], g["bound"]) for key, g in gates.items()]
+        assert result.passed is all(holds)
+        for key, gate in gates.items():
+            tested = residual_gates if gate["test"] == "<=" else _CONDITIONS
+            assert (result.name, key) in tested, (result.name, key)
+            seen.add((result.name, key))
+    assert seen == residual_gates | set(_CONDITIONS)
 
 
 @pytest.fixture
