@@ -285,10 +285,11 @@ def scaled_unitary_check(u_mat) -> float | None:
         raise DimensionMismatchError(f"expected a d^2 x N matrix, got shape {u_mat.shape}")
     gram = u_mat @ u_mat.conj().T
     c = float(np.mean(np.diag(gram).real))
-    if c <= 0.0:
+    # Negated comparisons, so that a NaN entry fails the test.
+    if not c > 0.0:
         return None
     residual = float(np.abs(gram - c * np.eye(u_mat.shape[0])).max())
-    if residual > matrixcore.RESIDUAL_TOL * c:
+    if not residual <= matrixcore.RESIDUAL_TOL * c:
         return None
     return c
 
@@ -339,8 +340,8 @@ def negativity_report(s: Scheme) -> NegativityReport | None:
             minima.append(None)
             continue
         residuals, lowest = _hermiticity_and_lowest_eigenvalues(family)
-        # Multiplied, not divided, so an all-zero family passes without 0 / 0.
-        if residuals.max() > matrixcore.RESIDUAL_TOL * np.abs(family).max():
+        # Negated so that a NaN rejects the family, multiplied so that an all-zero one passes.
+        if not residuals.max() <= matrixcore.RESIDUAL_TOL * np.abs(family).max():
             return None
         minima.append(float(lowest.min()))
     return NegativityReport(*minima)

@@ -160,7 +160,7 @@ def cubic_unitary_residual(u) -> float | np.ndarray:
     if u.shape[-1] != u.shape[-2]:
         raise DimensionMismatchError(f"expected a square matrix, got shape {u.shape}")
     u_tr = u.swapaxes(-1, -2)
-    unitarity = float(np.abs(u_tr.conj() @ u - np.eye(u.shape[-1])).max())
+    unitarity = float(np.abs(u_tr.conj() @ u - np.eye(u.shape[-1])).max(initial=0.0))
     if unitarity > matrixcore.RESIDUAL_TOL:
         raise NotUnitaryError(f"matrix is not unitary (residual {unitarity:.3e})")
     residual = np.abs(u - (u @ u.conj()) @ u_tr).max(axis=(-2, -1))

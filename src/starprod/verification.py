@@ -5,10 +5,12 @@ acceptance-grade property (table regression, symmetric-overlap conditions,
 the self-duality and POVM-incompatibility statements, completeness/round-trip,
 kernel laws, intertwining, the cubic unitary identity, the MUB frame), and
 reports its residuals and counts in ``details``.  A check writes each gate
-once, in the table it hands to ``_gated``: detail key, test and bound.  It
-passes when every gate holds, and ``details["gates"]`` reports each gate's
-test, bound and margin (bound / value for a ``<=`` residual gate, None for
-a condition); ``verify`` prints the least ``<=`` margin as ``least_margin``.
+once, in the table it hands to ``_gated``: detail key, test and bound.  A
+sweep keeps no running worst: it hands ``_gated`` all its residuals, which
+``_gated`` reduces to their largest.  A check passes when every gate holds;
+``details["gates"]`` reports each gate's test, bound and margin (bound /
+value for a ``<=`` gate, None for a condition), and ``verify`` prints the
+least ``<=`` margin as ``least_margin``.
 A new gate is one table entry and one ``tests/test_verification.py::_GATES``
 entry (a condition: a near-miss test named in its ``_CONDITIONS``).
 The sampled checks draw all samples of a scheme at once and evaluate them
@@ -97,13 +99,18 @@ def _gated(name: str, details: dict[str, Any], gates: dict[str, tuple[str, Any]]
     """The check's result: passed when ``details[key] <test> bound`` holds for
     every ``key: (test, bound)`` of ``gates``, so a NaN fails every gate.
 
-    ``details["gates"]`` records each gate's test, bound and margin: bound /
-    value for a ``<=`` gate (inf at a zero value), None for a condition.
+    A ``<=`` gate's value becomes the largest of the residuals the check
+    handed over (a number, an array, or a list of numbers or equal-shaped
+    arrays), by ``np.max``: a NaN anywhere stays NaN, an empty sweep reads
+    0.0.  ``details["gates"]`` records each gate's test, bound and margin:
+    bound / value for a ``<=`` gate (inf at a zero value), None otherwise.
     """
     details["gates"] = {}
     for key, (test, bound) in gates.items():
-        value = details[key]
-        margin = (bound / value if value else math.inf) if test == "<=" else None
+        margin = None
+        if test == "<=":
+            details[key] = value = float(np.max(details[key], initial=0.0))
+            margin = bound / value if value else math.inf
         details["gates"][key] = {"test": test, "bound": bound, "margin": margin}
     passed = all(_TESTS[test](details[key], bound) for key, (test, bound) in gates.items())
     return CheckResult(name=name, passed=passed, details=details)
@@ -137,31 +144,30 @@ def _quantized_regression_set() -> tuple[Scheme, ...]:
     return tuple(with_canonical_quantizers(entry.scheme) for entry in entries())
 
 
-def _worst_table_residual(rows: list[TableRow]) -> float:
-    """Largest entry deviation of the generated blocks from the expected ones."""
-    return max(
-        float(np.abs(generated - expected).max())
+def _table_residuals(rows: list[TableRow]) -> list[np.floating]:
+    """Largest entry deviation of each generated block from the expected one."""
+    return [
+        np.abs(generated - expected).max()
         for row in rows
         for generated, expected in (
             (row.generated_rowstacking, row.expected_rowstacking),
             (row.generated_pauli, row.expected_pauli),
         )
-    )
+    ]
 
 
 def check_table_printed_rows() -> CheckResult:
     """Rows 1-3: generated matrices match the printed ones in both bases."""
-    worst = _worst_table_residual(table_regression_set()[:3])
-    return _gated("table-rows-1-3", {"max_residual": worst}, {"max_residual": ("<=", 1e-12)})
+    residuals = _table_residuals(table_regression_set()[:3])
+    return _gated("table-rows-1-3", {"max_residual": residuals}, {"max_residual": ("<=", 1e-12)})
 
 
 def check_table_derived_rows() -> CheckResult:
     """Rows 4-6: generated matrices match the derived expectations; errata present."""
     rows = table_regression_set()[3:]
-    worst = _worst_table_residual(rows)
     errata = [e for row in rows for e in row.errata]
     details = {
-        "max_residual": worst,
+        "max_residual": _table_residuals(rows),
         "errata": [f"row {e.row} [{e.block}]: {e.description}" for e in errata],
         "rows_flagged": sorted({e.row for e in errata}),
     }
@@ -175,15 +181,12 @@ def check_sic_conditions() -> CheckResult:
     projs, effects = sic_qubit_scheme("projector"), sic_qubit_scheme("povm")
     qutrit = wh_sic_scheme(3, default_fiducial(3))
     gram = symbol(projs, projs.dequantizers).real
-    qubit_gram_res = float(np.abs(gram - (2 * np.eye(4) + 1) / 3).max())
     off = symbol(effects, effects.dequantizers)[~np.eye(4, dtype=bool)]
-    qubit_effect_res = float(np.abs(off - 1 / 12).max())
     qgram = symbol(qutrit, qutrit.dequantizers).real
-    qutrit_gram_res = float(np.abs(qgram - (3 * np.eye(9) + 1) / 4).max())
     details = {
-        "qubit_projector_gram_residual": qubit_gram_res,
-        "qubit_effect_gram_residual": qubit_effect_res,
-        "qutrit_gram_residual": qutrit_gram_res,
+        "qubit_projector_gram_residual": np.abs(gram - (2 * np.eye(4) + 1) / 3),
+        "qubit_effect_gram_residual": np.abs(off - 1 / 12),
+        "qutrit_gram_residual": np.abs(qgram - (3 * np.eye(9) + 1) / 4),
     }
     gates = {
         "qubit_projector_gram_residual": ("<=", 1e-12),
@@ -201,13 +204,12 @@ def check_livine_positivity() -> CheckResult:
     c_res = abs((c if c is not None else np.nan) - 0.5)
     eigs = np.linalg.eigh(s.dequantizers[0])[0]
     expected = np.array([(1 - np.sqrt(3)) / 4, (1 + np.sqrt(3)) / 4])
-    eig_res = float(np.abs(eigs - expected).max())
     povm = povm_check(s)
     details = {
         "self_dual_coefficient": c,
         # NaN when the scheme is not self-dual, which fails the gate.
         "coefficient_residual": c_res,
-        "eigenvalue_residual": eig_res,
+        "eigenvalue_residual": np.abs(eigs - expected),
         "identity_sum_residual": povm.sum_residual,
         "min_dequantizer_eigenvalue": povm.min_effect_eigenvalue,
     }
@@ -224,7 +226,7 @@ def check_self_duality_unitarity() -> CheckResult:
     """Self-dual <=> U U^dag = c I, both directions: seeded scaled unitaries
     at d = 2 and d = 3 forward, every self-dual regression entry backward."""
     rng = np.random.default_rng(DEFAULT_BATTERY_SEED)
-    worst_forward = 0.0
+    forward = []
     for d in (2, 3):
         # Each sample draws its coefficient and then its unitary, so the
         # draws stay interleaved per sample.
@@ -236,11 +238,10 @@ def check_self_duality_unitarity() -> CheckResult:
         u_mats = np.sqrt(coefficients)[:, None, None] * haar_unitaries(normals)
         deq = devectorize(u_mats.swapaxes(1, 2))
         recovered = self_dual_coefficients(deq, canonical_duals(deq))
-        errors = np.abs(recovered - coefficients) / coefficients
-        # A family that is not self-dual (NaN) counts as an infinite error.
-        worst_forward = max(worst_forward, np.where(np.isnan(errors), np.inf, errors).max())
+        # A family that is not self-dual gives a NaN error, which fails the gate.
+        forward.append(np.abs(recovered - coefficients) / coefficients)
 
-    worst_backward = 0.0
+    backward = []
     checked = []
     for s in _quantized_regression_set():
         c = self_dual_coefficient(s)
@@ -248,12 +249,12 @@ def check_self_duality_unitarity() -> CheckResult:
             continue
         c_gram = scaled_unitary_check(dequantization_matrix(s))
         # An entry that is not scaled unitary counts as an infinite error.
-        worst_backward = max(worst_backward, np.inf if c_gram is None else abs(c_gram - c) / c)
+        backward.append(np.inf if c_gram is None else abs(c_gram - c) / c)
         checked.append(s.name)
 
     details = {
-        "random_coefficient_worst_relative_error": float(worst_forward),
-        "catalog_gram_worst_relative_error": worst_backward,
+        "random_coefficient_worst_relative_error": forward,
+        "catalog_gram_worst_relative_error": backward,
         "self_dual_catalog_schemes": checked,
         "self_dual_catalog_count": len(checked),
         "samples_per_dimension": _SAMPLES,
@@ -275,7 +276,7 @@ def check_povm_dual_negativity(seeds: int = 1000) -> CheckResult:
     """
     if seeds < 1:
         raise InvalidParameterError(f"seeds must be at least 1, got {seeds}")
-    guard = 1e-10
+    guard = matrixcore.EIG_TOL
     _, duals = random_minimal_povms(2, range(seeds))
     # Eigenvalues of the Hermitian parts: the exact dual of a Hermitian
     # family is Hermitian, but rounding in the dual scales with conditioning
@@ -299,17 +300,15 @@ def check_povm_dual_negativity(seeds: int = 1000) -> CheckResult:
 def check_completeness_roundtrip() -> CheckResult:
     """Completeness of the dual pair and symbol/reconstruct round trip."""
     rng = np.random.default_rng(DEFAULT_BATTERY_SEED)
-    worst_complete = 0.0
-    worst_roundtrip = 0.0
+    complete = []
+    roundtrip = []
     for s in _quantized_regression_set():
-        worst_complete = max(worst_complete, completeness_residual(s))
+        complete.append(completeness_residual(s))
         a = _ginibre(rng.standard_normal((_SAMPLES, 2, s.d, s.d)))
-        worst_roundtrip = max(
-            worst_roundtrip, float(np.abs(reconstruct(s, symbol(s, a)) - a).max())
-        )
+        roundtrip.append(np.abs(reconstruct(s, symbol(s, a)) - a).max())
     details = {
-        "worst_completeness_residual": worst_complete,
-        "worst_roundtrip_residual": worst_roundtrip,
+        "worst_completeness_residual": complete,
+        "worst_roundtrip_residual": roundtrip,
         "operators_per_scheme": _SAMPLES,
     }
     gates = {
@@ -322,20 +321,20 @@ def check_completeness_roundtrip() -> CheckResult:
 def check_kernel_laws() -> CheckResult:
     """Kernel homomorphism against operator products and exhaustive associativity."""
     rng = np.random.default_rng(DEFAULT_BATTERY_SEED)
-    worst_hom = 0.0
-    worst_assoc = 0.0
+    homomorphism = []
+    associativity = []
     for s in _quantized_regression_set():
         kernel = star_kernel(s)
-        worst_assoc = max(worst_assoc, associativity_residual(kernel))
+        associativity.append(associativity_residual(kernel))
         # Per pair: operator a, then operator b.
         ab = _ginibre(rng.standard_normal((_KERNEL_PAIRS, 2, 2, s.d, s.d)))
         a, b = ab[:, 0], ab[:, 1]
         via_kernel = star_multiply(kernel, symbol(s, a), symbol(s, b))
         direct = symbol(s, a @ b)
-        worst_hom = max(worst_hom, float(np.abs(via_kernel - direct).max()))
+        homomorphism.append(np.abs(via_kernel - direct).max())
     details = {
-        "worst_homomorphism_residual": worst_hom,
-        "worst_associativity_residual": worst_assoc,
+        "worst_homomorphism_residual": homomorphism,
+        "worst_associativity_residual": associativity,
         "pairs_per_scheme": _KERNEL_PAIRS,
     }
     gates = {
@@ -351,17 +350,14 @@ def check_intertwining() -> CheckResult:
     mu = matrix_units_scheme(2)
     pauli = pauli_scheme("hermitian")
     pair = intertwiner(mu, pauli)
-    compose_res = max(
-        float(np.abs(pair.backward @ pair.forward - np.eye(4)).max()),
-        float(np.abs(pair.forward @ pair.backward - np.eye(4)).max()),
-    )
+    compose = np.array([pair.backward @ pair.forward, pair.forward @ pair.backward])
 
     pair2 = intertwiner(pauli, mub_qubit_scheme())
     f = symbol(pauli, _ginibre(rng.standard_normal((_SAMPLES, 2, 2, 2))))
     back = (pair2.backward @ (pair2.forward @ f[..., None]))[..., 0]
     details = {
-        "minimal_composition_residual": compose_res,
-        "overfilled_roundtrip_residual": float(np.abs(back - f).max()),
+        "minimal_composition_residual": np.abs(compose - np.eye(4)),
+        "overfilled_roundtrip_residual": np.abs(back - f),
         "operators": _SAMPLES,
     }
     gates = {
@@ -374,11 +370,9 @@ def check_intertwining() -> CheckResult:
 def check_cubic_identity() -> CheckResult:
     """u = (u u*) u^tr over random unitaries of sizes 4 and 9."""
     rng = np.random.default_rng(DEFAULT_BATTERY_SEED)
-    worst = 0.0
-    for dim in (4, 9):
-        unitaries = haar_unitaries(rng.standard_normal((_SAMPLES, 2, dim, dim)))
-        worst = max(worst, float(cubic_unitary_residual(unitaries).max()))
-    details = {"worst_residual": worst, "samples_per_size": _SAMPLES}
+    draws = [rng.standard_normal((_SAMPLES, 2, dim, dim)) for dim in (4, 9)]
+    residuals = [cubic_unitary_residual(haar_unitaries(normals)) for normals in draws]
+    details = {"worst_residual": residuals, "samples_per_size": _SAMPLES}
     return _gated("cubic-unitary-identity", details, {"worst_residual": ("<=", 1e-12)})
 
 
@@ -389,12 +383,12 @@ def check_mub_frame() -> CheckResult:
     delta = duality_matrix(mub)
     cond = classify(mub).condition_number
     details = {
-        "singular_value_residual": float(np.abs(sv - np.array([np.sqrt(3), 1, 1, 1])).max()),
-        "duality_hermiticity_residual": float(np.abs(delta - delta.conj().T).max()),
-        "duality_idempotency_residual": float(np.abs(delta @ delta - delta).max()),
+        "singular_value_residual": np.abs(sv - np.array([np.sqrt(3), 1, 1, 1])),
+        "duality_hermiticity_residual": np.abs(delta - delta.conj().T),
+        "duality_idempotency_residual": np.abs(delta @ delta - delta),
         "duality_trace_residual": abs(complex(np.trace(delta)) - 4.0),
         "condition_number": cond,
-        "condition_number_residual": float(abs(cond - np.sqrt(3))),
+        "condition_number_residual": abs(cond - np.sqrt(3)),
     }
     gates = {key: ("<=", 1e-10) for key in details if key.endswith("_residual")}
     return _gated("mub-frame", details, gates)

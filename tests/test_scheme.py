@@ -393,6 +393,14 @@ class TestScaledUnitaryCheck:
         with pytest.raises(DimensionMismatchError, match=r"expected a d\^2 x N matrix"):
             scaled_unitary_check(np.ones(shape))
 
+    # A NaN entry makes U U^dag's diagonal NaN, which no scaled unitary has:
+    # the answer is None, never NaN.
+    @pytest.mark.parametrize("entry", [(3, 3), (0, 2)])
+    def test_nan_entry_is_not(self, entry):
+        u = np.eye(4, dtype=complex)
+        u[entry] = np.nan
+        assert scaled_unitary_check(u) is None
+
     def test_underfilled_is_not(self, rng):
         # U U^dag has rank 3 < 4, so it is never c I.
         assert scaled_unitary_check(haar_unitaries(rng.standard_normal((2, 4, 4)))[:, :3]) is None
@@ -488,6 +496,14 @@ class TestNegativityReport:
             )
         else:
             assert negativity_report(s) is None
+
+    def test_nan_entry_rejected(self):
+        # A NaN in either family, at its last entry, yields no report.
+        deq = pauli_scheme().dequantizers
+        nan = deq.copy()
+        nan[-1, -1, -1] = np.nan
+        assert negativity_report(Scheme(nan)) is None
+        assert negativity_report(Scheme(deq, nan)) is None
 
     def test_zero_family_is_hermitian(self):
         # The relative hermiticity test must not divide 0 by 0 here.

@@ -249,6 +249,10 @@ class TestCubicIdentity:
         with pytest.raises(NotUnitaryError):
             cubic_unitary_residual(np.diag([2.0, 1.0]))
 
+    def test_empty_stack_gives_empty_residuals(self):
+        residuals = cubic_unitary_residual(np.zeros((0, 3, 3)))
+        assert residuals.shape == (0,)
+
     def test_rejects_a_vector(self):
         with pytest.raises(DimensionMismatchError, match="expected a matrix or a stack of matrices, got ndim=1"):
             cubic_unitary_residual(np.ones(4))

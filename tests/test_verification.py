@@ -62,6 +62,11 @@ class TestPovmDualNegativity:
         assert details["counterexamples"] == np.count_nonzero(reference >= guard)
         assert details["inconclusive"] == 200 - details["conclusive"] - details["counterexamples"]
 
+    def test_guard_is_the_eigenvalue_sign_threshold(self, monkeypatch):
+        assert check_povm_dual_negativity(seeds=20).details["guard"] == 1e-10
+        monkeypatch.setattr(matrixcore, "EIG_TOL", 0.5)
+        assert check_povm_dual_negativity(seeds=20).details["guard"] == 0.5
+
     def test_1000_seed_counts_pinned(self):
         details = check_povm_dual_negativity(seeds=1000).details
         assert (details["conclusive"], details["inconclusive"], details["counterexamples"]) == (
@@ -680,6 +685,123 @@ def test_each_verdict_is_its_gates_and_each_gate_has_its_tests():
             assert (result.name, key) in tested, (result.name, key)
             seen.add((result.name, key))
     assert seen == residual_gates | set(_CONDITIONS)
+
+
+def _nan_at_last_call(monkeypatch, name, calls):
+    """Patch ``verification.<name>`` so that its ``calls``-th call, the last
+    one a check makes, returns the real result with its last entry NaN."""
+    real, made = getattr(verification, name), 0
+
+    def patched(*args):
+        nonlocal made
+        made += 1
+        result = real(*args)
+        if made == calls:
+            result = np.array(result)
+            result.flat[-1] = np.nan
+        return result
+
+    monkeypatch.setattr(verification, name, patched)
+
+
+def _minimal_backward_nan_last(source, target):
+    """The intertwiner, with the last entry of the minimal pair's backward
+    kernel NaN: both composed products then hold a NaN, the last one last."""
+    pair = _REAL["intertwiner"](source, target)
+    if target.n_points != target.d**2:
+        return pair
+    backward = pair.backward.copy()
+    backward[-1, -1] = np.nan
+    return dataclasses.replace(pair, backward=backward)
+
+
+def _regression_size():
+    return len(verification._quantized_regression_set())
+
+
+# Per swept ``<=`` gate: the check, the detail its gate reads, and a patch of
+# the library call the check makes that puts a NaN at the last entry or
+# sample of the sweep, after finite ones.
+_NAN_SWEEPS = {
+    "table-rows-1-3": (
+        verification.check_table_printed_rows,
+        "max_residual",
+        lambda mp: _table_block_off_by(mp, 2, np.nan, "generated_pauli"),
+    ),
+    "table-rows-4-6": (
+        verification.check_table_derived_rows,
+        "max_residual",
+        lambda mp: _table_block_off_by(mp, 5, np.nan, "generated_pauli"),
+    ),
+    "self-dual-forward": (
+        verification.check_self_duality_unitarity,
+        "random_coefficient_worst_relative_error",
+        lambda mp: _nan_at_last_call(mp, "self_dual_coefficients", 2),
+    ),
+    "self-dual-backward": (
+        verification.check_self_duality_unitarity,
+        "catalog_gram_worst_relative_error",
+        lambda mp: _nan_at_last_call(
+            mp,
+            "scaled_unitary_check",
+            _unpatched(verification.check_self_duality_unitarity).details["self_dual_catalog_count"],
+        ),
+    ),
+    "completeness": (
+        verification.check_completeness_roundtrip,
+        "worst_completeness_residual",
+        lambda mp: _nan_at_last_call(mp, "completeness_residual", _regression_size()),
+    ),
+    "roundtrip": (
+        verification.check_completeness_roundtrip,
+        "worst_roundtrip_residual",
+        lambda mp: _nan_at_last_call(mp, "reconstruct", _regression_size()),
+    ),
+    "kernel-homomorphism": (
+        verification.check_kernel_laws,
+        "worst_homomorphism_residual",
+        lambda mp: _nan_at_last_call(mp, "star_multiply", _regression_size()),
+    ),
+    "kernel-associativity": (
+        verification.check_kernel_laws,
+        "worst_associativity_residual",
+        lambda mp: _nan_at_last_call(mp, "associativity_residual", _regression_size()),
+    ),
+    "intertwining-composition": (
+        verification.check_intertwining,
+        "minimal_composition_residual",
+        lambda mp: mp.setattr(verification, "intertwiner", _minimal_backward_nan_last),
+    ),
+    "cubic-unitary-identity": (
+        verification.check_cubic_identity,
+        "worst_residual",
+        lambda mp: _nan_at_last_call(mp, "cubic_unitary_residual", 2),
+    ),
+}
+
+
+class TestNanResiduals:
+    """A NaN residual fails its gate wherever it sits in a sweep, and the
+    check reports it as the gate's value."""
+
+    @pytest.mark.parametrize("gate", list(_NAN_SWEEPS))
+    def test_a_nan_last_in_a_sweep_fails(self, monkeypatch, gate):
+        check, detail, patch = _NAN_SWEEPS[gate]
+        patch(monkeypatch)
+        result = check()
+        assert not result.passed
+        assert np.isnan(result.details[detail])
+
+    @pytest.mark.parametrize(
+        "residuals, passed, value, margin",
+        [([0.1, np.nan], False, np.nan, np.nan), ([], True, 0.0, np.inf)],
+        ids=["nan-last", "empty"],
+    )
+    def test_gated_reads_the_largest_residual(self, residuals, passed, value, margin):
+        result = verification._gated("probe", {"r": residuals}, {"r": ("<=", 1.0)})
+        assert result.passed is passed
+        assert result.details["r"] == pytest.approx(value, nan_ok=True)
+        assert result.details["gates"]["r"]["margin"] == pytest.approx(margin, nan_ok=True)
 
 
 @pytest.fixture
