@@ -35,12 +35,10 @@ from .scheme import (
     PovmDiagnostics,
     Scheme,
     SchemeReport,
-    canonical_duals,
     canonical_quantizers,
     classify,
     completeness_residual,
     dequantization_matrix,
-    duality_matrix,
     gauge_quantizers,
     matrix_unit_like_detect,
     negativity_report,

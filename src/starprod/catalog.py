@@ -26,7 +26,7 @@ from .errors import (
 )
 from . import matrixcore
 from .operator_space import PAULI_X, PAULI_Y, PAULI_Z
-from .scheme import Scheme, canonical_duals, dequantization_matrix, quantization_matrix
+from .scheme import Scheme, canonical_quantizers, dequantization_matrix, quantization_matrix
 from .serialization import load_vector
 from .star_product import symbol
 
@@ -195,7 +195,7 @@ def random_minimal_povms(d: int, seeds: Iterable[int]) -> tuple[np.ndarray, np.n
     Each seed's POVM is one draw from ``default_rng(seed)``'s stream, bit for
     bit, so it does not depend on the other seeds: SeedSequence's hash runs
     once over all seeds, and PCG64 seeds each stream from those words in C.
-    The duals are ``canonical_duals`` of the dequantizers, which raises
+    The duals are ``canonical_quantizers`` of the dequantizers, which raises
     NotTomographicError if a draw does not span the operator space.  A seed
     that is not a non-negative integer raises InvalidParameterError before
     any draw.
@@ -211,7 +211,7 @@ def random_minimal_povms(d: int, seeds: Iterable[int]) -> tuple[np.ndarray, np.n
     if min(indexed, default=0) < 0:
         raise InvalidParameterError(f"seeds must be non-negative, got {min(indexed)}")
     deq = _povm_draw(_seed_words(indexed), d * d, d)
-    return deq, canonical_duals(deq)
+    return deq, canonical_quantizers(deq)
 
 
 # numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx), which

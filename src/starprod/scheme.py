@@ -21,6 +21,7 @@ import numpy as np
 from .errors import (
     DimensionMismatchError,
     InvalidGaugeError,
+    InvalidParameterError,
     NotTomographicError,
 )
 from . import matrixcore
@@ -35,7 +36,8 @@ class Scheme:
     """Ordered dequantizer family with optional quantizers.
 
     ``dequantizers`` has shape (N, d, d) with N, d >= 1; ``quantizers`` is
-    None or the same shape.  Values are treated as immutable.
+    None or the same shape.  Every entry must be finite; InvalidParameterError
+    names the first member that is not.  Values are treated as immutable.
 
     Every function that reads quantizers uses the attached family, or the
     canonical dual ``canonical_quantizers`` when the scheme carries none; on
@@ -52,16 +54,21 @@ class Scheme:
             raise DimensionMismatchError(
                 f"dequantizers must be a non-empty stack of square matrices, got shape {deq.shape}"
             )
-        deq.setflags(write=False)
-        object.__setattr__(self, "dequantizers", deq)
+        families = {"dequantizers": deq}
         if self.quantizers is not None:
-            qs = np.asarray(self.quantizers, dtype=complex).view()
+            families["quantizers"] = qs = np.asarray(self.quantizers, dtype=complex).view()
             if qs.shape != deq.shape:
                 raise DimensionMismatchError(
                     f"quantizers shape {qs.shape} does not match dequantizers {deq.shape}"
                 )
-            qs.setflags(write=False)
-            object.__setattr__(self, "quantizers", qs)
+        for label, family in families.items():
+            bad = ~np.isfinite(family)
+            if bad.any():
+                raise InvalidParameterError(
+                    f"{label}[{np.argwhere(bad)[0, 0]}]: entries must be finite (NaN or inf found)"
+                )
+            family.setflags(write=False)
+            object.__setattr__(self, label, family)
 
     @property
     def d(self) -> int:
@@ -152,8 +159,8 @@ def _dual_family(w: np.ndarray, sv: np.ndarray, vh: np.ndarray) -> np.ndarray:
     return devectorize(dual.swapaxes(-1, -2))
 
 
-def canonical_duals(dequantizers) -> np.ndarray:
-    """Canonical quantizer families dual to a stack of dequantizer families.
+def canonical_quantizers(dequantizers) -> np.ndarray:
+    """Canonical quantizers dual to a dequantizer family or a stack of them.
 
     ``dequantizers`` has shape (..., N, d, d); the result has the same shape,
     one dual family per input family.  One thin SVD U = W Sigma V^dag of each
@@ -177,22 +184,12 @@ def canonical_duals(dequantizers) -> np.ndarray:
     return _dual_family(w, sv, vh)
 
 
-def canonical_quantizers(s: Scheme) -> np.ndarray:
-    """Quantizer family dual to the dequantizers: the one-family case of
-    ``canonical_duals``.
-
-    Raises NotTomographicError when the dequantizers do not span the
-    operator space.
-    """
-    return canonical_duals(s.dequantizers)
-
-
 def with_canonical_quantizers(s: Scheme) -> Scheme:
     """The scheme as every quantizer-reading function sees it: a copy with
     canonical quantizers attached, or the scheme itself if it carries some."""
     if s.quantizers is not None:
         return s
-    return s.with_quantizers(canonical_quantizers(s))
+    return s.with_quantizers(canonical_quantizers(s.dequantizers))
 
 
 def completeness_residual(s: Scheme) -> float:
@@ -235,17 +232,6 @@ def gauge_quantizers(s: Scheme, g_mat) -> np.ndarray:
     return devectorize(finite("the shifted quantizers overflow", lambda: d_mat + g_mat).T)
 
 
-def duality_matrix(s: Scheme) -> np.ndarray:
-    """N x N pairing Delta(k, k') = Tr[U_k^dag D_k'].
-
-    Reduces to the identity for minimal tomographic schemes; with canonical
-    quantizers, attached or implied by a bare overfilled scheme, it is the
-    Hermitian projector onto the range of the symbol map.
-    """
-    qs = with_canonical_quantizers(s).quantizers
-    return np.einsum("kab,lab->kl", s.dequantizers.conj(), qs)
-
-
 def self_dual_coefficients(dequantizers, quantizers) -> np.ndarray:
     """Per family of two equal-shaped (..., N, d, d) stacks, the positive c with
     U_k = c D_k for all k, or NaN if the family is not self-dual.
@@ -279,17 +265,17 @@ def self_dual_coefficient(s: Scheme) -> float | None:
 def scaled_unitary_check(u_mat) -> float | None:
     """Positive c with U U^dag = c I for a d^2 x N matrix U, or None: the
     self-dual test at every N, as the canonical dual's matrix is
-    (U U^dag)^-1 U.  An underfilled U never passes."""
+    (U U^dag)^-1 U.  An underfilled U, and one whose Gram matrix holds a NaN
+    or an inf, never passes."""
     u_mat = np.asarray(u_mat, dtype=complex)
     if u_mat.ndim != 2:
         raise DimensionMismatchError(f"expected a d^2 x N matrix, got shape {u_mat.shape}")
-    gram = u_mat @ u_mat.conj().T
-    c = float(np.mean(np.diag(gram).real))
-    # Negated comparisons, so that a NaN entry fails the test.
-    if not c > 0.0:
-        return None
-    residual = float(np.abs(gram - c * np.eye(u_mat.shape[0])).max())
-    if not residual <= matrixcore.RESIDUAL_TOL * c:
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = u_mat @ u_mat.conj().T
+        c = float(np.mean(np.diag(gram).real))
+        residual = float(np.abs(gram - c * np.eye(u_mat.shape[0])).max())
+    # Negated comparisons, so that a NaN fails the test.
+    if not (c > 0.0 and residual <= matrixcore.RESIDUAL_TOL * c):
         return None
     return c
 
@@ -382,7 +368,7 @@ def classify(s: Scheme) -> SchemeReport:
     Diagnostics that need quantizers read them as ``Scheme`` says, and are
     skipped on a bare scheme that is not tomographic.  Rank, condition
     number and that dual share one thin SVD of U, the row-stacking
-    dequantization matrix, taken as ``canonical_duals`` takes it.  Every
+    dequantization matrix, taken as ``canonical_quantizers`` takes it.  Every
     orthonormal basis gives G^dag U for a unitary G, with the same sigma and
     G^dag (U U^dag) G, so no verdict depends on the basis.  Raises
     ScaleOutOfRangeError for a nonzero scheme whose scale puts the sum of

@@ -133,7 +133,10 @@ class IntertwinerPair:
 
 def intertwiner(source: Scheme, target: Scheme) -> IntertwinerPair:
     """Intertwining kernel pair from trace pairings across the two schemes,
-    whose quantizers it reads as ``Scheme`` says."""
+    whose quantizers it reads as ``Scheme`` says.  ``intertwiner(s, s).forward``
+    is the duality matrix Delta(k, k') = Tr[U_k^dag D_k']: the identity for a
+    minimal tomographic scheme, and with canonical quantizers, attached or
+    implied, the Hermitian projector onto the range of the symbol map."""
     if source.d != target.d:
         raise DimensionMismatchError(
             f"schemes act on different spaces: d={source.d} vs d={target.d}"

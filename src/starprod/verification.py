@@ -48,11 +48,10 @@ from .matrixcore import singular_values
 from .operator_space import devectorize
 from .scheme import (
     Scheme,
-    canonical_duals,
+    canonical_quantizers,
     classify,
     completeness_residual,
     dequantization_matrix,
-    duality_matrix,
     povm_check,
     scaled_unitary_check,
     self_dual_coefficient,
@@ -237,7 +236,7 @@ def check_self_duality_unitarity() -> CheckResult:
             rng.standard_normal(out=normals[i])
         u_mats = np.sqrt(coefficients)[:, None, None] * haar_unitaries(normals)
         deq = devectorize(u_mats.swapaxes(1, 2))
-        recovered = self_dual_coefficients(deq, canonical_duals(deq))
+        recovered = self_dual_coefficients(deq, canonical_quantizers(deq))
         # A family that is not self-dual gives a NaN error, which fails the gate.
         forward.append(np.abs(recovered - coefficients) / coefficients)
 
@@ -271,7 +270,7 @@ def check_povm_dual_negativity(seeds: int = 1000) -> CheckResult:
     """Random minimal qubit POVM schemes always have a negative dual eigenvalue.
 
     Seeds 0 .. seeds-1 are sampled as one stack, one draw per seed, and the
-    sampler's duals are ``canonical_duals`` of that stack, one thin SVD per
+    sampler's duals are ``canonical_quantizers`` of that stack, one thin SVD per
     POVM; ``seeds`` must be at least 1.
     """
     if seeds < 1:
@@ -380,7 +379,7 @@ def check_mub_frame() -> CheckResult:
     """Qubit MUB frame: singular values, duality projector, condition number."""
     mub = mub_qubit_scheme()
     sv = singular_values(dequantization_matrix(mub))
-    delta = duality_matrix(mub)
+    delta = intertwiner(mub, mub).forward
     cond = classify(mub).condition_number
     details = {
         "singular_value_residual": np.abs(sv - np.array([np.sqrt(3), 1, 1, 1])),

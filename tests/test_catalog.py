@@ -234,6 +234,11 @@ class TestWeylHeisenberg:
         with pytest.raises(ValueError):
             wh_sic_scheme(2, np.array([1, 1], dtype=complex))
 
+    def test_nan_fiducial_rejected(self):
+        # The norm and overlap tests let a NaN through; the scheme refuses it.
+        with pytest.raises(InvalidParameterError, match=r"^dequantizers\[0\]: entries must be finite"):
+            wh_sic_scheme(2, np.array([np.nan, 1.0]))
+
     def test_no_shipped_fiducial(self):
         with pytest.raises(ValueError):
             default_fiducial(4)

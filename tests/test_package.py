@@ -31,7 +31,6 @@ PUBLIC_NAMES = [
     "UnknownSchemeError",
     "__version__",
     "associativity_residual",
-    "canonical_duals",
     "canonical_quantizers",
     "catalog",
     "classify",
@@ -39,7 +38,6 @@ PUBLIC_NAMES = [
     "cubic_unitary_residual",
     "dequantization_matrix",
     "devectorize",
-    "duality_matrix",
     "gauge_quantizers",
     "intertwiner",
     "matrix_unit_like_detect",
@@ -72,7 +70,9 @@ PUBLIC_NAMES = [
 # PCG64 seeds itself from the SeedSequence words; the error subclasses no
 # code caught, folded into the kept class of their exit code; and the
 # non-Hermitian member error, now that negativity_report returns None for
-# such a family.
+# such a family; the second spelling of the canonical dual, whose one name
+# now takes a stack of families instead of a scheme, and the duality matrix,
+# which is intertwiner(s, s).forward.
 # "function.parameter" names a parameter.
 REMOVED = {
     "catalog": [
@@ -95,6 +95,7 @@ REMOVED = {
         "parse_scheme",
     ],
     "verification": ["haar_unitary"],
+    "scheme": ["canonical_duals", "duality_matrix", "canonical_quantizers.s"],
     "operator_space": [
         "row_stack",
         "unstack",

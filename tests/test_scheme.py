@@ -6,15 +6,15 @@ import pytest
 from starprod import (
     DimensionMismatchError,
     InvalidGaugeError,
+    InvalidParameterError,
     NotTomographicError,
     Scheme,
-    canonical_duals,
     canonical_quantizers,
     classify,
     completeness_residual,
     dequantization_matrix,
-    duality_matrix,
     gauge_quantizers,
+    intertwiner,
     matrix_unit_like_detect,
     negativity_report,
     povm_check,
@@ -92,7 +92,7 @@ class TestSchemeType:
 # Every function that reads quantizers, as a function of the scheme alone.
 _QUANTIZER_READERS = {
     "quantization_matrix": quantization_matrix,
-    "duality_matrix": duality_matrix,
+    "intertwiner": lambda s: intertwiner(s, s).forward,
     "self_dual_coefficient": self_dual_coefficient,
     "completeness_residual": completeness_residual,
     "reconstruct": lambda s: reconstruct(s, np.arange(s.n_points) - 1j),
@@ -163,7 +163,7 @@ class TestDequantizationMatrix:
 class TestCanonicalQuantizers:
     def test_matrix_units_self_dual(self):
         s = matrix_units_scheme(2)
-        qs = canonical_quantizers(s)
+        qs = canonical_quantizers(s.dequantizers)
         assert np.abs(qs - s.dequantizers).max() <= 1e-14
 
     def test_sic_povm_duals(self):
@@ -173,48 +173,45 @@ class TestCanonicalQuantizers:
         expected = 3 * projs - np.eye(2)
         bio = np.einsum("kab,lab->kl", (projs / 2).conj(), expected)
         assert np.abs(bio - np.eye(4)).max() <= 1e-14
-        qs = canonical_quantizers(sic_qubit_scheme("povm"))
+        qs = canonical_quantizers(sic_qubit_scheme("povm").dequantizers)
         assert np.abs(qs - expected).max() <= 1e-12
 
     def test_livine_duals_are_doubled(self):
         s = livine_scheme("dequantizer")
-        qs = canonical_quantizers(s)
+        qs = canonical_quantizers(s.dequantizers)
         assert np.abs(qs - 2 * s.dequantizers).max() <= 1e-13
 
     def test_underfilled_raises(self):
-        s = Scheme(dequantizers=mub_qubit_scheme().dequantizers[:3])
         with pytest.raises(NotTomographicError):
-            canonical_quantizers(s)
+            canonical_quantizers(mub_qubit_scheme().dequantizers[:3])
 
     def test_overfilled_pseudoinverse_completeness(self):
         s = with_canonical_quantizers(mub_qubit_scheme())
         assert completeness_residual(s) <= 1e-10
 
 
-class TestCanonicalDuals:
+class TestCanonicalQuantizerStacks:
     @pytest.mark.parametrize("d, n", [(2, 4), (3, 9), (2, 7), (3, 14)])
     def test_stack_matches_per_family(self, rng, d, n):
         # Random Ginibre families: N = d^2 is minimal, larger N overfilled.
         families = random_complex(rng, (2, 3, n, d, d))
-        duals = canonical_duals(families)
+        duals = canonical_quantizers(families)
         assert duals.shape == families.shape
-        expected = np.array(
-            [[canonical_quantizers(Scheme(dequantizers=f)) for f in row] for row in families]
-        )
+        expected = np.array([[canonical_quantizers(f) for f in row] for row in families])
         assert np.abs(duals - expected).max() <= 1e-13
 
     def test_rank_deficient_member_raises(self, rng):
         families = random_complex(rng, (3, 4, 2, 2))
         families[2, 3] = families[2, 0]
         with pytest.raises(NotTomographicError, match="rank 3 < d\\^2 = 4"):
-            canonical_duals(families)
+            canonical_quantizers(families)
 
     def test_shape_check(self):
         with pytest.raises(DimensionMismatchError):
-            canonical_duals(np.zeros((4, 2, 3)))
+            canonical_quantizers(np.zeros((4, 2, 3)))
 
     def test_empty_stack(self):
-        assert canonical_duals(np.zeros((0, 4, 2, 2))).shape == (0, 4, 2, 2)
+        assert canonical_quantizers(np.zeros((0, 4, 2, 2))).shape == (0, 4, 2, 2)
 
 
 class TestDualAccuracy:
@@ -240,7 +237,7 @@ class TestDualAccuracy:
         u = conditioned_frame(12, factor / matrixcore.RANK_TOL, seed=7)
         s = scheme_from_dequantization_matrix(u)
         try:
-            canonical_duals(s.dequantizers)
+            canonical_quantizers(s.dequantizers)
             dual_defined = True
         except NotTomographicError:
             dual_defined = False
@@ -264,7 +261,7 @@ class TestGaugeQuantizers:
         g = np.outer(w, null.conj())
         shifted = gauge_quantizers(s, g)
         assert completeness_residual(s.with_quantizers(shifted)) <= 1e-10
-        assert np.abs(shifted - canonical_quantizers(s)).max() > 1e-3
+        assert np.abs(shifted - canonical_quantizers(s.dequantizers)).max() > 1e-3
 
     def test_invalid_gauge_rejected(self, rng):
         s = mub_qubit_scheme()
@@ -286,7 +283,7 @@ class TestGaugeQuantizers:
         null_gauge = np.outer(random_complex(rng, 4), vh[-1])
         scaled = Scheme(dequantizers=scale * s.dequantizers)
         shifted = gauge_quantizers(scaled, null_gauge)
-        assert np.abs(shifted - canonical_quantizers(scaled)).max() > 1e-3
+        assert np.abs(shifted - canonical_quantizers(scaled.dequantizers)).max() > 1e-3
         with pytest.raises(InvalidGaugeError):
             gauge_quantizers(scaled, random_complex(rng, (4, 6)))
 
@@ -312,17 +309,25 @@ class TestGaugeQuantizers:
                 gauge_quantizers(s, g)
 
 
+def _duality_matrix(s: Scheme) -> np.ndarray:
+    """Delta(k, k') = Tr[U_k^dag D_k'] of ``s``: ``intertwiner(s, s)``'s
+    forward kernel, which its backward kernel equals bit for bit."""
+    pair = intertwiner(s, s)
+    assert pair.forward.tobytes() == pair.backward.tobytes()
+    return pair.forward
+
+
 class TestDualityMatrix:
     def test_matrix_units(self):
-        assert np.abs(duality_matrix(matrix_units_scheme(2)) - np.eye(4)).max() <= 1e-14
+        assert np.abs(_duality_matrix(matrix_units_scheme(2)) - np.eye(4)).max() <= 1e-14
 
     def test_sic_minimal_is_kronecker(self):
         s = with_canonical_quantizers(sic_qubit_scheme("povm"))
-        assert np.abs(duality_matrix(s) - np.eye(4)).max() <= 1e-12
+        assert np.abs(_duality_matrix(s) - np.eye(4)).max() <= 1e-12
 
     def test_mub_projector(self):
         s = with_canonical_quantizers(mub_qubit_scheme())
-        delta = duality_matrix(s)
+        delta = _duality_matrix(s)
         assert np.abs(delta - delta.conj().T).max() <= 1e-10
         assert np.abs(delta @ delta - delta).max() <= 1e-10
         assert abs(np.trace(delta) - 4) <= 1e-10
@@ -345,7 +350,7 @@ class TestSelfDualCoefficient:
         u = np.sqrt(coefficients)[:, None, None] * haar_unitaries(rng.standard_normal((6, 2, 4, 4)))
         deq = u.swapaxes(1, 2).reshape(6, 4, 2, 2)
         deq[::3] = random_complex(rng, (2, 4, 2, 2))
-        duals = canonical_duals(deq)
+        duals = canonical_quantizers(deq)
         stacked = self_dual_coefficients(deq.reshape(2, 3, 4, 2, 2), duals.reshape(2, 3, 4, 2, 2))
         assert stacked.shape == (2, 3)
         for c, family, dual in zip(stacked.reshape(-1), deq, duals):
@@ -393,13 +398,18 @@ class TestScaledUnitaryCheck:
         with pytest.raises(DimensionMismatchError, match=r"expected a d\^2 x N matrix"):
             scaled_unitary_check(np.ones(shape))
 
-    # A NaN entry makes U U^dag's diagonal NaN, which no scaled unitary has:
-    # the answer is None, never NaN.
+    # A NaN or inf entry, or entries whose Gram matrix overflows, leave
+    # U U^dag non-finite, which no scaled unitary has: the answer is None,
+    # never NaN, and numpy warns of nothing (tier-1 makes warnings errors).
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
     @pytest.mark.parametrize("entry", [(3, 3), (0, 2)])
-    def test_nan_entry_is_not(self, entry):
+    def test_non_finite_entry_is_not(self, entry, value):
         u = np.eye(4, dtype=complex)
-        u[entry] = np.nan
+        u[entry] = value
         assert scaled_unitary_check(u) is None
+
+    def test_overflowing_gram_matrix_is_not(self):
+        assert scaled_unitary_check(1e200 * np.eye(4)) is None
 
     def test_underfilled_is_not(self, rng):
         # U U^dag has rank 3 < 4, so it is never c I.
@@ -498,12 +508,14 @@ class TestNegativityReport:
             assert negativity_report(s) is None
 
     def test_nan_entry_rejected(self):
-        # A NaN in either family, at its last entry, yields no report.
+        # A NaN in either family, at its last entry, builds no scheme to report on.
         deq = pauli_scheme().dequantizers
         nan = deq.copy()
         nan[-1, -1, -1] = np.nan
-        assert negativity_report(Scheme(nan)) is None
-        assert negativity_report(Scheme(deq, nan)) is None
+        with pytest.raises(InvalidParameterError, match=r"^dequantizers\[3\]"):
+            Scheme(nan)
+        with pytest.raises(InvalidParameterError, match=r"^quantizers\[3\]"):
+            Scheme(deq, nan)
 
     def test_zero_family_is_hermitian(self):
         # The relative hermiticity test must not divide 0 by 0 here.
@@ -574,7 +586,8 @@ class TestMatrixUnitLikeDetect:
     def test_nan_family_rejected(self):
         deq = matrix_units_scheme(2).dequantizers.copy()
         deq[3, 1, 1] = np.nan
-        assert matrix_unit_like_detect(Scheme(deq)) is None
+        with pytest.raises(InvalidParameterError, match=r"^dequantizers\[3\]"):
+            Scheme(deq)
 
     def test_livine_not_rank_one(self):
         assert matrix_unit_like_detect(livine_scheme()) is None
@@ -605,7 +618,7 @@ class TestClassify:
         assert shapes == [(4, 6)]
         assert report.tomographic and report.negativity.min_quantizer_eigenvalue is not None
         shapes.clear()
-        canonical_duals(mub_qubit_scheme().dequantizers)
+        canonical_quantizers(mub_qubit_scheme().dequantizers)
         assert shapes == [(4, 6)]
 
     def test_matrix_units(self):
@@ -659,6 +672,12 @@ class TestClassify:
         assert report.self_dual_coefficient is None
         assert report.negativity is not None
         assert report.negativity.min_quantizer_eigenvalue is None
+
+    def test_non_finite_scheme_is_refused(self):
+        deq = pauli_scheme().dequantizers.copy()
+        deq[2, 0, 1] = np.nan
+        with pytest.raises(InvalidParameterError, match=r"^dequantizers\[2\]: entries must be finite"):
+            classify(Scheme(deq))
 
 
 class TestScaleCovariance:
@@ -758,7 +777,7 @@ class TestInvariants:
         for entry in entries():
             s = with_canonical_quantizers(entry.scheme)
             if s.n_points == s.d * s.d:
-                delta = duality_matrix(s)
+                delta = _duality_matrix(s)
                 assert np.abs(delta - np.eye(s.n_points)).max() <= 1e-10, entry.scheme.name
 
     def test_overfilled_duality_is_projector(self):
@@ -766,7 +785,7 @@ class TestInvariants:
             s = with_canonical_quantizers(entry.scheme)
             if s.n_points <= s.d * s.d:
                 continue
-            delta = duality_matrix(s)
+            delta = _duality_matrix(s)
             assert np.abs(delta - delta.conj().T).max() <= 1e-10, entry.scheme.name
             assert np.abs(delta @ delta - delta).max() <= 1e-10, entry.scheme.name
             assert abs(np.trace(delta) - s.d * s.d) <= 1e-10, entry.scheme.name
@@ -788,7 +807,7 @@ class TestInvariants:
             for _ in range(30):
                 c = rng.uniform(0.1, 10.0)
                 s = scheme_from_dequantization_matrix(tight_frame(rng, d, n, c))
-                s = s.with_quantizers(canonical_quantizers(s))
+                s = s.with_quantizers(canonical_quantizers(s.dequantizers))
                 recovered = self_dual_coefficient(s)
                 assert recovered is not None
                 assert abs(recovered - c) <= 1e-9 * c
@@ -797,7 +816,7 @@ class TestInvariants:
         inconclusive = 0
         for seed in range(1000):
             s = random_minimal_povm_scheme(2, seed)
-            qs = canonical_quantizers(s)
+            qs = canonical_quantizers(s.dequantizers)
             herm = (qs + qs.conj().transpose(0, 2, 1)) / 2
             min_eig = float(np.linalg.eigvalsh(herm)[:, 0].min())
             assert min_eig < 1e-10, f"seed {seed} gave min eigenvalue {min_eig}"
@@ -809,8 +828,8 @@ class TestInvariants:
         for base in (mub_qubit_scheme(), sic_qubit_scheme("povm")):
             perm = rng.permutation(base.n_points)
             permuted = Scheme(dequantizers=base.dequantizers[perm])
-            qs = canonical_quantizers(base)
-            qs_perm = canonical_quantizers(permuted)
+            qs = canonical_quantizers(base.dequantizers)
+            qs_perm = canonical_quantizers(permuted.dequantizers)
             assert np.abs(qs_perm - qs[perm]).max() <= 1e-12
             a, b = classify(base), classify(permuted)
             assert a.cardinality == b.cardinality

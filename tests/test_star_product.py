@@ -12,7 +12,7 @@ from starprod import (
     Scheme,
     StarKernel,
     associativity_residual,
-    canonical_duals,
+    canonical_quantizers,
     completeness_residual,
     cubic_unitary_residual,
     dequantization_matrix,
@@ -348,7 +348,7 @@ class TestFloatRange:
         "compute, what",
         [
             (
-                lambda: canonical_duals(_scaled("pauli", 1e-310).dequantizers),
+                lambda: canonical_quantizers(_scaled("pauli", 1e-310).dequantizers),
                 "the canonical quantizers overflow",
             ),
             (_shifted_quantizers_overflow, "the shifted quantizers overflow"),
@@ -384,7 +384,7 @@ class TestFloatRange:
             ),
         ],
         ids=[
-            "canonical_duals",
+            "canonical_quantizers",
             "gauge_quantizers",
             "completeness_residual",
             "symbol",

@@ -21,7 +21,6 @@ from starprod.catalog import (
 )
 from starprod.scheme import (
     Scheme,
-    canonical_duals,
     canonical_quantizers,
     classify,
     self_dual_coefficient,
@@ -43,7 +42,7 @@ def _reference_minima(seeds: int) -> np.ndarray:
     """Smallest dual eigenvalue per seed, one scheme at a time."""
     minima = []
     for seed in range(seeds):
-        qs = canonical_quantizers(random_minimal_povm_scheme(2, seed))
+        qs = canonical_quantizers(random_minimal_povm_scheme(2, seed).dequantizers)
         herm = (qs + qs.conj().transpose(0, 2, 1)) / 2
         minima.append(float(np.linalg.eigvalsh(herm)[:, 0].min()))
     return np.array(minima)
@@ -52,7 +51,7 @@ def _reference_minima(seeds: int) -> np.ndarray:
 class TestPovmDualNegativity:
     def test_per_seed_minima_match_reference_loop(self):
         reference = _reference_minima(200)
-        duals = canonical_duals(random_minimal_povms(2, range(200))[0])
+        duals = canonical_quantizers(random_minimal_povms(2, range(200))[0])
         herm = (duals + duals.conj().swapaxes(-1, -2)) / 2
         assert np.array_equal(np.linalg.eigvalsh(herm)[..., 0].min(axis=-1), reference)
         details = check_povm_dual_negativity(seeds=200).details
@@ -111,7 +110,7 @@ class TestSelfDualityUnitarity:
                 c = rng.uniform(0.1, 10.0)
                 u = np.sqrt(c) * haar_unitaries(rng.standard_normal((2, d * d, d * d)))
                 family = devectorize(u.T)
-                recovered = self_dual_reference(family, canonical_duals(family))
+                recovered = self_dual_reference(family, canonical_quantizers(family))
                 worst = max(worst, np.inf if recovered is None else abs(recovered - c) / c)
         details = check_self_duality_unitarity().details
         assert details["random_coefficient_worst_relative_error"] == worst
@@ -231,10 +230,10 @@ class TestStackedSampler:
             assert np.array_equal(family, random_minimal_povm_scheme(d, seed).dequantizers)
 
     @pytest.mark.parametrize("d", [2, 3])
-    def test_duals_are_the_canonical_duals(self, d):
+    def test_duals_are_the_canonical_quantizers(self, d):
         dequantizers, duals = random_minimal_povms(d, range(40))
         assert np.array_equal(dequantizers, random_minimal_povms(d, range(40))[0])
-        assert np.array_equal(duals, canonical_duals(dequantizers))
+        assert np.array_equal(duals, canonical_quantizers(dequantizers))
 
     def test_one_svd_per_draw(self, monkeypatch):
         calls = []
@@ -248,7 +247,7 @@ class TestStackedSampler:
         assert check_povm_dual_negativity(seeds=100).passed
         assert calls == [(100, 4, 4)]
 
-    # A rank tolerance that rejects a share of draws: canonical_duals refuses
+    # A rank tolerance that rejects a share of draws: canonical_quantizers refuses
     # the stack, and emit exits 1 with one error line for a failing seed.
     def test_rank_deficient_draw_is_not_tomographic(self, monkeypatch, tmp_path, capsys):
         monkeypatch.setattr(matrixcore, "RANK_TOL", 0.05)
@@ -362,7 +361,6 @@ _REAL = {
     for name in (
         "associativity_residual",
         "classify",
-        "duality_matrix",
         "intertwiner",
         "livine_scheme",
         "povm_check",
@@ -428,10 +426,16 @@ def _livine_shifted(first, second):
     return Scheme(dequantizers=deq, quantizers=2 * deq, name=s.name)
 
 
-def _mub_duality_idempotency_off_by(offset):
-    """The MUB duality matrix plus a traceless Hermitian a (v v* - w w*) from
-    its null space, scaled so that its idempotency residual reads ``offset``."""
-    delta = _REAL["duality_matrix"](with_canonical_quantizers(catalog.mub_qubit_scheme()))
+def _mub_duality_off_by(monkeypatch, change):
+    """Patch ``verification.intertwiner`` so that its forward kernel, the
+    MUB duality matrix of ``check_mub_frame``, is ``change`` of the real one."""
+    _wrap(monkeypatch, "intertwiner", lambda pair: dataclasses.replace(pair, forward=change(pair.forward)))
+
+
+def _mub_duality_idempotency_off_by(delta, offset):
+    """The duality matrix ``delta`` of a frame with a null space plus a
+    traceless Hermitian a (v v* - w w*) from it, scaled so that its
+    idempotency residual reads ``offset``."""
     v, w = np.linalg.eigh(delta)[1][:, :2].T
     shift = np.outer(v, v.conj()) - np.outer(w, w.conj())
     return delta + offset / np.abs(shift).max() * shift
@@ -495,17 +499,17 @@ _GATES = {
     "mub-duality-hermiticity": (
         verification.check_mub_frame,
         "duality_hermiticity_residual",
-        lambda mp, offset: _wrap(mp, "duality_matrix", lambda m: m + offset * np.eye(6, k=1)),
+        lambda mp, offset: _mub_duality_off_by(mp, lambda m: m + offset * np.eye(6, k=1)),
     ),
     "mub-duality-idempotency": (
         verification.check_mub_frame,
         "duality_idempotency_residual",
-        lambda mp, offset: _constant(mp, "duality_matrix", _mub_duality_idempotency_off_by(offset)),
+        lambda mp, offset: _mub_duality_off_by(mp, lambda m: _mub_duality_idempotency_off_by(m, offset)),
     ),
     "mub-duality-trace": (
         verification.check_mub_frame,
         "duality_trace_residual",
-        lambda mp, offset: _wrap(mp, "duality_matrix", lambda m: m + offset / 6 * np.eye(6)),
+        lambda mp, offset: _mub_duality_off_by(mp, lambda m: m + offset / 6 * np.eye(6)),
     ),
     "mub-condition-number": (
         verification.check_mub_frame,
