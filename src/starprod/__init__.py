@@ -51,7 +51,6 @@ from .scheme import (
     with_canonical_quantizers,
 )
 from .star_product import (
-    IntertwinerPair,
     StarKernel,
     associativity_residual,
     cubic_unitary_residual,

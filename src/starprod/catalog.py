@@ -26,7 +26,7 @@ from .errors import (
 )
 from . import matrixcore
 from .operator_space import PAULI_X, PAULI_Y, PAULI_Z
-from .scheme import Scheme, canonical_quantizers, dequantization_matrix, quantization_matrix
+from .scheme import Scheme, dequantization_matrix, quantization_matrix
 from .serialization import load_vector
 from .star_product import symbol
 
@@ -187,18 +187,16 @@ def mub_prime_scheme(p: int) -> Scheme:
     return Scheme(dequantizers=_projectors(vectors), name=f"mub-prime-{p}")
 
 
-def random_minimal_povms(d: int, seeds: Iterable[int]) -> tuple[np.ndarray, np.ndarray]:
-    """Seeded random minimal tomographic POVMs, one per seed, and their
-    canonical duals, as two (S, d^2, d, d) stacks: d^2 Wishart effects per
-    seed, symmetrically normalized so they sum to the identity exactly.
+def random_minimal_povms(d: int, seeds: Iterable[int]) -> np.ndarray:
+    """Seeded random minimal tomographic POVMs, one per seed, as one
+    (S, d^2, d, d) stack: d^2 Wishart effects per seed, symmetrically
+    normalized so they sum to the identity exactly.
 
     Each seed's POVM is one draw from ``default_rng(seed)``'s stream, bit for
     bit, so it does not depend on the other seeds: SeedSequence's hash runs
     once over all seeds, and PCG64 seeds each stream from those words in C.
-    The duals are ``canonical_quantizers`` of the dequantizers, which raises
-    NotTomographicError if a draw does not span the operator space.  A seed
-    that is not a non-negative integer raises InvalidParameterError before
-    any draw.
+    A seed that is not a non-negative integer raises InvalidParameterError
+    before any draw.
     """
     if d < 1:
         raise InvalidParameterError(f"dimension must be positive, got {d}")
@@ -210,8 +208,7 @@ def random_minimal_povms(d: int, seeds: Iterable[int]) -> tuple[np.ndarray, np.n
             raise InvalidParameterError(f"seeds must be integers, got {seed!r}") from None
     if min(indexed, default=0) < 0:
         raise InvalidParameterError(f"seeds must be non-negative, got {min(indexed)}")
-    deq = _povm_draw(_seed_words(indexed), d * d, d)
-    return deq, canonical_quantizers(deq)
+    return _povm_draw(_seed_words(indexed), d * d, d)
 
 
 # numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx), which
@@ -298,7 +295,7 @@ def random_minimal_povm_scheme(d: int, seed: int) -> Scheme:
     """Seeded random minimal tomographic POVM: the one-seed case of
     ``random_minimal_povms``, named by the seed's integer value.
     """
-    deq = random_minimal_povms(d, [seed])[0][0]
+    deq = random_minimal_povms(d, [seed])[0]
     return Scheme(dequantizers=deq, name=f"random-povm-d{d}-seed{operator.index(seed)}")
 
 

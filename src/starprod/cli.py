@@ -168,21 +168,21 @@ def cmd_intertwine(args: argparse.Namespace) -> int:
     s_a = load_scheme(args.scheme_a)
     s_b = load_scheme(args.scheme_b)
     a = load_operator(args.operator)
-    pair = intertwiner(s_a, s_b)
+    forward, backward = intertwiner(s_a, s_b), intertwiner(s_b, s_a)
     f_a = symbol(s_a, a)
-    back = finite("the round-trip residual overflows", lambda: pair.backward @ (pair.forward @ f_a))
+    back = finite("the round-trip residual overflows", lambda: backward @ (forward @ f_a))
     # Relative to the symbol's largest entry, so it reads the same at every scale.
     residual = float(np.abs(back - f_a).max()) / (float(np.abs(f_a).max()) or 1.0)
     with np.printoptions(precision=6, suppress=True):
         print("forward kernel (source -> target):")
-        print(pair.forward)
+        print(forward)
         print("backward kernel (target -> source):")
-        print(pair.backward)
+        print(backward)
     print(f"symbol round-trip residual: {residual:.3e}")
     _write_report(
         args.report or "intertwine.report.json",
-        forward=pair.forward,
-        backward=pair.backward,
+        forward=forward,
+        backward=backward,
         roundtrip_residual=residual,
         symbol=f_a,
     )

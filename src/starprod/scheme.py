@@ -36,8 +36,10 @@ class Scheme:
     """Ordered dequantizer family with optional quantizers.
 
     ``dequantizers`` has shape (N, d, d) with N, d >= 1; ``quantizers`` is
-    None or the same shape.  Every entry must be finite; InvalidParameterError
-    names the first member that is not.  Values are treated as immutable.
+    None or the same shape; ``name`` is None or a string.  Every entry must
+    be finite; InvalidParameterError names the first member that is not.
+    Each family is held as a read-only complex copy, so later writes to the
+    arrays it was built from do not reach it.
 
     Every function that reads quantizers uses the attached family, or the
     canonical dual ``canonical_quantizers`` when the scheme carries none; on
@@ -49,14 +51,16 @@ class Scheme:
     name: str | None = None
 
     def __post_init__(self) -> None:
-        deq = np.asarray(self.dequantizers, dtype=complex).view()
+        if self.name is not None and not isinstance(self.name, str):
+            raise InvalidParameterError(f"name must be a string, got {self.name!r}")
+        deq = np.array(self.dequantizers, dtype=complex)
         if deq.ndim != 3 or deq.shape[1] != deq.shape[2] or 0 in deq.shape:
             raise DimensionMismatchError(
                 f"dequantizers must be a non-empty stack of square matrices, got shape {deq.shape}"
             )
         families = {"dequantizers": deq}
         if self.quantizers is not None:
-            families["quantizers"] = qs = np.asarray(self.quantizers, dtype=complex).view()
+            families["quantizers"] = qs = np.array(self.quantizers, dtype=complex)
             if qs.shape != deq.shape:
                 raise DimensionMismatchError(
                     f"quantizers shape {qs.shape} does not match dequantizers {deq.shape}"

@@ -118,36 +118,22 @@ def associativity_residual(kernel: StarKernel) -> float:
     return float(worst.max())
 
 
-@dataclass(frozen=True)
-class IntertwinerPair:
-    """Kernels translating symbols between two schemes on the same space.
-
-    ``forward`` (M x N) maps source-scheme symbols to target-scheme symbols;
-    ``backward`` (N x M) maps them back, acting as the identity on the range
-    of the source symbol map.
-    """
-
-    forward: np.ndarray
-    backward: np.ndarray
-
-
-def intertwiner(source: Scheme, target: Scheme) -> IntertwinerPair:
-    """Intertwining kernel pair from trace pairings across the two schemes,
-    whose quantizers it reads as ``Scheme`` says.  ``intertwiner(s, s).forward``
-    is the duality matrix Delta(k, k') = Tr[U_k^dag D_k']: the identity for a
-    minimal tomographic scheme, and with canonical quantizers, attached or
-    implied, the Hermitian projector onto the range of the symbol map."""
+def intertwiner(source: Scheme, target: Scheme) -> np.ndarray:
+    """Intertwining kernel T(k, l) = Tr[U_k^dag D_l] (M x N) mapping source
+    symbols to target symbols: the target's dequantizers U paired with the
+    source's quantizers D, read as ``Scheme`` says; a bare target needs no
+    dual.  ``intertwiner(target, source)`` maps them back, acting as the
+    identity on the range of the source symbol map.  ``intertwiner(s, s)`` is the duality matrix
+    Delta(k, k') = Tr[U_k^dag D_k']: the identity for a minimal tomographic
+    scheme, and with canonical quantizers, attached or implied, the Hermitian
+    projector onto the range of the symbol map."""
     if source.d != target.d:
         raise DimensionMismatchError(
             f"schemes act on different spaces: d={source.d} vs d={target.d}"
         )
-    source = with_canonical_quantizers(source)
-    target = with_canonical_quantizers(target)
-    forward = finite("the forward kernel overflows", lambda: np.einsum(
-        "kab,lab->kl", target.dequantizers.conj(), source.quantizers))
-    backward = finite("the backward kernel overflows", lambda: np.einsum(
-        "kab,lab->kl", source.dequantizers.conj(), target.quantizers))
-    return IntertwinerPair(forward=forward, backward=backward)
+    qs = with_canonical_quantizers(source).quantizers
+    return finite("the intertwining kernel overflows", lambda: np.einsum(
+        "kab,lab->kl", target.dequantizers.conj(), qs))
 
 
 def cubic_unitary_residual(u) -> float | np.ndarray:

@@ -269,14 +269,14 @@ def check_self_duality_unitarity() -> CheckResult:
 def check_povm_dual_negativity(seeds: int = 1000) -> CheckResult:
     """Random minimal qubit POVM schemes always have a negative dual eigenvalue.
 
-    Seeds 0 .. seeds-1 are sampled as one stack, one draw per seed, and the
-    sampler's duals are ``canonical_quantizers`` of that stack, one thin SVD per
-    POVM; ``seeds`` must be at least 1.
+    Seeds 0 .. seeds-1 are sampled as one stack, one draw per seed, and their
+    duals are ``canonical_quantizers`` of that stack, one thin SVD per POVM;
+    ``seeds`` must be at least 1.
     """
     if seeds < 1:
         raise InvalidParameterError(f"seeds must be at least 1, got {seeds}")
     guard = matrixcore.EIG_TOL
-    _, duals = random_minimal_povms(2, range(seeds))
+    duals = canonical_quantizers(random_minimal_povms(2, range(seeds)))
     # Eigenvalues of the Hermitian parts: the exact dual of a Hermitian
     # family is Hermitian, but rounding in the dual scales with conditioning
     # and the guard below absorbs it.
@@ -348,12 +348,13 @@ def check_intertwining() -> CheckResult:
     rng = np.random.default_rng(DEFAULT_BATTERY_SEED)
     mu = matrix_units_scheme(2)
     pauli = pauli_scheme("hermitian")
-    pair = intertwiner(mu, pauli)
-    compose = np.array([pair.backward @ pair.forward, pair.forward @ pair.backward])
+    forward, backward = intertwiner(mu, pauli), intertwiner(pauli, mu)
+    compose = np.array([backward @ forward, forward @ backward])
 
-    pair2 = intertwiner(pauli, mub_qubit_scheme())
+    mub = mub_qubit_scheme()
+    forward, backward = intertwiner(pauli, mub), intertwiner(mub, pauli)
     f = symbol(pauli, _ginibre(rng.standard_normal((_SAMPLES, 2, 2, 2))))
-    back = (pair2.backward @ (pair2.forward @ f[..., None]))[..., 0]
+    back = (backward @ (forward @ f[..., None]))[..., 0]
     details = {
         "minimal_composition_residual": np.abs(compose - np.eye(4)),
         "overfilled_roundtrip_residual": np.abs(back - f),
@@ -379,7 +380,7 @@ def check_mub_frame() -> CheckResult:
     """Qubit MUB frame: singular values, duality projector, condition number."""
     mub = mub_qubit_scheme()
     sv = singular_values(dequantization_matrix(mub))
-    delta = intertwiner(mub, mub).forward
+    delta = intertwiner(mub, mub)
     cond = classify(mub).condition_number
     details = {
         "singular_value_residual": np.abs(sv - np.array([np.sqrt(3), 1, 1, 1])),

@@ -857,7 +857,7 @@ class TestIntertwine:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == (
-            "error: scheme scale out of float64 range: the backward kernel overflows; "
+            "error: scheme scale out of float64 range: the intertwining kernel overflows; "
             "rescale the scheme\n"
         )
         assert not report_path.exists()

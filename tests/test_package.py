@@ -10,7 +10,6 @@ from starprod import errors
 
 PUBLIC_NAMES = [
     "DimensionMismatchError",
-    "IntertwinerPair",
     "InvalidGaugeError",
     "InvalidParameterError",
     "MalformedInputError",
@@ -72,7 +71,9 @@ PUBLIC_NAMES = [
 # non-Hermitian member error, now that negativity_report returns None for
 # such a family; the second spelling of the canonical dual, whose one name
 # now takes a stack of families instead of a scheme, and the duality matrix,
-# which is intertwiner(s, s).forward.
+# which is intertwiner(s, s); the intertwiner's pair type, now that it
+# returns the one kernel its arguments name, the backward one being
+# intertwiner(target, source).
 # "function.parameter" names a parameter.
 REMOVED = {
     "catalog": [
@@ -96,6 +97,7 @@ REMOVED = {
     ],
     "verification": ["haar_unitary"],
     "scheme": ["canonical_duals", "duality_matrix", "canonical_quantizers.s"],
+    "star_product": ["IntertwinerPair"],
     "operator_space": [
         "row_stack",
         "unstack",

@@ -71,6 +71,20 @@ class TestSchemeType:
         assert deq.flags.writeable and qs.flags.writeable
         assert not s.dequantizers.flags.writeable and not s.quantizers.flags.writeable
 
+    def test_later_writes_to_the_callers_arrays_do_not_reach_the_scheme(self):
+        deq = pauli_scheme().dequantizers.copy()
+        s = Scheme(deq, 2 * deq)
+        qs_before = s.quantizers.copy()
+        deq[2, 0, 0] = np.nan
+        assert np.isfinite(s.dequantizers).all()
+        assert classify(s).tomographic
+        assert np.array_equal(s.quantizers, qs_before)
+
+    @pytest.mark.parametrize("name", [5, b"pauli", ["pauli"]], ids=repr)
+    def test_name_that_is_not_a_string_refused(self, name):
+        with pytest.raises(InvalidParameterError, match=r"^name must be a string, got "):
+            Scheme(pauli_scheme().dequantizers, name=name)
+
     @pytest.mark.parametrize(
         "build",
         [
@@ -92,7 +106,7 @@ class TestSchemeType:
 # Every function that reads quantizers, as a function of the scheme alone.
 _QUANTIZER_READERS = {
     "quantization_matrix": quantization_matrix,
-    "intertwiner": lambda s: intertwiner(s, s).forward,
+    "intertwiner": lambda s: intertwiner(s, s),
     "self_dual_coefficient": self_dual_coefficient,
     "completeness_residual": completeness_residual,
     "reconstruct": lambda s: reconstruct(s, np.arange(s.n_points) - 1j),
@@ -309,25 +323,18 @@ class TestGaugeQuantizers:
                 gauge_quantizers(s, g)
 
 
-def _duality_matrix(s: Scheme) -> np.ndarray:
-    """Delta(k, k') = Tr[U_k^dag D_k'] of ``s``: ``intertwiner(s, s)``'s
-    forward kernel, which its backward kernel equals bit for bit."""
-    pair = intertwiner(s, s)
-    assert pair.forward.tobytes() == pair.backward.tobytes()
-    return pair.forward
-
-
 class TestDualityMatrix:
     def test_matrix_units(self):
-        assert np.abs(_duality_matrix(matrix_units_scheme(2)) - np.eye(4)).max() <= 1e-14
+        s = matrix_units_scheme(2)
+        assert np.abs(intertwiner(s, s) - np.eye(4)).max() <= 1e-14
 
     def test_sic_minimal_is_kronecker(self):
         s = with_canonical_quantizers(sic_qubit_scheme("povm"))
-        assert np.abs(_duality_matrix(s) - np.eye(4)).max() <= 1e-12
+        assert np.abs(intertwiner(s, s) - np.eye(4)).max() <= 1e-12
 
     def test_mub_projector(self):
         s = with_canonical_quantizers(mub_qubit_scheme())
-        delta = _duality_matrix(s)
+        delta = intertwiner(s, s)
         assert np.abs(delta - delta.conj().T).max() <= 1e-10
         assert np.abs(delta @ delta - delta).max() <= 1e-10
         assert abs(np.trace(delta) - 4) <= 1e-10
@@ -777,7 +784,7 @@ class TestInvariants:
         for entry in entries():
             s = with_canonical_quantizers(entry.scheme)
             if s.n_points == s.d * s.d:
-                delta = _duality_matrix(s)
+                delta = intertwiner(s, s)
                 assert np.abs(delta - np.eye(s.n_points)).max() <= 1e-10, entry.scheme.name
 
     def test_overfilled_duality_is_projector(self):
@@ -785,7 +792,7 @@ class TestInvariants:
             s = with_canonical_quantizers(entry.scheme)
             if s.n_points <= s.d * s.d:
                 continue
-            delta = _duality_matrix(s)
+            delta = intertwiner(s, s)
             assert np.abs(delta - delta.conj().T).max() <= 1e-10, entry.scheme.name
             assert np.abs(delta @ delta - delta).max() <= 1e-10, entry.scheme.name
             assert abs(np.trace(delta) - s.d * s.d) <= 1e-10, entry.scheme.name

@@ -33,7 +33,7 @@ from starprod.catalog import (
     pauli_scheme,
     sic_qubit_scheme,
 )
-from starprod.verification import haar_unitaries
+from starprod.verification import _quantized_regression_set, haar_unitaries
 
 from _helpers import random_complex, random_hermitian
 
@@ -193,39 +193,72 @@ class TestAssociativity:
         assert residuals.pop() <= 1e-14
 
 
+def _same_d_pairs():
+    """Every ordered same-d pair of the quantized regression set, and bare
+    mub-prime p = 5 and 7 each with itself."""
+    schemes = _quantized_regression_set()
+    pairs = [(a, b) for a in schemes for b in schemes if a.d == b.d]
+    bare = [build_scheme("mub-prime", p=p) for p in (5, 7)]
+    return pairs + [(s, s) for s in bare]
+
+
+def _kernel_pair_reference(source, target):
+    """The (forward, backward) kernels as one einsum each: target
+    dequantizers against source quantizers, and the reverse."""
+    source, target = with_canonical_quantizers(source), with_canonical_quantizers(target)
+    forward = np.einsum("kab,lab->kl", target.dequantizers.conj(), source.quantizers)
+    backward = np.einsum("kab,lab->kl", source.dequantizers.conj(), target.quantizers)
+    return forward, backward
+
+
 class TestIntertwiner:
     def test_same_scheme_gives_identity(self):
         s = matrix_units_scheme(2)
-        pair = intertwiner(s, s)
-        assert np.abs(pair.forward - np.eye(4)).max() <= 1e-14
-        assert np.abs(pair.backward - np.eye(4)).max() <= 1e-14
+        assert np.abs(intertwiner(s, s) - np.eye(4)).max() <= 1e-14
 
     def test_minimal_pair_composes_to_identity(self):
-        pair = intertwiner(matrix_units_scheme(2), pauli_scheme("hermitian"))
-        assert np.abs(pair.backward @ pair.forward - np.eye(4)).max() <= 1e-12
-        assert np.abs(pair.forward @ pair.backward - np.eye(4)).max() <= 1e-12
+        mu, pauli = matrix_units_scheme(2), pauli_scheme("hermitian")
+        forward, backward = intertwiner(mu, pauli), intertwiner(pauli, mu)
+        assert np.abs(backward @ forward - np.eye(4)).max() <= 1e-12
+        assert np.abs(forward @ backward - np.eye(4)).max() <= 1e-12
 
     def test_overfilled_round_trip(self, rng):
         pauli = pauli_scheme("hermitian")
         mub = with_canonical_quantizers(mub_qubit_scheme())
-        pair = intertwiner(pauli, mub)
+        forward, backward = intertwiner(pauli, mub), intertwiner(mub, pauli)
         for _ in range(100):
             a = random_complex(rng, (2, 2))
             f = symbol(pauli, a)
-            assert np.abs(pair.backward @ (pair.forward @ f) - f).max() <= 1e-10
+            assert np.abs(backward @ (forward @ f) - f).max() <= 1e-10
 
     def test_forward_maps_symbols(self, rng):
         source = pauli_scheme("hermitian")
         target = with_canonical_quantizers(sic_qubit_scheme("povm"))
-        pair = intertwiner(source, target)
+        forward = intertwiner(source, target)
         a = random_complex(rng, (2, 2))
-        assert np.abs(pair.forward @ symbol(source, a) - symbol(target, a)).max() <= 1e-12
+        assert np.abs(forward @ symbol(source, a) - symbol(target, a)).max() <= 1e-12
+
+    @pytest.mark.parametrize("source, target", _same_d_pairs(), ids=lambda s: s.name)
+    def test_each_direction_is_one_einsum(self, source, target):
+        forward, backward = _kernel_pair_reference(source, target)
+        assert intertwiner(source, target).tobytes() == forward.tobytes()
+        assert intertwiner(target, source).tobytes() == backward.tobytes()
+
+    def test_bare_non_tomographic_target_is_accepted(self, rng):
+        # Only the source's quantizers are read, so the target needs no dual.
+        underfilled = Scheme(dequantizers=mub_qubit_scheme().dequantizers[:3])
+        pauli = pauli_scheme("hermitian")
+        kernel = intertwiner(pauli, underfilled)
+        assert kernel.shape == (3, 4)
+        a = random_complex(rng, (2, 2))
+        assert np.abs(kernel @ symbol(pauli, a) - symbol(underfilled, a)).max() <= 1e-12
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             intertwiner(matrix_units_scheme(2), matrix_units_scheme(3))
 
     def test_not_tomographic(self):
+        # A bare source must have a dual: its quantizers are the ones read.
         underfilled = Scheme(dequantizers=mub_qubit_scheme().dequantizers[:3])
         with pytest.raises(NotTomographicError):
             intertwiner(underfilled, matrix_units_scheme(2))
@@ -376,11 +409,11 @@ class TestFloatRange:
             ),
             (
                 lambda: intertwiner(_scaled("pauli", 1e-160), _scaled("pauli", 1e160)),
-                "the forward kernel overflows",
+                "the intertwining kernel overflows",
             ),
             (
-                lambda: intertwiner(_scaled("pauli", 1e160), _scaled("pauli", 1e-160)),
-                "the backward kernel overflows",
+                lambda: intertwiner(_scaled("mub-qubit", 1e-160), _scaled("pauli", 1e160)),
+                "the intertwining kernel overflows",
             ),
         ],
         ids=[

@@ -51,7 +51,7 @@ def _reference_minima(seeds: int) -> np.ndarray:
 class TestPovmDualNegativity:
     def test_per_seed_minima_match_reference_loop(self):
         reference = _reference_minima(200)
-        duals = canonical_quantizers(random_minimal_povms(2, range(200))[0])
+        duals = canonical_quantizers(random_minimal_povms(2, range(200)))
         herm = (duals + duals.conj().swapaxes(-1, -2)) / 2
         assert np.array_equal(np.linalg.eigvalsh(herm)[..., 0].min(axis=-1), reference)
         details = check_povm_dual_negativity(seeds=200).details
@@ -60,6 +60,21 @@ class TestPovmDualNegativity:
         assert details["conclusive"] == np.count_nonzero(reference <= -guard)
         assert details["counterexamples"] == np.count_nonzero(reference >= guard)
         assert details["inconclusive"] == 200 - details["conclusive"] - details["counterexamples"]
+
+    def test_povm_check_duals_are_the_canonical_quantizers(self, monkeypatch):
+        calls = []
+
+        def recorded(dequantizers):
+            calls.append((dequantizers, canonical_quantizers(dequantizers)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(verification, "canonical_quantizers", recorded)
+        details = check_povm_dual_negativity(seeds=40).details
+        [(dequantizers, duals)] = calls
+        assert dequantizers.tobytes() == random_minimal_povms(2, range(40)).tobytes()
+        herm = (duals + duals.conj().swapaxes(-1, -2)) / 2
+        minima = np.linalg.eigvalsh(herm)[..., 0].min(axis=-1)
+        assert details["largest_min_quantizer_eigenvalue"] == minima.max()
 
     def test_guard_is_the_eigenvalue_sign_threshold(self, monkeypatch):
         assert check_povm_dual_negativity(seeds=20).details["guard"] == 1e-10
@@ -154,7 +169,7 @@ class TestStackedSampler:
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
     def test_matches_one_default_rng_per_seed(self, monkeypatch, d):
         expected = _default_rng_sampler(d, range(40))
-        stacks = []  # the duals take one SVD of the whole stack
+        stacks = []  # the sampler only draws: it takes no SVD
         svd = np.linalg.svd
 
         def counted(a, *args, **kwargs):
@@ -162,15 +177,15 @@ class TestStackedSampler:
             return svd(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "svd", counted)
-        assert np.array_equal(random_minimal_povms(d, range(40))[0], expected)
-        assert stacks == [40]
+        assert np.array_equal(random_minimal_povms(d, range(40)), expected)
+        assert stacks == []
 
     # The sampler draws once per seed, so it rests on every first draw
     # spanning the operator space with a wide margin over RANK_TOL: the least
     # sigma_min / sigma_max is about 6e-5, above the 1e-6 pinned here.
     @pytest.mark.parametrize("d, seeds", [(2, 1000), (3, 200), (4, 200)])
     def test_first_draws_are_well_conditioned(self, d, seeds):
-        deq = random_minimal_povms(d, range(seeds))[0]
+        deq = random_minimal_povms(d, range(seeds))
         sv = matrixcore.singular_values(vectorize(deq).swapaxes(-1, -2))
         assert (sv[:, -1] / sv[:, 0]).min() >= 1e4 * matrixcore.RANK_TOL
 
@@ -224,16 +239,10 @@ class TestStackedSampler:
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_matches_single_seed_sampler(self, d):
-        stacked = random_minimal_povms(d, range(40))[0]
+        stacked = random_minimal_povms(d, range(40))
         assert stacked.shape == (40, d * d, d, d)
         for seed, family in enumerate(stacked):
             assert np.array_equal(family, random_minimal_povm_scheme(d, seed).dequantizers)
-
-    @pytest.mark.parametrize("d", [2, 3])
-    def test_duals_are_the_canonical_quantizers(self, d):
-        dequantizers, duals = random_minimal_povms(d, range(40))
-        assert np.array_equal(dequantizers, random_minimal_povms(d, range(40))[0])
-        assert np.array_equal(duals, canonical_quantizers(dequantizers))
 
     def test_one_svd_per_draw(self, monkeypatch):
         calls = []
@@ -247,21 +256,27 @@ class TestStackedSampler:
         assert check_povm_dual_negativity(seeds=100).passed
         assert calls == [(100, 4, 4)]
 
-    # A rank tolerance that rejects a share of draws: canonical_quantizers refuses
-    # the stack, and emit exits 1 with one error line for a failing seed.
+    # A rank tolerance that rejects a share of draws: the sampler only draws,
+    # so the refusal comes where the duals are taken.  canonical_quantizers
+    # refuses the stack and so does the POVM check; emit writes a failing
+    # seed's draw, and quantize exits 1 on it with one error line.
     def test_rank_deficient_draw_is_not_tomographic(self, monkeypatch, tmp_path, capsys):
         monkeypatch.setattr(matrixcore, "RANK_TOL", 0.05)
         with pytest.raises(NotTomographicError):
-            random_minimal_povms(2, range(20))
+            canonical_quantizers(random_minimal_povms(2, range(20)))
+        with pytest.raises(NotTomographicError):
+            check_povm_dual_negativity(seeds=20)
         failing = []
         for seed in range(20):
             try:
-                random_minimal_povm_scheme(2, seed)
+                canonical_quantizers(random_minimal_povm_scheme(2, seed).dequantizers)
             except NotTomographicError:
                 failing.append(seed)
         assert failing
-        out = tmp_path / "r.json"
-        assert main(["emit", "random-povm", "--d", "2", "--seed", str(failing[0]), "-o", str(out)]) == 1
+        scheme, out = tmp_path / "r.json", tmp_path / "q.json"
+        assert main(["emit", "random-povm", "--d", "2", "--seed", str(failing[0]), "-o", str(scheme)]) == 0
+        capsys.readouterr()
+        assert main(["quantize", str(scheme), "-o", str(out)]) == 1
         out_text, err = capsys.readouterr()
         assert out_text == "" and err.startswith("error: ") and err.count("\n") == 1
         assert not out.exists()
@@ -385,15 +400,22 @@ def _constant(monkeypatch, name, value):
     monkeypatch.setattr(verification, name, lambda *args: value)
 
 
-def _backward_scaled(scale, overfilled_only=False):
-    """An intertwiner whose backward kernel is multiplied by ``scale``, so
-    backward @ forward = scale I for a minimal source."""
+def _overfilled(s):
+    return s.n_points > s.d**2
+
+
+def _backward_changed(change, where=lambda source: True):
+    """An intertwiner that applies ``change`` to each backward kernel, the
+    second direction asked for of a pair of schemes, whose source (the
+    pair's target) meets ``where``."""
+    forward = set()
 
     def intertwiner(source, target):
-        pair = _REAL["intertwiner"](source, target)
-        if overfilled_only and target.n_points == target.d**2:
-            return pair
-        return dataclasses.replace(pair, backward=scale * pair.backward)
+        kernel = _REAL["intertwiner"](source, target)
+        if (target.name, source.name) not in forward:
+            forward.add((source.name, target.name))
+            return kernel
+        return change(kernel) if where(source) else kernel
 
     return intertwiner
 
@@ -401,7 +423,8 @@ def _backward_scaled(scale, overfilled_only=False):
 def _overfilled_roundtrip_off_by(monkeypatch, offset):
     """All-ones symbols, and the overfilled pair's backward kernel scaled by
     1 + ``offset``, so that pair's round trip is off by exactly ``offset``."""
-    monkeypatch.setattr(verification, "intertwiner", _backward_scaled(1 + offset, overfilled_only=True))
+    scaled = _backward_changed(lambda kernel: (1 + offset) * kernel, _overfilled)
+    monkeypatch.setattr(verification, "intertwiner", scaled)
     monkeypatch.setattr(verification, "symbol", lambda s, a: np.ones((*a.shape[:-2], s.n_points)))
 
 
@@ -424,12 +447,6 @@ def _livine_shifted(first, second):
     deq[0] += first * np.eye(2)
     deq[1] += second * np.eye(2)
     return Scheme(dequantizers=deq, quantizers=2 * deq, name=s.name)
-
-
-def _mub_duality_off_by(monkeypatch, change):
-    """Patch ``verification.intertwiner`` so that its forward kernel, the
-    MUB duality matrix of ``check_mub_frame``, is ``change`` of the real one."""
-    _wrap(monkeypatch, "intertwiner", lambda pair: dataclasses.replace(pair, forward=change(pair.forward)))
 
 
 def _mub_duality_idempotency_off_by(delta, offset):
@@ -484,7 +501,10 @@ _GATES = {
     "intertwining-composition": (
         verification.check_intertwining,
         "minimal_composition_residual",
-        lambda mp, offset: mp.setattr(verification, "intertwiner", _backward_scaled(1 + offset)),
+        # backward @ forward = (1 + offset) I for the minimal pair.
+        lambda mp, offset: mp.setattr(
+            verification, "intertwiner", _backward_changed(lambda kernel: (1 + offset) * kernel)
+        ),
     ),
     "intertwining-roundtrip": (
         verification.check_intertwining,
@@ -496,20 +516,21 @@ _GATES = {
         "singular_value_residual",
         lambda mp, offset: _wrap(mp, "singular_values", lambda sv: sv + [offset, 0, 0, 0]),
     ),
+    # check_mub_frame's one intertwiner call is its duality matrix.
     "mub-duality-hermiticity": (
         verification.check_mub_frame,
         "duality_hermiticity_residual",
-        lambda mp, offset: _mub_duality_off_by(mp, lambda m: m + offset * np.eye(6, k=1)),
+        lambda mp, offset: _wrap(mp, "intertwiner", lambda m: m + offset * np.eye(6, k=1)),
     ),
     "mub-duality-idempotency": (
         verification.check_mub_frame,
         "duality_idempotency_residual",
-        lambda mp, offset: _mub_duality_off_by(mp, lambda m: _mub_duality_idempotency_off_by(m, offset)),
+        lambda mp, offset: _wrap(mp, "intertwiner", lambda m: _mub_duality_idempotency_off_by(m, offset)),
     ),
     "mub-duality-trace": (
         verification.check_mub_frame,
         "duality_trace_residual",
-        lambda mp, offset: _mub_duality_off_by(mp, lambda m: m + offset / 6 * np.eye(6)),
+        lambda mp, offset: _wrap(mp, "intertwiner", lambda m: m + offset / 6 * np.eye(6)),
     ),
     "mub-condition-number": (
         verification.check_mub_frame,
@@ -629,12 +650,12 @@ class TestCheckGates:
     def test_povm_counterexample_at_factor_times_the_guard(self, monkeypatch, eigenvalue, passed):
         # Seed 0's quantizers all become eigenvalue * I: at or past the guard a
         # counterexample, inside it one inconclusive seed of 100.
-        def povms(d, seeds):
-            deq, duals = catalog.random_minimal_povms(d, seeds)
-            duals[0] = eigenvalue * np.eye(2)
-            return deq, duals
+        def duals(dequantizers):
+            qs = canonical_quantizers(dequantizers)
+            qs[0] = eigenvalue * np.eye(2)
+            return qs
 
-        monkeypatch.setattr(verification, "random_minimal_povms", povms)
+        monkeypatch.setattr(verification, "canonical_quantizers", duals)
         result = check_povm_dual_negativity(seeds=100)
         assert result.passed is passed
         assert result.details["counterexamples"] == (0 if passed else 1)
@@ -643,12 +664,12 @@ class TestCheckGates:
     @pytest.mark.parametrize("inconclusive, passed", [(10, True), (11, False)])
     def test_povm_conclusive_floor(self, monkeypatch, inconclusive, passed):
         # Zero quantizers are inconclusive; 990 of 1000 seeds must be conclusive.
-        def povms(d, seeds):
-            deq, duals = catalog.random_minimal_povms(d, seeds)
-            duals[:inconclusive] = 0
-            return deq, duals
+        def duals(dequantizers):
+            qs = canonical_quantizers(dequantizers)
+            qs[:inconclusive] = 0
+            return qs
 
-        monkeypatch.setattr(verification, "random_minimal_povms", povms)
+        monkeypatch.setattr(verification, "canonical_quantizers", duals)
         result = check_povm_dual_negativity()
         assert result.passed is passed
         assert result.details["conclusive"] == 1000 - inconclusive
@@ -708,15 +729,16 @@ def _nan_at_last_call(monkeypatch, name, calls):
     monkeypatch.setattr(verification, name, patched)
 
 
-def _minimal_backward_nan_last(source, target):
+def _minimal_backward_nan_last():
     """The intertwiner, with the last entry of the minimal pair's backward
     kernel NaN: both composed products then hold a NaN, the last one last."""
-    pair = _REAL["intertwiner"](source, target)
-    if target.n_points != target.d**2:
-        return pair
-    backward = pair.backward.copy()
-    backward[-1, -1] = np.nan
-    return dataclasses.replace(pair, backward=backward)
+
+    def nan_last(kernel):
+        kernel = kernel.copy()
+        kernel[-1, -1] = np.nan
+        return kernel
+
+    return _backward_changed(nan_last, lambda source: not _overfilled(source))
 
 
 def _regression_size():
@@ -774,7 +796,7 @@ _NAN_SWEEPS = {
     "intertwining-composition": (
         verification.check_intertwining,
         "minimal_composition_residual",
-        lambda mp: mp.setattr(verification, "intertwiner", _minimal_backward_nan_last),
+        lambda mp: mp.setattr(verification, "intertwiner", _minimal_backward_nan_last()),
     ),
     "cubic-unitary-identity": (
         verification.check_cubic_identity,
