@@ -40,6 +40,7 @@ from .scheme import (
     completeness_residual,
     dequantization_matrix,
     gauge_quantizers,
+    lowest_eigenvalues,
     matrix_unit_like_detect,
     negativity_report,
     povm_check,

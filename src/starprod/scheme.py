@@ -284,12 +284,14 @@ def scaled_unitary_check(u_mat) -> float | None:
     return c
 
 
-def _hermiticity_and_lowest_eigenvalues(family: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per member U of an (N, d, d) family: max|U - U^dag| and the lowest
-    eigenvalue of its Hermitian part (U + U^dag) / 2."""
-    adjoint = family.conj().transpose(0, 2, 1)
-    residuals = np.abs(family - adjoint).reshape(family.shape[0], -1).max(axis=1)
-    return residuals, np.linalg.eigvalsh((family + adjoint) / 2)[:, 0]
+def lowest_eigenvalues(operators) -> np.ndarray:
+    """Lowest eigenvalue of each matrix's Hermitian part (A + A^dag) / 2: a
+    (..., d, d) stack with d >= 1 gives shape (...), one per matrix.  Raises
+    DimensionMismatchError for any other shape."""
+    ops = np.asarray(operators, dtype=complex)
+    if ops.ndim < 2 or ops.shape[-1] != ops.shape[-2] or ops.shape[-1] == 0:
+        raise DimensionMismatchError(f"expected a stack of square matrices, got shape {ops.shape}")
+    return np.linalg.eigvalsh((ops + ops.conj().swapaxes(-1, -2)) / 2)[..., 0]
 
 
 def povm_check(s: Scheme) -> PovmDiagnostics:
@@ -301,9 +303,8 @@ def povm_check(s: Scheme) -> PovmDiagnostics:
     """
     deq = s.dequantizers
     sum_residual = float(np.abs(deq.sum(axis=0) - np.eye(s.d)).max())
-    residuals, lowest = _hermiticity_and_lowest_eigenvalues(deq)
-    herm_residual = float(residuals.max())
-    min_eig = float(lowest.min())
+    herm_residual = float(np.abs(deq - deq.conj().swapaxes(-1, -2)).max())
+    min_eig = float(lowest_eigenvalues(deq).min())
     is_povm = (
         sum_residual <= matrixcore.RESIDUAL_TOL
         and herm_residual <= matrixcore.RESIDUAL_TOL
@@ -324,17 +325,21 @@ def negativity_report(s: Scheme) -> NegativityReport | None:
     None when a member is not Hermitian within tolerance, relative to the
     largest entry of its family.
     """
-    minima = []
-    for family in (s.dequantizers, s.quantizers):
-        if family is None:
-            minima.append(None)
-            continue
-        residuals, lowest = _hermiticity_and_lowest_eigenvalues(family)
-        # Negated so that a NaN rejects the family, multiplied so that an all-zero one passes.
-        if not residuals.max() <= matrixcore.RESIDUAL_TOL * np.abs(family).max():
-            return None
-        minima.append(float(lowest.min()))
-    return NegativityReport(*minima)
+    return _negativity_report(s, povm_check(s))
+
+
+def _negativity_report(s: Scheme, povm: PovmDiagnostics) -> NegativityReport | None:
+    """``negativity_report(s)`` given ``povm = povm_check(s)``, whose
+    dequantizer residual and minimum it reads instead of recomputing them."""
+    q = s.quantizers
+    residuals = [(s.dequantizers, povm.hermiticity_residual)]
+    if q is not None:
+        residuals.append((q, float(np.abs(q - q.conj().swapaxes(-1, -2)).max())))
+    # Negated so that a NaN rejects a family, multiplied so that an all-zero one passes.
+    if not all(r <= matrixcore.RESIDUAL_TOL * np.abs(f).max() for f, r in residuals):
+        return None
+    q_min = None if q is None else float(lowest_eigenvalues(q).min())
+    return NegativityReport(povm.min_effect_eigenvalue, q_min)
 
 
 def matrix_unit_like_detect(s: Scheme) -> np.ndarray | None:
@@ -409,6 +414,7 @@ def classify(s: Scheme) -> SchemeReport:
     self_dual = (
         self_dual_coefficient(diagnostic) if diagnostic.quantizers is not None else None
     )
+    povm = povm_check(s)
     return SchemeReport(
         cardinality=cardinality,
         tomographic=tomographic,
@@ -416,7 +422,7 @@ def classify(s: Scheme) -> SchemeReport:
         condition_number=condition_number,
         self_dual_coefficient=self_dual,
         scaled_unitary=scaled_unitary_check(u_mat),
-        povm=povm_check(s),
-        negativity=negativity_report(diagnostic),
+        povm=povm,
+        negativity=_negativity_report(diagnostic, povm),
         matrix_unit_like=matrix_unit_like_detect(s),
     )

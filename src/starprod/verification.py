@@ -52,6 +52,7 @@ from .scheme import (
     classify,
     completeness_residual,
     dequantization_matrix,
+    lowest_eigenvalues,
     povm_check,
     scaled_unitary_check,
     self_dual_coefficient,
@@ -280,8 +281,7 @@ def check_povm_dual_negativity(seeds: int = 1000) -> CheckResult:
     # Eigenvalues of the Hermitian parts: the exact dual of a Hermitian
     # family is Hermitian, but rounding in the dual scales with conditioning
     # and the guard below absorbs it.
-    herm = (duals + duals.conj().swapaxes(-1, -2)) / 2
-    minima = np.linalg.eigvalsh(herm)[..., 0].min(axis=-1)
+    minima = lowest_eigenvalues(duals).min(axis=-1)
     conclusive = int(np.count_nonzero(minima <= -guard))
     counterexamples = int(np.count_nonzero(minima >= guard))
     details = {

@@ -862,6 +862,24 @@ class TestIntertwine:
         )
         assert not report_path.exists()
 
+    def test_roundtrip_residual_overflow_exit_2(self, tmp_path, capsys):
+        # Both kernels are finite, but the round trip of the symbol of 1e160 I
+        # through Pauli x 1e160 leaves the float64 range.
+        a = tmp_path / "source.json"
+        save_scheme(build_scheme("pauli"), str(a))
+        b = self._scaled(tmp_path, "pauli", 1e160)
+        op_path = tmp_path / "op.json"
+        save_operator(1e160 * np.eye(2, dtype=complex), str(op_path))
+        report_path = tmp_path / "inter.json"
+        assert main(["intertwine", str(a), b, str(op_path), "--report", str(report_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: scheme scale out of float64 range: the round-trip residual overflows; "
+            "rescale the scheme\n"
+        )
+        assert not report_path.exists()
+
     def test_scales_inside_the_float_range(self, tmp_path, capsys, rng):
         a, b = self._scaled(tmp_path, "pauli", 1e100), self._scaled(tmp_path, "mub-qubit", 1e-100)
         op_path = tmp_path / "op.json"

@@ -39,6 +39,7 @@ PUBLIC_NAMES = [
     "devectorize",
     "gauge_quantizers",
     "intertwiner",
+    "lowest_eigenvalues",
     "matrix_unit_like_detect",
     "negativity_report",
     "povm_check",
@@ -73,7 +74,8 @@ PUBLIC_NAMES = [
 # now takes a stack of families instead of a scheme, and the duality matrix,
 # which is intertwiner(s, s); the intertwiner's pair type, now that it
 # returns the one kernel its arguments name, the backward one being
-# intertwiner(target, source).
+# intertwiner(target, source); the spectrum helper that also returned the
+# hermiticity residuals, now that lowest_eigenvalues takes every spectrum.
 # "function.parameter" names a parameter.
 REMOVED = {
     "catalog": [
@@ -96,7 +98,12 @@ REMOVED = {
         "parse_scheme",
     ],
     "verification": ["haar_unitary"],
-    "scheme": ["canonical_duals", "duality_matrix", "canonical_quantizers.s"],
+    "scheme": [
+        "canonical_duals",
+        "duality_matrix",
+        "canonical_quantizers.s",
+        "_hermiticity_and_lowest_eigenvalues",
+    ],
     "star_product": ["IntertwinerPair"],
     "operator_space": [
         "row_stack",

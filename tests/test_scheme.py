@@ -15,6 +15,7 @@ from starprod import (
     dequantization_matrix,
     gauge_quantizers,
     intertwiner,
+    lowest_eigenvalues,
     matrix_unit_like_detect,
     negativity_report,
     povm_check,
@@ -437,6 +438,32 @@ class TestScaledUnitaryCheck:
             assert got is None
 
 
+class TestLowestEigenvalues:
+    def test_stack_matches_per_family_and_per_matrix_calls(self, rng):
+        ops = random_complex(rng, (3, 5, 4, 4))
+        lowest = lowest_eigenvalues(ops)
+        assert lowest.shape == (3, 5)
+        per_family = np.stack([lowest_eigenvalues(family) for family in ops])
+        per_matrix = np.array([[lowest_eigenvalues(a) for a in family] for family in ops])
+        assert lowest.tobytes() == per_family.tobytes() == per_matrix.tobytes()
+
+    def test_one_matrix_gives_a_0d_result(self):
+        # The Hermitian part of [[1, 2], [0, 1]] is [[1, 1], [1, 1]], eigenvalues 0 and 2.
+        lowest = lowest_eigenvalues(np.array([[1.0, 2.0], [0.0, 1.0]]))
+        assert lowest.shape == () and abs(lowest) <= 1e-15
+
+    def test_reads_the_hermitian_part(self, rng):
+        a = random_complex(rng, (4, 4))
+        herm = (a + a.conj().T) / 2
+        assert lowest_eigenvalues(a) == pytest.approx(np.linalg.eigvalsh(herm)[0], abs=1e-14)
+        assert lowest_eigenvalues(1j * herm) == pytest.approx(0.0, abs=1e-15)
+
+    @pytest.mark.parametrize("shape", [(4,), (2, 3), (5, 2, 3), (3, 0, 0)])
+    def test_non_square_input_rejected(self, shape):
+        with pytest.raises(DimensionMismatchError, match=re.escape(f"got shape {shape}")):
+            lowest_eigenvalues(np.ones(shape))
+
+
 class TestPovmCheck:
     def test_sic_povm(self):
         diag = povm_check(sic_qubit_scheme("povm"))
@@ -627,6 +654,26 @@ class TestClassify:
         shapes.clear()
         canonical_quantizers(mub_qubit_scheme().dequantizers)
         assert shapes == [(4, 6)]
+
+    @pytest.mark.parametrize(
+        "scheme, spectra",
+        [(mub_qubit_scheme(), 2), (sic_qubit_scheme("povm"), 2), (matrix_units_scheme(2), 1)],
+        ids=["mub-qubit", "sic-povm", "matrix-units"],
+    )
+    def test_one_spectrum_per_family(self, monkeypatch, scheme, spectra):
+        # povm and negativity share the dequantizers' spectrum, and a family
+        # that fails the hermiticity test gets none for the negativity report.
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counting_eigvalsh(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+        report = classify(scheme)
+        assert len(calls) == spectra
+        assert (report.negativity is None) is (spectra == 1)
 
     def test_matrix_units(self):
         report = classify(matrix_units_scheme(2))
