@@ -41,13 +41,9 @@ from .scheme import (
     dequantization_matrix,
     gauge_quantizers,
     lowest_eigenvalues,
-    matrix_unit_like_detect,
-    negativity_report,
-    povm_check,
     quantization_matrix,
     scaled_unitary_check,
     scheme_from_dequantization_matrix,
-    self_dual_coefficient,
     self_dual_coefficients,
     with_canonical_quantizers,
 )

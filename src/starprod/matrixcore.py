@@ -21,8 +21,8 @@ from .errors import DimensionMismatchError, ScaleOutOfRangeError
 # RANK_TOL is relative: singular values are compared against
 # ``RANK_TOL * sigma_max``.  RESIDUAL_TOL bounds max-abs entries of residuals:
 # relative where a rescaled scheme must keep its verdict (to the family's
-# largest entry for self-duality and the hermiticity test of
-# ``negativity_report``, to max|U| max|G| for the gauge test), and absolute
+# largest entry for self-duality and the hermiticity test of ``classify``'s
+# negativity report, to max|U| max|G| for the gauge test), and absolute
 # where the target fixes the scale (the identity, a POVM, matrix units, unit
 # vectors).  EIG_TOL is the eigenvalue sign threshold.
 RANK_TOL = 1e-10

@@ -243,27 +243,28 @@ def self_dual_coefficients(dequantizers, quantizers) -> np.ndarray:
     c is estimated from the Frobenius norms of the two families and then
     verified entrywise: the residual U_k - c D_k must be at most
     ``RESIDUAL_TOL`` times the family's largest |U| entry, so the verdict
-    does not change when the dequantizers are rescaled.
+    does not change when the dequantizers are rescaled.  Each family is
+    divided by the power of two of its largest |entry| before its entries are
+    squared, and c takes the two exponents back, so no scale in the float64
+    range overflows the norms.
     """
     deq = np.asarray(dequantizers, dtype=complex)
     pair = np.stack([deq, np.asarray(quantizers, dtype=complex)]).reshape(2, *deq.shape[:-3], -1)
+    peak = np.abs(pair).max(axis=-1, initial=0.0)
+    # ldexp applies 2^-e without forming it, which a subnormal peak would overflow.
+    exponent = np.frexp(peak)[1]
+    scaled = np.empty_like(pair)
+    np.ldexp(pair.real, -exponent[..., None], out=scaled.real)
+    np.ldexp(pair.imag, -exponent[..., None], out=scaled.imag)
     # Per family, np.linalg.norm's two dot products, each a 1 x K by K x 1 matmul.
-    re, im = pair.real[..., None, :], pair.imag[..., None, :]
+    re, im = scaled.real[..., None, :], scaled.imag[..., None, :]
     u_norm, d_norm = np.sqrt((re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2))[..., 0, 0])
     u, q = pair
-    with np.errstate(divide="ignore", invalid="ignore"):
-        c = u_norm / d_norm
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        c = np.ldexp(u_norm / d_norm, exponent[0] - exponent[1])
         residual = np.abs(u - c[..., None] * q).max(axis=-1, initial=0.0)
-    scale = np.abs(u).max(axis=-1, initial=0.0)
-    self_dual = (u_norm != 0.0) & (d_norm != 0.0) & (residual <= matrixcore.RESIDUAL_TOL * scale)
+    self_dual = (u_norm != 0.0) & (d_norm != 0.0) & (residual <= matrixcore.RESIDUAL_TOL * peak[0])
     return np.where(self_dual, c, np.nan)
-
-
-def self_dual_coefficient(s: Scheme) -> float | None:
-    """Positive c with U_k = c D_k for all k, or None if the scheme is not self-dual:
-    the one-family case of ``self_dual_coefficients``."""
-    c = float(self_dual_coefficients(s.dequantizers, with_canonical_quantizers(s).quantizers))
-    return None if np.isnan(c) else c
 
 
 def scaled_unitary_check(u_mat) -> float | None:
@@ -285,24 +286,24 @@ def scaled_unitary_check(u_mat) -> float | None:
 
 
 def lowest_eigenvalues(operators) -> np.ndarray:
-    """Lowest eigenvalue of each matrix's Hermitian part (A + A^dag) / 2: a
-    (..., d, d) stack with d >= 1 gives shape (...), one per matrix.  Raises
-    DimensionMismatchError for any other shape."""
+    """Lowest eigenvalue of each matrix's Hermitian part A/2 + A^dag/2 (halved
+    before the sum, which cannot overflow): a (..., d, d) stack with d >= 1
+    gives shape (...), one per matrix.  Raises DimensionMismatchError for any
+    other shape."""
     ops = np.asarray(operators, dtype=complex)
     if ops.ndim < 2 or ops.shape[-1] != ops.shape[-2] or ops.shape[-1] == 0:
         raise DimensionMismatchError(f"expected a stack of square matrices, got shape {ops.shape}")
-    return np.linalg.eigvalsh((ops + ops.conj().swapaxes(-1, -2)) / 2)[..., 0]
+    return np.linalg.eigvalsh(ops / 2 + ops.conj().swapaxes(-1, -2) / 2)[..., 0]
 
 
-def povm_check(s: Scheme) -> PovmDiagnostics:
-    """POVM diagnostics of the dequantizer family.
+def _povm_check(deq: np.ndarray) -> PovmDiagnostics:
+    """POVM diagnostics of a dequantizer family.
 
-    The minimum effect eigenvalue is that of the members' Hermitian parts, as
-    in ``negativity_report``; it is exact whenever the hermiticity residual
-    passes.
+    The minimum effect eigenvalue is that of the members' Hermitian parts,
+    which ``_negativity_report`` reads as its dequantizer minimum; it is
+    exact whenever the hermiticity residual passes.
     """
-    deq = s.dequantizers
-    sum_residual = float(np.abs(deq.sum(axis=0) - np.eye(s.d)).max())
+    sum_residual = float(np.abs(deq.sum(axis=0) - np.eye(deq.shape[-1])).max())
     herm_residual = float(np.abs(deq - deq.conj().swapaxes(-1, -2)).max())
     min_eig = float(lowest_eigenvalues(deq).min())
     is_povm = (
@@ -318,21 +319,18 @@ def povm_check(s: Scheme) -> PovmDiagnostics:
     )
 
 
-def negativity_report(s: Scheme) -> NegativityReport | None:
-    """Minimum eigenvalue across the dequantizer and (if present) quantizer
-    families, taken over the members' Hermitian parts as in ``povm_check``.
+def _negativity_report(
+    deq: np.ndarray, q: np.ndarray | None, povm: PovmDiagnostics
+) -> NegativityReport | None:
+    """Minimum eigenvalue across the dequantizer family and the quantizer
+    family ``q`` (if any), taken over the members' Hermitian parts.  The
+    dequantizers' hermiticity residual and minimum are read from ``povm``,
+    their ``_povm_check``, not recomputed.
 
     None when a member is not Hermitian within tolerance, relative to the
     largest entry of its family.
     """
-    return _negativity_report(s, povm_check(s))
-
-
-def _negativity_report(s: Scheme, povm: PovmDiagnostics) -> NegativityReport | None:
-    """``negativity_report(s)`` given ``povm = povm_check(s)``, whose
-    dequantizer residual and minimum it reads instead of recomputing them."""
-    q = s.quantizers
-    residuals = [(s.dequantizers, povm.hermiticity_residual)]
+    residuals = [(deq, povm.hermiticity_residual)]
     if q is not None:
         residuals.append((q, float(np.abs(q - q.conj().swapaxes(-1, -2)).max())))
     # Negated so that a NaN rejects a family, multiplied so that an all-zero one passes.
@@ -342,7 +340,7 @@ def _negativity_report(s: Scheme, povm: PovmDiagnostics) -> NegativityReport | N
     return NegativityReport(povm.min_effect_eigenvalue, q_min)
 
 
-def matrix_unit_like_detect(s: Scheme) -> np.ndarray | None:
+def _matrix_unit_like(deq: np.ndarray) -> np.ndarray | None:
     """Unitary u with U_{d(i-1)+j} = |psi_i><psi_j| over u's columns, or None.
 
     In row stacking such a family's dequantization matrix is u (x) conj(u),
@@ -352,10 +350,9 @@ def matrix_unit_like_detect(s: Scheme) -> np.ndarray | None:
     entry real positive, which fixes the one global phase the family cannot
     see; u rebuilds the family.
     """
-    d = s.d
-    if s.n_points != d * d:
+    n, d = deq.shape[:2]
+    if n != d * d:
         return None
-    deq = s.dequantizers
     r = deq.reshape(d, d, d, d).transpose(2, 0, 3, 1).reshape(d * d, d * d)
     j = int(np.argmax(r.diagonal().real))
     peak = r[j, j].real
@@ -386,7 +383,8 @@ def classify(s: Scheme) -> SchemeReport:
     """
     d_sq = s.d * s.d
     n = s.n_points
-    u_mat, (w, sv, vh) = _row_stacking_svd(s.dequantizers)
+    deq = s.dequantizers
+    u_mat, (w, sv, vh) = _row_stacking_svd(deq)
     rk = int(rank_from_singular_values(sv))
     # The diagnostics square the entries of U and of its dual (Gram matrix,
     # Frobenius norms), whose sums of squares are those of the kept sigma and
@@ -408,21 +406,19 @@ def classify(s: Scheme) -> SchemeReport:
         cardinality = "overfilled"
     condition_number = float(sv[0] / sv[d_sq - 1]) if tomographic else float("inf")
 
-    diagnostic = s
-    if s.quantizers is None and tomographic:
-        diagnostic = s.with_quantizers(_dual_family(w, sv, vh))
-    self_dual = (
-        self_dual_coefficient(diagnostic) if diagnostic.quantizers is not None else None
-    )
-    povm = povm_check(s)
+    q = s.quantizers
+    if q is None and tomographic:
+        q = _dual_family(w, sv, vh)
+    c = math.nan if q is None else float(self_dual_coefficients(deq, q))
+    povm = _povm_check(deq)
     return SchemeReport(
         cardinality=cardinality,
         tomographic=tomographic,
         rank=rk,
         condition_number=condition_number,
-        self_dual_coefficient=self_dual,
+        self_dual_coefficient=None if math.isnan(c) else c,
         scaled_unitary=scaled_unitary_check(u_mat),
         povm=povm,
-        negativity=_negativity_report(diagnostic, povm),
-        matrix_unit_like=matrix_unit_like_detect(s),
+        negativity=_negativity_report(deq, q, povm),
+        matrix_unit_like=_matrix_unit_like(deq),
     )

@@ -53,9 +53,7 @@ from .scheme import (
     completeness_residual,
     dequantization_matrix,
     lowest_eigenvalues,
-    povm_check,
     scaled_unitary_check,
-    self_dual_coefficient,
     self_dual_coefficients,
     with_canonical_quantizers,
 )
@@ -200,11 +198,12 @@ def check_livine_positivity() -> CheckResult:
     """The concrete self-dual scheme: c = 1/2, known spectrum, resolves the
     identity, yet fails positivity (no minimal self-dual scheme is a POVM)."""
     s = livine_scheme("dequantizer")
-    c = self_dual_coefficient(s)
+    report = classify(s)
+    c = report.self_dual_coefficient
     c_res = abs((c if c is not None else np.nan) - 0.5)
     eigs = np.linalg.eigh(s.dequantizers[0])[0]
     expected = np.array([(1 - np.sqrt(3)) / 4, (1 + np.sqrt(3)) / 4])
-    povm = povm_check(s)
+    povm = report.povm
     details = {
         "self_dual_coefficient": c,
         # NaN when the scheme is not self-dual, which fails the gate.
@@ -244,8 +243,8 @@ def check_self_duality_unitarity() -> CheckResult:
     backward = []
     checked = []
     for s in _quantized_regression_set():
-        c = self_dual_coefficient(s)
-        if c is None:
+        c = float(self_dual_coefficients(s.dequantizers, s.quantizers))
+        if math.isnan(c):
             continue
         c_gram = scaled_unitary_check(dequantization_matrix(s))
         # An entry that is not scaled unitary counts as an infinite error.

@@ -15,7 +15,6 @@ from starprod import (
     catalog,
     classify,
     dequantization_matrix,
-    povm_check,
     singular_values,
     symbol,
 )
@@ -141,7 +140,7 @@ class TestSicQubit:
         assert np.abs(off - 1 / 12).max() <= 1e-14
 
     def test_povm_positivity_boundary(self):
-        diag = povm_check(sic_qubit_scheme("povm"))
+        diag = classify(sic_qubit_scheme("povm")).povm
         assert diag.is_povm
         assert abs(diag.min_effect_eigenvalue) <= 1e-12
 
@@ -320,10 +319,9 @@ class TestRandomPovmSampler:
     def test_construction_guarantees(self):
         for seed in (0, 1, 12345):
             s = random_minimal_povm_scheme(2, seed)
-            diag = povm_check(s)
-            assert diag.sum_residual <= 1e-12
-            assert diag.min_effect_eigenvalue >= -1e-12
             report = classify(s)
+            assert report.povm.sum_residual <= 1e-12
+            assert report.povm.min_effect_eigenvalue >= -1e-12
             assert report.cardinality == "minimal"
             assert report.tomographic
 
@@ -337,7 +335,7 @@ class TestRandomPovmSampler:
     def test_d3_works(self):
         s = random_minimal_povm_scheme(3, 0)
         assert (s.d, s.n_points) == (3, 9)
-        assert povm_check(s).sum_residual <= 1e-12
+        assert classify(s).povm.sum_residual <= 1e-12
 
     @pytest.mark.parametrize("d", [0, -1])
     def test_rejects_non_positive_dimension(self, d):

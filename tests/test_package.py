@@ -40,15 +40,11 @@ PUBLIC_NAMES = [
     "gauge_quantizers",
     "intertwiner",
     "lowest_eigenvalues",
-    "matrix_unit_like_detect",
-    "negativity_report",
-    "povm_check",
     "quantization_matrix",
     "rank",
     "reconstruct",
     "scaled_unitary_check",
     "scheme_from_dequantization_matrix",
-    "self_dual_coefficient",
     "self_dual_coefficients",
     "serialization",
     "singular_values",
@@ -68,14 +64,16 @@ PUBLIC_NAMES = [
 # and its redraws (their budget, their error, the draw's attempt number),
 # now that it draws once per seed, and its Python PCG64 seeding, now that
 # PCG64 seeds itself from the SeedSequence words; the error subclasses no
-# code caught, folded into the kept class of their exit code; and the
-# non-Hermitian member error, now that negativity_report returns None for
+# code caught, folded into the kept class of their exit code; the
+# non-Hermitian member error, now that the negativity report is None for
 # such a family; the second spelling of the canonical dual, whose one name
 # now takes a stack of families instead of a scheme, and the duality matrix,
 # which is intertwiner(s, s); the intertwiner's pair type, now that it
 # returns the one kernel its arguments name, the backward one being
 # intertwiner(target, source); the spectrum helper that also returned the
-# hermiticity residuals, now that lowest_eigenvalues takes every spectrum.
+# hermiticity residuals, now that lowest_eigenvalues takes every spectrum;
+# and the per-scheme diagnostics that each re-exposed one field of classify's
+# report, which is their one public home.
 # "function.parameter" names a parameter.
 REMOVED = {
     "catalog": [
@@ -103,6 +101,10 @@ REMOVED = {
         "duality_matrix",
         "canonical_quantizers.s",
         "_hermiticity_and_lowest_eigenvalues",
+        "matrix_unit_like_detect",
+        "negativity_report",
+        "povm_check",
+        "self_dual_coefficient",
     ],
     "star_product": ["IntertwinerPair"],
     "operator_space": [

@@ -16,13 +16,9 @@ from starprod import (
     gauge_quantizers,
     intertwiner,
     lowest_eigenvalues,
-    matrix_unit_like_detect,
-    negativity_report,
-    povm_check,
     quantization_matrix,
     scaled_unitary_check,
     scheme_from_dequantization_matrix,
-    self_dual_coefficient,
     self_dual_coefficients,
     with_canonical_quantizers,
 )
@@ -108,7 +104,6 @@ class TestSchemeType:
 _QUANTIZER_READERS = {
     "quantization_matrix": quantization_matrix,
     "intertwiner": lambda s: intertwiner(s, s),
-    "self_dual_coefficient": self_dual_coefficient,
     "completeness_residual": completeness_residual,
     "reconstruct": lambda s: reconstruct(s, np.arange(s.n_points) - 1j),
     "star_kernel": lambda s: star_kernel(s).values,
@@ -343,14 +338,31 @@ class TestDualityMatrix:
 
 class TestSelfDualCoefficient:
     def test_matrix_units(self):
-        assert self_dual_coefficient(matrix_units_scheme(2)) == pytest.approx(1.0)
+        assert classify(matrix_units_scheme(2)).self_dual_coefficient == pytest.approx(1.0)
 
     def test_livine(self):
-        assert self_dual_coefficient(livine_scheme()) == pytest.approx(0.5, abs=1e-14)
+        assert classify(livine_scheme()).self_dual_coefficient == pytest.approx(0.5, abs=1e-14)
 
     def test_mub_not_self_dual(self):
         s = with_canonical_quantizers(mub_qubit_scheme())
-        assert self_dual_coefficient(s) is None
+        assert classify(s).self_dual_coefficient is None
+
+    # Quantizers far from the dequantizers' scale: each family's norm is taken
+    # after dividing it by a power of two, so no square overflows or
+    # underflows (tier-1 makes numpy's warnings errors) and c keeps its digits.
+    @pytest.mark.parametrize("scale", [1e200, 1e300, 1e-300])
+    def test_quantizers_far_from_the_dequantizers_scale(self, scale):
+        s = with_canonical_quantizers(pauli_scheme())
+        c = classify(s.with_quantizers(scale * s.quantizers)).self_dual_coefficient
+        assert c == pytest.approx(1 / scale, rel=1e-12)
+
+    def test_one_quantizer_entry_at_the_top_of_the_range(self):
+        s = with_canonical_quantizers(pauli_scheme())
+        quantizers = s.quantizers.copy()
+        quantizers[0, 0, 0] = 1e308
+        report = classify(s.with_quantizers(quantizers))
+        assert report.self_dual_coefficient is None
+        assert report.negativity.min_quantizer_eigenvalue == pytest.approx(-np.sqrt(0.5), rel=1e-12)
 
     def test_stack_matches_per_family(self, rng):
         # Scaled-unitary families are self-dual; Ginibre families are not.
@@ -364,7 +376,6 @@ class TestSelfDualCoefficient:
         for c, family, dual in zip(stacked.reshape(-1), deq, duals):
             reference = self_dual_reference(family, dual)
             assert (reference is None) if np.isnan(c) else (reference == c)
-            assert self_dual_coefficient(Scheme(family, dual)) == reference
         self_dual = np.arange(6) % 3 != 0
         assert np.isnan(stacked.reshape(-1)[~self_dual]).all()
         assert np.allclose(stacked.reshape(-1)[self_dual], coefficients[self_dual], rtol=1e-9, atol=0)
@@ -463,23 +474,27 @@ class TestLowestEigenvalues:
         with pytest.raises(DimensionMismatchError, match=re.escape(f"got shape {shape}")):
             lowest_eigenvalues(np.ones(shape))
 
+    def test_entry_at_the_top_of_the_range(self):
+        # A + A^dag would overflow; the halves are summed instead.
+        assert lowest_eigenvalues(np.diag([1e308, 1.0])) == 1.0
+
 
 class TestPovmCheck:
     def test_sic_povm(self):
-        diag = povm_check(sic_qubit_scheme("povm"))
+        diag = classify(sic_qubit_scheme("povm")).povm
         assert diag.is_povm
         assert diag.sum_residual <= 1e-12
         assert diag.hermiticity_residual <= 1e-12
         assert abs(diag.min_effect_eigenvalue) <= 1e-12
 
     def test_livine_sums_but_not_positive(self):
-        diag = povm_check(livine_scheme())
+        diag = classify(livine_scheme()).povm
         assert not diag.is_povm
         assert diag.sum_residual <= 1e-12
         assert diag.min_effect_eigenvalue == pytest.approx((1 - np.sqrt(3)) / 4, abs=1e-14)
 
     def test_matrix_units_not_hermitian(self):
-        diag = povm_check(matrix_units_scheme(2))
+        diag = classify(matrix_units_scheme(2)).povm
         assert not diag.is_povm
         assert diag.hermiticity_residual == pytest.approx(1.0)
 
@@ -487,7 +502,7 @@ class TestPovmCheck:
     def test_near_miss_at_the_eigenvalue_gate(self, factor, is_povm):
         # Two diagonal effects that sum to the identity, each with eigenvalue -m.
         m = factor * matrixcore.EIG_TOL
-        diag = povm_check(Scheme(dequantizers=np.array([np.diag([1 + m, -m]), np.diag([-m, 1 + m])])))
+        diag = classify(Scheme(np.array([np.diag([1 + m, -m]), np.diag([-m, 1 + m])]))).povm
         assert diag.min_effect_eigenvalue == pytest.approx(-m, rel=1e-12)
         assert diag.sum_residual <= 1e-15 and diag.hermiticity_residual == 0.0
         assert diag.is_povm is is_povm
@@ -495,7 +510,7 @@ class TestPovmCheck:
 
 class TestNegativityReport:
     def test_livine(self):
-        report = negativity_report(livine_scheme())
+        report = classify(livine_scheme()).negativity
         assert report.min_dequantizer_eigenvalue == pytest.approx(
             (1 - np.sqrt(3)) / 4, abs=1e-14
         )
@@ -505,15 +520,16 @@ class TestNegativityReport:
 
     def test_sic_povm_with_duals(self):
         s = with_canonical_quantizers(sic_qubit_scheme("povm"))
-        report = negativity_report(s)
+        report = classify(s).negativity
         assert abs(report.min_dequantizer_eigenvalue) <= 1e-12
         assert report.min_quantizer_eigenvalue == pytest.approx(-1.0, abs=1e-12)
 
     def test_matrix_units_rejected(self):
-        assert negativity_report(matrix_units_scheme(2)) is None
+        assert classify(matrix_units_scheme(2)).negativity is None
 
     def test_no_quantizers(self):
-        report = negativity_report(mub_qubit_scheme())
+        # A bare scheme that is not tomographic has no quantizers to report on.
+        report = classify(Scheme(mub_qubit_scheme().dequantizers[:3])).negativity
         assert report.min_quantizer_eigenvalue is None
 
     def test_reports_the_lowest_member(self):
@@ -521,7 +537,7 @@ class TestNegativityReport:
         # minimum sits first or last.
         deq = np.array([np.diag([-1.0, 5.0]), np.diag([-3.0, 1.0]), np.diag([0.5, 2.0])])
         qs = np.array([np.diag([-2.0, 1.0]), np.diag([-7.0, 0.0]), np.diag([4.0, 5.0])])
-        report = negativity_report(Scheme(deq, qs))
+        report = classify(Scheme(deq, qs)).negativity
         assert report.min_dequantizer_eigenvalue == -3.0
         assert report.min_quantizer_eigenvalue == -7.0
 
@@ -535,11 +551,11 @@ class TestNegativityReport:
         deq[0, 0, 1] += factor * matrixcore.RESIDUAL_TOL * np.abs(deq).max()
         s = Scheme(dequantizers=deq)
         if hermitian:
-            assert negativity_report(s).min_dequantizer_eigenvalue == pytest.approx(
+            assert classify(s).negativity.min_dequantizer_eigenvalue == pytest.approx(
                 -c * np.sqrt(0.5), rel=1e-9
             )
         else:
-            assert negativity_report(s) is None
+            assert classify(s).negativity is None
 
     def test_nan_entry_rejected(self):
         # A NaN in either family, at its last entry, builds no scheme to report on.
@@ -553,7 +569,7 @@ class TestNegativityReport:
 
     def test_zero_family_is_hermitian(self):
         # The relative hermiticity test must not divide 0 by 0 here.
-        report = negativity_report(Scheme(np.zeros((4, 2, 2)), np.zeros((4, 2, 2))))
+        report = classify(Scheme(np.zeros((4, 2, 2)), np.zeros((4, 2, 2)))).negativity
         assert report.min_dequantizer_eigenvalue == report.min_quantizer_eigenvalue == 0.0
 
     @staticmethod
@@ -577,7 +593,7 @@ class TestNegativityReport:
 class TestMatrixUnitLikeDetect:
     @pytest.mark.parametrize("d", [2, 3])
     def test_matrix_units(self, d):
-        u = matrix_unit_like_detect(matrix_units_scheme(d))
+        u = classify(matrix_units_scheme(d)).matrix_unit_like
         assert u is not None
         assert np.abs(u - np.eye(d)).max() <= 1e-12
 
@@ -587,7 +603,7 @@ class TestMatrixUnitLikeDetect:
         deq = np.stack(
             [np.outer(w[:, i], w[:, j].conj()) for i in range(d) for j in range(d)]
         )
-        u = matrix_unit_like_detect(Scheme(dequantizers=deq))
+        u = classify(Scheme(dequantizers=deq)).matrix_unit_like
         assert u is not None
         # Equal up to one global phase.
         for col in range(d):
@@ -602,20 +618,28 @@ class TestMatrixUnitLikeDetect:
         assert abs(u.flat[first].imag) <= 1e-15 and u.flat[first].real > 0.0
 
     def test_calls_no_svd(self, rng, monkeypatch):
-        def no_svd(*args, **kwargs):
-            raise AssertionError("np.linalg.svd called")
+        # classify's one SVD is that of the dequantization matrix: the test
+        # takes none of its own.
+        shapes = []
+        svd = np.linalg.svd
+
+        def counting_svd(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return svd(a, *args, **kwargs)
 
         families = [Scheme(random_complex(rng, (9, 3, 3))), build_scheme("wh-sic", d=3)]
-        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
         for s in families:
-            assert matrix_unit_like_detect(s) is None
+            shapes.clear()
+            assert classify(s).matrix_unit_like is None
+            assert shapes == [(9, 9)]
 
     def test_family_that_u_does_not_rebuild_rejected(self):
         # The reshuffle column the test reads holds members k = 0 and 2 only,
         # so u is still the identity, which does not rebuild member 1.
         deq = matrix_units_scheme(2).dequantizers.copy()
         deq[1, 0, 0] = 0.5
-        assert matrix_unit_like_detect(Scheme(deq)) is None
+        assert classify(Scheme(deq)).matrix_unit_like is None
 
     def test_nan_family_rejected(self):
         deq = matrix_units_scheme(2).dequantizers.copy()
@@ -624,12 +648,12 @@ class TestMatrixUnitLikeDetect:
             Scheme(deq)
 
     def test_livine_not_rank_one(self):
-        assert matrix_unit_like_detect(livine_scheme()) is None
+        assert classify(livine_scheme()).matrix_unit_like is None
         # det of the first dequantizer is -1/8, so it is genuinely rank 2.
         assert abs(np.linalg.det(livine_scheme().dequantizers[0]) + 0.125) <= 1e-15
 
     def test_overfilled_returns_none(self):
-        assert matrix_unit_like_detect(mub_qubit_scheme()) is None
+        assert classify(mub_qubit_scheme()).matrix_unit_like is None
 
 
 class TestClassify:
@@ -674,6 +698,17 @@ class TestClassify:
         report = classify(scheme)
         assert len(calls) == spectra
         assert (report.negativity is None) is (spectra == 1)
+
+    @pytest.mark.parametrize(
+        "build",
+        [mub_qubit_scheme, lambda: Scheme(random_complex(np.random.default_rng(25), (7, 2, 2)))],
+        ids=["mub-qubit", "ginibre-overfilled"],
+    )
+    def test_bare_scheme_reads_the_canonical_dual(self, build):
+        s = build()
+        bare, quantized = classify(s), classify(with_canonical_quantizers(s))
+        assert bare.self_dual_coefficient == quantized.self_dual_coefficient
+        assert bare.negativity == quantized.negativity
 
     def test_matrix_units(self):
         report = classify(matrix_units_scheme(2))
@@ -847,7 +882,7 @@ class TestInvariants:
     def test_self_duality_implies_scaled_unitarity(self):
         for entry in entries():
             s = with_canonical_quantizers(entry.scheme)
-            c = self_dual_coefficient(s)
+            c = classify(s).self_dual_coefficient
             if c is None:
                 continue
             c_gram = scaled_unitary_check(dequantization_matrix(s))
@@ -862,7 +897,7 @@ class TestInvariants:
                 c = rng.uniform(0.1, 10.0)
                 s = scheme_from_dequantization_matrix(tight_frame(rng, d, n, c))
                 s = s.with_quantizers(canonical_quantizers(s.dequantizers))
-                recovered = self_dual_coefficient(s)
+                recovered = classify(s).self_dual_coefficient
                 assert recovered is not None
                 assert abs(recovered - c) <= 1e-9 * c
 

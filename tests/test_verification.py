@@ -23,7 +23,6 @@ from starprod.scheme import (
     Scheme,
     canonical_quantizers,
     classify,
-    self_dual_coefficient,
     with_canonical_quantizers,
 )
 from starprod.verification import (
@@ -137,8 +136,9 @@ class TestSelfDualityUnitarity:
         frame = with_canonical_quantizers(
             Scheme(np.concatenate([pauli, pauli]) / np.sqrt(2), name="frame")
         )
-        assert classify(frame).cardinality == "overfilled"
-        assert self_dual_coefficient(frame) == pytest.approx(1.0, rel=1e-12)
+        report = classify(frame)
+        assert report.cardinality == "overfilled"
+        assert report.self_dual_coefficient == pytest.approx(1.0, rel=1e-12)
         before = check_self_duality_unitarity().details
         regression = verification._quantized_regression_set()
         monkeypatch.setattr(
@@ -378,7 +378,6 @@ _REAL = {
         "classify",
         "intertwiner",
         "livine_scheme",
-        "povm_check",
         "reconstruct",
         "scaled_unitary_check",
         "self_dual_coefficients",
@@ -579,7 +578,9 @@ _GATES = {
     "livine-coefficient": (
         verification.check_livine_positivity,
         "coefficient_residual",
-        lambda mp, offset: _constant(mp, "self_dual_coefficient", 0.5 + offset),
+        lambda mp, offset: _wrap(
+            mp, "classify", lambda r: dataclasses.replace(r, self_dual_coefficient=0.5 + offset)
+        ),
     ),
     "livine-eigenvalues": (
         verification.check_livine_positivity,
@@ -613,7 +614,13 @@ class TestCheckGates:
     def test_livine_negativity_at_factor_times_its_gate(self, monkeypatch, factor, passed):
         # The check needs a dequantizer eigenvalue below -EIG_TOL.
         minimum = -factor * matrixcore.EIG_TOL
-        _wrap(monkeypatch, "povm_check", lambda p: dataclasses.replace(p, min_effect_eigenvalue=minimum))
+        _wrap(
+            monkeypatch,
+            "classify",
+            lambda r: dataclasses.replace(
+                r, povm=dataclasses.replace(r.povm, min_effect_eigenvalue=minimum)
+            ),
+        )
         assert verification.check_livine_positivity().passed is passed
 
     def test_backward_direction_fails_on_a_self_dual_entry_that_is_not_scaled_unitary(
@@ -633,9 +640,9 @@ class TestCheckGates:
     ):
         # The regression set without its self-dual entries, then with the first one back.
         regression = verification._quantized_regression_set()
-        self_dual = [s for s in regression if self_dual_coefficient(s) is not None]
+        self_dual = [s for s in regression if classify(s).self_dual_coefficient is not None]
         kept = self_dual[:self_dual_entries]
-        others = [s for s in regression if self_dual_coefficient(s) is None]
+        others = [s for s in regression if classify(s).self_dual_coefficient is None]
         monkeypatch.setattr(verification, "_quantized_regression_set", lambda: (*others, *kept))
         result = check_self_duality_unitarity()
         assert result.passed is passed
@@ -643,7 +650,7 @@ class TestCheckGates:
         assert result.details["self_dual_catalog_schemes"] == [s.name for s in kept]
 
     def test_livine_fails_when_it_is_not_self_dual(self, monkeypatch):
-        _constant(monkeypatch, "self_dual_coefficient", None)
+        _wrap(monkeypatch, "classify", lambda r: dataclasses.replace(r, self_dual_coefficient=None))
         assert not verification.check_livine_positivity().passed
 
     @pytest.mark.parametrize("eigenvalue, passed", [(2e-10, False), (5e-11, True)])
