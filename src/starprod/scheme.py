@@ -10,7 +10,7 @@ matrix-unit-like).
 
 from __future__ import annotations
 
-import dataclasses
+import copy
 import math
 import sys
 from dataclasses import dataclass
@@ -58,21 +58,8 @@ class Scheme:
             raise DimensionMismatchError(
                 f"dequantizers must be a non-empty stack of square matrices, got shape {deq.shape}"
             )
-        families = {"dequantizers": deq}
-        if self.quantizers is not None:
-            families["quantizers"] = qs = np.array(self.quantizers, dtype=complex)
-            if qs.shape != deq.shape:
-                raise DimensionMismatchError(
-                    f"quantizers shape {qs.shape} does not match dequantizers {deq.shape}"
-                )
-        for label, family in families.items():
-            bad = ~np.isfinite(family)
-            if bad.any():
-                raise InvalidParameterError(
-                    f"{label}[{np.argwhere(bad)[0, 0]}]: entries must be finite (NaN or inf found)"
-                )
-            family.setflags(write=False)
-            object.__setattr__(self, label, family)
+        object.__setattr__(self, "dequantizers", _finite_read_only("dequantizers", deq))
+        self._attach(self.quantizers)
 
     @property
     def d(self) -> int:
@@ -82,8 +69,35 @@ class Scheme:
     def n_points(self) -> int:
         return self.dequantizers.shape[0]
 
-    def with_quantizers(self, quantizers: np.ndarray) -> "Scheme":
-        return dataclasses.replace(self, quantizers=quantizers)
+    def with_quantizers(self, quantizers: np.ndarray | None) -> "Scheme":
+        """A copy carrying ``quantizers`` (None for none).  It shares this
+        scheme's dequantizers, copied and checked when it was built, so only
+        the new family is copied and checked."""
+        s = copy.copy(self)
+        s._attach(quantizers)
+        return s
+
+    def _attach(self, quantizers: np.ndarray | None) -> None:
+        if quantizers is not None:
+            quantizers = np.array(quantizers, dtype=complex)
+            if quantizers.shape != self.dequantizers.shape:
+                raise DimensionMismatchError(
+                    f"quantizers shape {quantizers.shape} does not match "
+                    f"dequantizers {self.dequantizers.shape}"
+                )
+            _finite_read_only("quantizers", quantizers)
+        object.__setattr__(self, "quantizers", quantizers)
+
+
+def _finite_read_only(label: str, family: np.ndarray) -> np.ndarray:
+    """``family``, made read-only once every entry is seen to be finite."""
+    bad = ~np.isfinite(family)
+    if bad.any():
+        raise InvalidParameterError(
+            f"{label}[{np.argwhere(bad)[0, 0]}]: entries must be finite (NaN or inf found)"
+        )
+    family.setflags(write=False)
+    return family
 
 
 @dataclass(frozen=True)

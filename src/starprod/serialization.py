@@ -10,15 +10,24 @@ empty axis, or holds a non-number (true and false included) or a NaN or
 infinite entry is malformed (SchemeParseError, naming the file).
 ``write_json`` writes library objects as they are: a dataclass as its
 fields, a numpy scalar as its value, and a NaN or infinite number as null.
+
+Both writers open their output through ``_overwrite``, which writes over an
+existing file in place instead of truncating it first.  The file keeps its
+inode, mode and links, and a write that stops part-way leaves a file that
+ends in NUL or is cut short, which the loaders refuse (``_overwrite`` says
+when).
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import math
+import os
 import re
-from typing import Any, Iterable, Iterator
+import stat
+from typing import Any, Iterable, Iterator, TextIO
 
 import numpy as np
 
@@ -200,6 +209,30 @@ def _json_text(value: Any, level: int) -> str:
     return json.dumps(value)
 
 
+@contextlib.contextmanager
+def _overwrite(path: str) -> Iterator[TextIO]:
+    """``path`` opened for text writing as ``open(path, "w")`` opens it, but
+    written over its old text instead of truncated first: the old tail is cut
+    once the new text is written.  Truncating an existing file frees its
+    blocks, which the write then allocates again.
+
+    A regular file's old last byte becomes NUL before the new text goes in,
+    so a write that fails or stops short of the old end leaves a file ending
+    in NUL, which every loader refuses; one that stops past it leaves a
+    prefix of the new text, as ``open(path, "w")`` does.  A file that is not
+    regular, such as /dev/null or a pipe, is written as it is.
+    """
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    with open(fd, "w") as fh:
+        info = os.fstat(fd)
+        regular = stat.S_ISREG(info.st_mode)
+        if regular and info.st_size:
+            os.pwrite(fd, b"\0", info.st_size - 1)
+        yield fh
+        if regular:
+            fh.truncate()
+
+
 def write_json(payload: dict[str, Any], path: str) -> None:
     """Write the bytes of ``json.dump(payload, fh, indent=1)`` and a final newline.
 
@@ -209,7 +242,7 @@ def write_json(payload: dict[str, Any], path: str) -> None:
     dicts.  Non-finite numbers are written as null, so the file is valid JSON.
     """
     text = _json_text(payload, 0)
-    with open(path, "w") as fh:
+    with _overwrite(path) as fh:
         fh.write(text)
         fh.write("\n")
 
@@ -286,7 +319,7 @@ def save_kernel(d: int, values: np.ndarray, path: str, assoc_residual: float | N
     most of its floats, within a slice and between slices, and
     ``_member_texts`` formats each distinct float of a block of slices once.
     """
-    with open(path, "w") as fh:
+    with _overwrite(path) as fh:
         fh.write(f'{{"d": {json.dumps(d)}, "n": {len(values)}, "values": [')
         for k, line in enumerate(_member_texts(values, 1, False)):
             fh.write(("," if k else "") + "\n" + line)

@@ -1,6 +1,7 @@
 import argparse
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -1093,6 +1094,57 @@ class TestWrittenFiles:
         for path in written:
             text = path.read_text()
             assert text == json.dumps(json.loads(text), indent=1) + "\n", path.name
+
+
+# Each output form as the arguments before its path.
+_OUTPUT_FORMS = {
+    "emit": ["emit", "pauli", "-o"],
+    "kernel": ["kernel", "{scheme}", "-o"],
+    "classify-report": ["classify", "{scheme}", "--report"],
+}
+
+
+class TestUnwritableOutput:
+    """An output path that cannot be opened for writing exits 2 with the
+    error line open(path, "w") gives, and the command writes nothing else."""
+
+    @pytest.fixture
+    def run(self, tmp_path, capsys):
+        scheme = tmp_path / "pauli.json"
+        save_scheme(pauli_scheme(), str(scheme))
+
+        def _run(form, out):
+            code = main([arg.format(scheme=scheme) for arg in _OUTPUT_FORMS[form]] + [str(out)])
+            return code, capsys.readouterr().err
+
+        return _run
+
+    @pytest.mark.parametrize("form", list(_OUTPUT_FORMS))
+    def test_missing_directory(self, tmp_path, run, form):
+        out = tmp_path / "missing" / "out.json"
+        assert run(form, out) == (2, f"error: [Errno 2] No such file or directory: '{out}'\n")
+        assert not out.parent.exists()
+
+    @pytest.mark.parametrize("form", list(_OUTPUT_FORMS))
+    def test_directory(self, tmp_path, run, form):
+        out = tmp_path / "dir"
+        out.mkdir()
+        assert run(form, out) == (2, f"error: [Errno 21] Is a directory: '{out}'\n")
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("form", list(_OUTPUT_FORMS))
+    def test_read_only_file(self, tmp_path, run, form):
+        out = tmp_path / "ro.json"
+        out.write_text("old\n")
+        out.chmod(0o444)
+        code, err = run(form, out)
+        if os.access(out, os.W_OK):
+            # Run as root, which open(path, "w") lets write a read-only file too.
+            assert (code, err) == (0, "")
+            assert out.read_text() != "old\n"
+        else:
+            assert (code, err) == (2, f"error: [Errno 13] Permission denied: '{out}'\n")
+            assert out.read_text() == "old\n"
 
 
 class TestParserReuse:

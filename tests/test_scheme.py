@@ -77,6 +77,45 @@ class TestSchemeType:
         assert classify(s).tomographic
         assert np.array_equal(s.quantizers, qs_before)
 
+    def test_with_quantizers_shares_the_checked_dequantizers(self):
+        s = with_canonical_quantizers(pauli_scheme())
+        t = s.with_quantizers(2 * s.quantizers)
+        assert t.dequantizers is s.dequantizers
+        assert t.name == s.name and np.array_equal(t.quantizers, 2 * s.quantizers)
+        assert not t.quantizers.flags.writeable
+        assert s.with_quantizers(None).quantizers is None
+        assert np.array_equal(s.quantizers, t.quantizers / 2)
+
+    @pytest.mark.parametrize(
+        "bad, error, message",
+        [
+            (np.nan, InvalidParameterError, r"^quantizers\[2\]: entries must be finite \(NaN or inf found\)$"),
+            (np.inf, InvalidParameterError, r"^quantizers\[2\]: entries must be finite \(NaN or inf found\)$"),
+            (None, DimensionMismatchError,
+             r"^quantizers shape \(3, 2, 2\) does not match dequantizers \(4, 2, 2\)$"),
+        ],
+        ids=["nan", "inf", "shape"],
+    )
+    def test_with_quantizers_refuses_a_bad_family(self, bad, error, message):
+        s = pauli_scheme()
+        qs = s.dequantizers.copy()
+        if bad is None:
+            qs = qs[:3]
+        else:
+            qs[2, 1, 0] = bad
+        with pytest.raises(error, match=message):
+            s.with_quantizers(qs)
+        with pytest.raises(error, match=message):
+            Scheme(s.dequantizers, qs)
+
+    def test_later_writes_to_the_attached_quantizers_do_not_reach_the_scheme(self):
+        s = pauli_scheme()
+        qs = s.dequantizers.copy()
+        t = s.with_quantizers(qs)
+        qs[2, 0, 0] = np.nan
+        assert np.isfinite(t.quantizers).all()
+        assert np.array_equal(t.quantizers, s.dequantizers)
+
     @pytest.mark.parametrize("name", [5, b"pauli", ["pauli"]], ids=repr)
     def test_name_that_is_not_a_string_refused(self, name):
         with pytest.raises(InvalidParameterError, match=r"^name must be a string, got "):

@@ -1,9 +1,11 @@
+import contextlib
 import dataclasses
 import functools
 import json
 import math
 import os
 import re
+import stat
 import sys
 import tracemalloc
 import types
@@ -12,7 +14,7 @@ import numpy as np
 import pytest
 
 from starprod import PovmDiagnostics, Scheme, SchemeParseError, classify
-from starprod import serialization
+from starprod import cli, serialization
 from starprod.catalog import SCHEMES, build_scheme, entries, mub_qubit_scheme, sic_qubit_scheme
 from starprod.scheme import with_canonical_quantizers
 from starprod.serialization import (
@@ -892,3 +894,176 @@ class TestWriteJsonBlocks(TestWriteJson):
     @pytest.fixture(autouse=True, params=list(_BLOCK_BOUNDS))
     def _block_bound(self, request, monkeypatch):
         _bound_blocks(monkeypatch, request.param)
+
+
+# Each writer as (long, short): two calls that write a longer and a shorter
+# file at one path.
+_WRITERS = {
+    "scheme": (
+        lambda path: save_scheme(build_scheme("mub-prime", p=5), path),
+        lambda path: save_scheme(build_scheme("pauli"), path),
+    ),
+    "report": (
+        lambda path: write_json({"report": classify(build_scheme("mub-prime", p=5))}, path),
+        lambda path: write_json({"report": classify(build_scheme("pauli"))}, path),
+    ),
+    "kernel": (
+        lambda path: save_kernel(*_registered_kernel("mub-prime", p=3)[:2], path, assoc_residual=1e-13),
+        lambda path: save_kernel(*_registered_kernel("pauli")[:2], path),
+    ),
+    "operator": (
+        lambda path: save_operator(np.eye(9), path),
+        lambda path: save_operator(np.eye(2), path),
+    ),
+    "vector": (
+        lambda path: save_vector(np.arange(40.0), path, scheme="long"),
+        lambda path: save_vector(np.arange(4.0), path),
+    ),
+}
+
+
+class TestWrittenOverInPlace:
+    """Every writer writes over an existing file instead of truncating it
+    first, and leaves the bytes a write to a fresh path leaves."""
+
+    @pytest.mark.parametrize("writer", list(_WRITERS))
+    def test_shorter_file_over_a_longer_one_matches_a_fresh_write(self, tmp_path, writer):
+        write_long, write_short = _WRITERS[writer]
+        path, fresh = tmp_path / "out.json", tmp_path / "fresh.json"
+        write_long(str(path))
+        old_size = path.stat().st_size
+        write_short(str(path))
+        write_short(str(fresh))
+        assert path.stat().st_size < old_size
+        assert path.read_bytes() == fresh.read_bytes()
+        # And back: a longer file over a shorter one.
+        write_long(str(path))
+        write_long(str(fresh))
+        assert path.read_bytes() == fresh.read_bytes()
+
+    @pytest.mark.parametrize("writer", list(_WRITERS))
+    def test_existing_output_keeps_its_inode_and_mode(self, tmp_path, writer):
+        write_long, write_short = _WRITERS[writer]
+        path = tmp_path / "out.json"
+        write_long(str(path))
+        path.chmod(0o600)
+        before = path.stat()
+        write_short(str(path))
+        after = path.stat()
+        assert after.st_ino == before.st_ino
+        assert stat.S_IMODE(after.st_mode) == 0o600
+
+    @pytest.mark.parametrize("writer", list(_WRITERS))
+    def test_symlinked_output_is_written_through_to_its_target(self, tmp_path, writer):
+        write_long, write_short = _WRITERS[writer]
+        target, link, fresh = tmp_path / "target.json", tmp_path / "link.json", tmp_path / "fresh.json"
+        write_long(str(target))
+        link.symlink_to(target)
+        write_short(str(link))
+        write_short(str(fresh))
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert target.read_bytes() == fresh.read_bytes()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["emit", "pauli"], ["kernel", "{scheme}"], ["quantize", "{scheme}", "--report", os.devnull]],
+        ids=["emit", "kernel", "quantize-report"],
+    )
+    def test_dev_null_output_exits_0(self, tmp_path, capsys, argv):
+        scheme = tmp_path / "pauli.json"
+        save_scheme(build_scheme("pauli"), str(scheme))
+        argv = [arg.format(scheme=scheme) for arg in argv]
+        assert cli.main([*argv, "-o", os.devnull]) == 0
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("writer", list(_WRITERS))
+    def test_no_writer_opens_with_o_trunc(self, tmp_path, monkeypatch, writer):
+        # A writer on builtin open(path, "w") calls no os.open, so it fails too.
+        write_long, write_short = _WRITERS[writer]
+        path = str(tmp_path / "out.json")
+        write_long(path)
+        flags, os_open = [], os.open
+
+        def recording_open(file, flag, *args, **kwargs):
+            if file == path:
+                flags.append(flag)
+            return os_open(file, flag, *args, **kwargs)
+
+        monkeypatch.setattr(os, "open", recording_open)
+        write_short(path)
+        assert len(flags) == 1
+        assert flags[0] & os.O_CREAT and flags[0] & os.O_ACCMODE == os.O_WRONLY
+        assert not flags[0] & os.O_TRUNC
+
+
+class _FailingFile:
+    """A text file whose writes raise OSError once ``budget`` characters are
+    written, after writing the characters that fit."""
+
+    def __init__(self, fh, budget):
+        self._fh, self._budget = fh, budget
+
+    def write(self, text):
+        if len(text) > self._budget:
+            self._fh.write(text[: self._budget])
+            raise OSError(28, "No space left on device")
+        self._budget -= len(text)
+        return self._fh.write(text)
+
+
+def _assert_refused(path, load):
+    """Neither ``load`` (with SchemeParseError naming the file) nor json.loads
+    accepts the file at ``path``."""
+    with pytest.raises(SchemeParseError, match=f"^{re.escape(str(path))}: "):
+        load(str(path))
+    with pytest.raises(ValueError):
+        json.loads(path.read_text())
+
+
+class TestInterruptedWrite:
+    """A write that stops part-way over an older, longer file leaves a file
+    that ends in NUL, which every loader refuses."""
+
+    @pytest.mark.parametrize("k", [0, 1, 10])
+    def test_kernel_stopped_after_k_slices(self, tmp_path, monkeypatch, rng, k):
+        path = tmp_path / "kernel.json"
+        save_kernel(2, random_complex(rng, (20, 20, 20)), str(path), assoc_residual=1e-13)
+        member_texts = serialization._member_texts
+
+        def stopping(a, depth, indent):
+            for i, text in enumerate(member_texts(a, depth, indent)):
+                if i == k:
+                    raise KeyboardInterrupt
+                yield text
+
+        monkeypatch.setattr(serialization, "_member_texts", stopping)
+        with pytest.raises(KeyboardInterrupt):
+            save_kernel(2, random_complex(rng, (16, 16, 16)), str(path))
+        assert path.read_bytes().endswith(b"\0")
+        _assert_refused(path, load_kernel)
+
+    @pytest.mark.parametrize("share", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize(
+        "writer, load",
+        [("scheme", load_scheme), ("kernel", load_kernel), ("operator", load_operator),
+         ("vector", load_vector)],
+    )
+    def test_write_failing_with_os_error(self, tmp_path, monkeypatch, writer, load, share):
+        # share 1.0 stops one character short: the new text but its final newline.
+        write_long, write_short = _WRITERS[writer]
+        path, fresh = tmp_path / "out.json", tmp_path / "fresh.json"
+        write_short(str(fresh))
+        budget = min(int(share * fresh.stat().st_size), fresh.stat().st_size - 1)
+        write_long(str(path))
+        overwrite = serialization._overwrite
+
+        @contextlib.contextmanager
+        def failing(path):
+            with overwrite(path) as fh:
+                yield _FailingFile(fh, budget)
+
+        monkeypatch.setattr(serialization, "_overwrite", failing)
+        with pytest.raises(OSError, match="No space left on device"):
+            write_short(str(path))
+        assert path.read_bytes().endswith(b"\0")
+        _assert_refused(path, load)
