@@ -56,6 +56,7 @@ from .star_product import (
     star_kernel,
     star_multiply,
     symbol,
+    symbol_roundtrip_residual,
 )
 from . import catalog, serialization, verification
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 from typing import Any
 
@@ -18,8 +19,7 @@ import numpy as np
 
 from . import __version__, matrixcore
 from .catalog import SCHEMES, build_scheme
-from .errors import MalformedInputError, StarProdError
-from .matrixcore import finite
+from .errors import InvalidParameterError, MalformedInputError, StarProdError
 from .scheme import (
     SchemeReport,
     classify,
@@ -43,6 +43,7 @@ from .star_product import (
     reconstruct,
     star_kernel,
     symbol,
+    symbol_roundtrip_residual,
 )
 from .verification import SUITES, run_battery
 
@@ -64,6 +65,13 @@ def _write_report(path: str, **fields: Any) -> None:
     }
     write_json({"tool": "starprod", "version": __version__, "tolerances": tolerances, **fields}, path)
     print(f"report written to {path}")
+
+
+def _report_path(report: str | None, beside: str) -> str:
+    """``report``, else ``<beside>.report.json``; refused beside a non-regular file."""
+    if not report and os.path.exists(beside) and not os.path.isfile(beside):
+        raise InvalidParameterError(f"no report beside {beside}, not a regular file; give --report")
+    return report or f"{beside}.report.json"
 
 
 def cmd_emit(args: argparse.Namespace) -> int:
@@ -108,10 +116,11 @@ def _format_human(report: SchemeReport, scheme_name: str, d: int, n: int) -> str
 
 def cmd_classify(args: argparse.Namespace) -> int:
     s = load_scheme(args.scheme)
+    path = _report_path(args.report, args.scheme)
     report = classify(s)
     print(_format_human(report, s.name or args.scheme, s.d, s.n_points))
     _write_report(
-        args.report or f"{args.scheme}.report.json",
+        path,
         scheme={"path": args.scheme, "name": s.name, "d": s.d, "n": s.n_points},
         report=report,
     )
@@ -119,6 +128,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 
 def cmd_quantize(args: argparse.Namespace) -> int:
+    path = _report_path(args.report, args.output)
     s = load_scheme(args.scheme)
     if args.gauge:
         augmented = s.with_quantizers(gauge_quantizers(s, load_operator(args.gauge)))
@@ -129,7 +139,7 @@ def cmd_quantize(args: argparse.Namespace) -> int:
     print(f"wrote quantized scheme to {args.output}")
     print(f"completeness residual: {residual:.3e}")
     _write_report(
-        args.report or f"{args.output}.report.json",
+        path,
         completeness_residual=residual,
         gauge=args.gauge,
     )
@@ -170,9 +180,7 @@ def cmd_intertwine(args: argparse.Namespace) -> int:
     a = load_operator(args.operator)
     forward, backward = intertwiner(s_a, s_b), intertwiner(s_b, s_a)
     f_a = symbol(s_a, a)
-    back = finite("the round-trip residual overflows", lambda: backward @ (forward @ f_a))
-    # Relative to the symbol's largest entry, so it reads the same at every scale.
-    residual = float(np.abs(back - f_a).max()) / (float(np.abs(f_a).max()) or 1.0)
+    residual = symbol_roundtrip_residual(forward, backward, f_a)
     with np.printoptions(precision=6, suppress=True):
         print("forward kernel (source -> target):")
         print(forward)
@@ -195,13 +203,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
         status = "PASS" if result.passed else "FAIL"
         summary = ", ".join(
             f"{key}={value:.3e}" if isinstance(value, float) else f"{key}={value}"
-            for key, value in result.details.items()
+            for key, value in {**result.details, "least_margin": result.least_margin}.items()
             if isinstance(value, (int, float)) and not isinstance(value, bool)
         )
-        # The least margin of the residual gates; np.min keeps a NaN residual's.
-        margins = [g["margin"] for g in result.details["gates"].values() if g["test"] == "<="]
-        if margins:
-            summary += f", least_margin={np.min(margins):.3e}"
         print(f"{status} {result.name} ({summary})")
     all_passed = all(r.passed for r in results)
     _write_report(

@@ -136,6 +136,23 @@ def intertwiner(source: Scheme, target: Scheme) -> np.ndarray:
         "kab,lab->kl", target.dequantizers.conj(), qs))
 
 
+def symbol_roundtrip_residual(forward, backward, f) -> float | np.ndarray:
+    """max|backward (forward f) - f| / max|f| (over 1.0 for f = 0), the same at
+    every scale, for M x N and N x M kernels; symbols (..., N) give one each."""
+    f = np.asarray(f, dtype=complex)
+    if (forward.ndim, backward.shape, f.shape[-1:]) != (2, forward.shape[::-1], forward.shape[1:]):
+        raise DimensionMismatchError(
+            f"kernels {forward.shape} and {backward.shape} do not fit symbols of shape {f.shape}"
+        )
+
+    def relative():
+        scale = np.abs(f).max(axis=-1)
+        back = (backward @ (forward @ f[..., None]))[..., 0]
+        return np.abs(back - f).max(axis=-1) / np.where(scale, scale, 1.0)
+    residual = finite("the round-trip residual overflows", relative)
+    return float(residual) if residual.ndim == 0 else residual
+
+
 def cubic_unitary_residual(u) -> float | np.ndarray:
     """Max-abs entry of u - (u u*) u^tr; zero for every unitary u.
 

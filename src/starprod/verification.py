@@ -9,8 +9,8 @@ once, in the table it hands to ``_gated``: detail key, test and bound.  A
 sweep keeps no running worst: it hands ``_gated`` all its residuals, which
 ``_gated`` reduces to their largest.  A check passes when every gate holds;
 ``details["gates"]`` reports each gate's test, bound and margin (bound /
-value for a ``<=`` gate, None for a condition), and ``verify`` prints the
-least ``<=`` margin as ``least_margin``.
+value for a ``<=`` gate, None for a condition), and ``verify`` prints
+``CheckResult.least_margin``, the least ``<=`` margin.
 A new gate is one table entry and one ``tests/test_verification.py::_GATES``
 entry (a condition: a near-miss test named in its ``_CONDITIONS``).
 The sampled checks draw all samples of a scheme at once and evaluate them
@@ -65,6 +65,7 @@ from .star_product import (
     star_kernel,
     star_multiply,
     symbol,
+    symbol_roundtrip_residual,
 )
 
 DEFAULT_BATTERY_SEED = 20100231
@@ -85,6 +86,12 @@ class CheckResult:
     passed: bool
     seconds: float | None = None
     details: dict[str, Any] = field(default_factory=dict)
+
+    @property
+    def least_margin(self) -> float | None:
+        """The least margin of the ``<=`` gates: None without one, NaN if one is NaN."""
+        margins = [g["margin"] for g in self.details.get("gates", {}).values() if g["test"] == "<="]
+        return float(np.min(margins)) if margins else None
 
 
 # The comparisons a gate makes, by the name its report gives them.
@@ -353,10 +360,9 @@ def check_intertwining() -> CheckResult:
     mub = mub_qubit_scheme()
     forward, backward = intertwiner(pauli, mub), intertwiner(mub, pauli)
     f = symbol(pauli, _ginibre(rng.standard_normal((_SAMPLES, 2, 2, 2))))
-    back = (backward @ (forward @ f[..., None]))[..., 0]
     details = {
         "minimal_composition_residual": np.abs(compose - np.eye(4)),
-        "overfilled_roundtrip_residual": np.abs(back - f),
+        "overfilled_roundtrip_residual": symbol_roundtrip_residual(forward, backward, f),
         "operators": _SAMPLES,
     }
     gates = {

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -1145,6 +1146,49 @@ class TestUnwritableOutput:
         else:
             assert (code, err) == (2, f"error: [Errno 13] Permission denied: '{out}'\n")
             assert out.read_text() == "old\n"
+
+
+class TestDerivedReportPath:
+    """A default report path is derived only beside a regular file: beside
+    anything else (here a link to /dev/null, or a FIFO) the command exits 2
+    before it prints or writes, and asks for --report."""
+
+    @staticmethod
+    def _refused(beside):
+        return f"error: no report beside {beside}, not a regular file; give --report\n"
+
+    def test_quantize_to_a_device(self, emit, tmp_path, capsys):
+        scheme = emit("pauli")
+        link = tmp_path / "null.json"
+        link.symlink_to(os.devnull)
+        capsys.readouterr()
+        assert main(["quantize", str(scheme), "-o", str(link)]) == 2
+        assert capsys.readouterr() == ("", self._refused(link))
+        assert not (tmp_path / "null.json.report.json").exists()
+        report = tmp_path / "qr.json"
+        assert main(["quantize", str(scheme), "-o", str(link), "--report", str(report)]) == 0
+        assert json.loads(report.read_text())["completeness_residual"] <= 1e-12
+
+    def test_classify_from_a_fifo(self, emit, tmp_path, capsys):
+        text = emit("pauli").read_text()
+        fifo = tmp_path / "scheme.fifo"
+        capsys.readouterr()
+
+        def classify(*flags):
+            os.mkfifo(fifo)
+            writer = threading.Thread(target=lambda: fifo.write_text(text), daemon=True)
+            writer.start()
+            code = main(["classify", str(fifo), *flags])
+            writer.join(timeout=10)
+            assert not writer.is_alive()
+            fifo.unlink()
+            return code
+
+        assert classify() == 2
+        assert capsys.readouterr() == ("", self._refused(fifo))
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["pauli_0.json"]
+        assert classify("--report", str(tmp_path / "c.json")) == 0
+        assert json.loads((tmp_path / "c.json").read_text())["report"]["cardinality"] == "minimal"
 
 
 class TestParserReuse:

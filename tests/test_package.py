@@ -51,6 +51,7 @@ PUBLIC_NAMES = [
     "star_kernel",
     "star_multiply",
     "symbol",
+    "symbol_roundtrip_residual",
     "vectorize",
     "verification",
     "with_canonical_quantizers",
@@ -153,6 +154,11 @@ def test_removed_names_are_gone(module):
         return name in namespace
 
     assert [name for name in REMOVED[module] if present(name)] == []
+
+
+def test_cli_binds_no_range_guard():
+    # The CLI computes no number: every float64-range guard runs in the library.
+    assert "finite" not in vars(importlib.import_module("starprod.cli"))
 
 
 # The private names one starprod module imports from another, as (importer,

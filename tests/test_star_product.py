@@ -22,6 +22,7 @@ from starprod import (
     star_kernel,
     star_multiply,
     symbol,
+    symbol_roundtrip_residual,
     with_canonical_quantizers,
 )
 from starprod.catalog import (
@@ -264,6 +265,60 @@ class TestIntertwiner:
             intertwiner(underfilled, matrix_units_scheme(2))
 
 
+class TestSymbolRoundtripResidual:
+    @staticmethod
+    def _overfilled_pair():
+        pauli, mub = pauli_scheme("hermitian"), mub_qubit_scheme()
+        return pauli, intertwiner(pauli, mub), intertwiner(mub, pauli)
+
+    def test_one_symbol_matches_its_row_of_a_stack(self, rng):
+        pauli, forward, backward = self._overfilled_pair()
+        f = symbol(pauli, random_complex(rng, (3, 5, 2, 2)))
+        stacked = symbol_roundtrip_residual(forward, backward, f)
+        assert stacked.shape == (3, 5)
+        for index in np.ndindex(3, 5):
+            one = symbol_roundtrip_residual(forward, backward, f[index])
+            assert type(one) is float
+            assert np.float64(one).tobytes() == stacked[index].tobytes()
+        assert stacked.max() <= 1e-10
+
+    def test_reads_the_same_at_every_scale(self, rng):
+        pauli, forward, backward = self._overfilled_pair()
+        f = symbol(pauli, random_complex(rng, (20, 2, 2)))
+        residual = symbol_roundtrip_residual(forward, backward, f)
+        assert residual.max() > 0
+        for k in (-600, -40, 1, 40, 600):
+            scaled = symbol_roundtrip_residual(forward, backward, f * 2.0**k)
+            assert scaled.tobytes() == residual.tobytes()
+
+    def test_relative_to_the_largest_entry(self):
+        # A backward kernel off by 1e-3 moves every entry by 1e-3 of itself.
+        identity = np.eye(4)
+        f = np.array([8.0, -2.0, 1j, 0.5])
+        assert symbol_roundtrip_residual(identity, (1 + 1e-3) * identity, f) == pytest.approx(1e-3)
+
+    def test_zero_symbol_gives_zero(self):
+        _, forward, backward = self._overfilled_pair()
+        assert symbol_roundtrip_residual(forward, backward, np.zeros(4)) == 0.0
+        stacked = symbol_roundtrip_residual(forward, backward, np.zeros((2, 4)))
+        assert stacked.tolist() == [0.0, 0.0]
+
+    @pytest.mark.parametrize(
+        "forward, backward, f",
+        [
+            (np.ones((6, 4)), np.ones((4, 6)), np.ones(6)),
+            (np.ones((6, 4)), np.ones((6, 4)), np.ones(4)),
+            (np.ones((6, 4)), np.ones((4, 5)), np.ones((2, 4))),
+            (np.ones(4), np.ones(4), np.ones(4)),
+            (np.ones((6, 4)), np.ones((4, 6)), np.array(1.0)),
+        ],
+        ids=["symbol-length", "backward-shape", "backward-rows", "vector-kernels", "scalar"],
+    )
+    def test_shape_mismatch(self, forward, backward, f):
+        with pytest.raises(DimensionMismatchError):
+            symbol_roundtrip_residual(forward, backward, f)
+
+
 class TestCubicIdentity:
     def test_identity_matrix(self):
         assert cubic_unitary_residual(np.eye(4)) == 0
@@ -373,6 +428,14 @@ def _shifted_quantizers_overflow():
     return gauge_quantizers(s, g)
 
 
+def _roundtrip_overflow():
+    # Both kernels are finite, but the symbol of 1e160 I carried through
+    # Pauli x 1e160 and back leaves the float64 range.
+    pauli, big = pauli_scheme("hermitian"), _scaled("pauli", 1e160)
+    f = symbol(pauli, 1e160 * np.eye(2))
+    return symbol_roundtrip_residual(intertwiner(pauli, big), intertwiner(big, pauli), f)
+
+
 class TestFloatRange:
     """Every function behind a CLI output returns finite values or raises
     ScaleOutOfRangeError naming the result that left the float64 range."""
@@ -415,6 +478,7 @@ class TestFloatRange:
                 lambda: intertwiner(_scaled("mub-qubit", 1e-160), _scaled("pauli", 1e160)),
                 "the intertwining kernel overflows",
             ),
+            (_roundtrip_overflow, "the round-trip residual overflows"),
         ],
         ids=[
             "canonical_quantizers",
@@ -426,6 +490,7 @@ class TestFloatRange:
             "star_kernel-underflow",
             "intertwiner-forward",
             "intertwiner-backward",
+            "symbol_roundtrip_residual",
         ],
     )
     def test_raises_at_its_edge(self, compute, what):

@@ -837,6 +837,28 @@ class TestNanResiduals:
         assert result.details["gates"]["r"]["margin"] == pytest.approx(margin, nan_ok=True)
 
 
+class TestLeastMargin:
+    """``CheckResult.least_margin``: the least margin of the ``<=`` gates."""
+
+    def test_the_least_of_the_residual_gates(self):
+        gates = {"a": ("<=", 1.0), "b": ("<=", 1.0), "c": (">", 0)}
+        result = verification._gated("probe", {"a": 0.25, "b": 0.5, "c": 1}, gates)
+        assert result.least_margin == 2.0
+        assert type(result.least_margin) is float
+
+    def test_none_without_a_residual_gate(self):
+        assert verification._gated("probe", {"c": 1}, {"c": (">", 0)}).least_margin is None
+        assert verification.CheckResult(name="probe", passed=True).least_margin is None
+
+    def test_a_nan_margin_is_kept(self):
+        gates = {"a": ("<=", 1.0), "b": ("<=", 1.0)}
+        result = verification._gated("probe", {"a": 0.5, "b": [0.1, np.nan]}, gates)
+        assert np.isnan(result.least_margin)
+
+    def test_a_zero_residual_gives_inf(self):
+        assert verification._gated("probe", {"a": 0.0}, {"a": ("<=", 1.0)}).least_margin == np.inf
+
+
 @pytest.fixture
 def tracing(monkeypatch):
     """perfbench/tracing.py, imported from its file for this test only."""
