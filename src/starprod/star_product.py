@@ -138,7 +138,8 @@ def intertwiner(source: Scheme, target: Scheme) -> np.ndarray:
 
 def symbol_roundtrip_residual(forward, backward, f) -> float | np.ndarray:
     """max|backward (forward f) - f| / max|f| (over 1.0 for f = 0), the same at
-    every scale, for M x N and N x M kernels; symbols (..., N) give one each."""
+    every scale, for M x N and N x M kernels; symbols (..., N) give one each.
+    ScaleOutOfRangeError if max|f| or a residual leaves the float64 range."""
     f = np.asarray(f, dtype=complex)
     if (forward.ndim, backward.shape, f.shape[-1:]) != (2, forward.shape[::-1], forward.shape[1:]):
         raise DimensionMismatchError(
@@ -148,8 +149,9 @@ def symbol_roundtrip_residual(forward, backward, f) -> float | np.ndarray:
     def relative():
         scale = np.abs(f).max(axis=-1)
         back = (backward @ (forward @ f[..., None]))[..., 0]
-        return np.abs(back - f).max(axis=-1) / np.where(scale, scale, 1.0)
-    residual = finite("the round-trip residual overflows", relative)
+        # The scale is guarded too: an inf max|f| would read the residual as 0.
+        return scale, np.abs(back - f).max(axis=-1) / np.where(scale, scale, 1.0)
+    _, residual = finite("the round-trip residual overflows", relative)
     return float(residual) if residual.ndim == 0 else residual
 
 

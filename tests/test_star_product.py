@@ -297,6 +297,16 @@ class TestSymbolRoundtripResidual:
         f = np.array([8.0, -2.0, 1j, 0.5])
         assert symbol_roundtrip_residual(identity, (1 + 1e-3) * identity, f) == pytest.approx(1e-3)
 
+    @pytest.mark.filterwarnings("error")
+    def test_an_overflowing_largest_entry_raises(self):
+        # Every part is finite, but |f_0| is not: the residual would read 0.
+        identity = np.eye(4)
+        f = np.array([1.5e308 + 1.5e308j, 0, 0, 0])
+        assert symbol_roundtrip_residual(identity, 0.999 * identity, f / 4) == pytest.approx(1e-3)
+        for symbols in (f, np.stack([f / 4, f])):
+            with pytest.raises(ScaleOutOfRangeError, match="the round-trip residual overflows"):
+                symbol_roundtrip_residual(identity, 0.999 * identity, symbols)
+
     def test_zero_symbol_gives_zero(self):
         _, forward, backward = self._overfilled_pair()
         assert symbol_roundtrip_residual(forward, backward, np.zeros(4)) == 0.0

@@ -1,5 +1,6 @@
 """Stacked battery paths against per-seed and per-sample reference loops,
-the shared regression set, and the names the benchmark tracer wraps."""
+the shared regression set, the battery's worker thread, and the names the
+benchmark tracer wraps."""
 
 import dataclasses
 import functools
@@ -7,6 +8,7 @@ import importlib.util
 import inspect
 import operator
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -313,6 +315,102 @@ def test_battery_builds_the_regression_set_once(monkeypatch):
     results = run_battery("all", seeds=20)
     assert len(calls) == 1
     assert all(r.passed for r in results)
+
+
+# Each check's function, by the name its result gives, in the battery's order.
+_CHECKS = {
+    "table-rows-1-3": "check_table_printed_rows",
+    "table-rows-4-6": "check_table_derived_rows",
+    "sic-overlap-conditions": "check_sic_conditions",
+    "livine-self-dual-not-povm": "check_livine_positivity",
+    "self-dual-scaled-unitary": "check_self_duality_unitarity",
+    "povm-dual-negativity": "check_povm_dual_negativity",
+    "completeness-roundtrip": "check_completeness_roundtrip",
+    "kernel-homomorphism-associativity": "check_kernel_laws",
+    "intertwining": "check_intertwining",
+    "cubic-unitary-identity": "check_cubic_identity",
+    "mub-frame": "check_mub_frame",
+}
+
+
+class TestBatteryThread:
+    """The POVM check runs on one worker thread beside the others, which
+    changes neither the results nor their order, and leaves no thread behind."""
+
+    def test_only_the_povm_check_leaves_the_callers_thread(self, monkeypatch):
+        threads = {}
+
+        def recording(name, check):
+            def wrapper(*args):
+                threads[name] = threading.get_ident()
+                return check(*args)
+            return wrapper
+
+        for name, function in _CHECKS.items():
+            monkeypatch.setattr(
+                verification, function, recording(name, getattr(verification, function))
+            )
+        run_battery("all", seeds=20)
+        caller = threading.get_ident()
+        assert threads.keys() == _CHECKS.keys()
+        assert threads.pop("povm-dual-negativity") != caller
+        assert set(threads.values()) == {caller}
+
+    def test_the_povm_check_runs_beside_every_other_check(self, monkeypatch):
+        # The POVM check waits for the battery's last check, which runs after
+        # it in names order, so it returns only if the two overlap.
+        povm, mub_frame = check_povm_dual_negativity, verification.check_mub_frame
+        last_ran = threading.Event()
+
+        def waiting(seeds):
+            assert last_ran.wait(timeout=10), "the last check did not run beside the POVM check"
+            return povm(seeds)
+
+        def signalling():
+            last_ran.set()
+            return mub_frame()
+
+        monkeypatch.setattr(verification, "check_povm_dual_negativity", waiting)
+        monkeypatch.setattr(verification, "check_mub_frame", signalling)
+        assert all(r.passed for r in run_battery("all", seeds=20))
+
+    @pytest.mark.parametrize(
+        "suite, seeds",
+        [
+            ("all", None),
+            ("all", 20),
+            ("table", None),
+            ("propositions", None),
+            ("propositions", 20),
+            ("random-povm", None),
+            ("random-povm", 20),
+        ],
+    )
+    def test_results_are_those_of_the_checks_in_turn(self, suite, seeds):
+        names = tuple(_CHECKS) if suite == "all" else verification.SUITES[suite]
+        expected = [
+            getattr(verification, _CHECKS[name])(
+                *([seeds or 1000] if name == "povm-dual-negativity" else [])
+            )
+            for name in names
+        ]
+        results = run_battery(suite, seeds)
+        assert [r.name for r in results] == list(names)
+        assert [r.passed for r in results] == [e.passed for e in expected]
+        assert [repr(r.details) for r in results] == [repr(e.details) for e in expected]
+
+    @pytest.mark.parametrize(
+        "function", ["check_povm_dual_negativity", "check_sic_conditions", "check_mub_frame"]
+    )
+    def test_a_raising_check_raises_and_leaves_no_thread(self, monkeypatch, function):
+        def raising(*args):
+            raise RuntimeError(f"{function} failed")
+
+        monkeypatch.setattr(verification, function, raising)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match=f"^{function} failed$"):
+            run_battery("all", seeds=20)
+        assert threading.active_count() == before
 
 
 @functools.cache
