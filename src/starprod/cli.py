@@ -21,6 +21,7 @@ from . import __version__, matrixcore
 from .catalog import SCHEMES, build_scheme
 from .errors import InvalidParameterError, MalformedInputError, StarProdError
 from .scheme import (
+    Scheme,
     SchemeReport,
     classify,
     completeness_residual,
@@ -82,8 +83,8 @@ def cmd_emit(args: argparse.Namespace) -> int:
     return 0
 
 
-def _format_human(report: SchemeReport, scheme_name: str, d: int, n: int) -> str:
-    lines = [f"scheme: {scheme_name} (d={d}, N={n})"]
+def _format_human(report: SchemeReport, s: Scheme, scheme_name: str) -> str:
+    lines = [f"scheme: {scheme_name} (d={s.d}, N={s.n_points})"]
     tomo = "tomographic" if report.tomographic else "not tomographic"
     lines.append(f"{report.cardinality}, {tomo} (rank {report.rank})")
     lines.append(f"condition number: {report.condition_number:.10g}")
@@ -107,7 +108,8 @@ def _format_human(report: SchemeReport, scheme_name: str, d: int, n: int) -> str
         lines.append(f"min dequantizer eigenvalue: {neg.min_dequantizer_eigenvalue:.10g}")
         if neg.min_quantizer_eigenvalue is not None:
             lines.append(f"min quantizer eigenvalue: {neg.min_quantizer_eigenvalue:.10g}")
-    if not report.tomographic and (neg is None or neg.min_quantizer_eigenvalue is None):
+    # Read from the scheme: a non-Hermitian family leaves neg None either way.
+    if s.quantizers is None and not report.tomographic:
         lines.append("quantizers undefined")
     if report.matrix_unit_like is not None:
         lines.append("matrix-unit-like: yes (rotated matrix units)")
@@ -118,7 +120,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
     s = load_scheme(args.scheme)
     path = _report_path(args.report, args.scheme)
     report = classify(s)
-    print(_format_human(report, s.name or args.scheme, s.d, s.n_points))
+    print(_format_human(report, s, s.name or args.scheme))
     _write_report(
         path,
         scheme={"path": args.scheme, "name": s.name, "d": s.d, "n": s.n_points},
@@ -167,7 +169,7 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
 def cmd_kernel(args: argparse.Namespace) -> int:
     kernel = star_kernel(load_scheme(args.scheme))
     residual = associativity_residual(kernel) if args.assoc_check else None
-    save_kernel(kernel.d, kernel.values, args.output, assoc_residual=residual)
+    save_kernel(kernel, args.output, assoc_residual=residual)
     print(f"wrote kernel tensor ({kernel.n_points}^3 entries) to {args.output}")
     if residual is not None:
         print(f"associativity residual: {residual:.3e}")

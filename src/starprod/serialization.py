@@ -33,6 +33,7 @@ import numpy as np
 
 from .errors import SchemeParseError
 from .scheme import Scheme
+from .star_product import StarKernel
 
 SCHEME_FORMAT = "starprod-scheme"
 
@@ -311,14 +312,17 @@ def load_vector(path: str) -> np.ndarray:
     return _decode(read_json(path, "values")["values"], 1, f"{path}: values")
 
 
-def save_kernel(d: int, values: np.ndarray, path: str, assoc_residual: float | None = None) -> None:
-    """Write a kernel file: plain JSON with one k-slice of ``values`` per line.
+def save_kernel(kernel: StarKernel, path: str, assoc_residual: float | None = None) -> None:
+    """Write ``kernel`` to a kernel file: plain JSON with its ``d``, its size
+    ``n`` and one k-slice of its ``values`` per line, then ``assoc_residual``
+    when one is given.  ``load_kernel`` reads it back as the same kernel.
 
     Each line holds the bytes ``json.dumps(_encode(slice))`` would write, with
     NaN and infinite parts as null; a kernel of a covariant scheme repeats
     most of its floats, within a slice and between slices, and
     ``_member_texts`` formats each distinct float of a block of slices once.
     """
+    d, values = kernel
     with _overwrite(path) as fh:
         fh.write(f'{{"d": {json.dumps(d)}, "n": {len(values)}, "values": [')
         for k, line in enumerate(_member_texts(values, 1, False)):
@@ -334,12 +338,13 @@ _KERNEL_HEADER = re.compile(r'\{"d": ([1-9]\d*), "n": ([1-9]\d*), "values": \[\n
 _KERNEL_TRAILER = re.compile(r'\](, "associativity_residual": -?(0|[1-9]\d*)(\.\d+)?([eE][-+]?\d+)?)?\}\n')
 
 
-def load_kernel(path: str) -> tuple[int, np.ndarray]:
-    """Read a file in ``save_kernel``'s layout, one k-slice line at a time: one
-    slice's nested lists are alive at a time, and the n x n x n array is made
-    once the first slice has passed its shape check.  Any other text, another
-    JSON layout of the same kernel included, raises SchemeParseError naming
-    the file and, past the header, the slice."""
+def load_kernel(path: str) -> StarKernel:
+    """The kernel in a file of ``save_kernel``'s layout, bit for bit as it was
+    saved, read one k-slice line at a time: one slice's nested lists are alive
+    at a time, and the n x n x n array is made once the first slice has passed
+    its shape check.  Any other text, another JSON layout of the same kernel
+    included, raises SchemeParseError naming the file and, past the header,
+    the slice."""
     # Undecodable bytes become lone surrogates, which no accepted line holds,
     # so they are refused in the line they stand in.
     with open(path, errors="surrogateescape") as fh:
@@ -379,4 +384,4 @@ def load_kernel(path: str) -> tuple[int, np.ndarray]:
                 f"{path}: expected ']}}' or '], \"associativity_residual\": <number>}}' and a "
                 f"newline after the {n} slice lines"
             )
-    return d, values
+    return StarKernel(d, values)

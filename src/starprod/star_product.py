@@ -10,7 +10,7 @@ two schemes on the same space.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,9 +51,11 @@ def reconstruct(s: Scheme, f) -> np.ndarray:
     return finite("the reconstructed operator overflows", lambda: np.tensordot(f, qs, axes=(-1, 0)))
 
 
-@dataclass(frozen=True)
-class StarKernel:
-    """Rank-3 tensor K(k, k', k'') = Tr[U_k^dag D_k' D_k'']."""
+class StarKernel(NamedTuple):
+    """Rank-3 tensor K(k, k', k'') = Tr[U_k^dag D_k' D_k''] of a scheme on
+    C^d, as ``values[k, k', k'']``: what ``star_kernel`` builds and
+    ``serialization.load_kernel`` reads back.  A named tuple, so it also
+    unpacks as ``d, values = kernel``."""
 
     d: int
     values: np.ndarray

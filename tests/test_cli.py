@@ -40,7 +40,13 @@ from starprod.scheme import (
     scheme_from_dequantization_matrix,
     with_canonical_quantizers,
 )
-from starprod.star_product import cubic_unitary_residual, reconstruct, star_kernel, star_multiply
+from starprod.star_product import (
+    associativity_residual,
+    cubic_unitary_residual,
+    reconstruct,
+    star_kernel,
+    star_multiply,
+)
 
 from _helpers import conditioned_frame, random_complex
 
@@ -215,6 +221,19 @@ class TestClassify:
         out = capsys.readouterr().out
         assert "underfilled, not tomographic" in out
         assert "quantizers undefined" in out
+
+    @pytest.mark.parametrize("phase", [1, 1j])
+    def test_underfilled_with_quantizers_has_them(self, tmp_path, capsys, phase):
+        # Quantizers i D are not Hermitian, so no negativity is reported; the
+        # file still carries quantizers, Hermitian or not.
+        deq = mub_qubit_scheme().dequantizers[:3]
+        path = tmp_path / "under.json"
+        save_scheme(Scheme(dequantizers=deq, quantizers=phase * deq, name="under"), str(path))
+        assert main(["classify", str(path), "--report", str(tmp_path / "r.json")]) == 0
+        out = capsys.readouterr().out
+        assert "underfilled, not tomographic" in out
+        assert "quantizers undefined" not in out
+        assert ("min quantizer eigenvalue" in out) == (phase == 1)
 
     def test_report_names_no_basis(self, emit, tmp_path):
         report_path = tmp_path / "r.json"
@@ -756,6 +775,26 @@ class TestKernel:
         d, values = load_kernel(str(out))
         assert d == 2 and values.shape == (4, 4, 4)
         assert json.loads(out.read_text())["associativity_residual"] <= 1e-12
+
+    @staticmethod
+    def _kernel_file(tmp_path, *flags):
+        scheme_path = tmp_path / "mub3.json"
+        save_scheme(build_scheme("mub-prime", p=3), str(scheme_path))
+        out = tmp_path / "kernel.json"
+        assert main(["kernel", str(scheme_path), *flags, "-o", str(out)]) == 0
+        return load_scheme(str(scheme_path)), out
+
+    def test_loaded_kernel_gives_the_written_associativity_residual(self, tmp_path):
+        _, out = self._kernel_file(tmp_path, "--assoc-check")
+        written = json.loads(out.read_text())["associativity_residual"]
+        assert associativity_residual(load_kernel(str(out))) == written
+
+    def test_loaded_kernel_multiplies_as_the_computed_one(self, tmp_path, rng):
+        s, out = self._kernel_file(tmp_path)
+        f, g = random_complex(rng, (2, s.n_points))
+        got = star_multiply(load_kernel(str(out)), f, g)
+        expected = star_multiply(star_kernel(with_canonical_quantizers(s)), f, g)
+        assert got.tobytes() == expected.tobytes()
 
     def test_underfilled_exits_1(self, tmp_path):
         s = Scheme(dequantizers=mub_qubit_scheme().dequantizers[:3])

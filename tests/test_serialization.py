@@ -32,7 +32,7 @@ from starprod.serialization import (
     save_vector,
     write_json,
 )
-from starprod.star_product import star_kernel
+from starprod.star_product import StarKernel, star_kernel
 from starprod.verification import CheckResult
 
 from _helpers import random_complex, reference_kernel_texts
@@ -203,7 +203,7 @@ class TestOperatorVectorKernelFiles:
     def test_kernel_round_trip(self, tmp_path, rng):
         values = _with_edges(random_complex(rng, (4, 4, 4)))
         path = tmp_path / "kernel.json"
-        save_kernel(2, values, str(path), assoc_residual=1.5e-12)
+        save_kernel(StarKernel(2, values), str(path), assoc_residual=1.5e-12)
         d, back = load_kernel(str(path))
         assert d == 2
         assert _bits(back) == _bits(values)
@@ -212,7 +212,7 @@ class TestOperatorVectorKernelFiles:
     def test_kernel_file_is_plain_json_one_slice_per_line(self, tmp_path, rng):
         values = random_complex(rng, (4, 4, 4))
         path = tmp_path / "kernel.json"
-        save_kernel(2, values, str(path))
+        save_kernel(StarKernel(2, values), str(path))
         text = path.read_text()
         payload = json.loads(text)
         assert list(payload) == ["d", "n", "values"]
@@ -221,8 +221,26 @@ class TestOperatorVectorKernelFiles:
         lines = text.splitlines()
         assert len(lines) == 4 + 2
         assert [json.loads(line.rstrip(",")) for line in lines[1:-1]] == payload["values"]
-        save_kernel(2, values, str(path), assoc_residual=0.25)
+        save_kernel(StarKernel(2, values), str(path), assoc_residual=0.25)
         assert list(json.loads(path.read_text())) == ["d", "n", "values", "associativity_residual"]
+
+    def test_loaded_kernel_is_a_star_kernel(self, tmp_path, rng):
+        values = random_complex(rng, (3, 3, 3))
+        path = tmp_path / "kernel.json"
+        save_kernel(StarKernel(5, values), str(path))
+        kernel = load_kernel(str(path))
+        assert isinstance(kernel, StarKernel)
+        d, back = kernel
+        assert (d, kernel[0], kernel.d, kernel.n_points) == (5, 5, 5, 3)
+        assert back is kernel[1] is kernel.values
+
+    def test_star_kernel_round_trip(self, tmp_path):
+        kernel = star_kernel(with_canonical_quantizers(build_scheme("mub-prime", p=3)))
+        path = tmp_path / "kernel.json"
+        save_kernel(kernel, str(path))
+        back = load_kernel(str(path))
+        assert back.d == kernel.d
+        assert _bits(back.values) == _bits(kernel.values)
 
     def test_operator_missing_field(self, tmp_path):
         path = tmp_path / "op.json"
@@ -294,7 +312,7 @@ class TestKernelWriterBytes:
             expected = reference_kernel_texts(d, values, _RESIDUALS)
         path = tmp_path / "kernel.json"
         for residual, text in zip(_RESIDUALS, expected):
-            save_kernel(d, values, str(path), assoc_residual=residual)
+            save_kernel(StarKernel(d, values), str(path), assoc_residual=residual)
             _assert_same_text(path.read_text(), text, f"kernel file, residual {residual}")
 
     @pytest.mark.parametrize("name", list(SCHEMES))
@@ -330,7 +348,7 @@ class TestKernelWriterBytes:
         values[1, 0, 1] = complex(math.nan, math.inf)
         values[0, 1, 0] = complex(-math.inf, 0.0)
         path = tmp_path / "kernel.json"
-        save_kernel(1, values, str(path))
+        save_kernel(StarKernel(1, values), str(path))
 
         def refuse(token):
             raise AssertionError(f"non-JSON token {token}")
@@ -372,7 +390,7 @@ class TestKernelWriterWork:
             return dumps(obj, *args, **kwargs)
 
         monkeypatch.setattr(serialization.json, "dumps", counting_dumps)
-        save_kernel(*_registered_kernel("mub-prime", p=7)[:2], str(tmp_path / "k.json"))
+        save_kernel(StarKernel(*_registered_kernel("mub-prime", p=7)[:2]), str(tmp_path / "k.json"))
         # Of the kernel's 351,232 floats, distinct per slice: 92,056; per
         # block of five slices: 52,780; over the whole kernel: 36,791.
         assert sum(counted) <= 60_000
@@ -386,7 +404,7 @@ class TestKernelWriterWork:
         values = random_complex(rng, (56, 56, 56))
         tracemalloc.start()
         try:
-            save_kernel(7, values, str(tmp_path / "k.json"))
+            save_kernel(StarKernel(7, values), str(tmp_path / "k.json"))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -426,7 +444,7 @@ class TestKernelFileContract:
         assert d == 1 and values.shape == (2, 2, 2)
         assert np.all(values == 0.5 - 0.25j)
         # The files below differ from save_kernel's only where their case says.
-        save_kernel(1, values, str(tmp_path / "saved.json"))
+        save_kernel(StarKernel(1, values), str(tmp_path / "saved.json"))
         assert (tmp_path / "saved.json").read_text() == (tmp_path / "kernel.json").read_text()
 
     @pytest.mark.parametrize(
@@ -548,7 +566,7 @@ def _kernel_text(tmp_path, n, residual=None, seed=0):
     values = values.view(complex)[..., 0]
     values.flat[0] = complex(1 / 3, -0.0)
     path = tmp_path / "saved.json"
-    save_kernel(n, values, str(path), assoc_residual=residual)
+    save_kernel(StarKernel(n, values), str(path), assoc_residual=residual)
     return path.read_text(), values
 
 
@@ -716,7 +734,7 @@ class TestKernelLineReader:
 
     def test_peak_memory_stays_within_twice_the_array(self, tmp_path):
         path = str(tmp_path / "kernel.json")
-        save_kernel(*_registered_kernel("mub-prime", p=7)[:2], path)
+        save_kernel(StarKernel(*_registered_kernel("mub-prime", p=7)[:2]), path)
         tracemalloc.start()
         try:
             _, values = load_kernel(path)
@@ -908,8 +926,10 @@ _WRITERS = {
         lambda path: write_json({"report": classify(build_scheme("pauli"))}, path),
     ),
     "kernel": (
-        lambda path: save_kernel(*_registered_kernel("mub-prime", p=3)[:2], path, assoc_residual=1e-13),
-        lambda path: save_kernel(*_registered_kernel("pauli")[:2], path),
+        lambda path: save_kernel(
+            StarKernel(*_registered_kernel("mub-prime", p=3)[:2]), path, assoc_residual=1e-13
+        ),
+        lambda path: save_kernel(StarKernel(*_registered_kernel("pauli")[:2]), path),
     ),
     "operator": (
         lambda path: save_operator(np.eye(9), path),
@@ -1027,7 +1047,7 @@ class TestInterruptedWrite:
     @pytest.mark.parametrize("k", [0, 1, 10])
     def test_kernel_stopped_after_k_slices(self, tmp_path, monkeypatch, rng, k):
         path = tmp_path / "kernel.json"
-        save_kernel(2, random_complex(rng, (20, 20, 20)), str(path), assoc_residual=1e-13)
+        save_kernel(StarKernel(2, random_complex(rng, (20, 20, 20))), str(path), assoc_residual=1e-13)
         member_texts = serialization._member_texts
 
         def stopping(a, depth, indent):
@@ -1038,7 +1058,7 @@ class TestInterruptedWrite:
 
         monkeypatch.setattr(serialization, "_member_texts", stopping)
         with pytest.raises(KeyboardInterrupt):
-            save_kernel(2, random_complex(rng, (16, 16, 16)), str(path))
+            save_kernel(StarKernel(2, random_complex(rng, (16, 16, 16))), str(path))
         assert path.read_bytes().endswith(b"\0")
         _assert_refused(path, load_kernel)
 
